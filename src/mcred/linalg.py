@@ -2,9 +2,12 @@
 
 Matrices are plain ``list[list[FieldElement]]`` in row-major order.  All
 eliminations use the first nonzero entry as pivot, so the results are
-deterministic functions of the input.  Division by a zero divisor inside an
-algebraic extension raises ``ZeroDivisorSplit`` from the scalar layer; callers
-that know how to refine the tower catch it, everyone else lets it propagate.
+deterministic functions of the input.  Elimination runs on raw payloads at
+one ``(tower, level)`` per matrix, the deepest tower and highest level among
+its entries, and touches only the nonzero columns of each pivot row.
+Division by a zero divisor inside an algebraic extension raises
+``ZeroDivisorSplit`` from the scalar layer; callers that know how to refine
+the tower catch it, everyone else lets it propagate.
 
 A few routines (``det``, ``adjugate``) deliberately avoid division so that
 they also work verbatim over non-field coefficient rings (truncated series);
@@ -17,6 +20,7 @@ from typing import Sequence
 
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
 from .field import FieldElement, FieldTower, common_tower
+from .field import _inv, _lift_payload, _mul, _payload_is_zero, _sub
 
 Matrix = list  # list[list[FieldElement]]
 Vector = list  # list[FieldElement]
@@ -42,7 +46,8 @@ def _context(m: Matrix) -> tuple[FieldTower, int]:
     level = 0
     for row in m:
         for x in row:
-            tower = x.tower if tower is None else common_tower(tower, x.tower)
+            if x.tower is not tower:
+                tower = x.tower if tower is None else common_tower(tower, x.tower)
             level = max(level, x.level)
     if tower is None:
         raise DomainViolation("cannot infer coefficient field of an empty matrix")
@@ -153,22 +158,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    n, c = mat_shape(a)
-    if n != c or k < 0:
-        raise DomainViolation("matrix power needs a square base and k >= 0")
-    tower, _ = _context(a)
-    result = identity(tower, n)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
@@ -178,32 +167,39 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
     Pivoting picks the first row with a nonzero entry, so over a fixed tower
-    the output is deterministic.
+    the output is deterministic.  Every entry comes back at the matrix's
+    common tower and top level.
     """
     rows, cols = mat_shape(m)
-    r = mat_copy(m)
+    if not rows or not cols:
+        return mat_copy(m), []
+    tower, level = _context(m)
+    r = [[_lift_payload(tower, x.level, level, x.payload) for x in row] for row in m]
     pivots: list[int] = []
     lead = 0
     for col in range(cols):
         if lead >= rows:
             break
-        pivot_row = None
-        for i in range(lead, rows):
-            if not r[i][col].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next(
+            (i for i in range(lead, rows) if not _payload_is_zero(r[i][col])), None)
         if pivot_row is None:
             continue
         r[lead], r[pivot_row] = r[pivot_row], r[lead]
-        inv = r[lead][col].inverse()
-        r[lead] = [x * inv for x in r[lead]]
-        for i in range(rows):
-            if i != lead and not r[i][col].is_zero():
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
+        prow = r[lead]
+        inv = _inv(tower, level, prow[col])
+        # the lattice matrices are banded: only the pivot row's nonzero
+        # columns can change the other rows
+        support = [j for j in range(col, cols) if not _payload_is_zero(prow[j])]
+        for j in support:
+            prow[j] = _mul(tower, level, prow[j], inv)
+        for i, row in enumerate(r):
+            f = row[col]
+            if i != lead and not _payload_is_zero(f):
+                for j in support:
+                    row[j] = _sub(tower, level, row[j], _mul(tower, level, f, prow[j]))
         pivots.append(col)
         lead += 1
-    return r, pivots
+    return [[FieldElement(tower, level, p) for p in row] for row in r], pivots
 
 
 def rank(m: Matrix) -> int:

@@ -144,7 +144,7 @@ def test_criterion_05_lambda_family_dichotomy():
 def test_criterion_06_euler_bound_sweep():
     failures = checks.suite_euler_bound(seed=0, trials=200)
     assert failures == []
-    print("PASS 6: |chi| <= (2r+1)n and h0 <= n on 200 random instances")
+    print("PASS 6: |chi| <= (2r+1)n, h0 <= n and h0 == h1 on 200 random instances")
 
 
 def test_criterion_07_stability_constants():

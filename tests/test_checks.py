@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mcred import checks, linalg
+from mcred.cohomology import DeRhamDims, LatticeWindow
 from mcred.series import INF
 
 
@@ -61,3 +62,14 @@ def test_run_all_honors_trial_override():
     results = checks.run_all(seed=6, only=["gauge-action", "leibniz"], trials=3)
     assert set(results) == {"gauge-action", "leibniz"}
     assert all(v == [] for v in results.values())
+
+
+def test_euler_suite_reports_nonzero_index(monkeypatch):
+    # the index of d/du on K((u))^n is 0, so h0 != h1 is a failure even
+    # when the looser Euler bound holds
+    window = LatticeWindow(-1, 1)
+    monkeypatch.setattr(checks, "derham_dims",
+                        lambda c: DeRhamDims(1, 0, window, True, "window"))
+    failures = checks.suite_euler_bound(seed=0, trials=2)
+    assert len(failures) == 2
+    assert all("nonzero index" in f for f in failures)

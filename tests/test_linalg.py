@@ -1,0 +1,266 @@
+"""Elimination in ``linalg`` against independent references.
+
+Over QQ the reference is sympy (test-only).  Over algebraic extensions it is
+the element-wise Gauss-Jordan loop below: the same pivot rule, computed with
+``FieldElement`` operators on every column.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from mcred import checks, linalg
+from mcred.cohomology import LatticeWindow, flat_section_dim
+from mcred.errors import LinearSolveFailed, NotInvertible, ZeroDivisorSplit
+from mcred.field import FieldTower
+
+QQ = FieldTower()
+K = QQ.extend([-2, 0, 1])  # sqrt 2
+L = K.extend([K.rational(-3), K.zero(), K.one()])  # sqrt 3 on top
+SPLIT = QQ.extend([-1, 0, 1])  # x^2 - 1: only a ring
+
+
+def oracle_rref(m):
+    """Element-wise Gauss-Jordan, first nonzero row as pivot."""
+    rows, cols = linalg.mat_shape(m)
+    r = linalg.mat_copy(m)
+    pivots = []
+    lead = 0
+    for col in range(cols):
+        if lead >= rows:
+            break
+        pivot_row = None
+        for i in range(lead, rows):
+            if not r[i][col].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        r[lead], r[pivot_row] = r[pivot_row], r[lead]
+        inv = r[lead][col].inverse()
+        r[lead] = [x * inv for x in r[lead]]
+        for i in range(rows):
+            if i != lead and not r[i][col].is_zero():
+                f = r[i][col]
+                r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
+        pivots.append(col)
+        lead += 1
+    return r, pivots
+
+
+# ---------------------------------------------------------------------------
+# seeded matrices
+
+
+def _rat(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _scalar(rng, tower):
+    """A random element using every level of ``tower``."""
+    x = tower.rational(_rat(rng))
+    for lv in range(1, tower.depth + 1):
+        x = x + tower.gen(lv) * _rat(rng)
+    return x
+
+
+def _matrix(rng, tower, rows, cols, band=None):
+    """Random matrix; ``band`` keeps only ``|i - j| <= band``; the last row
+    is a combination of the first two, so the rank is deficient."""
+    m = [[_scalar(rng, tower) if band is None or abs(i - j) <= band else tower.zero()
+          for j in range(cols)] for i in range(rows)]
+    if rows >= 3:
+        m[-1] = [x + y * 2 for x, y in zip(m[0], m[1])]
+    return m
+
+
+def _lattice_matrix():
+    """The matrix ``flat_section_dim`` hands to ``nullspace`` on a
+    nilpotent-lead input."""
+    c = checks.random_connection(random.Random(3), 2, 2, kind="nilpotent_lead")
+    seen = []
+    real = linalg.nullspace
+
+    def spy(m):
+        seen.append(m)
+        return real(m)
+
+    linalg.nullspace = spy
+    try:
+        flat_section_dim(c, LatticeWindow(-4, 4))
+    finally:
+        linalg.nullspace = real
+    return seen[0]
+
+
+def _qq_cases():
+    rng = random.Random(1)
+    cases = [_matrix(rng, QQ, 5, 5), _matrix(rng, QQ, 4, 7), _matrix(rng, QQ, 7, 4),
+             _matrix(rng, QQ, 9, 9, band=1), _matrix(rng, QQ, 8, 12, band=2)]
+    return cases + [_lattice_matrix()]
+
+
+QQ_CASES = _qq_cases()
+
+
+# ---------------------------------------------------------------------------
+# QQ against sympy
+
+
+def _to_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sympy.Rational(x.to_fraction().numerator,
+                                         x.to_fraction().denominator)
+                          for x in row] for row in m])
+
+
+def _fracs(m):
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+
+def _as_fracs(m):
+    return [[x.to_fraction() for x in row] for row in m]
+
+
+@pytest.mark.parametrize("k", range(len(QQ_CASES)))
+def test_rref_rank_nullspace_match_sympy_over_qq(k):
+    m = QQ_CASES[k]
+    s = _to_sympy(m)
+    s_rref, s_pivots = s.rref()
+    r, pivots = linalg.rref(m)
+    assert pivots == list(s_pivots)
+    assert _as_fracs(r) == _fracs(s_rref)
+    assert linalg.rank(m) == s.rank()
+    ours = [[x.to_fraction() for x in v] for v in linalg.nullspace(m)]
+    assert ours == [[row[0] for row in _fracs(v)] for v in s.nullspace()]
+
+
+@pytest.mark.parametrize("k", range(len(QQ_CASES)))
+def test_solve_matches_sympy_over_qq(k):
+    m = QQ_CASES[k]
+    cols = len(m[0])
+    b = linalg.mat_vec(m, [QQ.rational(Fraction(j - 2, j + 1)) for j in range(cols)])
+    sol, params = _to_sympy(m).gauss_jordan_solve(_to_sympy([[y] for y in b]))
+    sol = sol.subs({p: 0 for p in params})
+    assert _as_fracs([linalg.solve(m, b)]) == [[row[0] for row in _fracs(sol)]]
+    bad = b[:-1] + [b[-1] + 1]
+    try:
+        _to_sympy(m).gauss_jordan_solve(_to_sympy([[y] for y in bad]))
+    except ValueError:
+        with pytest.raises(LinearSolveFailed):
+            linalg.solve(m, bad)
+    else:
+        linalg.solve(m, bad)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_inverse_matches_sympy_over_qq(k):
+    rng = random.Random(10 + k)
+    n = 5
+    m = [[_scalar(rng, QQ) if abs(i - j) <= k else QQ.zero() for j in range(n)]
+         for i in range(n)]
+    s = _to_sympy(m)
+    if s.det() == 0:
+        with pytest.raises(NotInvertible):
+            linalg.inverse(m)
+        return
+    assert _as_fracs(linalg.inverse(m)) == _fracs(s.inv())
+
+
+# ---------------------------------------------------------------------------
+# extensions against the element-wise oracle
+
+
+def _ext_cases():
+    rng = random.Random(2)
+    return [(t, _matrix(rng, t, rows, cols, band))
+            for t in (K, L)
+            for rows, cols, band in ((4, 4, None), (3, 5, None), (5, 3, None),
+                                     (6, 6, 1))]
+
+
+EXT_CASES = _ext_cases()
+
+
+@pytest.mark.parametrize("k", range(len(EXT_CASES)))
+def test_routines_match_oracle_over_extensions(k, monkeypatch):
+    tower, m = EXT_CASES[k]
+    cols = len(m[0])
+    b = linalg.mat_vec(m, [tower.gen() * j + 1 for j in range(cols)])
+    r, pivots = linalg.rref(m)
+    got = (linalg.rank(m), linalg.nullspace(m), linalg.solve(m, b),
+           linalg.column_space_basis(m))
+    monkeypatch.setattr(linalg, "rref", oracle_rref)
+    o_r, o_pivots = oracle_rref(m)
+    assert pivots == o_pivots
+    assert linalg.mat_eq(r, o_r)
+    assert got[0] == linalg.rank(m)
+    assert linalg.mat_eq(got[1], linalg.nullspace(m))
+    assert linalg.mat_eq([got[2]], [linalg.solve(m, b)])
+    assert linalg.mat_eq(got[3], linalg.column_space_basis(m))
+
+
+@pytest.mark.parametrize("tower", [K, L])
+def test_inverse_matches_oracle_over_extensions(tower, monkeypatch):
+    rng = random.Random(4)
+    m = [[_scalar(rng, tower) if abs(i - j) <= 1 else tower.zero() for j in range(4)]
+         for i in range(4)]
+    inv = linalg.inverse(m)
+    assert linalg.mat_eq(linalg.mat_mul(m, inv), linalg.identity(tower, 4))
+    monkeypatch.setattr(linalg, "rref", oracle_rref)
+    assert linalg.mat_eq(inv, linalg.inverse(m))
+
+
+# ---------------------------------------------------------------------------
+# edge cases
+
+
+def test_empty_and_zero_column_matrices():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[], [], []]) == ([[], [], []], [])
+    assert linalg.rank([]) == 0
+    assert linalg.rank([[], []]) == 0
+
+
+def _mixed_cases():
+    s2, s3 = L.gen(1), L.gen(2)
+    depth_one = [[K.rational(1), K.gen(), K.rational(2)],
+                 [K.rational(2), K.rational(3), K.gen() * 2],
+                 [K.gen() + 3, K.rational(0), K.rational(5)]]
+    prefix_towers = [
+        [QQ.rational(0), K.rational(2), K.gen(), s3],
+        [QQ.rational(3), L.rational(1), K.gen() + 1, QQ.rational(5)],
+        [L.zero(), K.gen() * 2, s2 * s3, L.one(1)],
+        [K.rational(6), QQ.rational(4), K.gen() * 3 + 1, s3 * 2 + s2 * 2],
+    ]
+    level_zero = [[K.rational(q) for q in row] for row in ((1, 2), (3, 4), (2, 4))]
+    return [(depth_one, K, 1), (prefix_towers, L, 2), (level_zero, K, 0)]
+
+
+@pytest.mark.parametrize("m, tower, level", _mixed_cases())
+def test_mixed_levels_and_prefix_towers_match_oracle(m, tower, level):
+    r, pivots = linalg.rref(m)
+    o_r, o_pivots = oracle_rref(m)
+    assert pivots == o_pivots
+    assert linalg.mat_eq(r, o_r)
+    assert all(x.tower == tower and x.level == level for row in r for x in row)
+
+
+def _split_of(x):
+    with pytest.raises(ZeroDivisorSplit) as info:
+        x.inverse()
+    return info.value
+
+
+@pytest.mark.parametrize("tower", [SPLIT, SPLIT.extend([-2, 0, 1])])
+def test_zero_divisor_pivot_reports_the_scalar_split(tower):
+    """The pivot ``x - 1`` sits at level 1; on the deeper tower the matrix's
+    top level is 2 and the pivot is lifted before it is inverted."""
+    x = tower.gen(1)
+    m = [[x - 1, tower.gen()], [tower.one(), x]]
+    want = _split_of(x - 1)
+    with pytest.raises(ZeroDivisorSplit) as info:
+        linalg.rref(m)
+    got = info.value
+    assert (got.level, got.factors, got.tower) == (want.level, want.factors, want.tower)
