@@ -41,7 +41,7 @@ from .errors import (
     Unstabilized,
     ZeroDivisorSplit,
 )
-from .field import FieldElement, FieldTower, common_tower, refine_tower
+from .field import FieldElement, FieldTower, common_tower
 from .matrices import LaurentMatrix, block_diag, dlog, matrix_exp, matrix_log
 from .reduction import (
     KNOWN_SHARP,
@@ -92,7 +92,6 @@ __all__ = [
     "matrix_log",
     "ramified_decomposition_check",
     "reduce",
-    "refine_tower",
     "replay",
     "rs_spectrum",
     "stability_constant",

@@ -41,6 +41,7 @@ from .errors import (
     PrecisionExhausted,
     Unstabilized,
 )
+from .field import common_context
 from .leading import rational_roots
 from .series import INF, LaurentSeries
 
@@ -108,6 +109,25 @@ def _pole_shift(c: Connection) -> int:
     return int(r) if r != -INF and r > 1 else 1
 
 
+def _nabla_rows(c: Connection, j: int, k_min: int, width: int) -> list:
+    """The n rows of ``∇`` that land on ``u**j du``, restricted to sections
+    with exponents in ``[k_min, k_min + width)``: column ``kx*n + b`` holds
+    ``G_{j-k}[a][b]``, plus ``k`` on the diagonal where ``j == k - 1``."""
+    n = c.size
+    zero = c.tower.zero()
+    block = [[zero] * (n * width) for _ in range(n)]
+    for kx in range(width):
+        k = k_min + kx
+        grid = c.coeff(j - k)
+        for a in range(n):
+            for b in range(n):
+                x = grid[a][b]
+                if a == b and j == k - 1:
+                    x = x + k
+                block[a][kx * n + b] = x
+    return block
+
+
 def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
     """Kernel and cokernel dimensions of ``∇`` restricted to ``w``.
 
@@ -122,22 +142,9 @@ def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
             f"{need} but the connection is only known below {c.prec}",
             needed=need,
         )
-    n = c.size
-    dim = n * w.width
-    tower = c.tower
-    zero = tower.zero()
-    mat = [[zero] * dim for _ in range(dim)]
-    for kx in range(w.width):
-        k = w.n_min + kx
-        for jx in range(w.width):
-            j = w.n_min - m + jx
-            grid = c.coeff(j - k)
-            for a in range(n):
-                for b in range(n):
-                    x = grid[a][b]
-                    if a == b and j == k - 1:
-                        x = x + k
-                    mat[jx * n + a][kx * n + b] = x
+    dim = c.size * w.width
+    mat = [row for j in range(w.n_min - m, w.n_max - m)
+           for row in _nabla_rows(c, j, w.n_min, w.width)]
     rank = linalg.rank(mat)
     return DeRhamDims(dim - rank, dim - rank, w, False, "window")
 
@@ -148,7 +155,7 @@ def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
 
 
 def _shifted_by(residue, n_shift: int):
-    tower = linalg._context(residue)[0]
+    tower = common_context(residue)[0]
     eye = linalg.identity(tower, len(residue))
     return linalg.mat_add(residue, linalg.mat_scale(n_shift, eye))
 
@@ -204,30 +211,13 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
             f"only known below {c.prec}",
             needed=need,
         )
-    n = c.size
-    tower = c.tower
-    zero = tower.zero()
-    support = c.matrix.support()
-    width = top - w.n_min
-    lo = min([w.n_min - 1] + [w.n_min + e for e in support])
-    cols = n * width
-    rows = []
-    for j in range(lo, top - r_eff):
-        block = [[zero] * cols for _ in range(n)]
-        for kx in range(width):
-            k = w.n_min + kx
-            grid = c.coeff(j - k)
-            for a in range(n):
-                for b in range(n):
-                    x = grid[a][b]
-                    if a == b and j == k - 1:
-                        x = x + k
-                    block[a][kx * n + b] = x
-        rows.extend(block)
+    lo = min([w.n_min - 1] + [w.n_min + e for e in c.matrix.support()])
+    rows = [row for j in range(lo, top - r_eff)
+            for row in _nabla_rows(c, j, w.n_min, top - w.n_min)]
     basis = linalg.nullspace(rows)
     if not basis:
         return 0
-    visible = [vec[: n * w.width] for vec in basis]
+    visible = [vec[: c.size * w.width] for vec in basis]
     return linalg.rank(visible)
 
 

@@ -101,9 +101,6 @@ class Connection:
     def with_tower(self, tower: FieldTower) -> "Connection":
         return Connection(self.matrix.with_tower(tower))
 
-    def map_coefficients(self, tower: FieldTower, fn) -> "Connection":
-        return Connection(self.matrix.map_coefficients(tower, fn))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Connection):
             return NotImplemented

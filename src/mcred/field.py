@@ -34,15 +34,6 @@ def _zero_payload(tower: "FieldTower", level: int) -> Payload:
     return tuple(below for _ in range(deg))
 
 
-def _rational_payload(tower: "FieldTower", level: int, q: Fraction) -> Payload:
-    if level == 0:
-        return q
-    deg = tower.degree(level)
-    zero = _zero_payload(tower, level - 1)
-    first = _rational_payload(tower, level - 1, q)
-    return (first,) + tuple(zero for _ in range(deg - 1))
-
-
 def _lift_payload(tower: "FieldTower", level_from: int, level_to: int, p: Payload) -> Payload:
     while level_from < level_to:
         level_from += 1
@@ -107,7 +98,7 @@ def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
     # extended Euclid for gcd(a, m) over the level below
     r0, r1 = m, _poly_trim(list(a))
     t0: list[Payload] = []
-    t1: list[Payload] = [_rational_payload(tower, below, Fraction(1))]
+    t1: list[Payload] = [_lift_payload(tower, 0, below, Fraction(1))]
     while r1:
         q, r = _poly_divmod(tower, below, r0, r1)
         r0, r1 = r1, r
@@ -205,6 +196,32 @@ def _poly_monic(tower, level, a: list) -> list:
     return _poly_trim([_mul(tower, level, c, inv) for c in a])
 
 
+def _poly_gcd(tower, level, a: list, b: list) -> list:
+    """Monic gcd by the Euclidean algorithm."""
+    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
+    while r1:
+        r0, r1 = r1, _poly_mod(tower, level, r0, r1)
+    return _poly_monic(tower, level, r0)
+
+
+def _poly_squarefree(tower, level, a: list) -> list:
+    """``a / gcd(a, a')``, monic -- the radical of ``a`` in characteristic zero."""
+    a = _poly_monic(tower, level, a)
+    da = [_mul(tower, level, a[k], _lift_payload(tower, 0, level, Fraction(k)))
+          for k in range(1, len(a))]
+    q, r = _poly_divmod(tower, level, a, _poly_gcd(tower, level, a, da))
+    if r:  # pragma: no cover - gcd divides
+        raise NotInvertible("squarefree division failed")
+    return _poly_monic(tower, level, q)
+
+
+def _poly_eval(tower, level, a: list, x: Payload) -> Payload:
+    acc = _zero_payload(tower, level)
+    for c in reversed(a):
+        acc = _add(tower, level, _mul(tower, level, acc, x), c)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # public wrapper types
 
@@ -249,7 +266,7 @@ class FieldTower:
             raise DomainViolation("extensions must have degree >= 2")
         payloads = [c._lifted(self, self.depth).payload for c in coeffs]
         if not _payload_is_zero(_sub(self, self.depth, payloads[-1],
-                                     _rational_payload(self, self.depth, Fraction(1)))):
+                                     _lift_payload(self, 0, self.depth, Fraction(1)))):
             raise DomainViolation("minimal polynomial must be monic")
         return FieldTower(self.levels + (tuple(payloads),))
 
@@ -264,7 +281,7 @@ class FieldTower:
 
     def one(self, level: int | None = None) -> "FieldElement":
         lv = self.depth if level is None else level
-        return FieldElement(self, lv, _rational_payload(self, lv, Fraction(1)))
+        return FieldElement(self, lv, _lift_payload(self, 0, lv, Fraction(1)))
 
     def gen(self, level: int | None = None) -> "FieldElement":
         """The root adjoined at ``level`` (default: the top level)."""
@@ -273,7 +290,7 @@ class FieldTower:
             raise DomainViolation("the rational level has no generator")
         deg = self.degree(lv)
         zero = _zero_payload(self, lv - 1)
-        one = _rational_payload(self, lv - 1, Fraction(1))
+        one = _lift_payload(self, 0, lv - 1, Fraction(1))
         coords = [zero] * deg
         coords[1 if deg > 1 else 0] = one
         return FieldElement(self, lv, tuple(coords))
@@ -315,86 +332,22 @@ def common_tower(a: FieldTower, b: FieldTower) -> FieldTower:
     return a if a.depth >= b.depth else b
 
 
-def _refinement_projector(tower: FieldTower, level: int, factor: Sequence):
-    """The payload quotient map behind :func:`refine_tower`.
+def common_context(rows) -> tuple[FieldTower, int]:
+    """Deepest tower and highest level among the elements of ``rows``.
 
-    Returns ``(proj, collapse)`` where ``proj(payload, lv)`` carries a
-    level-``lv`` payload of ``tower`` into the refined tower.  Levels below
-    the refinement are untouched; at the refined level coordinates are
-    reduced modulo the factor (or evaluated at the root a linear factor pins
-    down, which removes the level); levels above are rebuilt coordinatewise.
+    ``rows`` is a matrix or a list of polynomials.  The result is the one
+    ``(tower, level)`` at which the payload kernels can combine every element.
     """
-    if not 1 <= level <= tower.depth:
-        raise DomainViolation("refinement level out of range")
-    fac = _poly_trim(list(factor))
-    if len(fac) < 2:
-        raise DomainViolation("refinement factor must have degree >= 1")
-    collapse = len(fac) == 2
-    below = level - 1
-    theta = _neg(tower, below, fac[0]) if collapse else None
-    deg = len(fac) - 1
-    zero = _zero_payload(tower, below)
-
-    def proj(p: Payload, lv: int) -> Payload:
-        if lv < level:
-            return p
-        if lv == level:
-            coords = list(p)
-            if collapse:
-                acc = zero
-                for c in reversed(coords):
-                    acc = _add(tower, below, _mul(tower, below, acc, theta), c)
-                return acc
-            reduced = _poly_mod(tower, below, coords, fac)
-            return tuple((reduced + [zero] * deg)[:deg])
-        return tuple(proj(c, lv - 1) for c in p)
-
-    return proj, collapse
-
-
-def refine_tower(tower: FieldTower, level: int, factor: Sequence) -> FieldTower:
-    """Tower with the minimal polynomial at ``level`` replaced by a factor.
-
-    This is the dynamic-evaluation retry step after a :class:`ZeroDivisorSplit`:
-    the reported factors are monic with payload coefficients one level below
-    the split.  A degree-one factor pins the adjoined root to an element of
-    the level below, so that level disappears and everything above shifts
-    down; the minimal polynomials above the refined level have their
-    coefficients projected through the quotient map.
-    """
-    proj, collapse = _refinement_projector(tower, level, factor)
-    fac = _poly_trim(list(factor))
-    new_levels = list(tower.levels[: level - 1])
-    if not collapse:
-        new_levels.append(tuple(fac))
-    for k in range(level + 1, tower.depth + 1):
-        old_m = tower.levels[k - 1]
-        new_levels.append(tuple(proj(c, k - 1) for c in old_m))
-    return FieldTower(tuple(new_levels))
-
-
-def project_element(x: "FieldElement", refined: FieldTower, level: int,
-                    factor: Sequence) -> "FieldElement":
-    """Image of ``x`` under the quotient map behind :func:`refine_tower`.
-
-    ``refined`` must be ``refine_tower(T, level, factor)`` for a tower ``T``
-    that ``x``'s own tower is a prefix of.  Elements living entirely below
-    the refined level pass through unchanged.
-    """
-    if x.tower.depth < level:
-        return x
-    proj, collapse = _refinement_projector(x.tower, level, factor)
-    new_level = x.level
-    if x.level >= level and collapse:
-        new_level -= 1
-    target = refined
-    if x.tower.depth > level:
-        # x's tower may carry fewer upper levels than the refined reference;
-        # rebuild its own refinement so degrees line up, then let coercion
-        # reconcile the prefixes.
-        target = refine_tower(x.tower, level, factor)
-        target = common_tower(target, refined)
-    return FieldElement(target, new_level, proj(x.payload, x.level))
+    tower = None
+    level = 0
+    for row in rows:
+        for x in row:
+            if x.tower is not tower:
+                tower = x.tower if tower is None else common_tower(tower, x.tower)
+            level = max(level, x.level)
+    if tower is None:
+        raise DomainViolation("cannot infer the coefficient field of no elements")
+    return tower, level
 
 
 class FieldElement:
@@ -525,7 +478,18 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over FieldElement (used for characteristic/minimal polynomials)
+# polynomial views over FieldElement: lift to the common context, run the
+# payload kernels above, wrap the result
+
+
+def _poly_payloads(polys) -> tuple[FieldTower, int, list]:
+    tower, level = common_context(polys)
+    return tower, level, [[_lift_payload(tower, c.level, level, c.payload) for c in p]
+                          for p in polys]
+
+
+def _wrap(tower: FieldTower, level: int, cs: list) -> list[FieldElement]:
+    return [FieldElement(tower, level, c) for c in cs]
 
 
 def poly_trim(cs: list[FieldElement]) -> list[FieldElement]:
@@ -534,91 +498,24 @@ def poly_trim(cs: list[FieldElement]) -> list[FieldElement]:
     return cs
 
 
-def poly_degree(cs: Sequence[FieldElement]) -> int:
-    return len(cs) - 1
-
-
-def poly_add(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        if i < len(a) and i < len(b):
-            out.append(a[i] + b[i])
-        elif i < len(a):
-            out.append(a[i])
-        else:
-            out.append(b[i])
-    return poly_trim(out)
-
-
-def poly_sub(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    return poly_add(a, [-c for c in b])
-
-
-def poly_mul(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    if not a or not b:
-        return []
-    zero = a[0] - a[0]
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
-
-
 def poly_divmod(a: list[FieldElement], b: list[FieldElement]) -> tuple[list[FieldElement], list[FieldElement]]:
-    b = poly_trim(list(b))
-    if not b:
-        raise NotInvertible("polynomial division by zero")
-    lead_inv = b[-1].inverse()
-    r = poly_trim(list(a))
-    q: list[FieldElement] = []
-    zero = b[-1] - b[-1]
-    while len(r) >= len(b):
-        c = r[-1] * lead_inv
-        d = len(r) - len(b)
-        if len(q) < d + 1:
-            q.extend([zero] * (d + 1 - len(q)))
-        q[d] = q[d] + c
-        for i, bc in enumerate(b):
-            r[d + i] = r[d + i] - c * bc
-        poly_trim(r)
-    return poly_trim(q), r
-
-
-def poly_monic(a: list[FieldElement]) -> list[FieldElement]:
-    a = poly_trim(list(a))
-    if not a:
-        return a
-    inv = a[-1].inverse()
-    return poly_trim([c * inv for c in a])
+    tower, level, (pa, pb) = _poly_payloads([a, b])
+    q, r = _poly_divmod(tower, level, pa, pb)
+    return _wrap(tower, level, q), _wrap(tower, level, r)
 
 
 def poly_gcd(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
     """Monic gcd by the Euclidean algorithm."""
-    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
-    while r1:
-        _, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-    return poly_monic(r0)
-
-
-def poly_derivative(a: Sequence[FieldElement]) -> list[FieldElement]:
-    return poly_trim([a[k] * k for k in range(1, len(a))])
+    tower, level, (pa, pb) = _poly_payloads([a, b])
+    return _wrap(tower, level, _poly_gcd(tower, level, pa, pb))
 
 
 def poly_squarefree_part(a: list[FieldElement]) -> list[FieldElement]:
     """``a / gcd(a, a')`` — the radical of ``a`` in characteristic zero."""
-    a = poly_monic(a)
-    g = poly_gcd(a, poly_derivative(a))
-    q, r = poly_divmod(a, g)
-    if r:  # pragma: no cover - gcd divides
-        raise NotInvertible("squarefree division failed")
-    return poly_monic(q)
+    tower, level, (pa,) = _poly_payloads([a])
+    return _wrap(tower, level, _poly_squarefree(tower, level, pa))
 
 
 def poly_eval(a: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    acc = x.tower.zero(x.level) if isinstance(x, FieldElement) else None
-    for c in reversed(list(a)):
-        acc = acc * x + c
-    return acc
+    tower, level, (pa, (px,)) = _poly_payloads([a, [x]])
+    return FieldElement(tower, level, _poly_eval(tower, level, pa, px))

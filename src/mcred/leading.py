@@ -33,11 +33,11 @@ from .errors import DomainViolation, EngineError, ScalarLeadingTerm
 from .field import (
     FieldElement,
     FieldTower,
+    _poly_gcd,
+    common_context,
     common_tower,
-    poly_degree,
     poly_divmod,
     poly_eval,
-    poly_gcd,
     poly_squarefree_part,
     poly_trim,
 )
@@ -146,22 +146,19 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
     polynomials whose gcd pins the candidates down.
     """
     cs = poly_trim(list(poly))
-    if poly_degree(cs) < 1:
+    if len(cs) < 2:
         return []
-    tower = cs[0].tower
-    for c in cs[1:]:
-        tower = common_tower(tower, c.tower)
+    tower = common_context([cs])[0]
     lifted = [tower.coerce(c)._lifted(tower, tower.depth) for c in cs]
     flats = [c.flatten() for c in lifted]
     width = len(flats[0])
-    base = FieldTower()
     slot_polys = []
     for j in range(width):
         pj = [f[j] for f in flats]
         if any(q != 0 for q in pj):
-            slot_polys.append([base.rational(q) for q in pj])
-    g = functools.reduce(poly_gcd, slot_polys)
-    candidates = _rational_poly_roots([c.to_fraction() for c in g])
+            slot_polys.append(pj)
+    g = functools.reduce(functools.partial(_poly_gcd, tower, 0), slot_polys)
+    candidates = _rational_poly_roots(g)
     out = []
     for theta in candidates:
         if poly_eval(cs, tower.rational(theta)).is_zero():
@@ -244,7 +241,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     r = -c.valuation
     if r < 2:
         raise DomainViolation("coefficient normalization requires a pole of order >= 2")
-    tower = linalg._context(lead)[0]
+    tower = common_context(lead)[0]
     kernel, target, source = splitting.kernel, splitting.target, splitting.source
     if len(kernel) + len(target) != nn:
         raise DomainViolation("kernel and target do not have complementary dimensions")
@@ -323,7 +320,7 @@ def _coprime_factors(m_poly: list, tower: FieldTower) -> list:
         if any(not c.is_zero() for c in rem):  # pragma: no cover
             raise EngineError("verified rational root failed to divide")
         factors.append(lin)
-    if poly_degree(rest) >= 1:
+    if len(rest) >= 2:
         factors.append(rest)
     return factors
 
@@ -346,7 +343,7 @@ def _apply_hints(factors: list, tower: FieldTower, hints) -> list:
     queue = list(factors)
     while queue:
         q = queue.pop(0)
-        known = hints.get(_poly_hint_key(q, tower)) if poly_degree(q) >= 2 else None
+        known = hints.get(_poly_hint_key(q, tower)) if len(q) >= 3 else None
         if known is None:
             out.append(q)
         else:
@@ -375,9 +372,9 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
     """
     n = c.size
     m_poly = poly_squarefree_part(linalg.charpoly(s))
-    if poly_degree(m_poly) == 1:
+    if len(m_poly) == 2:
         raise ScalarLeadingTerm("the semisimple part is scalar; nothing to split")
-    tower = linalg._context(s)[0]
+    tower = common_context(s)[0]
     tower = common_tower(tower, c.tower)
     factors = _apply_hints(_coprime_factors(m_poly, tower), tower, hints)
     if len(factors) == 1:

@@ -4,10 +4,12 @@ Matrices are plain ``list[list[FieldElement]]`` in row-major order.  All
 eliminations use the first nonzero entry as pivot, so the results are
 deterministic functions of the input.  Elimination runs on raw payloads at
 one ``(tower, level)`` per matrix, the deepest tower and highest level among
-its entries, and touches only the nonzero columns of each pivot row.
+its entries as :func:`field.common_context` finds them, and touches only the
+nonzero columns of each pivot row.
 Division by a zero divisor inside an algebraic extension raises
-``ZeroDivisorSplit`` from the scalar layer; callers that know how to refine
-the tower catch it, everyone else lets it propagate.
+``ZeroDivisorSplit`` from the scalar layer; the reduction driver catches it
+and restarts with the discovered factorization, everyone else lets it
+propagate.
 
 A few routines (``det``, ``adjugate``) deliberately avoid division so that
 they also work verbatim over non-field coefficient rings (truncated series);
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
-from .field import FieldElement, FieldTower, common_tower
+from .field import FieldElement, FieldTower, common_context
 from .field import _inv, _lift_payload, _mul, _payload_is_zero, _sub
 
 Matrix = list  # list[list[FieldElement]]
@@ -40,20 +42,6 @@ def mat_shape(m: Matrix) -> tuple[int, int]:
     return rows, cols
 
 
-def _context(m: Matrix) -> tuple[FieldTower, int]:
-    """Deepest tower and highest level appearing among the entries."""
-    tower = None
-    level = 0
-    for row in m:
-        for x in row:
-            if x.tower is not tower:
-                tower = x.tower if tower is None else common_tower(tower, x.tower)
-            level = max(level, x.level)
-    if tower is None:
-        raise DomainViolation("cannot infer coefficient field of an empty matrix")
-    return tower, level
-
-
 def zeros(tower: FieldTower, rows: int, cols: int) -> Matrix:
     return [[tower.zero() for _ in range(cols)] for _ in range(rows)]
 
@@ -63,11 +51,6 @@ def identity(tower: FieldTower, n: int) -> Matrix:
     for i in range(n):
         m[i][i] = tower.one()
     return m
-
-
-def mat_from_rows(tower: FieldTower, rows: Sequence[Sequence]) -> Matrix:
-    """Coerce a nested sequence of ints/Fractions/elements into a matrix."""
-    return [[tower.coerce(x) for x in row] for row in rows]
 
 
 def mat_copy(m: Matrix) -> Matrix:
@@ -173,7 +156,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     rows, cols = mat_shape(m)
     if not rows or not cols:
         return mat_copy(m), []
-    tower, level = _context(m)
+    tower, level = common_context(m)
     r = [[_lift_payload(tower, x.level, level, x.payload) for x in row] for row in m]
     pivots: list[int] = []
     lead = 0
@@ -216,7 +199,7 @@ def nullspace(m: Matrix) -> list[Vector]:
     negated reduced column above the pivots, so the basis is canonical.
     """
     rows, cols = mat_shape(m)
-    tower, _ = _context(m)
+    tower, _ = common_context(m)
     r, pivots = rref(m)
     pivot_set = set(pivots)
     basis = []
@@ -239,7 +222,7 @@ def solve(a: Matrix, b: Vector) -> Vector:
     rows, cols = mat_shape(a)
     if len(b) != rows:
         raise DomainViolation("right-hand side has the wrong length")
-    tower, _ = _context(a)
+    tower, _ = common_context(a)
     aug = [list(a[i]) + [tower.coerce(b[i])] for i in range(rows)]
     r, pivots = rref(aug)
     if cols in pivots:
@@ -254,7 +237,7 @@ def inverse(m: Matrix) -> Matrix:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("inverse of a non-square matrix")
-    tower, _ = _context(m)
+    tower, _ = common_context(m)
     aug = [list(m[i]) + identity(tower, n)[i] for i in range(n)]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -331,7 +314,7 @@ def charpoly(m: Matrix) -> list[FieldElement]:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("characteristic polynomial of a non-square matrix")
-    tower, _ = _context(m)
+    tower, _ = common_context(m)
     coeffs = [tower.zero() for _ in range(n + 1)]
     coeffs[n] = tower.one()
     mk = zeros(tower, n, n)
@@ -349,7 +332,7 @@ def poly_at_matrix(coeffs: Sequence[FieldElement], m: Matrix) -> Matrix:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("polynomial evaluation at a non-square matrix")
-    tower, _ = _context(m)
+    tower, _ = common_context(m)
     out = zeros(tower, n, n)
     for ck in reversed(list(coeffs)):
         out = mat_mul(out, m)
@@ -383,7 +366,7 @@ def ad_matrix(m: Matrix) -> Matrix:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("adjoint action of a non-square matrix")
-    tower, _ = _context(m)
+    tower, _ = common_context(m)
     size = n * n
     out = zeros(tower, size, size)
     for a in range(n):

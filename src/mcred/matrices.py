@@ -45,26 +45,18 @@ class LaurentMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise DomainViolation("ragged matrix")
-        # first pass: find the common tower and ramification
+        # the one place where a matrix's entries agree on tower and ramification
         for r in rows:
             for x in r:
                 if isinstance(x, LaurentSeries):
                     tower = common_tower(tower, x.tower)
-                    g = math.gcd(ram, x.ram)
-                    ram = ram // g * x.ram
+                    ram = math.lcm(ram, x.ram)
                 elif isinstance(x, FieldElement):
                     tower = common_tower(tower, x.tower)
-        normalised = []
-        for r in rows:
-            out = []
-            for x in r:
-                s = _as_series(tower, ram, x)
-                s = s.lift_ramification(ram // s.ram).with_tower(tower)
-                out.append(s)
-            normalised.append(out)
         self.tower = tower
         self.ram = ram
-        self.entries = normalised
+        self.entries = [[_as_series(tower, ram, x).recast(tower, ram) for x in r]
+                        for r in rows]
 
     # -- constructors ---------------------------------------------------------
 
@@ -177,24 +169,12 @@ class LaurentMatrix:
         )
 
     def lift_ramification(self, m: int) -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.tower,
-            [[s.lift_ramification(m) for s in r] for r in self.entries],
-            self.ram * m,
-        )
+        if not isinstance(m, int) or m < 1:
+            raise DomainViolation("ramification lift must be a positive int")
+        return LaurentMatrix(self.tower, self.entries, self.ram * m)
 
     def with_tower(self, tower: FieldTower) -> "LaurentMatrix":
-        tower = common_tower(self.tower, tower)
-        return LaurentMatrix(
-            tower, [[s.with_tower(tower) for s in r] for r in self.entries], self.ram
-        )
-
-    def map_coefficients(self, tower: FieldTower, fn) -> "LaurentMatrix":
-        return LaurentMatrix(
-            tower,
-            [[s.map_coefficients(tower, fn) for s in r] for r in self.entries],
-            self.ram,
-        )
+        return LaurentMatrix(tower, self.entries, self.ram)
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(
@@ -214,13 +194,9 @@ class LaurentMatrix:
 
     def _align(self, other: "LaurentMatrix") -> tuple["LaurentMatrix", "LaurentMatrix"]:
         tower = common_tower(self.tower, other.tower)
-        a, b = self, other
-        if a.ram != b.ram:
-            g = math.gcd(a.ram, b.ram)
-            lcm = a.ram // g * b.ram
-            a = a.lift_ramification(lcm // a.ram)
-            b = b.lift_ramification(lcm // b.ram)
-        return a.with_tower(tower), b.with_tower(tower)
+        ram = math.lcm(self.ram, other.ram)
+        return (LaurentMatrix(tower, self.entries, ram),
+                LaurentMatrix(tower, other.entries, ram))
 
     def __add__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -347,15 +323,8 @@ class LaurentMatrix:
 def block_diag(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     if not blocks:
         raise DomainViolation("block_diag needs at least one block")
-    tower = blocks[0].tower
-    ram = blocks[0].ram
-    for b in blocks[1:]:
-        tower = common_tower(tower, b.tower)
-        g = math.gcd(ram, b.ram)
-        ram = ram // g * b.ram
-    blocks = [b.lift_ramification(ram // b.ram).with_tower(tower) for b in blocks]
     total = sum(b.size for b in blocks)
-    z = LaurentSeries.zero(tower, ram)
+    z = LaurentSeries.zero(blocks[0].tower)
     rows = [[z] * total for _ in range(total)]
     offset = 0
     for b in blocks:
@@ -363,7 +332,7 @@ def block_diag(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
             for j in range(b.size):
                 rows[offset + i][offset + j] = b.entries[i][j]
         offset += b.size
-    return LaurentMatrix(tower, rows, ram)
+    return LaurentMatrix(blocks[0].tower, rows)
 
 
 def matrix_exp(xi: LaurentMatrix, prec_cap=None) -> LaurentMatrix:

@@ -47,6 +47,11 @@ from .matrices import LaurentMatrix
 from .reduction import ReductionNode, ReductionTree
 from .series import INF, LaurentSeries
 
+MAX_RANK = 64
+"""Largest matrix rank :func:`decode_matrix` accepts.  A matrix of rank n
+holds n² series, so without a bound a file of a hundred bytes could demand
+unbounded memory; the engine's own generators never exceed rank 3."""
+
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -245,8 +250,8 @@ def decode_matrix(obj) -> LaurentMatrix:
     if not isinstance(obj, dict):
         raise ParseError("a matrix must be a JSON object")
     n = _as_int(_require(obj, "rank", "a matrix"), "rank")
-    if n < 1:
-        raise ParseError("rank must be positive")
+    if not 1 <= n <= MAX_RANK:
+        raise ParseError(f"rank must lie between 1 and {MAX_RANK}, got {n}")
     tower = decode_tower(obj.get("field"))
     ram = _as_int(obj.get("ramification", 1), "ramification")
     if ram < 1:

@@ -129,7 +129,8 @@ class LaurentSeries:
                 f"only known below {self.prec}",
                 needed=exp + 1,
             )
-        return self.coeffs.get(exp, self.tower.zero())
+        c = self.coeffs.get(exp)
+        return self.tower.zero() if c is None else c
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)
@@ -153,15 +154,23 @@ class LaurentSeries:
             self.ram * m,
         )
 
-    def with_tower(self, tower: FieldTower) -> "LaurentSeries":
-        tower = common_tower(self.tower, tower)
-        return LaurentSeries(tower, self.coeffs, self.prec, self.ram)
+    def recast(self, tower: FieldTower, ram: int) -> "LaurentSeries":
+        """This series over ``tower`` in the variable ``w`` with ``w**ram = t``.
 
-    def map_coefficients(self, tower: FieldTower, fn) -> "LaurentSeries":
-        """Apply ``fn`` to every known coefficient, landing in ``tower``."""
-        return LaurentSeries(
-            tower, {e: fn(c) for e, c in self.coeffs.items()}, self.prec, self.ram
-        )
+        ``tower`` must be prefix-compatible with and at least as deep as this
+        series' tower, and ``ram`` a multiple of ``self.ram``.  When neither
+        changes the series itself comes back: a built series already holds
+        every invariant the constructor enforces.
+        """
+        if ram % self.ram:
+            raise DomainViolation("target ramification must be a multiple of ram")
+        s = self.lift_ramification(ram // self.ram)
+        if tower is s.tower:
+            return s
+        return LaurentSeries(tower, s.coeffs, s.prec, s.ram)
+
+    def with_tower(self, tower: FieldTower) -> "LaurentSeries":
+        return self.recast(common_tower(self.tower, tower), self.ram)
 
     # -- precision management --------------------------------------------------
 
@@ -199,13 +208,8 @@ class LaurentSeries:
         else:
             return NotImplemented, NotImplemented
         tower = common_tower(self.tower, b.tower)
-        a = self
-        if a.ram != b.ram:
-            g = math.gcd(a.ram, b.ram)
-            lcm = a.ram // g * b.ram
-            a = a.lift_ramification(lcm // a.ram)
-            b = b.lift_ramification(lcm // b.ram)
-        return a.with_tower(tower), b.with_tower(tower)
+        ram = math.lcm(self.ram, b.ram)
+        return self.recast(tower, ram), b.recast(tower, ram)
 
     def __add__(self, other):
         a, b = self._pair(other)

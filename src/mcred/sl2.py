@@ -21,12 +21,13 @@ from typing import Sequence
 
 from . import linalg
 from .errors import EngineError, NotNilpotent
+from .field import common_context
 
 
 def nilpotency_order(f: Sequence[Sequence]) -> int:
     """Least ``d`` with ``f**d = 0``; raises :class:`NotNilpotent` otherwise."""
     n = len(f)
-    tower, _ = linalg._context(f)
+    tower, _ = common_context(f)
     power = linalg.identity(tower, n)
     for d in range(n + 1):
         if linalg.is_zero_matrix(power):
@@ -117,7 +118,7 @@ def chain_basis_triple(tower, sizes: Sequence[int]) -> tuple:
 
 def jacobson_morozov(f: Sequence[Sequence]) -> Sl2Triple:
     n = len(f)
-    tower, _ = linalg._context(f)
+    tower, _ = common_context(f)
     chains = jordan_chains(f)
     sizes = [len(ch) for ch in chains]
     cols = [v for ch in chains for v in ch]
@@ -145,7 +146,7 @@ def graded_component(m: Sequence[Sequence], weights: Sequence[int], j: int) -> l
     """Entries of ``m`` with weight difference ``w_a - w_b`` exactly ``j``
     (the degree-``j`` piece of the ad-h grading, read in the chain basis)."""
     n = len(m)
-    tower, _ = linalg._context(m)
+    tower, _ = common_context(m)
     zero = tower.zero()
     return [
         [m[a][b] if weights[a] - weights[b] == j else zero for b in range(n)]

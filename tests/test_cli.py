@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,17 @@ def test_parse_errors_exit_4(tmp_path, capsys):
     wrong.write_text(serialize.dumps(enc))
     assert main(["reduce", str(wrong)]) == 4
     capsys.readouterr()
+
+
+def test_huge_rank_is_rejected_before_any_work(tmp_path, capsys):
+    hostile = tmp_path / "huge.json"
+    hostile.write_text('{"rank": 100000000, "ramification": 1, "precision": null, '
+                       '"field": {"extensions": []}, "coefficients": []}')
+    for command in ("reduce", "derham", "fredholm"):
+        start = time.perf_counter()
+        assert main([command, str(hostile)]) == 4
+        assert time.perf_counter() - start < 1.0
+    assert str(serialize.MAX_RANK) in capsys.readouterr().err
 
 
 def test_usage_errors_are_systemexit_4(capsys):

@@ -1,19 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from mcred import linalg
 from mcred.errors import DomainViolation, ZeroDivisorSplit
 from mcred.field import (
     FieldElement,
     FieldTower,
+    _poly_mul,
     common_tower,
     poly_divmod,
+    poly_eval,
     poly_gcd,
-    poly_mul,
     poly_squarefree_part,
-    project_element,
-    refine_tower,
 )
+from mcred.leading import rational_roots
 
 QQ = FieldTower()
 
@@ -75,29 +77,7 @@ def test_zero_divisor_split_reports_factors():
     assert exc.level == 1
     lo, hi = exc.factors
     # the two discovered factors multiply back to x^2 - 1
-    prod = poly_mul([QQ.coerce(c) for c in lo], [QQ.coerce(c) for c in hi])
-    assert [c.to_fraction() for c in prod] == [Fraction(-1), Fraction(0), Fraction(1)]
-
-
-def test_refine_tower_projects_consistently():
-    L = QQ.extend([-1, 0, 1])
-    g = L.gen()
-    x = g * L.rational(3) + L.rational(2)
-    with pytest.raises(ZeroDivisorSplit) as info:
-        (g - L.one()).inverse()
-    factor = info.value.factors[0]
-    refined = refine_tower(L, 1, factor)
-    y = project_element(x, refined, 1, factor)
-    # x = 3g + 2 projects along g -> root of the chosen factor
-    assert y.tower is refined
-    # in the refined tower the projection of g satisfies the factor
-    gy = project_element(g, refined, 1, factor)
-    acc = refined.zero()
-    power = refined.one()
-    for c in factor:
-        acc = acc + power * refined.coerce(c)
-        power = power * gy
-    assert acc.is_zero()
+    assert _poly_mul(QQ, 0, list(lo), list(hi)) == [Fraction(-1), Fraction(0), Fraction(1)]
 
 
 def test_common_tower_merges_extensions():
@@ -131,3 +111,184 @@ def test_extension_degree_validation():
         QQ.extend([1])  # constant is not a minimal polynomial
     with pytest.raises(DomainViolation):
         QQ.extend([0, 0])  # zero leading coefficient
+
+
+# ---------------------------------------------------------------------------
+# the polynomial views against independent references
+#
+# Over QQ the reference is sympy (test-only).  Over extensions it is the
+# element-wise polynomial code below, computed with ``FieldElement``
+# operators: the algorithms are the same, so the results must be equal.
+
+
+def oracle_trim(cs):
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def oracle_divmod(a, b):
+    b = oracle_trim(list(b))
+    lead_inv = b[-1].inverse()
+    r = oracle_trim(list(a))
+    q = []
+    zero = b[-1] - b[-1]
+    while len(r) >= len(b):
+        c = r[-1] * lead_inv
+        d = len(r) - len(b)
+        if len(q) < d + 1:
+            q.extend([zero] * (d + 1 - len(q)))
+        q[d] = q[d] + c
+        for i, bc in enumerate(b):
+            r[d + i] = r[d + i] - c * bc
+        oracle_trim(r)
+    return oracle_trim(q), r
+
+
+def oracle_monic(a):
+    a = oracle_trim(list(a))
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return oracle_trim([c * inv for c in a])
+
+
+def oracle_gcd(a, b):
+    r0, r1 = oracle_trim(list(a)), oracle_trim(list(b))
+    while r1:
+        _, r = oracle_divmod(r0, r1)
+        r0, r1 = r1, r
+    return oracle_monic(r0)
+
+
+def oracle_squarefree_part(a):
+    a = oracle_monic(a)
+    da = oracle_trim([a[k] * k for k in range(1, len(a))])
+    q, _ = oracle_divmod(a, oracle_gcd(a, da))
+    return oracle_monic(q)
+
+
+def oracle_eval(a, x):
+    acc = x.tower.zero(x.level)
+    for c in reversed(list(a)):
+        acc = acc * x + c
+    return acc
+
+
+def _mul_polys(a, b):
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _seeded_poly(rng, tower):
+    """A product of two to four factors drawn with repetition from a small
+    pool, so gcds and squarefree parts are nontrivial; coefficients use every
+    level of ``tower`` and mix in elements of shallower prefix towers."""
+    pool = [[tower.rational(-Fraction(rng.randint(-3, 3), rng.randint(1, 2))), tower.one()]
+            for _ in range(3)]
+    x = tower.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    for lv in range(1, tower.depth + 1):
+        x = x + tower.gen(lv) * rng.randint(-2, 2)
+    pool.append([x, QQ.one()])
+    pool.append([QQ.rational(rng.randint(1, 5)), QQ.zero(), QQ.one()])
+    out = [QQ.rational(rng.randint(1, 3))]
+    for _ in range(rng.randint(2, 4)):
+        out = _mul_polys(out, rng.choice(pool))
+    return out
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    assert all(x == y for x, y in zip(got, want))
+
+
+K1 = QQ.extend([-2, 0, 1])
+K2 = K1.extend([K1.rational(-3), K1.zero(), K1.one()])
+
+
+@pytest.mark.parametrize("tower", [QQ, K1, K2])
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_views_match_the_element_wise_oracle(tower, seed):
+    rng = random.Random(seed)
+    a, b = _seeded_poly(rng, tower), _seeded_poly(rng, tower)
+    _same(poly_gcd(a, b), oracle_gcd(a, b))
+    _same(poly_squarefree_part(a), oracle_squarefree_part(a))
+    for got, want in zip(poly_divmod(a, b), oracle_divmod(a, b)):
+        _same(got, want)
+    x = tower.gen() if tower.depth else tower.rational(Fraction(2, 3))
+    assert poly_eval(a, x) == oracle_eval(a, x)
+
+
+def _sympy_poly(cs):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    terms = [sympy.Rational(c.to_fraction().numerator, c.to_fraction().denominator)
+             for c in cs]
+    return sympy.Poly(list(reversed(terms)), x, domain="QQ")
+
+
+def _from_sympy(p):
+    if p.is_zero:
+        return []
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+
+
+def _fractions(cs):
+    return [c.to_fraction() for c in cs]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_poly_views_match_sympy_over_qq(seed):
+    rng = random.Random(100 + seed)
+    a, b = _seeded_poly(rng, QQ), _seeded_poly(rng, QQ)
+    sa, sb = _sympy_poly(a), _sympy_poly(b)
+    assert _fractions(poly_gcd(a, b)) == _from_sympy(sa.gcd(sb).monic())
+    assert _fractions(poly_squarefree_part(a)) == _from_sympy(sa.sqf_part().monic())
+    q, r = poly_divmod(a, b)
+    sq, sr = sa.div(sb)
+    assert (_fractions(q), _fractions(r)) == (_from_sympy(sq), _from_sympy(sr))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rational_roots_match_sympy_over_qq(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(200 + seed)
+    a = _seeded_poly(rng, QQ)
+    want = sorted(Fraction(int(r.p), int(r.q))
+                  for r in sympy.roots(_sympy_poly(a), filter="Q"))
+    assert rational_roots(a) == want
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_charpoly_matches_sympy_over_qq(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(300 + seed)
+    n = rng.randint(1, 5)
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)]
+    m = [[QQ.rational(q) for q in row] for row in rows]
+    s = sympy.Matrix([[sympy.Rational(q.numerator, q.denominator) for q in row]
+                      for row in rows])
+    want = [Fraction(int(c.p), int(c.q))
+            for c in reversed(s.charpoly(sympy.Symbol("x")).all_coeffs())]
+    assert _fractions(linalg.charpoly(m)) == want
+
+
+SPLIT = QQ.extend([-1, 0, 1])  # x^2 - 1: only a ring
+
+
+@pytest.mark.parametrize("tower", [SPLIT, SPLIT.extend([-2, 0, 1])])
+def test_poly_divmod_zero_divisor_reports_the_scalar_split(tower):
+    """The divisor's lead ``x - 1`` sits at level 1; on the deeper tower the
+    dividend reaches level 2, so the lead is lifted before it is inverted."""
+    x = tower.gen(1)
+    with pytest.raises(ZeroDivisorSplit) as info:
+        (x - 1).inverse()
+    want = info.value
+    with pytest.raises(ZeroDivisorSplit) as info:
+        poly_divmod([tower.one(), tower.gen(), tower.one()], [tower.one(), x - 1])
+    got = info.value
+    assert (got.level, got.factors, got.tower) == (want.level, want.factors, want.tower)

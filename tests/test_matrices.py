@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks
+from mcred import checks, serialize
 from mcred.errors import DomainViolation, NotInvertible
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix, block_diag, dlog, matrix_exp, matrix_log
@@ -157,3 +157,81 @@ def test_truncate_matrix():
     t = m.truncate(3)
     assert t.prec == 3
     assert t.entry(0, 0).support() == [0]
+
+
+# ---------------------------------------------------------------------------
+# alignment of mixed towers and ramifications
+#
+# The expected entries are written out by hand (every entry lifted to
+# u**6 = t and to K); the JSON is what the element-by-element alignment
+# loop that the constructor replaced produced for the same inputs.
+
+K = QQ.extend([-2, 0, 1])
+ROOT = K.gen()
+
+
+def _series(coeffs, prec=INF, ram=6):
+    return LaurentSeries(K, coeffs, prec=prec, ram=ram)
+
+
+MIXED_JSON = (
+    '{"coefficients":[{"exp":-6,"matrix":[["1","0","0"],["0","0","0"],["0","1","0"]]},'
+    '{"exp":0,"matrix":[["1/2","0","3"],["0",["1","1"],"4"],["1/3",["0","1"],"0"]]},'
+    '{"exp":3,"matrix":[["0",["0","1"],"0"],["0","0","0"],["0","0","0"]]},'
+    '{"exp":4,"matrix":[["0","0","0"],["5","0","0"],["0","0","0"]]}],'
+    '"field":{"extensions":[["-2","0","1"]]},"precision":14,"ramification":6,"rank":3}'
+)
+
+BLOCKS_JSON = (
+    '{"coefficients":[{"exp":-9,"matrix":[["0","0","0","0"],["0","0","0","0"],'
+    '["0","1","0","0"],["0","0","0","0"]]},'
+    '{"exp":-6,"matrix":[["2","0","0","0"],["0","0","0","0"],["0","0","0","0"],'
+    '["0","0","0","0"]]},'
+    '{"exp":0,"matrix":[["0","0","0","0"],["0",["0","1"],"1","0"],["0","0","0","0"],'
+    '["0","0","0","0"]]},'
+    '{"exp":2,"matrix":[["0","0","0","0"],["0","0","0","0"],["0","0","0","0"],'
+    '["0","0","0","-1/2"]]}],'
+    '"field":{"extensions":[["-2","0","1"]]},"precision":18,"ramification":6,"rank":4}'
+)
+
+
+def _assert_aligned(m, want, pinned):
+    assert (m.ram, m.tower) == (6, K)
+    for row, want_row in zip(m.entries, want):
+        for got, w in zip(row, want_row):
+            assert (got.ram, got.tower) == (6, K)
+            assert got == w
+    assert serialize.dumps(serialize.encode_matrix(m)) == serialize.dumps(
+        serialize.loads(pinned))
+
+
+def test_constructor_aligns_mixed_towers_and_ramifications():
+    m = LaurentMatrix(QQ, [
+        [S({-1: 1, 0: Fraction(1, 2)}, prec=3), LaurentSeries(K, {1: ROOT}, ram=2), QQ.rational(3)],
+        [S({2: 5}, prec=7, ram=3), ROOT + 1, 4],
+        [Fraction(1, 3), LaurentSeries(K, {-2: 1, 0: ROOT}, prec=5, ram=2), S({})],
+    ])
+    want = [
+        [_series({-6: 1, 0: Fraction(1, 2)}, 18), _series({3: ROOT}), _series({0: 3})],
+        [_series({4: 5}, 14), _series({0: ROOT + 1}), _series({0: 4})],
+        [_series({0: Fraction(1, 3)}), _series({-6: 1, 0: ROOT}, 15), _series({})],
+    ]
+    _assert_aligned(m, want, MIXED_JSON)
+    # the binary operations align through the same constructor
+    assert m + LaurentMatrix.zero(QQ, 3) == m
+    assert LaurentMatrix.identity(QQ, 3, ram=2) * m == m
+
+
+def test_block_diag_aligns_blocks_with_different_ramifications():
+    a = M([[S({-1: 2}, prec=4)]])
+    b = LaurentMatrix(K, [[LaurentSeries(K, {0: ROOT}, ram=2), 1],
+                          [LaurentSeries(K, {-3: 1}, prec=6, ram=2), 0]])
+    c = M([[S({1: Fraction(-1, 2)}, ram=3)]], ram=3)
+    z = _series({})
+    want = [
+        [_series({-6: 2}, 24), z, z, z],
+        [z, _series({0: ROOT}), _series({0: 1}), z],
+        [z, _series({-9: 1}, 18), z, z],
+        [z, z, z, _series({2: Fraction(-1, 2)})],
+    ]
+    _assert_aligned(block_diag([a, b, c]), want, BLOCKS_JSON)

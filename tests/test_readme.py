@@ -1,0 +1,24 @@
+"""The README's library quickstart runs and prints what its comments say."""
+
+import contextlib
+import io
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_quickstart_prints_its_documented_lines():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quickstart"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    documented = [line.split("#", 1)[1].strip()
+                  for line in code.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert printed == ["regular_singular", "[[1/2, 1], [1, -1/2]]", "0 0 window-doubling"]
+    assert len(documented) == len(printed)
+    for line, comment in zip(printed, documented):
+        assert comment.startswith(line), (line, comment)

@@ -187,8 +187,20 @@ def test_map_coefficients_and_tower_lift():
     s = S({0: 2, 1: 3})
     lifted = s.with_tower(K)
     assert lifted.tower is K
-    doubled = s.map_coefficients(QQ, lambda c: c + c)
-    assert doubled.coeff(1).to_fraction() == 6
+
+
+def test_recast_and_with_tower_return_self_when_nothing_changes():
+    K = QQ.extend([-2, 0, 1])
+    s = S({-1: 2, 1: 3}, prec=4)
+    assert s.recast(QQ, 1) is s
+    assert s.with_tower(QQ) is s
+    k = LaurentSeries(K, {0: K.gen()})
+    assert k.with_tower(QQ) is k and k.recast(K, 1) is k
+    r = s.recast(K, 2)
+    assert (r.tower, r.ram, r.support(), r.prec) == (K, 2, [-2, 2], 8)
+    assert r.recast(K, 2) is r
+    with pytest.raises(DomainViolation):
+        r.recast(K, 3)
 
 
 def test_repr_mentions_exponents():
