@@ -48,8 +48,8 @@ def _emit(obj: dict, out: str | None) -> None:
 
 def _load_connection(args):
     c = serialize.decode_connection(_read(args.input))
-    if getattr(args, "precision", None) is not None:
-        c = c.truncate(args.precision)
+    if args.precision is not None:
+        c = c.truncate(serialize.check_exponent(args.precision, "--precision"))
     return c
 
 
@@ -71,7 +71,7 @@ def cmd_reduce(args) -> int:
 def cmd_derham(args) -> int:
     c = _load_connection(args)
     if args.window is not None:
-        lo, hi = args.window
+        lo, hi = (serialize.check_exponent(v, "--window") for v in args.window)
         dims = truncated_complex_dims(c, LatticeWindow(lo, hi))
     else:
         dims = derham_dims(c)
@@ -103,6 +103,8 @@ def cmd_fredholm(args) -> int:
 def cmd_gauge(args) -> int:
     c = serialize.decode_connection(_read(args.input))
     g = serialize.decode_matrix(_read(args.gauge))
+    if args.precision is not None:
+        serialize.check_exponent(args.precision, "--precision")
     moved = c.gauge(g, prec_cap=args.precision)
     _emit(serialize.encode_connection(moved), args.out)
     return 0

@@ -199,8 +199,7 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     exponents, the count is exactly the number of independent flat sections
     with a coefficient inside ``w``.
     """
-    r = c.pole_order
-    r_eff = int(r) if r != -INF and r > 1 else 1
+    r_eff = _pole_shift(c)
     ext = w.width // 2 + r_eff
     top = w.n_max + ext
     need = top - r_eff - w.n_min
@@ -230,8 +229,7 @@ def dual_connection(c: Connection) -> Connection:
 def doubling_dims(c: Connection) -> DeRhamDims:
     """``(h0, h1)`` by doubling symmetric windows of flat-section counts
     (``h1`` through :func:`dual_connection`) until they repeat twice."""
-    r = c.pole_order
-    w = (int(r) if r != -INF and r > 1 else 1) + 1
+    w = _pole_shift(c) + 1
     dual = dual_connection(c)
     prev = None
     streak = 0
@@ -275,9 +273,7 @@ def derham_dims(c: Connection) -> DeRhamDims:
 def euler_bound_check(c: Connection, dims: DeRhamDims) -> bool:
     """``h0 <= n`` and ``|chi| <= (2r + 1) n`` (with ``r`` floored at 1)."""
     n = c.size
-    r = c.pole_order
-    r_eff = int(r) if r != -INF and r > 1 else 1
-    return dims.h0 <= n and abs(dims.chi) <= (2 * r_eff + 1) * n
+    return dims.h0 <= n and abs(dims.chi) <= (2 * _pole_shift(c) + 1) * n
 
 
 # ---------------------------------------------------------------------------

@@ -320,16 +320,21 @@ class FieldTower:
         return f"FieldTower(QQ; degrees {degs})"
 
 
-def _compatible(a: FieldTower, b: FieldTower) -> bool:
-    short, long_ = (a, b) if a.depth <= b.depth else (b, a)
-    return long_.levels[: short.depth] == short.levels
+def _deeper(a: FieldTower, b: FieldTower) -> FieldTower | None:
+    """The deeper of two towers (``a`` on a tie), or ``None`` when they are
+    not prefix-compatible."""
+    if a is b:
+        return a
+    deep, shallow = (a, b) if a.depth >= b.depth else (b, a)
+    return deep if deep.levels[: shallow.depth] == shallow.levels else None
 
 
 def common_tower(a: FieldTower, b: FieldTower) -> FieldTower:
     """The deeper of two prefix-compatible towers."""
-    if not _compatible(a, b):
+    tower = _deeper(a, b)
+    if tower is None:
         raise DomainViolation("towers are not prefix-compatible")
-    return a if a.depth >= b.depth else b
+    return tower
 
 
 def common_context(rows) -> tuple[FieldTower, int]:
@@ -463,10 +468,10 @@ class FieldElement:
             other = self.tower.rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if not _compatible(self.tower, other.tower):
+        tower = _deeper(self.tower, other.tower)
+        if tower is None:
             return False
         level = max(self.level, other.level)
-        tower = common_tower(self.tower, other.tower)
         return (self._lifted(tower, level).payload == other._lifted(tower, level).payload)
 
     __hash__ = None  # type: ignore[assignment]

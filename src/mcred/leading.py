@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import linalg
 from .connection import Connection
-from .errors import DomainViolation, EngineError, ScalarLeadingTerm
+from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTerm
 from .field import (
     FieldElement,
     FieldTower,
@@ -216,10 +216,6 @@ class NormalizationRecord:
     splitting: AdSplitting | None = None
 
 
-def _column_matrix(vectors: list, tower: FieldTower, height: int) -> list:
-    return [[vectors[j][i] for j in range(len(vectors))] for i in range(height)]
-
-
 def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationRecord:
     """Gauge every known coefficient above the lead into the kernel summand.
 
@@ -229,6 +225,10 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     that coefficient by exactly that amount, touches nothing below it, and
     preserves the overall precision.  ``C_i`` therefore only depends on the
     coefficients up to exponent ``-r + i``.
+
+    Both maps a step needs are fixed by the lead and the splitting, so they
+    are solved for once: ``to_target`` reads off the target coordinates of a
+    coefficient, and ``cancel`` carries target coordinates to ``C_i``.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -241,7 +241,6 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     r = -c.valuation
     if r < 2:
         raise DomainViolation("coefficient normalization requires a pole of order >= 2")
-    tower = common_context(lead)[0]
     kernel, target, source = splitting.kernel, splitting.target, splitting.source
     if len(kernel) + len(target) != nn:
         raise DomainViolation("kernel and target do not have complementary dimensions")
@@ -249,34 +248,26 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     if not target:
         return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram),
                                    [], splitting)
-    basis = _column_matrix(kernel + target, tower, nn)
-    if linalg.rank(basis) != nn:
-        raise DomainViolation("kernel and target do not span gl_n")
-    source_mat = _column_matrix(source, tower, nn)
-    ad_lead = linalg.ad_matrix(lead)
-    solve_mat = linalg.mat_mul(ad_lead, source_mat)
-
-    def target_component(coeff: list) -> list:
-        x = linalg.solve(basis, linalg.vec(coeff))
-        tail = x[len(kernel):]
-        out = [tower.zero() for _ in range(nn)]
-        for j, xj in enumerate(tail):
-            if not xj.is_zero():
-                for idx in range(nn):
-                    out[idx] = out[idx] + target[j][idx] * xj
-        return out
+    try:
+        to_target = linalg.inverse(linalg.transpose(kernel + target))[len(kernel):]
+    except NotInvertible:
+        raise DomainViolation("kernel and target do not span gl_n") from None
+    # solve() sets free variables to zero, so its answer is linear in the
+    # right-hand side and one solve per target vector serves every step
+    source_mat = linalg.transpose(source)
+    solve_mat = linalg.mat_mul(linalg.ad_matrix(lead), source_mat)
+    cancel = linalg.transpose(
+        [[-x for x in linalg.mat_vec(source_mat, linalg.solve(solve_mat, t))]
+         for t in target])
 
     work = c
     total = LaurentMatrix.identity(c.tower, n, c.ram)
     corrections = []
     for i in range(1, s_prec + r):
-        coeff = work.coeff(-r + i)
-        m2 = target_component(coeff)
-        if all(x.is_zero() for x in m2):
+        coords = linalg.mat_vec(to_target, linalg.vec(work.coeff(-r + i)))
+        if all(x.is_zero() for x in coords):
             continue
-        z = linalg.solve(solve_mat, [-x for x in m2])
-        c_vec = linalg.mat_vec(source_mat, z)
-        c_mat = linalg.unvec(c_vec, n, n)
+        c_mat = linalg.unvec(linalg.mat_vec(cancel, coords), n, n)
         xi = LaurentMatrix.constant(work.tower, c_mat, work.ram).shift(i) * (-1)
         g = matrix_exp(xi, prec_cap=s_prec + r)
         work = work.gauge(g)
@@ -285,7 +276,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     if work.prec != s_prec or work.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")
     for i in range(1, s_prec + r):
-        leftover = target_component(work.coeff(-r + i))
+        leftover = linalg.mat_vec(to_target, linalg.vec(work.coeff(-r + i)))
         if not all(x.is_zero() for x in leftover):
             raise EngineError(
                 f"coefficient at offset {i} still has a component in the "
@@ -394,7 +385,7 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
     if sum(sizes) != n or any(sz == 0 for sz in sizes):
         raise EngineError("eigenvalue clusters do not fill the space")
     columns = [v for k in kernels for v in k]
-    p_mat = _column_matrix(columns, tower, n)
+    p_mat = linalg.transpose(columns)
     p_inv = linalg.inverse(p_mat)
     g = LaurentMatrix.constant(tower, p_inv, c.ram)
     gauged = c.with_tower(tower).gauge(g)

@@ -261,7 +261,7 @@ def det(m: Matrix):
 
     Exponential in ``n`` but the engine only ever needs small matrices, and
     avoiding division means this is safe over truncated series and never
-    triggers a tower refinement.
+    raises ``ZeroDivisorSplit``.
     """
     n, c = mat_shape(m)
     if n != c:

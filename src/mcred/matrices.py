@@ -335,6 +335,27 @@ def block_diag(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
     return LaurentMatrix(blocks[0].tower, rows)
 
 
+def _series_sum(start: LaurentMatrix, x: LaurentMatrix, term, what: str) -> LaurentMatrix:
+    """``start + sum_{k >= 1} term(k) x**k`` for ``valuation(x) >= 1``.
+
+    Powers count as long as their valuation is below ``x.prec``: later terms
+    land at or past the window, where the result is unknown.  An exact ``x``
+    (``prec`` is ``INF``) therefore has to be nilpotent; a nonzero ``x**k``
+    with ``k`` past the size proves that it is not.
+    """
+    p = x.prec
+    result = start.truncate(p)
+    power = x
+    k = 1
+    while power.valuation < p:
+        if p is INF and k > x.size:
+            raise NotNilpotent(f"{what} does not terminate; pass prec_cap")
+        result = result + power * term(k)
+        k += 1
+        power = power * x
+    return result
+
+
 def matrix_exp(xi: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
     """``exp(xi)`` for ``valuation(xi) >= 1``.
 
@@ -342,38 +363,13 @@ def matrix_exp(xi: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
     ``p`` (terms ``xi**k / k!`` have valuation ``>= k`` and stop mattering).
     An exact argument must be nilpotent unless ``prec_cap`` limits the output.
     """
-    n = xi.size
+    if xi.is_exact() and prec_cap is not None:
+        xi = xi.truncate(prec_cap)
     if xi.valuation < 1:
         raise DomainViolation("matrix exponential requires valuation >= 1")
-    if xi.is_exact():
-        if prec_cap is not None:
-            return matrix_exp(xi.truncate(prec_cap))
-        result = LaurentMatrix.identity(xi.tower, n, xi.ram)
-        power = xi
-        k = 1
-        fact = 1
-        while not power.is_zero():
-            if k > n:
-                raise NotNilpotent(
-                    "exponential of an exact non-nilpotent argument does not "
-                    "terminate; pass prec_cap"
-                )
-            result = result + power * Fraction(1, fact)
-            k += 1
-            fact *= k
-            power = power * xi
-        return result
-    p = xi.prec
-    result = LaurentMatrix.identity(xi.tower, n, xi.ram).truncate(p)
-    power = xi
-    k = 1
-    fact = 1
-    while k < p and not power.is_zero_to_precision():
-        result = result + power * Fraction(1, fact)
-        k += 1
-        fact *= k
-        power = power * xi
-    return result.truncate(p)
+    return _series_sum(LaurentMatrix.identity(xi.tower, xi.size, xi.ram), xi,
+                       lambda k: Fraction(1, math.factorial(k)),
+                       "exponential of an exact non-nilpotent argument")
 
 
 def matrix_log(g: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
@@ -383,33 +379,13 @@ def matrix_log(g: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
     """
     n = g.size
     x = g - LaurentMatrix.identity(g.tower, n, g.ram)
+    if x.is_exact() and prec_cap is not None:
+        x = x.truncate(prec_cap)
     if x.valuation < 1:
         raise DomainViolation("matrix logarithm requires g = 1 + O(u)")
-    if x.is_exact():
-        if prec_cap is not None:
-            return matrix_log(g.truncate(prec_cap))
-        result = LaurentMatrix.zero(x.tower, n, None, x.ram)
-        power = x
-        k = 1
-        while not power.is_zero():
-            if k > n:
-                raise NotNilpotent(
-                    "logarithm of an exact non-unipotent argument does not "
-                    "terminate; pass prec_cap"
-                )
-            result = result + power * Fraction((-1) ** (k + 1), k)
-            k += 1
-            power = power * x
-        return result
-    p = x.prec
-    result = LaurentMatrix.zero(x.tower, n, None, x.ram).truncate(p)
-    power = x
-    k = 1
-    while k < p and not power.is_zero_to_precision():
-        result = result + power * Fraction((-1) ** (k + 1), k)
-        k += 1
-        power = power * x
-    return result.truncate(p)
+    return _series_sum(LaurentMatrix.zero(x.tower, n, None, x.ram), x,
+                       lambda k: Fraction((-1) ** (k + 1), k),
+                       "logarithm of an exact non-unipotent argument")
 
 
 def dlog(g: LaurentMatrix, prec_cap=None) -> LaurentMatrix:

@@ -52,6 +52,12 @@ MAX_RANK = 64
 holds n² series, so without a bound a file of a hundred bytes could demand
 unbounded memory; the engine's own generators never exceed rank 3."""
 
+MAX_EXPONENT = 256
+"""Largest ``|exp|`` or ``|precision|`` accepted in input files and for the
+CLI's ``--precision`` and ``--window``.  The reduction takes one Sibuya step
+per exponent below its working precision, so without a bound a 200-byte file
+could demand a million steps; ``mcred generate`` stays within 3."""
+
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -175,10 +181,19 @@ def _prec_to_json(prec):
     return None if prec is INF else int(prec)
 
 
+def check_exponent(value, what: str) -> int:
+    """``value`` if it is an int of absolute value at most
+    :data:`MAX_EXPONENT`, else :class:`ParseError`."""
+    value = _as_int(value, what)
+    if abs(value) > MAX_EXPONENT:
+        raise ParseError(f"{what} {value} lies outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
+    return value
+
+
 def _prec_from_json(value):
     if value is None:
         return INF
-    return _as_int(value, "precision")
+    return check_exponent(value, "precision")
 
 
 def _decode_grid(tower: FieldTower, grid, n: int) -> list:
@@ -222,7 +237,7 @@ def decode_series(obj) -> LaurentSeries:
     for item in _require(obj, "coefficients", "a series"):
         if not isinstance(item, dict):
             raise ParseError("series coefficients must be {exp, value} objects")
-        exp = _as_int(_require(item, "exp", "a series coefficient"), "exp")
+        exp = check_exponent(_require(item, "exp", "a series coefficient"), "exp")
         if exp in coeffs:
             raise ParseError(f"duplicate exponent {exp}")
         coeffs[exp] = decode_element(tower, _require(item, "value",
@@ -264,7 +279,7 @@ def decode_matrix(obj) -> LaurentMatrix:
     for item in items:
         if not isinstance(item, dict):
             raise ParseError("matrix coefficients must be {exp, matrix} objects")
-        exp = _as_int(_require(item, "exp", "a matrix coefficient"), "exp")
+        exp = check_exponent(_require(item, "exp", "a matrix coefficient"), "exp")
         if exp in coeff_map:
             raise ParseError(f"duplicate exponent {exp}")
         if prec is not INF and exp >= prec:

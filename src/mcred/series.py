@@ -65,14 +65,16 @@ class LaurentSeries:
                 raise DomainViolation("exponents must be integers")
             if exp >= prec:
                 continue  # a coefficient at or past the precision carries no information
-            element = tower.coerce(value)
-            if element.tower is not tower and element.tower != tower:
-                tower = common_tower(tower, element.tower)
-            if not element.is_zero():
-                clean[exp] = element
-        if clean:
-            # re-coerce in case a later coefficient deepened the tower
-            clean = {e: tower.coerce(v) for e, v in clean.items()}
+            if isinstance(value, FieldElement):
+                if value.tower is not tower:
+                    tower = common_tower(tower, value.tower)
+            else:
+                value = tower.coerce(value)
+            if not value.is_zero():
+                clean[exp] = value
+        for e, v in clean.items():
+            if v.tower is not tower:  # a later coefficient deepened the tower
+                clean[e] = FieldElement(tower, v.level, v.payload)
         self.tower = tower
         self.ram = ram
         self.coeffs = clean

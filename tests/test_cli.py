@@ -197,6 +197,50 @@ def test_huge_rank_is_rejected_before_any_work(tmp_path, capsys):
     assert str(serialize.MAX_RANK) in capsys.readouterr().err
 
 
+HOSTILE_EXPONENTS = {
+    # a nilpotent lead sends the reduction through one Sibuya step per
+    # exponent below the working precision
+    "precision": '{"rank": 2, "ramification": 1, "precision": 1000000, '
+                 '"field": {"extensions": []}, "coefficients": ['
+                 '{"exp": -2, "matrix": [["0", "1"], ["0", "0"]]}, '
+                 '{"exp": 0, "matrix": [["1", "0"], ["2", "1"]]}]}',
+    # a null precision puts the working precision past the largest exponent
+    "exp": '{"rank": 2, "ramification": 1, "precision": null, '
+           '"field": {"extensions": []}, "coefficients": ['
+           '{"exp": -2, "matrix": [["0", "1"], ["0", "0"]]}, '
+           '{"exp": 1000000, "matrix": [["1", "0"], ["2", "1"]]}]}',
+}
+
+
+@pytest.mark.parametrize("key", sorted(HOSTILE_EXPONENTS))
+def test_huge_exponents_are_rejected_before_any_work(tmp_path, capsys, key):
+    hostile = tmp_path / "far.json"
+    hostile.write_text(HOSTILE_EXPONENTS[key])
+    for command in ("reduce", "derham", "fredholm"):
+        start = time.perf_counter()
+        assert main([command, str(hostile)]) == 4
+        assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"{key} 1000000" in err and str(serialize.MAX_EXPONENT) in err
+
+
+def test_huge_precision_and_window_options_exit_4(tmp_path, capsys):
+    path = write_connection(tmp_path / "c.json", checks.sample_saddle_node())
+    big = str(serialize.MAX_EXPONENT + 1)
+    for option, argv in (("--precision", ["reduce", path, "--precision", big]),
+                         ("--precision", ["fredholm", path, "--precision", "-" + big]),
+                         ("--window", ["derham", path, "--window", "0", big]),
+                         ("--precision", ["gauge", path, path, "--precision", big])):
+        start = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - start < 1.0
+        assert option in capsys.readouterr().err
+    # the bound itself is accepted
+    at_bound = str(serialize.MAX_EXPONENT)
+    assert main(["derham", path, "--window", "-2", "2", "--precision", at_bound]) == 0
+    capsys.readouterr()
+
+
 def test_usage_errors_are_systemexit_4(capsys):
     # argparse exits via SystemExit on usage errors; the code must be 4,
     # never the default 2 (which is reserved for precision exhaustion)

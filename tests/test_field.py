@@ -88,6 +88,12 @@ def test_common_tower_merges_extensions():
     M = QQ.extend([-3, 0, 1])
     with pytest.raises(DomainViolation):
         common_tower(K, M)
+    twin = QQ.extend([-2, 0, 1])  # equal to K, another object
+    assert common_tower(K, twin) is K and common_tower(twin, K) is twin
+    # equality lifts through compatible towers and is False across others
+    assert K.gen() == twin.gen() and K.rational(2) == QQ.rational(2) == 2
+    assert K.gen() != M.gen() and K.rational(2) != M.rational(3)
+    assert not (K.rational(2) == M.rational(2))
 
 
 def _qq(coeffs):

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from mcred import checks, linalg, serialize, sl2
 from mcred.connection import Connection
 from mcred.errors import ScalarLeadingTerm
 from mcred.field import FieldTower
@@ -12,8 +14,9 @@ from mcred.leading import (
     rational_roots,
     sibuya_normalize,
     splitting_from_semisimple,
+    splitting_from_sl2,
 )
-from mcred.matrices import LaurentMatrix
+from mcred.matrices import LaurentMatrix, matrix_exp
 from mcred.series import LaurentSeries
 
 QQ = FieldTower()
@@ -139,6 +142,84 @@ def test_sibuya_locality():
     assert str(rec.corrections[0]) == str(rec2.corrections[0])
     assert str(rec.corrections[1]) == str(rec2.corrections[1])
     assert str(rec.corrections[2]) != str(rec2.corrections[2])
+
+
+def _old_sibuya(c, splitting):
+    """The per-step loop ``sibuya_normalize`` replaced: one ``solve`` against
+    the kernel+target basis and one against ``ad(lead)`` for every step.
+    Returns ``(corrections, gauge, connection)``."""
+    n = c.size
+    nn = n * n
+    lead = c.leading()
+    r = -c.valuation
+    kernel, target, source = splitting.kernel, splitting.target, splitting.source
+    basis = [[v[i] for v in kernel + target] for i in range(nn)]
+    source_mat = [[v[i] for v in source] for i in range(nn)]
+    solve_mat = linalg.mat_mul(linalg.ad_matrix(lead), source_mat)
+
+    def target_component(coeff):
+        x = linalg.solve(basis, linalg.vec(coeff))
+        out = [QQ.zero() for _ in range(nn)]
+        for j, xj in enumerate(x[len(kernel):]):
+            if not xj.is_zero():
+                for idx in range(nn):
+                    out[idx] = out[idx] + target[j][idx] * xj
+        return out
+
+    work = c
+    total = LaurentMatrix.identity(c.tower, n, c.ram)
+    corrections = []
+    for i in range(1, c.prec + r):
+        m2 = target_component(work.coeff(-r + i))
+        if all(x.is_zero() for x in m2):
+            continue
+        z = linalg.solve(solve_mat, [-x for x in m2])
+        c_mat = linalg.unvec(linalg.mat_vec(source_mat, z), n, n)
+        xi = LaurentMatrix.constant(work.tower, c_mat, work.ram).shift(i) * (-1)
+        g = matrix_exp(xi, prec_cap=c.prec + r)
+        work = work.gauge(g)
+        total = g * total
+        corrections.append((i, c_mat))
+    return corrections, total, work
+
+
+def _sibuya_inputs():
+    """Seeded truncated inputs with the splitting the reduction would pick:
+    ``ad-semisimple`` for a non-scalar semisimple lead part, ``ad-sl2`` (in
+    the standard chain basis) for a nilpotent lead."""
+    rng = random.Random(5)
+    out = []
+    for n, r, prec in ((2, 2, 3), (2, 3, 2), (3, 2, 1)):
+        c = checks.random_connection(rng, n, r, kind="generic", prec=prec)
+        jc = jordan_chevalley(c.leading())
+        if not is_scalar_matrix(jc.semisimple):
+            out.append((c, splitting_from_semisimple(jc.semisimple)))
+    for n, r, prec in ((2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 0)):
+        c = checks.random_connection(rng, n, r, kind="nilpotent_lead", prec=prec)
+        triple = sl2.jacobson_morozov(c.leading())
+        c = c.gauge(LaurentMatrix.constant(QQ, linalg.inverse(triple.basis)))
+        e_std, _, f_std = sl2.chain_basis_triple(c.tower, triple.block_sizes)
+        out.append((c, splitting_from_sl2(e_std, f_std)))
+    return out
+
+
+def _encoded(m):
+    return serialize.dumps(serialize.encode_matrix(m))
+
+
+def test_sibuya_normalize_matches_the_per_step_solve():
+    inputs = _sibuya_inputs()
+    assert {sp.label for _, sp in inputs} == {"ad-semisimple", "ad-sl2"}
+    for c, splitting in inputs:
+        rec = sibuya_normalize(c, splitting)
+        corrections, gauge, work = _old_sibuya(c, splitting)
+        assert rec.corrections, "the input needs no normalization step"
+        assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
+        for (_, new), (_, old) in zip(rec.corrections, corrections):
+            assert _grids_equal(new, old) and str(new) == str(old)
+        assert rec.gauge == gauge and _encoded(rec.gauge) == _encoded(gauge)
+        assert (rec.connection.matrix == work.matrix
+                and _encoded(rec.connection.matrix) == _encoded(work.matrix))
 
 
 def test_eigen_block_split_rational_eigenvalues():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mcred import checks, serialize
-from mcred.errors import DomainViolation, NotInvertible
+from mcred.errors import DomainViolation, NotInvertible, NotNilpotent
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix, block_diag, dlog, matrix_exp, matrix_log
 from mcred.series import INF, LaurentSeries
@@ -120,6 +120,133 @@ def test_exp_positive_valuation_with_cap():
 def test_exp_demands_positive_valuation():
     with pytest.raises(DomainViolation):
         matrix_exp(LaurentMatrix.constant(QQ, [[1]]), prec_cap=5)
+
+
+def _old_exp(xi, prec_cap=None):
+    """``matrix_exp`` as it was with separate exact and truncated loops."""
+    n = xi.size
+    if xi.valuation < 1:
+        raise DomainViolation("matrix exponential requires valuation >= 1")
+    if xi.is_exact():
+        if prec_cap is not None:
+            return _old_exp(xi.truncate(prec_cap))
+        result = LaurentMatrix.identity(xi.tower, n, xi.ram)
+        power = xi
+        k = 1
+        fact = 1
+        while not power.is_zero():
+            if k > n:
+                raise NotNilpotent("exponential does not terminate")
+            result = result + power * Fraction(1, fact)
+            k += 1
+            fact *= k
+            power = power * xi
+        return result
+    p = xi.prec
+    result = LaurentMatrix.identity(xi.tower, n, xi.ram).truncate(p)
+    power = xi
+    k = 1
+    fact = 1
+    while k < p and not power.is_zero_to_precision():
+        result = result + power * Fraction(1, fact)
+        k += 1
+        fact *= k
+        power = power * xi
+    return result.truncate(p)
+
+
+def _old_log(g, prec_cap=None):
+    """``matrix_log`` as it was with separate exact and truncated loops."""
+    n = g.size
+    x = g - LaurentMatrix.identity(g.tower, n, g.ram)
+    if x.valuation < 1:
+        raise DomainViolation("matrix logarithm requires g = 1 + O(u)")
+    if x.is_exact():
+        if prec_cap is not None:
+            return _old_log(g.truncate(prec_cap))
+        result = LaurentMatrix.zero(x.tower, n, None, x.ram)
+        power = x
+        k = 1
+        while not power.is_zero():
+            if k > n:
+                raise NotNilpotent("logarithm does not terminate")
+            result = result + power * Fraction((-1) ** (k + 1), k)
+            k += 1
+            power = power * x
+        return result
+    p = x.prec
+    result = LaurentMatrix.zero(x.tower, n, None, x.ram).truncate(p)
+    power = x
+    k = 1
+    while k < p and not power.is_zero_to_precision():
+        result = result + power * Fraction((-1) ** (k + 1), k)
+        k += 1
+        power = power * x
+    return result.truncate(p)
+
+
+K2 = QQ.extend([-2, 0, 1])  # adjoin a root of x^2 - 2
+
+
+def _random_argument(rng, tower, n, val, prec, nilpotent=False):
+    """A random ``n``-by-``n`` argument of valuation exactly ``val``, known
+    below ``prec``; strictly upper triangular when ``nilpotent``."""
+
+    def scalar():
+        x = tower.rational(checks.random_rational(rng))
+        return x + tower.gen() * checks.random_rational(rng) if tower.depth else x
+
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if nilpotent and j <= i:
+                row.append(LaurentSeries.zero(tower))
+                continue
+            top = prec if prec is not INF else val + 3
+            coeffs = {e: scalar() for e in range(val, top) if rng.random() < 0.6}
+            if (i, j) == (0, n - 1):
+                coeffs[val] = tower.one()
+            row.append(LaurentSeries(tower, coeffs, prec))
+        rows.append(row)
+    return LaurentMatrix(tower, rows)
+
+
+def _same(a, b):
+    return a == b and (serialize.dumps(serialize.encode_matrix(a))
+                       == serialize.dumps(serialize.encode_matrix(b)))
+
+
+@pytest.mark.parametrize("tower", [QQ, K2], ids=["depth0", "depth1"])
+@pytest.mark.parametrize("val", [1, 2, 3])
+def test_exp_log_match_the_two_branch_loops(tower, val):
+    # the one series loop stops once the powers pass the window; the old
+    # loops ran on and truncated, so every result must be identical
+    rng = random.Random(100 * val + tower.depth)
+    for n, prec in ((2, val + 1), (2, 7), (3, val + 3)):
+        x = _random_argument(rng, tower, n, val, prec)
+        e = matrix_exp(x)
+        assert _same(e, _old_exp(x))
+        assert _same(matrix_log(e), _old_log(e))
+        g = LaurentMatrix.identity(tower, n) + _random_argument(rng, tower, n, val, prec)
+        assert _same(matrix_log(g), _old_log(g))
+    exact = _random_argument(rng, tower, 3, val, INF, nilpotent=True)
+    assert _same(matrix_exp(exact), _old_exp(exact))
+    assert _same(matrix_exp(exact, prec_cap=6), _old_exp(exact, prec_cap=6))
+    unipotent = LaurentMatrix.identity(tower, 3) + exact
+    assert _same(matrix_log(unipotent), _old_log(unipotent))
+    assert _same(matrix_log(unipotent, prec_cap=5), _old_log(unipotent, prec_cap=5))
+
+
+def test_exact_non_nilpotent_argument_is_refused():
+    x = M([[S({1: 1}), S({})], [S({2: 3}), S({})]])
+    with pytest.raises(NotNilpotent):
+        matrix_exp(x)
+    with pytest.raises(NotNilpotent):
+        matrix_log(LaurentMatrix.identity(QQ, 2) + x)
+    # a cap turns the same arguments into ordinary truncated ones
+    assert matrix_exp(x, prec_cap=4).prec == 4
+    assert matrix_log(LaurentMatrix.identity(QQ, 2) + x, prec_cap=4).prec == 4
 
 
 def test_dlog_monomial_diagonal():

@@ -203,6 +203,23 @@ def test_recast_and_with_tower_return_self_when_nothing_changes():
         r.recast(K, 3)
 
 
+def test_construction_puts_every_coefficient_on_the_deepest_tower():
+    K = QQ.extend([-2, 0, 1])
+    L = K.extend([K.rational(-3), K.zero(), K.one()])
+    # shallower coefficients come first; the last one deepens the tower
+    s = LaurentSeries(QQ, {0: 1, 1: Fraction(1, 2), 2: QQ.rational(3),
+                           3: K.gen(), 4: L.gen()})
+    assert s.tower is L
+    assert all(c.tower is L for _, c in s.items())
+    assert s.coeff(3) == K.gen() and s.coeff(0) == 1
+    x = K.gen()
+    assert LaurentSeries(K, {0: x}).coeff(0) is x  # already on the tower: kept
+    with pytest.raises(DomainViolation):
+        LaurentSeries(QQ, {0: K.gen(), 1: QQ.extend([-3, 0, 1]).gen()})
+    with pytest.raises(DomainViolation):
+        LaurentSeries(QQ, {0: 1.5})
+
+
 def test_repr_mentions_exponents():
     text = repr(S({-2: 3, 0: Fraction(1, 2)}))
     assert "t^-2" in text and "1/2" in text
