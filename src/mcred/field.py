@@ -73,7 +73,7 @@ def _mul(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
     deg = tower.degree(level)
     below = level - 1
     zero = _zero_payload(tower, below)
-    # schoolbook product of coordinate polynomials, then reduce mod minpoly
+    # schoolbook product of coordinate polynomials
     prod = [zero] * (2 * deg - 1)
     for i, x in enumerate(a):
         if _payload_is_zero(x):
@@ -82,9 +82,16 @@ def _mul(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
             if _payload_is_zero(y):
                 continue
             prod[i + j] = _add(tower, below, prod[i + j], _mul(tower, below, x, y))
-    reduced = _poly_mod(tower, below, prod, list(tower.levels[level - 1]))
-    reduced = reduced + [zero] * (deg - len(reduced))
-    return tuple(reduced[:deg])
+    # fold the top coordinates down: the minimal polynomial m is monic, so
+    # x**deg = -(m_0 + m_1 x + ... + m_(deg-1) x**(deg-1))
+    m = tower.levels[below]
+    for k in range(2 * deg - 2, deg - 1, -1):
+        top = prod[k]
+        if _payload_is_zero(top):
+            continue
+        for i in range(deg):
+            prod[k - deg + i] = _sub(tower, below, prod[k - deg + i], _mul(tower, below, top, m[i]))
+    return tuple(prod[:deg])
 
 
 def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
@@ -123,6 +130,10 @@ def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
         (tuple(g), tuple(h)),
         tower,
     )
+
+
+def _div(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
+    return _mul(tower, level, a, _inv(tower, level, b))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +366,19 @@ def common_context(rows) -> tuple[FieldTower, int]:
     return tower, level
 
 
+def _operator(kernel):
+    """A binary :class:`FieldElement` operator: ``kernel`` on the paired payloads."""
+
+    def op(self: "FieldElement", other):
+        pair = FieldElement._pair(self, other)
+        if pair is None:
+            return NotImplemented
+        tower, level, pa, pb = pair
+        return FieldElement(tower, level, kernel(tower, level, pa, pb))
+
+    return op
+
+
 class FieldElement:
     """An exact scalar in a :class:`FieldTower`."""
 
@@ -372,14 +396,20 @@ class FieldElement:
         return FieldElement(tower, level, p)
 
     @staticmethod
-    def _pair(a: "FieldElement", b) -> tuple["FieldElement", "FieldElement"]:
-        if isinstance(b, (int, Fraction)):
-            b = a.tower.rational(b)
-        if not isinstance(b, FieldElement):
-            return NotImplemented, NotImplemented  # type: ignore[return-value]
-        tower = common_tower(a.tower, b.tower)
-        level = max(a.level, b.level)
-        return a._lifted(tower, level), b._lifted(tower, level)
+    def _pair(a: "FieldElement", b):
+        """``(tower, level, pa, pb)``: both payloads at the operands' common
+        tower and level, lifted only where a level differs; ``None`` when
+        ``b`` is not a scalar."""
+        if isinstance(b, FieldElement):
+            tower = a.tower if b.tower is a.tower else common_tower(a.tower, b.tower)
+            lb, pb = b.level, b.payload
+        elif isinstance(b, (int, Fraction)):
+            tower, lb, pb = a.tower, 0, Fraction(b)
+        else:
+            return None
+        level = max(a.level, lb)
+        return (tower, level, _lift_payload(tower, a.level, level, a.payload),
+                _lift_payload(tower, lb, level, pb))
 
     # -- predicates ---------------------------------------------------------
 
@@ -409,42 +439,19 @@ class FieldElement:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        a, b = FieldElement._pair(self, other)
-        if a is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.level, _add(a.tower, a.level, a.payload, b.payload))
-
-    __radd__ = __add__
+    __add__ = __radd__ = _operator(_add)
+    __sub__ = _operator(_sub)
+    __mul__ = __rmul__ = _operator(_mul)
+    __truediv__ = _operator(_div)
 
     def __neg__(self):
         return FieldElement(self.tower, self.level, _neg(self.tower, self.level, self.payload))
 
-    def __sub__(self, other):
-        a, b = FieldElement._pair(self, other)
-        if a is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.level, _sub(a.tower, a.level, a.payload, b.payload))
-
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    def __mul__(self, other):
-        a, b = FieldElement._pair(self, other)
-        if a is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.level, _mul(a.tower, a.level, a.payload, b.payload))
-
-    __rmul__ = __mul__
-
     def inverse(self) -> "FieldElement":
         return FieldElement(self.tower, self.level, _inv(self.tower, self.level, self.payload))
-
-    def __truediv__(self, other):
-        a, b = FieldElement._pair(self, other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a * b.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse().__mul__(other)
@@ -464,15 +471,12 @@ class FieldElement:
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.rational(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        tower = _deeper(self.tower, other.tower)
-        if tower is None:
+        if isinstance(other, FieldElement) and _deeper(self.tower, other.tower) is None:
             return False
-        level = max(self.level, other.level)
-        return (self._lifted(tower, level).payload == other._lifted(tower, level).payload)
+        pair = FieldElement._pair(self, other)
+        if pair is None:
+            return NotImplemented
+        return pair[2] == pair[3]
 
     __hash__ = None  # type: ignore[assignment]
 

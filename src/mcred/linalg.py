@@ -1,19 +1,21 @@
 """Exact linear algebra over field-tower scalars.
 
-Matrices are plain ``list[list[FieldElement]]`` in row-major order.  All
-eliminations use the first nonzero entry as pivot, so the results are
-deterministic functions of the input.  Elimination runs on raw payloads at
-one ``(tower, level)`` per matrix, the deepest tower and highest level among
-its entries as :func:`field.common_context` finds them, and touches only the
-nonzero columns of each pivot row.
+Matrices are plain ``list[list[FieldElement]]`` in row-major order.  The
+arithmetic loops (``mat_add``, ``mat_neg``, ``mat_scale``, ``mat_mul``,
+``mat_eq``, ``trace``, ``transpose``) use only the entries' own operators, so
+they are ring-generic: :class:`matrices.LaurentMatrix` runs them on its
+series entries.  All eliminations use the first nonzero entry as pivot, so
+the results are deterministic functions of the input.  Elimination runs on
+raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
+highest level among its entries as :func:`field.common_context` finds them,
+and touches only the nonzero columns of each pivot row.
 Division by a zero divisor inside an algebraic extension raises
 ``ZeroDivisorSplit`` from the scalar layer; the reduction driver catches it
 and restarts with the discovered factorization, everyone else lets it
 propagate.
 
 A few routines (``det``, ``adjugate``) deliberately avoid division so that
-they also work verbatim over non-field coefficient rings (truncated series);
-those take the ring's zero element explicitly.
+they also work verbatim over non-field coefficient rings (truncated series).
 """
 
 from __future__ import annotations

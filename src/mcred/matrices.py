@@ -177,11 +177,7 @@ class LaurentMatrix:
         return LaurentMatrix(tower, self.entries, self.ram)
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            self.tower,
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.ram,
-        )
+        return LaurentMatrix(self.tower, linalg.transpose(self.entries), self.ram)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LaurentMatrix":
         return LaurentMatrix(
@@ -191,24 +187,15 @@ class LaurentMatrix:
         )
 
     # -- arithmetic ---------------------------------------------------------------
-
-    def _align(self, other: "LaurentMatrix") -> tuple["LaurentMatrix", "LaurentMatrix"]:
-        tower = common_tower(self.tower, other.tower)
-        ram = math.lcm(self.ram, other.ram)
-        return (LaurentMatrix(tower, self.entries, ram),
-                LaurentMatrix(tower, other.entries, ram))
+    #
+    # Entry by entry with ``linalg``'s ring-generic loops: every series
+    # operation aligns its two operands, and the result's constructor aligns
+    # the matrix.
 
     def __add__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        a, b = self._align(other)
-        if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-            raise DomainViolation("matrix shapes differ in addition")
-        return LaurentMatrix(
-            a.tower,
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)],
-            a.ram,
-        )
+        return LaurentMatrix(self.tower, linalg.mat_add(self.entries, other.entries), self.ram)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -216,30 +203,16 @@ class LaurentMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return LaurentMatrix(
-            self.tower, [[-s for s in r] for r in self.entries], self.ram
-        )
+        return LaurentMatrix(self.tower, linalg.mat_neg(self.entries), self.ram)
 
     def __mul__(self, other):
         if isinstance(other, LaurentMatrix):
-            a, b = self._align(other)
-            if a.ncols != b.nrows:
-                raise DomainViolation("matrix shapes incompatible in product")
-            out = []
-            for i in range(a.nrows):
-                row = []
-                for j in range(b.ncols):
-                    acc = a.entries[i][0] * b.entries[0][j]
-                    for k in range(1, a.ncols):
-                        acc = acc + a.entries[i][k] * b.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return LaurentMatrix(a.tower, out, a.ram)
-        if isinstance(other, (int, Fraction, FieldElement, LaurentSeries)):
-            return LaurentMatrix(
-                self.tower, [[s * other for s in r] for r in self.entries], self.ram
-            )
-        return NotImplemented
+            entries = linalg.mat_mul(self.entries, other.entries)
+        elif isinstance(other, (int, Fraction, FieldElement, LaurentSeries)):
+            entries = linalg.mat_scale(other, self.entries)
+        else:
+            return NotImplemented
+        return LaurentMatrix(self.tower, entries, self.ram)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement, LaurentSeries)):
@@ -261,34 +234,24 @@ class LaurentMatrix:
         )
 
     def trace(self) -> LaurentSeries:
-        n = self.size
-        acc = self.entries[0][0]
-        for i in range(1, n):
-            acc = acc + self.entries[i][i]
-        return acc
+        return linalg.trace(self.entries)
 
     # -- comparison ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        a, b = self._align(other)
-        return all(
-            x == y for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb)
-        )
+        return linalg.mat_eq(self.entries, other.entries)
 
     __hash__ = None  # type: ignore[assignment]
 
     def coincides_with(self, other: "LaurentMatrix") -> bool:
         """Entrywise agreement on each pair's common known window."""
-        a, b = self._align(other)
-        if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
         return all(
             x.coincides_with(y)
-            for ra, rb in zip(a.entries, b.entries)
+            for ra, rb in zip(self.entries, other.entries)
             for x, y in zip(ra, rb)
         )
 

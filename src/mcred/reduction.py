@@ -54,6 +54,7 @@ from .matrices import LaurentMatrix
 from .series import INF, LaurentSeries
 
 _MAX_DEPTH = 400
+_MAX_RESTARTS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +375,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
         )
 
 
-def reduce(connection: Connection, *, working_precision: int | None = None,
-           max_restarts: int = 40) -> ReductionTree:
+def reduce(connection: Connection, *, working_precision: int | None = None) -> ReductionTree:
     """Reduce ``connection`` and return the full tree of moves and leaves.
 
     Exact input with a pole of order >= 2 is truncated to
@@ -400,7 +400,7 @@ def reduce(connection: Connection, *, working_precision: int | None = None,
             if exc.tower is None or exc.level <= base_depth:
                 raise
             key = exc.tower.levels[exc.level - 1]
-            if key in hints or restarts >= max_restarts:  # pragma: no cover
+            if key in hints or restarts >= _MAX_RESTARTS:  # pragma: no cover
                 raise EngineError(
                     "a remembered factorization failed to resolve its split"
                 ) from exc

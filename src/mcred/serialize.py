@@ -302,14 +302,7 @@ def encode_connection(c: Connection) -> dict:
     if m.prec is not INF:
         m = m.truncate(m.prec)
     pole = Connection(m).pole_order
-    out = {"rank": c.size}
-    body = encode_matrix(m)
-    out["ramification"] = body["ramification"]
-    out["pole_order"] = None if pole == -INF else int(pole)
-    out["precision"] = body["precision"]
-    out["field"] = body["field"]
-    out["coefficients"] = body["coefficients"]
-    return out
+    return {**encode_matrix(m), "pole_order": None if pole == -INF else int(pole)}
 
 
 def decode_connection(obj) -> Connection:

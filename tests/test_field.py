@@ -8,7 +8,14 @@ from mcred.errors import DomainViolation, ZeroDivisorSplit
 from mcred.field import (
     FieldElement,
     FieldTower,
+    _add,
+    _inv,
+    _mul,
+    _payload_is_zero,
+    _poly_mod,
     _poly_mul,
+    _sub,
+    _zero_payload,
     common_tower,
     poly_divmod,
     poly_eval,
@@ -298,3 +305,117 @@ def test_poly_divmod_zero_divisor_reports_the_scalar_split(tower):
         poly_divmod([tower.one(), tower.gen(), tower.one()], [tower.one(), x - 1])
     got = info.value
     assert (got.level, got.factors, got.tower) == (want.level, want.factors, want.tower)
+
+
+# ---------------------------------------------------------------------------
+# scalar operators against lifting both operands first
+#
+# The oracle pairs two operands the long way: it lifts both into new
+# elements at the deeper tower and the higher level with ``_lifted``, then
+# runs the payload kernel.  The operators must give the same tower object,
+# level and payload.
+
+TWIN = QQ.extend([-2, 0, 1])  # equal to K1, another object
+
+
+def _random_payload(rng, tower, level):
+    if level == 0:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+    return tuple(_random_payload(rng, tower, level - 1) for _ in range(tower.degree(level)))
+
+
+def _operands(rng):
+    out = []
+    for tower in (QQ, K1, TWIN, K2):
+        for level in range(tower.depth + 1):
+            out.append(FieldElement(tower, level, _random_payload(rng, tower, level)))
+    return out + [0, 3, Fraction(-2, 5)]
+
+
+def _oracle(op, a, b):
+    if not isinstance(b, FieldElement):
+        b = a.tower.rational(b)
+    tower = common_tower(a.tower, b.tower)
+    level = max(a.level, b.level)
+    pa, pb = a._lifted(tower, level).payload, b._lifted(tower, level).payload
+    if op == "==":
+        return pa == pb
+    if op == "/":
+        return FieldElement(tower, level, _mul(tower, level, pa, _inv(tower, level, pb)))
+    kernel = {"+": _add, "-": _sub, "*": _mul}[op]
+    return FieldElement(tower, level, kernel(tower, level, pa, pb))
+
+
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _same_element(got, want):
+    assert isinstance(got, FieldElement)
+    assert (got.tower, got.level, got.payload) == (want.tower, want.level, want.payload)
+    assert got.tower is want.tower
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scalar_operators_match_lifting_both_operands(seed):
+    rng = random.Random(seed)
+    operands = _operands(rng)
+    for a in operands:
+        if not isinstance(a, FieldElement):
+            continue
+        for b in operands:
+            for op, fn in OPS.items():
+                if op == "/" and (b == 0 if not isinstance(b, FieldElement) else b.is_zero()):
+                    continue
+                _same_element(fn(a, b), _oracle(op, a, b))
+                if not isinstance(b, FieldElement):  # the reflected operators
+                    if op == "/" and a.is_zero():
+                        continue
+                    _same_element(fn(b, a), _oracle(op, a.tower.rational(b), a))
+            assert (a == b) is _oracle("==", a, b)
+            if not isinstance(b, FieldElement):
+                assert (b == a) is _oracle("==", a, b)
+
+
+def test_scalar_equality_is_false_across_incompatible_towers():
+    other = QQ.extend([-3, 0, 1])
+    for a, b in ((K1.rational(2), other.rational(2)), (K1.gen(), other.gen()),
+                 (K2.zero(), other.zero())):
+        assert a != b and not (a == b)
+    with pytest.raises(DomainViolation):
+        K1.gen() + other.gen()
+
+
+# ---------------------------------------------------------------------------
+# ``_mul`` reduces by the monic minimal polynomial
+#
+# The oracle is the schoolbook product followed by ``_poly_mod`` (a
+# polynomial division by the minimal polynomial).
+
+CUBIC = QQ.extend([-1, -1, 0, 1])  # x^3 - x - 1
+OVER_CUBIC = CUBIC.extend([CUBIC.rational(-1), CUBIC.gen(), CUBIC.one()])  # y^2 + r y - 1
+
+
+def _mul_by_poly_mod(tower, level, a, b):
+    if level == 0:
+        return a * b
+    deg, below = tower.degree(level), level - 1
+    prod = [_zero_payload(tower, below)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = _add(tower, below, prod[i + j], _mul_by_poly_mod(tower, below, x, y))
+    reduced = _poly_mod(tower, below, prod, list(tower.levels[below]))
+    return tuple(reduced + [_zero_payload(tower, below)] * (deg - len(reduced)))
+
+
+@pytest.mark.parametrize("tower", [K1, CUBIC, K2, OVER_CUBIC])
+def test_mul_matches_the_poly_mod_reduction(tower):
+    rng = random.Random(tower.total_degree())
+    level = tower.depth
+    zero = _zero_payload(tower, level)
+    samples = [zero] + [_random_payload(rng, tower, level) for _ in range(40)]
+    assert any(not _payload_is_zero(p) and any(_payload_is_zero(c) for c in p)
+               for p in samples)  # zero coordinates included
+    for a in samples:
+        for b in samples[:12]:
+            assert _mul(tower, level, a, b) == _mul_by_poly_mod(tower, level, a, b)

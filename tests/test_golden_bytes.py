@@ -1,9 +1,11 @@
-"""Pin the exact output bytes of ``mcred reduce|derham|fredholm``.
+"""Pin the exact output bytes of ``mcred reduce|derham|fredholm|gauge``.
 
 The other suites check properties of the reduction trees and dimensions,
 and ``perfbench/goldens.json`` pins only leaf kinds and ``(h0, h1)``; this
 file pins the sha256 of stdout and the exit code of every command on the
-``checks.SAMPLES`` connections and on ``mcred generate --seed 7 --count 9``.
+``checks.SAMPLES`` connections and on ``mcred generate --seed 7 --count 9``,
+and of ``mcred gauge`` on the samples against the four gauges of
+:func:`_gauges`.
 A change meant to keep canonical JSON, certificates and trees byte-identical
 must pass it unchanged.
 
@@ -18,9 +20,12 @@ which prints a new ``GOLDEN`` dict to paste over the one below, and say in
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 from mcred import checks, serialize
 from mcred.cli import main
+from mcred.field import FieldTower
+from mcred.matrices import LaurentMatrix
 
 GENERATE = ["generate", "--seed", "7", "--count", "9"]
 
@@ -53,6 +58,26 @@ GOLDEN = {
     "fredholm jump-integer": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "fredholm ramified-pair": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "fredholm saddle-node": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "gauge exact half-residue": (0, "a4f10da100215283b9092c66168798780dcc7f89314bba9ed28446cac2be7ae0"),
+    "gauge exact jump-half": (0, "94c0bd8b8a332ff14904efeb040beb24aaecca25f3d63b6fdcfcffccf124c28c"),
+    "gauge exact jump-integer": (0, "d7b5f95cc9f2c1690365288d49ee7714833b9a1693ea647b94f179f11403ccd5"),
+    "gauge exact ramified-pair": (0, "f52914a63643ad773073afa0a15980f8c5492dc34eb49e6e0488d8ffbdca29a5"),
+    "gauge exact saddle-node": (0, "6b3ce8e3d4581372b1cafff878c5d58493b8150d01d5358bc0f690daedd1e520"),
+    "gauge monomial half-residue": (0, "9d1d2fdeb15c70f229b8e778aadd541500911c9014317897bd76b8fac79ef56b"),
+    "gauge monomial jump-half": (0, "033ecaf6d9348ef94e8308a7f5dcdc8b68f23a2fc3d148b6a73dccde4ebfad99"),
+    "gauge monomial jump-integer": (0, "a7ed6f6ac5df957bda39c214e9d8e92d0f9980acac9bef7bbf2eb867c4e791b4"),
+    "gauge monomial ramified-pair": (0, "ffcd24f2ef0d2bf534ce1c2a141229b1713adb9caa199ac34816db24771659d2"),
+    "gauge monomial saddle-node": (0, "bcafa9fa21fbce5d0d0b5d71e436061f6cd6051d88f802044982d92794ac843c"),
+    "gauge truncated half-residue": (0, "5e79db68089262d9db8d9b72219c6097dbe0cf1031ace2b21475c9e92af6d427"),
+    "gauge truncated jump-half": (0, "671c8bc9ab3e4047c3c93546ec06225573a9c63cab6db622d8f468ccd2acaa50"),
+    "gauge truncated jump-integer": (0, "917f05b8c93bfe59a88f224e88f462c88ec95abe225fdb55f6ce8acb71b056fe"),
+    "gauge truncated ramified-pair": (0, "5a7a2f1b8704cbf7ccbfec9064d042a2a2b8770547abda8a90473ca677a7d7af"),
+    "gauge truncated saddle-node": (0, "3b136e208fc55faf2ad19ffac4747c989931e26cce3f5854598dd32a63e442a0"),
+    "gauge unit half-residue": (0, "af039c057194eaae4c086b4696d35236643ac5778a8fef223a999904ae69b169"),
+    "gauge unit jump-half": (0, "f6b530994b56d88cf858fc6a7cb4244a98d6ee34353c2830f4a4608c91af97ec"),
+    "gauge unit jump-integer": (0, "77e47a132504d565a8521f2023c5cd3730166b7a0b734c091804c7b204cbb32b"),
+    "gauge unit ramified-pair": (0, "2880161163b6591b3cc54b628fca328bba3c3e8dd6ba7c3fbd0b99a02774891f"),
+    "gauge unit saddle-node": (0, "a91a92cff025e20d7a2bf30cd7035167a8985c5e0e1fa6642ef97e7976f88ab9"),
     "reduce gen7-0": (0, "498cb9ca2eb3acefcac4766ed4b42fff08823729632c75ad7905ab3ea62521b9"),
     "reduce gen7-1": (0, "329c79e26a2feb37ea5de9d069e0689ffd75178a12a909243bc8f2c4aaafc72f"),
     "reduce gen7-2": (0, "29e5221b1f786f501bb7966659e6d534da426d4abd45c66ba488b276a80a1cf3"),
@@ -68,6 +93,28 @@ GOLDEN = {
     "reduce ramified-pair": (0, "319261cd4a910c8876dd195a760dc922dbb31a6c3bf2b6e7879f5ad0bb10ede9"),
     "reduce saddle-node": (0, "fa5a040ea434a1f4d7d85adf639e4e0a56ca1d7be0c1d073f5ab2779ed4b75f9"),
 }
+
+
+def _gauges(n):
+    """Four rank-``n`` gauges, each with the ``--precision`` it runs with:
+    exact with a constant determinant (over Q(sqrt 2)), monomial, truncated,
+    and exact with a non-monomial determinant (a power of ``1 + u``)."""
+    qq = FieldTower()
+    k = qq.extend([-2, 0, 1])
+    unit = {0: [[1 + i if i == j else 0 for j in range(n)] for i in range(n)],
+            1: [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]}
+    unit[0][0][0] = k.gen()
+    truncated = {0: [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+                 1: [[Fraction(i - j, 2) for j in range(n)] for i in range(n)],
+                 3: [[1] * n for _ in range(n)]}
+    skew = {0: [[1 if i == j else 0 for j in range(n)] for i in range(n)],
+            1: [[1 if (i, j) == (0, 0) else i * j for j in range(n)] for i in range(n)]}
+    return {
+        "unit": (LaurentMatrix.from_coeff_map(k, unit, n), None),
+        "monomial": (LaurentMatrix.monomial_diagonal(qq, [i - 1 for i in range(n)]), None),
+        "truncated": (LaurentMatrix.from_coeff_map(qq, truncated, n, prec=5), None),
+        "exact": (LaurentMatrix.from_coeff_map(qq, skew, n), 6),
+    }
 
 
 def _run(argv):
@@ -94,10 +141,20 @@ def _inputs(tmp_dir):
 
 def _digests(tmp_dir):
     out = {}
+    runs = []
     for name, path in _inputs(tmp_dir).items():
         for command in ("reduce", "derham", "fredholm"):
-            code, text = _run([command, path])
-            out[f"{command} {name}"] = (code, hashlib.sha256(text.encode()).hexdigest())
+            runs.append((f"{command} {name}", [command, path]))
+    for name, make in checks.SAMPLES.items():
+        for kind, (g, prec) in _gauges(make().size).items():
+            gpath = tmp_dir / f"gauge-{kind}-{g.size}.json"
+            gpath.write_text(serialize.dumps(serialize.encode_matrix(g)))
+            argv = ["gauge", str(tmp_dir / f"{name}.json"), str(gpath)]
+            runs.append((f"gauge {kind} {name}",
+                         argv if prec is None else argv + ["--precision", str(prec)]))
+    for key, argv in runs:
+        code, text = _run(argv)
+        out[key] = (code, hashlib.sha256(text.encode()).hexdigest())
     return out
 
 

@@ -362,3 +362,71 @@ def test_block_diag_aligns_blocks_with_different_ramifications():
         [z, z, z, _series({2: Fraction(-1, 2)})],
     ]
     _assert_aligned(block_diag([a, b, c]), want, BLOCKS_JSON)
+
+
+# ---------------------------------------------------------------------------
+# binary operations on operands over prefix towers and ramifications
+#
+# ``A`` lives over K with u**2 = t and ``B`` over L (K with sqrt 3 on top)
+# with u**3 = t.  ``A6`` and ``B6`` are the same matrices written out by hand
+# over L with u**6 = t.  Every operation on the mixed operands must equal the
+# one on the hand-aligned operands, down to the serialized bytes.
+
+L = K.extend([K.rational(-3), K.zero(), K.one()])
+ROOT3 = L.gen()
+
+
+def _over(tower, coeffs, prec=INF, ram=6):
+    return LaurentSeries(tower, coeffs, prec=prec, ram=ram)
+
+
+A = LaurentMatrix(K, [
+    [_over(K, {-1: 1, 0: ROOT}, 3, 2), _over(K, {1: Fraction(1, 2)}, ram=2)],
+    [_over(K, {0: 2}, 4, 2), _over(K, {}, ram=2)],
+], ram=2)
+B = LaurentMatrix(L, [
+    [_over(L, {0: 1, 1: ROOT3}, 5, 3), _over(L, {-2: ROOT}, ram=3)],
+    [_over(L, {}, 2, 3), _over(L, {0: 3, 2: -1}, ram=3)],
+], ram=3)
+A6 = LaurentMatrix(L, [
+    [_over(L, {-3: 1, 0: ROOT}, 9), _over(L, {3: Fraction(1, 2)})],
+    [_over(L, {0: 2}, 12), _over(L, {})],
+], ram=6)
+B6 = LaurentMatrix(L, [
+    [_over(L, {0: 1, 2: ROOT3}, 10), _over(L, {-4: ROOT})],
+    [_over(L, {}, 4), _over(L, {0: 3, 4: -1})],
+], ram=6)
+COLUMN = LaurentMatrix(L, [[_over(L, {0: 1, 1: ROOT3}, 3, 3)], [_over(QQ, {-1: 2}, ram=3)]],
+                       ram=3)
+COLUMN6 = LaurentMatrix(L, [[_over(L, {0: 1, 2: ROOT3}, 6)], [_over(L, {-2: 2})]], ram=6)
+
+
+def _dumps(m):
+    return serialize.dumps(serialize.encode_matrix(m))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_matrix_operations_align_prefix_towers_and_ramifications(op):
+    fn = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}[op]
+    assert (A.tower, B.tower) == (K, L)
+    for x, y, x6, y6 in ((A, B, A6, B6), (B, A, B6, A6)) + (
+            ((A, COLUMN, A6, COLUMN6),) if op == "*" else ()):
+        got, want = fn(x, y), fn(x6, y6)
+        assert (got.tower, got.ram) == (L, 6) and got.tower is L
+        assert all(s.tower is L and s.ram == 6 for row in got.entries for s in row)
+        assert got == want
+        assert _dumps(got) == _dumps(want)
+
+
+def test_matrix_comparisons_align_prefix_towers_and_ramifications():
+    assert A == A6 and A6 == A and B == B6
+    assert A != B and A6 != B6
+    assert not (A == COLUMN)
+    assert A.coincides_with(A6) and B6.coincides_with(B)
+    assert not A.coincides_with(B) and not A.coincides_with(COLUMN)
+    first_column = A6.submatrix([0, 1], [0])  # agrees with A where both have entries
+    assert A != first_column and not A.coincides_with(first_column)
+    # equal on the common window, different precision
+    a_short = A.truncate(1)
+    assert a_short != A and a_short.coincides_with(A) and A6.coincides_with(a_short)
+    assert a_short == A6.truncate(3) and a_short != A6.truncate(4)
