@@ -60,7 +60,7 @@ def _load_connection(args):
 
 def cmd_reduce(args) -> int:
     c = _load_connection(args)
-    tree = reduce(c, working_precision=args.precision)
+    tree = reduce(c)
     kinds = [leaf.kind for leaf in tree.leaves()]
     _note(f"reduced: {len(kinds)} leaf(s) [{', '.join(kinds)}], "
           f"{tree.restarts} restart(s)")

@@ -271,9 +271,9 @@ def derham_dims(c: Connection) -> DeRhamDims:
 
 
 def euler_bound_check(c: Connection, dims: DeRhamDims) -> bool:
-    """``h0 <= n`` and ``|chi| <= (2r + 1) n`` (with ``r`` floored at 1)."""
-    n = c.size
-    return dims.h0 <= n and abs(dims.chi) <= (2 * _pole_shift(c) + 1) * n
+    """Index 0 (``h0 == h1``, as for ``d/du`` on ``K((u))^n``) and
+    ``0 <= h0 <= n``."""
+    return dims.h0 == dims.h1 and 0 <= dims.h0 <= c.size
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ class Connection:
     def truncate(self, prec) -> "Connection":
         return Connection(self.matrix.truncate(prec))
 
-    def with_tower(self, tower: FieldTower) -> "Connection":
-        return Connection(self.matrix.with_tower(tower))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Connection):
             return NotImplemented
@@ -125,6 +122,8 @@ class Connection:
         """
         if g.nrows != g.ncols or g.nrows != self.size:
             raise DomainViolation("gauge shape does not match the connection")
+        if g.ram != self.ram:
+            raise DomainViolation(f"gauge has ramification {g.ram}, not {self.ram}")
         gi = g.inverse(prec_cap)
         new = g * self.matrix * gi - g.derivative() * gi
         return Connection(new)
@@ -148,6 +147,9 @@ class Connection:
             phi = LaurentSeries.constant(self.tower, phi, self.ram)
         if not isinstance(phi, LaurentSeries):
             raise DomainViolation("scalar twists take a Laurent series")
+        if phi.ram != self.ram:
+            raise DomainViolation(
+                f"scalar twist has ramification {phi.ram}, not {self.ram}")
         twist = LaurentMatrix.diagonal(self.tower, [phi] * self.size, phi.ram)
         return Connection(self.matrix + twist)
 
@@ -186,4 +188,6 @@ class Connection:
         matrix of columns): ``dv/du + G v``."""
         if v.nrows != self.size:
             raise DomainViolation("section has the wrong number of rows")
+        if v.ram != self.ram:
+            raise DomainViolation(f"section has ramification {v.ram}, not {self.ram}")
         return v.derivative() + self.matrix * v

@@ -269,7 +269,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
             continue
         c_mat = linalg.unvec(linalg.mat_vec(cancel, coords), n, n)
         xi = LaurentMatrix.constant(work.tower, c_mat, work.ram).shift(i) * (-1)
-        g = matrix_exp(xi, prec_cap=s_prec + r)
+        g = matrix_exp(xi.truncate(s_prec + r))
         work = work.gauge(g)
         total = g * total
         corrections.append((i, c_mat))
@@ -379,7 +379,6 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
         factors = [lin, quot]
         tower = ext
         s = [[tower.coerce(x) for x in row] for row in s]
-        c = c.with_tower(tower)
     kernels = [linalg.nullspace(linalg.poly_at_matrix(q, s)) for q in factors]
     sizes = [len(k) for k in kernels]
     if sum(sizes) != n or any(sz == 0 for sz in sizes):
@@ -388,6 +387,6 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
     p_mat = linalg.transpose(columns)
     p_inv = linalg.inverse(p_mat)
     g = LaurentMatrix.constant(tower, p_inv, c.ram)
-    gauged = c.with_tower(tower).gauge(g)
+    gauged = c.gauge(g)
     blocks = gauged.block_split(sizes)
     return SplitResult(blocks, sizes, g, p_mat, factors, tower)

@@ -270,8 +270,6 @@ def det(m: Matrix):
         raise DomainViolation("determinant of a non-square matrix")
     if n == 1:
         return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     acc = None
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]

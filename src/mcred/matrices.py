@@ -264,16 +264,17 @@ class LaurentMatrix:
     def inverse(self, prec_cap=None) -> "LaurentMatrix":
         """Inverse via the adjugate; the determinant is the only inversion.
 
-        ``prec_cap`` is forwarded to the determinant's series inverse, which
-        is only needed when the matrix is exact with a non-monomial
-        determinant (a truncated determinant caps itself).
+        The determinant is row 0 of ``self @ adj(self)``, so the minors are
+        expanded once.  ``prec_cap`` is forwarded to the determinant's series
+        inverse, which is only needed when the matrix is exact with a
+        non-monomial determinant (a truncated determinant caps itself).
         """
-        n = self.size
-        d = self.det()
-        d_inv = d.inverse(prec_cap)
-        if n == 1:
-            return LaurentMatrix(self.tower, [[d_inv]], self.ram)
+        if self.size == 1:
+            return LaurentMatrix(self.tower, [[self.entries[0][0].inverse(prec_cap)]],
+                                 self.ram)
         adj = linalg.adjugate(self.entries)
+        d = linalg.mat_vec(self.entries[:1], [r[0] for r in adj])[0]
+        d_inv = d.inverse(prec_cap)
         return LaurentMatrix(
             self.tower, [[s * d_inv for s in r] for r in adj], self.ram
         )
@@ -312,22 +313,21 @@ def _series_sum(start: LaurentMatrix, x: LaurentMatrix, term, what: str) -> Laur
     k = 1
     while power.valuation < p:
         if p is INF and k > x.size:
-            raise NotNilpotent(f"{what} does not terminate; pass prec_cap")
+            raise NotNilpotent(f"{what} does not terminate; truncate it first")
         result = result + power * term(k)
         k += 1
         power = power * x
     return result
 
 
-def matrix_exp(xi: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
+def matrix_exp(xi: LaurentMatrix) -> LaurentMatrix:
     """``exp(xi)`` for ``valuation(xi) >= 1``.
 
     A truncated argument with precision ``p`` yields a result with precision
-    ``p`` (terms ``xi**k / k!`` have valuation ``>= k`` and stop mattering).
-    An exact argument must be nilpotent unless ``prec_cap`` limits the output.
+    ``p`` (terms ``xi**k / k!`` have valuation ``>= k`` and stop mattering),
+    so ``matrix_exp(xi.truncate(p))`` chooses the window.  An exact argument
+    must be nilpotent.
     """
-    if xi.is_exact() and prec_cap is not None:
-        xi = xi.truncate(prec_cap)
     if xi.valuation < 1:
         raise DomainViolation("matrix exponential requires valuation >= 1")
     return _series_sum(LaurentMatrix.identity(xi.tower, xi.size, xi.ram), xi,
@@ -335,15 +335,13 @@ def matrix_exp(xi: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
                        "exponential of an exact non-nilpotent argument")
 
 
-def matrix_log(g: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
+def matrix_log(g: LaurentMatrix) -> LaurentMatrix:
     """``log(g)`` for ``g = 1 + x`` with ``valuation(x) >= 1``.
 
     Mirror image of :func:`matrix_exp`, with the same precision contract.
     """
     n = g.size
     x = g - LaurentMatrix.identity(g.tower, n, g.ram)
-    if x.is_exact() and prec_cap is not None:
-        x = x.truncate(prec_cap)
     if x.valuation < 1:
         raise DomainViolation("matrix logarithm requires g = 1 + O(u)")
     return _series_sum(LaurentMatrix.zero(x.tower, n, None, x.ram), x,
@@ -351,14 +349,13 @@ def matrix_log(g: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
                        "logarithm of an exact non-unipotent argument")
 
 
-def dlog(g: LaurentMatrix, prec_cap=None) -> LaurentMatrix:
+def dlog(g: LaurentMatrix) -> LaurentMatrix:
     """Logarithmic derivative ``(dg/dt) g^{-1}`` in the *t* coordinate.
 
     For a ramified matrix (``u**ram = t``) this is
     ``u^(1-ram)/ram * (dg/du) g^{-1}``.
     """
-    inv = g.inverse(prec_cap)
-    out = g.derivative() * inv
+    out = g.derivative() * g.inverse()
     if g.ram != 1:
         out = out.shift(1 - g.ram) * Fraction(1, g.ram)
     return out

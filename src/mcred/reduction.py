@@ -204,13 +204,9 @@ def default_working_precision(c: Connection) -> int:
     return top + 2 * r + 4
 
 
-def _prepare(c: Connection, working_precision) -> Connection:
-    if working_precision is not None:
-        return c.truncate(working_precision)
-    if c.prec is not INF:
-        return c
-    if c.size == 1 or c.pole_order <= 1:
-        return c  # leafs untouched; keep exactness
+def _prepare(c: Connection) -> Connection:
+    if c.prec is not INF or c.size == 1 or c.pole_order <= 1:
+        return c  # truncated by the caller, or a leaf kept exact
     return c.truncate(default_working_precision(c))
 
 
@@ -221,24 +217,21 @@ def _check_measure(parent: tuple | None, mine: tuple) -> None:
         )
 
 
-def _dt_units(grid, ram: int):
-    scale = Fraction(1, ram)
-    return [[x * scale for x in row] for row in grid]
-
-
-def _leaf(kind, c, ops, **extra) -> ReductionNode:
+def _node(kind, c, ops, **extra) -> ReductionNode:
+    """The node of ``c`` after ``ops``; a leaf keeps ``c`` itself, and a
+    ``regular_singular`` leaf also its residue in dt/t units."""
     pole = c.pole_order
-    pole = int(pole) if pole != -INF else None
     residue = None
     if kind == "regular_singular":
-        residue = _dt_units(c.residue(), c.ram)
+        scale = Fraction(1, c.ram)
+        residue = [[x * scale for x in row] for row in c.residue()]
     return ReductionNode(
         kind=kind,
         size=c.size,
         ram=c.ram,
-        pole=pole,
+        pole=int(pole) if pole != -INF else None,
         ops=ops,
-        leaf=c,
+        leaf=c if kind in ("rank_one", "regular_singular") else None,
         residue=residue,
         **extra,
     )
@@ -252,10 +245,10 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
     while True:
         n = c.size
         if n == 1:
-            return _leaf("rank_one", c, ops)
+            return _node("rank_one", c, ops)
         r = c.pole_order
         if r <= 1:
-            return _leaf("regular_singular", c, ops)
+            return _node("regular_singular", c, ops)
         r = int(r)
         if c.valuation == c.prec:
             raise PrecisionExhausted(
@@ -276,16 +269,8 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
                 _reduce_node(block, measure, hints, depth + 1)
                 for block in split.blocks
             ]
-            return ReductionNode(
-                kind="split",
-                size=n,
-                ram=c.ram,
-                pole=r,
-                ops=ops,
-                children=children,
-                sizes=split.sizes,
-                measure=measure,
-            )
+            return _node("split", c, ops, children=children,
+                         sizes=split.sizes, measure=measure)
         scalar = jc.semisimple[0][0]
         if not scalar.is_zero():
             # exponential monomial shared by the whole block: twist it away
@@ -314,32 +299,16 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
         c = rec.connection
         data = compute_alpha(c, triple.weights)
         rs_slope = Fraction(r - 1, 2)
-        if data.alpha is None or data.alpha >= rs_slope:
-            if data.tail_min < rs_slope:
-                needed = math.ceil(Fraction((r - 1) * (data.j_max + 2), 2) - r)
-                raise PrecisionExhausted(
-                    "the unknown tail could still carry a slope below "
-                    f"{rs_slope}; the window ends at exponent {data.prec} but "
-                    f"this shear needs at least {needed}",
-                    needed=needed,
-                )
-            sheared, b, g_shear = shear(c, triple.weights, -rs_slope)
-            if b > 1:
-                ops.append(("ramify", b))
-            ops.append(("gauge", g_shear))
-            v = sheared.valuation
-            if v is not INF and v < -1:  # pragma: no cover - soundness check
-                raise EngineError("regular-singular shear left a deep pole")
-            return _leaf(
-                "regular_singular",
-                sheared,
-                ops,
-                measure=measure,
-                alpha=data.alpha,
-                shear_base=b,
-                lead_partition=partition,
+        to_leaf = data.alpha is None or data.alpha >= rs_slope
+        if to_leaf and data.tail_min < rs_slope:
+            needed = math.ceil(Fraction((r - 1) * (data.j_max + 2), 2) - r)
+            raise PrecisionExhausted(
+                "the unknown tail could still carry a slope below "
+                f"{rs_slope}; the window ends at exponent {data.prec} but "
+                f"this shear needs at least {needed}",
+                needed=needed,
             )
-        if data.tail_min <= data.alpha:
+        if not to_leaf and data.tail_min <= data.alpha:
             needed = math.floor(data.alpha * (data.j_max + 2) - r) + 1
             raise PrecisionExhausted(
                 f"slope {data.alpha} is not below every slope the unknown "
@@ -347,10 +316,18 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
                 f"but this shear needs at least {needed}",
                 needed=needed,
             )
-        sheared, b, g_shear = shear(c, triple.weights, -data.alpha)
+        slope = rs_slope if to_leaf else data.alpha
+        sheared, b, g_shear = shear(c, triple.weights, -slope)
         if b > 1:
             ops.append(("ramify", b))
         ops.append(("gauge", g_shear))
+        extra = dict(measure=measure, alpha=data.alpha, shear_base=b,
+                     lead_partition=partition)
+        if to_leaf:
+            v = sheared.valuation
+            if v is not INF and v < -1:  # pragma: no cover - soundness check
+                raise EngineError("regular-singular shear left a deep pole")
+            return _node("regular_singular", sheared, ops, **extra)
         a, b_den = data.alpha.numerator, data.alpha.denominator
         expected_exp = -(b_den * r - 2 * a - b_den + 1)
         predicted = linalg.mat_scale(
@@ -361,32 +338,21 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
         ):  # pragma: no cover - soundness check
             raise EngineError("sheared leading term disagrees with its prediction")
         child = _reduce_node(sheared, measure, hints, depth + 1)
-        return ReductionNode(
-            kind="descend",
-            size=n,
-            ram=c.ram,
-            pole=r,
-            ops=ops,
-            children=[child],
-            measure=measure,
-            alpha=data.alpha,
-            shear_base=b,
-            lead_partition=partition,
-        )
+        return _node("descend", c, ops, children=[child], **extra)
 
 
-def reduce(connection: Connection, *, working_precision: int | None = None) -> ReductionTree:
+def reduce(connection: Connection) -> ReductionTree:
     """Reduce ``connection`` and return the full tree of moves and leaves.
 
     Exact input with a pole of order >= 2 is truncated to
-    :func:`default_working_precision` first (pass ``working_precision`` to
-    choose the window yourself).  If an internal algebraic extension turns
+    :func:`default_working_precision` first; to choose the window yourself,
+    pass ``connection.truncate(p)``.  If an internal algebraic extension turns
     out to be reducible mid-run (:class:`ZeroDivisorSplit` above the caller's
     own tower), the discovered factorization is remembered and the whole
     reduction restarts; splits inside the caller's tower propagate, since
     only the caller knows which branch they mean.
     """
-    work = _prepare(connection, working_precision)
+    work = _prepare(connection)
     base_depth = connection.tower.depth
     hints: dict = {}
     restarts = 0

@@ -37,16 +37,10 @@ def nilpotency_order(f: Sequence[Sequence]) -> int:
 
 
 def _complete_basis(have: list, candidates: list) -> list:
-    """Members of ``candidates`` that greedily extend ``span(have)``."""
-    rows = [list(v) for v in have]
-    base_rank = linalg.rank(rows) if rows else 0
-    chosen = []
-    for cand in candidates:
-        trial = rows + [list(cand)]
-        if linalg.rank(trial) > base_rank + len(chosen):
-            rows = trial
-            chosen.append(cand)
-    return chosen
+    """Members of ``candidates`` that greedily extend ``span(have)``: the
+    candidate pivot columns of ``have`` and ``candidates`` side by side."""
+    _, pivots = linalg.rref(linalg.transpose(list(have) + list(candidates)))
+    return [candidates[p - len(have)] for p in pivots if p >= len(have)]
 
 
 def jordan_chains(f: Sequence[Sequence]) -> list:

@@ -64,6 +64,11 @@ def test_run_all_honors_trial_override():
     assert all(v == [] for v in results.values())
 
 
+@pytest.mark.parametrize("name", sorted(checks.SUITES))
+def test_every_suite_passes_two_trials(name):
+    assert checks.SUITES[name](0, 2) == []
+
+
 def test_euler_suite_reports_nonzero_index(monkeypatch):
     # the index of d/du on K((u))^n is 0, so h0 != h1 is a failure even
     # when the looser Euler bound holds

@@ -117,6 +117,18 @@ def test_gauge_zero_divisor_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gauge_with_another_ramification_exits_1(tmp_path, capsys):
+    cpath = write_connection(tmp_path / "c.json", checks.sample_saddle_node())
+    gpath = tmp_path / "g.json"
+    g = LaurentMatrix.identity(QQ, 2, ram=2)
+    gpath.write_text(serialize.dumps(serialize.encode_matrix(g)))
+    assert serialize.loads(gpath.read_text())["ramification"] == 2
+    assert main(["gauge", cpath, str(gpath)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ramification 2" in captured.err
+
+
 def test_stability_command(capsys):
     code, obj = run(capsys, "stability", "1", "7")
     assert code == 0

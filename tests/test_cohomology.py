@@ -5,6 +5,7 @@ import pytest
 
 from mcred import checks
 from mcred.cohomology import (
+    DeRhamDims,
     LatticeWindow,
     derham_dims,
     doubling_dims,
@@ -132,6 +133,15 @@ def test_euler_bound_check():
     dims = derham_dims(c)
     assert euler_bound_check(c, dims)
     assert abs(dims.chi) <= (2 * c.pole_order + 1) * c.size
+
+
+def test_euler_bound_check_refuses_nonzero_index_and_excess():
+    window = LatticeWindow(-1, 1)
+    for h0, h1 in ((1, 0), (0, 1), (2, 2)):
+        dims = DeRhamDims(h0, h1, window, True, "window")
+        assert not euler_bound_check(rank_one(Fraction(0)), dims)
+    assert euler_bound_check(rank_one(Fraction(0)),
+                             DeRhamDims(1, 1, window, True, "window"))
 
 
 def test_h1_generators_goldens():

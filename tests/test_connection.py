@@ -113,6 +113,22 @@ def test_scalar_twist_shifts_diagonal():
     assert tw.matrix.entry(0, 1).coincides_with(S({0: 1}))
 
 
+def test_moves_refuse_another_ramification():
+    # G would be lifted to the argument's variable without the Jacobian
+    # factor of Connection.ramify, so a mismatched ram is refused
+    c = checks.sample_saddle_node()
+    assert c.ramify(2).pole_order == 3
+    with pytest.raises(DomainViolation):
+        c.gauge(LaurentMatrix.identity(QQ, 2, ram=2))
+    with pytest.raises(DomainViolation):
+        c.scalar_twist(LaurentSeries.zero(QQ, 2))
+    with pytest.raises(DomainViolation):
+        c.apply_nabla(LaurentMatrix.identity(QQ, 2, ram=2))
+    c2 = c.ramify(2)
+    assert c2.gauge(LaurentMatrix.identity(QQ, 2, ram=2)) == c2
+    assert c2.scalar_twist(LaurentSeries.zero(QQ, 2)) == c2
+
+
 def test_block_split_and_direct_sum():
     a = conn([[S({-1: 1})]])
     b = conn([[S({}), S({0: 1})], [S({}), S({})]])

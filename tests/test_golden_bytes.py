@@ -4,8 +4,8 @@ The other suites check properties of the reduction trees and dimensions,
 and ``perfbench/goldens.json`` pins only leaf kinds and ``(h0, h1)``; this
 file pins the sha256 of stdout and the exit code of every command on the
 ``checks.SAMPLES`` connections and on ``mcred generate --seed 7 --count 9``,
-and of ``mcred gauge`` on the samples against the four gauges of
-:func:`_gauges`.
+of ``mcred reduce --precision 6`` on the same inputs, and of ``mcred gauge``
+on the samples against the four gauges of :func:`_gauges`.
 A change meant to keep canonical JSON, certificates and trees byte-identical
 must pass it unchanged.
 
@@ -92,6 +92,20 @@ GOLDEN = {
     "reduce jump-integer": (0, "bd32f9279b187dcf748cfcea67e740fc551415b9b4a32eb1705b89bd70c5deec"),
     "reduce ramified-pair": (0, "319261cd4a910c8876dd195a760dc922dbb31a6c3bf2b6e7879f5ad0bb10ede9"),
     "reduce saddle-node": (0, "fa5a040ea434a1f4d7d85adf639e4e0a56ca1d7be0c1d073f5ab2779ed4b75f9"),
+    "reduce-p6 gen7-0": (0, "20ec1dc673296a52a9f85ce62a14bbfd1563640e8da7ef9c5ab710f357a573a5"),
+    "reduce-p6 gen7-1": (0, "7f757ada1035ea60dc0f60ca4ef485f79179d0ff4c6287d431513a81accda619"),
+    "reduce-p6 gen7-2": (0, "1c6c93a462e7441bd4bc4a91855ae66e71886a49adfd06d70ba9758689b6570f"),
+    "reduce-p6 gen7-3": (0, "2a73eeb59e6023d7f0d7b6da3eb96f343d33900cffd69862755099638981312f"),
+    "reduce-p6 gen7-4": (0, "cce9ee37d953ef2c758f1b32b2632af39822993dd549dabc4e6e743c5ece0a2b"),
+    "reduce-p6 gen7-5": (0, "524a54898261f7534bdb0373653f830b24d6aed64e82adf0f0bed43ca939a4e5"),
+    "reduce-p6 gen7-6": (0, "af8d3c6cbdfc3130da911283239f42830722686756916964fbac42c71283fa7c"),
+    "reduce-p6 gen7-7": (0, "1b7d55c2c7d4366fb3429977b68cf9d99c585f5a197fd9933a7ea4751625d0c0"),
+    "reduce-p6 gen7-8": (0, "2ab4a63c9f0c062c38823a2e52c0d830dae643d6eb1adde91766bc5c9b306320"),
+    "reduce-p6 half-residue": (0, "117282edb57f6690430d3f38fb4ad240c7521e7ea5411b073e18147f0dbe207f"),
+    "reduce-p6 jump-half": (0, "e27b98b9dc52a40cd2e69666aee45ae824c99e82a586400a76da12e882c53ac5"),
+    "reduce-p6 jump-integer": (0, "145f8e1245b2e6ed18e0c778e1ece241f64bab64e573b733a34763ca80833e95"),
+    "reduce-p6 ramified-pair": (0, "a187c3d1775fc3339c63a4dcf96e63a6f8ad87431654b204db516147eed8fc4d"),
+    "reduce-p6 saddle-node": (0, "8132969075f6262f2cd0fc3f7f436f0c719b54ac9ae63c9915c9915df4aff049"),
 }
 
 
@@ -145,6 +159,7 @@ def _digests(tmp_dir):
     for name, path in _inputs(tmp_dir).items():
         for command in ("reduce", "derham", "fredholm"):
             runs.append((f"{command} {name}", [command, path]))
+        runs.append((f"reduce-p6 {name}", ["reduce", path, "--precision", "6"]))
     for name, make in checks.SAMPLES.items():
         for kind, (g, prec) in _gauges(make().size).items():
             gpath = tmp_dir / f"gauge-{kind}-{g.size}.json"

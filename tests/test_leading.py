@@ -176,7 +176,7 @@ def _old_sibuya(c, splitting):
         z = linalg.solve(solve_mat, [-x for x in m2])
         c_mat = linalg.unvec(linalg.mat_vec(source_mat, z), n, n)
         xi = LaurentMatrix.constant(work.tower, c_mat, work.ram).shift(i) * (-1)
-        g = matrix_exp(xi, prec_cap=c.prec + r)
+        g = matrix_exp(xi.truncate(c.prec + r))
         work = work.gauge(g)
         total = g * total
         corrections.append((i, c_mat))

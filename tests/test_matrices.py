@@ -110,7 +110,7 @@ def test_exp_log_nilpotent_exact():
 
 def test_exp_positive_valuation_with_cap():
     x = M([[S({1: 1}), S({})], [S({}), S({1: -1})]])
-    e = matrix_exp(x, prec_cap=4)
+    e = matrix_exp(x.truncate(4))
     # exp(t) = 1 + t + t^2/2 + t^3/6
     assert e.entry(0, 0).coeff(2).to_fraction() == Fraction(1, 2)
     assert e.entry(1, 1).coeff(3).to_fraction() == Fraction(-1, 6)
@@ -119,7 +119,7 @@ def test_exp_positive_valuation_with_cap():
 
 def test_exp_demands_positive_valuation():
     with pytest.raises(DomainViolation):
-        matrix_exp(LaurentMatrix.constant(QQ, [[1]]), prec_cap=5)
+        matrix_exp(LaurentMatrix.constant(QQ, [[1]]).truncate(5))
 
 
 def _old_exp(xi, prec_cap=None):
@@ -232,10 +232,10 @@ def test_exp_log_match_the_two_branch_loops(tower, val):
         assert _same(matrix_log(g), _old_log(g))
     exact = _random_argument(rng, tower, 3, val, INF, nilpotent=True)
     assert _same(matrix_exp(exact), _old_exp(exact))
-    assert _same(matrix_exp(exact, prec_cap=6), _old_exp(exact, prec_cap=6))
+    assert _same(matrix_exp(exact.truncate(6)), _old_exp(exact, prec_cap=6))
     unipotent = LaurentMatrix.identity(tower, 3) + exact
     assert _same(matrix_log(unipotent), _old_log(unipotent))
-    assert _same(matrix_log(unipotent, prec_cap=5), _old_log(unipotent, prec_cap=5))
+    assert _same(matrix_log(unipotent.truncate(5)), _old_log(unipotent, prec_cap=5))
 
 
 def test_exact_non_nilpotent_argument_is_refused():
@@ -244,9 +244,9 @@ def test_exact_non_nilpotent_argument_is_refused():
         matrix_exp(x)
     with pytest.raises(NotNilpotent):
         matrix_log(LaurentMatrix.identity(QQ, 2) + x)
-    # a cap turns the same arguments into ordinary truncated ones
-    assert matrix_exp(x, prec_cap=4).prec == 4
-    assert matrix_log(LaurentMatrix.identity(QQ, 2) + x, prec_cap=4).prec == 4
+    # truncating turns the same arguments into ordinary truncated ones
+    assert matrix_exp(x.truncate(4)).prec == 4
+    assert matrix_log((LaurentMatrix.identity(QQ, 2) + x).truncate(4)).prec == 4
 
 
 def test_dlog_monomial_diagonal():

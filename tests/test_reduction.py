@@ -163,6 +163,22 @@ def test_measure_strictly_decreases_on_recursion_edges():
     assert seen > 0
 
 
+def test_zero_divisor_split_restarts_with_the_factorization():
+    # the lead's eigenvalues +-s lie in K, but the split only looks for
+    # rational roots, so it adjoins a root of x**2 - 2, which factors over K;
+    # the restart splits by the remembered factorization instead
+    K = QQ.extend([-2, 0, 1])
+    s = K.gen()
+    c = Connection.from_coeff_map(K, {-2: [[s, 0], [0, -s]],
+                                      -1: [[1, 2], [3, 4]]}, 2)
+    tree = reduce(c)
+    assert tree.restarts == 1
+    leaves = list(tree.leaves())
+    assert [leaf.kind for leaf in leaves] == ["rank_one", "rank_one"]
+    assert all(leaf.leaf.tower.depth == 1 for leaf in leaves)
+    assert replay(tree) is True
+
+
 def test_default_working_precision_covers_stability_window():
     c = checks.sample_ramified_pair()
     wp = default_working_precision(c)
