@@ -38,14 +38,12 @@ QQ = FieldTower()
 # ---------------------------------------------------------------------------
 
 
-def random_rational(rng: random.Random, num_bound: int = 6,
-                    den_bound: int = 3) -> Fraction:
-    return Fraction(rng.randint(-num_bound, num_bound),
-                    rng.randint(1, den_bound))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
 
 
-def random_grid(rng: random.Random, n: int, **kw) -> list:
-    return [[random_rational(rng, **kw) for _ in range(n)] for _ in range(n)]
+def random_grid(rng: random.Random, n: int) -> list:
+    return [[random_rational(rng) for _ in range(n)] for _ in range(n)]
 
 
 def _nonzero_grid(rng: random.Random, n: int) -> list:
@@ -102,30 +100,27 @@ def random_connection(rng: random.Random, n: int, r: int, *,
     return Connection.from_coeff_map(QQ, coeff_map, n, prec=prec)
 
 
-def random_unit_gauge(rng: random.Random, n: int, ram: int = 1,
-                      order: int = 2) -> LaurentMatrix:
+def random_unit_gauge(rng: random.Random, n: int) -> LaurentMatrix:
     """Exact polynomial gauge with determinant 1 (unipotent ``L * U``)."""
 
     def triangular(lower: bool) -> LaurentMatrix:
-        one = LaurentSeries.one(QQ, ram)
-        zero = LaurentSeries.zero(QQ, ram)
+        one = LaurentSeries.one(QQ)
+        zero = LaurentSeries.zero(QQ)
         rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 if (i > j) if lower else (i < j):
                     coeffs = {e: random_rational(rng)
-                              for e in range(0, order + 1)
-                              if rng.random() < 0.7}
-                    rows[i][j] = LaurentSeries(QQ, coeffs, INF, ram)
-        return LaurentMatrix(QQ, rows, ram)
+                              for e in range(3) if rng.random() < 0.7}
+                    rows[i][j] = LaurentSeries(QQ, coeffs)
+        return LaurentMatrix(QQ, rows)
 
     return triangular(True) * triangular(False)
 
 
-def random_monomial_gauge(rng: random.Random, n: int, ram: int = 1,
-                          bound: int = 2) -> LaurentMatrix:
-    exps = [rng.randint(-bound, bound) for _ in range(n)]
-    return LaurentMatrix.monomial_diagonal(QQ, exps, ram)
+def random_monomial_gauge(rng: random.Random, n: int) -> LaurentMatrix:
+    exps = [rng.randint(-2, 2) for _ in range(n)]
+    return LaurentMatrix.monomial_diagonal(QQ, exps)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +221,10 @@ def suite_exp_log(seed: int = 0, trials: int = 40) -> list:
     return failures
 
 
-def _random_matrix(rng: random.Random, n: int, val: int, prec: int,
-                   density: float = 0.8) -> LaurentMatrix:
+def _random_matrix(rng: random.Random, n: int, val: int, prec: int) -> LaurentMatrix:
     coeff_map = {}
     for e in range(val, prec):
-        if rng.random() < density:
+        if rng.random() < 0.8:
             coeff_map[e] = random_grid(rng, n)
     if val not in coeff_map:
         coeff_map[val] = _nonzero_grid(rng, n)

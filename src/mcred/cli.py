@@ -101,11 +101,11 @@ def cmd_fredholm(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    c = serialize.decode_connection(_read(args.input))
+    c = _load_connection(args)
     g = serialize.decode_matrix(_read(args.gauge))
     if args.precision is not None:
-        serialize.check_exponent(args.precision, "--precision")
-    moved = c.gauge(g, prec_cap=args.precision)
+        g = g.truncate(args.precision)
+    moved = c.gauge(g)
     _emit(serialize.encode_connection(moved), args.out)
     return 0
 
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="connection JSON file")
     p.add_argument("gauge", help="gauge matrix JSON file")
     p.add_argument("--precision", type=int, metavar="P",
-                   help="cap for inverting an exact non-monomial gauge")
+                   help="truncate the inputs to exponents below P first")
 
     p = add("stability", cmd_stability,
             "tail exponent bound for a given size and pole order")

@@ -76,8 +76,12 @@ class DeRhamDims:
     h0: int
     h1: int
     window: LatticeWindow
-    stabilized: bool
     certificate: str  # "spectrum-derived" | "window-doubling" | "window"
+
+    @property
+    def stabilized(self) -> bool:
+        """Settled dimensions: everything but a raw single-window count."""
+        return self.certificate != "window"
 
     @property
     def chi(self) -> int:
@@ -94,9 +98,6 @@ class RsSpectrum:
 
     def indices(self) -> list:
         return [n for n, _ in self.entries]
-
-    def total(self) -> int:
-        return sum(mult for _, mult in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
     mat = [row for j in range(w.n_min - m, w.n_max - m)
            for row in _nabla_rows(c, j, w.n_min, w.width)]
     rank = linalg.rank(mat)
-    return DeRhamDims(dim - rank, dim - rank, w, False, "window")
+    return DeRhamDims(dim - rank, dim - rank, w, "window")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def doubling_dims(c: Connection) -> DeRhamDims:
         pair = (flat_section_dim(c, window), flat_section_dim(dual, window))
         streak = streak + 1 if pair == prev else 0
         if streak >= 2:
-            return DeRhamDims(pair[0], pair[1], window, True, "window-doubling")
+            return DeRhamDims(pair[0], pair[1], window, "window-doubling")
         prev = pair
         w *= 2
     raise Unstabilized(
@@ -258,7 +259,7 @@ def derham_dims(c: Connection) -> DeRhamDims:
     if r <= 1:
         window = _spectrum_window(rs_spectrum(c.residue()))
         dims = truncated_complex_dims(c, window)
-        return DeRhamDims(dims.h0, dims.h1, window, True, "spectrum-derived")
+        return DeRhamDims(dims.h0, dims.h1, window, "spectrum-derived")
     lead = c.leading()
     n = c.size
     if linalg.rank(lead) == n:
@@ -266,7 +267,7 @@ def derham_dims(c: Connection) -> DeRhamDims:
         dims = truncated_complex_dims(c, window)
         if (dims.h0, dims.h1) != (0, 0):  # pragma: no cover - soundness check
             raise EngineError("invertible leading term must be acyclic")
-        return DeRhamDims(0, 0, window, True, "spectrum-derived")
+        return DeRhamDims(0, 0, window, "spectrum-derived")
     return doubling_dims(c)
 
 

@@ -48,6 +48,9 @@ class Connection:
 
     @classmethod
     def direct_sum(cls, parts: Sequence["Connection"]) -> "Connection":
+        rams = {p.ram for p in parts}
+        if len(rams) > 1:
+            raise DomainViolation(f"direct summands have ramifications {sorted(rams)}")
         return cls(block_diag([p.matrix for p in parts]))
 
     # -- inspection -------------------------------------------------------------
@@ -99,32 +102,34 @@ class Connection:
         return Connection(self.matrix.truncate(prec))
 
     def __eq__(self, other) -> bool:
+        """Same ramification and the same matrix (a matrix at another
+        ramification is the ``du``-coefficient in another variable)."""
         if not isinstance(other, Connection):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.ram == other.ram and self.matrix == other.matrix
 
     __hash__ = None  # type: ignore[assignment]
 
     def coincides_with(self, other: "Connection") -> bool:
-        return self.matrix.coincides_with(other.matrix)
+        """Same ramification and agreement on the common known window."""
+        return self.ram == other.ram and self.matrix.coincides_with(other.matrix)
 
     def __repr__(self) -> str:
         return f"Connection(ram={self.ram}, size={self.size}, G={self.matrix!r})"
 
     # -- the three reduction moves ---------------------------------------------
 
-    def gauge(self, g: LaurentMatrix, prec_cap=None) -> "Connection":
+    def gauge(self, g: LaurentMatrix) -> "Connection":
         """Apply ``gauge_g``: ``g G g^{-1} - (dg/du) g^{-1}``.
 
-        ``prec_cap`` caps the inversion of ``g`` when that inversion does not
-        terminate (exact ``g`` with non-monomial determinant); truncated or
-        monomial-determinant gauges never need it.
+        An exact ``g`` must have a monomial determinant, since any other
+        exact inverse does not terminate; truncate such a gauge first.
         """
         if g.nrows != g.ncols or g.nrows != self.size:
             raise DomainViolation("gauge shape does not match the connection")
         if g.ram != self.ram:
             raise DomainViolation(f"gauge has ramification {g.ram}, not {self.ram}")
-        gi = g.inverse(prec_cap)
+        gi = g.inverse()
         new = g * self.matrix * gi - g.derivative() * gi
         return Connection(new)
 

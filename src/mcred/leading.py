@@ -213,7 +213,6 @@ class NormalizationRecord:
     connection: Connection
     gauge: LaurentMatrix
     corrections: list = dataclass_field(default_factory=list)
-    splitting: AdSplitting | None = None
 
 
 def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationRecord:
@@ -246,8 +245,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
         raise DomainViolation("kernel and target do not have complementary dimensions")
     s_prec = c.prec
     if not target:
-        return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram),
-                                   [], splitting)
+        return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram))
     try:
         to_target = linalg.inverse(linalg.transpose(kernel + target))[len(kernel):]
     except NotInvertible:
@@ -282,7 +280,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
                 f"coefficient at offset {i} still has a component in the "
                 "complement after normalization"
             )
-    return NormalizationRecord(work, total, corrections, splitting)
+    return NormalizationRecord(work, total, corrections)
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,6 @@ def trace(a: Matrix):
     return acc
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Inverses go through the classical adjugate so that the only series inversion
 is the determinant's; the determinant itself is computed division-free.  The
 exponential and logarithm are honest about precision: for a truncated
 argument of valuation >= 1 the result carries the argument's precision, and
-an exact argument must be nilpotent (or given an explicit cap) because its
-exponential would not terminate otherwise.
+an exact argument must be nilpotent because its exponential would not
+terminate otherwise.
 """
 
 from __future__ import annotations
@@ -173,9 +173,6 @@ class LaurentMatrix:
             raise DomainViolation("ramification lift must be a positive int")
         return LaurentMatrix(self.tower, self.entries, self.ram * m)
 
-    def with_tower(self, tower: FieldTower) -> "LaurentMatrix":
-        return LaurentMatrix(tower, self.entries, self.ram)
-
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(self.tower, linalg.transpose(self.entries), self.ram)
 
@@ -219,9 +216,6 @@ class LaurentMatrix:
             return self * other
         return NotImplemented
 
-    def scale(self, factor) -> "LaurentMatrix":
-        return self * factor
-
     def shift(self, k: int) -> "LaurentMatrix":
         return LaurentMatrix(
             self.tower, [[s.shift(k) for s in r] for r in self.entries], self.ram
@@ -257,24 +251,20 @@ class LaurentMatrix:
 
     # -- inversion ---------------------------------------------------------------
 
-    def det(self) -> LaurentSeries:
-        n = self.size  # noqa: F841  (shape check)
-        return linalg.det(self.entries)
-
-    def inverse(self, prec_cap=None) -> "LaurentMatrix":
+    def inverse(self) -> "LaurentMatrix":
         """Inverse via the adjugate; the determinant is the only inversion.
 
         The determinant is row 0 of ``self @ adj(self)``, so the minors are
-        expanded once.  ``prec_cap`` is forwarded to the determinant's series
-        inverse, which is only needed when the matrix is exact with a
-        non-monomial determinant (a truncated determinant caps itself).
+        expanded once.  An exact matrix inverts only when its determinant is
+        a monomial; otherwise truncate it first (a truncated determinant
+        inverts to its own precision).
         """
         if self.size == 1:
-            return LaurentMatrix(self.tower, [[self.entries[0][0].inverse(prec_cap)]],
+            return LaurentMatrix(self.tower, [[self.entries[0][0].inverse()]],
                                  self.ram)
         adj = linalg.adjugate(self.entries)
         d = linalg.mat_vec(self.entries[:1], [r[0] for r in adj])[0]
-        d_inv = d.inverse(prec_cap)
+        d_inv = d.inverse()
         return LaurentMatrix(
             self.tower, [[s * d_inv for s in r] for r in adj], self.ram
         )

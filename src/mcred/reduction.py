@@ -173,19 +173,14 @@ def shear(c: Connection, weights, q: Fraction):
     return c2.gauge(g), b, g
 
 
-def slodowy_prediction(c: Connection, weights, f_std, alpha: Fraction):
-    """The forced leading term of the shear at slope ``alpha``: the nilpotent
-    lead plus every graded component sitting exactly on the slope (all in the
-    chain basis, at the pre-ramification scale)."""
-    r = -c.valuation
+def slodowy_prediction(c: Connection, weights, f_std, data: ShearData):
+    """The forced leading term of the shear at slope ``data.alpha``: the
+    nilpotent lead plus the graded components ``data.critical`` sitting
+    exactly on the slope (all in the chain basis, at the pre-ramification
+    scale)."""
     acc = [row[:] for row in f_std]
-    for i in c.matrix.support():
-        if i <= -r:
-            continue
-        grid = c.coeff(i)
-        for j in sl2.grading_support(grid, weights):
-            if j + 2 > 0 and Fraction(i + r, j + 2) == alpha:
-                acc = linalg.mat_add(acc, sl2.graded_component(grid, weights, j))
+    for i, j in data.critical:
+        acc = linalg.mat_add(acc, sl2.graded_component(c.coeff(i), weights, j))
     return acc
 
 
@@ -288,13 +283,10 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
         _check_measure(parent_measure, measure)
         triple = sl2.jacobson_morozov(lead)
         partition = tuple(triple.block_sizes)
-        g_basis = LaurentMatrix.constant(
-            c.tower, linalg.inverse(triple.basis), c.ram
-        )
+        g_basis = LaurentMatrix.constant(c.tower, triple.basis_inv, c.ram)
         c = c.gauge(g_basis)
         ops.append(("gauge", g_basis))
-        e_std, _, f_std = sl2.chain_basis_triple(c.tower, triple.block_sizes)
-        rec = sibuya_normalize(c, splitting_from_sl2(e_std, f_std))
+        rec = sibuya_normalize(c, splitting_from_sl2(triple.e, triple.f))
         ops.append(("gauge", rec.gauge))
         c = rec.connection
         data = compute_alpha(c, triple.weights)
@@ -331,7 +323,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
         a, b_den = data.alpha.numerator, data.alpha.denominator
         expected_exp = -(b_den * r - 2 * a - b_den + 1)
         predicted = linalg.mat_scale(
-            b, slodowy_prediction(c, triple.weights, f_std, data.alpha)
+            b, slodowy_prediction(c, triple.weights, triple.f, data)
         )
         if sheared.valuation != expected_exp or not linalg.mat_eq(
             sheared.leading(), predicted

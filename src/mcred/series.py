@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
 from .field import FieldElement, FieldTower, common_tower
@@ -50,17 +50,12 @@ class LaurentSeries:
 
     __slots__ = ("tower", "ram", "coeffs", "prec")
 
-    def __init__(self, tower: FieldTower, coeffs=None, prec=INF, ram: int = 1):
+    def __init__(self, tower: FieldTower, coeffs: Mapping, prec=INF, ram: int = 1):
         prec = _check_prec(prec)
         if not isinstance(ram, int) or ram < 1:
             raise DomainViolation("ramification index must be a positive int")
-        items: Iterable = ()
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        elif coeffs is not None:
-            items = coeffs
         clean: dict[int, FieldElement] = {}
-        for exp, value in items:
+        for exp, value in coeffs.items():
             if not isinstance(exp, int):
                 raise DomainViolation("exponents must be integers")
             if exp >= prec:
@@ -171,9 +166,6 @@ class LaurentSeries:
             return s
         return LaurentSeries(tower, s.coeffs, s.prec, s.ram)
 
-    def with_tower(self, tower: FieldTower) -> "LaurentSeries":
-        return self.recast(common_tower(self.tower, tower), self.ram)
-
     # -- precision management --------------------------------------------------
 
     def truncate(self, prec) -> "LaurentSeries":
@@ -282,15 +274,13 @@ class LaurentSeries:
                 base = base * base
         return result
 
-    def inverse(self, prec_cap=None) -> "LaurentSeries":
+    def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse.
 
         The result is known to ``prec - 2*valuation``.  An exact monomial
-        inverts exactly; any other exact series has a non-terminating inverse
-        and requires ``prec_cap`` to say how much of it to produce.
+        inverts exactly; any other exact series has a non-terminating inverse,
+        so it must be truncated first to say how much of it to produce.
         """
-        if prec_cap is not None:
-            prec_cap = _check_prec(prec_cap)
         if not self.coeffs:
             if self.prec is INF:
                 raise NotInvertible("inverse of the zero series")
@@ -302,21 +292,14 @@ class LaurentSeries:
         lead = self.coeffs[v]
         lead_inv = lead.inverse()
         if self.is_monomial():
-            result = LaurentSeries.monomial(self.tower, lead_inv, -v, self.ram)
-            return result if prec_cap is None else result.truncate(prec_cap)
+            return LaurentSeries.monomial(self.tower, lead_inv, -v, self.ram)
+        if self.prec is INF:
+            raise DomainViolation(
+                "inverse of a non-monomial exact series does not terminate; "
+                "truncate it first"
+            )
         # relative precision of 1 + x where self = lead * u^v * (1 + x)
-        rel = INF if self.prec is INF else self.prec - v
-        if rel is INF:
-            if prec_cap is None:
-                raise DomainViolation(
-                    "inverse of a non-monomial exact series does not terminate; "
-                    "pass prec_cap"
-                )
-            rel = prec_cap + v
-        elif prec_cap is not None:
-            rel = min(rel, prec_cap + v)
-        if rel <= 0:
-            return LaurentSeries(self.tower, {}, -v + rel, self.ram)
+        rel = self.prec - v
         x = {e - v: c * lead_inv for e, c in self.coeffs.items() if e != v}
         b: dict[int, FieldElement] = {0: self.tower.one()}
         for k in range(1, rel):

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
-from .errors import EngineError, NotNilpotent
+from .errors import EngineError, NoSuchOrbit, NotNilpotent
 from .field import common_context
 
 
@@ -76,41 +76,42 @@ def jordan_chains(f: Sequence[Sequence]) -> list:
 
 @dataclass
 class Sl2Triple:
-    """``[e, f] = h`` through a prescribed nilpotent ``f``, plus the chain
-    basis ``P`` (columns), the weight of each basis column, and the chain
-    lengths."""
+    """The chain basis ``P`` (columns) of a nilpotent ``f``, its inverse, the
+    weight of each basis column, the chain lengths, and the standard ``e``
+    and ``f`` of :func:`chain_basis_triple`, which ``P`` conjugates to an
+    sl2 triple through the original ``f``."""
 
-    e: list
-    h: list
-    f: list
     basis: list
+    basis_inv: list
     weights: list
     block_sizes: list
+    e: list
+    f: list
 
 
 def chain_basis_triple(tower, sizes: Sequence[int]) -> tuple:
-    """Standard ``(e, h, f)`` for chains of the given lengths.
+    """Standard ``(e, f)`` for chains of the given lengths.
 
     In a basis ``c_0, ..., c_{k-1}`` per chain: ``f`` shifts down the chain
-    (ones on the subdiagonal), ``h`` is diagonal with weights ``k - 1 - 2i``,
-    and ``e`` raises with coefficients ``i (k - i)``.
+    (ones on the subdiagonal) and ``e`` raises with coefficients
+    ``i (k - i)``, so ``[e, f]`` is diagonal with weights ``k - 1 - 2i``.
     """
     n = sum(sizes)
     e_std = linalg.zeros(tower, n, n)
-    h_std = linalg.zeros(tower, n, n)
     f_std = linalg.zeros(tower, n, n)
     offset = 0
     for k in sizes:
-        for i in range(k):
-            h_std[offset + i][offset + i] = tower.rational(k - 1 - 2 * i)
-            if i >= 1:
-                e_std[offset + i - 1][offset + i] = tower.rational(i * (k - i))
-                f_std[offset + i][offset + i - 1] = tower.one()
+        for i in range(1, k):
+            e_std[offset + i - 1][offset + i] = tower.rational(i * (k - i))
+            f_std[offset + i][offset + i - 1] = tower.one()
         offset += k
-    return e_std, h_std, f_std
+    return e_std, f_std
 
 
 def jacobson_morozov(f: Sequence[Sequence]) -> Sl2Triple:
+    """The chain basis of ``f`` with its standard triple.  Given the standard
+    ``e`` and ``h`` the ``f`` completing a triple is unique, so checking
+    ``P^-1 f P == f_std`` checks every sl2 relation through ``f``."""
     n = len(f)
     tower, _ = common_context(f)
     chains = jordan_chains(f)
@@ -119,16 +120,10 @@ def jacobson_morozov(f: Sequence[Sequence]) -> Sl2Triple:
     p = [[cols[j][i] for j in range(n)] for i in range(n)]
     p_inv = linalg.inverse(p)
     weights = [k - 1 - 2 * i for k in sizes for i in range(k)]
-    e_std, h_std, _ = chain_basis_triple(tower, sizes)
-    e = linalg.mat_mul(p, linalg.mat_mul(e_std, p_inv))
-    h = linalg.mat_mul(p, linalg.mat_mul(h_std, p_inv))
-    if not linalg.mat_eq(linalg.commutator(e, f), h):  # pragma: no cover
-        raise EngineError("triple construction failed: [e, f] != h")
-    if not linalg.mat_eq(linalg.commutator(h, e), linalg.mat_scale(2, e)):  # pragma: no cover
-        raise EngineError("triple construction failed: [h, e] != 2e")
-    if not linalg.mat_eq(linalg.commutator(h, f), linalg.mat_scale(-2, f)):  # pragma: no cover
-        raise EngineError("triple construction failed: [h, f] != -2f")
-    return Sl2Triple(e, h, f, p, weights, sizes)
+    e_std, f_std = chain_basis_triple(tower, sizes)
+    if not linalg.mat_eq(linalg.mat_mul(p_inv, linalg.mat_mul(f, p)), f_std):  # pragma: no cover
+        raise EngineError("triple construction failed: P^-1 f P != f_std")
+    return Sl2Triple(p, p_inv, weights, sizes, e_std, f_std)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +210,5 @@ def max_spread_for_dim(n: int, delta: int) -> int:
         if orbit_dim(shape, n) == delta
     ]
     if not spreads:
-        raise EngineError(f"no nilpotent orbit of dimension {delta} in gl_{n}")
+        raise NoSuchOrbit(f"no nilpotent orbit of dimension {delta} in gl_{n}")
     return max(spreads)
-
-
-def partition_of_nilpotent(f: Sequence[Sequence]) -> tuple:
-    """Jordan type of a nilpotent matrix, as a descending partition."""
-    return tuple(sorted((len(ch) for ch in jordan_chains(f)), reverse=True))

@@ -117,7 +117,7 @@ def test_criterion_03_worked_reductions():
     for i in range(2):
         for j in range(2):
             assert (lead[i][j] - QQ.rational(semisimple[i][j] * b)).is_zero()
-    assert slodowy_prediction(work, triple.weights, triple.f, sd.alpha) is not None
+    assert slodowy_prediction(work, triple.weights, triple.f, sd) is not None
     leaves = _leaves(root)
     assert [leaf.kind for leaf in leaves] == ["rank_one", "rank_one"]
     print("PASS 3: worked reductions match, including recorded shear gauges")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks
+from mcred import checks, linalg
 from mcred.cohomology import (
     DeRhamDims,
     LatticeWindow,
@@ -138,10 +138,10 @@ def test_euler_bound_check():
 def test_euler_bound_check_refuses_nonzero_index_and_excess():
     window = LatticeWindow(-1, 1)
     for h0, h1 in ((1, 0), (0, 1), (2, 2)):
-        dims = DeRhamDims(h0, h1, window, True, "window")
+        dims = DeRhamDims(h0, h1, window, "window")
         assert not euler_bound_check(rank_one(Fraction(0)), dims)
     assert euler_bound_check(rank_one(Fraction(0)),
-                             DeRhamDims(1, 1, window, True, "window"))
+                             DeRhamDims(1, 1, window, "window"))
 
 
 def test_h1_generators_goldens():
@@ -192,6 +192,36 @@ def test_doubling_dims_on_irregular_nilpotent_lead():
         assert (dims.h0, dims.h1) == expect
         assert dims.certificate == "window-doubling"
         assert dims.stabilized
+
+
+def _end(c):
+    """``End(c) = d + ad_G`` on ``gl_n`` (row-major coordinates); the
+    identity is a flat section, so ``h0 >= 1``."""
+    return Connection.from_coeff_map(
+        c.tower, {e: linalg.ad_matrix(c.coeff(e)) for e in c.matrix.support()},
+        c.size * c.size, c.prec, c.ram)
+
+
+END_DIMS = {
+    "saddle-node": ((2, 2), "window-doubling"),
+    "ramified-pair": ((1, 1), "window-doubling"),
+    "jump-integer": ((4, 4), "window-doubling"),
+    "jump-half": ((4, 4), "window-doubling"),
+    "half-residue": ((1, 1), "spectrum-derived"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(END_DIMS))
+def test_endomorphism_connection_has_flat_sections(name):
+    c = checks.SAMPLES[name]()
+    end = _end(c)
+    n = c.size
+    identity = LaurentMatrix.constant(
+        QQ, [[int(i == j)] for i in range(n) for j in range(n)])
+    assert end.apply_nabla(identity).is_zero()
+    dims = derham_dims(end)
+    assert dims.chi == 0 and 1 <= dims.h0 <= n * n
+    assert ((dims.h0, dims.h1), dims.certificate) == END_DIMS[name]
 
 
 def test_derham_routes_uncertified_inputs_to_doubling():

@@ -129,6 +129,25 @@ def test_moves_refuse_another_ramification():
     assert c2.scalar_twist(LaurentSeries.zero(QQ, 2)) == c2
 
 
+def test_connections_at_different_ramifications_differ():
+    # the same entries read in another variable are another connection
+    c = checks.sample_saddle_node()
+    d = Connection(c.matrix.lift_ramification(2))
+    assert (c.pole_order, d.pole_order) == (2, 4)
+    assert d != c and c != d
+    assert not d.coincides_with(c) and not c.coincides_with(d)
+    assert c.ramify(2) != c
+    assert d == Connection(c.matrix.lift_ramification(2))
+
+
+def test_direct_sum_refuses_mixed_ramifications():
+    h = checks.sample_residue_line(1)
+    with pytest.raises(DomainViolation):
+        Connection.direct_sum([h, h.ramify(2)])
+    whole = Connection.direct_sum([h.ramify(2), h.ramify(2)])
+    assert (whole.ram, whole.pole_order) == (2, 1)
+
+
 def test_block_split_and_direct_sum():
     a = conn([[S({-1: 1})]])
     b = conn([[S({}), S({0: 1})], [S({}), S({})]])

@@ -5,7 +5,8 @@ and ``perfbench/goldens.json`` pins only leaf kinds and ``(h0, h1)``; this
 file pins the sha256 of stdout and the exit code of every command on the
 ``checks.SAMPLES`` connections and on ``mcred generate --seed 7 --count 9``,
 of ``mcred reduce --precision 6`` on the same inputs, and of ``mcred gauge``
-on the samples against the four gauges of :func:`_gauges`.
+on the samples against the four gauges of :func:`_gauges`, the three that
+run without ``--precision`` also with ``--precision 4`` (``gauge-p4``).
 A change meant to keep canonical JSON, certificates and trees byte-identical
 must pass it unchanged.
 
@@ -78,6 +79,21 @@ GOLDEN = {
     "gauge unit jump-integer": (0, "77e47a132504d565a8521f2023c5cd3730166b7a0b734c091804c7b204cbb32b"),
     "gauge unit ramified-pair": (0, "2880161163b6591b3cc54b628fca328bba3c3e8dd6ba7c3fbd0b99a02774891f"),
     "gauge unit saddle-node": (0, "a91a92cff025e20d7a2bf30cd7035167a8985c5e0e1fa6642ef97e7976f88ab9"),
+    "gauge-p4 monomial half-residue": (0, "26f1e52f9bebfc5a4b7470c5e41b55136c610b4d510e9f886c609dff4d93a6fe"),
+    "gauge-p4 monomial jump-half": (0, "f50f6969e9d9ef254042a594c94eca7bfe6e35349cb229bb19d2e8ce13ee0a16"),
+    "gauge-p4 monomial jump-integer": (0, "f50f6969e9d9ef254042a594c94eca7bfe6e35349cb229bb19d2e8ce13ee0a16"),
+    "gauge-p4 monomial ramified-pair": (0, "d287d63d17bbded5d33f2e9e78a2136bd3e460de296493156d4746c9432f28d9"),
+    "gauge-p4 monomial saddle-node": (0, "a5ead1b485fc59661ddecd4aa6b0e0ec82fea7ea469b0500bd03e22f899f5704"),
+    "gauge-p4 truncated half-residue": (0, "3ba0c428f019cee4727a412c5e20a7da48fc13946b2a9566c971d16752f05ed7"),
+    "gauge-p4 truncated jump-half": (0, "541493f140ee4b4a87099c8aa2437729d41777d4755f97f8c38c961ac3334c3a"),
+    "gauge-p4 truncated jump-integer": (0, "247e834e85bc89a96ed48a6023be63e28b75e0714dc643d7dd3b6cd8bcfa1bd5"),
+    "gauge-p4 truncated ramified-pair": (0, "e5fbd07920146d757fb2433b4f418f98814618673d1d80232023f3c24977637c"),
+    "gauge-p4 truncated saddle-node": (0, "b69fc420feb5db1fd2f2797737901c0025578c55f6b26276164037e4ea9099f9"),
+    "gauge-p4 unit half-residue": (0, "33e128630c9d1c2b93a0154bc44eb9231e5798fe936fa0a4ad47e6855b51c939"),
+    "gauge-p4 unit jump-half": (0, "10d4e8b4c93c26d4d13bb271e6799262b662e39b5e3b9d4762b2bf3c375649f8"),
+    "gauge-p4 unit jump-integer": (0, "0b7584387621fec1f998533b2c8e9b2c1ddf101ac0e090c912690727e1f0e38c"),
+    "gauge-p4 unit ramified-pair": (0, "49a5ebeec27f36d308c2af41a913e22fc501029affca9f6d99e1916554014a9b"),
+    "gauge-p4 unit saddle-node": (0, "5e6dc28b15456bd4fe6e25d6dee96c8de956a227f7de149f5feb97829639b9ce"),
     "reduce gen7-0": (0, "498cb9ca2eb3acefcac4766ed4b42fff08823729632c75ad7905ab3ea62521b9"),
     "reduce gen7-1": (0, "329c79e26a2feb37ea5de9d069e0689ffd75178a12a909243bc8f2c4aaafc72f"),
     "reduce gen7-2": (0, "29e5221b1f786f501bb7966659e6d534da426d4abd45c66ba488b276a80a1cf3"),
@@ -165,8 +181,11 @@ def _digests(tmp_dir):
             gpath = tmp_dir / f"gauge-{kind}-{g.size}.json"
             gpath.write_text(serialize.dumps(serialize.encode_matrix(g)))
             argv = ["gauge", str(tmp_dir / f"{name}.json"), str(gpath)]
-            runs.append((f"gauge {kind} {name}",
-                         argv if prec is None else argv + ["--precision", str(prec)]))
+            if prec is None:
+                runs.append((f"gauge {kind} {name}", argv))
+                runs.append((f"gauge-p4 {kind} {name}", argv + ["--precision", "4"]))
+            else:
+                runs.append((f"gauge {kind} {name}", argv + ["--precision", str(prec)]))
     for key, argv in runs:
         code, text = _run(argv)
         out[key] = (code, hashlib.sha256(text.encode()).hexdigest())

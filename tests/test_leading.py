@@ -197,9 +197,8 @@ def _sibuya_inputs():
     for n, r, prec in ((2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 0)):
         c = checks.random_connection(rng, n, r, kind="nilpotent_lead", prec=prec)
         triple = sl2.jacobson_morozov(c.leading())
-        c = c.gauge(LaurentMatrix.constant(QQ, linalg.inverse(triple.basis)))
-        e_std, _, f_std = sl2.chain_basis_triple(c.tower, triple.block_sizes)
-        out.append((c, splitting_from_sl2(e_std, f_std)))
+        c = c.gauge(LaurentMatrix.constant(QQ, triple.basis_inv))
+        out.append((c, splitting_from_sl2(triple.e, triple.f)))
     return out
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, serialize
+from mcred import checks, linalg, serialize
 from mcred.errors import DomainViolation, NotInvertible, NotNilpotent
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix, block_diag, dlog, matrix_exp, matrix_log
@@ -49,7 +49,7 @@ def test_ring_operations():
 
 def test_det_and_inverse_unipotent():
     g = M([[S({0: 1}), S({1: 2})], [S({}), S({0: 1})]])
-    assert g.det().coincides_with(S({0: 1}))
+    assert linalg.det(g.entries).coincides_with(S({0: 1}))
     inv = g.inverse()
     assert (g * inv).coincides_with(LaurentMatrix.identity(QQ, 2))
     assert inv.entry(0, 1).coeff(1).to_fraction() == -2
@@ -57,9 +57,9 @@ def test_det_and_inverse_unipotent():
 
 def test_inverse_requires_cap_for_infinite_series():
     g = M([[S({0: 1, 1: 1})]])     # det = 1 + t, exact
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match="truncate it first"):
         g.inverse()
-    inv = g.inverse(prec_cap=4)
+    inv = g.truncate(4).inverse()
     assert (g * inv - LaurentMatrix.identity(QQ, 1)).is_zero_to_precision()
     with pytest.raises(NotInvertible):
         M([[S({}), S({})], [S({}), S({})]]).inverse()
@@ -94,7 +94,7 @@ def test_scale_and_shift():
     m = LaurentMatrix.constant(QQ, [[1, 0], [0, 1]])
     sh = m.shift(-2)
     assert sh.valuation == -2
-    sc = m.scale(S({1: 3}))
+    sc = m * S({1: 3})
     assert sc.entry(0, 0).support() == [1]
 
 

@@ -77,7 +77,7 @@ def test_slodowy_prediction_matches_sheared_lead():
     tr = jacobson_morozov(c.leading())
     sd = compute_alpha(c, tr.weights)
     sheared, b, _ = shear(c, tr.weights, -sd.alpha)
-    predicted = slodowy_prediction(c, tr.weights, tr.f, sd.alpha)
+    predicted = slodowy_prediction(c, tr.weights, tr.f, sd)
     got = sheared.leading()
     for prow, grow in zip(predicted, got):
         for p, g in zip(prow, grow):

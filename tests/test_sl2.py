@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred.errors import NotNilpotent
+from mcred.errors import NoSuchOrbit, NotNilpotent
 from mcred.field import FieldTower
 from mcred.sl2 import (
     grading_support,
@@ -11,7 +11,6 @@ from mcred.sl2 import (
     max_spread_for_dim,
     nilpotency_order,
     orbit_dim,
-    partition_of_nilpotent,
     realized_orbit_dims,
     transpose_partition,
     weight_spread,
@@ -56,8 +55,8 @@ def test_nilpotency_order():
 
 
 def test_partitions():
-    assert partition_of_nilpotent(JORDAN_F) == (3,)
-    assert partition_of_nilpotent(HOOK_F) == (2, 1)
+    assert sorted(jacobson_morozov(JORDAN_F).block_sizes, reverse=True) == [3]
+    assert sorted(jacobson_morozov(HOOK_F).block_sizes, reverse=True) == [2, 1]
     assert transpose_partition((3,)) == (1, 1, 1)
     assert transpose_partition((2, 1)) == (2, 1)
     assert transpose_partition((2, 2, 1)) == (3, 2)
@@ -73,9 +72,18 @@ def test_jordan_chains_shape():
 def test_jacobson_morozov_relations():
     for f in (JORDAN_F, HOOK_F):
         tr = jacobson_morozov(f)
-        assert _equal(_bracket(tr.h, tr.e), _scale(tr.e, 2))
-        assert _equal(_bracket(tr.h, tr.f), _scale(tr.f, -2))
-        assert _equal(_bracket(tr.e, tr.f), tr.h)
+        p, p_inv = tr.basis, tr.basis_inv
+        assert _equal(_mat_mul(p, p_inv), grid([[int(i == j) for j in range(3)]
+                                                for i in range(3)]))
+        assert _equal(_mat_mul(p_inv, _mat_mul(f, p)), tr.f)
+        # the triple in the original basis, through the original f
+        h_std = grid([[w if i == j else 0 for j, _ in enumerate(tr.weights)]
+                      for i, w in enumerate(tr.weights)])
+        e = _mat_mul(p, _mat_mul(tr.e, p_inv))
+        h = _mat_mul(p, _mat_mul(h_std, p_inv))
+        assert _equal(_bracket(h, e), _scale(e, 2))
+        assert _equal(_bracket(h, f), _scale(f, -2))
+        assert _equal(_bracket(e, f), h)
 
 
 def test_jacobson_morozov_weights_match_partition():
@@ -107,6 +115,11 @@ def test_weight_spread_and_max_spread():
     assert max_spread_for_dim(2, 2) == 2
     assert max_spread_for_dim(3, 4) == 2
     assert max_spread_for_dim(3, 6) == 4
+
+
+def test_max_spread_refuses_a_dimension_no_orbit_has():
+    with pytest.raises(NoSuchOrbit, match="no nilpotent orbit of dimension 5 in gl_3"):
+        max_spread_for_dim(3, 5)
 
 
 def test_grading_decomposes_matrices():
