@@ -14,6 +14,7 @@ that pairs a payload with its tower and level and provides operators.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -92,6 +93,14 @@ def _mul(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
         for i in range(deg):
             prod[k - deg + i] = _sub(tower, below, prod[k - deg + i], _mul(tower, below, top, m[i]))
     return tuple(prod[:deg])
+
+
+def _nest(tower: "FieldTower", level: int, nums: dict, den: int, base: int = 0) -> Payload:
+    """The payload whose coordinate at position ``p`` is ``nums.get(p, 0) / den``."""
+    if level == 0:
+        return Fraction(nums.get(base, 0), den)
+    return tuple(_nest(tower, level - 1, nums, den, base + t * tower.sizes[level - 1])
+                 for t in range(tower.degree(level)))
 
 
 def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
@@ -242,13 +251,17 @@ class FieldTower:
 
     ``levels`` is a tuple of monic minimal polynomials; polynomial ``k``
     (0-based) defines level ``k+1`` and its coefficients are payloads at
-    level ``k``, stored ascending and including the leading 1.
+    level ``k``, stored ascending and including the leading 1.  ``sizes``
+    and ``folds`` serve the product kernel in :mod:`series`.
     """
 
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "sizes", "folds")
 
     def __init__(self, levels: tuple = ()):
         self.levels = tuple(tuple(m) for m in levels)
+        self.sizes = [math.prod(2 * len(m) - 3 for m in self.levels[:k])
+                      for k in range(len(self.levels) + 1)]
+        self.folds: dict = {}  # level -> the integer fold map of ``series._refold``
 
     @property
     def depth(self) -> int:
@@ -299,12 +312,7 @@ class FieldTower:
         lv = self.depth if level is None else level
         if lv < 1:
             raise DomainViolation("the rational level has no generator")
-        deg = self.degree(lv)
-        zero = _zero_payload(self, lv - 1)
-        one = _lift_payload(self, 0, lv - 1, Fraction(1))
-        coords = [zero] * deg
-        coords[1 if deg > 1 else 0] = one
-        return FieldElement(self, lv, tuple(coords))
+        return FieldElement(self, lv, _nest(self, lv, {self.sizes[lv - 1]: 1}, 1))
 
     def coerce(self, x) -> "FieldElement":
         """View ``x`` as an element of this tower (or of ``x``'s own tower,

@@ -3,8 +3,8 @@
 Matrices are plain ``list[list[FieldElement]]`` in row-major order.  The
 arithmetic loops (``mat_add``, ``mat_neg``, ``mat_scale``, ``mat_mul``,
 ``mat_eq``, ``trace``, ``transpose``) use only the entries' own operators, so
-they are ring-generic: :class:`matrices.LaurentMatrix` runs them on its
-series entries.  All eliminations use the first nonzero entry as pivot, so
+they are ring-generic: :class:`matrices.LaurentMatrix` runs all but
+``mat_mul`` on its series entries.  All eliminations use the first nonzero entry as pivot, so
 the results are deterministic functions of the input.  Elimination runs on
 raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
 highest level among its entries as :func:`field.common_context` finds them,

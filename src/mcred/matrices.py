@@ -3,7 +3,10 @@
 All entries of one matrix share the same coefficient tower and ramification
 index; the constructor normalises both.  Valuation and precision of a matrix
 are the minima over its entries, which is exactly the right aggregate for the
-gauge-theoretic precision bookkeeping done upstream.
+gauge-theoretic precision bookkeeping done upstream.  A product runs the
+payload kernel :func:`series.mat_product` once for the whole matrix: entry
+``(i, j)`` is known to ``min_k min(val a_ik + prec b_kj, val b_kj + prec a_ik)``
+over the ``k`` whose factors are both nonzero, as if summed term by term.
 
 Inverses go through the classical adjugate so that the only series inversion
 is the determinant's; the determinant itself is computed division-free.  The
@@ -22,7 +25,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DomainViolation, NotInvertible, NotNilpotent
 from .field import FieldElement, FieldTower, common_tower
-from .series import INF, LaurentSeries
+from .series import INF, LaurentSeries, mat_product
 
 
 def _as_series(tower: FieldTower, ram: int, x) -> LaurentSeries:
@@ -184,10 +187,6 @@ class LaurentMatrix:
         )
 
     # -- arithmetic ---------------------------------------------------------------
-    #
-    # Entry by entry with ``linalg``'s ring-generic loops: every series
-    # operation aligns its two operands, and the result's constructor aligns
-    # the matrix.
 
     def __add__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -204,12 +203,11 @@ class LaurentMatrix:
 
     def __mul__(self, other):
         if isinstance(other, LaurentMatrix):
-            entries = linalg.mat_mul(self.entries, other.entries)
-        elif isinstance(other, (int, Fraction, FieldElement, LaurentSeries)):
-            entries = linalg.mat_scale(other, self.entries)
-        else:
-            return NotImplemented
-        return LaurentMatrix(self.tower, entries, self.ram)
+            tower, ram = common_tower(self.tower, other.tower), math.lcm(self.ram, other.ram)
+            return LaurentMatrix(tower, mat_product(tower, ram, self.entries, other.entries), ram)
+        if isinstance(other, (int, Fraction, FieldElement, LaurentSeries)):
+            return LaurentMatrix(self.tower, linalg.mat_scale(other, self.entries), self.ram)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement, LaurentSeries)):
@@ -264,10 +262,7 @@ class LaurentMatrix:
                                  self.ram)
         adj = linalg.adjugate(self.entries)
         d = linalg.mat_vec(self.entries[:1], [r[0] for r in adj])[0]
-        d_inv = d.inverse()
-        return LaurentMatrix(
-            self.tower, [[s * d_inv for s in r] for r in adj], self.ram
-        )
+        return LaurentMatrix(self.tower, adj, self.ram) * d.inverse()
 
     def __repr__(self) -> str:
         rows = [", ".join(repr(s) for s in r) for r in self.entries]

@@ -37,6 +37,7 @@ does any malformed scalar, duplicate exponent or ragged grid.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .connection import Connection
@@ -73,6 +74,8 @@ def fraction_to_str(q: Fraction) -> str:
 def str_to_fraction(s) -> Fraction:
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}")
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):  # no decimals, exponents or spaces
+        raise ParseError(f"malformed rational {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -403,7 +406,7 @@ def dumps(obj) -> str:
 def loads(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")

@@ -17,16 +17,23 @@ Asking for a coefficient at or beyond the precision raises
 The variable is ``u`` with ``u**ram = t`` for a ramification index
 ``ram >= 1``; exponents are integers in ``u``, i.e. multiples of ``1/ram`` in
 ``t``.  Binary operations lift both operands to the least common ramification.
+
+A product is the 1x1 case of :func:`mat_product`, one payload convolution:
+every coordinate becomes an integer over one denominator per series,
+products accumulate unreduced per exponent, and each output coefficient
+becomes one ``Fraction`` per coordinate after one fold by the minimal
+polynomials.  Terms at or past the precision and zero sums are dropped.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import FieldElement, FieldTower, common_tower
+from .field import FieldElement, FieldTower, Payload, _nest, common_tower
 
 INF = math.inf
 
@@ -223,40 +230,22 @@ class LaurentSeries:
         )
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return b + (-a)
+        return -self + other
 
     def __mul__(self, other):
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        if a.is_zero() or b.is_zero():
-            return LaurentSeries.zero(a.tower, a.ram)
-        prec = min(a.valuation + b.prec, b.valuation + a.prec)
-        out: dict[int, FieldElement] = {}
-        for ea, ca in a.coeffs.items():
-            for eb, cb in b.coeffs.items():
-                e = ea + eb
-                if e >= prec:
-                    continue
-                term = ca * cb
-                out[e] = out[e] + term if e in out else term
-        return LaurentSeries(a.tower, out, prec, a.ram)
+        return mat_product(a.tower, a.ram, [[a]], [[b]])[0][0]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            inv = self.tower.coerce(other).inverse()
-            return self * inv
+            return self * self.tower.coerce(other).inverse()
         if isinstance(other, LaurentSeries):
             return self * other.inverse()
         return NotImplemented
@@ -351,14 +340,10 @@ class LaurentSeries:
 
     def __eq__(self, other) -> bool:
         """Identical mathematical data: same coefficients *and* same precision."""
-        if isinstance(other, (int, Fraction, FieldElement)) or isinstance(
-            other, LaurentSeries
-        ):
-            a, b = self._pair(other)
-            if a is NotImplemented:
-                return NotImplemented
-            return a.prec == b.prec and a.coeffs == b.coeffs
-        return NotImplemented
+        a, b = self._pair(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return a.prec == b.prec and a.coeffs == b.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -381,3 +366,92 @@ class LaurentSeries:
             tail = f"O(t^{q.numerator})" if q.denominator == 1 else f"O(t^({q}))"
             parts.append(tail)
         return " + ".join(parts) if parts else "0"
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+
+
+def _unfold(tower: FieldTower, level: int, p: Payload, base: int = 0) -> list:
+    """The nonzero coordinates of ``p`` as ``(base + position, q)``: coordinate
+    ``(i_1, ..., i_l)`` (powers of the roots) sits at ``sum(i_k * tower.sizes[k - 1])``,
+    so a product of two coordinates sits at the sum of their positions."""
+    if level == 0:
+        return [(base, p)] if p else []
+    out = []
+    for t, c in enumerate(p):
+        out += _unfold(tower, level - 1, c, base + t * tower.sizes[level - 1])
+    return out
+
+
+def _refold(tower: FieldTower, nums: dict, den: int) -> FieldElement:
+    """The element with unreduced coordinates ``nums[position] / den`` at the
+    lowest level holding them: the folds by the minimal polynomials are one
+    integer map per level (each position's monomial in the roots)."""
+    level = bisect.bisect_right(tower.sizes, max(nums))
+    if level == 0:
+        return FieldElement(tower, 0, Fraction(nums[0], den))
+    if level not in tower.folds:
+        images = [_unfold(tower, level, math.prod(
+            [tower.gen(k) ** (pos // tower.sizes[k - 1] % (2 * tower.degree(k) - 1))
+             for k in range(1, level + 1)], start=tower.one(level)).payload)
+            for pos in range(tower.sizes[level])]
+        d = math.lcm(*[q.denominator for image in images for _, q in image])
+        tower.folds[level] = d, [[(p, q.numerator * (d // q.denominator)) for p, q in image]
+                                 for image in images]
+    d, images = tower.folds[level]
+    reduced: dict[int, int] = {}
+    for pos, n in nums.items():
+        for p, r in images[pos]:
+            reduced[p] = reduced.get(p, 0) + n * r
+    return FieldElement(tower, level, _nest(tower, level, reduced, den * d))
+
+
+def _integral(s: LaurentSeries, ram: int, size: int):
+    """``(valuation, prec, den, terms)`` of ``s`` in ``w**ram = t``, or ``None``
+    when ``s`` is exactly zero; ``terms`` lists ``(e * size + position,
+    numerator)`` over ``den`` by key for the coordinates of ``w**e``."""
+    if s.is_zero():
+        return None
+    m = ram // s.ram
+    coords = sorted(kq for e, c in s.coeffs.items()
+                    for kq in _unfold(s.tower, c.level, c.payload, e * m * size))
+    den = math.lcm(*[q.denominator for _, q in coords])
+    return (s.valuation * m, s.prec * m, den,
+            [(k, q.numerator * (den // q.denominator)) for k, q in coords])
+
+
+def _convolve(tower: FieldTower, ram: int, pairs) -> LaurentSeries:
+    """``sum(a * b for a, b in pairs)`` from :func:`_integral` forms."""
+    live = [(a, b) for a, b in pairs if a and b]  # an exact zero adds no precision
+    prec = min((min(a[0] + b[1], b[0] + a[1]) for a, b in live), default=INF)
+    den = math.lcm(*[a[2] * b[2] for a, b in live])
+    size = tower.sizes[-1]
+    acc: dict[int, int] = {}
+    for (_, _, da, ta), (_, _, db, tb) in live:
+        scale = den // (da * db)
+        for ka, na in ta:
+            lim = (prec - ka // size) * size  # keys of b below it keep e < prec
+            na *= scale
+            for kb, nb in tb:
+                if kb >= lim:
+                    break
+                acc[ka + kb] = acc.get(ka + kb, 0) + na * nb
+    grouped: dict[int, dict[int, int]] = {}
+    for k, n in acc.items():
+        if n:
+            e, pos = divmod(k, size)
+            grouped.setdefault(e, {})[pos] = n
+    return LaurentSeries(tower, {e: _refold(tower, nums, den) for e, nums in grouped.items()},
+                         prec, ram)
+
+
+def mat_product(tower: FieldTower, ram: int, a, b) -> list[list[LaurentSeries]]:
+    """The product of two grids of series over ``tower`` in ``w**ram = t``, a
+    common tower and ramification of the entries; each entry converts once."""
+    if len(a[0]) != len(b):
+        raise DomainViolation("matrix shapes incompatible in product")
+    size = tower.sizes[-1]
+    cols = [[_integral(s, ram, size) for s in col] for col in zip(*b)]
+    return [[_convolve(tower, ram, zip(row, col)) for col in cols]
+            for row in ([_integral(s, ram, size) for s in r] for r in a)]

@@ -198,6 +198,14 @@ def test_parse_errors_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"rank": ' + "[" * 50000 + "]" * 50000 + "}")
+    assert main(["reduce", str(deep)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: invalid JSON") and "Traceback" not in err
+
+
 def test_huge_rank_is_rejected_before_any_work(tmp_path, capsys):
     hostile = tmp_path / "huge.json"
     hostile.write_text('{"rank": 100000000, "ramification": 1, "precision": null, '

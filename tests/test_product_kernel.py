@@ -1,0 +1,178 @@
+"""The series and matrix product kernel against the element-wise product.
+
+``LaurentSeries.__mul__`` and ``LaurentMatrix.__mul__`` run one payload
+convolution (``series.mat_product``).  The reference below is the product
+it replaced: one ``FieldElement`` product per pair of terms, summed term by
+term and entry by entry with the series' own ``+``.  Hypothesis draws
+operands over prefixes of one depth-2 tower (so operands of one product may
+sit at different depths), at ramification 1 or 2, with exact, truncated,
+zero-to-precision and exactly zero entries; every coefficient and every
+entry's precision must agree.  The run is derandomized, keeps no example
+database and points Hypothesis' caches at a temporary directory.
+"""
+
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+# collecting @given tests already writes Hypothesis' caches, so redirect
+# them before anything below is decorated; the directory goes at exit
+_HOME = tempfile.TemporaryDirectory(prefix="mcred-hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
+
+from mcred.field import FieldElement, FieldTower  # noqa: E402
+from mcred.matrices import LaurentMatrix  # noqa: E402
+from mcred.series import INF, LaurentSeries  # noqa: E402
+
+ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+QQ = FieldTower()
+K = QQ.extend([-2, 0, 1])                 # sqrt(2)
+L = K.extend([-K.gen(), 0, 0, 1])         # a cube root of sqrt(2)
+TOWERS = (QQ, K, L)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _hypothesis_home():
+    # another module's teardown may have reset the caches to the checkout
+    set_hypothesis_home_dir(_HOME.name)
+
+
+def reference_mul(a, b):
+    """The element-wise series product the kernel replaced."""
+    a, b = a._pair(b)
+    if a.is_zero() or b.is_zero():
+        return LaurentSeries.zero(a.tower, a.ram)
+    prec = min(a.valuation + b.prec, b.valuation + a.prec)
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            e = ea + eb
+            if e >= prec:
+                continue
+            term = ca * cb
+            out[e] = out[e] + term if e in out else term
+    return LaurentSeries(a.tower, out, prec, a.ram)
+
+
+def reference_mat_mul(a, b):
+    """The entry-by-entry matrix product the kernel replaced."""
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = reference_mul(a.entries[i][0], b.entries[0][j])
+            for k in range(1, a.ncols):
+                acc = acc + reference_mul(a.entries[i][k], b.entries[k][j])
+            row.append(acc)
+        rows.append(row)
+    return LaurentMatrix(a.tower, rows, a.ram)
+
+
+# -- strategies ----------------------------------------------------------------
+
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(
+    min_value=-6, max_value=6, max_denominator=6))
+
+
+@st.composite
+def payloads(draw, tower, level):
+    if level == 0:
+        return draw(rationals)
+    return tuple(draw(payloads(tower, level - 1)) for _ in range(tower.degree(level)))
+
+
+@st.composite
+def elements(draw, tower):
+    level = draw(st.integers(0, tower.depth))
+    return FieldElement(tower, level, draw(payloads(tower, level)))
+
+
+@st.composite
+def series(draw, tower, ram):
+    kind = draw(st.sampled_from(["exact", "truncated", "zero_to_precision", "zero"]))
+    if kind == "zero":
+        return LaurentSeries.zero(tower, ram)
+    prec = INF if kind == "exact" else draw(st.integers(-3, 6))
+    coeffs = {}
+    if kind != "zero_to_precision":
+        for exp in draw(st.lists(st.integers(-3, 5), max_size=4, unique=True)):
+            coeffs[exp] = draw(elements(tower))
+    s = LaurentSeries(tower, coeffs, prec, ram)
+    if kind == "exact" and s.is_zero():
+        return LaurentSeries(tower, {0: tower.one()}, INF, ram)
+    return s
+
+
+contexts = st.tuples(st.sampled_from(TOWERS), st.sampled_from([1, 2]))
+
+
+@st.composite
+def series_pairs(draw):
+    (ta, ra), (tb, rb) = draw(contexts), draw(contexts)
+    a = draw(series(ta, ra))
+    if draw(st.integers(0, 4)) == 0:  # a scalar right operand
+        return a, draw(st.one_of(st.integers(-3, 3), rationals, elements(tb)))
+    return a, draw(series(tb, rb))
+
+
+@st.composite
+def matrix_pairs(draw):
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+    (ta, ra), (tb, rb) = draw(contexts), draw(contexts)
+    a = LaurentMatrix(ta, [[draw(series(ta, ra)) for _ in range(k)] for _ in range(n)], ra)
+    b = LaurentMatrix(tb, [[draw(series(tb, rb)) for _ in range(m)] for _ in range(k)], rb)
+    return a, b
+
+
+# -- the properties ------------------------------------------------------------
+
+
+def assert_same_series(got, want):
+    assert got.ram == want.ram and got.tower == want.tower
+    assert got.prec == want.prec and (got.prec is INF) == (want.prec is INF)
+    assert got.coeffs == want.coeffs  # FieldElement == compares across levels
+    assert all(c.tower is got.tower and not c.is_zero() for c in got.coeffs.values())
+
+
+@ORACLE
+@given(series_pairs())
+def test_series_product_matches_elementwise(pair):
+    a, b = pair
+    assert_same_series(a * b, reference_mul(a, b))
+    if not isinstance(b, LaurentSeries):
+        assert_same_series(b * a, reference_mul(a, b))
+
+
+@settings(ORACLE, max_examples=200)
+@given(matrix_pairs())
+def test_matrix_product_matches_elementwise(pair):
+    a, b = pair
+    got, want = a * b, reference_mat_mul(a, b)
+    assert (got.nrows, got.ncols, got.ram) == (want.nrows, want.ncols, want.ram)
+    for got_row, want_row in zip(got.entries, want.entries):
+        for x, y in zip(got_row, want_row):
+            assert_same_series(x, y)
+
+
+def test_exact_zero_factor_contributes_no_precision():
+    # the exact-zero pair leaves the truncated one's precision alone
+    t = LaurentSeries(QQ, {1: 1}, 3)
+    z = LaurentSeries.zero(QQ)
+    a = LaurentMatrix(QQ, [[t, z]])
+    b = LaurentMatrix(QQ, [[t], [t]])
+    assert (a * b).entries[0][0] == LaurentSeries(QQ, {2: 1}, 4)
+    assert (LaurentMatrix(QQ, [[z, z]]) * b).entries[0][0].is_zero()
+
+
+def test_cancelling_terms_drop_and_keep_precision():
+    a = LaurentSeries(K, {0: K.gen(), 1: 1}, 5)
+    b = LaurentSeries(K, {0: K.gen(), 1: -1}, 5)
+    prod = LaurentMatrix(K, [[a, b]]) * LaurentMatrix(K, [[a], [-b]])
+    # a*a - b*b = 4*sqrt(2) u: the u**0 and u**2 terms cancel
+    assert prod.entries[0][0] == LaurentSeries(K, {1: 4 * K.gen()}, 5)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,15 @@ def test_fraction_strings():
     for bad in ("", "a", "1/0", "1/2/3", 7):
         with pytest.raises(ParseError):
             serialize.str_to_fraction(bad)
+    # README documents only "p/q" and "p": Fraction's decimals, exponents,
+    # spaces, underscores and signs other than a leading minus are refused
+    for bad in ("0.5", " 3/4 ", "1_000", "+3", "3/-4", "-3/+4", "1/", "/2",
+                "3\n", "\u0663", "1e9999999"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            serialize.str_to_fraction(bad)
+        assert time.perf_counter() - start < 0.1  # "1e9999999" is never built
+    assert serialize.str_to_fraction("-003/06") == Fraction(-1, 2)
 
 
 def test_element_roundtrip_rational():
