@@ -75,10 +75,6 @@ def cmd_derham(args) -> int:
         dims = truncated_complex_dims(c, LatticeWindow(lo, hi))
     else:
         dims = derham_dims(c)
-    if args.certified and dims.certificate != "spectrum-derived":
-        _note(f"dimensions ({dims.h0}, {dims.h1}) stabilized but carry no "
-              f"certificate (got {dims.certificate!r})")
-        return 1
     _emit(serialize.encode_dims(dims), args.out)
     return 0
 
@@ -199,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", nargs=2, type=int,
                            metavar=("MIN", "MAX"),
                            help="report raw dimensions on this window only")
-            p.add_argument("--certified", action="store_true",
-                           help="fail unless the window comes with a theorem")
 
     p = add("gauge", cmd_gauge, "apply a gauge transformation")
     p.add_argument("input", help="connection JSON file")

@@ -43,10 +43,6 @@ class Connection:
         return cls(LaurentMatrix.from_coeff_map(tower, coeff_map, size, prec, ram))
 
     @classmethod
-    def zero(cls, tower: FieldTower, size: int, ram: int = 1) -> "Connection":
-        return cls(LaurentMatrix.zero(tower, size, None, ram))
-
-    @classmethod
     def direct_sum(cls, parts: Sequence["Connection"]) -> "Connection":
         rams = {p.ram for p in parts}
         if len(rams) > 1:

@@ -10,13 +10,24 @@ Internally an element is a *payload*: a ``Fraction`` at level 0 and, at level
 k, a tuple of level-(k-1) payloads of length ``deg(m_k)`` (coordinates in the
 power basis of the adjoined root).  :class:`FieldElement` is a thin wrapper
 that pairs a payload with its tower and level and provides operators.
+
+Products reduce through *positions*.  Coordinate ``(i_1, ..., i_k)``, the
+product of the adjoined roots to those powers, sits at position
+``sum(i_j * sizes[j - 1])``, where ``sizes[j]`` is the product of
+``2 * deg(m_i) - 1`` over the first ``j`` levels.  A position names the same
+coordinate at every level, and the product of two reduced coordinates sits at
+the sum of their positions.  So a product (:func:`_mul`, and the series
+product kernel) sums integer numerator products per position, unreduced, and
+folds once: :func:`_fold` sends every position to its monomial reduced by the
+minimal polynomials, through one integer map per level built from the level
+below.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainViolation, NotInvertible, ZeroDivisorSplit
 
@@ -71,28 +82,30 @@ def _sub(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
 def _mul(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
     if level == 0:
         return a * b
-    deg = tower.degree(level)
-    below = level - 1
-    zero = _zero_payload(tower, below)
-    # schoolbook product of coordinate polynomials
-    prod = [zero] * (2 * deg - 1)
-    for i, x in enumerate(a):
-        if _payload_is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if _payload_is_zero(y):
-                continue
-            prod[i + j] = _add(tower, below, prod[i + j], _mul(tower, below, x, y))
-    # fold the top coordinates down: the minimal polynomial m is monic, so
-    # x**deg = -(m_0 + m_1 x + ... + m_(deg-1) x**(deg-1))
-    m = tower.levels[below]
-    for k in range(2 * deg - 2, deg - 1, -1):
-        top = prod[k]
-        if _payload_is_zero(top):
-            continue
-        for i in range(deg):
-            prod[k - deg + i] = _sub(tower, below, prod[k - deg + i], _mul(tower, below, top, m[i]))
-    return tuple(prod[:deg])
+    da, ta = _over_lcm(_unfold(tower, level, a))
+    db, tb = _over_lcm(_unfold(tower, level, b))
+    nums: dict[int, int] = {}
+    for pa, na in ta:
+        for pb, nb in tb:
+            nums[pa + pb] = nums.get(pa + pb, 0) + na * nb
+    return _fold(tower, level, nums, da * db)
+
+
+def _unfold(tower: "FieldTower", level: int, p: Payload, base: int = 0) -> list:
+    """The nonzero coordinates of ``p`` as ``(base + position, q)``."""
+    if level == 0:
+        return [(base, p)] if p else []
+    out = []
+    for t, c in enumerate(p):
+        out += _unfold(tower, level - 1, c, base + t * tower.sizes[level - 1])
+    return out
+
+
+def _over_lcm(coords: list) -> tuple[int, list]:
+    """``(den, [(key, numerator)])``: the ``(key, Fraction)`` pairs ``coords``
+    as integers over their least common denominator."""
+    den = math.lcm(*[q.denominator for _, q in coords])
+    return den, [(k, q.numerator * (den // q.denominator)) for k, q in coords]
 
 
 def _nest(tower: "FieldTower", level: int, nums: dict, den: int, base: int = 0) -> Payload:
@@ -101,6 +114,38 @@ def _nest(tower: "FieldTower", level: int, nums: dict, den: int, base: int = 0) 
         return Fraction(nums.get(base, 0), den)
     return tuple(_nest(tower, level - 1, nums, den, base + t * tower.sizes[level - 1])
                  for t in range(tower.degree(level)))
+
+
+def _fold(tower: "FieldTower", level: int, nums: dict, den: int) -> Payload:
+    """The payload at ``level`` with unreduced coordinates ``nums[position] / den``."""
+    if level == 0:
+        return Fraction(nums.get(0, 0), den)
+    if level not in tower.folds:
+        tower.folds[level] = _fold_map(tower, level)
+    d, images = tower.folds[level]
+    reduced: dict[int, int] = {}
+    for pos, n in nums.items():
+        for p, r in images[pos]:
+            reduced[p] = reduced.get(p, 0) + n * r
+    return _nest(tower, level, reduced, den * d)
+
+
+def _fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:
+    """``(d, images)``: ``images[i * tower.sizes[level - 1] + j]`` holds ``d``
+    times the coordinates of ``x**i`` times the monomial at position ``j``,
+    reduced, where ``x`` is the root adjoined at ``level``."""
+    below, deg = level - 1, tower.degree(level)
+    zero, one = _zero_payload(tower, below), _lift_payload(tower, 0, below, Fraction(1))
+    powers = [[one if t == i else zero for t in range(deg)] for i in range(deg)]
+    for _ in range(deg - 1):  # x times the last power; m is monic, so x**deg = -(m_0 + ...)
+        top, shifted = powers[-1][-1], [zero] + powers[-1][:-1]
+        powers.append([_sub(tower, below, c, _mul(tower, below, top, m))
+                       for c, m in zip(shifted, tower.levels[below])])
+    monomials = [_fold(tower, below, {j: 1}, 1) for j in range(tower.sizes[below])]
+    images = [_over_lcm(_unfold(tower, level, tuple(_mul(tower, below, mono, c) for c in xi)))
+              for xi in powers for mono in monomials]
+    d = math.lcm(*[den for den, _ in images])
+    return d, [[(p, n * (d // den)) for p, n in image] for den, image in images]
 
 
 def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
@@ -252,7 +297,8 @@ class FieldTower:
     ``levels`` is a tuple of monic minimal polynomials; polynomial ``k``
     (0-based) defines level ``k+1`` and its coefficients are payloads at
     level ``k``, stored ascending and including the leading 1.  ``sizes``
-    and ``folds`` serve the product kernel in :mod:`series`.
+    and ``folds`` hold the position layout and the integer fold maps of every
+    product, scalar (:func:`_mul`) or series.
     """
 
     __slots__ = ("levels", "sizes", "folds")
@@ -261,7 +307,7 @@ class FieldTower:
         self.levels = tuple(tuple(m) for m in levels)
         self.sizes = [math.prod(2 * len(m) - 3 for m in self.levels[:k])
                       for k in range(len(self.levels) + 1)]
-        self.folds: dict = {}  # level -> the integer fold map of ``series._refold``
+        self.folds: dict = {}  # level -> ``_fold_map(self, level)``
 
     @property
     def depth(self) -> int:
@@ -425,25 +471,13 @@ class FieldElement:
         return _payload_is_zero(self.payload)
 
     def is_rational(self) -> bool:
-        return not self.flatten()[1:] or all(q == 0 for q in self.flatten()[1:])
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        """Coordinates over Q in the full power basis of this element's level."""
-
-        def walk(p: Payload) -> Iterable[Fraction]:
-            if isinstance(p, Fraction):
-                yield p
-            else:
-                for c in p:
-                    yield from walk(c)
-
-        return tuple(walk(self.payload))
+        return all(p == 0 for p, _ in _unfold(self.tower, self.level, self.payload))
 
     def to_fraction(self) -> Fraction:
-        flat = self.flatten()
-        if any(q != 0 for q in flat[1:]):
+        coords = dict(_unfold(self.tower, self.level, self.payload))
+        if coords.keys() - {0}:
             raise DomainViolation("element is not rational")
-        return flat[0]
+        return coords.get(0, Fraction(0))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -463,18 +497,6 @@ class FieldElement:
 
     def __rtruediv__(self, other):
         return self.inverse().__mul__(other)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.tower.one(self.level)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- comparison ----------------------------------------------------------
 

@@ -34,6 +34,7 @@ from .field import (
     FieldElement,
     FieldTower,
     _poly_gcd,
+    _unfold,
     common_context,
     common_tower,
     poly_divmod,
@@ -149,14 +150,9 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
     if len(cs) < 2:
         return []
     tower = common_context([cs])[0]
-    lifted = [tower.coerce(c)._lifted(tower, tower.depth) for c in cs]
-    flats = [c.flatten() for c in lifted]
-    width = len(flats[0])
-    slot_polys = []
-    for j in range(width):
-        pj = [f[j] for f in flats]
-        if any(q != 0 for q in pj):
-            slot_polys.append(pj)
+    coords = [dict(_unfold(tower, c.level, c.payload)) for c in cs]
+    slot_polys = [[cd.get(p, Fraction(0)) for cd in coords]
+                  for p in sorted(set().union(*coords))]
     g = functools.reduce(functools.partial(_poly_gcd, tower, 0), slot_polys)
     candidates = _rational_poly_roots(g)
     out = []
@@ -293,8 +289,6 @@ class SplitResult:
     blocks: list
     sizes: list
     transform: LaurentMatrix
-    basis: list
-    factors: list
     tower: FieldTower
 
 
@@ -387,4 +381,4 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
     g = LaurentMatrix.constant(tower, p_inv, c.ram)
     gauged = c.gauge(g)
     blocks = gauged.block_split(sizes)
-    return SplitResult(blocks, sizes, g, p_mat, factors, tower)
+    return SplitResult(blocks, sizes, g, tower)

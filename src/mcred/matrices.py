@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import DomainViolation, NotInvertible, NotNilpotent
+from .errors import DomainViolation, NotNilpotent
 from .field import FieldElement, FieldTower, common_tower
 from .series import INF, LaurentSeries, mat_product
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, sl2
+from .cohomology import _pole_shift
 from .connection import Connection
 from .errors import (
     DomainViolation,
@@ -194,9 +195,7 @@ def default_working_precision(c: Connection) -> int:
     past the last nonzero exponent with room for two rounds of pole order."""
     support = c.matrix.support()
     top = max(support) if support else 0
-    r = c.pole_order
-    r = int(r) if r != -INF and r > 1 else 1
-    return top + 2 * r + 4
+    return top + 2 * _pole_shift(c) + 4
 
 
 def _prepare(c: Connection) -> Connection:

@@ -59,6 +59,16 @@ CLI's ``--precision`` and ``--window``.  The reduction takes one Sibuya step
 per exponent below its working precision, so without a bound a 200-byte file
 could demand a million steps; ``mcred generate`` stays within 3."""
 
+MAX_FIELD_POSITIONS = 45
+"""Largest ``tower.sizes[-1]`` :func:`decode_tower` accepts: the unreduced
+coordinate positions of the top level, which size every product's fold map.
+A level of degree d multiplies them by 2d - 1, so without a bound a 210-byte
+file stacking eight quadratics (6,561 positions) keeps ``mcred gauge`` busy
+for 15 s and 50 MB.  At 45 (say a cubic over two quadratics, or one extension of
+degree 23) the slowest field tried, a dense degree-23 minimal polynomial,
+gauges a rank-1 connection in 0.3 s on a 2-core x86-64 VM, start-up
+included; the tests, samples and benchmark stay within 15."""
+
 # ---------------------------------------------------------------------------
 # scalars
 # ---------------------------------------------------------------------------
@@ -160,6 +170,9 @@ def decode_tower(obj) -> FieldTower:
             tower = tower.extend(coeffs)
         except DomainViolation as exc:
             raise ParseError(f"bad minimal polynomial: {exc}") from exc
+        if tower.sizes[-1] > MAX_FIELD_POSITIONS:
+            raise ParseError(f"field has {tower.sizes[-1]} coordinate positions, "
+                             f"more than {MAX_FIELD_POSITIONS}")
     return tower
 
 

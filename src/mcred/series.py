@@ -20,9 +20,10 @@ The variable is ``u`` with ``u**ram = t`` for a ramification index
 
 A product is the 1x1 case of :func:`mat_product`, one payload convolution:
 every coordinate becomes an integer over one denominator per series,
-products accumulate unreduced per exponent, and each output coefficient
-becomes one ``Fraction`` per coordinate after one fold by the minimal
-polynomials.  Terms at or past the precision and zero sums are dropped.
+products accumulate unreduced per exponent and position (the layout of
+:mod:`mcred.field`), and each output coefficient becomes one ``Fraction`` per
+coordinate after one ``field._fold`` by the minimal polynomials.  Terms at or
+past the precision and zero sums are dropped.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import FieldElement, FieldTower, Payload, _nest, common_tower
+from .field import FieldElement, FieldTower, _fold, _over_lcm, _unfold, common_tower
 
 INF = math.inf
 
@@ -372,39 +373,11 @@ class LaurentSeries:
 # the product kernel
 
 
-def _unfold(tower: FieldTower, level: int, p: Payload, base: int = 0) -> list:
-    """The nonzero coordinates of ``p`` as ``(base + position, q)``: coordinate
-    ``(i_1, ..., i_l)`` (powers of the roots) sits at ``sum(i_k * tower.sizes[k - 1])``,
-    so a product of two coordinates sits at the sum of their positions."""
-    if level == 0:
-        return [(base, p)] if p else []
-    out = []
-    for t, c in enumerate(p):
-        out += _unfold(tower, level - 1, c, base + t * tower.sizes[level - 1])
-    return out
-
-
 def _refold(tower: FieldTower, nums: dict, den: int) -> FieldElement:
     """The element with unreduced coordinates ``nums[position] / den`` at the
-    lowest level holding them: the folds by the minimal polynomials are one
-    integer map per level (each position's monomial in the roots)."""
+    lowest level holding their positions."""
     level = bisect.bisect_right(tower.sizes, max(nums))
-    if level == 0:
-        return FieldElement(tower, 0, Fraction(nums[0], den))
-    if level not in tower.folds:
-        images = [_unfold(tower, level, math.prod(
-            [tower.gen(k) ** (pos // tower.sizes[k - 1] % (2 * tower.degree(k) - 1))
-             for k in range(1, level + 1)], start=tower.one(level)).payload)
-            for pos in range(tower.sizes[level])]
-        d = math.lcm(*[q.denominator for image in images for _, q in image])
-        tower.folds[level] = d, [[(p, q.numerator * (d // q.denominator)) for p, q in image]
-                                 for image in images]
-    d, images = tower.folds[level]
-    reduced: dict[int, int] = {}
-    for pos, n in nums.items():
-        for p, r in images[pos]:
-            reduced[p] = reduced.get(p, 0) + n * r
-    return FieldElement(tower, level, _nest(tower, level, reduced, den * d))
+    return FieldElement(tower, level, _fold(tower, level, nums, den))
 
 
 def _integral(s: LaurentSeries, ram: int, size: int):
@@ -414,11 +387,9 @@ def _integral(s: LaurentSeries, ram: int, size: int):
     if s.is_zero():
         return None
     m = ram // s.ram
-    coords = sorted(kq for e, c in s.coeffs.items()
-                    for kq in _unfold(s.tower, c.level, c.payload, e * m * size))
-    den = math.lcm(*[q.denominator for _, q in coords])
-    return (s.valuation * m, s.prec * m, den,
-            [(k, q.numerator * (den // q.denominator)) for k, q in coords])
+    den, terms = _over_lcm(sorted(kq for e, c in s.coeffs.items()
+                                  for kq in _unfold(s.tower, c.level, c.payload, e * m * size)))
+    return s.valuation * m, s.prec * m, den, terms
 
 
 def _convolve(tower: FieldTower, ram: int, pairs) -> LaurentSeries:

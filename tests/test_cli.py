@@ -65,10 +65,8 @@ def test_derham_window_override(tmp_path, capsys):
     assert dims["stabilized"] is False
 
 
-def test_derham_certified_flag_rejects_heuristic_windows(tmp_path, capsys):
+def test_derham_reports_heuristic_windows(tmp_path, capsys):
     path = write_connection(tmp_path / "j.json", checks.sample_jump_family(1))
-    code, _ = run(capsys, "derham", path, "--certified")
-    assert code == 1
     code, dims = run(capsys, "derham", path)
     assert code == 0
     assert dims["certificate"] == "window-doubling"
@@ -215,6 +213,30 @@ def test_huge_rank_is_rejected_before_any_work(tmp_path, capsys):
         assert main([command, str(hostile)]) == 4
         assert time.perf_counter() - start < 1.0
     assert str(serialize.MAX_RANK) in capsys.readouterr().err
+
+
+def _quadratic_stack(path, depth):
+    """A rank-1 file over QQ(sqrt 2, sqrt 3, sqrt 5, ...) with ``depth``
+    quadratics, its one coefficient ``1 + sqrt p`` for the top prime ``p``."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19][:depth]
+    path.write_text(json.dumps({
+        "rank": 1, "field": {"extensions": [[f"-{p}", "0", "1"] for p in primes]},
+        "coefficients": [{"exp": -1, "matrix": [[["1", "1"]]]}]}))
+    return str(path)
+
+
+def test_deep_fields_are_rejected_before_any_work(tmp_path, capsys):
+    # eight quadratics give 3**8 = 6561 positions; gauging them takes 15 s
+    hostile = _quadratic_stack(tmp_path / "deep.json", 8)
+    for argv in (["gauge", hostile, hostile], ["derham", hostile]):
+        start = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - start < 1.0
+    assert str(serialize.MAX_FIELD_POSITIONS) in capsys.readouterr().err
+    # three quadratics (27 positions) are accepted
+    shallow = _quadratic_stack(tmp_path / "shallow.json", 3)
+    assert main(["gauge", shallow, shallow]) == 0
+    capsys.readouterr()
 
 
 HOSTILE_EXPONENTS = {

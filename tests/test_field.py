@@ -394,6 +394,9 @@ def test_scalar_equality_is_false_across_incompatible_towers():
 
 CUBIC = QQ.extend([-1, -1, 0, 1])  # x^3 - x - 1
 OVER_CUBIC = CUBIC.extend([CUBIC.rational(-1), CUBIC.gen(), CUBIC.one()])  # y^2 + r y - 1
+# z^2 + z/2 + r + y: its fold map is built through the two maps below it
+DEPTH3 = OVER_CUBIC.extend([OVER_CUBIC.gen(1) + OVER_CUBIC.gen(2),
+                            OVER_CUBIC.rational(Fraction(1, 2)), OVER_CUBIC.one()])
 
 
 def _mul_by_poly_mod(tower, level, a, b):
@@ -408,12 +411,14 @@ def _mul_by_poly_mod(tower, level, a, b):
     return tuple(reduced + [_zero_payload(tower, below)] * (deg - len(reduced)))
 
 
-@pytest.mark.parametrize("tower", [K1, CUBIC, K2, OVER_CUBIC])
+# ``FieldTower(K2.levels)`` equals ``K2`` but builds its own fold maps
+@pytest.mark.parametrize("tower", [K1, CUBIC, K2, OVER_CUBIC, DEPTH3, FieldTower(K2.levels)])
 def test_mul_matches_the_poly_mod_reduction(tower):
     rng = random.Random(tower.total_degree())
     level = tower.depth
     zero = _zero_payload(tower, level)
     samples = [zero] + [_random_payload(rng, tower, level) for _ in range(40)]
+    samples += [(p[0],) + zero[1:] for p in samples[1:4]]  # elements of the level below
     assert any(not _payload_is_zero(p) and any(_payload_is_zero(c) for c in p)
                for p in samples)  # zero coordinates included
     for a in samples:
