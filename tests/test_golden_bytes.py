@@ -7,28 +7,36 @@ file pins the sha256 of stdout and the exit code of every command on the
 of ``mcred reduce --precision 6`` on the same inputs, and of ``mcred gauge``
 on the samples against the four gauges of :func:`_gauges`, the three that
 run without ``--precision`` also with ``--precision 4`` (``gauge-p4``).
-A change meant to keep canonical JSON, certificates and trees byte-identical
-must pass it unchanged.
+It also pins one sha256 over the encoded ``reduce`` trees of the first 12
+inputs of the ``reduce-replay`` benchmark workload at seed 1
+(:func:`_reduce_replay_digest`), which take Sibuya steps at ramification 4
+and 6.  A change meant to keep canonical JSON, certificates and trees
+byte-identical must pass it unchanged.
 
 When an output change is intended, re-record the digests with::
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 
-which prints a new ``GOLDEN`` dict to paste over the one below, and say in
+which prints a new ``GOLDEN`` dict and ``REDUCE_REPLAY_TREES`` digest to paste
+over the ones below, and say in
 ``CHANGES.md`` which outputs changed and why.
 """
 
 import contextlib
 import hashlib
 import io
+import random
 from fractions import Fraction
 
-from mcred import checks, serialize
+from mcred import checks, reduce, serialize
 from mcred.cli import main
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
 
 GENERATE = ["generate", "--seed", "7", "--count", "9"]
+KINDS = ("generic", "invertible_lead", "nilpotent_lead")
+
+REDUCE_REPLAY_TREES = "25b79c11ab37ab5e0d47026bf0e371d6f52dd518667ce368171370c98232259f"
 
 GOLDEN = {
     "derham gen7-0": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac"),
@@ -192,6 +200,21 @@ def _digests(tmp_dir):
     return out
 
 
+def _reduce_replay_digest(count=12):
+    """sha256 of the canonical JSON of ``reduce(c)`` for the first ``count``
+    seed-1 ``reduce-replay`` inputs, drawn in order from one ``Random(1)``."""
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for i in range(count):
+        c = checks.random_connection(rng, 2 + i % 2, 2 + (i // 2) % 2, kind=KINDS[i % 3])
+        digest.update(serialize.dumps(serialize.encode_tree(reduce(c))).encode())
+    return digest.hexdigest()
+
+
+def test_reduce_trees_of_the_benchmark_inputs_match_the_recorded_digest():
+    assert _reduce_replay_digest() == REDUCE_REPLAY_TREES
+
+
 def test_output_bytes_match_the_recorded_digests(tmp_path):
     got = _digests(tmp_path)
     assert sorted(got) == sorted(GOLDEN)
@@ -209,3 +232,4 @@ if __name__ == "__main__":
     for key, (code, digest) in sorted(digests.items()):
         print(f'    "{key}": ({code}, "{digest}"),')
     print("}")
+    print(f'REDUCE_REPLAY_TREES = "{_reduce_replay_digest()}"')

@@ -183,10 +183,36 @@ def _old_sibuya(c, splitting):
     return corrections, total, work
 
 
+K1 = QQ.extend([-2, 0, 1])  # Q(sqrt 2)
+K2 = K1.extend([-3, 0, 1])  # sqrt 3 over Q(sqrt 2)
+
+
+def _tower_sibuya_inputs():
+    """Hand-built inputs over ``K1`` and ``K2`` whose steps carry tower
+    elements: a lead ``diag(gen, 2)`` and a standard nilpotent lead, one of
+    each per tower, with one ``ram = 3`` input per lead kind."""
+    out = []
+    for tower, ram in ((K1, 1), (K2, 3)):
+        g, root2 = tower.gen(), tower.gen(1)
+        higher = {-1: [[1, root2], [g + 1, 0]],
+                  0: [[0, 3], [root2 * g, 1]],
+                  1: [[g, 0], [1, 2]]}
+        c = Connection.from_coeff_map(tower, {-2: [[g, 0], [0, 2]], **higher}, 2,
+                                      prec=3, ram=ram)
+        out.append((c, splitting_from_semisimple(jordan_chevalley(c.leading()).semisimple)))
+        c = Connection.from_coeff_map(tower, {-2: [[0, 1], [0, 0]], **higher}, 2,
+                                      prec=2, ram=4 - ram)
+        triple = sl2.jacobson_morozov(c.leading())
+        c = c.gauge(LaurentMatrix.constant(tower, triple.basis_inv, c.ram))
+        out.append((c, splitting_from_sl2(triple.e, triple.f)))
+    return out
+
+
 def _sibuya_inputs():
     """Seeded truncated inputs with the splitting the reduction would pick:
     ``ad-semisimple`` for a non-scalar semisimple lead part, ``ad-sl2`` (in
-    the standard chain basis) for a nilpotent lead."""
+    the standard chain basis) for a nilpotent lead; then the tower inputs of
+    :func:`_tower_sibuya_inputs`."""
     rng = random.Random(5)
     out = []
     for n, r, prec in ((2, 2, 3), (2, 3, 2), (3, 2, 1)):
@@ -199,7 +225,7 @@ def _sibuya_inputs():
         triple = sl2.jacobson_morozov(c.leading())
         c = c.gauge(LaurentMatrix.constant(QQ, triple.basis_inv))
         out.append((c, splitting_from_sl2(triple.e, triple.f)))
-    return out
+    return out + _tower_sibuya_inputs()
 
 
 def _encoded(m):
@@ -209,6 +235,8 @@ def _encoded(m):
 def test_sibuya_normalize_matches_the_per_step_solve():
     inputs = _sibuya_inputs()
     assert {sp.label for _, sp in inputs} == {"ad-semisimple", "ad-sl2"}
+    assert {(c.tower.depth, c.ram) for c, _ in inputs} == {(0, 1), (1, 1), (1, 3),
+                                                           (2, 1), (2, 3)}
     for c, splitting in inputs:
         rec = sibuya_normalize(c, splitting)
         corrections, gauge, work = _old_sibuya(c, splitting)

@@ -186,16 +186,20 @@ def _old_log(g, prec_cap=None):
 
 
 K2 = QQ.extend([-2, 0, 1])  # adjoin a root of x^2 - 2
+K4 = K2.extend([-3, 0, 1])  # then a root of x^2 - 3
+
+
+def _scalar(rng, tower):
+    """A random rational plus a random rational multiple of each adjoined root."""
+    x = tower.rational(checks.random_rational(rng))
+    for level in range(1, tower.depth + 1):
+        x = x + tower.gen(level) * checks.random_rational(rng)
+    return x
 
 
 def _random_argument(rng, tower, n, val, prec, nilpotent=False):
     """A random ``n``-by-``n`` argument of valuation exactly ``val``, known
     below ``prec``; strictly upper triangular when ``nilpotent``."""
-
-    def scalar():
-        x = tower.rational(checks.random_rational(rng))
-        return x + tower.gen() * checks.random_rational(rng) if tower.depth else x
-
     rows = []
     for i in range(n):
         row = []
@@ -204,7 +208,7 @@ def _random_argument(rng, tower, n, val, prec, nilpotent=False):
                 row.append(LaurentSeries.zero(tower))
                 continue
             top = prec if prec is not INF else val + 3
-            coeffs = {e: scalar() for e in range(val, top) if rng.random() < 0.6}
+            coeffs = {e: _scalar(rng, tower) for e in range(val, top) if rng.random() < 0.6}
             if (i, j) == (0, n - 1):
                 coeffs[val] = tower.one()
             row.append(LaurentSeries(tower, coeffs, prec))
@@ -236,6 +240,21 @@ def test_exp_log_match_the_two_branch_loops(tower, val):
     unipotent = LaurentMatrix.identity(tower, 3) + exact
     assert _same(matrix_log(unipotent), _old_log(unipotent))
     assert _same(matrix_log(unipotent.truncate(5)), _old_log(unipotent, prec_cap=5))
+
+
+@pytest.mark.parametrize("tower", [QQ, K2, K4], ids=["depth0", "depth1", "depth2"])
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_step_exponential_closed_forms(tower, i):
+    # a Sibuya step gauges by g = exp(-u**i C) for a constant C and relies on
+    # g**-1 = exp(+u**i C) and (dg/du) g**-1 = -i u**(i-1) C, precisions included
+    rng = random.Random(10 * i + tower.depth)
+    for n, p, nilpotent in ((3, 8, True), (2, 8, False), (3, i + 2, False)):
+        grid = [[_scalar(rng, tower) if j > k or not nilpotent else 0
+                 for j in range(n)] for k in range(n)]
+        c = LaurentMatrix.constant(tower, grid).shift(i)
+        g = matrix_exp((-c).truncate(p))
+        assert _same(matrix_exp(c.truncate(p)), g.inverse())
+        assert _same(g.derivative() * g.inverse(), (c.shift(-1) * -i).truncate(p - 1))
 
 
 def test_exact_non_nilpotent_argument_is_refused():
