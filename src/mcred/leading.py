@@ -33,6 +33,8 @@ from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTe
 from .field import (
     FieldElement,
     FieldTower,
+    _fold,
+    _over_lcm,
     _poly_gcd,
     _unfold,
     common_context,
@@ -42,8 +44,8 @@ from .field import (
     poly_squarefree_part,
     poly_trim,
 )
-from .matrices import LaurentMatrix, matrix_exp
-from .series import INF
+from .matrices import LaurentMatrix
+from .series import INF, LaurentSeries, _refold
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +213,89 @@ class NormalizationRecord:
     corrections: list = dataclass_field(default_factory=list)
 
 
+def _terms(xs: Sequence[FieldElement]) -> tuple:
+    """``(den, {index: [(position, numerator)]})``: the nonzero coordinates of
+    the elements ``xs`` as integers over one denominator, as the product
+    kernel reads them; a position names the same coordinate at every level."""
+    den, terms = _over_lcm([((k, pos), q) for k, x in enumerate(xs)
+                            for pos, q in _unfold(x.tower, x.level, x.payload)])
+    out: dict[int, list] = {}
+    for (k, pos), num in terms:
+        out.setdefault(k, []).append((pos, num))
+    return den, out
+
+
+def _row_terms(m: Sequence[Sequence[FieldElement]]) -> tuple:
+    """``(tower, level, rows)``: the common tower and level of ``m`` and the
+    :func:`_terms` of each row, the form :func:`_apply` takes."""
+    tower, level = common_context(m)
+    return tower, level, [_terms(row) for row in m]
+
+
+def _apply(m: tuple, v: Sequence[FieldElement], den: int = 1) -> list[FieldElement]:
+    """``linalg.mat_vec`` of a :func:`_row_terms` matrix and a vector, over
+    ``den``, on integer coordinates; the result sits at the common tower and
+    level of both, where the element operators would put it."""
+    tower, level, rows = m
+    v_tower, v_level = common_context([v])
+    tower, level = common_tower(tower, v_tower), max(level, v_level)
+    dv, tv = _terms(v)
+    out = []
+    for dr, tr in rows:  # integer products summed per position, folded once
+        nums: dict[int, int] = {}
+        for k, xs in tr.items():
+            for pb, nb in tv.get(k, ()):
+                for pa, na in xs:
+                    nums[pa + pb] = nums.get(pa + pb, 0) + na * nb
+        out.append(FieldElement(tower, level, _fold(tower, level, nums, dr * dv * den)))
+    return out
+
+
+def _step_exponentials(c_mat: list, i: int, p: int, ram: int) -> tuple:
+    """``exp(-u**i C)`` and its inverse ``exp(u**i C)`` modulo ``u**p``, every
+    entry known below ``p``, from one list of the powers of the constant
+    ``C`` taken on integer coordinates."""
+    tower, level = common_context(c_mat)
+    n = len(c_mat)
+    one, zero = tower.one(level), tower.zero(level)
+    powers = [[[one if a == b else zero for b in range(n)] for a in range(n)]]
+    c_rows = _row_terms(linalg.transpose(c_mat))  # row @ C is C^T applied to row
+    for k in range(1, (p - 1) // i + 1):  # powers[k] = C**k / k!
+        power = [_apply(c_rows, row, k) for row in powers[-1]]
+        if all(x.is_zero() for row in power for x in row):
+            break
+        powers.append(power)
+
+    def exponential(sign: int) -> LaurentMatrix:
+        return LaurentMatrix(tower, [[LaurentSeries(
+            tower, {i * k: -t[a][b] if sign < 0 and k % 2 else t[a][b]
+                    for k, t in enumerate(powers)}, p, ram)
+            for b in range(n)] for a in range(n)], ram)
+
+    return exponential(-1), exponential(1)
+
+
+def _step_dlog(c_mat: list, i: int, p: int, ram: int) -> LaurentMatrix:
+    """``-(dE/du) E**-1 = i u**(i-1) C`` for ``E = exp(-u**i C)``, known below
+    ``p - 1`` like the product it replaces, each coefficient at the lowest
+    level holding it, where the product kernel would leave it."""
+    tower, _ = common_context(c_mat)
+
+    def entry(x: FieldElement) -> LaurentSeries:
+        if x.is_zero():
+            return LaurentSeries(tower, {}, p - 1, ram)
+        den, terms = _over_lcm(_unfold(x.tower, x.level, x.payload))
+        coeff = _refold(tower, {pos: num * i for pos, num in terms}, den)
+        return LaurentSeries(tower, {i - 1: coeff}, p - 1, ram)
+
+    return LaurentMatrix(tower, [[entry(x) for x in row] for row in c_mat], ram)
+
+
 def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationRecord:
     """Gauge every known coefficient above the lead into the kernel summand.
 
     Requires a truncated connection with pole order >= 2.  Step ``i`` gauges
-    by ``exp(-u**i C_i)`` where ``ad(lead)(C_i)`` cancels the target-space
+    by ``E = exp(-u**i C_i)`` where ``ad(lead)(C_i)`` cancels the target-space
     component of the coefficient at exponent ``-r + i``; the step changes
     that coefficient by exactly that amount, touches nothing below it, and
     preserves the overall precision.  ``C_i`` therefore only depends on the
@@ -223,7 +303,16 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
 
     Both maps a step needs are fixed by the lead and the splitting, so they
     are solved for once: ``to_target`` reads off the target coordinates of a
-    coefficient, and ``cancel`` carries target coordinates to ``C_i``.
+    coefficient, and ``cancel`` carries target coordinates to ``C_i``.  Both
+    are applied on integer coordinates, the layout of the product kernel.
+
+    A step needs no gauge: ``E**-1 = exp(u**i C_i)`` and
+    ``(dE/du) E**-1 = -i u**(i-1) C_i`` in closed form.  So with
+    ``p = prec + r`` it sets ``G <- E G E**-1 + i u**(i-1) C_i`` (the last
+    term known below ``p - 1``) and ``total <- E total``, where ``E`` and
+    ``E**-1`` are known below ``p`` and come from one list of the powers of
+    ``C_i``.  Every coefficient and precision is the one the general gauge
+    ``E G E**-1 - (dE/du) E**-1`` would give.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -243,40 +332,40 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     if not target:
         return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram))
     try:
-        to_target = linalg.inverse(linalg.transpose(kernel + target))[len(kernel):]
+        to_target = _row_terms(linalg.inverse(linalg.transpose(kernel + target))[len(kernel):])
     except NotInvertible:
         raise DomainViolation("kernel and target do not span gl_n") from None
     # solve() sets free variables to zero, so its answer is linear in the
     # right-hand side and one solve per target vector serves every step
     source_mat = linalg.transpose(source)
     solve_mat = linalg.mat_mul(linalg.ad_matrix(lead), source_mat)
-    cancel = linalg.transpose(
+    cancel = _row_terms(linalg.transpose(
         [[-x for x in linalg.mat_vec(source_mat, linalg.solve(solve_mat, t))]
-         for t in target])
+         for t in target]))
 
-    work = c
+    p = s_prec + r
+    work = c.matrix
     total = LaurentMatrix.identity(c.tower, n, c.ram)
     corrections = []
-    for i in range(1, s_prec + r):
-        coords = linalg.mat_vec(to_target, linalg.vec(work.coeff(-r + i)))
+    for i in range(1, p):
+        coords = _apply(to_target, linalg.vec(work.coeff_matrix(-r + i)))
         if all(x.is_zero() for x in coords):
             continue
-        c_mat = linalg.unvec(linalg.mat_vec(cancel, coords), n, n)
-        xi = LaurentMatrix.constant(work.tower, c_mat, work.ram).shift(i) * (-1)
-        g = matrix_exp(xi.truncate(s_prec + r))
-        work = work.gauge(g)
-        total = g * total
+        c_mat = linalg.unvec(_apply(cancel, coords), n, n)
+        e, e_inv = _step_exponentials(c_mat, i, p, work.ram)
+        work = e * work * e_inv + _step_dlog(c_mat, i, p, work.ram)
+        total = e * total
         corrections.append((i, c_mat))
     if work.prec != s_prec or work.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")
-    for i in range(1, s_prec + r):
-        leftover = linalg.mat_vec(to_target, linalg.vec(work.coeff(-r + i)))
+    for i in range(1, p):
+        leftover = _apply(to_target, linalg.vec(work.coeff_matrix(-r + i)))
         if not all(x.is_zero() for x in leftover):
             raise EngineError(
                 f"coefficient at offset {i} still has a component in the "
                 "complement after normalization"
             )
-    return NormalizationRecord(work, total, corrections)
+    return NormalizationRecord(Connection(work), total, corrections)
 
 
 # ---------------------------------------------------------------------------
