@@ -17,9 +17,9 @@ When an output change is intended, re-record the digests with::
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 
-which prints a new ``GOLDEN`` dict and ``REDUCE_REPLAY_TREES`` digest to paste
-over the ones below, and say in
-``CHANGES.md`` which outputs changed and why.
+which prints a new ``GOLDEN`` dict and ``REDUCE_REPLAY_TREES`` digest to
+paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+and why.
 """
 
 import contextlib

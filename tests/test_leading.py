@@ -192,16 +192,16 @@ def _tower_sibuya_inputs():
     elements: a lead ``diag(gen, 2)`` and a standard nilpotent lead, one of
     each per tower, with one ``ram = 3`` input per lead kind."""
     out = []
-    for tower, ram in ((K1, 1), (K2, 3)):
+    for tower, ss_ram, nil_ram in ((K1, 1, 3), (K2, 3, 1)):
         g, root2 = tower.gen(), tower.gen(1)
         higher = {-1: [[1, root2], [g + 1, 0]],
                   0: [[0, 3], [root2 * g, 1]],
                   1: [[g, 0], [1, 2]]}
         c = Connection.from_coeff_map(tower, {-2: [[g, 0], [0, 2]], **higher}, 2,
-                                      prec=3, ram=ram)
+                                      prec=3, ram=ss_ram)
         out.append((c, splitting_from_semisimple(jordan_chevalley(c.leading()).semisimple)))
         c = Connection.from_coeff_map(tower, {-2: [[0, 1], [0, 0]], **higher}, 2,
-                                      prec=2, ram=4 - ram)
+                                      prec=2, ram=nil_ram)
         triple = sl2.jacobson_morozov(c.leading())
         c = c.gauge(LaurentMatrix.constant(tower, triple.basis_inv, c.ram))
         out.append((c, splitting_from_sl2(triple.e, triple.f)))
