@@ -10,15 +10,17 @@ run without ``--precision`` also with ``--precision 4`` (``gauge-p4``).
 It also pins one sha256 over the encoded ``reduce`` trees of the first 12
 inputs of the ``reduce-replay`` benchmark workload at seed 1
 (:func:`_reduce_replay_digest`), which take Sibuya steps at ramification 4
-and 6.  A change meant to keep canonical JSON, certificates and trees
-byte-identical must pass it unchanged.
+and 6, and the sha256 of ``mcred reduce --precision 24`` on the rank-3,
+pole-3 nilpotent-lead file of :func:`_rank3_pole3` (``REDUCE_RANK3_P24``),
+whose Sibuya calls take long step loops.  A change meant to keep canonical
+JSON, certificates and trees byte-identical must pass it unchanged.
 
 When an output change is intended, re-record the digests with::
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 
-which prints a new ``GOLDEN`` dict and ``REDUCE_REPLAY_TREES`` digest to
-paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+which prints a new ``GOLDEN`` dict and the ``REDUCE_REPLAY_TREES`` and
+``REDUCE_RANK3_P24`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
 
@@ -37,6 +39,8 @@ GENERATE = ["generate", "--seed", "7", "--count", "9"]
 KINDS = ("generic", "invertible_lead", "nilpotent_lead")
 
 REDUCE_REPLAY_TREES = "25b79c11ab37ab5e0d47026bf0e371d6f52dd518667ce368171370c98232259f"
+
+REDUCE_RANK3_P24 = (0, "fddd80c9d93fd537c5aaa8a7dee1896574a2444d6c558b972938844febd5f8f8")
 
 GOLDEN = {
     "derham gen7-0": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac"),
@@ -211,6 +215,23 @@ def _reduce_replay_digest(count=12):
     return digest.hexdigest()
 
 
+def _rank3_pole3():
+    """The 1,416-byte rank-3, pole-3 nilpotent-lead input file (JSON text)."""
+    c = checks.random_connection(random.Random(3), 3, 3, kind="nilpotent_lead", prec=48)
+    return serialize.dumps(serialize.encode_connection(c))
+
+
+def _rank3_digest(tmp_dir):
+    path = tmp_dir / "rank3-pole3.json"
+    path.write_text(_rank3_pole3())
+    code, text = _run(["reduce", str(path), "--precision", "24"])
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reduce_of_the_rank3_pole3_file_matches_the_recorded_digest(tmp_path):
+    assert _rank3_digest(tmp_path) == REDUCE_RANK3_P24
+
+
 def test_reduce_trees_of_the_benchmark_inputs_match_the_recorded_digest():
     assert _reduce_replay_digest() == REDUCE_REPLAY_TREES
 
@@ -228,8 +249,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = _digests(pathlib.Path(tmp))
+        rank3 = _rank3_digest(pathlib.Path(tmp))
     print("GOLDEN = {")
     for key, (code, digest) in sorted(digests.items()):
         print(f'    "{key}": ({code}, "{digest}"),')
     print("}")
     print(f'REDUCE_REPLAY_TREES = "{_reduce_replay_digest()}"')
+    print(f'REDUCE_RANK3_P24 = ({rank3[0]}, "{rank3[1]}")')
