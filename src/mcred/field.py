@@ -20,7 +20,8 @@ the sum of their positions.  So a product (:func:`_mul`, and the series
 product kernel) sums integer numerator products per position, unreduced, and
 folds once: :func:`_fold` sends every position to its monomial reduced by the
 minimal polynomials, through one integer map per level built from the level
-below.
+below.  Its integer part, :func:`_fold_nums`, lets the series kernel stay on
+integer coordinates from one product to the next.
 """
 
 from __future__ import annotations
@@ -120,6 +121,16 @@ def _fold(tower: "FieldTower", level: int, nums: dict, den: int) -> Payload:
     """The payload at ``level`` with unreduced coordinates ``nums[position] / den``."""
     if level == 0:
         return Fraction(nums.get(0, 0), den)
+    d, reduced = _fold_nums(tower, level, nums)
+    return _nest(tower, level, reduced, den * d)
+
+
+def _fold_nums(tower: "FieldTower", level: int, nums: dict) -> tuple[int, dict]:
+    """``(d, reduced)``: the integer part of :func:`_fold`, the unreduced
+    coordinates ``nums`` reduced by the minimal polynomials through ``level``
+    as numerators over ``d`` by position (zero sums included)."""
+    if level == 0:
+        return 1, nums
     if level not in tower.folds:
         tower.folds[level] = _fold_map(tower, level)
     d, images = tower.folds[level]
@@ -127,7 +138,7 @@ def _fold(tower: "FieldTower", level: int, nums: dict, den: int) -> Payload:
     for pos, n in nums.items():
         for p, r in images[pos]:
             reduced[p] = reduced.get(p, 0) + n * r
-    return _nest(tower, level, reduced, den * d)
+    return d, reduced
 
 
 def _fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:

@@ -21,6 +21,7 @@ Three tools live here:
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -29,7 +30,8 @@ from typing import Sequence
 
 from . import linalg
 from .connection import Connection
-from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTerm
+from .errors import (DomainViolation, EngineError, NotInvertible, PrecisionExhausted,
+                     ScalarLeadingTerm)
 from .field import (
     FieldElement,
     FieldTower,
@@ -45,7 +47,7 @@ from .field import (
     poly_trim,
 )
 from .matrices import LaurentMatrix
-from .series import INF, LaurentSeries, _refold
+from .series import INF, _accumulate, _integral, _materialise, _settle
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +234,19 @@ def _row_terms(m: Sequence[Sequence[FieldElement]]) -> tuple:
     return tower, level, [_terms(row) for row in m]
 
 
-def _apply(m: tuple, v: Sequence[FieldElement], den: int = 1) -> list[FieldElement]:
-    """``linalg.mat_vec`` of a :func:`_row_terms` matrix and a vector, over
-    ``den``, on integer coordinates; the result sits at the common tower and
-    level of both, where the element operators would put it."""
+def _vec(xs: Sequence[FieldElement]) -> tuple:
+    """``(tower, level, terms)``: the common tower and level of the vector
+    ``xs`` and its :func:`_terms`, the vector form :func:`_apply` takes."""
+    return (*common_context([xs]), _terms(xs))
+
+
+def _apply(m: tuple, v: tuple, den: int = 1) -> list[FieldElement]:
+    """``linalg.mat_vec`` of a :func:`_row_terms` matrix and a vector form,
+    over ``den``, on integer coordinates; the result sits at the common tower
+    and level of both, where the element operators would put it."""
     tower, level, rows = m
-    v_tower, v_level = common_context([v])
+    v_tower, v_level, (dv, tv) = v
     tower, level = common_tower(tower, v_tower), max(level, v_level)
-    dv, tv = _terms(v)
     out = []
     for dr, tr in rows:  # integer products summed per position, folded once
         nums: dict[int, int] = {}
@@ -251,44 +258,79 @@ def _apply(m: tuple, v: Sequence[FieldElement], den: int = 1) -> list[FieldEleme
     return out
 
 
-def _step_exponentials(c_mat: list, i: int, p: int, ram: int) -> tuple:
-    """``exp(-u**i C)`` and its inverse ``exp(u**i C)`` modulo ``u**p``, every
-    entry known below ``p``, from one list of the powers of the constant
-    ``C`` taken on integer coordinates."""
+# The step loop of :func:`sibuya_normalize` keeps its matrices as grids of
+# :func:`series._integral` forms ``(valuation, prec, den, terms)``, ``None``
+# for an exact zero, all over one tower and ramification.
+
+_ONE = (0, INF, 1, [(0, 1)])  # the form of the exact series 1
+
+
+def _form_product(tower: FieldTower, a: list, b: list) -> list:
+    """The product of two grids of forms, as a grid of forms."""
+    size = tower.sizes[-1]
+    cols = list(zip(*b))
+    return [[_settle(tower, *_accumulate(size, zip(row, col))) for col in cols] for row in a]
+
+
+def _coeff_vector(tower: FieldTower, forms: list, e: int) -> tuple:
+    """The vector form of the row-major coefficients at ``u**e`` of a grid of
+    forms, at the top level of ``tower``."""
+    size = tower.sizes[-1]
+    lo, hi = e * size, (e + 1) * size
+    parts = {}
+    for k, f in enumerate(f for row in forms for f in row):
+        if f is None:
+            continue
+        if e >= f[1]:
+            raise PrecisionExhausted(
+                f"coefficient at exponent {e} requested but the series is "
+                f"only known below {f[1]}", needed=e + 1)
+        terms = f[3]
+        a = bisect.bisect_left(terms, (lo,))
+        b = bisect.bisect_left(terms, (hi,), a)
+        if a < b:
+            parts[k] = (f[2], terms[a:b])
+    den = lcm(*[d for d, _ in parts.values()])
+    return tower, tower.depth, (den, {k: [(key - lo, num * (den // d)) for key, num in ts]
+                                      for k, (d, ts) in parts.items()})
+
+
+def _step_gauge(c_mat: list, i: int, p: int, size: int) -> tuple:
+    """``(E, E**-1, D)`` as grids of forms for ``E = exp(-u**i C)``: ``E`` and
+    ``E**-1 = exp(u**i C)`` modulo ``u**p``, every entry known below ``p``,
+    from one list of the powers of the constant ``C``; and ``D`` the pairs
+    whose products add ``-(dE/du) E**-1 = i u**(i-1) C``, known below ``p - 1``."""
     tower, level = common_context(c_mat)
     n = len(c_mat)
     one, zero = tower.one(level), tower.zero(level)
     powers = [[[one if a == b else zero for b in range(n)] for a in range(n)]]
     c_rows = _row_terms(linalg.transpose(c_mat))  # row @ C is C^T applied to row
     for k in range(1, (p - 1) // i + 1):  # powers[k] = C**k / k!
-        power = [_apply(c_rows, row, k) for row in powers[-1]]
+        power = [_apply(c_rows, _vec(row), k) for row in powers[-1]]
         if all(x.is_zero() for row in power for x in row):
             break
         powers.append(power)
 
-    def exponential(sign: int) -> LaurentMatrix:
-        return LaurentMatrix(tower, [[LaurentSeries(
-            tower, {i * k: -t[a][b] if sign < 0 and k % 2 else t[a][b]
-                    for k, t in enumerate(powers)}, p, ram)
-            for b in range(n)] for a in range(n)], ram)
+    def form(coords: list, prec: int) -> tuple:
+        den, terms = _over_lcm(coords)
+        return terms[0][0] // size if terms else prec, prec, den, terms
 
-    return exponential(-1), exponential(1)
+    def exponential(sign: int) -> list:
+        return [[form([(i * k * size + pos, -q if sign < 0 and k % 2 else q)
+                       for k, t in enumerate(powers)
+                       for pos, q in _unfold(tower, t[a][b].level, t[a][b].payload)], p)
+                 for b in range(n)] for a in range(n)]
+
+    dlog = [[(form([((i - 1) * size + pos, q * i)
+                    for pos, q in _unfold(tower, x.level, x.payload)], p - 1), _ONE)
+             for x in row] for row in c_mat]
+    return exponential(-1), exponential(1), dlog
 
 
-def _step_dlog(c_mat: list, i: int, p: int, ram: int) -> LaurentMatrix:
-    """``-(dE/du) E**-1 = i u**(i-1) C`` for ``E = exp(-u**i C)``, known below
-    ``p - 1`` like the product it replaces, each coefficient at the lowest
-    level holding it, where the product kernel would leave it."""
-    tower, _ = common_context(c_mat)
-
-    def entry(x: FieldElement) -> LaurentSeries:
-        if x.is_zero():
-            return LaurentSeries(tower, {}, p - 1, ram)
-        den, terms = _over_lcm(_unfold(x.tower, x.level, x.payload))
-        coeff = _refold(tower, {pos: num * i for pos, num in terms}, den)
-        return LaurentSeries(tower, {i - 1: coeff}, p - 1, ram)
-
-    return LaurentMatrix(tower, [[entry(x) for x in row] for row in c_mat], ram)
+def _matrix(tower: FieldTower, ram: int, forms: list) -> LaurentMatrix:
+    return LaurentMatrix(tower, [[_materialise(tower, ram, INF, 1, {}) if f is None
+                                  else _materialise(tower, ram, f[1], f[2], dict(f[3]))
+                                  for f in row] for row in forms], ram)
 
 
 def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationRecord:
@@ -313,6 +355,16 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     ``E**-1`` are known below ``p`` and come from one list of the powers of
     ``C_i``.  Every coefficient and precision is the one the general gauge
     ``E G E**-1 - (dE/du) E**-1`` would give.
+
+    The loop never builds a series: ``G`` and ``total`` stay grids of the
+    product kernel's integer forms (:func:`series._integral`).  Each product
+    is one :func:`series._accumulate` per entry, the last term of ``G`` is
+    one more pair in its second one, and :func:`series._settle` folds and
+    divides each result back into a form.  A step reads its coefficient
+    straight off those forms, at the top level of the tower: ``to_target``
+    already sits there (:func:`linalg.inverse` pivots against the identity
+    at the top level), so ``C_i`` has the level the element operators would
+    give it.  The two matrices are built once, after the last step.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -344,22 +396,32 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
          for t in target]))
 
     p = s_prec + r
-    work = c.matrix
-    total = LaurentMatrix.identity(c.tower, n, c.ram)
+    ram = c.ram
+    tower = common_tower(c.tower, common_tower(to_target[0], cancel[0]))
+    size = tower.sizes[-1]
+    work = [[_integral(s, ram, size) for s in row] for row in c.matrix.entries]
+    total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
     corrections = []
     for i in range(1, p):
-        coords = _apply(to_target, linalg.vec(work.coeff_matrix(-r + i)))
+        coords = _apply(to_target, _coeff_vector(tower, work, -r + i))
         if all(x.is_zero() for x in coords):
             continue
-        c_mat = linalg.unvec(_apply(cancel, coords), n, n)
-        e, e_inv = _step_exponentials(c_mat, i, p, work.ram)
-        work = e * work * e_inv + _step_dlog(c_mat, i, p, work.ram)
-        total = e * total
+        c_mat = linalg.unvec(_apply(cancel, _vec(coords)), n, n)
+        e, e_inv, dlog = _step_gauge(c_mat, i, p, size)
+        ew = _form_product(tower, e, work)
+        work = [[_settle(tower, *_accumulate(size, [*zip(ew_row, col), d]))
+                 for col, d in zip(zip(*e_inv), dlog_row)]
+                for ew_row, dlog_row in zip(ew, dlog)]
+        total = _form_product(tower, e, total)
         corrections.append((i, c_mat))
+    if corrections:
+        work, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
+    else:
+        work, total = c.matrix, LaurentMatrix.identity(c.tower, n, ram)
     if work.prec != s_prec or work.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")
     for i in range(1, p):
-        leftover = _apply(to_target, linalg.vec(work.coeff_matrix(-r + i)))
+        leftover = _apply(to_target, _vec(linalg.vec(work.coeff_matrix(-r + i))))
         if not all(x.is_zero() for x in leftover):
             raise EngineError(
                 f"coefficient at offset {i} still has a component in the "

@@ -18,12 +18,17 @@ The variable is ``u`` with ``u**ram = t`` for a ramification index
 ``ram >= 1``; exponents are integers in ``u``, i.e. multiples of ``1/ram`` in
 ``t``.  Binary operations lift both operands to the least common ramification.
 
-A product is the 1x1 case of :func:`mat_product`, one payload convolution:
-every coordinate becomes an integer over one denominator per series,
-products accumulate unreduced per exponent and position (the layout of
-:mod:`mcred.field`), and each output coefficient becomes one ``Fraction`` per
-coordinate after one ``field._fold`` by the minimal polynomials.  Terms at or
-past the precision and zero sums are dropped.
+A product is the 1x1 case of :func:`mat_product`, one payload convolution
+in two halves.  :func:`_accumulate` takes the integer forms of
+:func:`_integral`, in which every coordinate is an integer over one
+denominator per series, and sums the products unreduced per exponent and
+position (the layout of :mod:`mcred.field`); terms at or past the precision
+are never formed.  :func:`_materialise` turns each output coefficient into
+one ``Fraction`` per coordinate after one ``field._fold`` by the minimal
+polynomials, and drops zero sums.  A loop of products that needs no series
+in between (the Sibuya steps of :mod:`mcred.leading`) replaces the second
+half by :func:`_settle`, which folds on integers and divides by the gcd, so
+that the result is again an :func:`_integral` form, with the same integers.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import FieldElement, FieldTower, _fold, _over_lcm, _unfold, common_tower
+from .field import (FieldElement, FieldTower, _fold, _fold_nums, _over_lcm, _unfold,
+                    common_tower)
 
 INF = math.inf
 
@@ -392,12 +398,13 @@ def _integral(s: LaurentSeries, ram: int, size: int):
     return s.valuation * m, s.prec * m, den, terms
 
 
-def _convolve(tower: FieldTower, ram: int, pairs) -> LaurentSeries:
-    """``sum(a * b for a, b in pairs)`` from :func:`_integral` forms."""
+def _accumulate(size: int, pairs) -> tuple:
+    """``(prec, den, acc)``: ``sum(a * b for a, b in pairs)`` of :func:`_integral`
+    forms, known below ``prec``, as unreduced numerators ``acc[e * size +
+    position]`` over ``den``; terms at or past ``prec`` are never formed."""
     live = [(a, b) for a, b in pairs if a and b]  # an exact zero adds no precision
     prec = min((min(a[0] + b[1], b[0] + a[1]) for a, b in live), default=INF)
     den = math.lcm(*[a[2] * b[2] for a, b in live])
-    size = tower.sizes[-1]
     acc: dict[int, int] = {}
     for (_, _, da, ta), (_, _, db, tb) in live:
         scale = den // (da * db)
@@ -408,13 +415,49 @@ def _convolve(tower: FieldTower, ram: int, pairs) -> LaurentSeries:
                 if kb >= lim:
                     break
                 acc[ka + kb] = acc.get(ka + kb, 0) + na * nb
+    return prec, den, acc
+
+
+def _by_exponent(acc: dict, size: int) -> dict:
+    """``{e: {position: numerator}}``: the nonzero entries of an accumulation."""
     grouped: dict[int, dict[int, int]] = {}
     for k, n in acc.items():
         if n:
             e, pos = divmod(k, size)
             grouped.setdefault(e, {})[pos] = n
+    return grouped
+
+
+def _materialise(tower: FieldTower, ram: int, prec, den: int, acc: dict) -> LaurentSeries:
+    """The series of an :func:`_accumulate` result, one :func:`_refold` per
+    exponent; zero coefficients are dropped."""
+    grouped = _by_exponent(acc, tower.sizes[-1])
     return LaurentSeries(tower, {e: _refold(tower, nums, den) for e, nums in grouped.items()},
                          prec, ram)
+
+
+def _settle(tower: FieldTower, prec, den: int, acc: dict):
+    """``_integral(_materialise(tower, ram, prec, den, acc), ram, size)``
+    without building the series: every exponent is reduced by the integer
+    fold of ``tower``'s top level, then the numerators and the denominator
+    are divided by their gcd, which leaves the lcm of the reduced coordinate
+    denominators, as :func:`_integral` has it."""
+    size, level = tower.sizes[-1], tower.depth
+    if level == 0:
+        d, terms = 1, sorted((k, n) for k, n in acc.items() if n)
+    else:
+        terms = []
+        for e, nums in sorted(_by_exponent(acc, size).items()):
+            d, reduced = _fold_nums(tower, level, nums)
+            base = e * size
+            terms += sorted((base + p, n) for p, n in reduced.items() if n)
+    if not terms:
+        return None if prec == INF else (prec, prec, 1, [])
+    den *= d
+    g = math.gcd(den, *[n for _, n in terms])
+    if g > 1:
+        den, terms = den // g, [(k, n // g) for k, n in terms]
+    return terms[0][0] // size, prec, den, terms
 
 
 def mat_product(tower: FieldTower, ram: int, a, b) -> list[list[LaurentSeries]]:
@@ -424,5 +467,5 @@ def mat_product(tower: FieldTower, ram: int, a, b) -> list[list[LaurentSeries]]:
         raise DomainViolation("matrix shapes incompatible in product")
     size = tower.sizes[-1]
     cols = [[_integral(s, ram, size) for s in col] for col in zip(*b)]
-    return [[_convolve(tower, ram, zip(row, col)) for col in cols]
+    return [[_materialise(tower, ram, *_accumulate(size, zip(row, col))) for col in cols]
             for row in ([_integral(s, ram, size) for s in r] for r in a)]

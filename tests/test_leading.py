@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, linalg, serialize, sl2
+from mcred import checks, linalg, reduction, serialize, sl2
 from mcred.connection import Connection
 from mcred.errors import ScalarLeadingTerm
 from mcred.field import FieldTower
@@ -228,6 +228,39 @@ def _sibuya_inputs():
     return out + _tower_sibuya_inputs()
 
 
+def _long_sibuya_inputs():
+    """Two inputs whose step loops run long, so that every entry's integers
+    are carried across many steps: the ``ram = 4`` Sibuya call made while
+    reducing the ninth seed-1 ``reduce-replay`` benchmark input (19 steps at
+    precision 37), and the rank-3, pole-3 nilpotent-lead file of
+    ``tests/test_golden_bytes.py`` truncated at 8 (10 steps)."""
+    rng = random.Random(1)
+    kinds = ("generic", "invertible_lead", "nilpotent_lead")
+    for i in range(9):  # the benchmark's draw order
+        c = checks.random_connection(rng, 2 + i % 2, 2 + (i // 2) % 2, kind=kinds[i % 3])
+    calls = []
+
+    def spy(c, splitting):
+        calls.append((c, splitting))
+        return sibuya_normalize(c, splitting)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "sibuya_normalize", spy)
+        reduction.reduce(c)
+    out = [next(call for call in calls if call[0].ram >= 4)]
+    c = checks.random_connection(random.Random(3), 3, 3, kind="nilpotent_lead",
+                                 prec=48).truncate(8)
+    triple = sl2.jacobson_morozov(c.leading())
+    c = c.gauge(LaurentMatrix.constant(QQ, triple.basis_inv))
+    return out + [(c, splitting_from_sl2(triple.e, triple.f))]
+
+
+def test_long_sibuya_inputs_take_long_step_loops():
+    (replay, replay_split), (rank3, rank3_split) = _long_sibuya_inputs()
+    assert replay.ram >= 4 and len(sibuya_normalize(replay, replay_split).corrections) >= 10
+    assert rank3.size == 3 and len(sibuya_normalize(rank3, rank3_split).corrections) >= 10
+
+
 def _encoded(m):
     return serialize.dumps(serialize.encode_matrix(m))
 
@@ -237,7 +270,7 @@ def test_sibuya_normalize_matches_the_per_step_solve():
     assert {sp.label for _, sp in inputs} == {"ad-semisimple", "ad-sl2"}
     assert {(c.tower.depth, c.ram) for c, _ in inputs} == {(0, 1), (1, 1), (1, 3),
                                                            (2, 1), (2, 3)}
-    for c, splitting in inputs:
+    for c, splitting in inputs + _long_sibuya_inputs():
         rec = sibuya_normalize(c, splitting)
         corrections, gauge, work = _old_sibuya(c, splitting)
         assert rec.corrections, "the input needs no normalization step"

@@ -7,10 +7,14 @@ term and entry by entry with the series' own ``+``.  Hypothesis draws
 operands over prefixes of one depth-2 tower (so operands of one product may
 sit at different depths), at ramification 1 or 2, with exact, truncated,
 zero-to-precision and exactly zero entries; every coefficient and every
-entry's precision must agree.  The run is derandomized, keeps no example
+entry's precision must agree.  The integer half of the kernel is checked
+too: a product settled on integers (``series._settle``, which the Sibuya
+step loop chains) must be exactly the integer form of the series the
+kernel builds.  The run is derandomized, keeps no example
 database and points Hypothesis' caches at a temporary directory.
 """
 
+import math
 import tempfile
 from fractions import Fraction
 
@@ -25,9 +29,16 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 _HOME = tempfile.TemporaryDirectory(prefix="mcred-hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
 
-from mcred.field import FieldElement, FieldTower  # noqa: E402
+from mcred.field import FieldElement, FieldTower, common_tower  # noqa: E402
 from mcred.matrices import LaurentMatrix  # noqa: E402
-from mcred.series import INF, LaurentSeries  # noqa: E402
+from mcred.series import (  # noqa: E402
+    INF,
+    LaurentSeries,
+    _accumulate,
+    _integral,
+    _materialise,
+    _settle,
+)
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -158,6 +169,21 @@ def test_matrix_product_matches_elementwise(pair):
     for got_row, want_row in zip(got.entries, want.entries):
         for x, y in zip(got_row, want_row):
             assert_same_series(x, y)
+
+
+@settings(ORACLE, max_examples=200)
+@given(matrix_pairs())
+def test_settled_products_are_the_integer_forms_of_the_built_series(pair):
+    a, b = pair
+    tower, ram = common_tower(a.tower, b.tower), math.lcm(a.ram, b.ram)
+    size = tower.sizes[-1]
+    cols = [[_integral(s, ram, size) for s in col] for col in zip(*b.entries)]
+    for row in a.entries:
+        forms = [_integral(s, ram, size) for s in row]
+        for col in cols:
+            prec, den, acc = _accumulate(size, zip(forms, col))
+            want = _integral(_materialise(tower, ram, prec, den, acc), ram, size)
+            assert _settle(tower, prec, den, acc) == want
 
 
 def test_exact_zero_factor_contributes_no_precision():
