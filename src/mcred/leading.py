@@ -30,8 +30,7 @@ from typing import Sequence
 
 from . import linalg
 from .connection import Connection
-from .errors import (DomainViolation, EngineError, NotInvertible, PrecisionExhausted,
-                     ScalarLeadingTerm)
+from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTerm
 from .field import (
     FieldElement,
     FieldTower,
@@ -274,17 +273,14 @@ def _form_product(tower: FieldTower, a: list, b: list) -> list:
 
 def _coeff_vector(tower: FieldTower, forms: list, e: int) -> tuple:
     """The vector form of the row-major coefficients at ``u**e`` of a grid of
-    forms, at the top level of ``tower``."""
+    forms, at the top level of ``tower``.  A step never lowers an entry's
+    precision below the connection's, so every ``e`` a step reads is known."""
     size = tower.sizes[-1]
     lo, hi = e * size, (e + 1) * size
     parts = {}
     for k, f in enumerate(f for row in forms for f in row):
         if f is None:
             continue
-        if e >= f[1]:
-            raise PrecisionExhausted(
-                f"coefficient at exponent {e} requested but the series is "
-                f"only known below {f[1]}", needed=e + 1)
         terms = f[3]
         a = bisect.bisect_left(terms, (lo,))
         b = bisect.bisect_left(terms, (hi,), a)
@@ -328,6 +324,7 @@ def _step_gauge(c_mat: list, i: int, p: int, size: int) -> tuple:
 
 
 def _matrix(tower: FieldTower, ram: int, forms: list) -> LaurentMatrix:
+    """The matrix of series with these forms."""
     return LaurentMatrix(tower, [[_materialise(tower, ram, INF, 1, {}) if f is None
                                   else _materialise(tower, ram, f[1], f[2], dict(f[3]))
                                   for f in row] for row in forms], ram)
