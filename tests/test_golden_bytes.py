@@ -12,15 +12,20 @@ inputs of the ``reduce-replay`` benchmark workload at seed 1
 (:func:`_reduce_replay_digest`), which take Sibuya steps at ramification 4
 and 6, and the sha256 of ``mcred reduce --precision 24`` on the rank-3,
 pole-3 nilpotent-lead file of :func:`_rank3_pole3` (``REDUCE_RANK3_P24``),
-whose Sibuya calls take long step loops.  A change meant to keep canonical
-JSON, certificates and trees byte-identical must pass it unchanged.
+whose Sibuya calls take long step loops.  The ``gauge`` digests above run
+over Q and Q(sqrt 2) only, so one more sha256 (``TOWER_GAUGES``) covers
+``LaurentMatrix.inverse`` and ``Connection.gauge`` on the fixed-seed family
+of :func:`_tower_gauge_cases` over towers of depth 1 and 2: every entry of
+each result encoded on its own (so each entry's precision counts), or the
+type and message of the exception.  A change meant to keep canonical JSON,
+certificates and trees byte-identical must pass it unchanged.
 
 When an output change is intended, re-record the digests with::
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 
-which prints a new ``GOLDEN`` dict and the ``REDUCE_REPLAY_TREES`` and
-``REDUCE_RANK3_P24`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+which prints a new ``GOLDEN`` dict and the ``REDUCE_REPLAY_TREES``,
+``REDUCE_RANK3_P24`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
 
@@ -32,8 +37,11 @@ from fractions import Fraction
 
 from mcred import checks, reduce, serialize
 from mcred.cli import main
+from mcred.connection import Connection
+from mcred.errors import EngineError
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
+from mcred.series import INF, LaurentSeries
 
 GENERATE = ["generate", "--seed", "7", "--count", "9"]
 KINDS = ("generic", "invertible_lead", "nilpotent_lead")
@@ -41,6 +49,8 @@ KINDS = ("generic", "invertible_lead", "nilpotent_lead")
 REDUCE_REPLAY_TREES = "25b79c11ab37ab5e0d47026bf0e371d6f52dd518667ce368171370c98232259f"
 
 REDUCE_RANK3_P24 = (0, "fddd80c9d93fd537c5aaa8a7dee1896574a2444d6c558b972938844febd5f8f8")
+
+TOWER_GAUGES = "c7a2f52776e0f25f2fd915a3d8e25bce645b297963ee80c68ef651c848273366"
 
 GOLDEN = {
     "derham gen7-0": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac"),
@@ -228,6 +238,97 @@ def _rank3_digest(tmp_dir):
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
+K1 = FieldTower().extend([-2, 0, 1])     # sqrt(2)
+K2 = K1.extend([-K1.gen(), 0, 0, 1])     # a cube root of sqrt(2)
+
+
+def _element(rng, tower, nonzero=False):
+    """A random element at a random level of ``tower``: a rational
+    combination of the monomials in the generators up to that level."""
+    while True:
+        level = rng.randint(0, tower.depth)
+        x = tower.rational(checks.random_rational(rng))
+        if level >= 1:
+            x = x + tower.gen(1) * checks.random_rational(rng)
+        if level == 2:
+            x = x + (tower.gen(2) + tower.gen(1) * tower.gen(2)) * checks.random_rational(rng)
+        if not (nonzero and x.is_zero()):
+            return x
+
+
+def _series(rng, tower, ram, kind, lo=-2, hi=2):
+    if kind == "zero":
+        return LaurentSeries.zero(tower, ram)
+    prec = INF if kind == "exact" else rng.randint(lo + 1, hi + 3)
+    coeffs = {} if kind == "truncated_zero" else {
+        e: _element(rng, tower) for e in range(lo, hi + 1) if rng.random() < 0.5}
+    return LaurentSeries(tower, coeffs, prec, ram)
+
+
+def _unit_triangular(rng, tower, n, ram, lower):
+    one, zero = LaurentSeries.one(tower, ram), LaurentSeries.zero(tower, ram)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if ((i > j) if lower else (i < j)) and rng.random() < 0.7:
+                rows[i][j] = _series(rng, tower, ram, "exact", 0, 2)
+    return LaurentMatrix(tower, rows, ram)
+
+
+def _tower_gauge_cases(count=48):
+    """``(connection, gauge)`` pairs drawn from one ``Random(13)``: rank 1-3,
+    ramification 1-2, over ``K1`` or ``K2``; the connection's entries exact,
+    truncated, truncated zero or exactly zero; the gauge exact with a
+    monomial determinant (``L D U``), that gauge truncated with some entries
+    replaced by truncated zeros, a random truncated matrix (which may be
+    singular to its precision), or ``L D U`` times the exact ``1 + u`` (whose
+    inverse does not terminate)."""
+    rng = random.Random(13)
+    kinds = ("exact", "exact", "truncated", "truncated_zero", "zero")
+    cases = []
+    for k in range(count):
+        tower, n, ram = (K1, K2)[k % 2], 1 + k % 3, 1 + (k // 3) % 2
+        c = Connection(LaurentMatrix(
+            tower, [[_series(rng, tower, ram, rng.choice(kinds)) for _ in range(n)]
+                    for _ in range(n)], ram))
+        monomials = LaurentMatrix.diagonal(tower, [LaurentSeries.monomial(
+            tower, _element(rng, tower, nonzero=True), rng.randint(-2, 2), ram)
+            for _ in range(n)], ram)
+        exact = (_unit_triangular(rng, tower, n, ram, True) * monomials
+                 * _unit_triangular(rng, tower, n, ram, False))
+        form = k // 6 % 4
+        if form == 0:
+            g = exact
+        elif form == 1:
+            prec = exact.valuation + rng.randint(3, 6)
+            rows = [[LaurentSeries(tower, {}, prec, ram) if rng.random() < 0.2 else s
+                     for s in row] for row in exact.truncate(prec).entries]
+            g = LaurentMatrix(tower, rows, ram)
+        elif form == 2:
+            g = LaurentMatrix(tower, [[_series(rng, tower, ram, "truncated")
+                                       for _ in range(n)] for _ in range(n)], ram)
+        else:
+            g = exact * LaurentSeries(tower, {0: 1, 1: 1}, INF, ram)
+        cases.append((c, g))
+    return cases
+
+
+def _tower_gauge_digest():
+    digest = hashlib.sha256()
+    for c, g in _tower_gauge_cases():
+        for run in (g.inverse, lambda: c.gauge(g).matrix):
+            try:
+                out = [[serialize.encode_series(s) for s in row] for row in run().entries]
+            except EngineError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(serialize.dumps(out).encode())
+    return digest.hexdigest()
+
+
+def test_tower_gauges_and_inverses_match_the_recorded_digest():
+    assert _tower_gauge_digest() == TOWER_GAUGES
+
+
 def test_reduce_of_the_rank3_pole3_file_matches_the_recorded_digest(tmp_path):
     assert _rank3_digest(tmp_path) == REDUCE_RANK3_P24
 
@@ -256,3 +357,4 @@ if __name__ == "__main__":
     print("}")
     print(f'REDUCE_REPLAY_TREES = "{_reduce_replay_digest()}"')
     print(f'REDUCE_RANK3_P24 = ({rank3[0]}, "{rank3[1]}")')
+    print(f'TOWER_GAUGES = "{_tower_gauge_digest()}"')
