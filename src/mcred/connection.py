@@ -20,9 +20,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainViolation, NotBlockDiagonal
-from .field import FieldElement, FieldTower
+from .field import FieldElement, FieldTower, common_tower
 from .matrices import LaurentMatrix, block_diag
-from .series import INF, LaurentSeries
+from .series import (INF, LaurentSeries, _accumulate, _form_product, _forms, _integral,
+                     _materialise, _negated)
 
 
 class Connection:
@@ -120,14 +121,29 @@ class Connection:
 
         An exact ``g`` must have a monomial determinant, since any other
         exact inverse does not terminate; truncate such a gauge first.
+
+        The product ``g G`` is settled on the product kernel's integer forms
+        (:func:`series._integral`), and each entry of the result is one
+        :func:`series._accumulate` over the pairs ``(g G)_al (g^{-1})_lb`` and
+        ``-(dg/du)_al (g^{-1})_lb``, built into a series once.  Its precision
+        is the minimum over those pairs, which is what the difference of the
+        two products would have.
         """
         if g.nrows != g.ncols or g.nrows != self.size:
             raise DomainViolation("gauge shape does not match the connection")
         if g.ram != self.ram:
             raise DomainViolation(f"gauge has ramification {g.ram}, not {self.ram}")
         gi = g.inverse()
-        new = g * self.matrix * gi - g.derivative() * gi
-        return Connection(new)
+        tower, ram = common_tower(g.tower, self.tower), self.ram
+        size = tower.sizes[-1]
+        g_g = _form_product(tower, _forms(g.entries, ram, size),
+                            _forms(self.matrix.entries, ram, size))
+        minus_dg = [[_negated(_integral(s.derivative(), ram, size)) for s in row]
+                    for row in g.entries]
+        cols = list(zip(*_forms(gi.entries, ram, size)))
+        return Connection(LaurentMatrix(tower, [
+            [_materialise(tower, ram, *_accumulate(size, [*zip(a, col), *zip(b, col)]))
+             for col in cols] for a, b in zip(g_g, minus_dg)], ram))
 
     def ramify(self, b: int) -> "Connection":
         """Pull back along ``u = w**b`` (so ``w**(b*ram) = t``).

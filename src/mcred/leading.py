@@ -30,7 +30,8 @@ from typing import Sequence
 
 from . import linalg
 from .connection import Connection
-from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTerm
+from .errors import (DomainViolation, EngineError, LinearSolveFailed, NotInvertible,
+                     ScalarLeadingTerm)
 from .field import (
     FieldElement,
     FieldTower,
@@ -46,7 +47,7 @@ from .field import (
     poly_trim,
 )
 from .matrices import LaurentMatrix
-from .series import INF, _accumulate, _integral, _materialise, _settle
+from .series import INF, _accumulate, _form_product, _from_form, _integral, _settle
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +265,6 @@ def _apply(m: tuple, v: tuple, den: int = 1) -> list[FieldElement]:
 _ONE = (0, INF, 1, [(0, 1)])  # the form of the exact series 1
 
 
-def _form_product(tower: FieldTower, a: list, b: list) -> list:
-    """The product of two grids of forms, as a grid of forms."""
-    size = tower.sizes[-1]
-    cols = list(zip(*b))
-    return [[_settle(tower, *_accumulate(size, zip(row, col))) for col in cols] for row in a]
-
-
 def _coeff_vector(tower: FieldTower, forms: list, e: int) -> tuple:
     """The vector form of the row-major coefficients at ``u**e`` of a grid of
     forms, at the top level of ``tower``.  A step never lowers an entry's
@@ -325,9 +319,7 @@ def _step_gauge(c_mat: list, i: int, p: int, size: int) -> tuple:
 
 def _matrix(tower: FieldTower, ram: int, forms: list) -> LaurentMatrix:
     """The matrix of series with these forms."""
-    return LaurentMatrix(tower, [[_materialise(tower, ram, INF, 1, {}) if f is None
-                                  else _materialise(tower, ram, f[1], f[2], dict(f[3]))
-                                  for f in row] for row in forms], ram)
+    return LaurentMatrix(tower, [[_from_form(tower, ram, f) for f in row] for row in forms], ram)
 
 
 def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationRecord:
@@ -384,13 +376,22 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
         to_target = _row_terms(linalg.inverse(linalg.transpose(kernel + target))[len(kernel):])
     except NotInvertible:
         raise DomainViolation("kernel and target do not span gl_n") from None
-    # solve() sets free variables to zero, so its answer is linear in the
-    # right-hand side and one solve per target vector serves every step
+    # one elimination of [ad(lead) S | targets], read like linalg.solve with
+    # every free variable zero, so the answer is linear in the right-hand
+    # side and one solution per target vector serves every step
     source_mat = linalg.transpose(source)
     solve_mat = linalg.mat_mul(linalg.ad_matrix(lead), source_mat)
+    width = len(source)
+    reduced, pivots = linalg.rref([row + list(t) for row, t in zip(solve_mat, zip(*target))])
+    if pivots and pivots[-1] >= width:
+        raise LinearSolveFailed("inconsistent linear system")
+    zero = common_context(solve_mat)[0].zero()
+    solutions = [[zero] * width for _ in target]
+    for row, p in zip(reduced, pivots):
+        for x, t in zip(solutions, row[width:]):
+            x[p] = t
     cancel = _row_terms(linalg.transpose(
-        [[-x for x in linalg.mat_vec(source_mat, linalg.solve(solve_mat, t))]
-         for t in target]))
+        [[-x for x in linalg.mat_vec(source_mat, z)] for z in solutions]))
 
     p = s_prec + r
     ram = c.ram

@@ -14,8 +14,9 @@ Division by a zero divisor inside an algebraic extension raises
 and restarts with the discovered factorization, everyone else lets it
 propagate.
 
-A few routines (``det``, ``adjugate``) deliberately avoid division so that
-they also work verbatim over non-field coefficient rings (truncated series).
+Determinants and adjugates of series matrices are not here:
+:meth:`matrices.LaurentMatrix.inverse` expands its cofactors division-free on
+the product kernel's integer forms.
 """
 
 from __future__ import annotations
@@ -247,53 +248,6 @@ def column_space_basis(m: Matrix) -> list[Vector]:
     """The pivot columns of ``m`` (a canonical basis of the image)."""
     _, pivots = rref(m)
     return [[row[p] for row in m] for p in pivots]
-
-
-# ---------------------------------------------------------------------------
-# division-free determinants (work over any commutative coefficient ring)
-# ---------------------------------------------------------------------------
-
-
-def det(m: Matrix):
-    """Determinant by cofactor expansion; no divisions are performed.
-
-    Exponential in ``n`` but the engine only ever needs small matrices, and
-    avoiding division means this is safe over truncated series and never
-    raises ``ZeroDivisorSplit``.
-    """
-    n, c = mat_shape(m)
-    if n != c:
-        raise DomainViolation("determinant of a non-square matrix")
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * det(minor)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def adjugate(m: Matrix) -> Matrix:
-    """Classical adjugate, division-free: ``m @ adjugate(m) == det(m) * I``."""
-    n, c = mat_shape(m)
-    if n != c:
-        raise DomainViolation("adjugate of a non-square matrix")
-    if n == 1:
-        raise DomainViolation("adjugate of a 1x1 matrix needs an explicit one")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(m) if k != j]
-            cof = det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            row.append(cof)
-        out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ payload kernel :func:`series.mat_product` once for the whole matrix: entry
 over the ``k`` whose factors are both nonzero, as if summed term by term.
 
 Inverses go through the classical adjugate so that the only series inversion
-is the determinant's; the determinant itself is computed division-free.  The
-exponential and logarithm are honest about precision: for a truncated
-argument of valuation >= 1 the result carries the argument's precision, and
-an exact argument must be nilpotent because its exponential would not
-terminate otherwise.
+is the determinant's.  The cofactors are expanded division-free on the
+product kernel's integer forms, and every entry of the inverse is built
+once.  The exponential and logarithm are honest about precision: for a
+truncated argument of valuation >= 1 the result carries the argument's
+precision, and an exact argument must be nilpotent because its exponential
+would not terminate otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Sequence
 from . import linalg
 from .errors import DomainViolation, NotNilpotent
 from .field import FieldElement, FieldTower, common_tower
-from .series import INF, LaurentSeries, mat_product
+from .series import (INF, LaurentSeries, _accumulate, _forms, _integral, _materialise,
+                     _negated, _settle, mat_product)
 
 
 def _as_series(tower: FieldTower, ram: int, x) -> LaurentSeries:
@@ -252,17 +254,38 @@ class LaurentMatrix:
     def inverse(self) -> "LaurentMatrix":
         """Inverse via the adjugate; the determinant is the only inversion.
 
-        The determinant is row 0 of ``self @ adj(self)``, so the minors are
-        expanded once.  An exact matrix inverts only when its determinant is
-        a monomial; otherwise truncate it first (a truncated determinant
-        inverts to its own precision).
+        The cofactors are expanded along the first row, recursively, on the
+        product kernel's integer forms: each minor is one
+        :func:`series._accumulate` over its signed products, settled back
+        into a form (:func:`series._settle`), so after cancellation it has
+        the valuation and the precision that the series operations give it.
+        The determinant ``d`` is row 0 of ``self @ adj(self)``, and each
+        entry of ``adj(self) * d**-1`` is built once.  An exact matrix
+        inverts only when its determinant is a monomial; otherwise truncate
+        it first (a truncated determinant inverts to its own precision).
         """
         if self.size == 1:
             return LaurentMatrix(self.tower, [[self.entries[0][0].inverse()]],
                                  self.ram)
-        adj = linalg.adjugate(self.entries)
-        d = linalg.mat_vec(self.entries[:1], [r[0] for r in adj])[0]
-        return LaurentMatrix(self.tower, adj, self.ram) * d.inverse()
+        tower, ram = self.tower, self.ram
+        size = tower.sizes[-1]
+        m = _forms(self.entries, ram, size)
+
+        def det(grid: list):
+            if len(grid) == 1:
+                return grid[0][0]
+            return _settle(tower, *_accumulate(size, [
+                (_negated(f) if j % 2 else f, det([row[:j] + row[j + 1:] for row in grid[1:]]))
+                for j, f in enumerate(grid[0])]))
+
+        adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j])
+                for j in range(len(m))] for i in range(len(m))]
+        adj = [[_negated(f) if (i + j) % 2 else f for j, f in enumerate(row)]
+               for i, row in enumerate(adj)]
+        d = _materialise(tower, ram, *_accumulate(size, zip(m[0], [r[0] for r in adj])))
+        d_inv = _integral(d.inverse(), ram, size)
+        return LaurentMatrix(tower, [[_materialise(tower, ram, *_accumulate(size, [(f, d_inv)]))
+                                      for f in row] for row in adj], ram)
 
     def __repr__(self) -> str:
         rows = [", ".join(repr(s) for s in r) for r in self.entries]

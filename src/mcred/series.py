@@ -25,10 +25,15 @@ denominator per series, and sums the products unreduced per exponent and
 position (the layout of :mod:`mcred.field`); terms at or past the precision
 are never formed.  :func:`_materialise` turns each output coefficient into
 one ``Fraction`` per coordinate after one ``field._fold`` by the minimal
-polynomials, and drops zero sums.  A loop of products that needs no series
-in between (the Sibuya steps of :mod:`mcred.leading`) replaces the second
-half by :func:`_settle`, which folds on integers and divides by the gcd, so
-that the result is again an :func:`_integral` form, with the same integers.
+polynomials, and drops zero sums.  A chain of products that needs no series
+in between replaces the second half by :func:`_settle`, which folds on
+integers and divides by the gcd, so that the result is again an
+:func:`_integral` form, with the same integers (:func:`_form_product` for a
+grid).  Three users chain forms so: the Sibuya steps of
+:mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse`` and the
+``g G`` of ``Connection.gauge``, which then builds each entry of
+``g G g**-1 - g' g**-1`` from one accumulation.  :func:`_from_form` builds
+the series of a form.
 """
 
 from __future__ import annotations
@@ -460,12 +465,36 @@ def _settle(tower: FieldTower, prec, den: int, acc: dict):
     return terms[0][0] // size, prec, den, terms
 
 
+def _from_form(tower: FieldTower, ram: int, form) -> LaurentSeries:
+    """The series whose :func:`_integral` form over ``tower`` is ``form``."""
+    if form is None:
+        return LaurentSeries.zero(tower, ram)
+    return _materialise(tower, ram, form[1], form[2], dict(form[3]))
+
+
+def _negated(form):
+    """The :func:`_integral` form of ``-s``, for the form of ``s``."""
+    return form and (form[0], form[1], form[2], [(k, -n) for k, n in form[3]])
+
+
+def _forms(grid, ram: int, size: int) -> list:
+    """The :func:`_integral` forms of a grid of series."""
+    return [[_integral(s, ram, size) for s in row] for row in grid]
+
+
+def _form_product(tower: FieldTower, a: list, b: list) -> list:
+    """The product of two grids of forms over ``tower``, as a grid of forms."""
+    size = tower.sizes[-1]
+    cols = list(zip(*b))
+    return [[_settle(tower, *_accumulate(size, zip(row, col))) for col in cols] for row in a]
+
+
 def mat_product(tower: FieldTower, ram: int, a, b) -> list[list[LaurentSeries]]:
     """The product of two grids of series over ``tower`` in ``w**ram = t``, a
     common tower and ramification of the entries; each entry converts once."""
     if len(a[0]) != len(b):
         raise DomainViolation("matrix shapes incompatible in product")
     size = tower.sizes[-1]
-    cols = [[_integral(s, ram, size) for s in col] for col in zip(*b)]
+    cols = list(zip(*_forms(b, ram, size)))
     return [[_materialise(tower, ram, *_accumulate(size, zip(row, col))) for col in cols]
-            for row in ([_integral(s, ram, size) for s in r] for r in a)]
+            for row in _forms(a, ram, size)]

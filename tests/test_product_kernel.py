@@ -10,7 +10,11 @@ zero-to-precision and exactly zero entries; every coefficient and every
 entry's precision must agree.  The integer half of the kernel is checked
 too: a product settled on integers (``series._settle``, which the Sibuya
 step loop chains) must be exactly the integer form of the series the
-kernel builds.  The run is derandomized, keeps no example
+kernel builds.  ``LaurentMatrix.inverse`` and ``Connection.gauge``, which
+run on those integer forms, are checked against the series paths they
+replaced (:func:`_old_inverse`, :func:`_old_gauge`) at rank 1-4: every
+entry's precision, valuation and encoding, or the type and message of the
+exception, must agree.  The run is derandomized, keeps no example
 database and points Hypothesis' caches at a temporary directory.
 """
 
@@ -29,6 +33,9 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 _HOME = tempfile.TemporaryDirectory(prefix="mcred-hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
 
+from mcred import linalg, serialize  # noqa: E402
+from mcred.connection import Connection  # noqa: E402
+from mcred.errors import EngineError  # noqa: E402
 from mcred.field import FieldElement, FieldTower, common_tower  # noqa: E402
 from mcred.matrices import LaurentMatrix  # noqa: E402
 from mcred.series import (  # noqa: E402
@@ -39,6 +46,7 @@ from mcred.series import (  # noqa: E402
     _materialise,
     _settle,
 )
+from test_matrices import _adjugate  # noqa: E402
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -83,6 +91,23 @@ def reference_mat_mul(a, b):
             row.append(acc)
         rows.append(row)
     return LaurentMatrix(a.tower, rows, a.ram)
+
+
+def _old_inverse(g):
+    """The series path ``LaurentMatrix.inverse`` replaced: the adjugate and
+    row 0 of ``g @ adj(g)`` by the entries' own operators, then one series
+    inverse of the determinant."""
+    if g.size == 1:
+        return LaurentMatrix(g.tower, [[g.entries[0][0].inverse()]], g.ram)
+    adj = _adjugate(g.entries)
+    d = linalg.mat_vec(g.entries[:1], [r[0] for r in adj])[0]
+    return LaurentMatrix(g.tower, adj, g.ram) * d.inverse()
+
+
+def _old_gauge(c, g):
+    """The series path ``Connection.gauge`` replaced."""
+    gi = _old_inverse(g)
+    return Connection(g * c.matrix * gi - g.derivative() * gi)
 
 
 # -- strategies ----------------------------------------------------------------
@@ -141,7 +166,68 @@ def matrix_pairs(draw):
     return a, b
 
 
+@st.composite
+def unit_triangular(draw, tower, ram, n, lower):
+    one, zero = LaurentSeries.one(tower, ram), LaurentSeries.zero(tower, ram)
+    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (i > j) if lower else (i < j):
+                exps = draw(st.lists(st.integers(0, 2), max_size=2, unique=True))
+                rows[i][j] = LaurentSeries(tower, {e: draw(elements(tower)) for e in exps},
+                                           INF, ram)
+    return LaurentMatrix(tower, rows, ram)
+
+
+@st.composite
+def gauges(draw, tower, ram, n):
+    """An exact gauge ``L D U`` with a monomial determinant, that gauge
+    truncated with some entries replaced by zeros to precision, that gauge
+    times ``1 + u``, exact (no terminating inverse) or truncated (so each
+    entry keeps its own relative precision and the minors cancel), or a
+    matrix of random series (maybe singular to its precision)."""
+    kind = draw(st.sampled_from(["monomial", "truncated", "unit", "random"]))
+    if kind == "random":
+        return LaurentMatrix(tower, [[draw(series(tower, ram)) for _ in range(n)]
+                                     for _ in range(n)], ram)
+    nonzero = elements(tower).filter(lambda x: not x.is_zero())
+    diag = LaurentMatrix.diagonal(tower, [
+        LaurentSeries.monomial(tower, draw(nonzero), draw(st.integers(-2, 2)), ram)
+        for _ in range(n)], ram)
+    g = (draw(unit_triangular(tower, ram, n, True)) * diag
+         * draw(unit_triangular(tower, ram, n, False)))
+    if kind == "truncated":
+        prec = g.valuation + draw(st.integers(1, 5))
+        g = LaurentMatrix(tower, [[LaurentSeries(tower, {}, prec, ram) if draw(st.booleans())
+                                   and draw(st.booleans()) else s.truncate(prec)
+                                   for s in row] for row in g.entries], ram)
+    elif kind == "unit":
+        g = g * LaurentSeries(tower, {0: 1, 1: 1}, draw(st.sampled_from([INF, 2, 3, 4])), ram)
+    return g
+
+
+@st.composite
+def gauge_cases(draw):
+    """``(connection, gauge)`` of rank 1-4 at one ramification, over
+    prefixes of one tower."""
+    n, ram = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2]))
+    tc, tg = draw(st.sampled_from(TOWERS)), draw(st.sampled_from(TOWERS))
+    c = Connection(LaurentMatrix(tc, [[draw(series(tc, ram)) for _ in range(n)]
+                                      for _ in range(n)], ram))
+    return c, draw(gauges(tg, ram, n))
+
+
 # -- the properties ------------------------------------------------------------
+
+
+def outcome(run):
+    """Each entry's precision, valuation and encoding, or the exception."""
+    try:
+        m = run()
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return m.ram, m.tower, [[(s.prec, s.valuation, serialize.dumps(serialize.encode_series(s)))
+                             for s in row] for row in m.entries]
 
 
 def assert_same_series(got, want):
@@ -184,6 +270,14 @@ def test_settled_products_are_the_integer_forms_of_the_built_series(pair):
             prec, den, acc = _accumulate(size, zip(forms, col))
             want = _integral(_materialise(tower, ram, prec, den, acc), ram, size)
             assert _settle(tower, prec, den, acc) == want
+
+
+@settings(ORACLE, max_examples=150)
+@given(gauge_cases())
+def test_inverse_and_gauge_match_the_series_paths(case):
+    c, g = case
+    assert outcome(g.inverse) == outcome(lambda: _old_inverse(g))
+    assert outcome(lambda: c.gauge(g).matrix) == outcome(lambda: _old_gauge(c, g).matrix)
 
 
 def test_exact_zero_factor_contributes_no_precision():
