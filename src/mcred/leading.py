@@ -35,8 +35,7 @@ from .errors import (DomainViolation, EngineError, LinearSolveFailed, NotInverti
 from .field import (
     FieldElement,
     FieldTower,
-    _fold,
-    _over_lcm,
+    _nest,
     _poly_gcd,
     _unfold,
     common_context,
@@ -47,7 +46,8 @@ from .field import (
     poly_trim,
 )
 from .matrices import LaurentMatrix
-from .series import INF, _accumulate, _form_product, _from_form, _integral, _settle
+from .series import (INF, _accumulate, _form_product, _forms, _from_form, _negated,
+                     _settle)
 
 
 # ---------------------------------------------------------------------------
@@ -215,105 +215,63 @@ class NormalizationRecord:
     corrections: list = dataclass_field(default_factory=list)
 
 
-def _terms(xs: Sequence[FieldElement]) -> tuple:
-    """``(den, {index: [(position, numerator)]})``: the nonzero coordinates of
-    the elements ``xs`` as integers over one denominator, as the product
-    kernel reads them; a position names the same coordinate at every level."""
-    den, terms = _over_lcm([((k, pos), q) for k, x in enumerate(xs)
-                            for pos, q in _unfold(x.tower, x.level, x.payload)])
-    out: dict[int, list] = {}
-    for (k, pos), num in terms:
-        out.setdefault(k, []).append((pos, num))
-    return den, out
-
-
-def _row_terms(m: Sequence[Sequence[FieldElement]]) -> tuple:
-    """``(tower, level, rows)``: the common tower and level of ``m`` and the
-    :func:`_terms` of each row, the form :func:`_apply` takes."""
-    tower, level = common_context(m)
-    return tower, level, [_terms(row) for row in m]
-
-
-def _vec(xs: Sequence[FieldElement]) -> tuple:
-    """``(tower, level, terms)``: the common tower and level of the vector
-    ``xs`` and its :func:`_terms`, the vector form :func:`_apply` takes."""
-    return (*common_context([xs]), _terms(xs))
-
-
-def _apply(m: tuple, v: tuple, den: int = 1) -> list[FieldElement]:
-    """``linalg.mat_vec`` of a :func:`_row_terms` matrix and a vector form,
-    over ``den``, on integer coordinates; the result sits at the common tower
-    and level of both, where the element operators would put it."""
-    tower, level, rows = m
-    v_tower, v_level, (dv, tv) = v
-    tower, level = common_tower(tower, v_tower), max(level, v_level)
-    out = []
-    for dr, tr in rows:  # integer products summed per position, folded once
-        nums: dict[int, int] = {}
-        for k, xs in tr.items():
-            for pb, nb in tv.get(k, ()):
-                for pa, na in xs:
-                    nums[pa + pb] = nums.get(pa + pb, 0) + na * nb
-        out.append(FieldElement(tower, level, _fold(tower, level, nums, dr * dv * den)))
-    return out
-
-
-# The step loop of :func:`sibuya_normalize` keeps its matrices as grids of
-# :func:`series._integral` forms ``(valuation, prec, den, terms)``, ``None``
-# for an exact zero, all over one tower and ramification.
+# The step loop of :func:`sibuya_normalize` keeps its matrices, and the
+# constant maps it applies, as grids of :func:`series._integral` forms
+# ``(valuation, prec, den, terms)``, ``None`` for an exact zero, all over one
+# tower and ramification.  A constant's form has valuation 0, precision
+# ``INF`` and every key below ``tower.sizes[-1]``.
 
 _ONE = (0, INF, 1, [(0, 1)])  # the form of the exact series 1
 
 
-def _coeff_vector(tower: FieldTower, forms: list, e: int) -> tuple:
-    """The vector form of the row-major coefficients at ``u**e`` of a grid of
-    forms, at the top level of ``tower``.  A step never lowers an entry's
-    precision below the connection's, so every ``e`` a step reads is known."""
-    size = tower.sizes[-1]
+def _coefficients(forms: list, e: int, size: int) -> list:
+    """The column of constant forms of the row-major coefficients at ``u**e``
+    of a grid of forms.  A step never lowers an entry's precision below the
+    connection's, so every ``e`` a step reads is known."""
     lo, hi = e * size, (e + 1) * size
-    parts = {}
-    for k, f in enumerate(f for row in forms for f in row):
-        if f is None:
-            continue
-        terms = f[3]
+    column = []
+    for f in (f for row in forms for f in row):
+        terms = f[3] if f else []
         a = bisect.bisect_left(terms, (lo,))
         b = bisect.bisect_left(terms, (hi,), a)
-        if a < b:
-            parts[k] = (f[2], terms[a:b])
-    den = lcm(*[d for d, _ in parts.values()])
-    return tower, tower.depth, (den, {k: [(key - lo, num * (den // d)) for key, num in ts]
-                                      for k, (d, ts) in parts.items()})
+        column.append([(0, INF, f[2], [(k - lo, num) for k, num in terms[a:b]]) if a < b
+                       else None])
+    return column
 
 
-def _step_gauge(c_mat: list, i: int, p: int, size: int) -> tuple:
-    """``(E, E**-1, D)`` as grids of forms for ``E = exp(-u**i C)``: ``E`` and
-    ``E**-1 = exp(u**i C)`` modulo ``u**p``, every entry known below ``p``,
-    from one list of the powers of the constant ``C``; and ``D`` the pairs
-    whose products add ``-(dE/du) E**-1 = i u**(i-1) C``, known below ``p - 1``."""
-    tower, level = common_context(c_mat)
-    n = len(c_mat)
-    one, zero = tower.one(level), tower.zero(level)
-    powers = [[[one if a == b else zero for b in range(n)] for a in range(n)]]
-    c_rows = _row_terms(linalg.transpose(c_mat))  # row @ C is C^T applied to row
-    for k in range(1, (p - 1) // i + 1):  # powers[k] = C**k / k!
-        power = [_apply(c_rows, _vec(row), k) for row in powers[-1]]
-        if all(x.is_zero() for row in power for x in row):
+def _polynomial(parts: list, prec, size: int) -> tuple:
+    """The form of ``sum(u**e * x for e, x in parts)`` known below ``prec``,
+    for increasing ``e`` and constant forms ``x`` (``None`` adds nothing):
+    the keys of ``x`` move up by ``e * size``.  A sum of no terms is still
+    known only below ``prec``."""
+    parts = [(e, x) for e, x in parts if x]
+    den = lcm(*[x[2] for _, x in parts])
+    terms = [(e * size + k, num * (den // x[2])) for e, x in parts for k, num in x[3]]
+    return terms[0][0] // size if terms else prec, prec, den, terms
+
+
+def _step_gauge(tower: FieldTower, c_forms: list, i: int, p: int) -> tuple:
+    """``(E, E**-1, D)`` as grids of forms for ``E = exp(-u**i C)``, where
+    ``c_forms`` holds the constant forms of ``C``: ``E`` and ``E**-1 =
+    exp(u**i C)`` modulo ``u**p``, every entry known below ``p``, from one
+    list of the powers of ``C``; and ``D`` the pairs whose products add
+    ``-(dE/du) E**-1 = i u**(i-1) C``, known below ``p - 1``."""
+    n, size = len(c_forms), tower.sizes[-1]
+    powers = [[[_ONE if a == b else None for b in range(n)] for a in range(n)]]
+    for k in range(1, (p - 1) // i + 1):  # powers[k] = C**k / k! = powers[k-1] (C / k)
+        power = _form_product(tower, powers[-1],
+                              [[x and (0, INF, x[2] * k, x[3]) for x in row] for row in c_forms])
+        if all(x is None for row in power for x in row):
             break
         powers.append(power)
 
-    def form(coords: list, prec: int) -> tuple:
-        den, terms = _over_lcm(coords)
-        return terms[0][0] // size if terms else prec, prec, den, terms
-
     def exponential(sign: int) -> list:
-        return [[form([(i * k * size + pos, -q if sign < 0 and k % 2 else q)
-                       for k, t in enumerate(powers)
-                       for pos, q in _unfold(tower, t[a][b].level, t[a][b].payload)], p)
+        return [[_polynomial([(i * k, _negated(t[a][b]) if sign < 0 and k % 2 else t[a][b])
+                          for k, t in enumerate(powers)], p, size)
                  for b in range(n)] for a in range(n)]
 
-    dlog = [[(form([((i - 1) * size + pos, q * i)
-                    for pos, q in _unfold(tower, x.level, x.payload)], p - 1), _ONE)
-             for x in row] for row in c_mat]
+    dlog = [[(_polynomial([(i - 1, x)], p - 1, size), (0, INF, 1, [(0, i)])) for x in row]
+            for row in c_forms]
     return exponential(-1), exponential(1), dlog
 
 
@@ -334,8 +292,12 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
 
     Both maps a step needs are fixed by the lead and the splitting, so they
     are solved for once: ``to_target`` reads off the target coordinates of a
-    coefficient, and ``cancel`` carries target coordinates to ``C_i``.  Both
-    are applied on integer coordinates, the layout of the product kernel.
+    coefficient, and ``cancel`` carries target coordinates to ``C_i``.  They
+    are composed once into ``step = cancel . to_target``, so a step applies
+    one map, to the column of its coefficient.  ``C_i = 0`` exactly when the
+    target coordinates are 0: ``cancel`` is injective, because ``ad(lead)``
+    carries ``-C_i`` back to the target vector of those coordinates, and the
+    target vectors are independent.
 
     A step needs no gauge: ``E**-1 = exp(u**i C_i)`` and
     ``(dE/du) E**-1 = -i u**(i-1) C_i`` in closed form.  So with
@@ -345,15 +307,18 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     ``C_i``.  Every coefficient and precision is the one the general gauge
     ``E G E**-1 - (dE/du) E**-1`` would give.
 
-    The loop never builds a series: ``G`` and ``total`` stay grids of the
-    product kernel's integer forms (:func:`series._integral`).  Each product
-    is one :func:`series._accumulate` per entry, the last term of ``G`` is
-    one more pair in its second one, and :func:`series._settle` folds and
-    divides each result back into a form.  A step reads its coefficient
-    straight off those forms, at the top level of the tower: ``to_target``
-    already sits there (:func:`linalg.inverse` pivots against the identity
-    at the top level), so ``C_i`` has the level the element operators would
-    give it.  The two matrices are built once, after the last step.
+    The loop builds no series, and field elements only for the recorded
+    ``C_i``: the maps, ``G`` and ``total`` are grids of the product kernel's
+    integer forms (:func:`series._integral`), every product is one
+    :func:`series._form_product`, and the last term of ``G`` is one more
+    pair in the accumulation of ``(E G) E**-1``.  A step reads its
+    coefficient straight off those forms, and the powers of ``C_i``, ``E``,
+    ``E**-1`` and the last term are shifts of their keys.  Each ``C_i`` is
+    recorded at the top level of the tower, where the element operators put
+    it: ``to_target`` already sits there (:func:`linalg.inverse` pivots
+    against the identity at the top level).  The two matrices are built
+    once, after the last step.  The final check that no target component
+    is left is one product of ``to_target`` with the column of all of ``G``.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -373,7 +338,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     if not target:
         return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram))
     try:
-        to_target = _row_terms(linalg.inverse(linalg.transpose(kernel + target))[len(kernel):])
+        to_target = linalg.inverse(linalg.transpose(kernel + target))[len(kernel):]
     except NotInvertible:
         raise DomainViolation("kernel and target do not span gl_n") from None
     # one elimination of [ad(lead) S | targets], read like linalg.solve with
@@ -390,42 +355,45 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     for row, p in zip(reduced, pivots):
         for x, t in zip(solutions, row[width:]):
             x[p] = t
-    cancel = _row_terms(linalg.transpose(
-        [[-x for x in linalg.mat_vec(source_mat, z)] for z in solutions]))
+    cancel = linalg.transpose([[-x for x in linalg.mat_vec(source_mat, z)] for z in solutions])
 
     p = s_prec + r
     ram = c.ram
-    tower = common_tower(c.tower, common_tower(to_target[0], cancel[0]))
-    size = tower.sizes[-1]
-    work = [[_integral(s, ram, size) for s in row] for row in c.matrix.entries]
+    tower = common_tower(c.tower, common_context(to_target + cancel)[0])
+    size, level = tower.sizes[-1], tower.depth
+    to_target = _forms(LaurentMatrix.constant(tower, to_target).entries, 1, size)
+    step = _form_product(tower, _forms(LaurentMatrix.constant(tower, cancel).entries, 1, size),
+                         to_target)
+    work = _forms(c.matrix.entries, ram, size)
     total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
     corrections = []
     for i in range(1, p):
-        coords = _apply(to_target, _coeff_vector(tower, work, -r + i))
-        if all(x.is_zero() for x in coords):
+        c_col = _form_product(tower, step, _coefficients(work, -r + i, size))
+        if all(x is None for x, in c_col):
             continue
-        c_mat = linalg.unvec(_apply(cancel, _vec(coords)), n, n)
-        e, e_inv, dlog = _step_gauge(c_mat, i, p, size)
+        c_forms = [[x for x, in c_col[a * n:(a + 1) * n]] for a in range(n)]
+        e, e_inv, dlog = _step_gauge(tower, c_forms, i, p)
         ew = _form_product(tower, e, work)
         work = [[_settle(tower, *_accumulate(size, [*zip(ew_row, col), d]))
                  for col, d in zip(zip(*e_inv), dlog_row)]
                 for ew_row, dlog_row in zip(ew, dlog)]
         total = _form_product(tower, e, total)
-        corrections.append((i, c_mat))
+        corrections.append((i, [[FieldElement(tower, level, _nest(tower, level, dict(x[3]), x[2]))
+                                 if x else tower.zero() for x in row] for row in c_forms]))
     if corrections:
-        work, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
+        matrix, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
     else:
-        work, total = c.matrix, LaurentMatrix.identity(c.tower, n, ram)
-    if work.prec != s_prec or work.valuation != -r:
+        matrix, total = c.matrix, LaurentMatrix.identity(c.tower, n, ram)
+    if matrix.prec != s_prec or matrix.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")
-    for i in range(1, p):
-        leftover = _apply(to_target, _vec(linalg.vec(work.coeff_matrix(-r + i))))
-        if not all(x.is_zero() for x in leftover):
-            raise EngineError(
-                f"coefficient at offset {i} still has a component in the "
-                "complement after normalization"
-            )
-    return NormalizationRecord(Connection(work), total, corrections)
+    leftover = _form_product(tower, to_target, [[x] for row in work for x in row])
+    keys = [k for x, in leftover if x for k, _ in x[3] if (1 - r) * size <= k < s_prec * size]
+    if keys:
+        raise EngineError(
+            f"coefficient at offset {min(keys) // size + r} still has a component in the "
+            "complement after normalization"
+        )
+    return NormalizationRecord(Connection(matrix), total, corrections)
 
 
 # ---------------------------------------------------------------------------

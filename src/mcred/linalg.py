@@ -292,26 +292,15 @@ def poly_at_matrix(coeffs: Sequence[FieldElement], m: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# vectorisation and the adjoint action
+# the adjoint action
 # ---------------------------------------------------------------------------
-
-
-def vec(m: Matrix) -> Vector:
-    """Row-major flattening: entry (i, j) lands in slot i*n + j."""
-    return [x for row in m for x in row]
-
-
-def unvec(v: Vector, rows: int, cols: int) -> Matrix:
-    if len(v) != rows * cols:
-        raise DomainViolation("vector length does not match the target shape")
-    return [list(v[i * cols : (i + 1) * cols]) for i in range(rows)]
 
 
 def ad_matrix(m: Matrix) -> Matrix:
     """Matrix of ``X -> m X - X m`` on row-major coordinates.
 
-    Column ``a*n + b`` is ``vec([m, E_ab])``:  ``+m[i][a]`` in row ``i*n + b``
-    and ``-m[b][j]`` in row ``a*n + j``.
+    Column ``a*n + b`` is the flattened ``[m, E_ab]``:  ``+m[i][a]`` in row
+    ``i*n + b`` and ``-m[b][j]`` in row ``a*n + j``.
     """
     n, c = mat_shape(m)
     if n != c:

@@ -29,11 +29,12 @@ polynomials, and drops zero sums.  A chain of products that needs no series
 in between replaces the second half by :func:`_settle`, which folds on
 integers and divides by the gcd, so that the result is again an
 :func:`_integral` form, with the same integers (:func:`_form_product` for a
-grid).  Three users chain forms so: the Sibuya steps of
-:mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse`` and the
-``g G`` of ``Connection.gauge``, which then builds each entry of
-``g G g**-1 - g' g**-1`` from one accumulation.  :func:`_from_form` builds
-the series of a form.
+grid).  Three users chain forms so: the Sibuya step loop of
+:mod:`mcred.leading`, whose constant maps, step gauges and leftover check
+are forms too, so that it has no other integer layout; the cofactors of
+``LaurentMatrix.inverse``; and the ``g G`` of ``Connection.gauge``, which
+then builds each entry of ``g G g**-1 - g' g**-1`` from one accumulation.
+:func:`_from_form` builds the series of a form.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, linalg, reduction, serialize, sl2
+from mcred import checks, leading, linalg, reduction, serialize, sl2
 from mcred.connection import Connection
-from mcred.errors import ScalarLeadingTerm
+from mcred.errors import DomainViolation, EngineError, LinearSolveFailed, ScalarLeadingTerm
 from mcred.field import FieldTower
 from mcred.leading import (
+    AdSplitting,
     eigen_block_split,
     is_scalar_matrix,
     jordan_chevalley,
@@ -158,7 +159,7 @@ def _old_sibuya(c, splitting):
     solve_mat = linalg.mat_mul(linalg.ad_matrix(lead), source_mat)
 
     def target_component(coeff):
-        x = linalg.solve(basis, linalg.vec(coeff))
+        x = linalg.solve(basis, [y for row in coeff for y in row])
         out = [QQ.zero() for _ in range(nn)]
         for j, xj in enumerate(x[len(kernel):]):
             if not xj.is_zero():
@@ -174,7 +175,8 @@ def _old_sibuya(c, splitting):
         if all(x.is_zero() for x in m2):
             continue
         z = linalg.solve(solve_mat, [-x for x in m2])
-        c_mat = linalg.unvec(linalg.mat_vec(source_mat, z), n, n)
+        flat = linalg.mat_vec(source_mat, z)
+        c_mat = [flat[a * n:(a + 1) * n] for a in range(n)]
         xi = LaurentMatrix.constant(work.tower, c_mat, work.ram).shift(i) * (-1)
         g = matrix_exp(xi.truncate(c.prec + r))
         work = work.gauge(g)
@@ -280,6 +282,44 @@ def test_sibuya_normalize_matches_the_per_step_solve():
         assert rec.gauge == gauge and _encoded(rec.gauge) == _encoded(gauge)
         assert (rec.connection.matrix == work.matrix
                 and _encoded(rec.connection.matrix) == _encoded(work.matrix))
+
+
+def test_sibuya_normalize_refusals():
+    c = _sample()  # lead diag(1, -1): kernel the diagonal, target the off-diagonal
+    sp = splitting_from_semisimple(c.leading())
+    assert len(sp.kernel) == len(sp.target) == 2
+    exact = Connection(LaurentMatrix(QQ, [[S({-2: 1}), S({})], [S({}), S({-2: -1})]]))
+    with pytest.raises(DomainViolation, match="needs a truncated connection"):
+        sibuya_normalize(exact, sp)
+    simple_pole = Connection.from_coeff_map(QQ, {-1: [[1, 0], [0, -1]]}, 2, prec=1)
+    with pytest.raises(DomainViolation, match="requires a pole of order >= 2"):
+        sibuya_normalize(simple_pole, sp)
+    with pytest.raises(DomainViolation, match="complementary dimensions"):
+        sibuya_normalize(c, AdSplitting(sp.kernel, sp.target[:1], sp.source))
+    with pytest.raises(DomainViolation, match="do not span gl_n"):
+        sibuya_normalize(c, AdSplitting(sp.kernel, [sp.kernel[0], sp.target[0]], sp.source))
+    # ad(lead) kills the identity, so no source vector reaches the target
+    identity = [QQ.one(), QQ.zero(), QQ.zero(), QQ.one()]
+    with pytest.raises(LinearSolveFailed, match="inconsistent linear system"):
+        sibuya_normalize(c, AdSplitting(sp.kernel, sp.target, [identity]))
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_sibuya_leftover_check_names_the_first_offset_left(monkeypatch, offset):
+    # the lead diag(1, 2) has the diagonal as kernel; the off-diagonal
+    # coefficients at offsets ``offset`` and 3 are left with a target component
+    # when every step gauge is the identity
+    diagonal, upper = [[3, 0], [0, 4]], [[0, 1], [0, 0]]
+    higher = {-1: upper, 0: diagonal} if offset == 1 else {-1: diagonal, 0: upper}
+    c = Connection.from_coeff_map(QQ, {-2: [[1, 0], [0, 2]], **higher, 1: [[0, 0], [5, 0]]},
+                                  2, prec=2)
+    sp = splitting_from_semisimple(c.leading())
+    assert [i for i, _ in sibuya_normalize(c, sp).corrections][0] == offset
+    ident = [[leading._ONE if a == b else None for b in range(2)] for a in range(2)]
+    no_dlog = [[(None, None)] * 2 for _ in range(2)]
+    monkeypatch.setattr(leading, "_step_gauge", lambda *args: (ident, ident, no_dlog))
+    with pytest.raises(EngineError, match=f"coefficient at offset {offset} still has a component"):
+        sibuya_normalize(c, sp)
 
 
 def test_eigen_block_split_rational_eigenvalues():
