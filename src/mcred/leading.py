@@ -35,7 +35,6 @@ from .errors import (DomainViolation, EngineError, LinearSolveFailed, NotInverti
 from .field import (
     FieldElement,
     FieldTower,
-    _nest,
     _poly_gcd,
     _unfold,
     common_context,
@@ -46,8 +45,8 @@ from .field import (
     poly_trim,
 )
 from .matrices import LaurentMatrix
-from .series import (INF, _accumulate, _form_product, _forms, _from_form, _negated,
-                     _settle)
+from .series import (INF, _accumulate, _constant_forms, _constants, _form_product, _forms,
+                     _from_form, _negated, _settle)
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +83,8 @@ def jordan_chevalley(m: Sequence[Sequence[FieldElement]]) -> JordanPair:
 
 
 def is_scalar_matrix(m: Sequence[Sequence[FieldElement]]) -> bool:
-    n = len(m)
-    d = m[0][0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if not (m[i][j] - d).is_zero():
-                    return False
-            elif not m[i][j].is_zero():
-                return False
-    return True
+    return all((x - m[0][0] if i == j else x).is_zero()
+               for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +305,9 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     pair in the accumulation of ``(E G) E**-1``.  A step reads its
     coefficient straight off those forms, and the powers of ``C_i``, ``E``,
     ``E**-1`` and the last term are shifts of their keys.  Each ``C_i`` is
-    recorded at the top level of the tower, where the element operators put
-    it: ``to_target`` already sits there (:func:`linalg.inverse` pivots
-    against the identity at the top level).  The two matrices are built
+    recorded at the top level of the tower (:func:`series._constants`).
+    ``cancel`` is one :func:`linalg.mat_mul` of the source columns with the
+    negated solutions.  The two matrices are built
     once, after the last step.  The final check that no target component
     is left is one product of ``to_target`` with the column of all of ``G``.
     """
@@ -351,19 +342,17 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     if pivots and pivots[-1] >= width:
         raise LinearSolveFailed("inconsistent linear system")
     zero = common_context(solve_mat)[0].zero()
-    solutions = [[zero] * width for _ in target]
+    negated = [[zero] * len(target) for _ in range(width)]  # one column per target vector
     for row, p in zip(reduced, pivots):
-        for x, t in zip(solutions, row[width:]):
-            x[p] = t
-    cancel = linalg.transpose([[-x for x in linalg.mat_vec(source_mat, z)] for z in solutions])
+        negated[p] = [-t for t in row[width:]]
+    cancel = linalg.mat_mul(source_mat, negated)
 
     p = s_prec + r
     ram = c.ram
     tower = common_tower(c.tower, common_context(to_target + cancel)[0])
-    size, level = tower.sizes[-1], tower.depth
-    to_target = _forms(LaurentMatrix.constant(tower, to_target).entries, 1, size)
-    step = _form_product(tower, _forms(LaurentMatrix.constant(tower, cancel).entries, 1, size),
-                         to_target)
+    size = tower.sizes[-1]
+    to_target = _constant_forms(to_target)
+    step = _form_product(tower, _constant_forms(cancel), to_target)
     work = _forms(c.matrix.entries, ram, size)
     total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
     corrections = []
@@ -378,8 +367,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
                  for col, d in zip(zip(*e_inv), dlog_row)]
                 for ew_row, dlog_row in zip(ew, dlog)]
         total = _form_product(tower, e, total)
-        corrections.append((i, [[FieldElement(tower, level, _nest(tower, level, dict(x[3]), x[2]))
-                                 if x else tower.zero() for x in row] for row in c_forms]))
+        corrections.append((i, _constants(tower, tower.depth, c_forms)))
     if corrections:
         matrix, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
     else:

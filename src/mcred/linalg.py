@@ -1,10 +1,13 @@
 """Exact linear algebra over field-tower scalars.
 
 Matrices are plain ``list[list[FieldElement]]`` in row-major order.  The
-arithmetic loops (``mat_add``, ``mat_neg``, ``mat_scale``, ``mat_mul``,
-``mat_eq``, ``trace``, ``transpose``) use only the entries' own operators, so
-they are ring-generic: :class:`matrices.LaurentMatrix` runs all but
-``mat_mul`` on its series entries.  All eliminations use the first nonzero entry as pivot, so
+entry-wise loops (``mat_add``, ``mat_neg``, ``mat_scale``, ``mat_eq``,
+``trace``, ``transpose``) use only the entries' own operators, so they are
+ring-generic: :class:`matrices.LaurentMatrix` runs them on its series.
+:func:`mat_mul` is no loop: it runs the series product kernel on constant
+forms (:func:`series._form_product`), one fold per entry, for every
+constant product here and in :mod:`mcred.leading` and :mod:`mcred.sl2`.
+All eliminations use the first nonzero entry as pivot, so
 the results are deterministic functions of the input.  Elimination runs on
 raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
 highest level among its entries as :func:`field.common_context` finds them,
@@ -26,6 +29,7 @@ from typing import Sequence
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
 from .field import FieldElement, FieldTower, common_context
 from .field import _inv, _lift_payload, _mul, _payload_is_zero, _sub
+from .series import _constant_forms, _constants, _form_product
 
 Matrix = list  # list[list[FieldElement]]
 Vector = list  # list[FieldElement]
@@ -91,33 +95,13 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
+    """``a b`` on the product kernel, every entry at the operands' common
+    tower and top level (:func:`field.common_context`)."""
+    if mat_shape(a)[1] != mat_shape(b)[0]:
         raise DomainViolation("matrix shapes incompatible in product")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, ca):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    ra, ca = mat_shape(a)
-    if ca != len(v):
-        raise DomainViolation("matrix/vector shapes incompatible")
-    out = []
-    for i in range(ra):
-        acc = a[i][0] * v[0]
-        for k in range(1, ca):
-            acc = acc + a[i][k] * v[k]
-        out.append(acc)
-    return out
+    tower, level = common_context([*a, *b])
+    return _constants(tower, level,
+                      _form_product(tower, _constant_forms(a), _constant_forms(b)))
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -134,10 +118,7 @@ def trace(a: Matrix):
     n, c = mat_shape(a)
     if n != c:
         raise DomainViolation("trace of a non-square matrix")
-    acc = a[0][0]
-    for i in range(1, n):
-        acc = acc + a[i][i]
-    return acc
+    return sum((a[i][i] for i in range(1, n)), a[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +166,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    _, pivots = rref(m)
-    return len(pivots)
+    return len(rref(m)[1])
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -267,13 +245,13 @@ def charpoly(m: Matrix) -> list[FieldElement]:
     tower, _ = common_context(m)
     coeffs = [tower.zero() for _ in range(n + 1)]
     coeffs[n] = tower.one()
-    mk = zeros(tower, n, n)
+    am = zeros(tower, n, n)  # m M_0, with M_0 = 0
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
         ck = coeffs[n - k + 1]
-        for i in range(n):
-            mk[i][i] = mk[i][i] + ck
-        coeffs[n - k] = -trace(mat_mul(m, mk)) / k
+        for i in range(n):  # M_k = m M_(k-1) + c_(n-k+1) I
+            am[i][i] = am[i][i] + ck
+        am = mat_mul(m, am)
+        coeffs[n - k] = -trace(am) / k
     return coeffs
 
 

@@ -277,11 +277,10 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
                 raise EngineError("scalar twist loop failed to terminate")
             continue
         # nilpotent leading term
-        delta = linalg.rank(linalg.ad_matrix(lead))
-        measure = (n, n * n - delta)
-        _check_measure(parent_measure, measure)
         triple = sl2.jacobson_morozov(lead)
         partition = tuple(triple.block_sizes)
+        measure = (n, n * n - sl2.orbit_dim(partition, n))  # orbit_dim = rank(ad lead)
+        _check_measure(parent_measure, measure)
         g_basis = LaurentMatrix.constant(c.tower, triple.basis_inv, c.ram)
         c = c.gauge(g_basis)
         ops.append(("gauge", g_basis))

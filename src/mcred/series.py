@@ -34,7 +34,9 @@ grid).  Three users chain forms so: the Sibuya step loop of
 are forms too, so that it has no other integer layout; the cofactors of
 ``LaurentMatrix.inverse``; and the ``g G`` of ``Connection.gauge``, which
 then builds each entry of ``g G g**-1 - g' g**-1`` from one accumulation.
-:func:`_from_form` builds the series of a form.
+:func:`_from_form` builds the series of a form.  :func:`_constant_forms` and
+:func:`_constants` convert between grids of field elements and of constant
+forms, for ``linalg.mat_mul`` and the Sibuya loop's maps and ``C_i``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import (FieldElement, FieldTower, _fold, _fold_nums, _over_lcm, _unfold,
+from .field import (FieldElement, FieldTower, _fold, _fold_nums, _nest, _over_lcm, _unfold,
                     common_tower)
 
 INF = math.inf
@@ -481,6 +483,21 @@ def _negated(form):
 def _forms(grid, ram: int, size: int) -> list:
     """The :func:`_integral` forms of a grid of series."""
     return [[_integral(s, ram, size) for s in row] for row in grid]
+
+
+def _constant_forms(grid) -> list:
+    """The :func:`_integral` forms of a grid of field elements, as constant
+    series over any tower that holds them."""
+    forms = [[(0, INF, *_over_lcm(_unfold(x.tower, x.level, x.payload))) for x in row]
+             for row in grid]
+    return [[f if f[3] else None for f in row] for row in forms]
+
+
+def _constants(tower: FieldTower, level: int, forms: list) -> list:
+    """The field elements at ``level`` of ``tower`` whose constant forms are
+    ``forms``, a grid; every key must name a position of that level."""
+    return [[FieldElement(tower, level, _nest(tower, level, dict(f[3]), f[2])) if f
+             else tower.zero(level) for f in row] for row in forms]
 
 
 def _form_product(tower: FieldTower, a: list, b: list) -> list:

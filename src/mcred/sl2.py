@@ -67,7 +67,7 @@ def jordan_chains(f: Sequence[Sequence]) -> list:
         for top in _complete_basis(kernels[j - 1] + carried, kernels[j]):
             chain = [top]
             for _ in range(j - 1):
-                chain.append(linalg.mat_vec(f, chain[-1]))
+                chain.append([x for x, in linalg.mat_mul(f, [[y] for y in chain[-1]])])
             chains.append(chain)
     if sum(len(ch) for ch in chains) != n:  # pragma: no cover
         raise EngineError("Jordan chains do not form a basis")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mcred import checks, serialize
-from mcred.cli import main
+from mcred.cli import MAX_STABILITY_SIZE, main
 from mcred.connection import Connection
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
@@ -281,6 +281,34 @@ def test_huge_precision_and_window_options_exit_4(tmp_path, capsys):
     at_bound = str(serialize.MAX_EXPONENT)
     assert main(["derham", path, "--window", "-2", "2", "--precision", at_bound]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "0", "2"],
+    ["stability", "2", "-1"],
+    ["stability", str(MAX_STABILITY_SIZE + 1), "3"],
+    ["stability", "12", "3"],
+    ["stability", "2", str(serialize.MAX_EXPONENT + 1)],
+])
+def test_stability_refuses_bad_arguments_with_exit_4(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize("window", [("3", "1"), ("0", "0")])
+def test_empty_derham_window_exits_4(tmp_path, capsys, window):
+    path = write_connection(tmp_path / "c.json", checks.sample_saddle_node())
+    assert main(["derham", path, "--window", *window]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "--window" in err
+
+
+def test_stability_accepts_its_largest_size(capsys):
+    code, obj = run(capsys, "stability", str(MAX_STABILITY_SIZE), "1")
+    assert code == 0 and obj["bound"] == 0
 
 
 def test_usage_errors_are_systemexit_4(capsys):

@@ -19,6 +19,7 @@ from mcred.leading import (
 )
 from mcred.matrices import LaurentMatrix, matrix_exp
 from mcred.series import LaurentSeries
+from test_matrices import _mat_mul
 
 QQ = FieldTower()
 
@@ -29,12 +30,6 @@ def S(coeffs, **kw):
 
 def grid(rows):
     return [[QQ.coerce(x) for x in row] for row in rows]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), QQ.zero())
-             for j in range(n)] for i in range(n)]
 
 
 def _grids_equal(a, b):
@@ -156,7 +151,7 @@ def _old_sibuya(c, splitting):
     kernel, target, source = splitting.kernel, splitting.target, splitting.source
     basis = [[v[i] for v in kernel + target] for i in range(nn)]
     source_mat = [[v[i] for v in source] for i in range(nn)]
-    solve_mat = linalg.mat_mul(linalg.ad_matrix(lead), source_mat)
+    solve_mat = _mat_mul(linalg.ad_matrix(lead), source_mat)
 
     def target_component(coeff):
         x = linalg.solve(basis, [y for row in coeff for y in row])
@@ -175,7 +170,7 @@ def _old_sibuya(c, splitting):
         if all(x.is_zero() for x in m2):
             continue
         z = linalg.solve(solve_mat, [-x for x in m2])
-        flat = linalg.mat_vec(source_mat, z)
+        flat = [x for x, in _mat_mul(source_mat, [[y] for y in z])]
         c_mat = [flat[a * n:(a + 1) * n] for a in range(n)]
         xi = LaurentMatrix.constant(work.tower, c_mat, work.ram).shift(i) * (-1)
         g = matrix_exp(xi.truncate(c.prec + r))

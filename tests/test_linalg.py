@@ -2,7 +2,8 @@
 
 Over QQ the reference is sympy (test-only).  Over algebraic extensions it is
 the element-wise Gauss-Jordan loop below: the same pivot rule, computed with
-``FieldElement`` operators on every column.
+``FieldElement`` operators on every column.  Right-hand sides come from the
+element-wise product of ``test_matrices``, not from ``linalg.mat_mul``.
 """
 
 import random
@@ -14,6 +15,7 @@ from mcred import checks, linalg
 from mcred.cohomology import LatticeWindow, flat_section_dim
 from mcred.errors import LinearSolveFailed, NotInvertible, ZeroDivisorSplit
 from mcred.field import FieldTower
+from test_matrices import _mat_mul
 
 QQ = FieldTower()
 K = QQ.extend([-2, 0, 1])  # sqrt 2
@@ -140,7 +142,7 @@ def test_rref_rank_nullspace_match_sympy_over_qq(k):
 def test_solve_matches_sympy_over_qq(k):
     m = QQ_CASES[k]
     cols = len(m[0])
-    b = linalg.mat_vec(m, [QQ.rational(Fraction(j - 2, j + 1)) for j in range(cols)])
+    b = [y for y, in _mat_mul(m, [[QQ.rational(Fraction(j - 2, j + 1))] for j in range(cols)])]
     sol, params = _to_sympy(m).gauss_jordan_solve(_to_sympy([[y] for y in b]))
     sol = sol.subs({p: 0 for p in params})
     assert _as_fracs([linalg.solve(m, b)]) == [[row[0] for row in _fracs(sol)]]
@@ -187,7 +189,7 @@ EXT_CASES = _ext_cases()
 def test_routines_match_oracle_over_extensions(k, monkeypatch):
     tower, m = EXT_CASES[k]
     cols = len(m[0])
-    b = linalg.mat_vec(m, [tower.gen() * j + 1 for j in range(cols)])
+    b = [y for y, in _mat_mul(m, [[tower.gen() * j + 1] for j in range(cols)])]
     r, pivots = linalg.rref(m)
     got = (linalg.rank(m), linalg.nullspace(m), linalg.solve(m, b),
            linalg.column_space_basis(m))

@@ -22,8 +22,23 @@ def M(entries, ram=1):
 
 # The division-free cofactor expansion that ``linalg`` held until
 # ``LaurentMatrix.inverse`` moved onto the product kernel's integer forms,
-# kept as an oracle: it uses only the entries' own operators, so it runs
-# verbatim on series.
+# and the product loop ``linalg.mat_mul`` ran until it did too, kept as
+# oracles: they use only the entries' own operators, so they run verbatim on
+# field elements and on series.
+
+
+def _mat_mul(a, b):
+    """The entry-by-entry matrix product, each entry summed term by term."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, len(b)):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def _det(m):

@@ -14,8 +14,13 @@ kernel builds.  ``LaurentMatrix.inverse`` and ``Connection.gauge``, which
 run on those integer forms, are checked against the series paths they
 replaced (:func:`_old_inverse`, :func:`_old_gauge`) at rank 1-4: every
 entry's precision, valuation and encoding, or the type and message of the
-exception, must agree.  The run is derandomized, keeps no example
-database and points Hypothesis' caches at a temporary directory.
+exception, must agree.  ``linalg.mat_mul``, which runs constant matrices
+through the same kernel, is checked against the element-wise loop it
+replaced (``test_matrices._mat_mul``) on rectangular grids of elements at
+mixed levels over towers of depth 0-2, with exact zeros: every entry's
+value, and its tower and level, which are the operands' common ones.  The
+run is derandomized, keeps no example database and points Hypothesis'
+caches at a temporary directory.
 """
 
 import math
@@ -36,7 +41,7 @@ set_hypothesis_home_dir(_HOME.name)
 from mcred import linalg, serialize  # noqa: E402
 from mcred.connection import Connection  # noqa: E402
 from mcred.errors import EngineError  # noqa: E402
-from mcred.field import FieldElement, FieldTower, common_tower  # noqa: E402
+from mcred.field import FieldElement, FieldTower, common_context, common_tower  # noqa: E402
 from mcred.matrices import LaurentMatrix  # noqa: E402
 from mcred.series import (  # noqa: E402
     INF,
@@ -46,7 +51,7 @@ from mcred.series import (  # noqa: E402
     _materialise,
     _settle,
 )
-from test_matrices import _adjugate  # noqa: E402
+from test_matrices import _adjugate, _mat_mul  # noqa: E402
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -100,7 +105,7 @@ def _old_inverse(g):
     if g.size == 1:
         return LaurentMatrix(g.tower, [[g.entries[0][0].inverse()]], g.ram)
     adj = _adjugate(g.entries)
-    d = linalg.mat_vec(g.entries[:1], [r[0] for r in adj])[0]
+    d = _mat_mul(g.entries[:1], [r[:1] for r in adj])[0][0]
     return LaurentMatrix(g.tower, adj, g.ram) * d.inverse()
 
 
@@ -164,6 +169,19 @@ def matrix_pairs(draw):
     a = LaurentMatrix(ta, [[draw(series(ta, ra)) for _ in range(k)] for _ in range(n)], ra)
     b = LaurentMatrix(tb, [[draw(series(tb, rb)) for _ in range(m)] for _ in range(k)], rb)
     return a, b
+
+
+@st.composite
+def element_grid_pairs(draw):
+    """Two grids of elements, ``n x k`` and ``k x m``, each over a prefix of
+    one tower, with exact zeros at any level."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def grid(tower, rows, cols):
+        entries = st.one_of(elements(tower), st.builds(tower.zero, st.integers(0, tower.depth)))
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    return grid(draw(st.sampled_from(TOWERS)), n, k), grid(draw(st.sampled_from(TOWERS)), k, m)
 
 
 @st.composite
@@ -255,6 +273,17 @@ def test_matrix_product_matches_elementwise(pair):
     for got_row, want_row in zip(got.entries, want.entries):
         for x, y in zip(got_row, want_row):
             assert_same_series(x, y)
+
+
+@ORACLE
+@given(element_grid_pairs())
+def test_constant_product_matches_elementwise(pair):
+    a, b = pair
+    got, want = linalg.mat_mul(a, b), _mat_mul(a, b)
+    tower, level = common_context(a + b)
+    assert [len(row) for row in got] == [len(row) for row in want]
+    assert all(x.tower is tower and x.level == level for row in got for x in row)
+    assert got == want  # FieldElement == compares across levels
 
 
 @settings(ORACLE, max_examples=200)

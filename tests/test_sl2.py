@@ -1,32 +1,32 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from mcred import linalg
 from mcred.errors import NoSuchOrbit, NotNilpotent
 from mcred.field import FieldTower
 from mcred.sl2 import (
+    chain_basis_triple,
     grading_support,
     jacobson_morozov,
     jordan_chains,
     max_spread_for_dim,
     nilpotency_order,
     orbit_dim,
+    partitions,
     realized_orbit_dims,
     transpose_partition,
     weight_spread,
 )
+from test_matrices import _mat_mul
 
 QQ = FieldTower()
+K = QQ.extend([-2, 0, 1])  # sqrt 2
 
 
 def grid(rows):
     return [[QQ.coerce(x) for x in row] for row in rows]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), QQ.zero())
-             for j in range(n)] for i in range(n)]
 
 
 def _bracket(a, b):
@@ -99,6 +99,24 @@ def test_orbit_dimension_formula():
     assert orbit_dim((2, 1), 3) == 9 - 5
     assert orbit_dim((1, 1, 1), 3) == 0
     assert orbit_dim((2, 2), 4) == 16 - 8
+
+
+@pytest.mark.parametrize("tower", [QQ, K])
+def test_orbit_dim_of_the_jordan_type_is_the_rank_of_ad(tower):
+    # the reduction measures a nilpotent lead by orbit_dim of its Jordan
+    # type instead of eliminating ad(lead), an n^2 x n^2 matrix
+    rng = random.Random(7)
+    root = tower.gen() if tower.depth else tower.zero()
+    for n in range(1, 5):
+        for shape in partitions(n):
+            while True:
+                p = [[tower.rational(rng.randint(-3, 3)) + root * rng.randint(-2, 2)
+                      for _ in range(n)] for _ in range(n)]
+                if linalg.rank(p) == n:
+                    break
+            f = _mat_mul(_mat_mul(p, chain_basis_triple(tower, shape)[1]), linalg.inverse(p))
+            assert tuple(jacobson_morozov(f).block_sizes) == shape
+            assert orbit_dim(shape, n) == linalg.rank(linalg.ad_matrix(f))
 
 
 def test_realized_orbit_dims():
