@@ -42,7 +42,7 @@ from .errors import (
     ZeroDivisorSplit,
 )
 from .field import FieldElement, FieldTower, common_tower
-from .matrices import LaurentMatrix, block_diag, dlog, matrix_exp, matrix_log
+from .matrices import LaurentMatrix
 from .reduction import (
     KNOWN_SHARP,
     ReductionNode,
@@ -79,17 +79,13 @@ __all__ = [
     "ScalarLeadingTerm",
     "Unstabilized",
     "ZeroDivisorSplit",
-    "block_diag",
     "common_tower",
     "derham_dims",
-    "dlog",
     "doubling_dims",
     "dual_connection",
     "euler_bound_check",
     "flat_section_dim",
     "h1_generators",
-    "matrix_exp",
-    "matrix_log",
     "ramified_decomposition_check",
     "reduce",
     "replay",

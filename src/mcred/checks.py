@@ -25,7 +25,7 @@ from .cohomology import (
 from .connection import Connection
 from .errors import EngineError, PrecisionExhausted, Unstabilized
 from .field import FieldTower
-from .matrices import LaurentMatrix, dlog, matrix_exp, matrix_log
+from .matrices import LaurentMatrix
 from .reduction import reduce, stability_constant
 from .serialize import encode_element
 from .series import INF, LaurentSeries
@@ -192,45 +192,6 @@ def suite_gauge_law(seed: int = 0, trials: int = 100) -> list:
     return failures
 
 
-def suite_exp_log(seed: int = 0, trials: int = 40) -> list:
-    """First-order exponential estimates.
-
-    With ``val(xi) >= N`` and ``val(eta) >= N + i`` the products
-    ``exp(xi) exp(eta)`` and ``exp(xi + eta)`` agree below ``2N + i`` (their
-    first disagreement is the commutator), and their logarithmic derivatives
-    agree below ``2N + i - 1``.  Also round-trips ``log(exp(xi)) == xi``.
-    """
-    rng = random.Random(seed)
-    failures = []
-    for k in range(trials):
-        n = rng.randint(1, 3)
-        N = rng.randint(1, 3)
-        i = rng.randint(0, 2)
-        bound = 2 * N + i
-        prec = bound + 2
-        xi = _random_matrix(rng, n, N, prec)
-        eta = _random_matrix(rng, n, N + i, prec)
-        e1, e2 = matrix_exp(xi), matrix_exp(eta)
-        e12 = matrix_exp(xi + eta)
-        if (e1 * e2 - e12).valuation < bound:
-            failures.append(f"trial {k}: exp product differs below 2N+i")
-        if (dlog(e1 * e2) - dlog(e12)).valuation < bound - 1:
-            failures.append(f"trial {k}: dlog of products differs below 2N+i-1")
-        if not matrix_log(e1).coincides_with(xi):
-            failures.append(f"trial {k}: log(exp(xi)) != xi")
-    return failures
-
-
-def _random_matrix(rng: random.Random, n: int, val: int, prec: int) -> LaurentMatrix:
-    coeff_map = {}
-    for e in range(val, prec):
-        if rng.random() < 0.8:
-            coeff_map[e] = random_grid(rng, n)
-    if val not in coeff_map:
-        coeff_map[val] = _nonzero_grid(rng, n)
-    return LaurentMatrix.from_coeff_map(QQ, coeff_map, n, prec)
-
-
 def suite_leibniz(seed: int = 0, trials: int = 50) -> list:
     """``nabla(f v) = f' v + f nabla(v)`` for scalar series ``f``."""
     rng = random.Random(seed)
@@ -381,7 +342,6 @@ def suite_tail_stability(seed: int = 0, trials: int = 8) -> list:
 
 SUITES = {
     "gauge-action": suite_gauge_law,
-    "cbh": suite_exp_log,
     "leibniz": suite_leibniz,
     "ramify-compose": suite_ramify_compose,
     "euler-bound": suite_euler_bound,

@@ -126,6 +126,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise ParseError("--count must be at least 1")
     try:
         results = checks.run_all(seed=args.seed, only=args.suites or None,
                                  trials=args.count)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import DomainViolation, NotBlockDiagonal
 from .field import FieldElement, FieldTower, common_tower
-from .matrices import LaurentMatrix, block_diag
+from .matrices import LaurentMatrix
 from .series import (INF, LaurentSeries, _accumulate, _form_product, _forms, _integral,
                      _materialise, _negated)
 
@@ -42,13 +42,6 @@ class Connection:
     def from_coeff_map(cls, tower: FieldTower, coeff_map, size: int,
                        prec=INF, ram: int = 1) -> "Connection":
         return cls(LaurentMatrix.from_coeff_map(tower, coeff_map, size, prec, ram))
-
-    @classmethod
-    def direct_sum(cls, parts: Sequence["Connection"]) -> "Connection":
-        rams = {p.ram for p in parts}
-        if len(rams) > 1:
-            raise DomainViolation(f"direct summands have ramifications {sorted(rams)}")
-        return cls(block_diag([p.matrix for p in parts]))
 
     # -- inspection -------------------------------------------------------------
 

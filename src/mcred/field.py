@@ -328,12 +328,6 @@ class FieldTower:
         """Degree of the extension adjoined at ``level`` (1-based)."""
         return len(self.levels[level - 1]) - 1
 
-    def total_degree(self) -> int:
-        d = 1
-        for k in range(1, self.depth + 1):
-            d *= self.degree(k)
-        return d
-
     # -- construction ------------------------------------------------------
 
     def extend(self, minpoly: Sequence) -> "FieldTower":
@@ -552,12 +546,6 @@ def poly_divmod(a: list[FieldElement], b: list[FieldElement]) -> tuple[list[Fiel
     tower, level, (pa, pb) = _poly_payloads([a, b])
     q, r = _poly_divmod(tower, level, pa, pb)
     return _wrap(tower, level, q), _wrap(tower, level, r)
-
-
-def poly_gcd(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    """Monic gcd by the Euclidean algorithm."""
-    tower, level, (pa, pb) = _poly_payloads([a, b])
-    return _wrap(tower, level, _poly_gcd(tower, level, pa, pb))
 
 
 def poly_squarefree_part(a: list[FieldElement]) -> list[FieldElement]:

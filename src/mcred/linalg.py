@@ -191,6 +191,7 @@ def nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
+# Kept because the benchmark tracer wraps it by name and the _old_sibuya test oracle uses it.
 def solve(a: Matrix, b: Vector) -> Vector:
     """One solution of ``a x = b`` with every free variable set to zero.
 

@@ -11,10 +11,10 @@ over the ``k`` whose factors are both nonzero, as if summed term by term.
 Inverses go through the classical adjugate so that the only series inversion
 is the determinant's.  The cofactors are expanded division-free on the
 product kernel's integer forms, and every entry of the inverse is built
-once.  The exponential and logarithm are honest about precision: for a
-truncated argument of valuation >= 1 the result carries the argument's
-precision, and an exact argument must be nilpotent because its exponential
-would not terminate otherwise.
+once.  The exponential is honest about precision: for a truncated argument
+of valuation >= 1 the result carries the argument's precision, and an exact
+argument must be nilpotent because its exponential would not terminate
+otherwise.
 """
 
 from __future__ import annotations
@@ -292,78 +292,28 @@ class LaurentMatrix:
         return "LaurentMatrix[\n  " + "\n  ".join(rows) + "\n]"
 
 
-def block_diag(blocks: Sequence[LaurentMatrix]) -> LaurentMatrix:
-    if not blocks:
-        raise DomainViolation("block_diag needs at least one block")
-    total = sum(b.size for b in blocks)
-    z = LaurentSeries.zero(blocks[0].tower)
-    rows = [[z] * total for _ in range(total)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.size):
-            for j in range(b.size):
-                rows[offset + i][offset + j] = b.entries[i][j]
-        offset += b.size
-    return LaurentMatrix(blocks[0].tower, rows)
-
-
-def _series_sum(start: LaurentMatrix, x: LaurentMatrix, term, what: str) -> LaurentMatrix:
-    """``start + sum_{k >= 1} term(k) x**k`` for ``valuation(x) >= 1``.
-
-    Powers count as long as their valuation is below ``x.prec``: later terms
-    land at or past the window, where the result is unknown.  An exact ``x``
-    (``prec`` is ``INF``) therefore has to be nilpotent; a nonzero ``x**k``
-    with ``k`` past the size proves that it is not.
-    """
-    p = x.prec
-    result = start.truncate(p)
-    power = x
-    k = 1
-    while power.valuation < p:
-        if p is INF and k > x.size:
-            raise NotNilpotent(f"{what} does not terminate; truncate it first")
-        result = result + power * term(k)
-        k += 1
-        power = power * x
-    return result
-
-
+# Kept because the benchmark tracer wraps it by name and the _old_sibuya test oracle uses it.
 def matrix_exp(xi: LaurentMatrix) -> LaurentMatrix:
     """``exp(xi)`` for ``valuation(xi) >= 1``.
 
     A truncated argument with precision ``p`` yields a result with precision
-    ``p`` (terms ``xi**k / k!`` have valuation ``>= k`` and stop mattering),
-    so ``matrix_exp(xi.truncate(p))`` chooses the window.  An exact argument
-    must be nilpotent.
+    ``p``: powers count as long as their valuation is below ``p``, and later
+    terms ``xi**k / k!`` land at or past the window, where the result is
+    unknown.  So ``matrix_exp(xi.truncate(p))`` chooses the window.  An exact
+    argument (``prec`` is ``INF``) must be nilpotent; a nonzero ``xi**k``
+    with ``k`` past the size proves that it is not.
     """
     if xi.valuation < 1:
         raise DomainViolation("matrix exponential requires valuation >= 1")
-    return _series_sum(LaurentMatrix.identity(xi.tower, xi.size, xi.ram), xi,
-                       lambda k: Fraction(1, math.factorial(k)),
-                       "exponential of an exact non-nilpotent argument")
-
-
-def matrix_log(g: LaurentMatrix) -> LaurentMatrix:
-    """``log(g)`` for ``g = 1 + x`` with ``valuation(x) >= 1``.
-
-    Mirror image of :func:`matrix_exp`, with the same precision contract.
-    """
-    n = g.size
-    x = g - LaurentMatrix.identity(g.tower, n, g.ram)
-    if x.valuation < 1:
-        raise DomainViolation("matrix logarithm requires g = 1 + O(u)")
-    return _series_sum(LaurentMatrix.zero(x.tower, n, None, x.ram), x,
-                       lambda k: Fraction((-1) ** (k + 1), k),
-                       "logarithm of an exact non-unipotent argument")
-
-
-def dlog(g: LaurentMatrix) -> LaurentMatrix:
-    """Logarithmic derivative ``(dg/dt) g^{-1}`` in the *t* coordinate.
-
-    For a ramified matrix (``u**ram = t``) this is
-    ``u^(1-ram)/ram * (dg/du) g^{-1}``.
-    """
-    out = g.derivative() * g.inverse()
-    if g.ram != 1:
-        out = out.shift(1 - g.ram) * Fraction(1, g.ram)
-    return out
+    p = xi.prec
+    result = LaurentMatrix.identity(xi.tower, xi.size, xi.ram).truncate(p)
+    power = xi
+    k = 1
+    while power.valuation < p:
+        if p is INF and k > xi.size:
+            raise NotNilpotent("exponential of an exact non-nilpotent argument does "
+                               "not terminate; truncate it first")
+        result = result + power * Fraction(1, math.factorial(k))
+        k += 1
+        power = power * xi
+    return result

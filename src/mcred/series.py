@@ -196,24 +196,6 @@ class LaurentSeries:
         new_prec = min(self.prec, prec)
         return LaurentSeries(self.tower, self.coeffs, new_prec, self.ram)
 
-    def restrict(self, lo: int, hi) -> "LaurentSeries":
-        """Keep only exponents in ``[lo, hi)`` as an *exact* polynomial.
-
-        Raises if the window is not fully known.
-        """
-        hi = _check_prec(hi)
-        if hi > self.prec:
-            raise PrecisionExhausted(
-                f"window [{lo}, {hi}) exceeds known precision {self.prec}",
-                needed=None if hi is INF else hi,
-            )
-        return LaurentSeries(
-            self.tower,
-            {e: c for e, c in self.coeffs.items() if lo <= e < hi},
-            INF,
-            self.ram,
-        )
-
     # -- arithmetic ------------------------------------------------------------
 
     def _pair(self, other) -> tuple["LaurentSeries", "LaurentSeries"]:

@@ -24,18 +24,6 @@ from .errors import EngineError, NoSuchOrbit, NotNilpotent
 from .field import common_context
 
 
-def nilpotency_order(f: Sequence[Sequence]) -> int:
-    """Least ``d`` with ``f**d = 0``; raises :class:`NotNilpotent` otherwise."""
-    n = len(f)
-    tower, _ = common_context(f)
-    power = linalg.identity(tower, n)
-    for d in range(n + 1):
-        if linalg.is_zero_matrix(power):
-            return d
-        power = linalg.mat_mul(power, f)
-    raise NotNilpotent("matrix is not nilpotent")
-
-
 def _complete_basis(have: list, candidates: list) -> list:
     """Members of ``candidates`` that greedily extend ``span(have)``: the
     candidate pivot columns of ``have`` and ``candidates`` side by side."""
@@ -48,19 +36,18 @@ def jordan_chains(f: Sequence[Sequence]) -> list:
 
     Chains come out ordered by decreasing length.  Tops of length-``j``
     chains are chosen to complete ``ker(f^(j-1))`` plus the pushed-down
-    vectors of the longer chains inside ``ker(f^j)``.
+    vectors of the longer chains inside ``ker(f^j)``.  The powers stop at
+    the first ``f^d = 0``; raises :class:`NotNilpotent` if ``f^n`` is not.
     """
     n = len(f)
-    d = nilpotency_order(f)
-    if d == 0:  # pragma: no cover - only for n = 0, which matrices exclude
-        return []
-    power = None
-    kernels = [[]]
-    for j in range(1, d + 1):
-        power = f if power is None else linalg.mat_mul(power, f)
+    power = f
+    kernels = [[], linalg.nullspace(f)]
+    while len(kernels[-1]) != n:
+        if len(kernels) > n:
+            raise NotNilpotent("matrix is not nilpotent")
+        power = linalg.mat_mul(power, f)
         kernels.append(linalg.nullspace(power))
-    if len(kernels[d]) != n:  # pragma: no cover
-        raise EngineError("kernel filtration of a nilpotent matrix is broken")
+    d = len(kernels) - 1
     chains: list = []
     for j in range(d, 0, -1):
         carried = [ch[len(ch) - j] for ch in chains]

@@ -27,6 +27,7 @@ from mcred.reduction import (
 from mcred.series import LaurentSeries
 from mcred.sl2 import jacobson_morozov
 
+from test_matrices import exp_product_failures
 from test_reduction import _oracle_constant
 
 QQ = FieldTower()
@@ -167,9 +168,9 @@ def test_criterion_07_stability_constants():
 
 
 def test_criterion_08_cbh_dlog_suite():
-    failures = checks.suite_exp_log(seed=0, trials=50)
-    assert failures == []
-    print("PASS 8: CBH/dlog valuation inequalities on 50 random instances")
+    assert exp_product_failures(seed=0, trials=50) == []
+    print("PASS 8: exp(xi) exp(eta) agrees with exp(xi + eta) below 2N+i "
+          "on 50 random instances")
 
 
 def test_criterion_09_certificate_replay_and_measure():

@@ -137,16 +137,26 @@ def test_stability_command(capsys):
 
 
 def test_check_single_suite(capsys):
-    code = main(["check", "cbh", "--seed", "1", "--count", "50"])
+    code = main(["check", "gauge-action", "--seed", "1", "--count", "20"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.strip() == "cbh: ok"
+    assert out.strip() == "gauge-action: ok"
 
 
 def test_check_unknown_suite_is_a_usage_error(capsys):
-    code = main(["check", "definitely-not-a-suite"])
-    capsys.readouterr()
-    assert code == 4
+    for name in ("definitely-not-a-suite", "cbh"):
+        code = main(["check", name])
+        capsys.readouterr()
+        assert code == 4
+
+
+def test_check_rejects_bad_count(capsys):
+    # no trial would run, so no suite may be reported ok
+    for argv in (["check", "--count", "0"], ["check", "gauge-action", "--count", "-3"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == "" and "--count" in err
 
 
 def test_generate_deterministic(tmp_path, capsys):

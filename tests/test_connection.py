@@ -140,19 +140,12 @@ def test_connections_at_different_ramifications_differ():
     assert d == Connection(c.matrix.lift_ramification(2))
 
 
-def test_direct_sum_refuses_mixed_ramifications():
-    h = checks.sample_residue_line(1)
-    with pytest.raises(DomainViolation):
-        Connection.direct_sum([h, h.ramify(2)])
-    whole = Connection.direct_sum([h.ramify(2), h.ramify(2)])
-    assert (whole.ram, whole.pole_order) == (2, 1)
-
-
 def test_block_split_and_direct_sum():
     a = conn([[S({-1: 1})]])
     b = conn([[S({}), S({0: 1})], [S({}), S({})]])
-    whole = Connection.direct_sum([a, b])
-    assert whole.size == 3
+    whole = conn([[S({-1: 1}), S({}), S({})],
+                  [S({}), S({}), S({0: 1})],
+                  [S({}), S({}), S({})]])
     parts = whole.block_split([1, 2])
     assert parts[0].matrix.coincides_with(a.matrix)
     assert parts[1].matrix.coincides_with(b.matrix)

@@ -5,6 +5,8 @@ import io
 import pathlib
 import re
 
+from mcred import checks
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -22,3 +24,13 @@ def test_library_quickstart_prints_its_documented_lines():
     assert len(documented) == len(printed)
     for line, comment in zip(printed, documented):
         assert comment.startswith(line), (line, comment)
+
+
+def test_check_lines_name_only_known_suites():
+    text = README.read_text(encoding="utf-8")
+    lines = [line.split("#", 1)[0].split() for line in text.splitlines()
+             if line.startswith("mcred check")]
+    assert lines
+    for words in lines:
+        named = [w for w in words[2:] if not w.startswith("--") and not w.isdigit()]
+        assert set(named) <= set(checks.SUITES), words

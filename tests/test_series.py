@@ -120,12 +120,6 @@ def test_truncate_and_restrict():
     t = s.truncate(2)
     assert t.prec == 2
     assert t.support() == [-1, 0]
-    w = s.restrict(0, 4)
-    assert w.support() == [0, 3]
-    assert w.prec is INF   # a fully-known window restricts to an exact polynomial
-    # restricting beyond what is known is dishonest
-    with pytest.raises(PrecisionExhausted):
-        S({0: 1}, prec=2).restrict(0, 5)
 
 
 def test_coeff_beyond_precision_raises():

