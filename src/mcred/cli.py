@@ -10,12 +10,14 @@ short, 3 an algebraic extension needs a branch choice the caller must make,
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from pathlib import Path
 
 from . import checks, serialize
-from .cohomology import LatticeWindow, derham_dims, h1_generators, truncated_complex_dims
+from .cohomology import (MAX_LATTICE_COLUMNS, LatticeWindow, certified_dims, derham_dims,
+                         h1_generators, truncated_complex_dims)
 from .errors import (
     EngineError,
     ParseError,
@@ -79,6 +81,9 @@ def cmd_derham(args) -> int:
         lo, hi = (serialize.check_exponent(v, "--window") for v in args.window)
         if lo >= hi:
             raise ParseError(f"--window {lo} {hi} is empty: MIN must lie below MAX")
+        if c.size * (hi - lo) > MAX_LATTICE_COLUMNS:
+            raise ParseError(f"--window {lo} {hi} on rank {c.size} needs more than "
+                             f"{MAX_LATTICE_COLUMNS} lattice columns")
         dims = truncated_complex_dims(c, LatticeWindow(lo, hi))
     else:
         dims = derham_dims(c)
@@ -88,10 +93,10 @@ def cmd_derham(args) -> int:
 
 def cmd_fredholm(args) -> int:
     c = _load_connection(args)
-    dims = derham_dims(c)
-    if dims.certificate != "spectrum-derived":
-        _note(f"no certificate: dimensions ({dims.h0}, {dims.h1}) come from "
-              f"window doubling only")
+    dims = certified_dims(c)
+    if dims is None:
+        _note("no certificate: an irregular connection with a singular leading "
+              "term has only window doubling, which certifies nothing")
         return 1
     out = serialize.encode_dims(dims)
     if c.pole_order <= 1:
@@ -173,6 +178,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(4, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mcred",

@@ -15,7 +15,8 @@ connection:
   is an isomorphism, so the one-slot window ``[0, 1)`` already certifies
   acyclicity;
 * otherwise :func:`derham_dims` falls back to doubling windows until the
-  dimensions hold still twice in a row, tagging the result accordingly.
+  dimensions hold still twice in a row, tagging the result accordingly,
+  and gives up on systems wider than ``MAX_LATTICE_COLUMNS``.
 
 The fallback does *not* double the square compression: chopping the form
 side at the top of the window manufactures kernel out of the nilpotent part
@@ -47,6 +48,14 @@ from .series import INF, LaurentSeries
 
 #: Give up on window doubling after this many doublings of the initial window.
 DOUBLING_CAP = 6
+
+MAX_LATTICE_COLUMNS = 512
+"""Widest lattice system (rank times window width) that window doubling
+builds and ``derham --window`` accepts.  Tests and benchmark peak at 222
+columns; doubling on a rank-2 nilpotent lead ``[[0, 1], [0, 0]] u**-r`` plus
+``[[0, 0], [1, 0]]`` reaches 440 at r = 16 and took 0.2 / 2.6 / 12 / 60 s
+unbounded at r = 4 / 16 / 32 / 64; a rank-8 zero file took 0.3 / 1.2 / 6.6 s
+on windows of width 32 / 64 / 128 (2-core x86-64 VM, Python 3.11.7)."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +192,11 @@ def _spectrum_window(spectrum: RsSpectrum) -> LatticeWindow:
 # ---------------------------------------------------------------------------
 
 
+def _flat_top(c: Connection, w: LatticeWindow) -> int:
+    """The top of the extended window :func:`flat_section_dim` solves on."""
+    return w.n_max + w.width // 2 + _pole_shift(c)
+
+
 def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     """Dimension of the space of flat-section germs visible in ``w``.
 
@@ -201,8 +215,7 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     with a coefficient inside ``w``.
     """
     r_eff = _pole_shift(c)
-    ext = w.width // 2 + r_eff
-    top = w.n_max + ext
+    top = _flat_top(c, w)
     need = top - r_eff - w.n_min
     if c.prec is not INF and c.prec < need:
         raise PrecisionExhausted(
@@ -236,6 +249,9 @@ def doubling_dims(c: Connection) -> DeRhamDims:
     streak = 0
     for _ in range(DOUBLING_CAP + 1):
         window = LatticeWindow(-w, w)
+        if c.size * (_flat_top(c, window) - window.n_min) > MAX_LATTICE_COLUMNS:
+            raise Unstabilized(f"dimensions did not settle on lattice systems of at most "
+                               f"{MAX_LATTICE_COLUMNS} columns")
         pair = (flat_section_dim(c, window), flat_section_dim(dual, window))
         streak = streak + 1 if pair == prev else 0
         if streak >= 2:
@@ -247,28 +263,30 @@ def doubling_dims(c: Connection) -> DeRhamDims:
     )
 
 
-def derham_dims(c: Connection) -> DeRhamDims:
-    """Stabilized ``(h0, h1)`` with the window that certifies them.
-
-    Regular-singular and invertible-lead connections get a window a theorem
-    vouches for (``certificate="spectrum-derived"``); anything else goes
-    through :func:`doubling_dims` (``certificate="window-doubling"``), which
-    raises :class:`Unstabilized` after ``DOUBLING_CAP`` doublings.
-    """
-    r = c.pole_order
-    if r <= 1:
+def certified_dims(c: Connection) -> DeRhamDims | None:
+    """``(h0, h1)`` on a window a theorem vouches for
+    (``certificate="spectrum-derived"``) when ``c`` is regular singular or
+    has an invertible lead, else ``None``."""
+    if c.pole_order <= 1:
         window = _spectrum_window(rs_spectrum(c.residue()))
         dims = truncated_complex_dims(c, window)
         return DeRhamDims(dims.h0, dims.h1, window, "spectrum-derived")
-    lead = c.leading()
-    n = c.size
-    if linalg.rank(lead) == n:
-        window = LatticeWindow(0, 1)
-        dims = truncated_complex_dims(c, window)
-        if (dims.h0, dims.h1) != (0, 0):  # pragma: no cover - soundness check
-            raise EngineError("invertible leading term must be acyclic")
-        return DeRhamDims(0, 0, window, "spectrum-derived")
-    return doubling_dims(c)
+    if linalg.rank(c.leading()) < c.size:
+        return None
+    window = LatticeWindow(0, 1)
+    dims = truncated_complex_dims(c, window)
+    if (dims.h0, dims.h1) != (0, 0):  # pragma: no cover - soundness check
+        raise EngineError("invertible leading term must be acyclic")
+    return DeRhamDims(0, 0, window, "spectrum-derived")
+
+
+def derham_dims(c: Connection) -> DeRhamDims:
+    """Stabilized ``(h0, h1)`` with the window that certifies them:
+    :func:`certified_dims` where it applies, else :func:`doubling_dims`
+    (``certificate="window-doubling"``), which raises :class:`Unstabilized`
+    after ``DOUBLING_CAP`` doublings or above ``MAX_LATTICE_COLUMNS``.
+    """
+    return certified_dims(c) or doubling_dims(c)
 
 
 def euler_bound_check(c: Connection, dims: DeRhamDims) -> bool:

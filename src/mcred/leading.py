@@ -30,8 +30,7 @@ from typing import Sequence
 
 from . import linalg
 from .connection import Connection
-from .errors import (DomainViolation, EngineError, LinearSolveFailed, NotInvertible,
-                     ScalarLeadingTerm)
+from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTerm
 from .field import (
     FieldElement,
     FieldTower,
@@ -163,43 +162,6 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
 
 
 @dataclass
-class AdSplitting:
-    """A complementary pair ``gl_n = span(kernel) + span(target)`` together
-    with a source space that ``ad(lead)`` carries bijectively onto the target.
-
-    Vectors are row-major flattenings of n-by-n matrices.
-    """
-
-    kernel: list
-    target: list
-    source: list
-    label: str = ""
-
-
-def splitting_from_semisimple(s: Sequence[Sequence[FieldElement]]) -> AdSplitting:
-    """``gl_n = ker(ad_s) + im(ad_s)`` for a semisimple ``s``.
-
-    The full ``ad(lead) = ad_s + ad_f`` is invertible on ``im(ad_s)`` because
-    ``ad_f`` is nilpotent there and commutes with ``ad_s``.
-    """
-    ad = linalg.ad_matrix(s)
-    kernel = linalg.nullspace(ad)
-    image = linalg.column_space_basis(ad)
-    return AdSplitting(kernel, image, image, "ad-semisimple")
-
-
-def splitting_from_sl2(e: Sequence[Sequence[FieldElement]],
-                       f: Sequence[Sequence[FieldElement]]) -> AdSplitting:
-    """``gl_n = ker(ad_e) + im(ad_f)`` for an sl2 triple through a nilpotent
-    lead ``f``; corrections are drawn from ``im(ad_e)``, which ``ad_f`` maps
-    bijectively onto ``im(ad_f)``."""
-    kernel = linalg.nullspace(linalg.ad_matrix(e))
-    target = linalg.column_space_basis(linalg.ad_matrix(f))
-    source = linalg.column_space_basis(linalg.ad_matrix(e))
-    return AdSplitting(kernel, target, source, "ad-sl2")
-
-
-@dataclass
 class NormalizationRecord:
     connection: Connection
     gauge: LaurentMatrix
@@ -271,24 +233,29 @@ def _matrix(tower: FieldTower, ram: int, forms: list) -> LaurentMatrix:
     return LaurentMatrix(tower, [[_from_form(tower, ram, f) for f in row] for row in forms], ram)
 
 
-def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationRecord:
-    """Gauge every known coefficient above the lead into the kernel summand.
+def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> NormalizationRecord:
+    """Gauge every known coefficient above the lead into ``K = ker ad(x)``.
 
-    Requires a truncated connection with pole order >= 2.  Step ``i`` gauges
-    by ``E = exp(-u**i C_i)`` where ``ad(lead)(C_i)`` cancels the target-space
-    component of the coefficient at exponent ``-r + i``; the step changes
-    that coefficient by exactly that amount, touches nothing below it, and
-    preserves the overall precision.  ``C_i`` therefore only depends on the
-    coefficients up to exponent ``-r + i``.
+    Requires a truncated connection with pole order >= 2, and an ``x`` whose
+    image ``S = im ad(x)`` ``ad(lead)`` carries onto a complement of ``K``:
+    the semisimple part ``s`` of the lead (``ad(lead) = ad_s + ad_f`` is
+    invertible on ``im ad_s``, where ``ad_f`` is nilpotent and commutes with
+    ``ad_s``), or the ``e`` of an sl2 triple through a nilpotent lead ``f``
+    (``ad_f`` maps ``im ad_e`` onto ``im ad_f``, a complement of
+    ``ker ad_e``).  Step ``i`` gauges by ``E = exp(-u**i C_i)`` where
+    ``ad(lead)(C_i)`` cancels the ``span(ad(lead) S)`` component of the
+    coefficient at exponent ``-r + i``; the step changes that coefficient by
+    exactly that amount, touches nothing below it, and preserves the
+    overall precision.  ``C_i`` therefore only depends on the coefficients
+    up to exponent ``-r + i``.
 
-    Both maps a step needs are fixed by the lead and the splitting, so they
-    are solved for once: ``to_target`` reads off the target coordinates of a
-    coefficient, and ``cancel`` carries target coordinates to ``C_i``.  They
-    are composed once into ``step = cancel . to_target``, so a step applies
-    one map, to the column of its coefficient.  ``C_i = 0`` exactly when the
-    target coordinates are 0: ``cancel`` is injective, because ``ad(lead)``
-    carries ``-C_i`` back to the target vector of those coordinates, and the
-    target vectors are independent.
+    One elimination of ``ad(x)`` gives ``K`` and ``S``, and one inverse of
+    the n²-by-n² matrix with columns ``K`` then ``ad(lead) S`` gives the map
+    a step applies: the last ``len(S)`` rows of that inverse read off the
+    ``b`` of a coefficient's component ``ad(lead)(S b)``, so
+    ``C_i = -S b`` and ``step = -S . rows``.  ``C_i = 0`` exactly when
+    ``b = 0``, because the columns of ``S`` are independent.  If the
+    inverse does not exist, ``x`` does not fit the lead.
 
     A step needs no gauge: ``E**-1 = exp(u**i C_i)`` and
     ``(dE/du) E**-1 = -i u**(i-1) C_i`` in closed form.  So with
@@ -299,17 +266,16 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
     ``E G E**-1 - (dE/du) E**-1`` would give.
 
     The loop builds no series, and field elements only for the recorded
-    ``C_i``: the maps, ``G`` and ``total`` are grids of the product kernel's
+    ``C_i``: ``step``, ``G`` and ``total`` are grids of the product kernel's
     integer forms (:func:`series._integral`), every product is one
     :func:`series._form_product`, and the last term of ``G`` is one more
     pair in the accumulation of ``(E G) E**-1``.  A step reads its
     coefficient straight off those forms, and the powers of ``C_i``, ``E``,
     ``E**-1`` and the last term are shifts of their keys.  Each ``C_i`` is
     recorded at the top level of the tower (:func:`series._constants`).
-    ``cancel`` is one :func:`linalg.mat_mul` of the source columns with the
-    negated solutions.  The two matrices are built
-    once, after the last step.  The final check that no target component
-    is left is one product of ``to_target`` with the column of all of ``G``.
+    The two matrices are built once, after the last step.  The final check
+    that no ``ad(lead) S`` component is left is one product of ``rows``
+    with the column of all of ``G``.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -317,42 +283,28 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
             "truncate to a working precision first"
         )
     n = c.size
-    nn = n * n
     lead = c.leading()
     r = -c.valuation
     if r < 2:
         raise DomainViolation("coefficient normalization requires a pole of order >= 2")
-    kernel, target, source = splitting.kernel, splitting.target, splitting.source
-    if len(kernel) + len(target) != nn:
-        raise DomainViolation("kernel and target do not have complementary dimensions")
     s_prec = c.prec
-    if not target:
+    kernel, image = linalg.kernel_and_image(linalg.ad_matrix(x))
+    if not image:
         return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram))
+    source = linalg.transpose(image)
+    moved = linalg.mat_mul(linalg.ad_matrix(lead), source)
     try:
-        to_target = linalg.inverse(linalg.transpose(kernel + target))[len(kernel):]
+        rows = linalg.inverse([[v[k] for v in kernel] + row
+                               for k, row in enumerate(moved)])[len(kernel):]
     except NotInvertible:
-        raise DomainViolation("kernel and target do not span gl_n") from None
-    # one elimination of [ad(lead) S | targets], read like linalg.solve with
-    # every free variable zero, so the answer is linear in the right-hand
-    # side and one solution per target vector serves every step
-    source_mat = linalg.transpose(source)
-    solve_mat = linalg.mat_mul(linalg.ad_matrix(lead), source_mat)
-    width = len(source)
-    reduced, pivots = linalg.rref([row + list(t) for row, t in zip(solve_mat, zip(*target))])
-    if pivots and pivots[-1] >= width:
-        raise LinearSolveFailed("inconsistent linear system")
-    zero = common_context(solve_mat)[0].zero()
-    negated = [[zero] * len(target) for _ in range(width)]  # one column per target vector
-    for row, p in zip(reduced, pivots):
-        negated[p] = [-t for t in row[width:]]
-    cancel = linalg.mat_mul(source_mat, negated)
+        raise DomainViolation("ker ad(x) and ad(lead)(im ad(x)) do not span gl_n") from None
 
     p = s_prec + r
     ram = c.ram
-    tower = common_tower(c.tower, common_context(to_target + cancel)[0])
+    tower = common_tower(c.tower, common_context(rows)[0])
     size = tower.sizes[-1]
-    to_target = _constant_forms(to_target)
-    step = _form_product(tower, _constant_forms(cancel), to_target)
+    rows = _constant_forms(rows)
+    step = _form_product(tower, _constant_forms(linalg.mat_neg(source)), rows)
     work = _forms(c.matrix.entries, ram, size)
     total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
     corrections = []
@@ -374,7 +326,7 @@ def sibuya_normalize(c: Connection, splitting: AdSplitting) -> NormalizationReco
         matrix, total = c.matrix, LaurentMatrix.identity(c.tower, n, ram)
     if matrix.prec != s_prec or matrix.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")
-    leftover = _form_product(tower, to_target, [[x] for row in work for x in row])
+    leftover = _form_product(tower, rows, [[x] for row in work for x in row])
     keys = [k for x, in leftover if x for k, _ in x[3] if (1 - r) * size <= k < s_prec * size]
     if keys:
         raise EngineError(
@@ -445,9 +397,9 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
     """Split ``c`` along the eigenvalue clusters of the semisimple matrix ``s``.
 
     Every known coefficient of ``c`` must commute with ``s`` (which is what
-    :func:`sibuya_normalize` with :func:`splitting_from_semisimple`
-    guarantees), so a constant base change to the kernels of the coprime
-    factors of ``s``'s minimal polynomial makes ``c`` block diagonal.
+    :func:`sibuya_normalize` against ``s`` guarantees), so a constant base
+    change to the kernels of the coprime factors of ``s``'s minimal
+    polynomial makes ``c`` block diagonal.
 
     If the minimal polynomial has no rational factorization at all, one
     algebraic root is adjoined to the tower; a degree-2-or-more cofactor is

@@ -169,15 +169,10 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column.
-
-    The basis vector for free column ``f`` has a 1 in slot ``f`` and the
-    negated reduced column above the pivots, so the basis is canonical.
-    """
-    rows, cols = mat_shape(m)
-    tower, _ = common_context(m)
-    r, pivots = rref(m)
+def _kernel(r: Matrix, pivots: list[int], cols: int, tower: FieldTower) -> list[Vector]:
+    """The right kernel from a reduced row echelon form: the basis vector for
+    free column ``f`` has a 1 in slot ``f`` and the negated reduced column
+    above the pivots, so the basis is canonical."""
     pivot_set = set(pivots)
     basis = []
     for f in range(cols):
@@ -189,6 +184,20 @@ def nullspace(m: Matrix) -> list[Vector]:
             v[p] = -r[i][f]
         basis.append(v)
     return basis
+
+
+def nullspace(m: Matrix) -> list[Vector]:
+    """Basis of the right kernel, one vector per free column (see :func:`_kernel`)."""
+    r, pivots = rref(m)
+    return _kernel(r, pivots, mat_shape(m)[1], common_context(m)[0])
+
+
+def kernel_and_image(m: Matrix) -> tuple[list[Vector], list[Vector]]:
+    """The right kernel of ``m`` (as :func:`nullspace` gives it) and the pivot
+    columns of ``m``, a canonical basis of its image, from one elimination."""
+    r, pivots = rref(m)
+    return (_kernel(r, pivots, mat_shape(m)[1], common_context(m)[0]),
+            [[row[p] for row in m] for p in pivots])
 
 
 # Kept because the benchmark tracer wraps it by name and the _old_sibuya test oracle uses it.
@@ -221,12 +230,6 @@ def inverse(m: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")
     return [row[n:] for row in r]
-
-
-def column_space_basis(m: Matrix) -> list[Vector]:
-    """The pivot columns of ``m`` (a canonical basis of the image)."""
-    _, pivots = rref(m)
-    return [[row[p] for row in m] for p in pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ from .leading import (
     is_scalar_matrix,
     jordan_chevalley,
     sibuya_normalize,
-    splitting_from_semisimple,
-    splitting_from_sl2,
 )
 from .matrices import LaurentMatrix
 from .series import INF, LaurentSeries
@@ -255,7 +253,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
         if not is_scalar_matrix(jc.semisimple):
             measure = (n, 0)
             _check_measure(parent_measure, measure)
-            rec = sibuya_normalize(c, splitting_from_semisimple(jc.semisimple))
+            rec = sibuya_normalize(c, jc.semisimple)
             ops.append(("gauge", rec.gauge))
             split = eigen_block_split(rec.connection, jc.semisimple, hints)
             ops.append(("gauge", split.transform))
@@ -284,7 +282,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
         g_basis = LaurentMatrix.constant(c.tower, triple.basis_inv, c.ram)
         c = c.gauge(g_basis)
         ops.append(("gauge", g_basis))
-        rec = sibuya_normalize(c, splitting_from_sl2(triple.e, triple.f))
+        rec = sibuya_normalize(c, triple.e)
         ops.append(("gauge", rec.gauge))
         c = rec.connection
         data = compute_alpha(c, triple.weights)

@@ -6,6 +6,7 @@ import pytest
 
 from mcred import checks, serialize
 from mcred.cli import MAX_STABILITY_SIZE, main
+from mcred.cohomology import MAX_LATTICE_COLUMNS
 from mcred.connection import Connection
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
@@ -314,6 +315,28 @@ def test_empty_derham_window_exits_4(tmp_path, capsys, window):
     assert main(["derham", path, "--window", *window]) == 4
     out, err = capsys.readouterr()
     assert out == "" and "--window" in err
+
+
+@pytest.mark.parametrize("command", ["derham", "fredholm"])
+def test_high_pole_nilpotent_lead_exits_1_quickly(tmp_path, capsys, command):
+    # doubling would start on a 518-column system here; fredholm never doubles
+    c = Connection.from_coeff_map(QQ, {-64: [[0, 1], [0, 0]], 0: [[0, 0], [1, 0]]}, 2)
+    path = write_connection(tmp_path / "pole64.json", c)
+    start = time.perf_counter()
+    assert main([command, path]) == 1
+    assert time.perf_counter() - start < 5.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("no certificate" if command == "fredholm" else "Unstabilized") in err
+
+
+def test_derham_window_over_the_lattice_bound_exits_4(tmp_path, capsys):
+    path = write_connection(tmp_path / "zero64.json", Connection.from_coeff_map(QQ, {}, 64))
+    start = time.perf_counter()
+    assert main(["derham", path, "--window", "-256", "256"]) == 4
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "--window" in err and str(MAX_LATTICE_COLUMNS) in err
 
 
 def test_stability_accepts_its_largest_size(capsys):

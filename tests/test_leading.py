@@ -5,17 +5,14 @@ import pytest
 
 from mcred import checks, leading, linalg, reduction, serialize, sl2
 from mcred.connection import Connection
-from mcred.errors import DomainViolation, EngineError, LinearSolveFailed, ScalarLeadingTerm
+from mcred.errors import DomainViolation, EngineError, ScalarLeadingTerm
 from mcred.field import FieldTower
 from mcred.leading import (
-    AdSplitting,
     eigen_block_split,
     is_scalar_matrix,
     jordan_chevalley,
     rational_roots,
     sibuya_normalize,
-    splitting_from_semisimple,
-    splitting_from_sl2,
 )
 from mcred.matrices import LaurentMatrix, matrix_exp
 from mcred.series import LaurentSeries
@@ -108,7 +105,7 @@ def _sample(prec=2):
 
 def test_sibuya_normalize_pushes_tails_into_kernel():
     c = _sample()
-    rec = sibuya_normalize(c, splitting_from_semisimple(c.leading()))
+    rec = sibuya_normalize(c, c.leading())
     lead = rec.connection.leading()
     # every known coefficient above the lead commutes with the lead
     r = rec.connection.pole_order
@@ -122,7 +119,7 @@ def test_sibuya_normalize_pushes_tails_into_kernel():
 
 def test_sibuya_normalize_is_a_recorded_gauge():
     c = _sample()
-    rec = sibuya_normalize(c, splitting_from_semisimple(c.leading()))
+    rec = sibuya_normalize(c, c.leading())
     assert c.gauge(rec.gauge).matrix.coincides_with(rec.connection.matrix)
 
 
@@ -133,30 +130,41 @@ def test_sibuya_locality():
     bumped = Connection(
         (c.matrix + LaurentMatrix(QQ, [[S({}), S({1: 7})], [S({}), S({})]])
          ).truncate(3))
-    rec = sibuya_normalize(c, splitting_from_semisimple(c.leading()))
-    rec2 = sibuya_normalize(bumped, splitting_from_semisimple(bumped.leading()))
+    rec = sibuya_normalize(c, c.leading())
+    rec2 = sibuya_normalize(bumped, bumped.leading())
     assert str(rec.corrections[0]) == str(rec2.corrections[0])
     assert str(rec.corrections[1]) == str(rec2.corrections[1])
     assert str(rec.corrections[2]) != str(rec2.corrections[2])
 
 
-def _old_sibuya(c, splitting):
+def _pivot_columns(m):
+    _, pivots = linalg.rref(m)
+    return [[row[p] for row in m] for p in pivots]
+
+
+def _old_sibuya(c, x):
     """The per-step loop ``sibuya_normalize`` replaced: one ``solve`` against
-    the kernel+target basis and one against ``ad(lead)`` for every step.
+    the kernel+target basis and one against ``ad(lead)`` for every step, on
+    the splitting built the old way: kernel ``ker ad(x)``, source
+    ``im ad(x)``, and target ``im ad(x)`` for a semisimple ``x`` or the pivot
+    columns of ``ad(lead)`` for a nilpotent lead.
     Returns ``(corrections, gauge, connection)``."""
     n = c.size
     nn = n * n
     lead = c.leading()
     r = -c.valuation
-    kernel, target, source = splitting.kernel, splitting.target, splitting.source
+    kernel = linalg.nullspace(linalg.ad_matrix(x))
+    source = _pivot_columns(linalg.ad_matrix(x))
+    nilpotent = linalg.is_zero_matrix(jordan_chevalley(lead).semisimple)
+    target = _pivot_columns(linalg.ad_matrix(lead)) if nilpotent else source
     basis = [[v[i] for v in kernel + target] for i in range(nn)]
     source_mat = [[v[i] for v in source] for i in range(nn)]
     solve_mat = _mat_mul(linalg.ad_matrix(lead), source_mat)
 
     def target_component(coeff):
-        x = linalg.solve(basis, [y for row in coeff for y in row])
+        coords = linalg.solve(basis, [y for row in coeff for y in row])
         out = [QQ.zero() for _ in range(nn)]
-        for j, xj in enumerate(x[len(kernel):]):
+        for j, xj in enumerate(coords[len(kernel):]):
             if not xj.is_zero():
                 for idx in range(nn):
                     out[idx] = out[idx] + target[j][idx] * xj
@@ -196,32 +204,32 @@ def _tower_sibuya_inputs():
                   1: [[g, 0], [1, 2]]}
         c = Connection.from_coeff_map(tower, {-2: [[g, 0], [0, 2]], **higher}, 2,
                                       prec=3, ram=ss_ram)
-        out.append((c, splitting_from_semisimple(jordan_chevalley(c.leading()).semisimple)))
+        out.append((c, jordan_chevalley(c.leading()).semisimple))
         c = Connection.from_coeff_map(tower, {-2: [[0, 1], [0, 0]], **higher}, 2,
                                       prec=2, ram=nil_ram)
         triple = sl2.jacobson_morozov(c.leading())
         c = c.gauge(LaurentMatrix.constant(tower, triple.basis_inv, c.ram))
-        out.append((c, splitting_from_sl2(triple.e, triple.f)))
+        out.append((c, triple.e))
     return out
 
 
 def _sibuya_inputs():
-    """Seeded truncated inputs with the splitting the reduction would pick:
-    ``ad-semisimple`` for a non-scalar semisimple lead part, ``ad-sl2`` (in
-    the standard chain basis) for a nilpotent lead; then the tower inputs of
-    :func:`_tower_sibuya_inputs`."""
+    """Seeded truncated inputs with the ``x`` the reduction would pass: the
+    semisimple part of a lead whose semisimple part is not scalar, and the
+    ``e`` of the sl2 triple (in the standard chain basis) through a
+    nilpotent lead; then the tower inputs of :func:`_tower_sibuya_inputs`."""
     rng = random.Random(5)
     out = []
     for n, r, prec in ((2, 2, 3), (2, 3, 2), (3, 2, 1)):
         c = checks.random_connection(rng, n, r, kind="generic", prec=prec)
         jc = jordan_chevalley(c.leading())
         if not is_scalar_matrix(jc.semisimple):
-            out.append((c, splitting_from_semisimple(jc.semisimple)))
+            out.append((c, jc.semisimple))
     for n, r, prec in ((2, 2, 3), (2, 3, 2), (3, 2, 1), (3, 3, 0)):
         c = checks.random_connection(rng, n, r, kind="nilpotent_lead", prec=prec)
         triple = sl2.jacobson_morozov(c.leading())
         c = c.gauge(LaurentMatrix.constant(QQ, triple.basis_inv))
-        out.append((c, splitting_from_sl2(triple.e, triple.f)))
+        out.append((c, triple.e))
     return out + _tower_sibuya_inputs()
 
 
@@ -237,9 +245,9 @@ def _long_sibuya_inputs():
         c = checks.random_connection(rng, 2 + i % 2, 2 + (i // 2) % 2, kind=kinds[i % 3])
     calls = []
 
-    def spy(c, splitting):
-        calls.append((c, splitting))
-        return sibuya_normalize(c, splitting)
+    def spy(c, x):
+        calls.append((c, x))
+        return sibuya_normalize(c, x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "sibuya_normalize", spy)
@@ -249,13 +257,13 @@ def _long_sibuya_inputs():
                                  prec=48).truncate(8)
     triple = sl2.jacobson_morozov(c.leading())
     c = c.gauge(LaurentMatrix.constant(QQ, triple.basis_inv))
-    return out + [(c, splitting_from_sl2(triple.e, triple.f))]
+    return out + [(c, triple.e)]
 
 
 def test_long_sibuya_inputs_take_long_step_loops():
-    (replay, replay_split), (rank3, rank3_split) = _long_sibuya_inputs()
-    assert replay.ram >= 4 and len(sibuya_normalize(replay, replay_split).corrections) >= 10
-    assert rank3.size == 3 and len(sibuya_normalize(rank3, rank3_split).corrections) >= 10
+    (replay, replay_x), (rank3, rank3_x) = _long_sibuya_inputs()
+    assert replay.ram >= 4 and len(sibuya_normalize(replay, replay_x).corrections) >= 10
+    assert rank3.size == 3 and len(sibuya_normalize(rank3, rank3_x).corrections) >= 10
 
 
 def _encoded(m):
@@ -264,12 +272,11 @@ def _encoded(m):
 
 def test_sibuya_normalize_matches_the_per_step_solve():
     inputs = _sibuya_inputs()
-    assert {sp.label for _, sp in inputs} == {"ad-semisimple", "ad-sl2"}
     assert {(c.tower.depth, c.ram) for c, _ in inputs} == {(0, 1), (1, 1), (1, 3),
                                                            (2, 1), (2, 3)}
-    for c, splitting in inputs + _long_sibuya_inputs():
-        rec = sibuya_normalize(c, splitting)
-        corrections, gauge, work = _old_sibuya(c, splitting)
+    for c, x in inputs + _long_sibuya_inputs():
+        rec = sibuya_normalize(c, x)
+        corrections, gauge, work = _old_sibuya(c, x)
         assert rec.corrections, "the input needs no normalization step"
         assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
         for (_, new), (_, old) in zip(rec.corrections, corrections):
@@ -280,23 +287,34 @@ def test_sibuya_normalize_matches_the_per_step_solve():
 
 
 def test_sibuya_normalize_refusals():
-    c = _sample()  # lead diag(1, -1): kernel the diagonal, target the off-diagonal
-    sp = splitting_from_semisimple(c.leading())
-    assert len(sp.kernel) == len(sp.target) == 2
+    c = _sample()  # lead diag(1, -1)
+    lead = c.leading()
     exact = Connection(LaurentMatrix(QQ, [[S({-2: 1}), S({})], [S({}), S({-2: -1})]]))
     with pytest.raises(DomainViolation, match="needs a truncated connection"):
-        sibuya_normalize(exact, sp)
+        sibuya_normalize(exact, lead)
     simple_pole = Connection.from_coeff_map(QQ, {-1: [[1, 0], [0, -1]]}, 2, prec=1)
     with pytest.raises(DomainViolation, match="requires a pole of order >= 2"):
-        sibuya_normalize(simple_pole, sp)
-    with pytest.raises(DomainViolation, match="complementary dimensions"):
-        sibuya_normalize(c, AdSplitting(sp.kernel, sp.target[:1], sp.source))
+        sibuya_normalize(simple_pole, lead)
+    # ker ad(x) = span(1, x) and im ad(x) = span(x, diag(1, -1)), which ad(lead)
+    # carries onto span(x) alone
     with pytest.raises(DomainViolation, match="do not span gl_n"):
-        sibuya_normalize(c, AdSplitting(sp.kernel, [sp.kernel[0], sp.target[0]], sp.source))
-    # ad(lead) kills the identity, so no source vector reaches the target
-    identity = [QQ.one(), QQ.zero(), QQ.zero(), QQ.one()]
-    with pytest.raises(LinearSolveFailed, match="inconsistent linear system"):
-        sibuya_normalize(c, AdSplitting(sp.kernel, sp.target, [identity]))
+        sibuya_normalize(c, grid([[0, 1], [0, 0]]))
+
+
+def test_sibuya_normalize_runs_two_eliminations(monkeypatch):
+    # one of ad(x) for its kernel and image, one for the step map's inverse
+    calls = []
+    rref = linalg.rref
+
+    def counting(m):
+        calls.append(len(m[0]))
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for c, x in _sibuya_inputs():
+        calls.clear()
+        assert sibuya_normalize(c, x).corrections
+        assert calls == [c.size ** 2, 2 * c.size ** 2]
 
 
 @pytest.mark.parametrize("offset", [1, 2])
@@ -308,19 +326,18 @@ def test_sibuya_leftover_check_names_the_first_offset_left(monkeypatch, offset):
     higher = {-1: upper, 0: diagonal} if offset == 1 else {-1: diagonal, 0: upper}
     c = Connection.from_coeff_map(QQ, {-2: [[1, 0], [0, 2]], **higher, 1: [[0, 0], [5, 0]]},
                                   2, prec=2)
-    sp = splitting_from_semisimple(c.leading())
-    assert [i for i, _ in sibuya_normalize(c, sp).corrections][0] == offset
+    assert [i for i, _ in sibuya_normalize(c, c.leading()).corrections][0] == offset
     ident = [[leading._ONE if a == b else None for b in range(2)] for a in range(2)]
     no_dlog = [[(None, None)] * 2 for _ in range(2)]
     monkeypatch.setattr(leading, "_step_gauge", lambda *args: (ident, ident, no_dlog))
     with pytest.raises(EngineError, match=f"coefficient at offset {offset} still has a component"):
-        sibuya_normalize(c, sp)
+        sibuya_normalize(c, c.leading())
 
 
 def test_eigen_block_split_rational_eigenvalues():
     m = LaurentMatrix(QQ, [[S({-2: 0}), S({-2: 1})], [S({-2: 1}), S({})]])
     c = Connection(m.truncate(1))
-    rec = sibuya_normalize(c, splitting_from_semisimple(c.leading()))
+    rec = sibuya_normalize(c, c.leading())
     out = eigen_block_split(rec.connection, rec.connection.leading())
     assert out.sizes == [1, 1]
     assert out.tower.depth == 0      # +-1 need no extension
@@ -333,7 +350,7 @@ def test_eigen_block_split_rational_eigenvalues():
 def test_eigen_block_split_adjoins_a_root_when_needed():
     m = LaurentMatrix(QQ, [[S({}), S({-2: 1})], [S({-2: 2}), S({})]])
     c = Connection(m.truncate(1))
-    rec = sibuya_normalize(c, splitting_from_semisimple(c.leading()))
+    rec = sibuya_normalize(c, c.leading())
     out = eigen_block_split(rec.connection, rec.connection.leading())
     assert out.sizes == [1, 1]
     assert out.tower.depth == 1      # a root of x^2 - 2 was adjoined
