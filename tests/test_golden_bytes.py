@@ -12,7 +12,12 @@ inputs of the ``reduce-replay`` benchmark workload at seed 1
 (:func:`_reduce_replay_digest`), which take Sibuya steps at ramification 4
 and 6, and the sha256 of ``mcred reduce --precision 24`` on the rank-3,
 pole-3 nilpotent-lead file of :func:`_rank3_pole3` (``REDUCE_RANK3_P24``),
-whose Sibuya calls take long step loops.  The ``gauge`` digests above run
+whose Sibuya calls take long step loops.  ``TRUNCATED`` pins the exit code,
+the stdout sha256 and the whole stderr text of ``mcred derham`` and
+``mcred fredholm`` at ``--precision`` 1, 4 and 9 on the same inputs, so the
+two precision guards of the lattice systems (the window's and the
+flat-section certificate's) fire with their messages and ``needed`` hints
+(:func:`_truncated_runs`).  The ``gauge`` digests above run
 over Q and Q(sqrt 2) only, so one more sha256 (``TOWER_GAUGES``) covers
 ``LaurentMatrix.inverse`` and ``Connection.gauge`` on the fixed-seed family
 of :func:`_tower_gauge_cases` over towers of depth 1 and 2: every entry of
@@ -24,7 +29,7 @@ When an output change is intended, re-record the digests with::
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 
-which prints a new ``GOLDEN`` dict and the ``REDUCE_REPLAY_TREES``,
+which prints new ``GOLDEN`` and ``TRUNCATED`` dicts and the ``REDUCE_REPLAY_TREES``,
 ``REDUCE_RANK3_P24`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
@@ -45,6 +50,7 @@ from mcred.series import INF, LaurentSeries
 
 GENERATE = ["generate", "--seed", "7", "--count", "9"]
 KINDS = ("generic", "invertible_lead", "nilpotent_lead")
+TRUNCATION_PRECISIONS = (1, 4, 9)
 
 REDUCE_REPLAY_TREES = "25b79c11ab37ab5e0d47026bf0e371d6f52dd518667ce368171370c98232259f"
 
@@ -146,6 +152,177 @@ GOLDEN = {
     "reduce-p6 saddle-node": (0, "8132969075f6262f2cd0fc3f7f436f0c719b54ac9ae63c9915c9915df4aff049"),
 }
 
+TRUNCATED = {
+    "derham-p1 gen7-0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "derham-p1 gen7-1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "derham-p1 gen7-2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "derham-p1 gen7-3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-4, 2) needs coefficients up to exponent 5 but the connection is only known below 1 (precision >= 5 would do)\n'),
+    "derham-p1 gen7-4": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "derham-p1 gen7-5": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "derham-p1 gen7-6": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "derham-p1 gen7-7": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "derham-p1 gen7-8": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "derham-p1 half-residue": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "derham-p1 jump-half": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 1 (precision >= 9 would do)\n'),
+    "derham-p1 jump-integer": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 1 (precision >= 9 would do)\n'),
+    "derham-p1 ramified-pair": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 1 (precision >= 9 would do)\n'),
+    "derham-p1 saddle-node": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 1 (precision >= 9 would do)\n'),
+    "derham-p4 gen7-0": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p4 gen7-1": (0, "d85dafc69798ed1978ddadad11614fe049d1048b79572bee6126615addcbf8ca",
+     ''),
+    "derham-p4 gen7-2": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p4 gen7-3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-4, 2) needs coefficients up to exponent 5 but the connection is only known below 4 (precision >= 5 would do)\n'),
+    "derham-p4 gen7-4": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "derham-p4 gen7-5": (0, "e54c938a89b79da9ec85531cf85841bb8da9a2c349fb99de687c26a55af9228b",
+     ''),
+    "derham-p4 gen7-6": (0, "d85dafc69798ed1978ddadad11614fe049d1048b79572bee6126615addcbf8ca",
+     ''),
+    "derham-p4 gen7-7": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p4 gen7-8": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "derham-p4 half-residue": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p4 jump-half": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 4 (precision >= 9 would do)\n'),
+    "derham-p4 jump-integer": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 4 (precision >= 9 would do)\n'),
+    "derham-p4 ramified-pair": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 4 (precision >= 9 would do)\n'),
+    "derham-p4 saddle-node": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-3, 3) needs coefficients up to exponent 9 but the connection is only known below 4 (precision >= 9 would do)\n'),
+    "derham-p9 gen7-0": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p9 gen7-1": (0, "d85dafc69798ed1978ddadad11614fe049d1048b79572bee6126615addcbf8ca",
+     ''),
+    "derham-p9 gen7-2": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p9 gen7-3": (0, "3025d8698ecca5e4f1ce29d224455d4d33261866c3d494c66e3f59cc03c8347c",
+     ''),
+    "derham-p9 gen7-4": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "derham-p9 gen7-5": (0, "e54c938a89b79da9ec85531cf85841bb8da9a2c349fb99de687c26a55af9228b",
+     ''),
+    "derham-p9 gen7-6": (0, "d85dafc69798ed1978ddadad11614fe049d1048b79572bee6126615addcbf8ca",
+     ''),
+    "derham-p9 gen7-7": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p9 gen7-8": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "derham-p9 half-residue": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac",
+     ''),
+    "derham-p9 jump-half": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-6, 6) needs coefficients up to exponent 18 but the connection is only known below 9 (precision >= 18 would do)\n'),
+    "derham-p9 jump-integer": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-6, 6) needs coefficients up to exponent 18 but the connection is only known below 9 (precision >= 18 would do)\n'),
+    "derham-p9 ramified-pair": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-6, 6) needs coefficients up to exponent 18 but the connection is only known below 9 (precision >= 18 would do)\n'),
+    "derham-p9 saddle-node": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: certifying flat sections on window (-6, 6) needs coefficients up to exponent 18 but the connection is only known below 9 (precision >= 18 would do)\n'),
+    "fredholm-p1 gen7-0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "fredholm-p1 gen7-1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "fredholm-p1 gen7-2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "fredholm-p1 gen7-3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-4, 2) needs coefficients up to exponent 5 but the connection is only known below 1 (precision >= 5 would do)\n'),
+    "fredholm-p1 gen7-4": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "fredholm-p1 gen7-5": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "fredholm-p1 gen7-6": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "fredholm-p1 gen7-7": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "fredholm-p1 gen7-8": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "fredholm-p1 half-residue": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-1, 2) needs coefficients up to exponent 2 but the connection is only known below 1 (precision >= 2 would do)\n'),
+    "fredholm-p1 jump-half": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p1 jump-integer": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p1 ramified-pair": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p1 saddle-node": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p4 gen7-0": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p4 gen7-1": (0, "280e42cee417304e715b7f381d60419df6c8305fb1f75f88af2c9766edcd5a20",
+     ''),
+    "fredholm-p4 gen7-2": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p4 gen7-3": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'precision exhausted: window (-4, 2) needs coefficients up to exponent 5 but the connection is only known below 4 (precision >= 5 would do)\n'),
+    "fredholm-p4 gen7-4": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "fredholm-p4 gen7-5": (0, "8bbd229b04a80c7e57c3557efd8cad91e7799773e78565b54a98886e7dabdb88",
+     ''),
+    "fredholm-p4 gen7-6": (0, "280e42cee417304e715b7f381d60419df6c8305fb1f75f88af2c9766edcd5a20",
+     ''),
+    "fredholm-p4 gen7-7": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p4 gen7-8": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "fredholm-p4 half-residue": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p4 jump-half": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p4 jump-integer": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p4 ramified-pair": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p4 saddle-node": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p9 gen7-0": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p9 gen7-1": (0, "280e42cee417304e715b7f381d60419df6c8305fb1f75f88af2c9766edcd5a20",
+     ''),
+    "fredholm-p9 gen7-2": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p9 gen7-3": (0, "6afdb26b660f130c7701eeeba1cf378a406caec436e5106f2ef3e0b08118b889",
+     ''),
+    "fredholm-p9 gen7-4": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "fredholm-p9 gen7-5": (0, "8bbd229b04a80c7e57c3557efd8cad91e7799773e78565b54a98886e7dabdb88",
+     ''),
+    "fredholm-p9 gen7-6": (0, "280e42cee417304e715b7f381d60419df6c8305fb1f75f88af2c9766edcd5a20",
+     ''),
+    "fredholm-p9 gen7-7": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p9 gen7-8": (0, "5000d485073e582e0647907e812829f4104fda130f26d90d909582372c3a7a90",
+     ''),
+    "fredholm-p9 half-residue": (0, "85bc853c2179f55343322d23082b91c2245355827a98574758c5603a9463e23f",
+     ''),
+    "fredholm-p9 jump-half": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p9 jump-integer": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p9 ramified-pair": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+    "fredholm-p9 saddle-node": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     'no certificate: an irregular connection with a singular leading term has only window doubling, which certifies nothing\n'),
+}
+
 
 def _gauges(n):
     """Four rank-``n`` gauges, each with the ``--precision`` it runs with:
@@ -173,13 +350,13 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _inputs(tmp_dir):
     objs = {name: serialize.encode_connection(make())
             for name, make in checks.SAMPLES.items()}
-    code, text = _run(GENERATE)
+    code, text, _ = _run(GENERATE)
     assert code == 0
     for k, obj in enumerate(serialize.loads(text)["connections"]):
         objs[f"gen7-{k}"] = obj
@@ -209,8 +386,20 @@ def _digests(tmp_dir):
             else:
                 runs.append((f"gauge {kind} {name}", argv + ["--precision", str(prec)]))
     for key, argv in runs:
-        code, text = _run(argv)
+        code, text, _ = _run(argv)
         out[key] = (code, hashlib.sha256(text.encode()).hexdigest())
+    return out
+
+
+def _truncated_runs(tmp_dir):
+    """``(exit code, stdout sha256, stderr)`` of ``derham`` and ``fredholm``
+    on every input truncated to each of ``TRUNCATION_PRECISIONS``."""
+    out = {}
+    for name, path in _inputs(tmp_dir).items():
+        for command in ("derham", "fredholm"):
+            for p in TRUNCATION_PRECISIONS:
+                code, text, err = _run([command, path, "--precision", str(p)])
+                out[f"{command}-p{p} {name}"] = (code, hashlib.sha256(text.encode()).hexdigest(), err)
     return out
 
 
@@ -234,7 +423,7 @@ def _rank3_pole3():
 def _rank3_digest(tmp_dir):
     path = tmp_dir / "rank3-pole3.json"
     path.write_text(_rank3_pole3())
-    code, text = _run(["reduce", str(path), "--precision", "24"])
+    code, text, _ = _run(["reduce", str(path), "--precision", "24"])
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -344,6 +533,13 @@ def test_output_bytes_match_the_recorded_digests(tmp_path):
     assert not changed, f"output bytes changed for {changed}"
 
 
+def test_truncated_cohomology_matches_the_recorded_runs(tmp_path):
+    got = _truncated_runs(tmp_path)
+    assert sorted(got) == sorted(TRUNCATED)
+    changed = [key for key in TRUNCATED if got[key] != TRUNCATED[key]]
+    assert not changed, f"exit code, stdout or stderr changed for {changed}"
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -351,9 +547,14 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = _digests(pathlib.Path(tmp))
         rank3 = _rank3_digest(pathlib.Path(tmp))
+        truncated = _truncated_runs(pathlib.Path(tmp))
     print("GOLDEN = {")
     for key, (code, digest) in sorted(digests.items()):
         print(f'    "{key}": ({code}, "{digest}"),')
+    print("}")
+    print("TRUNCATED = {")
+    for key, (code, digest, err) in sorted(truncated.items()):
+        print(f'    "{key}": ({code}, "{digest}",\n     {err!r}),')
     print("}")
     print(f'REDUCE_REPLAY_TREES = "{_reduce_replay_digest()}"')
     print(f'REDUCE_RANK3_P24 = ({rank3[0]}, "{rank3[1]}")')
