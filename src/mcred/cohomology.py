@@ -119,23 +119,28 @@ def _pole_shift(c: Connection) -> int:
     return int(r) if r != -INF and r > 1 else 1
 
 
-def _nabla_rows(c: Connection, j: int, k_min: int, width: int) -> list:
-    """The n rows of ``∇`` that land on ``u**j du``, restricted to sections
-    with exponents in ``[k_min, k_min + width)``: column ``kx*n + b`` holds
-    ``G_{j-k}[a][b]``, plus ``k`` on the diagonal where ``j == k - 1``."""
+def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> list:
+    """The rows of ``∇`` that land on ``u**j du`` for ``j`` in ``rows``, on
+    sections with exponents in ``[k_min, k_min + width)``: row ``jx*n + a``,
+    column ``kx*n + b`` holds ``G_{j-k}[a][b]``, plus ``k`` on the diagonal
+    where ``j == k - 1``.  ``what`` names the window a short precision blames."""
+    need = rows.stop - k_min
+    if c.prec is not INF and c.prec < need:
+        raise PrecisionExhausted(f"{what} needs coefficients up to exponent {need} but the "
+                                 f"connection is only known below {c.prec}", needed=need)
     n = c.size
     zero = c.tower.zero()
-    block = [[zero] * (n * width) for _ in range(n)]
-    for kx in range(width):
-        k = k_min + kx
-        grid = c.coeff(j - k)
+    mat = [[zero] * (n * width) for _ in range(n * len(rows))]
+    for a, entries in enumerate(c.matrix.entries):
+        for b, s in enumerate(entries):
+            for e, x in s.coeffs.items():
+                for j in range(max(rows.start, k_min + e), min(rows.stop, k_min + width + e)):
+                    mat[(j - rows.start) * n + a][(j - e - k_min) * n + b] = x
+    for j in range(max(rows.start, k_min - 1), min(rows.stop, k_min + width - 1)):
         for a in range(n):
-            for b in range(n):
-                x = grid[a][b]
-                if a == b and j == k - 1:
-                    x = x + k
-                block[a][kx * n + b] = x
-    return block
+            row, col = mat[(j - rows.start) * n + a], (j + 1 - k_min) * n + a
+            row[col] = row[col] + (j + 1)
+    return mat
 
 
 def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
@@ -145,17 +150,9 @@ def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
     the window is large enough (see :func:`derham_dims`).
     """
     m = _pole_shift(c)
-    need = w.width - m
-    if c.prec is not INF and c.prec < need:
-        raise PrecisionExhausted(
-            f"window {w.n_min, w.n_max} needs coefficients up to exponent "
-            f"{need} but the connection is only known below {c.prec}",
-            needed=need,
-        )
     dim = c.size * w.width
-    mat = [row for j in range(w.n_min - m, w.n_max - m)
-           for row in _nabla_rows(c, j, w.n_min, w.width)]
-    rank = linalg.rank(mat)
+    rank = linalg.rank(_lattice(c, range(w.n_min - m, w.n_max - m), w.n_min, w.width,
+                                f"window {w.n_min, w.n_max}"))
     return DeRhamDims(dim - rank, dim - rank, w, "window")
 
 
@@ -214,20 +211,11 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     exponents, the count is exactly the number of independent flat sections
     with a coefficient inside ``w``.
     """
-    r_eff = _pole_shift(c)
     top = _flat_top(c, w)
-    need = top - r_eff - w.n_min
-    if c.prec is not INF and c.prec < need:
-        raise PrecisionExhausted(
-            f"certifying flat sections on window {w.n_min, w.n_max} needs "
-            f"coefficients up to exponent {need} but the connection is "
-            f"only known below {c.prec}",
-            needed=need,
-        )
     lo = min([w.n_min - 1] + [w.n_min + e for e in c.matrix.support()])
-    rows = [row for j in range(lo, top - r_eff)
-            for row in _nabla_rows(c, j, w.n_min, top - w.n_min)]
-    basis = linalg.nullspace(rows)
+    rows = range(lo, top - _pole_shift(c))
+    basis = linalg.nullspace(_lattice(c, rows, w.n_min, top - w.n_min,
+                                      f"certifying flat sections on window {w.n_min, w.n_max}"))
     if not basis:
         return 0
     visible = [vec[: c.size * w.width] for vec in basis]

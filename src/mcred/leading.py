@@ -346,7 +346,6 @@ class SplitResult:
     blocks: list
     sizes: list
     transform: LaurentMatrix
-    tower: FieldTower
 
 
 def _coprime_factors(m_poly: list, tower: FieldTower) -> list:
@@ -438,4 +437,4 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
     g = LaurentMatrix.constant(tower, p_inv, c.ram)
     gauged = c.gauge(g)
     blocks = gauged.block_split(sizes)
-    return SplitResult(blocks, sizes, g, tower)
+    return SplitResult(blocks, sizes, g)

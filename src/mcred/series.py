@@ -240,13 +240,6 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self * self.tower.coerce(other).inverse()
-        if isinstance(other, LaurentSeries):
-            return self * other.inverse()
-        return NotImplemented
-
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainViolation("series powers take non-negative ints")

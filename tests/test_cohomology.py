@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, linalg
+from mcred import checks, cohomology, linalg
 from mcred.cohomology import (
     DeRhamDims,
     LatticeWindow,
@@ -287,3 +287,163 @@ def test_serialized_dims_shape():
         "stabilized": True,
         "certificate": "spectrum-derived",
     }
+
+
+# -- the lattice builder against the per-block oracle --------------------------
+
+
+def _old_nabla_rows(c, j, k_min, width):
+    """The per-block path the builder replaced: the n rows of ``∇`` landing
+    on ``u**j du``, each block a fresh grid read through ``Connection.coeff``."""
+    n = c.size
+    zero = c.tower.zero()
+    block = [[zero] * (n * width) for _ in range(n)]
+    for kx in range(width):
+        k = k_min + kx
+        grid = c.coeff(j - k)
+        for a in range(n):
+            for b in range(n):
+                x = grid[a][b]
+                if a == b and j == k - 1:
+                    x = x + k
+                block[a][kx * n + b] = x
+    return block
+
+
+def _old_system(caller, c, w):
+    """The system the per-block path handed to ``caller``'s elimination on
+    ``w``, behind that caller's own precision guard."""
+    m = cohomology._pole_shift(c)
+    if caller is truncated_complex_dims:
+        need = w.width - m
+        if c.prec is not INF and c.prec < need:
+            raise PrecisionExhausted(
+                f"window {w.n_min, w.n_max} needs coefficients up to exponent "
+                f"{need} but the connection is only known below {c.prec}",
+                needed=need)
+        return [row for j in range(w.n_min - m, w.n_max - m)
+                for row in _old_nabla_rows(c, j, w.n_min, w.width)]
+    top = w.n_max + w.width // 2 + m
+    need = top - m - w.n_min
+    if c.prec is not INF and c.prec < need:
+        raise PrecisionExhausted(
+            f"certifying flat sections on window {w.n_min, w.n_max} needs "
+            f"coefficients up to exponent {need} but the connection is "
+            f"only known below {c.prec}",
+            needed=need)
+    lo = min([w.n_min - 1] + [w.n_min + e for e in c.matrix.support()])
+    return [row for j in range(lo, top - m)
+            for row in _old_nabla_rows(c, j, w.n_min, top - w.n_min)]
+
+
+class _Built(Exception):
+    pass
+
+
+def _outcome(build, caller, c, w):
+    """What ``build`` gives for ``caller`` on ``w``: the system, or the
+    :class:`PrecisionExhausted` it raises."""
+    try:
+        return build(caller, c, w)
+    except PrecisionExhausted as exc:
+        return exc
+
+
+def _new_system(caller, c, w):
+    """The system ``caller`` itself builds, caught before its elimination."""
+    real = cohomology._lattice
+
+    def spy(*args):
+        raise _Built(real(*args))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohomology, "_lattice", spy)
+        try:
+            caller(c, w)
+        except _Built as built:
+            return built.args[0]
+    raise AssertionError(f"{caller.__name__} built no lattice")  # pragma: no cover
+
+
+def _assert_same_system(caller, c, w):
+    got, want = _outcome(_new_system, caller, c, w), _outcome(_old_system, caller, c, w)
+    if isinstance(want, PrecisionExhausted):
+        assert isinstance(got, PrecisionExhausted)
+        assert (str(got), got.needed) == (str(want), want.needed)
+        return False
+    assert len(got) == len(want)
+    for row, old in zip(got, want):
+        assert len(row) == len(old)
+        assert all(x == y and x.level == y.level for x, y in zip(row, old))
+    return True
+
+
+K1 = QQ.extend([-2, 0, 1])              # sqrt(2)
+K2 = K1.extend([-K1.gen(), 0, 0, 1])    # a cube root of sqrt(2)
+
+
+def _tower_connection(rng, tower, n, r):
+    """Pole order ``r`` over ``tower``, coefficients at every level."""
+    gens = [tower.rational(1)] + [tower.gen(k) for k in range(1, tower.depth + 1)]
+    grid = lambda: [[rng.choice(gens) * checks.random_rational(rng) for _ in range(n)]
+                    for _ in range(n)]
+    return Connection.from_coeff_map(tower, {e: grid() for e in range(-r, 2)}, n)
+
+
+def _lattice_cases():
+    rng = random.Random(18)
+    cases = [checks.random_connection(rng, n, r, kind=kind)
+             for kind in checks.KINDS for n in (1, 2, 3) for r in (0, 1, 2, 3)]
+    cases += [checks.SAMPLES["saddle-node"]().ramify(2),
+              checks.random_connection(rng, 2, 2, kind="nilpotent_lead").ramify(2),
+              _tower_connection(rng, K1, 2, 2), _tower_connection(rng, K2, 2, 1)]
+    return cases
+
+
+TRUNCATED_WINDOWS = (LatticeWindow(0, 1), LatticeWindow(-1, 1), LatticeWindow(2, 5),
+                     LatticeWindow(-3, 3))
+FLAT_WINDOWS = (LatticeWindow(0, 1), LatticeWindow(-2, 2))
+
+
+def test_lattice_systems_match_the_per_block_oracle():
+    """Entry by entry (value and level) on exact and truncated inputs, for
+    both callers' windows; the truncated-complex windows narrower than the
+    pole shift have no ``k`` on the diagonal, the rest do."""
+    rng = random.Random(19)
+    built = {"diagonal": 0, "no diagonal": 0, "truncated input": 0}
+    for c in _lattice_cases():
+        m = cohomology._pole_shift(c)
+        for caller, windows in ((truncated_complex_dims, TRUNCATED_WINDOWS),
+                                (flat_section_dim, FLAT_WINDOWS)):
+            for w in windows:
+                need = w.width - m if caller is truncated_complex_dims else w.width + w.width // 2
+                for d in (INF, need + rng.randint(-1, 2)):
+                    if not _assert_same_system(caller, c.truncate(d), w):
+                        continue
+                    if d is not INF:
+                        built["truncated input"] += 1
+                    if caller is truncated_complex_dims and w.width < m:
+                        built["no diagonal"] += 1
+                    else:
+                        built["diagonal"] += 1
+    assert min(built.values()) > 0, built
+
+
+@pytest.mark.parametrize("caller", [truncated_complex_dims, flat_section_dim])
+def test_lattice_precision_guard_boundary(caller):
+    """Precision ``need - 1`` raises with the oracle's message and
+    ``needed``; precision ``need`` builds and eliminates."""
+    rng = random.Random(20)
+    for c in (checks.random_connection(rng, 2, 2, kind="nilpotent_lead"),
+              checks.random_connection(rng, 2, 1), checks.SAMPLES["ramified-pair"](),
+              _tower_connection(rng, K1, 1, 2)):
+        for w in (LatticeWindow(-2, 2), LatticeWindow(1, 4)):
+            m = cohomology._pole_shift(c)
+            need = w.width - m if caller is truncated_complex_dims else w.width + w.width // 2
+            short = c.truncate(need - 1)
+            with pytest.raises(PrecisionExhausted) as got:
+                caller(short, w)
+            with pytest.raises(PrecisionExhausted) as want:
+                _old_system(caller, short, w)
+            assert (str(got.value), got.value.needed) == (str(want.value), need)
+            caller(c.truncate(need), w)

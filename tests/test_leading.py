@@ -340,7 +340,7 @@ def test_eigen_block_split_rational_eigenvalues():
     rec = sibuya_normalize(c, c.leading())
     out = eigen_block_split(rec.connection, rec.connection.leading())
     assert out.sizes == [1, 1]
-    assert out.tower.depth == 0      # +-1 need no extension
+    assert out.transform.tower.depth == 0  # +-1 need no extension
     # block_split refuses nonzero off-diagonal entries
     moved = rec.connection.gauge(out.transform).block_split(out.sizes)
     assert len(moved) == len(out.blocks)
@@ -353,7 +353,7 @@ def test_eigen_block_split_adjoins_a_root_when_needed():
     rec = sibuya_normalize(c, c.leading())
     out = eigen_block_split(rec.connection, rec.connection.leading())
     assert out.sizes == [1, 1]
-    assert out.tower.depth == 1      # a root of x^2 - 2 was adjoined
+    assert out.transform.tower.depth == 1  # a root of x^2 - 2 was adjoined
     lead0 = out.blocks[0].leading()[0][0]
     # the adjoined root really squares to 2
-    assert (lead0 * lead0 - out.tower.rational(2)).is_zero()
+    assert (lead0 * lead0 - out.transform.tower.rational(2)).is_zero()
