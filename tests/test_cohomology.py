@@ -336,6 +336,12 @@ def _old_system(caller, c, w):
             for row in _old_nabla_rows(c, j, w.n_min, top - w.n_min)]
 
 
+def _need(caller, c, w):
+    """The ``needed`` of ``caller``'s precision guard on ``w``."""
+    return (w.width - cohomology._pole_shift(c) if caller is truncated_complex_dims
+            else w.width + w.width // 2)
+
+
 class _Built(Exception):
     pass
 
@@ -385,8 +391,11 @@ K2 = K1.extend([-K1.gen(), 0, 0, 1])    # a cube root of sqrt(2)
 def _tower_connection(rng, tower, n, r):
     """Pole order ``r`` over ``tower``, coefficients at every level."""
     gens = [tower.rational(1)] + [tower.gen(k) for k in range(1, tower.depth + 1)]
-    grid = lambda: [[rng.choice(gens) * checks.random_rational(rng) for _ in range(n)]
-                    for _ in range(n)]
+
+    def grid():
+        return [[rng.choice(gens) * checks.random_rational(rng) for _ in range(n)]
+                for _ in range(n)]
+
     return Connection.from_coeff_map(tower, {e: grid() for e in range(-r, 2)}, n)
 
 
@@ -416,8 +425,7 @@ def test_lattice_systems_match_the_per_block_oracle():
         for caller, windows in ((truncated_complex_dims, TRUNCATED_WINDOWS),
                                 (flat_section_dim, FLAT_WINDOWS)):
             for w in windows:
-                need = w.width - m if caller is truncated_complex_dims else w.width + w.width // 2
-                for d in (INF, need + rng.randint(-1, 2)):
+                for d in (INF, _need(caller, c, w) + rng.randint(-1, 2)):
                     if not _assert_same_system(caller, c.truncate(d), w):
                         continue
                     if d is not INF:
@@ -438,8 +446,7 @@ def test_lattice_precision_guard_boundary(caller):
               checks.random_connection(rng, 2, 1), checks.SAMPLES["ramified-pair"](),
               _tower_connection(rng, K1, 1, 2)):
         for w in (LatticeWindow(-2, 2), LatticeWindow(1, 4)):
-            m = cohomology._pole_shift(c)
-            need = w.width - m if caller is truncated_complex_dims else w.width + w.width // 2
+            need = _need(caller, c, w)
             short = c.truncate(need - 1)
             with pytest.raises(PrecisionExhausted) as got:
                 caller(short, w)
