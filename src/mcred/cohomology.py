@@ -210,16 +210,23 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     the restriction; once the extension clears the connection's critical
     exponents, the count is exactly the number of independent flat sections
     with a coefficient inside ``w``.
+
+    The count needs no kernel basis.  Split the system as ``A = [A_V | A_H]``,
+    ``V`` the ``n·w.width`` visible coordinates and ``H`` the extension: the
+    restrictions of ``ker A`` to ``V`` span ``|V| − (rank A − rank A_H)``
+    dimensions.  One :func:`linalg.pivot_columns` on the rows reversed puts
+    the ``H`` columns first, so the pivots that land in ``V`` number
+    ``rank A − rank A_H``.
     """
     top = _flat_top(c, w)
     lo = min([w.n_min - 1] + [w.n_min + e for e in c.matrix.support()])
     rows = range(lo, top - _pole_shift(c))
-    basis = linalg.nullspace(_lattice(c, rows, w.n_min, top - w.n_min,
-                                      f"certifying flat sections on window {w.n_min, w.n_max}"))
-    if not basis:
-        return 0
-    visible = [vec[: c.size * w.width] for vec in basis]
-    return linalg.rank(visible)
+    system = _lattice(c, rows, w.n_min, top - w.n_min,
+                      f"certifying flat sections on window {w.n_min, w.n_max}")
+    visible = c.size * w.width
+    hidden = c.size * (top - w.n_min) - visible
+    pivots = linalg.pivot_columns([row[::-1] for row in system])
+    return visible - sum(1 for p in pivots if p >= hidden)
 
 
 def dual_connection(c: Connection) -> Connection:
@@ -306,7 +313,7 @@ def h1_generators(c: Connection) -> list:
         shifted = _shifted_by(residue, N)
         aug = [shifted[a][:] + [tower.rational(int(a == b)) for b in range(n)]
                for a in range(n)]
-        _, pivots = linalg.rref(aug)
+        pivots = linalg.pivot_columns(aug)
         chosen = [p - n for p in pivots if p >= n]
         if len(chosen) != mult:  # pragma: no cover - soundness check
             raise EngineError("cokernel completion lost a generator")

@@ -25,7 +25,7 @@ import bisect
 import functools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from . import linalg
@@ -104,7 +104,9 @@ def _divisors(k: int) -> list[int]:
 
 
 def _rational_poly_roots(g: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a polynomial over Q (rational root theorem)."""
+    """All rational roots of a polynomial over Q (rational root theorem):
+    each candidate ``±p/q`` with coprime ``p | a_0`` and ``q | a_d`` is
+    tested on the integer coefficients, without a ``Fraction``."""
     cs = list(g)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -117,19 +119,24 @@ def _rational_poly_roots(g: list[Fraction]) -> list[Fraction]:
     if len(cs) <= 1:
         return sorted(roots)
 
-    def value(theta: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * theta + c
-        return acc
-
     mult = lcm(*(c.denominator for c in cs))
-    ints = [int(c * mult) for c in cs]
+    ints = [c.numerator * (mult // c.denominator) for c in cs]
+
+    def vanishes(p: int, q: int) -> bool:
+        """``q**d · g(p/q) == 0``: ``Σ ints[i] p**i q**(d-i)`` by Horner."""
+        acc, qk = ints[-1], 1
+        for a in reversed(ints[:-1]):
+            qk *= q
+            acc = acc * p + a * qk
+        return acc == 0
+
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if value(cand) == 0:
-                    roots.add(cand)
+            if gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                if vanishes(s, q):
+                    roots.add(Fraction(s, q))
     return sorted(roots)
 
 

@@ -12,6 +12,12 @@ the results are deterministic functions of the input.  Elimination runs on
 raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
 highest level among its entries as :func:`field.common_context` finds them,
 and touches only the nonzero columns of each pivot row.
+Where only a rank or a pivot list leaves the elimination,
+:func:`pivot_columns` runs instead: over QQ it clears each row's
+denominators once and eliminates fraction-free on Python ints, with no
+back-substitution; over towers it is ``rref``'s pivot list.  :func:`rank`
+is its length.  ``rref`` keeps the callers whose reduced vectors are
+output (``nullspace``, ``kernel_and_image``, ``inverse``).
 Division by a zero divisor inside an algebraic extension raises
 ``ZeroDivisorSplit`` from the scalar layer; the reduction driver catches it
 and restarts with the discovered factorization, everyone else lets it
@@ -24,6 +30,7 @@ the product kernel's integer forms.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
@@ -165,8 +172,60 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return [[FieldElement(tower, level, p) for p in row] for row in r], pivots
 
 
+def pivot_columns(m: Matrix) -> list[int]:
+    """The pivot columns of ``m``: the same list as ``rref(m)[1]``, since the
+    column rank profile does not depend on how the elimination runs.
+
+    At level 0 each row is cleared of its denominators once and eliminated
+    fraction-free on Python ints, with no back-substitution: a row below the
+    pivot row becomes ``a·row − b·pivot_row`` with ``a, b = pv/g, f/g``
+    (``g = gcd(pv, f)``), only the pivot row's nonzero columns are
+    subtracted, and the row is divided by its content.  Over towers
+    (level > 0) this is ``rref(m)[1]``.
+    """
+    rows, cols = mat_shape(m)
+    if not rows or not cols:
+        return []
+    if common_context(m)[1]:
+        return rref(m)[1]
+    ints = []
+    for row in m:
+        den = math.lcm(*[x.payload.denominator for x in row])
+        r = [x.payload.numerator * (den // x.payload.denominator) for x in row]
+        if any(r):
+            ints.append(r)
+    pivots: list[int] = []
+    for col in range(cols):
+        lead = len(pivots)
+        if lead >= len(ints):
+            break
+        pivot_row = next((i for i in range(lead, len(ints)) if ints[i][col]), None)
+        if pivot_row is None:
+            continue
+        ints[lead], ints[pivot_row] = ints[pivot_row], ints[lead]
+        prow = ints[lead]
+        pv = prow[col]
+        support = [j for j in range(col + 1, cols) if prow[j]]
+        for i in range(lead + 1, len(ints)):
+            row = ints[i]
+            f = row[col]
+            if not f:
+                continue
+            g = math.gcd(pv, f)
+            a, b = (pv // g, f // g) if pv > 0 else (-pv // g, -f // g)
+            row[col] = 0
+            if a != 1:
+                row = [x * a for x in row]
+            for j in support:
+                row[j] -= b * prow[j]
+            content = math.gcd(*row)
+            ints[i] = [x // content for x in row] if content > 1 else row
+        pivots.append(col)
+    return pivots
+
+
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(pivot_columns(m))
 
 
 def _kernel(r: Matrix, pivots: list[int], cols: int, tower: FieldTower) -> list[Vector]:

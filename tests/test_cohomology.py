@@ -454,3 +454,88 @@ def test_lattice_precision_guard_boundary(caller):
                 _old_system(caller, short, w)
             assert (str(got.value), got.value.needed) == (str(want.value), need)
             caller(c.truncate(need), w)
+
+
+# -- the flat-section count against the null-space oracle ----------------------
+
+
+def _old_flat_section_dim(c, w):
+    """The count ``flat_section_dim`` took before it eliminated pivots only:
+    a null-space basis of the flat-section system, then the rank of its
+    restrictions to the ``w``-coordinates."""
+    basis = linalg.nullspace(_old_system(flat_section_dim, c, w))
+    if not basis:
+        return 0
+    return linalg.rank([vec[: c.size * w.width] for vec in basis])
+
+
+def _doubling_windows(c, max_cols=96):
+    """The windows :func:`doubling_dims` visits on ``c``, up to systems of
+    ``max_cols`` columns."""
+    out, w = [], cohomology._pole_shift(c) + 1
+    while True:
+        window = LatticeWindow(-w, w)
+        if c.size * (cohomology._flat_top(c, window) - window.n_min) > max_cols:
+            return out
+        out.append(window)
+        w *= 2
+
+
+def _flat_cases():
+    """The samples, ``End`` of each, the ``derham-irregular`` benchmark
+    inputs of seeds 1–3, two ramified inputs and one over a depth-1 tower,
+    each with its dual connection."""
+    cases = [make() for make in checks.SAMPLES.values()]
+    cases += [_end(c) for c in list(cases)]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        cases += [checks.random_connection(rng, 2 + i % 2, 2 + i // 2 % 2,
+                                           kind="nilpotent_lead") for i in range(4)]
+    rng = random.Random(22)
+    cases += [checks.SAMPLES["saddle-node"]().ramify(2),
+              checks.random_connection(rng, 2, 2, kind="nilpotent_lead").ramify(2),
+              _tower_connection(rng, K1, 2, 2)]
+    return [x for c in cases for x in (c, dual_connection(c))]
+
+
+def test_flat_section_dim_matches_the_nullspace_oracle():
+    counted = 0
+    for c in _flat_cases():
+        for w in FLAT_WINDOWS + tuple(_doubling_windows(c)):
+            assert flat_section_dim(c, w) == _old_flat_section_dim(c, w), (c, w)
+            counted += 1
+    assert counted > 100
+
+
+def test_flat_section_dim_calls_no_rref_or_nullspace(monkeypatch):
+    """Over QQ the count runs on the integer pivot path alone."""
+    def refuse(*args):
+        raise AssertionError("full elimination called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    c = checks.sample_jump_family(1)
+    assert flat_section_dim(c, LatticeWindow(-4, 4)) == 2
+
+
+@pytest.mark.parametrize("caller", [truncated_complex_dims, flat_section_dim])
+def test_precision_guards_fire_as_the_oracle_does(caller):
+    """On inputs cut just below and at what the window needs, each guard
+    raises with the oracle's message and ``needed`` or the count matches
+    the oracle's."""
+    rng = random.Random(23)
+    for c in (checks.SAMPLES["jump-integer"](), checks.random_connection(rng, 3, 2),
+              _tower_connection(rng, K1, 2, 1)):
+        for w in (LatticeWindow(-2, 2), LatticeWindow(0, 3)):
+            for d in (_need(caller, c, w) - 1, _need(caller, c, w)):
+                short = c.truncate(d)
+                want = _outcome(_old_system, caller, short, w)
+                if isinstance(want, PrecisionExhausted):
+                    with pytest.raises(PrecisionExhausted) as got:
+                        caller(short, w)
+                    assert (str(got.value), got.value.needed) == (str(want), want.needed)
+                elif caller is flat_section_dim:
+                    assert caller(short, w) == _old_flat_section_dim(short, w)
+                else:
+                    dim = short.size * w.width
+                    assert caller(short, w).h0 == dim - len(linalg.rref(want)[1])

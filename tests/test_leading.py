@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -80,6 +81,73 @@ def test_rational_roots():
     assert roots == [0, Fraction(1, 2)]
     # x^2 - 2 has none
     assert rational_roots([QQ.rational(-2), QQ.zero(), QQ.one()]) == []
+
+
+def _old_rational_poly_roots(g):
+    """The rational root theorem with each candidate ``±p/q`` evaluated by
+    ``Fraction`` Horner, over every divisor pair."""
+    cs = list(g)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if len(cs) <= 1:
+        return []
+    roots = set()
+    while cs and cs[0] == 0:
+        cs.pop(0)
+        roots.add(Fraction(0))
+    if len(cs) <= 1:
+        return sorted(roots)
+    mult = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * mult) for c in cs]
+    for p in leading._divisors(ints[0]):
+        for q in leading._divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                acc = Fraction(0)
+                for c in reversed(cs):
+                    acc = acc * cand + c
+                if acc == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def _poly_times(g, factor):
+    out = [Fraction(0)] * (len(g) + len(factor) - 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+def _seeded_polys():
+    """Products of rational linear factors (zero and repeated roots among
+    them), an irreducible quadratic now and then, a rational scale and
+    sometimes trailing zero coefficients; plus constants and the zero
+    polynomial."""
+    rng = random.Random(26)
+    polys = [[], [Fraction(0)], [Fraction(3, 2)], [Fraction(0), Fraction(0), Fraction(5)]]
+    for _ in range(80):
+        g = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((-1, 1))]
+        for _ in range(rng.randint(1, 3)):
+            root = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+            for _ in range(rng.choice((1, 1, 2))):
+                g = _poly_times(g, [-root, Fraction(1)])
+        if rng.random() < 0.3:
+            g = _poly_times(g, [Fraction(rng.choice((2, 3, 5, 7))), Fraction(0), Fraction(1)])
+        polys.append(g + [Fraction(0)] * rng.choice((0, 0, 1)))
+    return polys
+
+
+def test_rational_poly_roots_match_the_fraction_oracle():
+    seen = {"zero root": 0, "repeated root": 0, "no root": 0}
+    for g in _seeded_polys():
+        want = _old_rational_poly_roots(g)
+        assert leading._rational_poly_roots(g) == want, g
+        seen["zero root"] += Fraction(0) in want
+        seen["no root"] += not want
+        slope = [i * c for i, c in enumerate(g)][1:]
+        seen["repeated root"] += any(
+            sum(c * x**i for i, c in enumerate(slope)) == 0 for x in want)
+    assert min(seen.values()) > 0, seen
 
 
 def test_is_scalar_matrix():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, linalg
+from mcred import checks, cohomology, linalg
 from mcred.cohomology import LatticeWindow, flat_section_dim
 from mcred.errors import LinearSolveFailed, NotInvertible, ZeroDivisorSplit
 from mcred.field import FieldTower
@@ -78,21 +78,21 @@ def _matrix(rng, tower, rows, cols, band=None):
 
 
 def _lattice_matrix():
-    """The matrix ``flat_section_dim`` hands to ``nullspace`` on a
+    """The flat-section system ``flat_section_dim`` builds on a
     nilpotent-lead input."""
     c = checks.random_connection(random.Random(3), 2, 2, kind="nilpotent_lead")
     seen = []
-    real = linalg.nullspace
+    real = cohomology._lattice
 
-    def spy(m):
-        seen.append(m)
-        return real(m)
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
 
-    linalg.nullspace = spy
+    cohomology._lattice = spy
     try:
         flat_section_dim(c, LatticeWindow(-4, 4))
     finally:
-        linalg.nullspace = real
+        cohomology._lattice = real
     return seen[0]
 
 
@@ -268,3 +268,88 @@ def test_zero_divisor_pivot_reports_the_scalar_split(tower):
         linalg.rref(m)
     got = info.value
     assert (got.level, got.factors, got.tower) == (want.level, want.factors, want.tower)
+
+
+# ---------------------------------------------------------------------------
+# pivot columns against rref
+
+
+def _big(rng):
+    """A rational with numerator and denominator of 30 to 40 digits."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(10**30, 10**40),
+                    rng.randint(10**30, 10**40))
+
+
+def _pivot_entry(rng, tower, big):
+    if rng.random() < 0.4:
+        return tower.zero()
+    x = tower.rational(_big(rng) if big else _rat(rng))
+    for lv in range(1, tower.depth + 1):
+        if rng.random() < 0.5:
+            x = x + tower.gen(lv) * _rat(rng)
+    return x
+
+
+def _pivot_case(rng, tower, rows, cols):
+    """A seeded ``rows × cols`` matrix with exact zeros and, by chance, zero
+    rows and columns, duplicate rows and a row that is a combination of two
+    others; about a third of them hold 30+ digit entries."""
+    big = rng.random() < 0.3
+    m = [[_pivot_entry(rng, tower, big) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 0.3:
+        m[rng.randrange(rows)] = [tower.zero()] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = tower.zero()
+    if rows >= 2 and rng.random() < 0.3:
+        m[rng.randrange(rows)] = list(m[rng.randrange(rows)])
+    if rows >= 3 and rng.random() < 0.3:
+        i, j, k = rng.sample(range(rows), 3)
+        c = tower.rational(_big(rng) if big else _rat(rng))
+        m[k] = [x * c - y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@pytest.mark.parametrize("tower", [QQ, K, L], ids=["depth0", "depth1", "depth2"])
+def test_pivot_columns_match_rref(tower):
+    rng = random.Random(21 + tower.depth)
+    shapes, seen = set(), {"deficient": 0, "zero row": 0, "zero column": 0, "big": 0}
+    for k in range(30 if tower.depth else 200):
+        m = _pivot_case(rng, tower, k % 8 + 1, 3 * k % 8 + 1)
+        pivots = linalg.rref(m)[1]
+        assert linalg.pivot_columns(m) == pivots
+        assert linalg.rank(m) == len(pivots)
+        rows, cols = linalg.mat_shape(m)
+        shapes.add((rows > cols) - (rows < cols))
+        seen["deficient"] += len(pivots) < min(rows, cols)
+        seen["zero row"] += any(all(x.is_zero() for x in row) for row in m)
+        seen["zero column"] += any(all(x.is_zero() for x in col) for col in linalg.transpose(m))
+        seen["big"] += any(x.level == 0 and x.to_fraction().denominator >= 10**30
+                           for row in m for x in row)
+    assert shapes == {-1, 0, 1} and min(seen.values()) > 0, seen
+
+
+def test_pivot_columns_at_level_zero_never_call_rref(monkeypatch):
+    """Rationals of any tower, and the lattice system, take the integer
+    path; a matrix with one entry above level 0 takes ``rref``."""
+    rng = random.Random(24)
+    cases = [_pivot_case(rng, QQ, k % 5 + 2, 2 * k % 7 + 2) for k in range(20)]
+    cases.append(QQ_CASES[-1])
+    cases.append([[K.rational(q) for q in row] for row in ((1, 2), (3, 4), (2, 4))])
+    want = [linalg.rref(m)[1] for m in cases]
+
+    def refuse(m):
+        raise AssertionError("rref called at level 0")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    assert [linalg.pivot_columns(m) for m in cases] == want
+    with pytest.raises(AssertionError, match="rref called"):
+        linalg.pivot_columns([[K.rational(1), K.gen()]])
+
+
+def test_pivot_columns_of_empty_and_zero_matrices():
+    assert linalg.pivot_columns([]) == []
+    assert linalg.pivot_columns([[], []]) == []
+    assert linalg.pivot_columns([[QQ.zero()] * 3] * 2) == []
+    assert linalg.pivot_columns([[QQ.zero(), QQ.rational(_big(random.Random(25)))]]) == [1]
