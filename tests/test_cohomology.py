@@ -440,7 +440,8 @@ def test_lattice_systems_match_the_per_block_oracle():
 @pytest.mark.parametrize("caller", [truncated_complex_dims, flat_section_dim])
 def test_lattice_precision_guard_boundary(caller):
     """Precision ``need - 1`` raises with the oracle's message and
-    ``needed``; precision ``need`` builds and eliminates."""
+    ``needed``; precision ``need`` builds, eliminates and counts what the
+    oracle counts."""
     rng = random.Random(20)
     for c in (checks.random_connection(rng, 2, 2, kind="nilpotent_lead"),
               checks.random_connection(rng, 2, 1), checks.SAMPLES["ramified-pair"](),
@@ -453,7 +454,12 @@ def test_lattice_precision_guard_boundary(caller):
             with pytest.raises(PrecisionExhausted) as want:
                 _old_system(caller, short, w)
             assert (str(got.value), got.value.needed) == (str(want.value), need)
-            caller(c.truncate(need), w)
+            enough = c.truncate(need)
+            if caller is flat_section_dim:
+                assert caller(enough, w) == _old_flat_section_dim(enough, w)
+            else:
+                rank = len(linalg.rref(_old_system(caller, enough, w))[1])
+                assert caller(enough, w).h0 == enough.size * w.width - rank
 
 
 # -- the flat-section count against the null-space oracle ----------------------
@@ -516,26 +522,3 @@ def test_flat_section_dim_calls_no_rref_or_nullspace(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", refuse)
     c = checks.sample_jump_family(1)
     assert flat_section_dim(c, LatticeWindow(-4, 4)) == 2
-
-
-@pytest.mark.parametrize("caller", [truncated_complex_dims, flat_section_dim])
-def test_precision_guards_fire_as_the_oracle_does(caller):
-    """On inputs cut just below and at what the window needs, each guard
-    raises with the oracle's message and ``needed`` or the count matches
-    the oracle's."""
-    rng = random.Random(23)
-    for c in (checks.SAMPLES["jump-integer"](), checks.random_connection(rng, 3, 2),
-              _tower_connection(rng, K1, 2, 1)):
-        for w in (LatticeWindow(-2, 2), LatticeWindow(0, 3)):
-            for d in (_need(caller, c, w) - 1, _need(caller, c, w)):
-                short = c.truncate(d)
-                want = _outcome(_old_system, caller, short, w)
-                if isinstance(want, PrecisionExhausted):
-                    with pytest.raises(PrecisionExhausted) as got:
-                        caller(short, w)
-                    assert (str(got.value), got.value.needed) == (str(want), want.needed)
-                elif caller is flat_section_dim:
-                    assert caller(short, w) == _old_flat_section_dim(short, w)
-                else:
-                    dim = short.size * w.width
-                    assert caller(short, w).h0 == dim - len(linalg.rref(want)[1])

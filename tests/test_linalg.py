@@ -225,6 +225,9 @@ def test_empty_and_zero_column_matrices():
     assert linalg.rref([[], [], []]) == ([[], [], []], [])
     assert linalg.rank([]) == 0
     assert linalg.rank([[], []]) == 0
+    assert linalg.pivot_columns([]) == []
+    assert linalg.pivot_columns([[], []]) == []
+    assert linalg.pivot_columns([[QQ.zero()] * 3] * 2) == []
 
 
 def _mixed_cases():
@@ -346,10 +349,3 @@ def test_pivot_columns_at_level_zero_never_call_rref(monkeypatch):
     assert [linalg.pivot_columns(m) for m in cases] == want
     with pytest.raises(AssertionError, match="rref called"):
         linalg.pivot_columns([[K.rational(1), K.gen()]])
-
-
-def test_pivot_columns_of_empty_and_zero_matrices():
-    assert linalg.pivot_columns([]) == []
-    assert linalg.pivot_columns([[], []]) == []
-    assert linalg.pivot_columns([[QQ.zero()] * 3] * 2) == []
-    assert linalg.pivot_columns([[QQ.zero(), QQ.rational(_big(random.Random(25)))]]) == [1]
