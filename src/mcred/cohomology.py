@@ -42,12 +42,8 @@ from .errors import (
     PrecisionExhausted,
     Unstabilized,
 )
-from .field import common_context
 from .leading import rational_roots
 from .series import INF, LaurentSeries
-
-#: Give up on window doubling after this many doublings of the initial window.
-DOUBLING_CAP = 6
 
 MAX_LATTICE_COLUMNS = 512
 """Widest lattice system (rank times window width) that window doubling
@@ -105,9 +101,6 @@ class RsSpectrum:
 
     entries: list
 
-    def indices(self) -> list:
-        return [n for n, _ in self.entries]
-
 
 # ---------------------------------------------------------------------------
 # the finite complex
@@ -162,9 +155,8 @@ def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
 
 
 def _shifted_by(residue, n_shift: int):
-    tower = common_context(residue)[0]
-    eye = linalg.identity(tower, len(residue))
-    return linalg.mat_add(residue, linalg.mat_scale(n_shift, eye))
+    return [[x + n_shift if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(residue)]
 
 
 def rs_spectrum(residue) -> RsSpectrum:
@@ -180,7 +172,7 @@ def rs_spectrum(residue) -> RsSpectrum:
 
 
 def _spectrum_window(spectrum: RsSpectrum) -> LatticeWindow:
-    pts = spectrum.indices() + [0]
+    pts = [n for n, _ in spectrum.entries] + [0]
     return LatticeWindow(min(pts) - 1, max(pts) + 2)
 
 
@@ -237,12 +229,15 @@ def dual_connection(c: Connection) -> Connection:
 
 def doubling_dims(c: Connection) -> DeRhamDims:
     """``(h0, h1)`` by doubling symmetric windows of flat-section counts
-    (``h1`` through :func:`dual_connection`) until they repeat twice."""
+    (``h1`` through :func:`dual_connection`) until they repeat twice, or
+    :class:`Unstabilized` once the next window's system would be wider than
+    ``MAX_LATTICE_COLUMNS``; the width grows with every doubling, so the
+    loop ends."""
     w = _pole_shift(c) + 1
     dual = dual_connection(c)
     prev = None
     streak = 0
-    for _ in range(DOUBLING_CAP + 1):
+    while True:
         window = LatticeWindow(-w, w)
         if c.size * (_flat_top(c, window) - window.n_min) > MAX_LATTICE_COLUMNS:
             raise Unstabilized(f"dimensions did not settle on lattice systems of at most "
@@ -253,9 +248,6 @@ def doubling_dims(c: Connection) -> DeRhamDims:
             return DeRhamDims(pair[0], pair[1], window, "window-doubling")
         prev = pair
         w *= 2
-    raise Unstabilized(
-        f"dimensions kept moving after {DOUBLING_CAP} window doublings"
-    )
 
 
 def certified_dims(c: Connection) -> DeRhamDims | None:
@@ -279,7 +271,7 @@ def derham_dims(c: Connection) -> DeRhamDims:
     """Stabilized ``(h0, h1)`` with the window that certifies them:
     :func:`certified_dims` where it applies, else :func:`doubling_dims`
     (``certificate="window-doubling"``), which raises :class:`Unstabilized`
-    after ``DOUBLING_CAP`` doublings or above ``MAX_LATTICE_COLUMNS``.
+    rather than build a system wider than ``MAX_LATTICE_COLUMNS``.
     """
     return certified_dims(c) or doubling_dims(c)
 

@@ -74,7 +74,8 @@ class NotRegularSingular(EngineError):
 
 
 class Unstabilized(EngineError):
-    """Window doubling hit its cap before the dimensions settled."""
+    """Window doubling reached ``MAX_LATTICE_COLUMNS`` before the dimensions
+    settled."""
 
 
 class LinearSolveFailed(EngineError):

@@ -475,9 +475,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return _payload_is_zero(self.payload)
 
-    def is_rational(self) -> bool:
-        return all(p == 0 for p, _ in _unfold(self.tower, self.level, self.payload))
-
     def to_fraction(self) -> Fraction:
         coords = dict(_unfold(self.tower, self.level, self.payload))
         if coords.keys() - {0}:

@@ -44,8 +44,8 @@ from .field import (
     poly_trim,
 )
 from .matrices import LaurentMatrix
-from .series import (INF, _accumulate, _constant_forms, _constants, _form_product, _forms,
-                     _from_form, _negated, _settle)
+from .series import (INF, _ONE, _accumulate, _constant_forms, _constants, _form_product,
+                     _forms, _from_form, _negated, _settle)
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,13 @@ from .series import (INF, _accumulate, _constant_forms, _constants, _form_produc
 @dataclass
 class JordanPair:
     """Additive splitting ``m = semisimple + nilpotent`` with both parts
-    polynomials in ``m`` (hence commuting)."""
+    polynomials in ``m`` (hence commuting), and ``minpoly``, the squarefree
+    part of the characteristic polynomial of ``m``: the minimal polynomial
+    of the semisimple part, which has the same characteristic polynomial."""
 
     semisimple: list
     nilpotent: list
+    minpoly: list
 
 
 def jordan_chevalley(m: Sequence[Sequence[FieldElement]]) -> JordanPair:
@@ -78,12 +81,7 @@ def jordan_chevalley(m: Sequence[Sequence[FieldElement]]) -> JordanPair:
     else:  # pragma: no cover - convergence is quadratic and the bound generous
         if not linalg.is_zero_matrix(linalg.poly_at_matrix(g, x)):
             raise EngineError("semisimple-part iteration failed to converge")
-    return JordanPair(x, linalg.mat_sub(m, x))
-
-
-def is_scalar_matrix(m: Sequence[Sequence[FieldElement]]) -> bool:
-    return all((x - m[0][0] if i == j else x).is_zero()
-               for i, row in enumerate(m) for j, x in enumerate(row))
+    return JordanPair(x, linalg.mat_sub(m, x), g)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,6 @@ class NormalizationRecord:
 # ``(valuation, prec, den, terms)``, ``None`` for an exact zero, all over one
 # tower and ramification.  A constant's form has valuation 0, precision
 # ``INF`` and every key below ``tower.sizes[-1]``.
-
-_ONE = (0, INF, 1, [(0, 1)])  # the form of the exact series 1
 
 
 def _coefficients(forms: list, e: int, size: int) -> list:
@@ -398,14 +394,14 @@ def _apply_hints(factors: list, tower: FieldTower, hints) -> list:
     return out
 
 
-def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
-                      hints=None) -> SplitResult:
-    """Split ``c`` along the eigenvalue clusters of the semisimple matrix ``s``.
+def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
+    """Split ``c`` along the eigenvalue clusters of the semisimple part
+    ``s = jc.semisimple`` of its lead.
 
     Every known coefficient of ``c`` must commute with ``s`` (which is what
     :func:`sibuya_normalize` against ``s`` guarantees), so a constant base
     change to the kernels of the coprime factors of ``s``'s minimal
-    polynomial makes ``c`` block diagonal.
+    polynomial ``jc.minpoly`` makes ``c`` block diagonal.
 
     If the minimal polynomial has no rational factorization at all, one
     algebraic root is adjoined to the tower; a degree-2-or-more cofactor is
@@ -417,12 +413,11 @@ def eigen_block_split(c: Connection, s: Sequence[Sequence[FieldElement]],
     without any adjunction, which is how a retry avoids re-raising.
     """
     n = c.size
-    m_poly = poly_squarefree_part(linalg.charpoly(s))
-    if len(m_poly) == 2:
+    if len(jc.minpoly) == 2:
         raise ScalarLeadingTerm("the semisimple part is scalar; nothing to split")
-    tower = common_context(s)[0]
-    tower = common_tower(tower, c.tower)
-    factors = _apply_hints(_coprime_factors(m_poly, tower), tower, hints)
+    s = jc.semisimple
+    tower = common_tower(common_context(s)[0], c.tower)
+    factors = _apply_hints(_coprime_factors(jc.minpoly, tower), tower, hints)
     if len(factors) == 1:
         ext = tower.extend(factors[0])
         theta = ext.gen()

@@ -283,8 +283,8 @@ def inverse(m: Matrix) -> Matrix:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("inverse of a non-square matrix")
-    tower, _ = common_context(m)
-    aug = [list(m[i]) + identity(tower, n)[i] for i in range(n)]
+    eye = identity(common_context(m)[0], n)
+    aug = [list(row) + eye_row for row, eye_row in zip(m, eye)]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         raise NotInvertible("matrix is singular")

@@ -26,7 +26,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DomainViolation, NotNilpotent
 from .field import FieldElement, FieldTower, common_tower
-from .series import (INF, LaurentSeries, _accumulate, _forms, _integral, _materialise,
+from .series import (INF, _ONE, LaurentSeries, _accumulate, _forms, _integral, _materialise,
                      _negated, _settle, mat_product)
 
 
@@ -260,18 +260,19 @@ class LaurentMatrix:
         into a form (:func:`series._settle`), so after cancellation it has
         the valuation and the precision that the series operations give it.
         The determinant ``d`` is row 0 of ``self @ adj(self)``, and each
-        entry of ``adj(self) * d**-1`` is built once.  An exact matrix
-        inverts only when its determinant is a monomial; otherwise truncate
-        it first (a truncated determinant inverts to its own precision).
+        entry of ``adj(self) * d**-1`` is built once.  The empty minor of a
+        1x1 matrix has determinant 1, so rank 1 runs the same expansion.  An
+        exact matrix inverts only when its determinant is a monomial;
+        otherwise truncate it first (a truncated determinant inverts to its
+        own precision).
         """
-        if self.size == 1:
-            return LaurentMatrix(self.tower, [[self.entries[0][0].inverse()]],
-                                 self.ram)
         tower, ram = self.tower, self.ram
         size = tower.sizes[-1]
         m = _forms(self.entries, ram, size)
 
         def det(grid: list):
+            if not grid:
+                return _ONE
             if len(grid) == 1:
                 return grid[0][0]
             return _settle(tower, *_accumulate(size, [

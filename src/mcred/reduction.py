@@ -43,12 +43,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroDivisorSplit,
 )
-from .leading import (
-    eigen_block_split,
-    is_scalar_matrix,
-    jordan_chevalley,
-    sibuya_normalize,
-)
+from .leading import eigen_block_split, jordan_chevalley, sibuya_normalize
 from .matrices import LaurentMatrix
 from .series import INF, LaurentSeries
 
@@ -250,12 +245,12 @@ def _reduce_node(c: Connection, parent_measure, hints, depth) -> ReductionNode:
             )
         lead = c.leading()
         jc = jordan_chevalley(lead)
-        if not is_scalar_matrix(jc.semisimple):
+        if len(jc.minpoly) > 2:
             measure = (n, 0)
             _check_measure(parent_measure, measure)
             rec = sibuya_normalize(c, jc.semisimple)
             ops.append(("gauge", rec.gauge))
-            split = eigen_block_split(rec.connection, jc.semisimple, hints)
+            split = eigen_block_split(rec.connection, jc, hints)
             ops.append(("gauge", split.transform))
             children = [
                 _reduce_node(block, measure, hints, depth + 1)

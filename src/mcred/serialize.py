@@ -43,7 +43,7 @@ from fractions import Fraction
 from .connection import Connection
 from .cohomology import DeRhamDims
 from .errors import DomainViolation, ParseError
-from .field import FieldElement, FieldTower
+from .field import FieldElement, FieldTower, _unfold
 from .matrices import LaurentMatrix
 from .reduction import ReductionNode, ReductionTree
 from .series import INF, LaurentSeries
@@ -99,9 +99,9 @@ def _encode_payload(payload):
 
 
 def _encode_at_level(tower: FieldTower, level: int, payload):
-    x = FieldElement(tower, level, payload)
-    if x.is_rational():
-        return fraction_to_str(x.to_fraction())
+    coords = dict(_unfold(tower, level, payload))
+    if coords.keys() <= {0}:
+        return fraction_to_str(coords.get(0, Fraction(0)))
     return _encode_payload(payload)
 
 
@@ -229,8 +229,6 @@ def _decode_grid(tower: FieldTower, grid, n: int) -> list:
 
 
 def encode_series(s: LaurentSeries) -> dict:
-    if s.prec is not INF:
-        s = s.truncate(s.prec)
     return {
         "ramification": s.ram,
         "precision": _prec_to_json(s.prec),

@@ -240,19 +240,6 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise DomainViolation("series powers take non-negative ints")
-        result = LaurentSeries.one(self.tower, self.ram)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse.
 
@@ -360,6 +347,8 @@ class LaurentSeries:
 
 # ---------------------------------------------------------------------------
 # the product kernel
+
+_ONE = (0, INF, 1, [(0, 1)])  # the :func:`_integral` form of the exact series 1
 
 
 def _refold(tower: FieldTower, nums: dict, den: int) -> FieldElement:

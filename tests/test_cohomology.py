@@ -18,7 +18,7 @@ from mcred.cohomology import (
     truncated_complex_dims,
 )
 from mcred.connection import Connection
-from mcred.errors import DomainViolation, NotRegularSingular, PrecisionExhausted
+from mcred.errors import DomainViolation, NotRegularSingular, PrecisionExhausted, Unstabilized
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
 from mcred.series import INF, LaurentSeries
@@ -192,6 +192,24 @@ def test_doubling_dims_on_irregular_nilpotent_lead():
         assert (dims.h0, dims.h1) == expect
         assert dims.certificate == "window-doubling"
         assert dims.stabilized
+
+
+def test_doubling_stops_at_the_column_bound(monkeypatch):
+    """Doubling has one stop besides settling: the next window's system
+    would be wider than ``MAX_LATTICE_COLUMNS``.  On this pole-19 nilpotent
+    lead the windows [-20, 20) and [-40, 40) take 158 and 278 columns, the
+    third would take 518, so two windows run (c and its dual on each)."""
+    c = Connection.from_coeff_map(QQ, {-19: [[0, 1], [0, 0]], 0: [[0, 0], [1, 0]]}, 2)
+    windows = []
+    real = cohomology.flat_section_dim
+
+    def counted(conn, w):
+        windows.append(w)
+        return real(conn, w)
+    monkeypatch.setattr(cohomology, "flat_section_dim", counted)
+    with pytest.raises(Unstabilized, match="at most 512 columns"):
+        doubling_dims(c)
+    assert windows == [LatticeWindow(-20, 20)] * 2 + [LatticeWindow(-40, 40)] * 2
 
 
 def _end(c):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks
+from mcred import checks, linalg, reduction
 from mcred.connection import Connection
 from mcred.errors import PrecisionExhausted
 from mcred.field import FieldTower
@@ -177,6 +177,30 @@ def test_zero_divisor_split_restarts_with_the_factorization():
     assert [leaf.kind for leaf in leaves] == ["rank_one", "rank_one"]
     assert all(leaf.leaf.tower.depth == 1 for leaf in leaves)
     assert replay(tree) is True
+
+
+def test_each_lead_is_factored_once(monkeypatch):
+    """On the 24 seed-1 ``reduce-replay`` benchmark inputs every
+    characteristic polynomial ``reduce`` takes is one node's
+    ``jordan_chevalley``: a split node reuses its ``minpoly``."""
+    calls = {"charpoly": 0, "jordan_chevalley": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(linalg, "charpoly")
+    spy(reduction, "jordan_chevalley")
+    rng = random.Random(1)
+    for i in range(24):
+        reduce(checks.random_connection(rng, 2 + i % 2, 2 + (i // 2) % 2,
+                                        kind=("generic", "invertible_lead",
+                                              "nilpotent_lead")[i % 3]))
+    assert calls == {"charpoly": 43, "jordan_chevalley": 43}
 
 
 def test_default_working_precision_covers_stability_window():

@@ -153,15 +153,6 @@ def test_mixed_ramification_arithmetic_lifts():
     assert c.support() == [1, 2]
 
 
-def test_power():
-    s = S({0: 1, 1: 1})
-    cube = s ** 3
-    assert [cube.coeff(k).to_fraction() for k in range(4)] == [1, 3, 3, 1]
-    assert (s ** 0).coincides_with(S({0: 1}))
-    with pytest.raises(DomainViolation):
-        s ** -1
-
-
 def test_coincides_with_compares_overlap():
     a = S({0: 1, 5: 9}, prec=3)
     b = S({0: 1}, prec=4)
