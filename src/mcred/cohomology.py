@@ -30,6 +30,7 @@ cokernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,36 +117,73 @@ def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> l
     """The rows of ``∇`` that land on ``u**j du`` for ``j`` in ``rows``, on
     sections with exponents in ``[k_min, k_min + width)``: row ``jx*n + a``,
     column ``kx*n + b`` holds ``G_{j-k}[a][b]``, plus ``k`` on the diagonal
-    where ``j == k - 1``.  ``what`` names the window a short precision blames."""
+    where ``j == k - 1``.  ``what`` names the window a short precision blames.
+
+    When every coefficient of ``c`` sits at level 0 (in any tower), the rows
+    are Python ints, each cleared of its denominators once, read from the
+    coefficients' ``Fraction`` payloads with no element built: the rows
+    :func:`linalg.integer_pivot_columns` eliminates.  Otherwise they are
+    ``FieldElement``s over one shared zero, for :func:`linalg.pivot_columns`.
+    """
     need = rows.stop - k_min
     if c.prec is not INF and c.prec < need:
         raise PrecisionExhausted(f"{what} needs coefficients up to exponent {need} but the "
                                  f"connection is only known below {c.prec}", needed=need)
     n = c.size
-    zero = c.tower.zero()
-    mat = [[zero] * (n * width) for _ in range(n * len(rows))]
-    for a, entries in enumerate(c.matrix.entries):
-        for b, s in enumerate(entries):
-            for e, x in s.coeffs.items():
-                for j in range(max(rows.start, k_min + e), min(rows.stop, k_min + width + e)):
-                    mat[(j - rows.start) * n + a][(j - e - k_min) * n + b] = x
+    coeffs = [(a, b, e, x) for a, entries in enumerate(c.matrix.entries)
+              for b, s in enumerate(entries) for e, x in s.coeffs.items()]
+
+    def band(e):
+        """The ``j`` whose row holds ``u**e``'s coefficients."""
+        return range(max(rows.start, k_min + e), min(rows.stop, k_min + width + e))
+
+    dens = [1] * (n * len(rows))
+    if all(x.level == 0 for *_, x in coeffs):
+        for a, _, e, x in coeffs:
+            d = x.payload.denominator
+            if d != 1:
+                for j in band(e):
+                    r = (j - rows.start) * n + a
+                    dens[r] = math.lcm(dens[r], d)
+        mat = [[0] * (n * width) for _ in dens]
+        for a, b, e, x in coeffs:
+            p, d = x.payload.numerator, x.payload.denominator
+            for j in band(e):
+                r = (j - rows.start) * n + a
+                mat[r][(j - e - k_min) * n + b] = p * (dens[r] // d)
+    else:
+        zero = c.tower.zero()
+        mat = [[zero] * (n * width) for _ in dens]
+        for a, b, e, x in coeffs:
+            for j in band(e):
+                mat[(j - rows.start) * n + a][(j - e - k_min) * n + b] = x
     for j in range(max(rows.start, k_min - 1), min(rows.stop, k_min + width - 1)):
         for a in range(n):
-            row, col = mat[(j - rows.start) * n + a], (j + 1 - k_min) * n + a
-            row[col] = row[col] + (j + 1)
+            r, col = (j - rows.start) * n + a, (j + 1 - k_min) * n + a
+            mat[r][col] = mat[r][col] + (j + 1) * dens[r]
     return mat
 
 
+def _pivots(system: list) -> list[int]:
+    """The pivot columns of a :func:`_lattice` system: integer rows go
+    straight to the integer kernel, element rows to :func:`linalg.pivot_columns`."""
+    if isinstance(system[0][0], int):
+        return linalg.integer_pivot_columns(system)
+    return linalg.pivot_columns(system)
+
+
 def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
-    """Kernel and cokernel dimensions of ``∇`` restricted to ``w``.
+    """Kernel and cokernel dimensions of ``∇`` restricted to ``w``: the
+    window's dimension less the rank of its square :func:`_lattice` system
+    (at level 0, integer rows into the integer kernel).
 
     Unstabilized raw numbers: they agree with the true dimensions only once
     the window is large enough (see :func:`derham_dims`).
     """
     m = _pole_shift(c)
     dim = c.size * w.width
-    rank = linalg.rank(_lattice(c, range(w.n_min - m, w.n_max - m), w.n_min, w.width,
-                                f"window {w.n_min, w.n_max}"))
+    rank = len(_pivots(_lattice(c, range(w.n_min - m, w.n_max - m), w.n_min, w.width,
+                                f"window {w.n_min, w.n_max}")))
     return DeRhamDims(dim - rank, dim - rank, w, "window")
 
 
@@ -206,8 +244,9 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     The count needs no kernel basis.  Split the system as ``A = [A_V | A_H]``,
     ``V`` the ``n·w.width`` visible coordinates and ``H`` the extension: the
     restrictions of ``ker A`` to ``V`` span ``|V| − (rank A − rank A_H)``
-    dimensions.  One :func:`linalg.pivot_columns` on the rows reversed puts
-    the ``H`` columns first, so the pivots that land in ``V`` number
+    dimensions.  One :func:`_pivots` on the :func:`_lattice` rows reversed
+    (at level 0, integer rows into the integer kernel) puts the ``H``
+    columns first, so the pivots that land in ``V`` number
     ``rank A − rank A_H``.
     """
     top = _flat_top(c, w)
@@ -217,7 +256,7 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
                       f"certifying flat sections on window {w.n_min, w.n_max}")
     visible = c.size * w.width
     hidden = c.size * (top - w.n_min) - visible
-    pivots = linalg.pivot_columns([row[::-1] for row in system])
+    pivots = _pivots([row[::-1] for row in system])
     return visible - sum(1 for p in pivots if p >= hidden)
 
 

@@ -12,12 +12,14 @@ the results are deterministic functions of the input.  Elimination runs on
 raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
 highest level among its entries as :func:`field.common_context` finds them,
 and touches only the nonzero columns of each pivot row.
-Where only a rank or a pivot list leaves the elimination,
-:func:`pivot_columns` runs instead: over QQ it clears each row's
-denominators once and eliminates fraction-free on Python ints, with no
-back-substitution; over towers it is ``rref``'s pivot list.  :func:`rank`
-is its length.  ``rref`` keeps the callers whose reduced vectors are
-output (``nullspace``, ``kernel_and_image``, ``inverse``).
+Where only a rank or a pivot list leaves the elimination, the one integer
+kernel :func:`integer_pivot_columns` runs instead: fraction-free on Python
+ints, with no back-substitution.  :func:`pivot_columns` feeds it element
+rows over QQ, each cleared of its denominators once (over towers it is
+``rref``'s pivot list; :func:`rank` is its length), and
+:func:`cohomology._lattice` builds its systems as integer rows.  ``rref``
+keeps the callers whose reduced vectors are output (``nullspace``,
+``kernel_and_image``, ``inverse``).
 Division by a zero divisor inside an algebraic extension raises
 ``ZeroDivisorSplit`` from the scalar layer; the reduction driver catches it
 and restarts with the discovered factorization, everyone else lets it
@@ -176,12 +178,9 @@ def pivot_columns(m: Matrix) -> list[int]:
     """The pivot columns of ``m``: the same list as ``rref(m)[1]``, since the
     column rank profile does not depend on how the elimination runs.
 
-    At level 0 each row is cleared of its denominators once and eliminated
-    fraction-free on Python ints, with no back-substitution: a row below the
-    pivot row becomes ``a·row − b·pivot_row`` with ``a, b = pv/g, f/g``
-    (``g = gcd(pv, f)``), only the pivot row's nonzero columns are
-    subtracted, and the row is divided by its content.  Over towers
-    (level > 0) this is ``rref(m)[1]``.
+    At level 0 each row is cleared of its denominators once and handed to
+    :func:`integer_pivot_columns`.  Over towers (level > 0) this is
+    ``rref(m)[1]``.
     """
     rows, cols = mat_shape(m)
     if not rows or not cols:
@@ -191,9 +190,20 @@ def pivot_columns(m: Matrix) -> list[int]:
     ints = []
     for row in m:
         den = math.lcm(*[x.payload.denominator for x in row])
-        r = [x.payload.numerator * (den // x.payload.denominator) for x in row]
-        if any(r):
-            ints.append(r)
+        ints.append([x.payload.numerator * (den // x.payload.denominator) for x in row])
+    return integer_pivot_columns(ints)
+
+
+def integer_pivot_columns(rows: list) -> list[int]:
+    """The pivot columns of a matrix of Python ints, eliminated fraction-free
+    with no back-substitution: a row below the pivot row becomes
+    ``a·row − b·pivot_row`` with ``a, b = pv/g, f/g`` (``g = gcd(pv, f)``),
+    only the pivot row's nonzero columns are subtracted, and the row is
+    divided by its content.  Zero rows are dropped first; the others are
+    overwritten.
+    """
+    cols = len(rows[0]) if rows else 0
+    ints = [row for row in rows if any(row)]
     pivots: list[int] = []
     for col in range(cols):
         lead = len(pivots)

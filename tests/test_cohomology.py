@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from mcred.cohomology import (
 )
 from mcred.connection import Connection
 from mcred.errors import DomainViolation, NotRegularSingular, PrecisionExhausted, Unstabilized
-from mcred.field import FieldTower
+from mcred.field import FieldElement, FieldTower
 from mcred.matrices import LaurentMatrix
 from mcred.series import INF, LaurentSeries
 
@@ -389,26 +390,45 @@ def _new_system(caller, c, w):
     raise AssertionError(f"{caller.__name__} built no lattice")  # pragma: no cover
 
 
+def _cleared(row):
+    """An oracle row as the elimination read it before the builder emitted
+    integers: each value times the lcm of the row's denominators."""
+    values = [x.to_fraction() for x in row]
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 def _assert_same_system(caller, c, w):
+    """The builder's system against the oracle's, row by row: integer rows
+    must equal the oracle's rows cleared of their denominators, element rows
+    must hold the oracle's elements (value and level).  Returns which rows
+    were built, or ``None`` when both refuse the precision."""
     got, want = _outcome(_new_system, caller, c, w), _outcome(_old_system, caller, c, w)
     if isinstance(want, PrecisionExhausted):
         assert isinstance(got, PrecisionExhausted)
         assert (str(got), got.needed) == (str(want), want.needed)
-        return False
+        return None
     assert len(got) == len(want)
+    integral = type(got[0][0]) is int
     for row, old in zip(got, want):
         assert len(row) == len(old)
-        assert all(x == y and x.level == y.level for x, y in zip(row, old))
-    return True
+        if integral:
+            assert all(type(x) is int for x in row) and row == _cleared(old)
+        else:
+            assert all(isinstance(x, FieldElement) for x in row)
+            assert all(x == y and x.level == y.level for x, y in zip(row, old))
+    return "integer rows" if integral else "element rows"
 
 
 K1 = QQ.extend([-2, 0, 1])              # sqrt(2)
 K2 = K1.extend([-K1.gen(), 0, 0, 1])    # a cube root of sqrt(2)
 
 
-def _tower_connection(rng, tower, n, r):
-    """Pole order ``r`` over ``tower``, coefficients at every level."""
-    gens = [tower.rational(1)] + [tower.gen(k) for k in range(1, tower.depth + 1)]
+def _tower_connection(rng, tower, n, r, rational=False):
+    """Pole order ``r`` over ``tower``, coefficients at every level, or all at
+    level 0 if ``rational``."""
+    gens = [tower.rational(1)] + [tower.gen(k) for k in range(1, tower.depth + 1)
+                                  if not rational]
 
     def grid():
         return [[rng.choice(gens) * checks.random_rational(rng) for _ in range(n)]
@@ -418,12 +438,18 @@ def _tower_connection(rng, tower, n, r):
 
 
 def _lattice_cases():
+    """Connections with the rows their systems must come in: integer rows
+    when every coefficient sits at level 0, over QQ or over a tower."""
     rng = random.Random(18)
     cases = [checks.random_connection(rng, n, r, kind=kind)
              for kind in checks.KINDS for n in (1, 2, 3) for r in (0, 1, 2, 3)]
     cases += [checks.SAMPLES["saddle-node"]().ramify(2),
-              checks.random_connection(rng, 2, 2, kind="nilpotent_lead").ramify(2),
-              _tower_connection(rng, K1, 2, 2), _tower_connection(rng, K2, 2, 1)]
+              checks.random_connection(rng, 2, 2, kind="nilpotent_lead").ramify(2)]
+    cases = [(c, "integer rows") for c in cases]
+    cases += [(_tower_connection(rng, K1, 2, 2), "element rows"),
+              (_tower_connection(rng, K2, 2, 1), "element rows"),
+              (_tower_connection(rng, K1, 2, 2, rational=True), "integer rows"),
+              (_tower_connection(rng, K2, 2, 1, rational=True), "integer rows")]
     return cases
 
 
@@ -433,19 +459,26 @@ FLAT_WINDOWS = (LatticeWindow(0, 1), LatticeWindow(-2, 2))
 
 
 def test_lattice_systems_match_the_per_block_oracle():
-    """Entry by entry (value and level) on exact and truncated inputs, for
-    both callers' windows; the truncated-complex windows narrower than the
-    pole shift have no ``k`` on the diagonal, the rest do."""
+    """Row by row (see :func:`_assert_same_system`) on exact and truncated
+    inputs, for both callers' windows; the truncated-complex windows narrower
+    than the pole shift have no ``k`` on the diagonal, the rest do.  Each
+    case builds the rows :func:`_lattice_cases` names for it."""
     rng = random.Random(19)
-    built = {"diagonal": 0, "no diagonal": 0, "truncated input": 0}
-    for c in _lattice_cases():
+    built = {"diagonal": 0, "no diagonal": 0, "truncated input": 0, "integer rows": 0,
+             "element rows": 0, "integer rows over a tower": 0}
+    for c, rows in _lattice_cases():
         m = cohomology._pole_shift(c)
         for caller, windows in ((truncated_complex_dims, TRUNCATED_WINDOWS),
                                 (flat_section_dim, FLAT_WINDOWS)):
             for w in windows:
                 for d in (INF, _need(caller, c, w) + rng.randint(-1, 2)):
-                    if not _assert_same_system(caller, c.truncate(d), w):
+                    path = _assert_same_system(caller, c.truncate(d), w)
+                    if path is None:
                         continue
+                    assert path == rows
+                    built[path] += 1
+                    if path == "integer rows" and c.tower.depth:
+                        built["integer rows over a tower"] += 1
                     if d is not INF:
                         built["truncated input"] += 1
                     if caller is truncated_complex_dims and w.width < m:

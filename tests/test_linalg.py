@@ -77,9 +77,10 @@ def _matrix(rng, tower, rows, cols, band=None):
     return m
 
 
-def _lattice_matrix():
+def _lattice_rows():
     """The flat-section system ``flat_section_dim`` builds on a
-    nilpotent-lead input."""
+    nilpotent-lead input over QQ: integer rows, as ``_lattice`` hands them to
+    the integer kernel."""
     c = checks.random_connection(random.Random(3), 2, 2, kind="nilpotent_lead")
     seen = []
     real = cohomology._lattice
@@ -100,9 +101,10 @@ def _qq_cases():
     rng = random.Random(1)
     cases = [_matrix(rng, QQ, 5, 5), _matrix(rng, QQ, 4, 7), _matrix(rng, QQ, 7, 4),
              _matrix(rng, QQ, 9, 9, band=1), _matrix(rng, QQ, 8, 12, band=2)]
-    return cases + [_lattice_matrix()]
+    return cases + [[[QQ.rational(x) for x in row] for row in LATTICE_ROWS]]
 
 
+LATTICE_ROWS = _lattice_rows()
 QQ_CASES = _qq_cases()
 
 
@@ -136,6 +138,17 @@ def test_rref_rank_nullspace_match_sympy_over_qq(k):
     assert linalg.rank(m) == s.rank()
     ours = [[x.to_fraction() for x in v] for v in linalg.nullspace(m)]
     assert ours == [[row[0] for row in _fracs(v)] for v in s.nullspace()]
+
+
+def test_integer_kernel_on_the_lattice_rows_matches_sympy():
+    """The lattice rows go to the integer kernel as ``_lattice`` builds them,
+    and as ``flat_section_dim`` hands them over (each row reversed)."""
+    sympy = pytest.importorskip("sympy")
+    assert all(type(x) is int for row in LATTICE_ROWS for x in row)
+    for rows in (LATTICE_ROWS, [row[::-1] for row in LATTICE_ROWS]):
+        want = list(sympy.Matrix(rows).rref()[1])
+        assert linalg.integer_pivot_columns([list(row) for row in rows]) == want
+        assert 0 < len(want) < min(len(rows), len(rows[0]))
 
 
 @pytest.mark.parametrize("k", range(len(QQ_CASES)))
