@@ -139,6 +139,7 @@ def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> l
 
     dens = [1] * (n * len(rows))
     if all(x.level == 0 for *_, x in coeffs):
+        # each row's denominator first, so every entry is written once, as an int
         for a, _, e, x in coeffs:
             d = x.payload.denominator
             if d != 1:

@@ -466,7 +466,7 @@ def test_lattice_systems_match_the_per_block_oracle():
     rng = random.Random(19)
     built = {"diagonal": 0, "no diagonal": 0, "truncated input": 0, "integer rows": 0,
              "element rows": 0, "integer rows over a tower": 0}
-    for c, rows in _lattice_cases():
+    for c, want in _lattice_cases():
         m = cohomology._pole_shift(c)
         for caller, windows in ((truncated_complex_dims, TRUNCATED_WINDOWS),
                                 (flat_section_dim, FLAT_WINDOWS)):
@@ -475,7 +475,7 @@ def test_lattice_systems_match_the_per_block_oracle():
                     path = _assert_same_system(caller, c.truncate(d), w)
                     if path is None:
                         continue
-                    assert path == rows
+                    assert path == want
                     built[path] += 1
                     if path == "integer rows" and c.tower.depth:
                         built["integer rows over a tower"] += 1
