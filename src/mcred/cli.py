@@ -102,7 +102,7 @@ def cmd_fredholm(args) -> int:
     if c.pole_order <= 1:
         out["h1_generators"] = [
             [serialize.encode_series(comp) for comp in vec]
-            for vec in h1_generators(c)
+            for vec in h1_generators(c, dims.spectrum)
         ]
     _emit(out, args.out)
     return 0

@@ -31,7 +31,7 @@ cokernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -43,6 +43,7 @@ from .errors import (
     PrecisionExhausted,
     Unstabilized,
 )
+from .field import common_context
 from .leading import rational_roots
 from .series import INF, LaurentSeries
 
@@ -83,6 +84,9 @@ class DeRhamDims:
     h1: int
     window: LatticeWindow
     certificate: str  # "spectrum-derived" | "window-doubling" | "window"
+    # the residue spectrum a regular-singular certificate came from, for
+    # h1_generators; never compared, printed or encoded
+    spectrum: RsSpectrum | None = field(default=None, compare=False, repr=False)
 
     @property
     def stabilized(self) -> bool:
@@ -98,9 +102,14 @@ class DeRhamDims:
 class RsSpectrum:
     """Integer exponents where the graded pieces of a regular-singular
     connection degenerate: ``entries`` is an ascending list of pairs
-    ``(N, dim ker(residue + N·I))``."""
+    ``(N, dim ker(residue + N·I))``, and ``completions[i]`` lists, for the
+    ``i``-th entry, the standard basis vectors (by index, in elimination pivot
+    order) that complete the column space of ``residue + N·I``: one per
+    kernel dimension, the monomials :func:`h1_generators` places at
+    ``u^(N-1) du``."""
 
     entries: list
+    completions: list
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +208,21 @@ def _shifted_by(residue, n_shift: int):
 
 
 def rs_spectrum(residue) -> RsSpectrum:
-    """Integer roots ``N`` of ``det(residue + N·I)`` with kernel dimensions."""
+    """Integer roots ``N`` of ``det(residue + N·I)`` with kernel dimensions
+    and cokernel completions, from one :func:`linalg.pivot_columns` of
+    ``[residue + N·I | I]`` per root: the pivots past the first ``n`` columns
+    are the completing standard vectors, and there are ``n - rank`` of them,
+    the kernel dimension."""
     n = len(residue)
-    entries = []
-    for root in rational_roots(linalg.charpoly(linalg.mat_neg(residue))):
-        if root.denominator != 1:
-            continue
-        entries.append((int(root), n - linalg.rank(_shifted_by(residue, int(root)))))
-    entries.sort()
-    return RsSpectrum(entries)
+    tower = common_context(residue)[0]
+    eye = [[tower.rational(int(a == b)) for b in range(n)] for a in range(n)]
+    roots = [int(N) for N in rational_roots(linalg.charpoly(linalg.mat_neg(residue)))
+             if N.denominator == 1]  # ascending
+    completions = []
+    for N in roots:
+        pivots = linalg.pivot_columns([row + e for row, e in zip(_shifted_by(residue, N), eye)])
+        completions.append([p - n for p in pivots if p >= n])
+    return RsSpectrum([(N, len(c)) for N, c in zip(roots, completions)], completions)
 
 
 def _spectrum_window(spectrum: RsSpectrum) -> LatticeWindow:
@@ -293,11 +308,13 @@ def doubling_dims(c: Connection) -> DeRhamDims:
 def certified_dims(c: Connection) -> DeRhamDims | None:
     """``(h0, h1)`` on a window a theorem vouches for
     (``certificate="spectrum-derived"``) when ``c`` is regular singular or
-    has an invertible lead, else ``None``."""
+    has an invertible lead, else ``None``.  A regular-singular result keeps
+    the residue's :func:`rs_spectrum` as its ``spectrum``."""
     if c.pole_order <= 1:
-        window = _spectrum_window(rs_spectrum(c.residue()))
+        spectrum = rs_spectrum(c.residue())
+        window = _spectrum_window(spectrum)
         dims = truncated_complex_dims(c, window)
-        return DeRhamDims(dims.h0, dims.h1, window, "spectrum-derived")
+        return DeRhamDims(dims.h0, dims.h1, window, "spectrum-derived", spectrum)
     if linalg.rank(c.leading()) < c.size:
         return None
     window = LatticeWindow(0, 1)
@@ -327,34 +344,23 @@ def euler_bound_check(c: Connection, dims: DeRhamDims) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def h1_generators(c: Connection) -> list:
+def h1_generators(c: Connection, spectrum: RsSpectrum | None = None) -> list:
     """Monomial form-vectors spanning the cokernel of a regular-singular
-    connection: for each spectrum index ``N``, standard vectors completing
-    the column space of ``residue + N·I`` (in elimination pivot order),
-    placed at ``u^(N-1) du``.  At most ``n`` vectors come back.
+    connection: for each spectrum index ``N``, the standard vectors
+    :func:`rs_spectrum` chose to complete the column space of
+    ``residue + N·I``, placed at ``u^(N-1) du``.  At most ``n`` vectors come
+    back.  ``spectrum`` is the residue's spectrum when the caller already
+    has it (the ``spectrum`` of :func:`certified_dims`), so nothing is
+    eliminated again; without it the spectrum is computed here.
     """
     if c.pole_order > 1:
         raise NotRegularSingular(
             "explicit cokernel generators need a pole of order <= 1"
         )
-    residue = c.residue()
-    n = c.size
-    tower = c.tower
-    gens = []
-    for N, mult in rs_spectrum(residue).entries:
-        shifted = _shifted_by(residue, N)
-        aug = [shifted[a][:] + [tower.rational(int(a == b)) for b in range(n)]
-               for a in range(n)]
-        pivots = linalg.pivot_columns(aug)
-        chosen = [p - n for p in pivots if p >= n]
-        if len(chosen) != mult:  # pragma: no cover - soundness check
-            raise EngineError("cokernel completion lost a generator")
-        for b in chosen:
-            gens.append([
-                LaurentSeries.monomial(tower, int(a == b), N - 1, c.ram)
-                for a in range(n)
-            ])
-    return gens
+    if spectrum is None:
+        spectrum = rs_spectrum(c.residue())
+    return [[LaurentSeries.monomial(c.tower, int(a == b), N - 1, c.ram) for a in range(c.size)]
+            for (N, _), chosen in zip(spectrum.entries, spectrum.completions) for b in chosen]
 
 
 # ---------------------------------------------------------------------------

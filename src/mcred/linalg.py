@@ -7,6 +7,8 @@ ring-generic: :class:`matrices.LaurentMatrix` runs them on its series.
 :func:`mat_mul` is no loop: it runs the series product kernel on constant
 forms (:func:`series._form_product`), one fold per entry, for every
 constant product here and in :mod:`mcred.leading` and :mod:`mcred.sl2`.
+:func:`charpoly` stays on those forms for its whole loop: its matrix
+converts once and its coefficients once.
 All eliminations use the first nonzero entry as pivot, so
 the results are deterministic functions of the input.  Elimination runs on
 raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
@@ -38,7 +40,8 @@ from typing import Sequence
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
 from .field import FieldElement, FieldTower, common_context
 from .field import _inv, _lift_payload, _mul, _payload_is_zero, _sub
-from .series import _constant_forms, _constants, _form_product
+from .series import (INF, _ONE, _accumulate, _constant_forms, _constants, _form_product,
+                     _settle)
 
 Matrix = list  # list[list[FieldElement]]
 Vector = list  # list[FieldElement]
@@ -310,22 +313,29 @@ def charpoly(m: Matrix) -> list[FieldElement]:
     """Coefficients of ``det(x I - m)``, ascending, monic of degree ``n``.
 
     Faddeev-LeVerrier: only divisions by the integers ``1..n`` occur, which
-    are exact in characteristic zero.
+    are exact in characteristic zero.  The loop runs on the product kernel's
+    constant forms: ``m`` converts once, each diagonal add and each
+    ``-trace/k`` is one :func:`series._accumulate` against the form of ``1``
+    or ``-1/k`` and one :func:`series._settle`, and the coefficients convert
+    back once, at the top level of ``m``'s tower.
     """
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("characteristic polynomial of a non-square matrix")
     tower, _ = common_context(m)
-    coeffs = [tower.zero() for _ in range(n + 1)]
-    coeffs[n] = tower.one()
-    am = zeros(tower, n, n)  # m M_0, with M_0 = 0
+    size = tower.sizes[-1]
+    mf = _constant_forms(m)
+    coeffs = [None] * n + [_ONE]  # constant forms; None is 0
+    am = [[None] * n for _ in range(n)]  # m M_0, with M_0 = 0
     for k in range(1, n + 1):
         ck = coeffs[n - k + 1]
         for i in range(n):  # M_k = m M_(k-1) + c_(n-k+1) I
-            am[i][i] = am[i][i] + ck
-        am = mat_mul(m, am)
-        coeffs[n - k] = -trace(am) / k
-    return coeffs
+            am[i][i] = _settle(tower, *_accumulate(size, [(am[i][i], _ONE), (ck, _ONE)]))
+        am = _form_product(tower, mf, am)
+        scale = (0, INF, k, [(0, -1)])  # the form of -1/k
+        coeffs[n - k] = _settle(tower, *_accumulate(size, [(am[i][i], scale)
+                                                          for i in range(n)]))
+    return _constants(tower, tower.depth, [coeffs])[0]
 
 
 def poly_at_matrix(coeffs: Sequence[FieldElement], m: Matrix) -> Matrix:

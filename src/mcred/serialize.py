@@ -39,11 +39,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .connection import Connection
 from .cohomology import DeRhamDims
 from .errors import DomainViolation, ParseError
-from .field import FieldElement, FieldTower, _unfold
+from .field import (FieldElement, FieldTower, _lift_payload, _payload_is_zero, _unfold,
+                    _zero_payload)
 from .matrices import LaurentMatrix
 from .reduction import ReductionNode, ReductionTree
 from .series import INF, LaurentSeries
@@ -81,13 +83,21 @@ def fraction_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # no decimals, exponents or spaces
+
+
 def str_to_fraction(s) -> Fraction:
+    """The ``Fraction`` a scalar string names; :class:`ParseError` for any
+    other text, a zero denominator, or a numerator or denominator longer than
+    Python's integer digit limit (4,300 digits by default)."""
     if not isinstance(s, str):
         raise ParseError(f"expected a rational string, got {type(s).__name__}")
-    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):  # no decimals, exponents or spaces
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
         raise ParseError(f"malformed rational {s!r}")
+    p, q = match.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(p), int(q or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed rational {s!r}") from exc
 
@@ -112,7 +122,7 @@ def encode_element(x: FieldElement):
 
 def _decode_payload(tower: FieldTower, level: int, enc):
     if isinstance(enc, str):
-        return tower.rational(str_to_fraction(enc))._lifted(tower, level).payload
+        return _lift_payload(tower, 0, level, str_to_fraction(enc))
     if not isinstance(enc, list):
         raise ParseError(
             f"scalar values must be rational strings or coordinate lists, "
@@ -127,8 +137,7 @@ def _decode_payload(tower: FieldTower, level: int, enc):
             f"degree {deg}"
         )
     coords = [_decode_payload(tower, level - 1, c) for c in enc]
-    zero = tower.zero(level - 1).payload
-    coords.extend([zero] * (deg - len(coords)))
+    coords.extend([_zero_payload(tower, level - 1)] * (deg - len(coords)))
     return tuple(coords)
 
 
@@ -162,12 +171,8 @@ def decode_tower(obj) -> FieldTower:
     for minpoly in exts:
         if not isinstance(minpoly, list):
             raise ParseError("each extension must list its minimal polynomial")
-        coeffs = [
-            FieldElement(tower, tower.depth, _decode_payload(tower, tower.depth, c))
-            for c in minpoly
-        ]
         try:
-            tower = tower.extend(coeffs)
+            tower = tower.extend([decode_element(tower, c) for c in minpoly])
         except DomainViolation as exc:
             raise ParseError(f"bad minimal polynomial: {exc}") from exc
         if tower.sizes[-1] > MAX_FIELD_POSITIONS:
@@ -212,15 +217,18 @@ def _prec_from_json(value):
     return check_exponent(value, "precision")
 
 
-def _decode_grid(tower: FieldTower, grid, n: int) -> list:
+def _decode_grid(tower: FieldTower, grid, n: int, exp: int, entries: list) -> None:
+    """Decode the ``n×n`` scalar grid at ``exp``, each nonzero scalar straight
+    into ``entries[i][j][exp]``."""
     if not isinstance(grid, list) or len(grid) != n:
         raise ParseError(f"coefficient matrix must have {n} rows")
-    rows = []
-    for row in grid:
+    for row, coeffs in zip(grid, entries):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"coefficient matrix must have {n} columns per row")
-        rows.append([decode_element(tower, x) for x in row])
-    return rows
+        for x, entry in zip(row, coeffs):
+            p = _decode_payload(tower, tower.depth, x)
+            if not _payload_is_zero(p):
+                entry[exp] = FieldElement(tower, tower.depth, p)
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +297,23 @@ def decode_matrix(obj) -> LaurentMatrix:
     items = _require(obj, "coefficients", "a matrix")
     if not isinstance(items, list):
         raise ParseError("coefficients must form a list")
-    coeff_map: dict[int, list] = {}
+    entries = [[{} for _ in range(n)] for _ in range(n)]  # {exp: element} per entry
+    exps = set()
     for item in items:
         if not isinstance(item, dict):
             raise ParseError("matrix coefficients must be {exp, matrix} objects")
         exp = check_exponent(_require(item, "exp", "a matrix coefficient"), "exp")
-        if exp in coeff_map:
+        if exp in exps:
             raise ParseError(f"duplicate exponent {exp}")
+        exps.add(exp)
         if prec is not INF and exp >= prec:
             raise ParseError(
                 f"coefficient at exponent {exp} lies beyond the stated "
                 f"precision {prec}"
             )
-        grid = _require(item, "matrix", "a matrix coefficient")
-        coeff_map[exp] = _decode_grid(tower, grid, n)
-    return LaurentMatrix.from_coeff_map(tower, coeff_map, n, prec, ram)
+        _decode_grid(tower, _require(item, "matrix", "a matrix coefficient"), n, exp, entries)
+    return LaurentMatrix(tower, [[LaurentSeries(tower, coeffs, prec, ram) for coeffs in row]
+                                 for row in entries], ram)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +419,45 @@ def encode_dims(d: DeRhamDims) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_KEYWORDS = {None: "null", True: "true", False: "false"}
+
+
+def _dump(obj, indent: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return _KEYWORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_dump(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot write a {type(obj).__name__} canonically")
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{indent}{brackets[1]}"
+
+
 def dumps(obj) -> str:
-    """Canonical text form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical text form: sorted keys, two-space indent, trailing newline.
+
+    The bytes are those of ``json.dumps(obj, indent=2, sort_keys=True) +
+    "\\n"`` for the dicts, lists, strings, ints, bools and ``None`` the
+    encoders emit; any other value (a float too) is a ``TypeError``.  With an
+    indent CPython's ``json`` runs its pure-Python encoder, so this small
+    writer over the C string escaper ``encode_basestring_ascii`` takes its
+    place.
+    """
+    return _dump(obj, "") + "\n"
 
 
 def loads(text: str) -> dict:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, serialize
+from mcred import checks, cohomology, serialize
 from mcred.cli import MAX_STABILITY_SIZE, main
 from mcred.cohomology import MAX_LATTICE_COLUMNS
 from mcred.connection import Connection
@@ -83,6 +83,24 @@ def test_fredholm_emits_generators(tmp_path, capsys):
     gens = out["h1_generators"]
     assert len(gens) == 2
     assert gens[0][0]["coefficients"] == [{"exp": -1, "value": "1"}]
+
+
+def test_fredholm_builds_the_residue_spectrum_once(tmp_path, capsys, monkeypatch):
+    """``fredholm`` on a regular-singular input takes its generators from the
+    spectrum ``certified_dims`` built, not from a second one."""
+    calls = []
+    real = cohomology.rs_spectrum
+
+    def counted(residue):
+        calls.append(residue)
+        return real(residue)
+
+    monkeypatch.setattr(cohomology, "rs_spectrum", counted)
+    path = write_connection(tmp_path / "cascade.json", checks.sample_exponential_cascade(3))
+    code, out = run(capsys, "fredholm", path)
+    assert code == 0 and out["certificate"] == "spectrum-derived"
+    assert len(out["h1_generators"]) == 2  # spectrum points 0 and 3
+    assert len(calls) == 1
 
 
 def test_fredholm_fails_without_certificate(tmp_path, capsys):
@@ -205,6 +223,19 @@ def test_parse_errors_exit_4(tmp_path, capsys):
     wrong.write_text(serialize.dumps(enc))
     assert main(["reduce", str(wrong)]) == 4
     capsys.readouterr()
+
+
+def test_scalar_past_the_digit_limit_exits_4(tmp_path, capsys):
+    """Python refuses to read an int of more than 4,300 digits; a scalar
+    that long is a parse error, not a traceback."""
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({"rank": 1, "coefficients": [
+        {"exp": -1, "matrix": [["1/" + "9" * 4301]]}]}))
+    assert main(["derham", str(long)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: malformed rational")
+    assert "Traceback" not in captured.err
 
 
 def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 from mcred import checks, cohomology, linalg
 from mcred.cohomology import LatticeWindow, flat_section_dim
 from mcred.errors import LinearSolveFailed, NotInvertible, ZeroDivisorSplit
-from mcred.field import FieldTower
+from mcred.field import FieldTower, common_context
 from test_matrices import _mat_mul
 
 QQ = FieldTower()
@@ -362,3 +362,48 @@ def test_pivot_columns_at_level_zero_never_call_rref(monkeypatch):
     assert [linalg.pivot_columns(m) for m in cases] == want
     with pytest.raises(AssertionError, match="rref called"):
         linalg.pivot_columns([[K.rational(1), K.gen()]])
+
+
+# ---------------------------------------------------------------------------
+# charpoly against the element loop it replaced
+
+
+def _element_charpoly(m):
+    """Faddeev-LeVerrier on ``FieldElement`` operators, products term by term:
+    the loop ``linalg.charpoly`` ran before it moved onto constant forms."""
+    n = len(m)
+    tower = common_context(m)[0]
+    coeffs = [tower.zero() for _ in range(n + 1)]
+    coeffs[n] = tower.one()
+    am = linalg.zeros(tower, n, n)
+    for k in range(1, n + 1):
+        for i in range(n):
+            am[i][i] = am[i][i] + coeffs[n - k + 1]
+        am = _mat_mul(m, am)
+        coeffs[n - k] = -linalg.trace(am) / k
+    return coeffs
+
+
+def _charpoly_cases(rng, tower, n):
+    """Random entries on every level, 30-digit entries, rationals of the
+    tower, and zero, scalar and nilpotent matrices."""
+    scalar = _scalar(rng, tower)
+    return [
+        [[_scalar(rng, tower) for _ in range(n)] for _ in range(n)],
+        [[_pivot_entry(rng, tower, big=True) for _ in range(n)] for _ in range(n)],
+        [[tower.rational(_big(rng)) for _ in range(n)] for _ in range(n)],
+        linalg.zeros(tower, n, n),
+        [[scalar if i == j else tower.zero() for j in range(n)] for i in range(n)],
+        [[_scalar(rng, tower) if j > i else tower.zero() for j in range(n)] for i in range(n)],
+    ]
+
+
+@pytest.mark.parametrize("tower", [QQ, K, L], ids=["depth0", "depth1", "depth2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_charpoly_matches_the_element_loop(tower, n):
+    rng = random.Random(10 * tower.depth + n)
+    for m in _charpoly_cases(rng, tower, n):
+        got, want = linalg.charpoly(m), _element_charpoly(m)
+        assert [(x.tower, x.level, x.payload) for x in got] == \
+            [(x.tower, x.level, x.payload) for x in want]
+        assert got[n] == tower.one() and all(x.level == tower.depth for x in got)

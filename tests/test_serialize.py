@@ -1,10 +1,12 @@
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from mcred import checks, serialize
+from mcred.cli import main
 from mcred.connection import Connection
 from mcred.errors import ParseError
 from mcred.field import FieldTower
@@ -27,9 +29,10 @@ def test_fraction_strings():
         with pytest.raises(ParseError):
             serialize.str_to_fraction(bad)
     # README documents only "p/q" and "p": Fraction's decimals, exponents,
-    # spaces, underscores and signs other than a leading minus are refused
+    # spaces, underscores and signs other than a leading minus are refused,
+    # and so is a numerator or denominator past Python's 4,300-digit limit
     for bad in ("0.5", " 3/4 ", "1_000", "+3", "3/-4", "-3/+4", "1/", "/2",
-                "3\n", "\u0663", "1e9999999"):
+                "3\n", "\u0663", "1e9999999", "7" * 4301, "-1/" + "3" * 4301):
         start = time.perf_counter()
         with pytest.raises(ParseError):
             serialize.str_to_fraction(bad)
@@ -188,3 +191,66 @@ def test_dumps_is_sorted_and_newline_terminated():
     text = serialize.dumps({"b": 1, "a": 2})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# decoding against the element-by-element path it replaced
+
+
+def _coeff_map_decode(obj):
+    """The decode before payloads went straight into series: one element per
+    scalar by ``decode_element``, the grids through
+    ``LaurentMatrix.from_coeff_map`` (for files ``decode_connection`` accepts)."""
+    tower = serialize.decode_tower(obj.get("field"))
+    coeff_map = {item["exp"]: [[serialize.decode_element(tower, x) for x in row]
+                               for row in item["matrix"]] for item in obj["coefficients"]}
+    prec = INF if obj.get("precision") is None else obj["precision"]
+    return Connection(LaurentMatrix.from_coeff_map(tower, coeff_map, obj["rank"], prec,
+                                                   obj.get("ramification", 1)))
+
+
+def _entries(c):
+    """Every series of ``c`` as precision, ramification, tower and its
+    coefficients' exponents, levels and payloads in dict order."""
+    return [(s.prec, s.ram, s.tower.levels,
+             [(e, x.tower.levels, x.level, x.payload) for e, x in s.coeffs.items()])
+            for row in c.matrix.entries for s in row]
+
+
+def _tower_files():
+    """Depth-1 and depth-2 files whose scalars mix bare rationals, full and
+    short coordinate vectors, and short vectors nested in vectors."""
+    k = [["-2", "0", "1"]]
+    l = k + [["-3", "0", "1"]]
+    scalars = {1: ["0", "3/4", ["1", "-2/3"], ["5"], ["0", "7"]],
+               2: ["0", "-1/2", ["1", ["0", "2/3"]], [["1"], "2"], [["0", "1"], ["1/2"]],
+                   ["4"], ["0", ["0", "-5"]]]}
+    rng = random.Random(22)
+    files = []
+    for depth, exts in ((1, k), (2, l)):
+        for n, prec in ((1, None), (2, 3), (3, None)):
+            files.append({"rank": n, "ramification": 1 + depth % 2, "precision": prec,
+                          "field": {"extensions": exts},
+                          "coefficients": [{"exp": e, "matrix": [[rng.choice(scalars[depth])
+                                                                 for _ in range(n)]
+                                                                for _ in range(n)]}
+                                           for e in (-2, 0, 1)]})
+    return files
+
+
+def test_decode_matches_the_coeff_map_decode(tmp_path, capsys):
+    objs = [serialize.encode_connection(make()) for make in checks.SAMPLES.values()]
+    out = tmp_path / "generated.json"
+    assert main(["generate", "--seed", "7", "--count", "24", "--out", str(out)]) == 0
+    capsys.readouterr()
+    objs += serialize.loads(out.read_text())["connections"]
+    objs += _tower_files()
+    seen = set()
+    for obj in objs:
+        got = serialize.decode_connection(obj)
+        want = _coeff_map_decode(obj)
+        assert (got.tower.levels, got.matrix.ram) == (want.tower.levels, want.matrix.ram)
+        assert _entries(got) == _entries(want)
+        assert serialize.encode_connection(got) == serialize.encode_connection(want)
+        seen.add(got.tower.depth)
+    assert len(objs) == 35 and seen == {0, 1, 2}

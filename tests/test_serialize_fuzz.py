@@ -1,4 +1,5 @@
-"""Decoding untrusted connection files lets only engine errors escape.
+"""Decoding untrusted connection files lets only engine errors escape, and
+``serialize.dumps`` writes the bytes of ``json.dumps``.
 
 ``serialize.loads`` followed by ``serialize.decode_connection`` is the path
 every CLI command reads its input through, and the CLI maps only
@@ -11,6 +12,7 @@ the checkout.
 
 import json
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -132,3 +134,30 @@ def test_unmutated_bases_decode():
     for obj in BASES:
         c = serialize.decode_connection(serialize.loads(json.dumps(obj)))
         assert serialize.encode_connection(c) == obj
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer against json.dumps
+
+# quotes, backslashes, control characters and text outside ASCII, alone and in text
+tricky_text = st.sampled_from(['"', "\\", "\x00", "\n\t\x1f\x7f", "\u00e9", "\u2028",
+                               "\U0001f600", ""]) | st.text()
+canonical_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**60, 10**60) | tricky_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(tricky_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@FUZZ
+@given(canonical_values)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert serialize.dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, 0.0, float("inf"), (1, 2), {1, 2}, b"1",
+                                   Fraction(1, 2), object()])
+def test_dumps_refuses_every_other_type(value):
+    for obj in (value, [1, value], {"a": {"b": [value]}}):
+        with pytest.raises(TypeError):
+            serialize.dumps(obj)
