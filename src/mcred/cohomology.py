@@ -26,6 +26,12 @@ supported in the window — no chopping, every determinable coefficient row
 of ``∇v`` must vanish — and gets ``h1`` the same way from the dual
 connection ``d - Γᵗ du``, which the residue pairing matches with the
 cokernel.
+
+Every count is a rank, and every system is a band matrix: a row of ``∇``
+meets only the few blocks its coefficients reach.  So :func:`_lattice`
+builds each row as the run of columns it occupies, and at level 0 the runs
+go to :func:`linalg.integer_pivot_columns`, which eliminates them by
+leading column and never touches a column outside a run.
 """
 
 from __future__ import annotations
@@ -51,9 +57,13 @@ MAX_LATTICE_COLUMNS = 512
 """Widest lattice system (rank times window width) that window doubling
 builds and ``derham --window`` accepts.  Tests and benchmark peak at 222
 columns; doubling on a rank-2 nilpotent lead ``[[0, 1], [0, 0]] u**-r`` plus
-``[[0, 0], [1, 0]]`` reaches 440 at r = 16 and took 0.2 / 2.6 / 12 / 60 s
-unbounded at r = 4 / 16 / 32 / 64; a rank-8 zero file took 0.3 / 1.2 / 6.6 s
-on windows of width 32 / 64 / 128 (2-core x86-64 VM, Python 3.11.7)."""
+``[[0, 0], [1, 0]]`` reaches 440 at r = 16.  Unbounded, on band rows, it
+took 0.01 / 0.03 / 0.08 / 0.8 s at r = 16 / 32 / 64 / 256 (the last on
+6,680 columns and 44 MB), against 0.07 / 0.19 / 1.1 s at r = 16 / 32 / 64
+on dense rows; a rank-8 zero file took under 0.01 s on windows of width
+32 / 64 / 128 (0.01 / 0.02 / 0.06 s dense).  In-process ``derham_dims`` and
+``truncated_complex_dims``, 2-core x86-64 VM, Python 3.11.7.  The bound
+stays, so which inputs get an answer does not change."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,76 +134,105 @@ def _pole_shift(c: Connection) -> int:
 
 def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> list:
     """The rows of ``∇`` that land on ``u**j du`` for ``j`` in ``rows``, on
-    sections with exponents in ``[k_min, k_min + width)``: row ``jx*n + a``,
-    column ``kx*n + b`` holds ``G_{j-k}[a][b]``, plus ``k`` on the diagonal
-    where ``j == k - 1``.  ``what`` names the window a short precision blames.
+    sections with exponents in ``[k_min, k_min + width)``, as band rows: row
+    ``jx*n + a`` is ``(lo, values)``, the run of its dense row from column
+    ``lo`` on that holds every column where a coefficient or the ``k``
+    diagonal lands.  The dense row's column ``kx*n + b`` holds
+    ``G_{j-k}[a][b]``, plus ``k`` where ``j == k - 1``; outside the run it is
+    zero.  ``what`` names the window a short precision blames.
 
-    When every coefficient of ``c`` sits at level 0 (in any tower), the rows
-    are Python ints, each cleared of its denominators once, read from the
-    coefficients' ``Fraction`` payloads with no element built: the rows
-    :func:`linalg.integer_pivot_columns` eliminates.  Otherwise they are
-    ``FieldElement``s over one shared zero, for :func:`linalg.pivot_columns`.
+    Block row ``a`` lays its coefficients and its diagonal out once, as a
+    template from the first column where one lands to the last.  A row the
+    window leaves whole is a copy of the template plus ``k`` times its
+    denominator on the diagonal; a row an edge cuts is the template's part
+    inside the window, cleared of its own denominators.
+
+    When every coefficient of ``c`` sits at level 0 (in any tower), the
+    values are Python ints, each row cleared of the denominators of the
+    coefficients that land in it, read from their ``Fraction`` payloads with
+    no element built: the bands :func:`linalg.integer_pivot_columns`
+    eliminates.  Otherwise they are ``FieldElement``s over one shared zero,
+    which :func:`_pivots` expands to dense rows.
     """
     need = rows.stop - k_min
     if c.prec is not INF and c.prec < need:
         raise PrecisionExhausted(f"{what} needs coefficients up to exponent {need} but the "
                                  f"connection is only known below {c.prec}", needed=need)
-    n = c.size
-    coeffs = [(a, b, e, x) for a, entries in enumerate(c.matrix.entries)
-              for b, s in enumerate(entries) for e, x in s.coeffs.items()]
+    n, cols = c.size, c.size * width
+    grid = [[(e, b, x) for b, s in enumerate(entries) for e, x in s.coeffs.items()]
+            for entries in c.matrix.entries]
+    rational = all(x.level == 0 for coeffs in grid for *_, x in coeffs)
+    zero = 0 if rational else c.tower.zero()
+    # block row a's template runs over the positions (top - e)*n + b of its
+    # coefficients and (top + 1)*n + a of the diagonal, from the first to the
+    # last; row j puts position t at column (j - k_min - top)*n + t
+    blocks = []
+    for a, coeffs in enumerate(grid):
+        top = max([-1] + [e for e, _, _ in coeffs])
+        spots = [((top - e) * n + b, x) for e, b, x in coeffs]
+        diag = (top + 1) * n + a
+        places = [diag] + [t for t, _ in spots]
+        t_lo = min(places)
+        template = [zero] * (max(places) + 1 - t_lo)
+        dens = [1] * len(template)  # the denominator at each position
+        if rational:
+            for t, x in spots:
+                dens[t - t_lo] = x.payload.denominator
+            den = math.lcm(*dens)
+            for t, x in spots:
+                template[t - t_lo] = x.payload.numerator * (den // x.payload.denominator)
+        else:
+            den = 1
+            for t, x in spots:
+                template[t - t_lo] = x
+        blocks.append((t_lo - (k_min + top) * n, template, diag - t_lo, dens, den))
+    bands = []
+    for j in rows:
+        for base, template, diag, dens, den in blocks:
+            lo = j * n + base
+            hi = lo + len(template)
+            if lo >= 0 and hi <= cols:
+                values = template[:]
+                values[diag] += (j + 1) * den
+                bands.append((lo, values))
+                continue
+            # an edge cuts the row: the part inside the window, cleared of
+            # the denominators that land there
+            start, stop = min(max(lo, 0), cols), max(min(hi, cols), 0)
+            values = template[start - lo:stop - lo]
+            row_den = math.lcm(*dens[start - lo:stop - lo]) if den != 1 else 1
+            if row_den != den:
+                values = [v // (den // row_den) for v in values]
+            if start <= lo + diag < stop:
+                values[lo + diag - start] += (j + 1) * row_den
+            bands.append((start, values))
+    return bands
 
-    def band(e):
-        """The ``j`` whose row holds ``u**e``'s coefficients."""
-        return range(max(rows.start, k_min + e), min(rows.stop, k_min + width + e))
 
-    dens = [1] * (n * len(rows))
-    if all(x.level == 0 for *_, x in coeffs):
-        # each row's denominator first, so every entry is written once, as an int
-        for a, _, e, x in coeffs:
-            d = x.payload.denominator
-            if d != 1:
-                for j in band(e):
-                    r = (j - rows.start) * n + a
-                    dens[r] = math.lcm(dens[r], d)
-        mat = [[0] * (n * width) for _ in dens]
-        for a, b, e, x in coeffs:
-            p, d = x.payload.numerator, x.payload.denominator
-            for j in band(e):
-                r = (j - rows.start) * n + a
-                mat[r][(j - e - k_min) * n + b] = p * (dens[r] // d)
-    else:
-        zero = c.tower.zero()
-        mat = [[zero] * (n * width) for _ in dens]
-        for a, b, e, x in coeffs:
-            for j in band(e):
-                mat[(j - rows.start) * n + a][(j - e - k_min) * n + b] = x
-    for j in range(max(rows.start, k_min - 1), min(rows.stop, k_min + width - 1)):
-        for a in range(n):
-            r, col = (j - rows.start) * n + a, (j + 1 - k_min) * n + a
-            mat[r][col] = mat[r][col] + (j + 1) * dens[r]
-    return mat
-
-
-def _pivots(system: list) -> list[int]:
-    """The pivot columns of a :func:`_lattice` system: integer rows go
-    straight to the integer kernel, element rows to :func:`linalg.pivot_columns`."""
-    if isinstance(system[0][0], int):
+def _pivots(c: Connection, system: list, cols: int) -> list[int]:
+    """The pivot columns of a :func:`_lattice` system of ``cols`` columns:
+    integer bands go straight to the integer kernel, element bands are
+    expanded to dense rows for :func:`linalg.pivot_columns`."""
+    if type(next((v[0] for _, v in system if v), 0)) is int:
         return linalg.integer_pivot_columns(system)
-    return linalg.pivot_columns(system)
+    zero = c.tower.zero()
+    return linalg.pivot_columns([[zero] * lo + v + [zero] * (cols - lo - len(v))
+                                 for lo, v in system])
 
 
 def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
     """Kernel and cokernel dimensions of ``∇`` restricted to ``w``: the
     window's dimension less the rank of its square :func:`_lattice` system
-    (at level 0, integer rows into the integer kernel).
+    (at level 0, integer bands into the band kernel).
 
     Unstabilized raw numbers: they agree with the true dimensions only once
     the window is large enough (see :func:`derham_dims`).
     """
     m = _pole_shift(c)
     dim = c.size * w.width
-    rank = len(_pivots(_lattice(c, range(w.n_min - m, w.n_max - m), w.n_min, w.width,
-                                f"window {w.n_min, w.n_max}")))
+    system = _lattice(c, range(w.n_min - m, w.n_max - m), w.n_min, w.width,
+                      f"window {w.n_min, w.n_max}")
+    rank = len(_pivots(c, system, dim))
     return DeRhamDims(dim - rank, dim - rank, w, "window")
 
 
@@ -260,9 +299,10 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     The count needs no kernel basis.  Split the system as ``A = [A_V | A_H]``,
     ``V`` the ``n·w.width`` visible coordinates and ``H`` the extension: the
     restrictions of ``ker A`` to ``V`` span ``|V| − (rank A − rank A_H)``
-    dimensions.  One :func:`_pivots` on the :func:`_lattice` rows reversed
-    (at level 0, integer rows into the integer kernel) puts the ``H``
-    columns first, so the pivots that land in ``V`` number
+    dimensions.  One :func:`_pivots` on the :func:`_lattice` bands reversed
+    (each ``(lo, values)`` becomes ``(cols − lo − len(values),
+    values[::-1])``; at level 0, integer bands into the band kernel) puts the
+    ``H`` columns first, so the pivots that land in ``V`` number
     ``rank A − rank A_H``.
     """
     top = _flat_top(c, w)
@@ -270,16 +310,17 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     rows = range(lo, top - _pole_shift(c))
     system = _lattice(c, rows, w.n_min, top - w.n_min,
                       f"certifying flat sections on window {w.n_min, w.n_max}")
+    cols = c.size * (top - w.n_min)
     visible = c.size * w.width
-    hidden = c.size * (top - w.n_min) - visible
-    pivots = _pivots([row[::-1] for row in system])
+    hidden = cols - visible
+    pivots = _pivots(c, [(cols - lo - len(v), v[::-1]) for lo, v in system], cols)
     return visible - sum(1 for p in pivots if p >= hidden)
 
 
 def dual_connection(c: Connection) -> Connection:
     """``d - Γᵗ du``: flat sections of the dual pair perfectly with the
     cokernel of ``∇`` through the residue pairing ``(v du, w) -> res(wᵗv)``."""
-    return Connection(c.matrix.transpose() * -1)
+    return Connection(-c.matrix.transpose())
 
 
 def doubling_dims(c: Connection) -> DeRhamDims:

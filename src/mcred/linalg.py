@@ -16,10 +16,11 @@ highest level among its entries as :func:`field.common_context` finds them,
 and touches only the nonzero columns of each pivot row.
 Where only a rank or a pivot list leaves the elimination, the one integer
 kernel :func:`integer_pivot_columns` runs instead: fraction-free on Python
-ints, with no back-substitution.  :func:`pivot_columns` feeds it element
-rows over QQ, each cleared of its denominators once (over towers it is
-``rref``'s pivot list; :func:`rank` is its length), and
-:func:`cohomology._lattice` builds its systems as integer rows.  ``rref``
+ints, on band rows ``(lo, values)`` filed by leading column, with no
+back-substitution.  :func:`pivot_columns` feeds it element rows over QQ,
+each cleared of its denominators once and handed over whole (over towers
+it is ``rref``'s pivot list; :func:`rank` is its length), and
+:func:`cohomology._lattice` builds its systems as integer bands.  ``rref``
 keeps the callers whose reduced vectors are output (``nullspace``,
 ``kernel_and_image``, ``inverse``).
 Division by a zero divisor inside an algebraic extension raises
@@ -35,6 +36,7 @@ the product kernel's integer forms.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Sequence
 
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
@@ -182,59 +184,91 @@ def pivot_columns(m: Matrix) -> list[int]:
     column rank profile does not depend on how the elimination runs.
 
     At level 0 each row is cleared of its denominators once and handed to
-    :func:`integer_pivot_columns`.  Over towers (level > 0) this is
-    ``rref(m)[1]``.
+    :func:`integer_pivot_columns` as the band ``(0, row)``.  Over towers
+    (level > 0) this is ``rref(m)[1]``.
     """
     rows, cols = mat_shape(m)
     if not rows or not cols:
         return []
     if common_context(m)[1]:
         return rref(m)[1]
-    ints = []
+    bands = []
     for row in m:
         den = math.lcm(*[x.payload.denominator for x in row])
-        ints.append([x.payload.numerator * (den // x.payload.denominator) for x in row])
-    return integer_pivot_columns(ints)
+        bands.append((0, [x.payload.numerator * (den // x.payload.denominator) for x in row]))
+    return integer_pivot_columns(bands)
 
 
-def integer_pivot_columns(rows: list) -> list[int]:
-    """The pivot columns of a matrix of Python ints, eliminated fraction-free
-    with no back-substitution: a row below the pivot row becomes
-    ``a·row − b·pivot_row`` with ``a, b = pv/g, f/g`` (``g = gcd(pv, f)``),
-    only the pivot row's nonzero columns are subtracted, and the row is
-    divided by its content.  Zero rows are dropped first; the others are
-    overwritten.
+def integer_pivot_columns(bands: list) -> list[int]:
+    """The pivot columns of a matrix of Python ints given as band rows: row
+    ``(lo, values)`` holds ``values`` in the columns from ``lo`` on and zero
+    elsewhere.
+
+    Each row is trimmed to its nonzero run and filed under its leading
+    column.  At each column the first row filed there is the pivot; every
+    other row there becomes ``a·row − b·pivot`` over their common run, with
+    ``a, b = pv/g, f/g`` (``g = gcd(pv, f)``, ``a > 0``), is divided by its
+    content and filed again under its new leading column.  Rows filed under
+    other columns are zero in this one and are not touched.  The result is
+    an echelon form of the same row space, so the pivots are the column rank
+    profile, whichever row is the pivot; there is no back-substitution.
     """
-    cols = len(rows[0]) if rows else 0
-    ints = [row for row in rows if any(row)]
+    filed: dict[int, list] = {}
+    for lo, values in bands:
+        lead, values = _trimmed(values)
+        if values:
+            filed.setdefault(lo + lead, []).append(values)
     pivots: list[int] = []
-    for col in range(cols):
-        lead = len(pivots)
-        if lead >= len(ints):
-            break
-        pivot_row = next((i for i in range(lead, len(ints)) if ints[i][col]), None)
-        if pivot_row is None:
-            continue
-        ints[lead], ints[pivot_row] = ints[pivot_row], ints[lead]
-        prow = ints[lead]
-        pv = prow[col]
-        support = [j for j in range(col + 1, cols) if prow[j]]
-        for i in range(lead + 1, len(ints)):
-            row = ints[i]
-            f = row[col]
-            if not f:
-                continue
-            g = math.gcd(pv, f)
-            a, b = (pv // g, f // g) if pv > 0 else (-pv // g, -f // g)
-            row[col] = 0
-            if a != 1:
-                row = [x * a for x in row]
-            for j in support:
-                row[j] -= b * prow[j]
-            content = math.gcd(*row)
-            ints[i] = [x // content for x in row] if content > 1 else row
-        pivots.append(col)
+    col = min(filed, default=0)
+    while filed:
+        rows = filed.pop(col, None)
+        if rows:
+            # a > 0: a negative pivot lead moves its sign onto the pivot's tail
+            pv, tail = rows[0][0], rows[0][1:]
+            if pv < 0:
+                pv, tail = -pv, [-y for y in tail]
+            for row in rows[1:]:
+                g = math.gcd(pv, row[0])
+                a, b = pv // g, row[0] // g
+                # column col cancels; the rest of the common run, then the
+                # part of the longer row that overhangs the shorter
+                if a == 1:
+                    new = [x - b * y for x, y in zip(islice(row, 1, None), tail)]
+                    if len(row) > len(tail) + 1:
+                        new += row[len(tail) + 1:]
+                else:
+                    new = [a * x - b * y for x, y in zip(islice(row, 1, None), tail)]
+                    if len(row) > len(tail) + 1:
+                        new += [a * x for x in row[len(tail) + 1:]]
+                if len(row) <= len(tail):
+                    new += [-b * y for y in tail[len(row) - 1:]]
+                lead, new = _trimmed(new)
+                if new:
+                    content = math.gcd(*new)
+                    if content > 1:
+                        new = [x // content for x in new]
+                    filed.setdefault(col + 1 + lead, []).append(new)
+            pivots.append(col)
+        col += 1
     return pivots
+
+
+def _trimmed(values: list) -> tuple[int, list]:
+    """``(offset, run)``: the nonzero run of ``values`` and where it starts;
+    an all-zero list gives ``(0, [])``."""
+    if values and values[0] and values[-1]:
+        return 0, values
+    start = 0
+    for x in values:
+        if x:
+            break
+        start += 1
+    else:
+        return 0, []
+    stop = len(values)
+    while not values[stop - 1]:
+        stop -= 1
+    return start, values[start:stop]
 
 
 def rank(m: Matrix) -> int:

@@ -77,7 +77,8 @@ included; the tests, samples and benchmark stay within 15."""
 
 
 def fraction_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -116,6 +117,8 @@ def _encode_at_level(tower: FieldTower, level: int, payload):
 
 
 def encode_element(x: FieldElement):
+    if x.level == 0:  # a rational, written straight from its payload
+        return fraction_to_str(x.payload)
     lifted = x._lifted(x.tower, x.tower.depth)
     return _encode_at_level(x.tower, x.tower.depth, lifted.payload)
 

@@ -185,6 +185,23 @@ def test_dual_connection_negates_transpose():
     assert dual_connection(d).matrix.coincides_with(c.matrix)
 
 
+def test_dual_connection_matches_the_scalar_product():
+    """Negating the transpose gives the coefficients, levels and precisions
+    the product by ``-1`` gave, on exact, truncated and tower inputs."""
+    rng = random.Random(23)
+    cases = [checks.random_connection(rng, n, r, kind=kind)
+             for kind in checks.KINDS for n in (1, 2, 3) for r in (1, 2, 3)]
+    cases += [c.truncate(3) for c in cases[:6]]
+    cases += [_tower_connection(rng, K1, 2, 2), _tower_connection(rng, K2, 2, 1)]
+
+    def key(m):
+        return (m.ram, m.prec, [[(s.prec, s.ram, {e: (x.level, x) for e, x in s.coeffs.items()})
+                                 for s in row] for row in m.entries])
+
+    for c in cases:
+        assert key(dual_connection(c).matrix) == key(c.matrix.transpose() * -1)
+
+
 def test_doubling_dims_on_irregular_nilpotent_lead():
     # pole 2, nilpotent lead: no certificate path, the doubling fallback
     # must still respect h0 <= n
@@ -399,23 +416,26 @@ def _cleared(row):
 
 
 def _assert_same_system(caller, c, w):
-    """The builder's system against the oracle's, row by row: integer rows
-    must equal the oracle's rows cleared of their denominators, element rows
-    must hold the oracle's elements (value and level).  Returns which rows
-    were built, or ``None`` when both refuse the precision."""
+    """The builder's system against the oracle's, row by row: each band
+    must lie inside the row, and expanded to its dense row, an integer band
+    must equal the oracle's row cleared of its denominators and an element
+    band must hold the oracle's elements (value and level).  Returns which
+    rows were built, or ``None`` when both refuse the precision."""
     got, want = _outcome(_new_system, caller, c, w), _outcome(_old_system, caller, c, w)
     if isinstance(want, PrecisionExhausted):
         assert isinstance(got, PrecisionExhausted)
         assert (str(got), got.needed) == (str(want), want.needed)
         return None
     assert len(got) == len(want)
-    integral = type(got[0][0]) is int
-    for row, old in zip(got, want):
-        assert len(row) == len(old)
+    integral = type(next(v[0] for _, v in got if v)) is int
+    zero = 0 if integral else c.tower.zero()
+    for (lo, values), old in zip(got, want):
+        assert 0 <= lo and lo + len(values) <= len(old)
+        row = [zero] * lo + values + [zero] * (len(old) - lo - len(values))
         if integral:
-            assert all(type(x) is int for x in row) and row == _cleared(old)
+            assert all(type(x) is int for x in values) and row == _cleared(old)
         else:
-            assert all(isinstance(x, FieldElement) for x in row)
+            assert all(isinstance(x, FieldElement) for x in values)
             assert all(x == y and x.level == y.level for x, y in zip(row, old))
     return "integer rows" if integral else "element rows"
 

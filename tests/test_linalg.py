@@ -6,7 +6,9 @@ the element-wise Gauss-Jordan loop below: the same pivot rule, computed with
 element-wise product of ``test_matrices``, not from ``linalg.mat_mul``.
 """
 
+import math
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -77,11 +79,12 @@ def _matrix(rng, tower, rows, cols, band=None):
     return m
 
 
-def _lattice_rows():
+def _lattice_bands():
     """The flat-section system ``flat_section_dim`` builds on a
-    nilpotent-lead input over QQ: integer rows, as ``_lattice`` hands them to
-    the integer kernel."""
+    nilpotent-lead input over QQ: integer bands, as ``_lattice`` hands them
+    to the integer kernel, and the width of their dense rows."""
     c = checks.random_connection(random.Random(3), 2, 2, kind="nilpotent_lead")
+    w = LatticeWindow(-4, 4)
     seen = []
     real = cohomology._lattice
 
@@ -91,10 +94,20 @@ def _lattice_rows():
 
     cohomology._lattice = spy
     try:
-        flat_section_dim(c, LatticeWindow(-4, 4))
+        flat_section_dim(c, w)
     finally:
         cohomology._lattice = real
-    return seen[0]
+    return seen[0], c.size * (cohomology._flat_top(c, w) - w.n_min)
+
+
+def _dense(bands, cols):
+    """The dense integer rows of ``bands``, ``cols`` wide."""
+    return [[0] * lo + values + [0] * (cols - lo - len(values)) for lo, values in bands]
+
+
+def _reversed(bands, cols):
+    """``bands`` with every row reversed, as ``flat_section_dim`` hands them over."""
+    return [(cols - lo - len(values), values[::-1]) for lo, values in bands]
 
 
 def _qq_cases():
@@ -104,7 +117,8 @@ def _qq_cases():
     return cases + [[[QQ.rational(x) for x in row] for row in LATTICE_ROWS]]
 
 
-LATTICE_ROWS = _lattice_rows()
+LATTICE_BANDS, LATTICE_COLS = _lattice_bands()
+LATTICE_ROWS = _dense(LATTICE_BANDS, LATTICE_COLS)
 QQ_CASES = _qq_cases()
 
 
@@ -141,14 +155,130 @@ def test_rref_rank_nullspace_match_sympy_over_qq(k):
 
 
 def test_integer_kernel_on_the_lattice_rows_matches_sympy():
-    """The lattice rows go to the integer kernel as ``_lattice`` builds them,
+    """The lattice bands go to the integer kernel as ``_lattice`` builds them,
     and as ``flat_section_dim`` hands them over (each row reversed)."""
     sympy = pytest.importorskip("sympy")
-    assert all(type(x) is int for row in LATTICE_ROWS for x in row)
-    for rows in (LATTICE_ROWS, [row[::-1] for row in LATTICE_ROWS]):
+    assert all(type(x) is int for _, values in LATTICE_BANDS for x in values)
+    assert all(0 <= lo and lo + len(values) <= LATTICE_COLS for lo, values in LATTICE_BANDS)
+    for bands in (LATTICE_BANDS, _reversed(LATTICE_BANDS, LATTICE_COLS)):
+        rows = _dense(bands, LATTICE_COLS)
         want = list(sympy.Matrix(rows).rref()[1])
-        assert linalg.integer_pivot_columns([list(row) for row in rows]) == want
+        assert linalg.integer_pivot_columns(bands) == want
+        assert _dense_integer_pivot_columns(rows) == want
         assert 0 < len(want) < min(len(rows), len(rows[0]))
+
+
+def _dense_integer_pivot_columns(rows):
+    """The dense integer kernel the band kernel replaced: at each column the
+    first nonzero row from the pivot position on is swapped up, every row
+    below it becomes ``a·row − b·pivot_row`` on the pivot row's nonzero
+    columns and is divided by its content."""
+    cols = len(rows[0]) if rows else 0
+    ints = [list(row) for row in rows if any(row)]
+    pivots = []
+    for col in range(cols):
+        lead = len(pivots)
+        if lead >= len(ints):
+            break
+        pivot_row = next((i for i in range(lead, len(ints)) if ints[i][col]), None)
+        if pivot_row is None:
+            continue
+        ints[lead], ints[pivot_row] = ints[pivot_row], ints[lead]
+        prow = ints[lead]
+        pv = prow[col]
+        support = [j for j in range(col + 1, cols) if prow[j]]
+        for i in range(lead + 1, len(ints)):
+            row = ints[i]
+            f = row[col]
+            if not f:
+                continue
+            g = math.gcd(pv, f)
+            a, b = (pv // g, f // g) if pv > 0 else (-pv // g, -f // g)
+            row[col] = 0
+            if a != 1:
+                row = [x * a for x in row]
+            for j in support:
+                row[j] -= b * prow[j]
+            content = math.gcd(*row)
+            ints[i] = [x // content for x in row] if content > 1 else row
+        pivots.append(col)
+    return pivots
+
+
+def _band_matrices(st):
+    """Random integer band rows ``(cols, bands, kinds)``: bands anywhere in
+    ``cols`` columns with zeros inside, zero rows and empty bands,
+    combinations of two earlier rows (so the rank drops), and sometimes every row
+    reversed as ``flat_section_dim`` reverses them.  ``kinds`` names what
+    the case holds."""
+    entries = st.sampled_from([0, 0, 1, -1]) | st.integers(-9, 9)
+
+    @st.composite
+    def draw_case(draw):
+        cols = draw(st.integers(1, 9))
+        bands, kinds = [], set()
+        for _ in range(draw(st.integers(0, 9))):
+            lo = draw(st.integers(0, cols))
+            kind = draw(st.sampled_from(["band", "band", "band", "zero", "mix"]))
+            if kind == "mix" and len(bands) >= 2:
+                p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+                (lo1, v1), (lo2, v2) = draw(st.permutations(bands))[:2]
+                row = [p * x + q * y for x, y in zip(*_dense([(lo1, v1), (lo2, v2)], cols))]
+                bands.append((0, row))
+                kinds.add("combination")
+                continue
+            values = draw(st.lists(entries, max_size=cols - lo))
+            if kind == "zero":
+                values = [0] * len(values)
+            bands.append((lo, values))
+            if not any(values):
+                kinds.add("empty band" if not values else "zero row")
+            elif 0 in values:
+                kinds.add("zeros in a band")
+            if next((x for x in values if x), 0) < 0:
+                kinds.add("negative lead")
+        if draw(st.booleans()):
+            bands = _reversed(bands, cols)
+            kinds.add("reversed")
+        return cols, bands, kinds
+
+    return draw_case()
+
+
+# Hypothesis' caches go here, not into the checkout; the directory goes at exit
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="mcred-hypothesis-")
+
+
+def test_band_kernel_matches_the_dense_oracle_and_sympy():
+    """On random integer band rows the band kernel finds the pivots the
+    dense kernel finds on their dense rows, and sympy's ``rref``, and leaves
+    its input as it was.  The property runs under Hypothesis, derandomized
+    and with no example database."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    st = hypothesis.strategies
+    seen = {kind: 0 for kind in ("empty band", "zero row", "zeros in a band", "negative lead",
+                                 "combination", "reversed", "deficient")}
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(_band_matrices(st))
+    def check(case):
+        cols, bands, kinds = case
+        before = [(lo, list(values)) for lo, values in bands]
+        rows = _dense(bands, cols)
+        want = list(sympy.Matrix(rows).rref()[1]) if rows else []
+        assert linalg.integer_pivot_columns(bands) == want
+        assert _dense_integer_pivot_columns(rows) == want
+        assert bands == before
+        for kind in kinds:
+            seen[kind] += 1
+        seen["deficient"] += len(want) < min(len(rows), cols)
+
+    check()
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("k", range(len(QQ_CASES)))

@@ -9,7 +9,7 @@ from mcred import checks, serialize
 from mcred.cli import main
 from mcred.connection import Connection
 from mcred.errors import ParseError
-from mcred.field import FieldTower
+from mcred.field import FieldElement, FieldTower
 from mcred.matrices import LaurentMatrix
 from mcred.series import INF, LaurentSeries
 
@@ -57,6 +57,26 @@ def test_element_roundtrip_extension():
     assert (back - el).is_zero()
     # rational values drop to the bare string even in an extension
     assert serialize.encode_element(K.rational(5)) == "5"
+
+
+def test_rational_elements_are_written_from_their_payload(monkeypatch):
+    """A level-0 element, over QQ or a tower, is written from its
+    ``Fraction`` with the string the lifted path writes, and neither a
+    lifted element nor a coordinate dict is built."""
+    K = QQ.extend([-2, 0, 1])
+    L = K.extend([K.rational(-3), K.zero(), K.one()])
+    values = [Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(10**40 + 1, 3**30)]
+    cases = [(t, t.rational(v)) for t in (QQ, K, L) for v in values]
+    want = [serialize._encode_at_level(t, t.depth, x._lifted(t, t.depth).payload)
+            for t, x in cases]
+
+    def refuse(*args):
+        raise AssertionError("lifted path taken for a rational")
+
+    monkeypatch.setattr(FieldElement, "_lifted", refuse)
+    monkeypatch.setattr(serialize, "_unfold", refuse)
+    assert [serialize.encode_element(x) for _, x in cases] == want
+    assert want[:4] == ["0", "5", "-7/3", f"{10**40 + 1}/{3**30}"]
 
 
 def test_element_decode_validates_length():
