@@ -29,9 +29,10 @@ cokernel.
 
 Every count is a rank, and every system is a band matrix: a row of ``∇``
 meets only the few blocks its coefficients reach.  So :func:`_lattice`
-builds each row as the run of columns it occupies, and at level 0 the runs
-go to :func:`linalg.integer_pivot_columns`, which eliminates them by
-leading column and never touches a column outside a run.
+builds each row as the run of columns it occupies, and the runs go whole to
+:func:`linalg.pivot_columns`; at level 0 they are integer bands, which
+:func:`linalg.integer_pivot_columns` eliminates by leading column without
+touching a column outside a run.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> l
     coefficients that land in it, read from their ``Fraction`` payloads with
     no element built: the bands :func:`linalg.integer_pivot_columns`
     eliminates.  Otherwise they are ``FieldElement``s over one shared zero,
-    which :func:`_pivots` expands to dense rows.
+    which :func:`linalg.pivot_columns` expands to dense rows.
     """
     need = rows.stop - k_min
     if c.prec is not INF and c.prec < need:
@@ -209,21 +210,10 @@ def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> l
     return bands
 
 
-def _pivots(c: Connection, system: list, cols: int) -> list[int]:
-    """The pivot columns of a :func:`_lattice` system of ``cols`` columns:
-    integer bands go straight to the integer kernel, element bands are
-    expanded to dense rows for :func:`linalg.pivot_columns`."""
-    if type(next((v[0] for _, v in system if v), 0)) is int:
-        return linalg.integer_pivot_columns(system)
-    zero = c.tower.zero()
-    return linalg.pivot_columns([[zero] * lo + v + [zero] * (cols - lo - len(v))
-                                 for lo, v in system])
-
-
 def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
     """Kernel and cokernel dimensions of ``∇`` restricted to ``w``: the
-    window's dimension less the rank of its square :func:`_lattice` system
-    (at level 0, integer bands into the band kernel).
+    window's dimension less the rank of its square :func:`_lattice` system,
+    from :func:`linalg.pivot_columns` on its bands.
 
     Unstabilized raw numbers: they agree with the true dimensions only once
     the window is large enough (see :func:`derham_dims`).
@@ -232,18 +222,13 @@ def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
     dim = c.size * w.width
     system = _lattice(c, range(w.n_min - m, w.n_max - m), w.n_min, w.width,
                       f"window {w.n_min, w.n_max}")
-    rank = len(_pivots(c, system, dim))
+    rank = len(linalg.pivot_columns(system))
     return DeRhamDims(dim - rank, dim - rank, w, "window")
 
 
 # ---------------------------------------------------------------------------
 # regular-singular spectrum
 # ---------------------------------------------------------------------------
-
-
-def _shifted_by(residue, n_shift: int):
-    return [[x + n_shift if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(residue)]
 
 
 def rs_spectrum(residue) -> RsSpectrum:
@@ -259,7 +244,8 @@ def rs_spectrum(residue) -> RsSpectrum:
              if N.denominator == 1]  # ascending
     completions = []
     for N in roots:
-        pivots = linalg.pivot_columns([row + e for row, e in zip(_shifted_by(residue, N), eye)])
+        pivots = linalg.pivot_columns([(0, [x + N if a == b else x for b, x in enumerate(row)]
+                                       + eye[a]) for a, row in enumerate(residue)])
         completions.append([p - n for p in pivots if p >= n])
     return RsSpectrum([(N, len(c)) for N, c in zip(roots, completions)], completions)
 
@@ -299,11 +285,10 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     The count needs no kernel basis.  Split the system as ``A = [A_V | A_H]``,
     ``V`` the ``n·w.width`` visible coordinates and ``H`` the extension: the
     restrictions of ``ker A`` to ``V`` span ``|V| − (rank A − rank A_H)``
-    dimensions.  One :func:`_pivots` on the :func:`_lattice` bands reversed
-    (each ``(lo, values)`` becomes ``(cols − lo − len(values),
-    values[::-1])``; at level 0, integer bands into the band kernel) puts the
-    ``H`` columns first, so the pivots that land in ``V`` number
-    ``rank A − rank A_H``.
+    dimensions.  One :func:`linalg.pivot_columns` on the :func:`_lattice`
+    bands reversed (each ``(lo, values)`` becomes ``(cols − lo −
+    len(values), values[::-1])``) puts the ``H`` columns first, so the
+    pivots that land in ``V`` number ``rank A − rank A_H``.
     """
     top = _flat_top(c, w)
     lo = min([w.n_min - 1] + [w.n_min + e for e in c.matrix.support()])
@@ -313,7 +298,7 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     cols = c.size * (top - w.n_min)
     visible = c.size * w.width
     hidden = cols - visible
-    pivots = _pivots(c, [(cols - lo - len(v), v[::-1]) for lo, v in system], cols)
+    pivots = linalg.pivot_columns([(cols - lo - len(v), v[::-1]) for lo, v in system])
     return visible - sum(1 for p in pivots if p >= hidden)
 
 

@@ -497,9 +497,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         return FieldElement(self.tower, self.level, _inv(self.tower, self.level, self.payload))
 
-    def __rtruediv__(self, other):
-        return self.inverse().__mul__(other)
-
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -2,7 +2,7 @@
 
 Matrices are plain ``list[list[FieldElement]]`` in row-major order.  The
 entry-wise loops (``mat_add``, ``mat_neg``, ``mat_scale``, ``mat_eq``,
-``trace``, ``transpose``) use only the entries' own operators, so they are
+``transpose``) use only the entries' own operators, so they are
 ring-generic: :class:`matrices.LaurentMatrix` runs them on its series.
 :func:`mat_mul` is no loop: it runs the series product kernel on constant
 forms (:func:`series._form_product`), one fold per entry, for every
@@ -14,13 +14,14 @@ the results are deterministic functions of the input.  Elimination runs on
 raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
 highest level among its entries as :func:`field.common_context` finds them,
 and touches only the nonzero columns of each pivot row.
-Where only a rank or a pivot list leaves the elimination, the one integer
-kernel :func:`integer_pivot_columns` runs instead: fraction-free on Python
-ints, on band rows ``(lo, values)`` filed by leading column, with no
-back-substitution.  :func:`pivot_columns` feeds it element rows over QQ,
-each cleared of its denominators once and handed over whole (over towers
-it is ``rref``'s pivot list; :func:`rank` is its length), and
-:func:`cohomology._lattice` builds its systems as integer bands.  ``rref``
+Where only a rank or a pivot list leaves the elimination,
+:func:`pivot_columns` alone picks how to eliminate.  It takes band rows
+``(lo, values)``: Python ints, and elements at level 0 once each band is
+cleared of its denominators, go to the integer kernel
+:func:`integer_pivot_columns` (fraction-free, rows filed by leading column,
+no back-substitution); bands over towers are expanded to dense rows for
+``rref``.  :func:`rank` hands it ``(0, row)`` bands, and
+:mod:`mcred.cohomology` its :func:`cohomology._lattice` systems.  ``rref``
 keeps the callers whose reduced vectors are output (``nullspace``,
 ``kernel_and_image``, ``inverse``).
 Division by a zero divisor inside an algebraic extension raises
@@ -128,13 +129,6 @@ def is_zero_matrix(a: Matrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
 
 
-def trace(a: Matrix):
-    n, c = mat_shape(a)
-    if n != c:
-        raise DomainViolation("trace of a non-square matrix")
-    return sum((a[i][i] for i in range(1, n)), a[0][0])
-
-
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
@@ -164,8 +158,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         r[lead], r[pivot_row] = r[pivot_row], r[lead]
         prow = r[lead]
         inv = _inv(tower, level, prow[col])
-        # the lattice matrices are banded: only the pivot row's nonzero
-        # columns can change the other rows
+        # only the pivot row's nonzero columns can change the other rows
         support = [j for j in range(col, cols) if not _payload_is_zero(prow[j])]
         for j in support:
             prow[j] = _mul(tower, level, prow[j], inv)
@@ -179,24 +172,29 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return [[FieldElement(tower, level, p) for p in row] for row in r], pivots
 
 
-def pivot_columns(m: Matrix) -> list[int]:
-    """The pivot columns of ``m``: the same list as ``rref(m)[1]``, since the
-    column rank profile does not depend on how the elimination runs.
+def pivot_columns(bands: list) -> list[int]:
+    """The pivot columns of a matrix given as band rows (row ``(lo, values)``
+    holds ``values`` from column ``lo`` on and zero elsewhere): ``rref``'s
+    pivot list of the dense matrix, since the column rank profile does not
+    depend on how the elimination runs.
 
-    At level 0 each row is cleared of its denominators once and handed to
-    :func:`integer_pivot_columns` as the band ``(0, row)``.  Over towers
-    (level > 0) this is ``rref(m)[1]``.
+    Bands of Python ints go straight to :func:`integer_pivot_columns`, and so
+    do bands of elements at level 0, each cleared of its denominators once.
+    Over towers (level > 0) the bands are padded to the widest one (trailing
+    zero columns never pivot) for :func:`rref`.
     """
-    rows, cols = mat_shape(m)
-    if not rows or not cols:
-        return []
-    if common_context(m)[1]:
-        return rref(m)[1]
-    bands = []
-    for row in m:
-        den = math.lcm(*[x.payload.denominator for x in row])
-        bands.append((0, [x.payload.numerator * (den // x.payload.denominator) for x in row]))
-    return integer_pivot_columns(bands)
+    if type(next((v[0] for _, v in bands if v), 0)) is int:
+        return integer_pivot_columns(bands)
+    tower, level = common_context([v for _, v in bands])
+    if level:
+        width, zero = max(lo + len(v) for lo, v in bands), tower.zero()
+        return rref([[zero] * lo + v + [zero] * (width - lo - len(v)) for lo, v in bands])[1]
+    cleared = []
+    for lo, values in bands:
+        den = math.lcm(*[x.payload.denominator for x in values])
+        cleared.append((lo, [x.payload.numerator * (den // x.payload.denominator)
+                             for x in values]))
+    return integer_pivot_columns(cleared)
 
 
 def integer_pivot_columns(bands: list) -> list[int]:
@@ -272,7 +270,7 @@ def _trimmed(values: list) -> tuple[int, list]:
 
 
 def rank(m: Matrix) -> int:
-    return len(pivot_columns(m))
+    return len(pivot_columns([(0, row) for row in m]))
 
 
 def _kernel(r: Matrix, pivots: list[int], cols: int, tower: FieldTower) -> list[Vector]:

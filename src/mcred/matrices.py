@@ -66,12 +66,6 @@ class LaurentMatrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, tower: FieldTower, rows: int, cols: int | None = None, ram: int = 1):
-        cols = rows if cols is None else cols
-        z = LaurentSeries.zero(tower, ram)
-        return cls(tower, [[z] * cols for _ in range(rows)], ram)
-
-    @classmethod
     def identity(cls, tower: FieldTower, n: int, ram: int = 1):
         z = LaurentSeries.zero(tower, ram)
         one = LaurentSeries.one(tower, ram)
@@ -226,9 +220,6 @@ class LaurentMatrix:
         return LaurentMatrix(
             self.tower, [[s.derivative() for s in r] for r in self.entries], self.ram
         )
-
-    def trace(self) -> LaurentSeries:
-        return linalg.trace(self.entries)
 
     # -- comparison ------------------------------------------------------------
 

@@ -250,23 +250,46 @@ def encode_series(s: LaurentSeries) -> dict:
     }
 
 
-def decode_series(obj) -> LaurentSeries:
-    if not isinstance(obj, dict):
-        raise ParseError("a series must be a JSON object")
+def _header(obj: dict, what: str, key: str) -> tuple:
+    """``(tower, ram, prec, terms)`` of a ``what`` object (``"series"`` or
+    ``"matrix"``): its field, ramification and precision, and a generator of
+    ``(exp, item[key])`` over its coefficient objects.  Each exponent is
+    checked (in range, new, below the precision) as its term is drawn, so a
+    caller that decodes each term before drawing the next meets the faults
+    in file order."""
     tower = decode_tower(obj.get("field"))
     ram = _as_int(obj.get("ramification", 1), "ramification")
     if ram < 1:
         raise ParseError("ramification must be positive")
     prec = _prec_from_json(obj.get("precision"))
-    coeffs = {}
-    for item in _require(obj, "coefficients", "a series"):
-        if not isinstance(item, dict):
-            raise ParseError("series coefficients must be {exp, value} objects")
-        exp = check_exponent(_require(item, "exp", "a series coefficient"), "exp")
-        if exp in coeffs:
-            raise ParseError(f"duplicate exponent {exp}")
-        coeffs[exp] = decode_element(tower, _require(item, "value",
-                                                     "a series coefficient"))
+    items = _require(obj, "coefficients", f"a {what}")
+    if not isinstance(items, list):
+        raise ParseError("coefficients must form a list")
+
+    def terms():
+        exps = set()
+        for item in items:
+            if not isinstance(item, dict):
+                raise ParseError(f"{what} coefficients must be {{exp, {key}}} objects")
+            exp = check_exponent(_require(item, "exp", f"a {what} coefficient"), "exp")
+            if exp in exps:
+                raise ParseError(f"duplicate exponent {exp}")
+            exps.add(exp)
+            if prec is not INF and exp >= prec:
+                raise ParseError(
+                    f"coefficient at exponent {exp} lies beyond the stated "
+                    f"precision {prec}"
+                )
+            yield exp, _require(item, key, f"a {what} coefficient")
+
+    return tower, ram, prec, terms()
+
+
+def decode_series(obj) -> LaurentSeries:
+    if not isinstance(obj, dict):
+        raise ParseError("a series must be a JSON object")
+    tower, ram, prec, terms = _header(obj, "series", "value")
+    coeffs = {exp: decode_element(tower, value) for exp, value in terms}
     return LaurentSeries(tower, coeffs, prec, ram)
 
 
@@ -292,29 +315,10 @@ def decode_matrix(obj) -> LaurentMatrix:
     n = _as_int(_require(obj, "rank", "a matrix"), "rank")
     if not 1 <= n <= MAX_RANK:
         raise ParseError(f"rank must lie between 1 and {MAX_RANK}, got {n}")
-    tower = decode_tower(obj.get("field"))
-    ram = _as_int(obj.get("ramification", 1), "ramification")
-    if ram < 1:
-        raise ParseError("ramification must be positive")
-    prec = _prec_from_json(obj.get("precision"))
-    items = _require(obj, "coefficients", "a matrix")
-    if not isinstance(items, list):
-        raise ParseError("coefficients must form a list")
+    tower, ram, prec, terms = _header(obj, "matrix", "matrix")
     entries = [[{} for _ in range(n)] for _ in range(n)]  # {exp: element} per entry
-    exps = set()
-    for item in items:
-        if not isinstance(item, dict):
-            raise ParseError("matrix coefficients must be {exp, matrix} objects")
-        exp = check_exponent(_require(item, "exp", "a matrix coefficient"), "exp")
-        if exp in exps:
-            raise ParseError(f"duplicate exponent {exp}")
-        exps.add(exp)
-        if prec is not INF and exp >= prec:
-            raise ParseError(
-                f"coefficient at exponent {exp} lies beyond the stated "
-                f"precision {prec}"
-            )
-        _decode_grid(tower, _require(item, "matrix", "a matrix coefficient"), n, exp, entries)
+    for exp, grid in terms:
+        _decode_grid(tower, grid, n, exp, entries)
     return LaurentMatrix(tower, [[LaurentSeries(tower, coeffs, prec, ram) for coeffs in row]
                                  for row in entries], ram)
 
@@ -325,11 +329,10 @@ def decode_matrix(obj) -> LaurentMatrix:
 
 
 def encode_connection(c: Connection) -> dict:
-    m = c.matrix
-    if m.prec is not INF:
-        m = m.truncate(m.prec)
-    pole = Connection(m).pole_order
-    return {**encode_matrix(m), "pole_order": None if pole == -INF else int(pole)}
+    """:func:`encode_matrix` of ``c.matrix`` plus its ``pole_order``, which
+    truncating to the common precision does not change."""
+    pole = c.pole_order
+    return {**encode_matrix(c.matrix), "pole_order": None if pole == -INF else int(pole)}
 
 
 def decode_connection(obj) -> Connection:

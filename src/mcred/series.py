@@ -302,18 +302,8 @@ class LaurentSeries:
         if a is NotImplemented:
             raise DomainViolation("cannot compare series with that type")
         hi = min(a.prec, b.prec)
-        exps = set(a.coeffs) | set(b.coeffs)
-        for e in exps:
-            if e >= hi:
-                continue
-            ca = a.coeffs.get(e)
-            cb = b.coeffs.get(e)
-            if ca is None or cb is None:
-                if not (ca or cb).is_zero():
-                    return False
-            elif ca != cb:
-                return False
-        return True
+        return ({e: x for e, x in a.coeffs.items() if e < hi}
+                == {e: x for e, x in b.coeffs.items() if e < hi})
 
     def __eq__(self, other) -> bool:
         """Identical mathematical data: same coefficients *and* same precision."""

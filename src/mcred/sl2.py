@@ -27,7 +27,8 @@ from .field import common_context
 def _complete_basis(have: list, candidates: list) -> list:
     """Members of ``candidates`` that greedily extend ``span(have)``: the
     candidate pivot columns of ``have`` and ``candidates`` side by side."""
-    pivots = linalg.pivot_columns(linalg.transpose(list(have) + list(candidates)))
+    pivots = linalg.pivot_columns([(0, row) for row in
+                                   linalg.transpose(list(have) + list(candidates))])
     return [candidates[p - len(have)] for p in pivots if p >= len(have)]
 
 

@@ -22,15 +22,18 @@ over Q and Q(sqrt 2) only, so one more sha256 (``TOWER_GAUGES``) covers
 ``LaurentMatrix.inverse`` and ``Connection.gauge`` on the fixed-seed family
 of :func:`_tower_gauge_cases` over towers of depth 1 and 2: every entry of
 each result encoded on its own (so each entry's precision counts), or the
-type and message of the exception.  A change meant to keep canonical JSON,
+type and message of the exception.  ``EXTENSION_FIELD`` pins the exit code
+and stdout sha256 of ``mcred derham`` and ``mcred fredholm`` on the two
+files over Q(sqrt 2) of :func:`_extension_files`, whose lattice systems and
+residue spectra hold elements above level 0.  A change meant to keep canonical JSON,
 certificates and trees byte-identical must pass it unchanged.
 
 When an output change is intended, re-record the digests with::
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 
-which prints new ``GOLDEN`` and ``TRUNCATED`` dicts and the ``REDUCE_REPLAY_TREES``,
-``REDUCE_RANK3_P24`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+which prints new ``GOLDEN``, ``TRUNCATED`` and ``EXTENSION_FIELD`` dicts and the
+``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
 
@@ -55,6 +58,13 @@ TRUNCATION_PRECISIONS = (1, 4, 9)
 REDUCE_REPLAY_TREES = "25b79c11ab37ab5e0d47026bf0e371d6f52dd518667ce368171370c98232259f"
 
 REDUCE_RANK3_P24 = (0, "fddd80c9d93fd537c5aaa8a7dee1896574a2444d6c558b972938844febd5f8f8")
+
+EXTENSION_FIELD = {
+    "derham gap-sqrt2": (0, "8e6d0be48690a8056231e879165ffc25d310e48e9a6cc511a02b042c3270ba36"),
+    "derham nilpotent-sqrt2": (0, "10df50192dc9ab8a946a5bc23811aea56cd7ea346d13bffac363db396d3fdff9"),
+    "fredholm gap-sqrt2": (0, "0d91b7ec8fff9c5a066e5e7d3ab9c7375b35bec20c3928c733e72ec7bb857fe9"),
+    "fredholm nilpotent-sqrt2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
 
 TOWER_GAUGES = "c7a2f52776e0f25f2fd915a3d8e25bce645b297963ee80c68ef651c848273366"
 
@@ -431,6 +441,31 @@ K1 = FieldTower().extend([-2, 0, 1])     # sqrt(2)
 K2 = K1.extend([-K1.gen(), 0, 0, 1])     # a cube root of sqrt(2)
 
 
+def _extension_files():
+    """Two rank-2 files over ``K1`` (JSON text by name): pole order 1 with
+    residue ``[[1, 3 sqrt 2], [0, -2]]`` (integer spectrum {-1, 2}, a gap of
+    3), and a nilpotent lead ``[[0, sqrt 2], [0, 0]] u**-2``, which only
+    window doubling answers (windows up to [-12, 12))."""
+    s2 = K1.gen()
+    gap = Connection.from_coeff_map(K1, {-1: [[1, 3 * s2], [0, -2]], 0: [[s2, 1], [2, -s2]],
+                                         1: [[0, 1], [s2 - 1, 0]]}, 2)
+    nilpotent = Connection.from_coeff_map(K1, {-2: [[0, s2], [0, 0]], -1: [[1, 0], [s2, -1]],
+                                               0: [[0, 2], [1 + s2, 0]]}, 2)
+    return {name: serialize.dumps(serialize.encode_connection(c))
+            for name, c in (("gap-sqrt2", gap), ("nilpotent-sqrt2", nilpotent))}
+
+
+def _extension_digests(tmp_dir):
+    out = {}
+    for name, text in _extension_files().items():
+        path = tmp_dir / f"{name}.json"
+        path.write_text(text)
+        for command in ("derham", "fredholm"):
+            code, stdout, _ = _run([command, str(path)])
+            out[f"{command} {name}"] = (code, hashlib.sha256(stdout.encode()).hexdigest())
+    return out
+
+
 def _element(rng, tower, nonzero=False):
     """A random element at a random level of ``tower``: a rational
     combination of the monomials in the generators up to that level."""
@@ -522,6 +557,10 @@ def test_reduce_of_the_rank3_pole3_file_matches_the_recorded_digest(tmp_path):
     assert _rank3_digest(tmp_path) == REDUCE_RANK3_P24
 
 
+def test_extension_field_cohomology_matches_the_recorded_digests(tmp_path):
+    assert _extension_digests(tmp_path) == EXTENSION_FIELD
+
+
 def test_reduce_trees_of_the_benchmark_inputs_match_the_recorded_digest():
     assert _reduce_replay_digest() == REDUCE_REPLAY_TREES
 
@@ -548,6 +587,7 @@ if __name__ == "__main__":
         digests = _digests(pathlib.Path(tmp))
         rank3 = _rank3_digest(pathlib.Path(tmp))
         truncated = _truncated_runs(pathlib.Path(tmp))
+        extension = _extension_digests(pathlib.Path(tmp))
     print("GOLDEN = {")
     for key, (code, digest) in sorted(digests.items()):
         print(f'    "{key}": ({code}, "{digest}"),')
@@ -555,6 +595,10 @@ if __name__ == "__main__":
     print("TRUNCATED = {")
     for key, (code, digest, err) in sorted(truncated.items()):
         print(f'    "{key}": ({code}, "{digest}",\n     {err!r}),')
+    print("}")
+    print("EXTENSION_FIELD = {")
+    for key, (code, digest) in sorted(extension.items()):
+        print(f'    "{key}": ({code}, "{digest}"),')
     print("}")
     print(f'REDUCE_REPLAY_TREES = "{_reduce_replay_digest()}"')
     print(f'REDUCE_RANK3_P24 = ({rank3[0]}, "{rank3[1]}")')

