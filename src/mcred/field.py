@@ -291,13 +291,6 @@ def _poly_squarefree(tower, level, a: list) -> list:
     return _poly_monic(tower, level, q)
 
 
-def _poly_eval(tower, level, a: list, x: Payload) -> Payload:
-    acc = _zero_payload(tower, level)
-    for c in reversed(a):
-        acc = _add(tower, level, _mul(tower, level, acc, x), c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # public wrapper types
 
@@ -546,8 +539,3 @@ def poly_squarefree_part(a: list[FieldElement]) -> list[FieldElement]:
     """``a / gcd(a, a')`` — the radical of ``a`` in characteristic zero."""
     tower, level, (pa,) = _poly_payloads([a])
     return _wrap(tower, level, _poly_squarefree(tower, level, pa))
-
-
-def poly_eval(a: Sequence[FieldElement], x: FieldElement) -> FieldElement:
-    tower, level, (pa, (px,)) = _poly_payloads([a, [x]])
-    return FieldElement(tower, level, _poly_eval(tower, level, pa, px))

@@ -25,7 +25,8 @@ import bisect
 import functools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import isqrt, lcm
 from typing import Sequence
 
 from . import linalg
@@ -35,11 +36,11 @@ from .field import (
     FieldElement,
     FieldTower,
     _poly_gcd,
+    _poly_squarefree,
     _unfold,
     common_context,
     common_tower,
     poly_divmod,
-    poly_eval,
     poly_squarefree_part,
     poly_trim,
 )
@@ -85,57 +86,71 @@ def jordan_chevalley(m: Sequence[Sequence[FieldElement]]) -> JordanPair:
 
 
 # ---------------------------------------------------------------------------
-# rational roots of tower polynomials
+# rational roots of tower polynomials: the roots of the gcd of their
+# coordinate polynomials over Q, by p-adic lifting in polynomial time
 # ---------------------------------------------------------------------------
 
 
-def _divisors(k: int) -> list[int]:
-    k = abs(k)
-    out = set()
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            out.add(d)
-            out.add(k // d)
-        d += 1
-    return sorted(out)
+def _value_and_slope(h: list[int], y: int) -> tuple[int, int]:
+    """``(h(y), h'(y))`` of an integer polynomial, by one Horner pass."""
+    value = slope = 0
+    for c in reversed(h):
+        slope = slope * y + value
+        value = value * y + c
+    return value, slope
+
+
+def _monic_integral(cs: list[Fraction]) -> tuple[int, list[int]]:
+    """``(lc, h)``: ``cs`` cleared to integers ``f`` with leading coefficient
+    ``lc``, and the monic ``h(y) = lc**(d-1) f(y / lc)``, with roots ``lc·r``."""
+    mult = lcm(*(c.denominator for c in cs))
+    f = [c.numerator * (mult // c.denominator) for c in cs]
+    lc, d = f[-1], len(f) - 1
+    return lc, [c * lc ** (d - 1 - i) for i, c in enumerate(f[:-1])] + [1]
 
 
 def _rational_poly_roots(g: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a polynomial over Q (rational root theorem):
-    each candidate ``±p/q`` with coprime ``p | a_0`` and ``q | a_d`` is
-    tested on the integer coefficients, without a ``Fraction``."""
+    """All rational roots of a polynomial over Q, by p-adic lifting (Loos).
+
+    A rational root ``r`` gives the integer root ``lc·r`` of ``h``
+    (:func:`_monic_integral`).  At the first prime ``p ∤ lc`` where every
+    root of ``h`` mod ``p`` is simple (a prime dividing ``lc`` makes 0 a
+    ``(d-1)``-fold one), each is Newton-lifted mod ``p**(2**k)`` past twice
+    the Cauchy bound ``1 + max|h_i|`` and kept if its symmetric residue is
+    an exact root.  An integer root reduces to a simple root mod ``p`` and
+    lifts to itself, so none is missed.  A repeated root fails every prime:
+    after three failures ``h`` is rebuilt, once, from the squarefree part.
+    """
     cs = list(g)
     while cs and cs[-1] == 0:
         cs.pop()
-    if len(cs) <= 1:
-        return []
-    roots: set[Fraction] = set()
-    while cs and cs[0] == 0:
+    zero = []
+    while len(cs) > 1 and cs[0] == 0:
         cs.pop(0)
-        roots.add(Fraction(0))
+        zero = [Fraction(0)]
     if len(cs) <= 1:
-        return sorted(roots)
-
-    mult = lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (mult // c.denominator) for c in cs]
-
-    def vanishes(p: int, q: int) -> bool:
-        """``q**d · g(p/q) == 0``: ``Σ ints[i] p**i q**(d-i)`` by Horner."""
-        acc, qk = ints[-1], 1
-        for a in reversed(ints[:-1]):
-            qk *= q
-            acc = acc * p + a * qk
-        return acc == 0
-
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            if gcd(p, q) != 1:
-                continue
-            for s in (p, -p):
-                if vanishes(s, q):
-                    roots.add(Fraction(s, q))
-    return sorted(roots)
+        return zero
+    lc, h = _monic_integral(cs)
+    primes = (q for q in count(2) if lc % q and all(q % k for k in range(2, isqrt(q) + 1)))
+    for tries, p in enumerate(primes):
+        if tries == 3:
+            lc, h = _monic_integral(_poly_squarefree(FieldTower(), 0, cs))
+        hp = [c % p for c in h]
+        residues = [a for a in range(p) if _value_and_slope(hp, a)[0] % p == 0]
+        if all(_value_and_slope(hp, a)[1] % p for a in residues):
+            break
+    bound = 2 * (1 + max(map(abs, h)))
+    found = []
+    for y in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            value, slope = _value_and_slope(h, y)
+            y = (y - value * pow(slope, -1, m)) % m
+        y = y - m if 2 * y > m else y
+        if _value_and_slope(h, y)[0] == 0:
+            found.append(Fraction(y, lc))
+    return sorted(zero + found)
 
 
 def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
@@ -143,7 +158,7 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
 
     A rational ``theta`` is a root iff every Q-coordinate of the coefficient
     vector vanishes at ``theta``; those coordinates give ordinary rational
-    polynomials whose gcd pins the candidates down.
+    polynomials whose gcd has exactly the roots sought.
     """
     cs = poly_trim(list(poly))
     if len(cs) < 2:
@@ -152,13 +167,8 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
     coords = [dict(_unfold(tower, c.level, c.payload)) for c in cs]
     slot_polys = [[cd.get(p, Fraction(0)) for cd in coords]
                   for p in sorted(set().union(*coords))]
-    g = functools.reduce(functools.partial(_poly_gcd, tower, 0), slot_polys)
-    candidates = _rational_poly_roots(g)
-    out = []
-    for theta in candidates:
-        if poly_eval(cs, tower.rational(theta)).is_zero():
-            out.append(theta)
-    return sorted(set(out))
+    return _rational_poly_roots(
+        functools.reduce(functools.partial(_poly_gcd, tower, 0), slot_polys))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mcred
 from mcred import checks, cohomology, serialize
 from mcred.cli import MAX_STABILITY_SIZE, main
 from mcred.cohomology import MAX_LATTICE_COLUMNS
@@ -359,6 +365,20 @@ def test_high_pole_nilpotent_lead_exits_1_quickly(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert ("no certificate" if command == "fredholm" else "Unstabilized") in err
+
+
+@pytest.mark.parametrize("command", ["derham", "fredholm"])
+def test_rank16_residue_is_answered_in_a_subprocess_within_10s(tmp_path, command):
+    # the constant term of this residue's characteristic polynomial has 24
+    # digits; the root search once trial-divided it and never finished
+    c = Connection.from_coeff_map(QQ, {-1: checks.random_grid(random.Random(16), 16)}, 16)
+    path = write_connection(tmp_path / "rank16.json", c)
+    env = {**os.environ, "PYTHONPATH": str(Path(mcred.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "mcred", command, path], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    obj = serialize.loads(done.stdout)
+    assert (obj["h0"], obj["h1"], obj["certificate"]) == (0, 0, "spectrum-derived")
 
 
 def test_derham_window_over_the_lattice_bound_exits_4(tmp_path, capsys):

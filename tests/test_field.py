@@ -21,10 +21,10 @@ from mcred.field import (
     _zero_payload,
     common_tower,
     poly_divmod,
-    poly_eval,
     poly_squarefree_part,
 )
 from mcred.leading import rational_roots
+from test_leading import _large_root_poly, _old_rational_poly_roots
 
 QQ = FieldTower()
 
@@ -235,8 +235,6 @@ def test_poly_views_match_the_element_wise_oracle(tower, seed):
     _same(poly_squarefree_part(a), oracle_squarefree_part(a))
     for got, want in zip(poly_divmod(a, b), oracle_divmod(a, b)):
         _same(got, want)
-    x = tower.gen() if tower.depth else tower.rational(Fraction(2, 3))
-    assert poly_eval(a, x) == oracle_eval(a, x)
 
 
 def _sympy_poly(cs):
@@ -274,10 +272,41 @@ def test_poly_views_match_sympy_over_qq(seed):
 def test_rational_roots_match_sympy_over_qq(seed):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(200 + seed)
-    a = _seeded_poly(rng, QQ)
-    want = sorted(Fraction(int(r.p), int(r.q))
-                  for r in sympy.roots(_sympy_poly(a), filter="Q"))
-    assert rational_roots(a) == want
+    for a in (_seeded_poly(rng, QQ), [QQ.rational(c) for c in _large_root_poly(rng)]):
+        want = sorted(Fraction(int(r.p), int(r.q))
+                      for r in sympy.roots(_sympy_poly(a), filter="Q"))
+        assert rational_roots(a) == want
+
+
+def _rational_part(x):
+    """The coordinate of ``x`` at position 0, the rational one."""
+    p = x.payload
+    while isinstance(p, tuple):
+        p = p[0]
+    return p
+
+
+@pytest.mark.parametrize("tower", [K1, K2])
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_roots_over_towers_match_the_checked_candidates(tower, seed):
+    """Rational linear factors times one factor ``u (y - r) + w`` whose
+    coefficients are irrational, where ``w`` is 0 (so ``r`` is a root) or a
+    generator (so it is not): the roots are the old enumerator's roots of
+    the rational coordinates, kept where the tower evaluates to zero."""
+    rng = random.Random(400 + seed)
+    for w in (tower.zero(), tower.gen()):
+        u = tower.rational(rng.randint(1, 3))
+        for lv in range(1, tower.depth + 1):
+            u = u + tower.gen(lv) * rng.choice((-2, -1, 1, 2))
+        r = tower.rational(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        a, roots = [-u * r + w, u], {r.to_fraction()} if w.is_zero() else set()
+        for _ in range(rng.randint(1, 3)):
+            t = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            roots.add(t)
+            a = _mul_polys(a, [QQ.rational(-t), QQ.one()])
+        candidates = _old_rational_poly_roots([_rational_part(c) for c in a])
+        want = [t for t in candidates if oracle_eval(a, tower.rational(t)).is_zero()]
+        assert rational_roots(a) == want == sorted(roots)
 
 
 @pytest.mark.parametrize("seed", range(10))

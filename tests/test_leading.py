@@ -84,7 +84,20 @@ def test_rational_roots():
 
 def _old_rational_poly_roots(g):
     """The rational root theorem with each candidate ``±p/q`` evaluated by
-    ``Fraction`` Horner, over every divisor pair."""
+    ``Fraction`` Horner, over every divisor pair.  Trial division lists the
+    divisors, so the end coefficients must be small."""
+
+    def divisors(k):
+        k = abs(k)
+        out = set()
+        d = 1
+        while d * d <= k:
+            if k % d == 0:
+                out.add(d)
+                out.add(k // d)
+            d += 1
+        return sorted(out)
+
     cs = list(g)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -98,8 +111,8 @@ def _old_rational_poly_roots(g):
         return sorted(roots)
     mult = math.lcm(*(c.denominator for c in cs))
     ints = [int(c * mult) for c in cs]
-    for p in leading._divisors(ints[0]):
-        for q in leading._divisors(ints[-1]):
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 acc = Fraction(0)
                 for c in reversed(cs):
@@ -117,15 +130,32 @@ def _poly_times(g, factor):
     return out
 
 
+def _large_root_poly(rng):
+    """A product of one to three rational linear factors with numerators up
+    to 10**9 and denominators up to 50, each sometimes repeated, and now and
+    then an irreducible quadratic, over a leading coefficient that 2, 3 and
+    5 divide."""
+    g = [Fraction(30 * rng.randint(1, 9) * rng.choice((-1, 1)))]
+    for _ in range(rng.randint(1, 3)):
+        root = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 50))
+        for _ in range(rng.choice((1, 1, 2))):
+            g = _poly_times(g, [-root, Fraction(1)])
+    if rng.random() < 0.5:
+        g = _poly_times(g, [Fraction(rng.choice((-3, -2, 1, 2, 5, 7))), Fraction(0), Fraction(1)])
+    return g
+
+
 def _seeded_polys():
     """Products of rational linear factors (zero and repeated roots among
-    them), an irreducible quadratic now and then, a rational scale and
-    sometimes trailing zero coefficients; plus constants and the zero
-    polynomial."""
+    them), an irreducible quadratic now and then, a rational scale (a
+    multiple of 30 in a third of them) and sometimes trailing zero
+    coefficients; plus constants, the zero polynomial and forty polynomials
+    of :func:`_large_root_poly`."""
     rng = random.Random(26)
     polys = [[], [Fraction(0)], [Fraction(3, 2)], [Fraction(0), Fraction(0), Fraction(5)]]
     for _ in range(80):
-        g = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((-1, 1))]
+        g = [Fraction(rng.randint(1, 9) * rng.choice((1, 1, 30)), rng.randint(1, 9))
+             * rng.choice((-1, 1))]
         for _ in range(rng.randint(1, 3)):
             root = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
             for _ in range(rng.choice((1, 1, 2))):
@@ -133,20 +163,57 @@ def _seeded_polys():
         if rng.random() < 0.3:
             g = _poly_times(g, [Fraction(rng.choice((2, 3, 5, 7))), Fraction(0), Fraction(1)])
         polys.append(g + [Fraction(0)] * rng.choice((0, 0, 1)))
-    return polys
+    return polys + [_large_root_poly(rng) for _ in range(40)]
+
+
+def _small(g):
+    """Whether trial division lists the divisors of ``g``'s end coefficients
+    quickly."""
+    return all(abs(c.numerator) < 10**6 and c.denominator < 10**3 for c in g)
+
+
+def _repeats_a_root(g, roots):
+    slope = [i * c for i, c in enumerate(g)][1:]
+    return any(sum(c * x**i for i, c in enumerate(slope)) == 0 for x in roots)
 
 
 def test_rational_poly_roots_match_the_fraction_oracle():
-    seen = {"zero root": 0, "repeated root": 0, "no root": 0}
-    for g in _seeded_polys():
+    seen = {"zero root": 0, "repeated root": 0, "no root": 0, "30 | lead": 0}
+    for g in filter(_small, _seeded_polys()):
         want = _old_rational_poly_roots(g)
         assert leading._rational_poly_roots(g) == want, g
         seen["zero root"] += Fraction(0) in want
         seen["no root"] += not want
-        slope = [i * c for i, c in enumerate(g)][1:]
-        seen["repeated root"] += any(
-            sum(c * x**i for i, c in enumerate(slope)) == 0 for x in want)
+        seen["repeated root"] += _repeats_a_root(g, want)
+        seen["30 | lead"] += next((c for c in reversed(g) if c), Fraction(1)).numerator % 30 == 0
     assert min(seen.values()) > 0, seen
+
+
+def _sympy_factors(g):
+    """The irreducible factors of ``g`` over Q, by sympy, ascending."""
+    sympy = pytest.importorskip("sympy")
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(g)]
+    poly = sympy.Poly(cs or [0], sympy.Symbol("x"), domain="QQ")
+    return [[Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+            for f, _ in poly.factor_list()[1]]
+
+
+def test_rational_poly_roots_match_sympy():
+    seen = {"large": 0, "large repeated root": 0, "large quadratic factor": 0}
+    for g in _seeded_polys():
+        factors = _sympy_factors(g)
+        want = sorted(-f[0] / f[1] for f in factors if len(f) == 2)
+        assert leading._rational_poly_roots(g) == want, g
+        if not _small(g):
+            seen["large"] += 1
+            seen["large repeated root"] += _repeats_a_root(g, want)
+            seen["large quadratic factor"] += any(len(f) == 3 for f in factors)
+    assert min(seen.values()) > 0, seen
+
+
+def test_rational_roots_of_a_30_digit_constant():
+    # trial division of 10**30 never finished
+    assert rational_roots([QQ.rational(10**30), QQ.one()]) == [-10**30]
 
 
 def test_split_rejects_scalar_semisimple_part():
