@@ -22,8 +22,8 @@ from typing import Sequence
 from .errors import DomainViolation, NotBlockDiagonal
 from .field import FieldElement, FieldTower, common_tower
 from .matrices import LaurentMatrix
-from .series import (INF, LaurentSeries, _accumulate, _form_product, _forms, _integral,
-                     _materialise, _negated)
+from .series import (INF, _ONE, LaurentSeries, _accumulate, _form_product, _forms,
+                     _integral, _materialise, _negated)
 
 
 class Connection:
@@ -109,11 +109,17 @@ class Connection:
 
     # -- the three reduction moves ---------------------------------------------
 
-    def gauge(self, g: LaurentMatrix) -> "Connection":
+    def gauge(self, g: LaurentMatrix, g_inv: LaurentMatrix | None = None) -> "Connection":
         """Apply ``gauge_g``: ``g G g^{-1} - (dg/du) g^{-1}``.
 
-        An exact ``g`` must have a monomial determinant, since any other
-        exact inverse does not terminate; truncate such a gauge first.
+        ``g_inv`` is the inverse of ``g`` when the caller already holds it,
+        as every gauge of the reduction but a Sibuya total does; it is then
+        used as given, so it must be exact wherever the cofactor inverse
+        (:meth:`LaurentMatrix.inverse`, taken when ``g_inv`` is ``None``)
+        would be.  An exact ``g`` must have a monomial determinant, since any
+        other exact inverse does not terminate; truncate such a gauge first.
+        The exact identity gives back the connection itself, after the
+        checks of shape and ramification.
 
         The product ``g G`` is settled on the product kernel's integer forms
         (:func:`series._integral`), and each entry of the result is one
@@ -126,11 +132,14 @@ class Connection:
             raise DomainViolation("gauge shape does not match the connection")
         if g.ram != self.ram:
             raise DomainViolation(f"gauge has ramification {g.ram}, not {self.ram}")
-        gi = g.inverse()
         tower, ram = common_tower(g.tower, self.tower), self.ram
         size = tower.sizes[-1]
-        g_g = _form_product(tower, _forms(g.entries, ram, size),
-                            _forms(self.matrix.entries, ram, size))
+        g_forms = _forms(g.entries, ram, size)
+        if all(f == (_ONE if a == b else None)
+               for a, row in enumerate(g_forms) for b, f in enumerate(row)):
+            return self
+        gi = g.inverse() if g_inv is None else g_inv
+        g_g = _form_product(tower, g_forms, _forms(self.matrix.entries, ram, size))
         minus_dg = [[_negated(_integral(s.derivative(), ram, size)) for s in row]
                     for row in g.entries]
         cols = list(zip(*_forms(gi.entries, ram, size)))

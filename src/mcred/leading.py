@@ -12,6 +12,7 @@ Three tools live here:
   subspace adapted to the leading coefficient.  Each step gauges by
   ``exp(-u**i C)`` with a constant matrix ``C``, which changes the
   coefficient at offset ``i`` by exactly ``ad(lead)(C)`` and nothing below.
+  :func:`commutes` tells when there is nothing to gauge away.
 
 * :func:`eigen_block_split` -- once every coefficient commutes with the
   semisimple part of the lead, split the connection along the eigenvalue
@@ -26,7 +27,7 @@ import functools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from . import linalg
@@ -187,7 +188,30 @@ class NormalizationRecord:
 # constant maps it applies, as grids of :func:`series._integral` forms
 # ``(valuation, prec, den, terms)``, ``None`` for an exact zero, all over one
 # tower and ramification.  A constant's form has valuation 0, precision
-# ``INF`` and every key below ``tower.sizes[-1]``.
+# ``INF`` and every key below ``tower.sizes[-1]``.  Over Q the constant maps
+# are one integer matrix over one denominator, ``(den, rows)``, instead.
+
+
+def _over_den(forms: list) -> tuple:
+    """``(den, rows)``: a grid of constant forms over Q as integers over
+    their least common denominator."""
+    den = lcm(*[f[2] for row in forms for f in row if f])
+    return den, [[f[3][0][1] * (den // f[2]) if f else 0 for f in row] for row in forms]
+
+
+def _int_product(a: tuple, b: tuple) -> tuple:
+    """The product of two ``(den, rows)`` matrices, divided by the gcd of
+    its entries and denominator."""
+    (da, ra), (db, rb) = a, b
+    cols = list(zip(*rb))
+    rows = [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in ra]
+    g = gcd(da * db, *[x for row in rows for x in row])
+    return da * db // g, [[x // g for x in row] for row in rows]
+
+
+def _den_forms(den: int, rows: list) -> list:
+    """The constant forms of the ``(den, rows)`` matrix over Q."""
+    return [[(0, INF, den, [(0, x)]) if x else None for x in row] for row in rows]
 
 
 def _coefficients(forms: list, e: int, size: int) -> list:
@@ -221,15 +245,24 @@ def _step_gauge(tower: FieldTower, c_forms: list, i: int, p: int) -> tuple:
     ``c_forms`` holds the constant forms of ``C``: ``E`` and ``E**-1 =
     exp(u**i C)`` modulo ``u**p``, every entry known below ``p``, from one
     list of the powers of ``C``; and ``D`` the pairs whose products add
-    ``-(dE/du) E**-1 = i u**(i-1) C``, known below ``p - 1``."""
+    ``-(dE/du) E**-1 = i u**(i-1) C``, known below ``p - 1``.  Over Q each
+    power ``C**k / k!`` is one ``(den, rows)`` matrix, one integer product
+    from the last; over a tower it is one :func:`series._form_product`."""
     n, size = len(c_forms), tower.sizes[-1]
     powers = [[[_ONE if a == b else None for b in range(n)] for a in range(n)]]
+    if size == 1:
+        den, c_rows = _over_den(c_forms)
+        power = (1, [[int(a == b) for b in range(n)] for a in range(n)])
     for k in range(1, (p - 1) // i + 1):  # powers[k] = C**k / k! = powers[k-1] (C / k)
-        power = _form_product(tower, powers[-1],
-                              [[x and (0, INF, x[2] * k, x[3]) for x in row] for row in c_forms])
-        if all(x is None for row in power for x in row):
+        if size == 1:
+            power = _int_product(power, (den * k, c_rows))
+            forms = _den_forms(*power)
+        else:
+            forms = _form_product(tower, powers[-1], [[x and (0, INF, x[2] * k, x[3])
+                                                       for x in row] for row in c_forms])
+        if all(x is None for row in forms for x in row):
             break
-        powers.append(power)
+        powers.append(forms)
 
     def exponential(sign: int) -> list:
         return [[_polynomial([(i * k, _negated(t[a][b]) if sign < 0 and k % 2 else t[a][b])
@@ -279,13 +312,18 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     ``E G E**-1 - (dE/du) E**-1`` would give.
 
     The loop builds no series, and field elements only for the recorded
-    ``C_i``: ``step``, ``G`` and ``total`` are grids of the product kernel's
-    integer forms (:func:`series._integral`), every product is one
+    ``C_i``: ``G`` and ``total`` are grids of the product kernel's integer
+    forms (:func:`series._integral`), every window product is one
     :func:`series._form_product`, and the last term of ``G`` is one more
     pair in the accumulation of ``(E G) E**-1``.  A step reads its
-    coefficient straight off those forms, and the powers of ``C_i``, ``E``,
-    ``E**-1`` and the last term are shifts of their keys.  Each ``C_i`` is
-    recorded at the top level of the tower (:func:`series._constants`).
+    coefficient column straight off those forms; an all-zero column is no
+    step, with no product.  ``E``, ``E**-1`` and the last term are shifts
+    of the keys of the powers of ``C_i`` (:func:`_step_gauge`).  Over Q,
+    ``step``, each ``C_i`` and each power are one integer matrix over one
+    denominator, and each product of them one integer matrix product
+    (:func:`_int_product`); over a tower they are grids of constant forms.
+    Each ``C_i`` is recorded at the top level of the tower
+    (:func:`series._constants`).
     The two matrices are built once, after the last step.  The final check
     that no ``ad(lead) S`` component is left is one product of ``rows``
     with the column of all of ``G``.
@@ -317,12 +355,23 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     tower = common_tower(c.tower, common_context(rows)[0])
     size = tower.sizes[-1]
     rows = _constant_forms(rows)
-    step = _form_product(tower, _constant_forms(linalg.mat_neg(source)), rows)
+    minus_source = _constant_forms(linalg.mat_neg(source))
+    if size == 1:
+        step = _int_product(_over_den(minus_source), _over_den(rows))
+
+        def step_map(column: list) -> list:
+            return _den_forms(*_int_product(step, _over_den(column)))
+    else:
+        step_map = functools.partial(_form_product, tower,
+                                     _form_product(tower, minus_source, rows))
     work = _forms(c.matrix.entries, ram, size)
     total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
     corrections = []
     for i in range(1, p):
-        c_col = _form_product(tower, step, _coefficients(work, -r + i, size))
+        column = _coefficients(work, -r + i, size)
+        if all(x is None for x, in column):
+            continue
+        c_col = step_map(column)
         if all(x is None for x, in c_col):
             continue
         c_forms = [[x for x, in c_col[a * n:(a + 1) * n]] for a in range(n)]
@@ -349,6 +398,27 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     return NormalizationRecord(Connection(matrix), total, corrections)
 
 
+def commutes(c: Connection, x: Sequence[Sequence[FieldElement]]) -> bool:
+    """Whether ``x G == G x`` on the known window, for a constant ``x``.
+
+    Then :func:`sibuya_normalize` against ``x`` finds every ``C_i`` zero,
+    since every coefficient already lies in ``K = ker ad(x)``.  Each entry
+    of ``x G - G x`` is one :func:`series._accumulate`, settled to read its
+    known terms."""
+    tower = common_tower(c.tower, common_context(x)[0])
+    size = tower.sizes[-1]
+    x_rows = _constant_forms(x)
+    g_rows = _forms(c.matrix.entries, c.ram, size)
+    x_cols, g_cols = list(zip(*x_rows)), list(zip(*g_rows))
+    for x_row, g_row in zip(x_rows, g_rows):
+        minus_g_row = [_negated(f) for f in g_row]
+        for x_col, g_col in zip(x_cols, g_cols):
+            f = _settle(tower, *_accumulate(size, [*zip(x_row, g_col), *zip(minus_g_row, x_col)]))
+            if f and f[3]:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue block splitting
 # ---------------------------------------------------------------------------
@@ -356,9 +426,13 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
 
 @dataclass
 class SplitResult:
+    """The diagonal blocks of ``c.gauge(transform)``, their sizes, and the
+    constant ``transform`` with its inverse ``transform_inv``."""
+
     blocks: list
     sizes: list
     transform: LaurentMatrix
+    transform_inv: LaurentMatrix
 
 
 def _coprime_factors(m_poly: list, tower: FieldTower) -> list:
@@ -411,7 +485,12 @@ def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
     Every known coefficient of ``c`` must commute with ``s`` (which is what
     :func:`sibuya_normalize` against ``s`` guarantees), so a constant base
     change to the kernels of the coprime factors of ``s``'s minimal
-    polynomial ``jc.minpoly`` makes ``c`` block diagonal.
+    polynomial ``jc.minpoly`` makes ``c`` block diagonal.  That change is
+    ``P**-1`` for the matrix ``P`` whose columns are kernel bases, so the
+    gauge takes ``P`` as its inverse and the result keeps both.  A block
+    whose lead is the block of ``c``'s lead has, as its lead's semisimple
+    part, the block of ``s``, with which every coefficient of the block
+    commutes (see :func:`commutes`).
 
     If the minimal polynomial has no rational factorization at all, one
     algebraic root is adjoined to the tower; a degree-2-or-more cofactor is
@@ -443,10 +522,8 @@ def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
     sizes = [len(k) for k in kernels]
     if sum(sizes) != n or any(sz == 0 for sz in sizes):
         raise EngineError("eigenvalue clusters do not fill the space")
-    columns = [v for k in kernels for v in k]
-    p_mat = linalg.transpose(columns)
-    p_inv = linalg.inverse(p_mat)
-    g = LaurentMatrix.constant(tower, p_inv, c.ram)
-    gauged = c.gauge(g)
-    blocks = gauged.block_split(sizes)
-    return SplitResult(blocks, sizes, g)
+    p_mat = linalg.transpose([v for k in kernels for v in k])
+    g = LaurentMatrix.constant(tower, linalg.inverse(p_mat), c.ram)
+    g_inv = LaurentMatrix.constant(tower, p_mat, c.ram)
+    blocks = c.gauge(g, g_inv).block_split(sizes)
+    return SplitResult(blocks, sizes, g, g_inv)

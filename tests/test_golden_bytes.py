@@ -12,7 +12,12 @@ inputs of the ``reduce-replay`` benchmark workload at seed 1
 (:func:`_reduce_replay_digest`), which take Sibuya steps at ramification 4
 and 6, and the sha256 of ``mcred reduce --precision 24`` on the rank-3,
 pole-3 nilpotent-lead file of :func:`_rank3_pole3` (``REDUCE_RANK3_P24``),
-whose Sibuya calls take long step loops.  ``TRUNCATED`` pins the exit code,
+whose Sibuya calls take long step loops.  ``REDUCE_RANK4`` pins, by kind,
+the restart count and the sha256 of the encoded ``reduce`` tree of the
+rank-4, pole-2 input ``checks.random_connection(random.Random(1), 4, 2,
+kind=kind)`` (:func:`_rank4_digests`), which no benchmark input reaches; at
+this seed the generic and invertible-lead draws are the same connection,
+and the nilpotent-lead one restarts once.  ``TRUNCATED`` pins the exit code,
 the stdout sha256 and the whole stderr text of ``mcred derham`` and
 ``mcred fredholm`` at ``--precision`` 1, 4 and 9 on the same inputs, so the
 two precision guards of the lattice systems (the window's and the
@@ -33,7 +38,7 @@ When an output change is intended, re-record the digests with::
     PYTHONPATH=src python tests/test_golden_bytes.py
 
 which prints new ``GOLDEN``, ``TRUNCATED`` and ``EXTENSION_FIELD`` dicts and the
-``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
 
@@ -58,6 +63,12 @@ TRUNCATION_PRECISIONS = (1, 4, 9)
 REDUCE_REPLAY_TREES = "25b79c11ab37ab5e0d47026bf0e371d6f52dd518667ce368171370c98232259f"
 
 REDUCE_RANK3_P24 = (0, "fddd80c9d93fd537c5aaa8a7dee1896574a2444d6c558b972938844febd5f8f8")
+
+REDUCE_RANK4 = {
+    "generic": (0, "7dea23f7f487d16866412ebbf1f466e190ab7ca916a94a97cde9de6c3827c985"),
+    "invertible_lead": (0, "7dea23f7f487d16866412ebbf1f466e190ab7ca916a94a97cde9de6c3827c985"),
+    "nilpotent_lead": (1, "e7d83bb0311969fa9ad5c797d6b340a9d8fde78f1c7eaebd7c3cefb717697dd5"),
+}
 
 EXTENSION_FIELD = {
     "derham gap-sqrt2": (0, "8e6d0be48690a8056231e879165ffc25d310e48e9a6cc511a02b042c3270ba36"),
@@ -424,6 +435,17 @@ def _reduce_replay_digest(count=12):
     return digest.hexdigest()
 
 
+def _rank4_digests():
+    """``{kind: (restarts, sha256 of the encoded tree)}`` of ``reduce`` on
+    the seed-1 rank-4, pole-2 input of each kind."""
+    out = {}
+    for kind in KINDS:
+        tree = reduce(checks.random_connection(random.Random(1), 4, 2, kind=kind))
+        text = serialize.dumps(serialize.encode_tree(tree))
+        out[kind] = (tree.restarts, hashlib.sha256(text.encode()).hexdigest())
+    return out
+
+
 def _rank3_pole3():
     """The 1,416-byte rank-3, pole-3 nilpotent-lead input file (JSON text)."""
     c = checks.random_connection(random.Random(3), 3, 3, kind="nilpotent_lead", prec=48)
@@ -557,6 +579,10 @@ def test_reduce_of_the_rank3_pole3_file_matches_the_recorded_digest(tmp_path):
     assert _rank3_digest(tmp_path) == REDUCE_RANK3_P24
 
 
+def test_reduce_trees_of_the_rank4_inputs_match_the_recorded_digests():
+    assert _rank4_digests() == REDUCE_RANK4
+
+
 def test_extension_field_cohomology_matches_the_recorded_digests(tmp_path):
     assert _extension_digests(tmp_path) == EXTENSION_FIELD
 
@@ -602,4 +628,8 @@ if __name__ == "__main__":
     print("}")
     print(f'REDUCE_REPLAY_TREES = "{_reduce_replay_digest()}"')
     print(f'REDUCE_RANK3_P24 = ({rank3[0]}, "{rank3[1]}")')
+    print("REDUCE_RANK4 = {")
+    for kind, (restarts, digest) in _rank4_digests().items():
+        print(f'    "{kind}": ({restarts}, "{digest}"),')
+    print("}")
     print(f'TOWER_GAUGES = "{_tower_gauge_digest()}"')

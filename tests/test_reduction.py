@@ -5,8 +5,9 @@ import pytest
 
 from mcred import checks, linalg, reduction
 from mcred.connection import Connection
-from mcred.errors import PrecisionExhausted
+from mcred.errors import EngineError, PrecisionExhausted
 from mcred.field import FieldTower
+from mcred.leading import commutes, jordan_chevalley
 from mcred.matrices import LaurentMatrix
 from mcred.reduction import (
     KNOWN_SHARP,
@@ -201,6 +202,104 @@ def test_each_lead_is_factored_once(monkeypatch):
                                         kind=("generic", "invertible_lead",
                                               "nilpotent_lead")[i % 3]))
     assert calls == {"charpoly": 43, "jordan_chevalley": 43}
+
+
+def _benchmark_inputs(seed):
+    """The 24 ``reduce-replay`` benchmark inputs of ``seed``."""
+    rng = random.Random(seed)
+    return [checks.random_connection(rng, 2 + i % 2, 2 + (i // 2) % 2,
+                                     kind=("generic", "invertible_lead",
+                                           "nilpotent_lead")[i % 3])
+            for i in range(24)]
+
+
+def _nodes(node):
+    """The nodes of a subtree in the order replay visits them."""
+    yield node
+    for child in node.children:
+        yield from _nodes(child)
+
+
+def test_reduce_inverts_no_gauge_and_replay_only_the_sibuya_totals(monkeypatch):
+    """Every gauge the reduction applies comes with the inverse it already
+    holds, recorded beside its op; ``replay`` inverts only the Sibuya totals
+    that took a step (the identity of a stepless one needs no inverse)."""
+    inverted = []
+    cofactor_inverse = LaurentMatrix.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return cofactor_inverse(self)
+
+    monkeypatch.setattr(LaurentMatrix, "inverse", counted)
+    samples = [make() for make in checks.SAMPLES.values()]
+    held = 0
+    for c in samples + _benchmark_inputs(1) + _benchmark_inputs(2):
+        tree = reduce(c)
+        assert inverted == []
+        totals = []
+        for node in _nodes(tree.root):
+            for k, (tag, g) in enumerate(node.ops):
+                if tag != "gauge":
+                    assert k not in node.inverses
+                    continue
+                identity = LaurentMatrix.identity(g.tower, g.size, g.ram)
+                if k in node.inverses:
+                    assert g * node.inverses[k] == identity
+                    held += 1
+                elif g != identity:
+                    totals.append(g)
+        assert replay(tree) is True
+        assert [id(g) for g in inverted] == [id(g) for g in totals]
+        inverted.clear()
+    assert held > 0
+
+
+def test_split_blocks_that_keep_their_parent_lead_take_no_sibuya_call(monkeypatch):
+    """A split block whose lead is the block of its parent's lead commutes
+    with its own semisimple part, so ``sibuya_normalize`` would take no step
+    on it; ``reduce`` skips the call.  On the 24 seed-1 benchmark inputs 12
+    of the 43 nodes that normalize against a semisimple part are such
+    blocks."""
+    normalized, blocks = [], []
+    real_normalize, real_split = reduction.sibuya_normalize, reduction.eigen_block_split
+
+    def spy_normalize(c, x):
+        normalized.append(c)
+        return real_normalize(c, x)
+
+    def spy_split(c, jc, hints=None):
+        out = real_split(c, jc, hints)
+        blocks.extend((block, c.valuation) for block in out.blocks)
+        return out
+
+    monkeypatch.setattr(reduction, "sibuya_normalize", spy_normalize)
+    monkeypatch.setattr(reduction, "eigen_block_split", spy_split)
+    for c in _benchmark_inputs(1):
+        assert replay(reduce(c), c)
+    skipped = [block for block, v in blocks if block.valuation == v
+               and len(jordan_chevalley(block.leading()).minpoly) > 2]
+    assert len(skipped) == 12 and len(normalized) + len(skipped) == 43
+    called = {id(c) for c in normalized}
+    for block in skipped:
+        assert id(block) not in called
+        s = jordan_chevalley(block.leading()).semisimple
+        assert commutes(block, s)
+        assert real_normalize(block, s).corrections == []
+
+
+def test_a_split_block_off_its_semisimple_commutant_is_refused():
+    # lead diag(1, 2) with an off-diagonal coefficient above it: no split
+    # hands on such a block, and the check that replaces its normalization
+    # says so; as a root the same connection is normalized first
+    c = Connection.from_coeff_map(QQ, {-2: [[1, 0], [0, 2]], -1: [[0, 1], [0, 0]]},
+                                  2, prec=2)
+    assert not commutes(c, c.leading())
+    with pytest.raises(EngineError, match="does not commute with the semisimple part"):
+        reduction._reduce_node(c, None, {}, 0, True)
+    tree = reduce(c)
+    assert [leaf.kind for leaf in tree.leaves()] == ["rank_one", "rank_one"]
+    assert replay(tree) is True
 
 
 def test_default_working_precision_covers_stability_window():
