@@ -114,9 +114,9 @@ class Connection:
 
         ``g_inv`` is the inverse of ``g`` when the caller already holds it,
         as every gauge of the reduction but a Sibuya total does; it is then
-        used as given, so it must be exact wherever the cofactor inverse
-        (:meth:`LaurentMatrix.inverse`, taken when ``g_inv`` is ``None``)
-        would be.  An exact ``g`` must have a monomial determinant, since any
+        used as given, so its entries must carry the precisions that the
+        cofactor inverse (:meth:`LaurentMatrix.inverse`, taken when
+        ``g_inv`` is ``None``) would give them.  An exact ``g`` must have a monomial determinant, since any
         other exact inverse does not terminate; truncate such a gauge first.
         The exact identity gives back the connection itself, after the
         checks of shape and ramification.
