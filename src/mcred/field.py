@@ -131,9 +131,7 @@ def _fold_nums(tower: "FieldTower", level: int, nums: dict) -> tuple[int, dict]:
     as numerators over ``d`` by position (zero sums included)."""
     if level == 0:
         return 1, nums
-    if level not in tower.folds:
-        tower.folds[level] = _fold_map(tower, level)
-    d, images = tower.folds[level]
+    d, images = _fold_map(tower, level)
     reduced: dict[int, int] = {}
     for pos, n in nums.items():
         for p, r in images[pos]:
@@ -144,7 +142,10 @@ def _fold_nums(tower: "FieldTower", level: int, nums: dict) -> tuple[int, dict]:
 def _fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:
     """``(d, images)``: ``images[i * tower.sizes[level - 1] + j]`` holds ``d``
     times the coordinates of ``x**i`` times the monomial at position ``j``,
-    reduced, where ``x`` is the root adjoined at ``level``."""
+    reduced, where ``x`` is the root adjoined at ``level``; built once per
+    tower and level, in ``tower.folds``."""
+    if level in tower.folds:
+        return tower.folds[level]
     below, deg = level - 1, tower.degree(level)
     zero, one = _zero_payload(tower, below), _lift_payload(tower, 0, below, Fraction(1))
     powers = [[one if t == i else zero for t in range(deg)] for i in range(deg)]
@@ -156,7 +157,8 @@ def _fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:
     images = [_over_lcm(_unfold(tower, level, tuple(_mul(tower, below, mono, c) for c in xi)))
               for xi in powers for mono in monomials]
     d = math.lcm(*[den for den, _ in images])
-    return d, [[(p, n * (d // den)) for p, n in image] for den, image in images]
+    tower.folds[level] = d, [[(p, n * (d // den)) for p, n in image] for den, image in images]
+    return tower.folds[level]
 
 
 def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:

@@ -12,7 +12,9 @@ Three tools live here:
   subspace adapted to the leading coefficient.  Each step gauges by
   ``exp(-u**i C)`` with a constant matrix ``C``, which changes the
   coefficient at offset ``i`` by exactly ``ad(lead)(C)`` and nothing below.
-  :func:`commutes` tells when there is nothing to gauge away.
+  :func:`commutes` tells when there is nothing to gauge away.  Constant
+  matrices multiply as ``(den, parts)`` integer matrices
+  (:func:`series._matrix_product`), series as integer forms.
 
 * :func:`eigen_block_split` -- once every coefficient commutes with the
   semisimple part of the lead, split the connection along the eigenvalue
@@ -22,12 +24,11 @@ Three tools live here:
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Sequence
 
 from . import linalg
@@ -46,8 +47,8 @@ from .field import (
     poly_trim,
 )
 from .matrices import LaurentMatrix
-from .series import (INF, _ONE, _accumulate, _constant_forms, _constants, _form_product,
-                     _forms, _from_form, _negated, _settle)
+from .series import (INF, _ONE, _accumulate, _elements, _form_product, _forms, _from_form,
+                     _gathered, _is_zero, _matrix_form, _matrix_product, _settle)
 
 
 # ---------------------------------------------------------------------------
@@ -184,94 +185,53 @@ class NormalizationRecord:
     corrections: list = dataclass_field(default_factory=list)
 
 
-# The step loop of :func:`sibuya_normalize` keeps its matrices, and the
-# constant maps it applies, as grids of :func:`series._integral` forms
-# ``(valuation, prec, den, terms)``, ``None`` for an exact zero, all over one
-# tower and ramification.  A constant's form has valuation 0, precision
-# ``INF`` and every key below ``tower.sizes[-1]``.  Over Q the constant maps
-# are one integer matrix over one denominator, ``(den, rows)``, instead.
+def _coefficients(forms: list, exps, size: int) -> tuple:
+    """The ``(den, parts)`` matrix whose column ``j`` holds the row-major
+    coefficients at ``u**exps[j]`` of a grid of forms.  A step never lowers
+    an entry's precision below the connection's, so every ``e`` a step reads
+    is known."""
+    flat, column = [f for row in forms for f in row], {e: j for j, e in enumerate(exps)}
+    return _gathered(len(flat), len(column), [
+        (a, column[k // size], k % size, num, f[2]) for a, f in enumerate(flat) if f
+        for k, num in f[3] if k // size in column])
 
 
-def _over_den(forms: list) -> tuple:
-    """``(den, rows)``: a grid of constant forms over Q as integers over
-    their least common denominator."""
-    den = lcm(*[f[2] for row in forms for f in row if f])
-    return den, [[f[3][0][1] * (den // f[2]) if f else 0 for f in row] for row in forms]
+def _polynomial(terms: list, prec, size: int) -> list:
+    """The grid of forms, known below ``prec``, of ``sum(sign * u**e * x)`` over
+    ``(e, sign, x)`` in ``terms``, for increasing ``e`` and ``(den, parts)``
+    matrices ``x``: the positions of ``x`` move up by ``e * size``.  An
+    entry with no terms is zero known only below ``prec``."""
+    den = lcm(*[x[0] for _, _, x in terms])
+    grid = [[[] for _ in row] for row in terms[0][2][1][0]]
+    for e, sign, (d, parts) in terms:
+        for pos in sorted(parts):
+            for entries, values in zip(grid, parts[pos]):
+                for entry, v in zip(entries, values):
+                    if v:
+                        entry.append((e * size + pos, sign * v * (den // d)))
+    return [[(t[0][0] // size if t else prec, prec, den, t) for t in row] for row in grid]
 
 
-def _int_product(a: tuple, b: tuple) -> tuple:
-    """The product of two ``(den, rows)`` matrices, divided by the gcd of
-    its entries and denominator."""
-    (da, ra), (db, rb) = a, b
-    cols = list(zip(*rb))
-    rows = [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in ra]
-    g = gcd(da * db, *[x for row in rows for x in row])
-    return da * db // g, [[x // g for x in row] for row in rows]
-
-
-def _den_forms(den: int, rows: list) -> list:
-    """The constant forms of the ``(den, rows)`` matrix over Q."""
-    return [[(0, INF, den, [(0, x)]) if x else None for x in row] for row in rows]
-
-
-def _coefficients(forms: list, e: int, size: int) -> list:
-    """The column of constant forms of the row-major coefficients at ``u**e``
-    of a grid of forms.  A step never lowers an entry's precision below the
-    connection's, so every ``e`` a step reads is known."""
-    lo, hi = e * size, (e + 1) * size
-    column = []
-    for f in (f for row in forms for f in row):
-        terms = f[3] if f else []
-        a = bisect.bisect_left(terms, (lo,))
-        b = bisect.bisect_left(terms, (hi,), a)
-        column.append([(0, INF, f[2], [(k - lo, num) for k, num in terms[a:b]]) if a < b
-                       else None])
-    return column
-
-
-def _polynomial(parts: list, prec, size: int) -> tuple:
-    """The form of ``sum(u**e * x for e, x in parts)`` known below ``prec``,
-    for increasing ``e`` and constant forms ``x`` (``None`` adds nothing):
-    the keys of ``x`` move up by ``e * size``.  A sum of no terms is still
-    known only below ``prec``."""
-    parts = [(e, x) for e, x in parts if x]
-    den = lcm(*[x[2] for _, x in parts])
-    terms = [(e * size + k, num * (den // x[2])) for e, x in parts for k, num in x[3]]
-    return terms[0][0] // size if terms else prec, prec, den, terms
-
-
-def _step_gauge(tower: FieldTower, c_forms: list, i: int, p: int) -> tuple:
+def _step_gauge(tower: FieldTower, c_form: tuple, i: int, p: int) -> tuple:
     """``(E, E**-1, D)`` as grids of forms for ``E = exp(-u**i C)``, where
-    ``c_forms`` holds the constant forms of ``C``: ``E`` and ``E**-1 =
+    ``c_form`` is the ``(den, parts)`` matrix of ``C``: ``E`` and ``E**-1 =
     exp(u**i C)`` modulo ``u**p``, every entry known below ``p``, from one
-    list of the powers of ``C``; and ``D`` the pairs whose products add
-    ``-(dE/du) E**-1 = i u**(i-1) C``, known below ``p - 1``.  Over Q each
-    power ``C**k / k!`` is one ``(den, rows)`` matrix, one integer product
-    from the last; over a tower it is one :func:`series._form_product`."""
-    n, size = len(c_forms), tower.sizes[-1]
-    powers = [[[_ONE if a == b else None for b in range(n)] for a in range(n)]]
-    if size == 1:
-        den, c_rows = _over_den(c_forms)
-        power = (1, [[int(a == b) for b in range(n)] for a in range(n)])
-    for k in range(1, (p - 1) // i + 1):  # powers[k] = C**k / k! = powers[k-1] (C / k)
-        if size == 1:
-            power = _int_product(power, (den * k, c_rows))
-            forms = _den_forms(*power)
-        else:
-            forms = _form_product(tower, powers[-1], [[x and (0, INF, x[2] * k, x[3])
-                                                       for x in row] for row in c_forms])
-        if all(x is None for row in forms for x in row):
+    list of the powers ``C**k / k!``, each one :func:`series._matrix_product`
+    from the last; and ``D`` the pairs whose products add ``-(dE/du) E**-1 =
+    i u**(i-1) C``, known below ``p - 1``."""
+    (den, parts), size = c_form, tower.sizes[-1]
+    n = len(parts[0])
+    powers = [(1, {0: [[int(a == b) for b in range(n)] for a in range(n)]})]
+    for k in range(1, (p - 1) // i + 1):  # C**k / k! = (C**(k-1) / (k-1)!) (C / k)
+        power = _matrix_product(tower, powers[-1], (den * k, parts))
+        if _is_zero(power):
             break
-        powers.append(forms)
-
-    def exponential(sign: int) -> list:
-        return [[_polynomial([(i * k, _negated(t[a][b]) if sign < 0 and k % 2 else t[a][b])
-                          for k, t in enumerate(powers)], p, size)
-                 for b in range(n)] for a in range(n)]
-
-    dlog = [[(_polynomial([(i - 1, x)], p - 1, size), (0, INF, 1, [(0, i)])) for x in row]
-            for row in c_forms]
-    return exponential(-1), exponential(1), dlog
+        powers.append(power)
+    e, e_inv = (_polynomial([(i * k, sign ** k, x) for k, x in enumerate(powers)], p, size)
+                for sign in (-1, 1))
+    dlog = [[(x, (0, INF, 1, [(0, i)])) for x in row]
+            for row in _polynomial([(i - 1, 1, c_form)], p - 1, size)]
+    return e, e_inv, dlog
 
 
 def _matrix(tower: FieldTower, ram: int, forms: list) -> LaurentMatrix:
@@ -312,21 +272,16 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     ``E G E**-1 - (dE/du) E**-1`` would give.
 
     The loop builds no series, and field elements only for the recorded
-    ``C_i``: ``G`` and ``total`` are grids of the product kernel's integer
-    forms (:func:`series._integral`), every window product is one
+    ``C_i`` (at the top level of the tower): ``G`` and ``total`` are grids
+    of :func:`series._integral` forms, every window product is one
     :func:`series._form_product`, and the last term of ``G`` is one more
-    pair in the accumulation of ``(E G) E**-1``.  A step reads its
-    coefficient column straight off those forms; an all-zero column is no
-    step, with no product.  ``E``, ``E**-1`` and the last term are shifts
-    of the keys of the powers of ``C_i`` (:func:`_step_gauge`).  Over Q,
-    ``step``, each ``C_i`` and each power are one integer matrix over one
-    denominator, and each product of them one integer matrix product
-    (:func:`_int_product`); over a tower they are grids of constant forms.
-    Each ``C_i`` is recorded at the top level of the tower
-    (:func:`series._constants`).
-    The two matrices are built once, after the last step.  The final check
-    that no ``ad(lead) S`` component is left is one product of ``rows``
-    with the column of all of ``G``.
+    pair in the accumulation of ``(E G) E**-1``.  ``step``, each ``C_i`` and
+    its powers are ``(den, parts)`` matrices multiplied by
+    :func:`series._matrix_product`; a step reads its coefficient column off
+    the forms (:func:`_coefficients`), and an all-zero column takes no
+    product.  The final check that no ``ad(lead) S`` component is left is
+    one product of ``rows`` with the columns of every exponent above the
+    lead.  The two matrices are built once, after the last step.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -354,45 +309,38 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     ram = c.ram
     tower = common_tower(c.tower, common_context(rows)[0])
     size = tower.sizes[-1]
-    rows = _constant_forms(rows)
-    minus_source = _constant_forms(linalg.mat_neg(source))
-    if size == 1:
-        step = _int_product(_over_den(minus_source), _over_den(rows))
-
-        def step_map(column: list) -> list:
-            return _den_forms(*_int_product(step, _over_den(column)))
-    else:
-        step_map = functools.partial(_form_product, tower,
-                                     _form_product(tower, minus_source, rows))
+    rows = _matrix_form(rows)
+    step = _matrix_product(tower, _matrix_form(linalg.mat_neg(source)), rows)
     work = _forms(c.matrix.entries, ram, size)
     total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
     corrections = []
     for i in range(1, p):
-        column = _coefficients(work, -r + i, size)
-        if all(x is None for x, in column):
+        column = _coefficients(work, [-r + i], size)
+        if _is_zero(column):
             continue
-        c_col = step_map(column)
-        if all(x is None for x, in c_col):
+        c_col = _matrix_product(tower, step, column)
+        if _is_zero(c_col):
             continue
-        c_forms = [[x for x, in c_col[a * n:(a + 1) * n]] for a in range(n)]
-        e, e_inv, dlog = _step_gauge(tower, c_forms, i, p)
+        c_form = (c_col[0], {pos: [[x for x, in m[a * n:(a + 1) * n]] for a in range(n)]
+                             for pos, m in c_col[1].items()})
+        e, e_inv, dlog = _step_gauge(tower, c_form, i, p)
         ew = _form_product(tower, e, work)
         work = [[_settle(tower, *_accumulate(size, [*zip(ew_row, col), d]))
                  for col, d in zip(zip(*e_inv), dlog_row)]
                 for ew_row, dlog_row in zip(ew, dlog)]
         total = _form_product(tower, e, total)
-        corrections.append((i, _constants(tower, tower.depth, c_forms)))
+        corrections.append((i, _elements(tower, tower.depth, c_form)))
     if corrections:
         matrix, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
     else:
         matrix, total = c.matrix, LaurentMatrix.identity(c.tower, n, ram)
     if matrix.prec != s_prec or matrix.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")
-    leftover = _form_product(tower, rows, [[x] for row in work for x in row])
-    keys = [k for x, in leftover if x for k, _ in x[3] if (1 - r) * size <= k < s_prec * size]
-    if keys:
+    _, leftover = _matrix_product(tower, rows, _coefficients(work, range(1 - r, s_prec), size))
+    left = [j for m in leftover.values() for row in m for j, x in enumerate(row) if x]
+    if left:
         raise EngineError(
-            f"coefficient at offset {min(keys) // size + r} still has a component in the "
+            f"coefficient at offset {min(left) + 1} still has a component in the "
             "complement after normalization"
         )
     return NormalizationRecord(Connection(matrix), total, corrections)
@@ -402,21 +350,14 @@ def commutes(c: Connection, x: Sequence[Sequence[FieldElement]]) -> bool:
     """Whether ``x G == G x`` on the known window, for a constant ``x``.
 
     Then :func:`sibuya_normalize` against ``x`` finds every ``C_i`` zero,
-    since every coefficient already lies in ``K = ker ad(x)``.  Each entry
-    of ``x G - G x`` is one :func:`series._accumulate`, settled to read its
-    known terms."""
+    since every coefficient already lies in ``K = ker ad(x)``.  It is one
+    :func:`series._matrix_product` of ``ad(x)`` with the columns of every
+    known exponent (:func:`_coefficients`)."""
     tower = common_tower(c.tower, common_context(x)[0])
     size = tower.sizes[-1]
-    x_rows = _constant_forms(x)
-    g_rows = _forms(c.matrix.entries, c.ram, size)
-    x_cols, g_cols = list(zip(*x_rows)), list(zip(*g_rows))
-    for x_row, g_row in zip(x_rows, g_rows):
-        minus_g_row = [_negated(f) for f in g_row]
-        for x_col, g_col in zip(x_cols, g_cols):
-            f = _settle(tower, *_accumulate(size, [*zip(x_row, g_col), *zip(minus_g_row, x_col)]))
-            if f and f[3]:
-                return False
-    return True
+    columns = _coefficients(_forms(c.matrix.entries, c.ram, size),
+                            [e for e in c.matrix.support() if e < c.prec], size)
+    return _is_zero(_matrix_product(tower, _matrix_form(linalg.ad_matrix(x)), columns))
 
 
 # ---------------------------------------------------------------------------

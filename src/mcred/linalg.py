@@ -4,11 +4,9 @@ Matrices are plain ``list[list[FieldElement]]`` in row-major order.  The
 entry-wise loops (``mat_add``, ``mat_neg``, ``mat_scale``, ``mat_eq``,
 ``transpose``) use only the entries' own operators, so they are
 ring-generic: :class:`matrices.LaurentMatrix` runs them on its series.
-:func:`mat_mul` is no loop: it runs the series product kernel on constant
-forms (:func:`series._form_product`), one fold per entry, for every
-constant product here and in :mod:`mcred.leading` and :mod:`mcred.sl2`.
-:func:`charpoly` stays on those forms for its whole loop: its matrix
-converts once and its coefficients once.
+:func:`mat_mul`, :func:`charpoly` and :func:`poly_at_matrix` are no
+loops: each converts its matrices once to ``(den, parts)`` integer matrices
+and multiplies them by :func:`series._matrix_product`.
 All eliminations use the first nonzero entry as pivot, so
 the results are deterministic functions of the input.  Elimination runs on
 raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
@@ -42,9 +40,8 @@ from typing import Sequence
 
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
 from .field import FieldElement, FieldTower, common_context
-from .field import _inv, _lift_payload, _mul, _payload_is_zero, _sub
-from .series import (INF, _ONE, _accumulate, _constant_forms, _constants, _form_product,
-                     _settle)
+from .field import _inv, _lift_payload, _mul, _nest, _over_lcm, _payload_is_zero, _sub, _unfold
+from .series import _elements, _matrix_form, _matrix_product
 
 Matrix = list  # list[list[FieldElement]]
 Vector = list  # list[FieldElement]
@@ -110,13 +107,12 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """``a b`` on the product kernel, every entry at the operands' common
-    tower and top level (:func:`field.common_context`)."""
+    """``a b`` by :func:`series._matrix_product`, every entry at the operands'
+    common tower and top level (:func:`field.common_context`)."""
     if mat_shape(a)[1] != mat_shape(b)[0]:
         raise DomainViolation("matrix shapes incompatible in product")
     tower, level = common_context([*a, *b])
-    return _constants(tower, level,
-                      _form_product(tower, _constant_forms(a), _constant_forms(b)))
+    return _elements(tower, level, _matrix_product(tower, _matrix_form(a), _matrix_form(b)))
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -341,47 +337,53 @@ def inverse(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _plus_scalar(form: tuple, den: int, coords: list) -> tuple:
+    """``m + x I`` for the ``(den, parts)`` matrix ``form`` of a square ``m``
+    and the scalar ``x`` with coordinates ``num / den`` at ``(position, num)``."""
+    total = math.lcm(form[0], den)
+    parts = {p: [[v * (total // form[0]) for v in row] for row in m] for p, m in form[1].items()}
+    for p, num in coords:
+        for i, row in enumerate(parts.setdefault(p, [[0] * len(parts[0]) for _ in parts[0]])):
+            row[i] += num * (total // den)
+    return total, parts
+
+
 def charpoly(m: Matrix) -> list[FieldElement]:
     """Coefficients of ``det(x I - m)``, ascending, monic of degree ``n``.
 
     Faddeev-LeVerrier: only divisions by the integers ``1..n`` occur, which
-    are exact in characteristic zero.  The loop runs on the product kernel's
-    constant forms: ``m`` converts once, each diagonal add and each
-    ``-trace/k`` is one :func:`series._accumulate` against the form of ``1``
-    or ``-1/k`` and one :func:`series._settle`, and the coefficients convert
-    back once, at the top level of ``m``'s tower.
+    are exact in characteristic zero.  The loop runs on ``(den, parts)``
+    matrices: ``m`` converts once, each ``M_k = m (M_(k-1) + c I)`` is one
+    :func:`series._matrix_product`, each ``c = -trace(M_k) / k`` is read off
+    its diagonals, and the coefficients convert back once, at the top level
+    of ``m``'s tower.
     """
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("characteristic polynomial of a non-square matrix")
-    tower, _ = common_context(m)
-    size = tower.sizes[-1]
-    mf = _constant_forms(m)
-    coeffs = [None] * n + [_ONE]  # constant forms; None is 0
-    am = [[None] * n for _ in range(n)]  # m M_0, with M_0 = 0
+    tower = common_context(m)[0]
+    mf, am = _matrix_form(m), (1, {0: [[0] * n for _ in range(n)]})
+    coeffs = [(1, [(0, 1)])]  # c_n, c_(n-1), ... as (den, [(position, numerator)])
     for k in range(1, n + 1):
-        ck = coeffs[n - k + 1]
-        for i in range(n):  # M_k = m M_(k-1) + c_(n-k+1) I
-            am[i][i] = _settle(tower, *_accumulate(size, [(am[i][i], _ONE), (ck, _ONE)]))
-        am = _form_product(tower, mf, am)
-        scale = (0, INF, k, [(0, -1)])  # the form of -1/k
-        coeffs[n - k] = _settle(tower, *_accumulate(size, [(am[i][i], scale)
-                                                          for i in range(n)]))
-    return _constants(tower, tower.depth, [coeffs])[0]
+        am = _matrix_product(tower, mf, _plus_scalar(am, *coeffs[-1]))
+        coeffs.append((am[0] * k, [(p, -sum(x[i][i] for i in range(n)))
+                                   for p, x in am[1].items()]))
+    return [FieldElement(tower, tower.depth, _nest(tower, tower.depth, dict(coords), den))
+            for den, coords in reversed(coeffs)]
 
 
 def poly_at_matrix(coeffs: Sequence[FieldElement], m: Matrix) -> Matrix:
-    """Evaluate a scalar polynomial (ascending coefficients) at a matrix."""
+    """Evaluate a scalar polynomial (ascending coefficients) at a matrix, by
+    Horner's rule on ``(den, parts)`` matrices, at the top level of their tower."""
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("polynomial evaluation at a non-square matrix")
-    tower, _ = common_context(m)
-    out = zeros(tower, n, n)
+    tower = common_context([*m, coeffs])[0]
+    mf, out = _matrix_form(m), (1, {0: [[0] * n for _ in range(n)]})
     for ck in reversed(list(coeffs)):
-        out = mat_mul(out, m)
-        for i in range(n):
-            out[i][i] = out[i][i] + ck
-    return out
+        out = _plus_scalar(_matrix_product(tower, out, mf),
+                           *_over_lcm(_unfold(ck.tower, ck.level, ck.payload)))
+    return _elements(tower, tower.depth, out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,18 @@ one ``Fraction`` per coordinate after one ``field._fold`` by the minimal
 polynomials, and drops zero sums.  A chain of products that needs no series
 in between replaces the second half by :func:`_settle`, which folds on
 integers and divides by the gcd, so that the result is again an
-:func:`_integral` form, with the same integers (:func:`_form_product` for a
-grid).  Three users chain forms so: the Sibuya step loop of
-:mod:`mcred.leading`, whose constant maps, step gauges and leftover check
-are forms too, so that it has no other integer layout; the cofactors of
-``LaurentMatrix.inverse``; and the ``g G`` of ``Connection.gauge``, which
-then builds each entry of ``g G g**-1 - g' g**-1`` from one accumulation.
-:func:`_from_form` builds the series of a form.  :func:`_constant_forms` and
-:func:`_constants` convert between grids of field elements and of constant
-forms, for ``linalg.mat_mul`` and the Sibuya loop's maps and ``C_i``.
+:func:`_integral` form (:func:`_form_product` for a grid): the Sibuya step
+loop of :mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse``,
+and the ``g G`` of ``Connection.gauge``.  :func:`_from_form` builds the
+series of a form.
+
+A constant matrix multiplies on no series: :func:`_gathered` holds it as
+``(den, parts)``, one integer matrix per coordinate position over one
+common denominator, and :func:`_matrix_product` does one integer matrix
+product per pair of positions, one fold of the summed positions and one
+gcd; over Q that is one integer matrix product.  Every constant product
+runs there: ``linalg.mat_mul``, ``charpoly`` and ``poly_at_matrix``, and
+the Sibuya loop's step map, powers, ``C_i`` and leftover check.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import (FieldElement, FieldTower, _fold, _fold_nums, _nest, _over_lcm, _unfold,
-                    common_tower)
+from .field import (FieldElement, FieldTower, _fold, _fold_map, _fold_nums, _nest, _over_lcm,
+                    _unfold, common_tower)
 
 INF = math.inf
 
@@ -439,21 +442,6 @@ def _forms(grid, ram: int, size: int) -> list:
     return [[_integral(s, ram, size) for s in row] for row in grid]
 
 
-def _constant_forms(grid) -> list:
-    """The :func:`_integral` forms of a grid of field elements, as constant
-    series over any tower that holds them."""
-    forms = [[(0, INF, *_over_lcm(_unfold(x.tower, x.level, x.payload))) for x in row]
-             for row in grid]
-    return [[f if f[3] else None for f in row] for row in forms]
-
-
-def _constants(tower: FieldTower, level: int, forms: list) -> list:
-    """The field elements at ``level`` of ``tower`` whose constant forms are
-    ``forms``, a grid; every key must name a position of that level."""
-    return [[FieldElement(tower, level, _nest(tower, level, dict(f[3]), f[2])) if f
-             else tower.zero(level) for f in row] for row in forms]
-
-
 def _form_product(tower: FieldTower, a: list, b: list) -> list:
     """The product of two grids of forms over ``tower``, as a grid of forms."""
     size = tower.sizes[-1]
@@ -470,3 +458,69 @@ def mat_product(tower: FieldTower, ram: int, a, b) -> list[list[LaurentSeries]]:
     cols = list(zip(*_forms(b, ram, size)))
     return [[_materialise(tower, ram, *_accumulate(size, zip(row, col))) for col in cols]
             for row in _forms(a, ram, size)]
+
+
+def _gathered(rows: int, cols: int, coords: list) -> tuple:
+    """``(den, parts)``: the ``rows`` by ``cols`` matrix with coordinate ``num /
+    d`` at ``position`` of entry ``(i, j)`` for each ``(i, j, position, num,
+    d)`` of ``coords``, ``parts[position]`` holding the entries' numerators
+    there over their least common denominator; part 0 is always present."""
+    den = math.lcm(*[d for *_, d in coords])
+    parts = {0: [[0] * cols for _ in range(rows)]}
+    for i, j, pos, num, d in coords:
+        if pos not in parts:
+            parts[pos] = [[0] * cols for _ in range(rows)]
+        parts[pos][i][j] = num * (den // d)
+    return den, parts
+
+
+def _matrix_form(grid) -> tuple:
+    """The :func:`_gathered` matrix of a grid of field elements."""
+    return _gathered(len(grid), len(grid[0]), [
+        (i, j, pos, q.numerator, q.denominator) for i, row in enumerate(grid)
+        for j, x in enumerate(row) for pos, q in _unfold(x.tower, x.level, x.payload)])
+
+
+def _add_to(parts: dict, pos: int, m: list) -> None:
+    """Add the integer matrix ``m`` to ``parts[pos]``, or make it that."""
+    if pos in parts:
+        m = [[x + y for x, y in zip(r, w)] for r, w in zip(parts[pos], m)]
+    parts[pos] = m
+
+
+def _matrix_product(tower: FieldTower, a: tuple, b: tuple) -> tuple:
+    """The product of two :func:`_gathered` matrices over ``tower``: one
+    integer matrix product per pair of parts, summed at the sum of their
+    positions, one fold of those sums by the cached integer map of
+    ``tower``'s top level (:func:`field._fold_map`), and one division by the gcd
+    of every numerator and the denominator.  Over Q there is one part."""
+    (da, pa), (db, pb) = a, b
+    acc: dict[int, list] = {}
+    for q, y in pb.items():
+        cols = list(zip(*y))
+        for p, x in pa.items():
+            _add_to(acc, p + q, [[sum(u * v for u, v in zip(row, col) if u) for col in cols]
+                                 for row in x])
+    d, parts = 1, acc
+    if tower.depth:
+        d, images = _fold_map(tower, tower.depth)
+        parts = {}
+        for pos, m in acc.items():
+            for p, r in images[pos]:
+                _add_to(parts, p, [[r * v for v in row] for row in m])
+    den = da * db * d
+    g = math.gcd(den, *[v for m in parts.values() for row in m for v in row])
+    return den // g, {p: [[v // g for v in row] for row in m] for p, m in parts.items()}
+
+
+def _is_zero(form: tuple) -> bool:
+    """Whether a :func:`_gathered` matrix is zero."""
+    return not any(v for m in form[1].values() for row in m for v in row)
+
+
+def _elements(tower: FieldTower, level: int, form: tuple) -> list:
+    """The grid of field elements at ``level`` of ``tower`` with the
+    :func:`_gathered` matrix ``form``; every position must be of that level."""
+    den, parts = form
+    return [[FieldElement(tower, level, _nest(tower, level, dict(zip(parts, nums)), den))
+             for nums in zip(*rows)] for rows in zip(*parts.values())]

@@ -12,7 +12,7 @@ import pytest
 import mcred
 from mcred import checks, cohomology, serialize
 from mcred.cli import MAX_STABILITY_SIZE, main
-from mcred.cohomology import MAX_LATTICE_COLUMNS
+from mcred.cohomology import MAX_CERTIFIED_COLUMNS, MAX_LATTICE_COLUMNS
 from mcred.connection import Connection
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
@@ -379,6 +379,31 @@ def test_rank16_residue_is_answered_in_a_subprocess_within_10s(tmp_path, command
     assert done.returncode == 0, done.stderr
     obj = serialize.loads(done.stdout)
     assert (obj["h0"], obj["h1"], obj["certificate"]) == (0, 0, "spectrum-derived")
+
+
+@pytest.mark.parametrize("command", ["derham", "fredholm"])
+def test_residue_spectrum_past_the_span_bound_exits_4_quickly(tmp_path, capsys, command):
+    # the integer spectrum {10**30} once asked for a window of 10**30 + 3
+    # exponents, and the lattice builder ran out of memory
+    c = Connection.from_coeff_map(QQ, {-1: [[-10 ** 30]]}, 1)
+    path = write_connection(tmp_path / "residue-1e30.json", c)
+    start = time.perf_counter()
+    assert main([command, path]) == 4
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and str(MAX_CERTIFIED_COLUMNS) in err
+
+
+@pytest.mark.parametrize("command", ["derham", "fredholm"])
+def test_residue_spectrum_at_the_span_bound_is_answered(tmp_path, capsys, command):
+    # rank one, residue -N: the window [-1, N + 2) has N + 3 columns
+    for n, code in [(MAX_CERTIFIED_COLUMNS - 3, 0), (MAX_CERTIFIED_COLUMNS - 2, 4)]:
+        path = write_connection(tmp_path / f"residue-{n}.json",
+                                Connection.from_coeff_map(QQ, {-1: [[-n]]}, 1))
+        got, obj = run(capsys, command, path)
+        assert got == code
+        if code == 0:
+            assert (obj["h0"], obj["h1"], obj["window"]) == (1, 1, [-1, n + 2])
 
 
 def test_derham_window_over_the_lattice_bound_exits_4(tmp_path, capsys):

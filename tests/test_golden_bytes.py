@@ -30,7 +30,11 @@ each result encoded on its own (so each entry's precision counts), or the
 type and message of the exception.  ``EXTENSION_FIELD`` pins the exit code
 and stdout sha256 of ``mcred derham`` and ``mcred fredholm`` on the two
 files over Q(sqrt 2) of :func:`_extension_files`, whose lattice systems and
-residue spectra hold elements above level 0.  A change meant to keep canonical JSON,
+residue spectra hold elements above level 0.  ``GUARD_TREES`` is one
+sha256 over the encoded ``reduce`` trees (or exception texts) of the
+202-input reduction guard set of :func:`_guard_inputs`: the 72
+``reduce-replay`` inputs of seeds 1-3, the samples, ``mcred generate --seed
+7 --count 24``, and each of those truncated at 6.  A change meant to keep canonical JSON,
 certificates and trees byte-identical must pass it unchanged.
 
 When an output change is intended, re-record the digests with::
@@ -38,7 +42,7 @@ When an output change is intended, re-record the digests with::
     PYTHONPATH=src python tests/test_golden_bytes.py
 
 which prints new ``GOLDEN``, ``TRUNCATED`` and ``EXTENSION_FIELD`` dicts and the
-``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4``, ``GUARD_TREES`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
 
@@ -76,6 +80,8 @@ EXTENSION_FIELD = {
     "fredholm gap-sqrt2": (0, "0d91b7ec8fff9c5a066e5e7d3ab9c7375b35bec20c3928c733e72ec7bb857fe9"),
     "fredholm nilpotent-sqrt2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
+
+GUARD_TREES = "cc5bb3871df4991f2328080920d72f86490373a0b4e1c1270dc1eab2b9905ac9"
 
 TOWER_GAUGES = "c7a2f52776e0f25f2fd915a3d8e25bce645b297963ee80c68ef651c848273366"
 
@@ -571,6 +577,39 @@ def _tower_gauge_digest():
     return digest.hexdigest()
 
 
+def _guard_inputs():
+    """The 202 connections of the reduction guard set: the 72 ``reduce-replay``
+    inputs of seeds 1-3, the samples and ``mcred generate --seed 7 --count
+    24`` read back from its JSON, and each of those truncated at 6."""
+    inputs = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        inputs += [checks.random_connection(rng, 2 + i % 2, 2 + (i // 2) % 2, kind=KINDS[i % 3])
+                   for i in range(24)]
+    inputs += [make() for make in checks.SAMPLES.values()]
+    code, text, _ = _run(["generate", "--seed", "7", "--count", "24"])
+    assert code == 0
+    inputs += [serialize.decode_connection(obj) for obj in serialize.loads(text)["connections"]]
+    return inputs + [c.truncate(6) for c in inputs]
+
+
+def _guard_digest():
+    """sha256 over the encoded ``reduce`` tree, or the type and message of
+    the exception, of every input of :func:`_guard_inputs`."""
+    digest = hashlib.sha256()
+    for c in _guard_inputs():
+        try:
+            out = serialize.encode_tree(reduce(c))
+        except EngineError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(serialize.dumps(out).encode())
+    return digest.hexdigest()
+
+
+def test_reduce_trees_of_the_guard_set_match_the_recorded_digest():
+    assert _guard_digest() == GUARD_TREES
+
+
 def test_tower_gauges_and_inverses_match_the_recorded_digest():
     assert _tower_gauge_digest() == TOWER_GAUGES
 
@@ -632,4 +671,5 @@ if __name__ == "__main__":
     for kind, (restarts, digest) in _rank4_digests().items():
         print(f'    "{kind}": ({restarts}, "{digest}"),')
     print("}")
+    print(f'GUARD_TREES = "{_guard_digest()}"')
     print(f'TOWER_GAUGES = "{_tower_gauge_digest()}"')
