@@ -22,8 +22,8 @@ from typing import Sequence
 from .errors import DomainViolation, NotBlockDiagonal
 from .field import FieldElement, FieldTower, common_tower
 from .matrices import LaurentMatrix
-from .series import (INF, _ONE, LaurentSeries, _accumulate, _form_product, _forms,
-                     _integral, _materialise, _negated)
+from .series import (INF, _ONE, LaurentSeries, _accumulate, _derived, _form_product, _forms,
+                     _materialise, _negated)
 
 
 class Connection:
@@ -124,7 +124,8 @@ class Connection:
         The product ``g G`` is settled on the product kernel's integer forms
         (:func:`series._integral`), and each entry of the result is one
         :func:`series._accumulate` over the pairs ``(g G)_al (g^{-1})_lb`` and
-        ``-(dg/du)_al (g^{-1})_lb``, built into a series once.  Its precision
+        ``-(dg/du)_al (g^{-1})_lb`` (``dg/du`` read off the forms of ``g``),
+        built into a held series once.  Its precision
         is the minimum over those pairs, which is what the difference of the
         two products would have.
         """
@@ -140,8 +141,7 @@ class Connection:
             return self
         gi = g.inverse() if g_inv is None else g_inv
         g_g = _form_product(tower, g_forms, _forms(self.matrix.entries, ram, size))
-        minus_dg = [[_negated(_integral(s.derivative(), ram, size)) for s in row]
-                    for row in g.entries]
+        minus_dg = [[_negated(_derived(f, size)) for f in row] for row in g_forms]
         cols = list(zip(*_forms(gi.entries, ram, size)))
         return Connection(LaurentMatrix(tower, [
             [_materialise(tower, ram, *_accumulate(size, [*zip(a, col), *zip(b, col)]))

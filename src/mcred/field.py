@@ -166,6 +166,58 @@ def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
         raise NotInvertible("division by zero")
     if level == 0:
         return Fraction(1) / a
+    if level == 1:
+        inverse = _inv_by_elimination(tower, a)
+        if inverse is not None:
+            return inverse
+    return _inv_by_euclid(tower, level, a)
+
+
+def _inv_by_elimination(tower: "FieldTower", a: Payload) -> Payload | None:
+    """The inverse of ``a`` at level 1, or ``None`` when ``a`` is a zero
+    divisor: the solution ``y`` of ``M y = e_0`` for the matrix ``M`` of
+    multiplication by ``a`` modulo the minimal polynomial, by fraction-free
+    (Bareiss) elimination of an integer ``N``, and integer back-substitution
+    of ``det N * y``.  ``N`` is ``M`` cleared of denominators through the
+    cached fold map, then each column and each row of ``[N | b]`` divided by
+    its content (dividing column ``j`` by ``g`` solves for ``g y_j``).  The
+    extended Euclid's cofactors grow far faster on large coefficients."""
+    deg = tower.degree(1)
+    den, coords = _over_lcm(_unfold(tower, 1, a))
+    d, images = _fold_map(tower, 1)
+    rows = [[0] * (deg + 1) for _ in range(deg)]
+    for j in range(deg):  # column j: a * x**j, reduced, times den * d
+        for t, n in coords:
+            for i, v in images[t + j]:
+                rows[i][j] += n * v
+    rows[0][deg] = den * d
+    scales = [math.gcd(*[row[j] for row in rows]) or 1 for j in range(deg)]
+    rows = [[v // g for v, g in zip(row, scales)] + row[deg:] for row in rows]
+    rows = [[v // g for v in row] for row in rows for g in [math.gcd(*row) or 1]]
+    prev = 1
+    for k in range(deg):
+        pivot = next((i for i in range(k, deg) if rows[i][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, deg + 1):
+                row[j] = (top[k] * row[j] - f * top[j]) // prev
+            row[k] = 0
+        prev = top[k]
+    x = [0] * deg
+    for i in reversed(range(deg)):
+        row = rows[i]
+        x[i] = (prev * row[deg] - sum(row[j] * x[j] for j in range(i + 1, deg))) // row[i]
+    return tuple(Fraction(v, prev * g) for v, g in zip(x, scales))
+
+
+def _inv_by_euclid(tower: "FieldTower", level: int, a: Payload) -> Payload:
+    """The inverse of a nonzero ``a`` by the extended Euclidean algorithm
+    over the level below; a zero divisor raises :class:`ZeroDivisorSplit`
+    with the factorization of the minimal polynomial it shows."""
     below = level - 1
     deg = tower.degree(level)
     m = list(tower.levels[level - 1])

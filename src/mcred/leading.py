@@ -11,7 +11,8 @@ Three tools live here:
   the higher coefficients that lie in a chosen complement of a kernel
   subspace adapted to the leading coefficient.  Each step gauges by
   ``exp(-u**i C)`` with a constant matrix ``C``, which changes the
-  coefficient at offset ``i`` by exactly ``ad(lead)(C)`` and nothing below.
+  coefficient at offset ``i`` by exactly ``ad(lead)(C)`` and nothing below;
+  the steps of the upper half of the window commute and take one gauge.
   :func:`commutes` tells when there is nothing to gauge away.  Constant
   matrices multiply as ``(den, parts)`` integer matrices
   (:func:`series._matrix_product`), series as integer forms.
@@ -212,26 +213,70 @@ def _polynomial(terms: list, prec, size: int) -> list:
     return [[(t[0][0] // size if t else prec, prec, den, t) for t in row] for row in grid]
 
 
-def _step_gauge(tower: FieldTower, c_form: tuple, i: int, p: int) -> tuple:
-    """``(E, E**-1, D)`` as grids of forms for ``E = exp(-u**i C)``, where
-    ``c_form`` is the ``(den, parts)`` matrix of ``C``: ``E`` and ``E**-1 =
-    exp(u**i C)`` modulo ``u**p``, every entry known below ``p``, from one
-    list of the powers ``C**k / k!``, each one :func:`series._matrix_product`
-    from the last; and ``D`` the pairs whose products add ``-(dE/du) E**-1 =
-    i u**(i-1) C``, known below ``p - 1``."""
-    (den, parts), size = c_form, tower.sizes[-1]
-    n = len(parts[0])
-    powers = [(1, {0: [[int(a == b) for b in range(n)] for a in range(n)]})]
-    for k in range(1, (p - 1) // i + 1):  # C**k / k! = (C**(k-1) / (k-1)!) (C / k)
-        power = _matrix_product(tower, powers[-1], (den * k, parts))
-        if _is_zero(power):
-            break
-        powers.append(power)
-    e, e_inv = (_polynomial([(i * k, sign ** k, x) for k, x in enumerate(powers)], p, size)
+def _identity(n: int) -> tuple:
+    """The ``(den, parts)`` matrix of the n-by-n identity."""
+    return 1, {0: [[int(a == b) for b in range(n)] for a in range(n)]}
+
+
+def _square(form: tuple, j: int, n: int) -> tuple:
+    """The n-by-n ``(den, parts)`` matrix whose rows are read, row-major, off
+    column ``j`` of the n²-row matrix ``form``."""
+    den, parts = form
+    return den, {pos: [[m[a * n + b][j] for b in range(n)] for a in range(n)]
+                 for pos, m in parts.items()}
+
+
+def _joined(blocks: list, across: bool) -> tuple:
+    """The ``(den, parts)`` matrix of the n-by-n blocks ``k * x`` for ``(k, x)``
+    in ``blocks``, side by side when ``across``, else stacked."""
+    den = lcm(*[d for _, (d, _) in blocks])
+    n = len(blocks[0][1][1][0])
+    zero, parts = [[0] * n for _ in range(n)], {}
+    for pos in {q for _, (_, ps) in blocks for q in ps}:
+        mats = [[[k * (den // d) * v for v in row] for row in ps[pos]] if pos in ps else zero
+                for k, (d, ps) in blocks]
+        parts[pos] = [sum(rows, []) for rows in zip(*mats)] if across else sum(mats, [])
+    return den, parts
+
+
+def _step_gauge(tower: FieldTower, steps: list, p: int) -> tuple:
+    """``(E, E**-1, D)`` as grids of forms for the gauge of ``steps``, a list
+    of ``(i, C_i)`` in increasing ``i`` with each ``C_i`` a ``(den, parts)``
+    matrix: ``E`` and ``E**-1`` modulo ``u**p``, every entry known below
+    ``p``, and ``D`` the pairs whose products add ``-(dE/du) E**-1``, known
+    below ``p - 1``.  One step gives ``E = exp(-u**i C)`` and ``E**-1 =
+    exp(u**i C)`` from one list of the powers ``C**k / k!``, each one
+    :func:`series._matrix_product` from the last, and ``D = i u**(i-1) C``.
+    Several steps must all have ``2 i >= p``, so that every product of two
+    of their terms lies past the window: then ``E = I - sum(u**i C_i)``,
+    ``E**-1 = I + sum(u**i C_i)`` and ``D = sum(i u**(i-1) C_i)``."""
+    size, n = tower.sizes[-1], len(steps[0][1][1][0])
+    powers = [(0, 0, _identity(n))]
+    for i, (den, parts) in steps:
+        power = (den, parts)
+        for k in range(1, (p - 1) // i + 1):  # C**k / k! = (C**(k-1) / (k-1)!) (C / k)
+            if k > 1:
+                power = _matrix_product(tower, power, (den * k, parts))
+                if _is_zero(power):
+                    break
+            powers.append((i * k, k, power))
+    e, e_inv = (_polynomial([(e, sign ** k, x) for e, k, x in powers], p, size)
                 for sign in (-1, 1))
-    dlog = [[(x, (0, INF, 1, [(0, i)])) for x in row]
-            for row in _polynomial([(i - 1, 1, c_form)], p - 1, size)]
+    dlog = [[(x, _ONE) for x in row]
+            for row in _polynomial([(i - 1, i, c) for i, c in steps], p - 1, size)]
     return e, e_inv, dlog
+
+
+def _gauged(tower: FieldTower, gauge: tuple, work: list, total: list) -> tuple:
+    """``(E G E**-1 + D, E total)`` for the :func:`_step_gauge` ``(E, E**-1,
+    D)`` and grids of forms ``G`` and ``total``: three window products, with
+    ``D`` one more pair in the accumulation of ``(E G) E**-1``."""
+    e, e_inv, dlog = gauge
+    size, ew = tower.sizes[-1], _form_product(tower, e, work)
+    work = [[_settle(tower, *_accumulate(size, [*zip(ew_row, col), d]))
+             for col, d in zip(zip(*e_inv), dlog_row)]
+            for ew_row, dlog_row in zip(ew, dlog)]
+    return work, _form_product(tower, e, total)
 
 
 def _matrix(tower: FieldTower, ram: int, forms: list) -> LaurentMatrix:
@@ -265,23 +310,34 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
 
     A step needs no gauge: ``E**-1 = exp(u**i C_i)`` and
     ``(dE/du) E**-1 = -i u**(i-1) C_i`` in closed form.  So with
-    ``p = prec + r`` it sets ``G <- E G E**-1 + i u**(i-1) C_i`` (the last
-    term known below ``p - 1``) and ``total <- E total``, where ``E`` and
-    ``E**-1`` are known below ``p`` and come from one list of the powers of
-    ``C_i``.  Every coefficient and precision is the one the general gauge
-    ``E G E**-1 - (dE/du) E**-1`` would give.
+    ``p = prec + r`` a head step ``i < h = ceil(p / 2)`` sets
+    ``G <- E G E**-1 + i u**(i-1) C_i`` (the last term known below
+    ``p - 1``) and ``total <- E total``, where ``E`` and ``E**-1`` are known
+    below ``p`` and come from one list of the powers of ``C_i``.  The tail
+    steps ``i >= h`` commute modulo ``u**p``: every product of two of their
+    terms lies past the window, and a tail step changes only offsets at or
+    above ``h``, so the coefficient a tail step ``j`` sees is ``W_j``, the
+    one at offset ``j`` after the head, less ``[C_i, W_(j-i)]`` for the tail
+    steps ``i < j``, plus ``i C_i`` for the ``i`` with ``i - 1 = -r + j``:
+    one product of the constant blocks ``[I, C_i.., W_(j-i)..]`` and
+    ``[W_j; -W_(j-i)..; C_i..]``.  The whole tail is then one gauge, ``E = I
+    - sum(u**i C_i)``, ``E**-1 = I + sum(u**i C_i)`` and ``D = sum(i
+    u**(i-1) C_i)`` (:func:`_step_gauge`), three window products in all.
+    Every coefficient and precision is the one the general gauge
+    ``E G E**-1 - (dE/du) E**-1`` of every step in turn would give.
 
     The loop builds no series, and field elements only for the recorded
     ``C_i`` (at the top level of the tower): ``G`` and ``total`` are grids
     of :func:`series._integral` forms, every window product is one
-    :func:`series._form_product`, and the last term of ``G`` is one more
-    pair in the accumulation of ``(E G) E**-1``.  ``step``, each ``C_i`` and
-    its powers are ``(den, parts)`` matrices multiplied by
+    :func:`series._form_product`, and ``D`` is one more pair in the
+    accumulation of ``(E G) E**-1`` (:func:`_gauged`).  ``step``, each
+    ``C_i`` and its powers are ``(den, parts)`` matrices multiplied by
     :func:`series._matrix_product`; a step reads its coefficient column off
     the forms (:func:`_coefficients`), and an all-zero column takes no
     product.  The final check that no ``ad(lead) S`` component is left is
     one product of ``rows`` with the columns of every exponent above the
-    lead.  The two matrices are built once, after the last step.
+    lead.  The two matrices are built once, after the last step, as held
+    series.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -314,22 +370,44 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     work = _forms(c.matrix.entries, ram, size)
     total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
     corrections = []
-    for i in range(1, p):
+    h = (p + 1) // 2
+    for i in range(1, h):
         column = _coefficients(work, [-r + i], size)
         if _is_zero(column):
             continue
         c_col = _matrix_product(tower, step, column)
         if _is_zero(c_col):
             continue
-        c_form = (c_col[0], {pos: [[x for x, in m[a * n:(a + 1) * n]] for a in range(n)]
-                             for pos, m in c_col[1].items()})
-        e, e_inv, dlog = _step_gauge(tower, c_form, i, p)
-        ew = _form_product(tower, e, work)
-        work = [[_settle(tower, *_accumulate(size, [*zip(ew_row, col), d]))
-                 for col, d in zip(zip(*e_inv), dlog_row)]
-                for ew_row, dlog_row in zip(ew, dlog)]
-        total = _form_product(tower, e, total)
+        c_form = _square(c_col, 0, n)
+        work, total = _gauged(tower, _step_gauge(tower, [(i, c_form)], p), work, total)
         corrections.append((i, _elements(tower, tower.depth, c_form)))
+    # the tail: step j sees the coefficient at offset j of the connection
+    # after the head, less the brackets [C_i, W_(j-i)] of the tail steps
+    # before it, plus the i C_i that lands there
+    offsets = _coefficients(work, range(1 - r, p - r), size)
+    w = [None] + [_square(offsets, k, n) for k in range(p - 1)]  # w[k] at offset k
+    one, tail = _identity(n), {}
+    for j in range(h, p):
+        left, right = [(1, one)], [(1, w[j])]
+        for i, c_i in tail.items():
+            left += [(1, c_i), (1, w[j - i])]
+            right += [(-1, w[j - i]), (1, c_i)]
+        if j - r + 1 in tail:
+            left.append((1, one))
+            right.append((j - r + 1, tail[j - r + 1]))
+        coefficient = w[j] if len(left) == 1 else _matrix_product(
+            tower, _joined(left, True), _joined(right, False))
+        column = (coefficient[0], {pos: [[v] for row in m for v in row]
+                                   for pos, m in coefficient[1].items()})
+        if _is_zero(column):
+            continue
+        c_col = _matrix_product(tower, step, column)
+        if _is_zero(c_col):
+            continue
+        tail[j] = _square(c_col, 0, n)
+        corrections.append((j, _elements(tower, tower.depth, tail[j])))
+    if tail:
+        work, total = _gauged(tower, _step_gauge(tower, list(tail.items()), p), work, total)
     if corrections:
         matrix, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
     else:

@@ -23,15 +23,18 @@ in two halves.  :func:`_accumulate` takes the integer forms of
 :func:`_integral`, in which every coordinate is an integer over one
 denominator per series, and sums the products unreduced per exponent and
 position (the layout of :mod:`mcred.field`); terms at or past the precision
-are never formed.  :func:`_materialise` turns each output coefficient into
-one ``Fraction`` per coordinate after one ``field._fold`` by the minimal
-polynomials, and drops zero sums.  A chain of products that needs no series
-in between replaces the second half by :func:`_settle`, which folds on
-integers and divides by the gcd, so that the result is again an
-:func:`_integral` form (:func:`_form_product` for a grid): the Sibuya step
+are never formed.  :func:`_settle` folds the sums by the minimal
+polynomials on integers and divides by the gcd, so that the result is again
+an :func:`_integral` form (:func:`_form_product` for a grid).  A chain of
+products that needs no series in between stays on forms: the Sibuya step
 loop of :mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse``,
-and the ``g G`` of ``Connection.gauge``.  :func:`_from_form` builds the
-series of a form.
+and the ``g G`` of ``Connection.gauge``.  Every series the kernel builds
+(:func:`_materialise`, :func:`_from_form`) is *held*: it keeps its settled
+form, which :func:`_integral` hands back (re-keyed for a deeper tower or a
+multiple ramification) to the next product, and it builds its
+``FieldElement`` coefficients only when they are first read.  Its
+valuation, zero tests, derivative and shifts read the form.  An eager
+series keeps its form once :func:`_integral` has computed it.
 
 A constant matrix multiplies on no series: :func:`_gathered` holds it as
 ``(den, parts)``, one integer matrix per coordinate position over one
@@ -50,7 +53,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import (FieldElement, FieldTower, _fold, _fold_map, _fold_nums, _nest, _over_lcm,
+from .field import (FieldElement, FieldTower, _fold_map, _fold_nums, _nest, _over_lcm,
                     _unfold, common_tower)
 
 INF = math.inf
@@ -71,9 +74,16 @@ def _check_prec(prec):
 
 
 class LaurentSeries:
-    """One truncated Laurent series over a field tower."""
+    """One truncated Laurent series over a field tower.
 
-    __slots__ = ("tower", "ram", "coeffs", "prec")
+    A series built by the product kernel is *held* (a :class:`_Held`):
+    ``form`` keeps its :func:`_integral` form, and the ``coeffs`` slot stays
+    unset until it is first read.  Every other series is eager: it is built
+    with its coefficients, and ``form`` is ``None`` until :func:`_integral`
+    first computes it.
+    """
+
+    __slots__ = ("tower", "ram", "coeffs", "prec", "form")
 
     def __init__(self, tower: FieldTower, coeffs: Mapping, prec=INF, ram: int = 1):
         prec = _check_prec(prec)
@@ -99,6 +109,7 @@ class LaurentSeries:
         self.ram = ram
         self.coeffs = clean
         self.prec = prec
+        self.form = None
 
     # -- constructors --------------------------------------------------------
 
@@ -128,14 +139,20 @@ class LaurentSeries:
         say is that the series is ``O(u^prec)`` (and exactly zero if ``prec``
         is infinite).
         """
+        if self.form is not None:
+            return self.form[0]
         return min(self.coeffs) if self.coeffs else self.prec
 
     def is_zero(self) -> bool:
         """Exactly zero (no known coefficients *and* infinite precision)."""
+        if self.form is not None:
+            return False  # the form of the exact zero is ``None``
         return not self.coeffs and self.prec is INF
 
     def is_zero_to_precision(self) -> bool:
         """No nonzero coefficient in the known window."""
+        if self.form is not None:
+            return not self.form[3]
         return not self.coeffs
 
     def is_monomial(self) -> bool:
@@ -186,6 +203,10 @@ class LaurentSeries:
         """
         if ram % self.ram:
             raise DomainViolation("target ramification must be a multiple of ram")
+        if self.form is not None:
+            if tower is self.tower and ram == self.ram:
+                return self
+            return _from_form(tower, ram, _integral(self, ram, tower.sizes[-1]))
         s = self.lift_ramification(ram // self.ram)
         if tower is s.tower:
             return s
@@ -284,6 +305,8 @@ class LaurentSeries:
 
     def derivative(self) -> "LaurentSeries":
         """Derivative with respect to the local variable ``u``."""
+        if self.form is not None:
+            return _from_form(self.tower, self.ram, _derived(self.form, self.tower.sizes[-1]))
         prec = self.prec if self.prec is INF else self.prec - 1
         out = {e - 1: c * e for e, c in self.coeffs.items() if e != 0}
         return LaurentSeries(self.tower, out, prec, self.ram)
@@ -293,6 +316,11 @@ class LaurentSeries:
         if not isinstance(k, int):
             raise DomainViolation("shift exponent must be an int")
         prec = self.prec if self.prec is INF else self.prec + k
+        if self.form is not None:
+            v, _, den, terms = self.form
+            step = k * self.tower.sizes[-1]
+            return _from_form(self.tower, self.ram,
+                              (v + k, prec, den, [(key + step, n) for key, n in terms]))
         return LaurentSeries(
             self.tower, {e + k: c for e, c in self.coeffs.items()}, prec, self.ram
         )
@@ -338,29 +366,72 @@ class LaurentSeries:
         return " + ".join(parts) if parts else "0"
 
 
+class _Held(LaurentSeries):
+    """A series the product kernel built: its ``coeffs`` slot is filled from
+    its form on first read, one element per exponent at the lowest level
+    holding its positions.  The hook lives on this subclass alone, so that
+    attribute reads of an eager series keep CPython's plain slot lookup."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "coeffs":
+            raise AttributeError(name)
+        tower, (_, _, den, terms) = self.tower, self.form
+        self.coeffs = {e: _element(tower, nums, den)
+                       for e, nums in _by_exponent(terms, tower.sizes[-1]).items()}
+        return self.coeffs
+
+
 # ---------------------------------------------------------------------------
 # the product kernel
 
 _ONE = (0, INF, 1, [(0, 1)])  # the :func:`_integral` form of the exact series 1
 
 
-def _refold(tower: FieldTower, nums: dict, den: int) -> FieldElement:
-    """The element with unreduced coordinates ``nums[position] / den`` at the
+def _element(tower: FieldTower, nums: dict, den: int) -> FieldElement:
+    """The element with reduced coordinates ``nums[position] / den`` at the
     lowest level holding their positions."""
     level = bisect.bisect_right(tower.sizes, max(nums))
-    return FieldElement(tower, level, _fold(tower, level, nums, den))
+    return FieldElement(tower, level, _nest(tower, level, nums, den))
 
 
 def _integral(s: LaurentSeries, ram: int, size: int):
     """``(valuation, prec, den, terms)`` of ``s`` in ``w**ram = t``, or ``None``
     when ``s`` is exactly zero; ``terms`` lists ``(e * size + position,
-    numerator)`` over ``den`` by key for the coordinates of ``w**e``."""
-    if s.is_zero():
+    numerator)`` over ``den`` by key for the coordinates of ``w**e``, with
+    ``den`` the least common denominator of the coordinates.  The form of
+    ``s`` over its own tower and ramification is computed once and kept in
+    ``s.form``; a larger ``size`` or ``ram`` re-keys it."""
+    form = s.form
+    if form is None:
+        if s.is_zero():
+            return None
+        own = s.tower.sizes[-1]
+        den, terms = _over_lcm(sorted(kq for e, c in s.coeffs.items()
+                                      for kq in _unfold(s.tower, c.level, c.payload, e * own)))
+        form = s.form = (s.valuation, s.prec, den, terms)
+    m, old = ram // s.ram, s.tower.sizes[-1]
+    if m == 1 and old == size:
+        return form
+    v, prec, den, terms = form
+    return v * m, prec * m, den, [(k // old * m * size + k % old, n) for k, n in terms]
+
+
+def _derived(form, size: int):
+    """The :func:`_integral` form of ``s.derivative()``, for the form of ``s``
+    over a tower of ``size`` positions."""
+    if form is None:
         return None
-    m = ram // s.ram
-    den, terms = _over_lcm(sorted(kq for e, c in s.coeffs.items()
-                                  for kq in _unfold(s.tower, c.level, c.payload, e * m * size)))
-    return s.valuation * m, s.prec * m, den, terms
+    _, prec, den, terms = form
+    prec = prec if prec == INF else prec - 1
+    terms = [(k - size, n * e) for k, n in terms if (e := k // size)]
+    if not terms:
+        return None if prec == INF else (prec, prec, 1, [])
+    g = math.gcd(den, *[n for _, n in terms])
+    if g > 1:
+        den, terms = den // g, [(k, n // g) for k, n in terms]
+    return terms[0][0] // size, prec, den, terms
 
 
 def _accumulate(size: int, pairs) -> tuple:
@@ -383,10 +454,11 @@ def _accumulate(size: int, pairs) -> tuple:
     return prec, den, acc
 
 
-def _by_exponent(acc: dict, size: int) -> dict:
-    """``{e: {position: numerator}}``: the nonzero entries of an accumulation."""
+def _by_exponent(terms, size: int) -> dict:
+    """``{e: {position: numerator}}``: the nonzero ``(key, numerator)`` pairs of
+    an accumulation's items or of a form's terms."""
     grouped: dict[int, dict[int, int]] = {}
-    for k, n in acc.items():
+    for k, n in terms:
         if n:
             e, pos = divmod(k, size)
             grouped.setdefault(e, {})[pos] = n
@@ -394,25 +466,22 @@ def _by_exponent(acc: dict, size: int) -> dict:
 
 
 def _materialise(tower: FieldTower, ram: int, prec, den: int, acc: dict) -> LaurentSeries:
-    """The series of an :func:`_accumulate` result, one :func:`_refold` per
-    exponent; zero coefficients are dropped."""
-    grouped = _by_exponent(acc, tower.sizes[-1])
-    return LaurentSeries(tower, {e: _refold(tower, nums, den) for e, nums in grouped.items()},
-                         prec, ram)
+    """The held series of an :func:`_accumulate` result, settled once."""
+    return _from_form(tower, ram, _settle(tower, prec, den, acc))
 
 
 def _settle(tower: FieldTower, prec, den: int, acc: dict):
-    """``_integral(_materialise(tower, ram, prec, den, acc), ram, size)``
-    without building the series: every exponent is reduced by the integer
-    fold of ``tower``'s top level, then the numerators and the denominator
-    are divided by their gcd, which leaves the lcm of the reduced coordinate
+    """The :func:`_integral` form of the series an :func:`_accumulate` result
+    sums to, on integers: every exponent is reduced by the integer fold of
+    ``tower``'s top level, then the numerators and the denominator are
+    divided by their gcd, which leaves the lcm of the reduced coordinate
     denominators, as :func:`_integral` has it."""
     size, level = tower.sizes[-1], tower.depth
     if level == 0:
         d, terms = 1, sorted((k, n) for k, n in acc.items() if n)
     else:
         terms = []
-        for e, nums in sorted(_by_exponent(acc, size).items()):
+        for e, nums in sorted(_by_exponent(acc.items(), size).items()):
             d, reduced = _fold_nums(tower, level, nums)
             base = e * size
             terms += sorted((base + p, n) for p, n in reduced.items() if n)
@@ -426,10 +495,14 @@ def _settle(tower: FieldTower, prec, den: int, acc: dict):
 
 
 def _from_form(tower: FieldTower, ram: int, form) -> LaurentSeries:
-    """The series whose :func:`_integral` form over ``tower`` is ``form``."""
+    """The series whose :func:`_integral` form over ``tower`` is ``form``:
+    the exact zero for ``None``, else a held series."""
     if form is None:
         return LaurentSeries.zero(tower, ram)
-    return _materialise(tower, ram, form[1], form[2], dict(form[3]))
+    s = _Held.__new__(_Held)
+    s.tower, s.ram, s.form = tower, ram, form
+    s.prec = INF if form[1] == INF else form[1]
+    return s
 
 
 def _negated(form):

@@ -1,16 +1,23 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mcred import linalg
+import mcred
+from mcred import linalg, serialize
 from mcred.errors import DomainViolation, ZeroDivisorSplit
 from mcred.field import (
     FieldElement,
     FieldTower,
     _add,
     _inv,
+    _inv_by_euclid,
     _mul,
     _payload_is_zero,
     _poly_gcd,
@@ -460,3 +467,93 @@ def test_mul_matches_the_poly_mod_reduction(tower):
     for a in samples:
         for b in samples[:12]:
             assert _mul(tower, level, a, b) == _mul_by_poly_mod(tower, level, a, b)
+
+
+# -- level-1 inverses: fraction-free elimination against the extended Euclid --
+
+
+def _digits(rng, digits):
+    """A random nonzero rational with ``digits``-digit numerator and denominator."""
+    lo, hi = 10 ** (digits - 1), 10 ** digits
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(lo, hi), rng.randrange(lo, hi))
+
+
+def _same_inverse(tower, a):
+    """``_inv`` and the Euclid path agree on ``a``: the same payload, or the
+    same ``ZeroDivisorSplit``; returns whether ``a`` was invertible."""
+    try:
+        want = _inv_by_euclid(tower, 1, a)
+    except ZeroDivisorSplit as exc:
+        with pytest.raises(ZeroDivisorSplit) as info:
+            _inv(tower, 1, a)
+        assert (info.value.level, info.value.factors) == (exc.level, exc.factors)
+        return False
+    got = _inv(tower, 1, a)
+    assert got == want and all(type(q) is Fraction for q in got)
+    one = _mul(tower, 1, a, got)
+    assert one == (Fraction(1),) + (Fraction(0),) * (tower.degree(1) - 1)
+    return True
+
+
+@pytest.mark.parametrize("deg", [2, 3, 4, 6, 8, 10, 12, 14])
+def test_level_one_inverse_matches_the_euclid_path(deg):
+    rng = random.Random(deg)
+    digits = 30 if deg <= 4 else 3  # the Euclid oracle takes minutes at 30 digits
+    tower = QQ.extend([_digits(rng, digits) for _ in range(deg)] + [1])
+    for _ in range(4):
+        a = tuple(_digits(rng, digits) if rng.random() < 0.8 else Fraction(0)
+                  for _ in range(deg))
+        if any(a):
+            assert _same_inverse(tower, a)
+
+
+@pytest.mark.parametrize("minpoly, divisors", [
+    ([-6, -2, 3, 1], [[3, 1], [-2, 0, 1]]),            # (x**2 - 2)(x + 3)
+    ([0, -1, 0, 1], [[0, 1], [-1, 1], [0, 1, 1]]),     # x (x - 1)(x + 1)
+    ([4, 0, -5, 0, 1], [[-1, 0, 1], [2, 1], [-2, 1, 1]]),  # (x**2 - 1)(x**2 - 4)
+])
+def test_level_one_inverse_over_a_reducible_minimal_polynomial(minpoly, divisors):
+    tower = QQ.extend(minpoly)
+    deg = tower.degree(1)
+    rng = random.Random(len(minpoly))
+    units = [tuple(Fraction(int(i == j)) for i in range(deg)) for j in range(1, deg)]
+    units += [tuple(Fraction(rng.randint(-3, 3)) for _ in range(deg)) for _ in range(8)]
+    zero_divisors = [tuple(Fraction(c) for c in d + [0] * (deg - len(d))) for d in divisors]
+    assert not any(_same_inverse(tower, a) for a in zero_divisors)
+    assert any(_same_inverse(tower, a) for a in units if any(a))
+
+
+def _degree14_files(tmp_path, seed=14, deg=14, digits=30):
+    """A rank-1 connection and a constant rank-1 gauge over one degree-14
+    extension, every minimal-polynomial coefficient and coordinate a random
+    ``digits``-digit rational."""
+    rng = random.Random(seed)
+    tower = QQ.extend([_digits(rng, digits) for _ in range(deg)] + [1])
+
+    def element():
+        return FieldElement(tower, 1, tuple(_digits(rng, digits) for _ in range(deg)))
+
+    from mcred.connection import Connection
+    from mcred.matrices import LaurentMatrix
+    from mcred.series import LaurentSeries
+    c = Connection(LaurentMatrix(tower, [[LaurentSeries(tower, {-1: element()})]]))
+    g = LaurentMatrix(tower, [[LaurentSeries(tower, {0: element()})]])
+    cpath, gpath = tmp_path / "c.json", tmp_path / "g.json"
+    cpath.write_text(serialize.dumps(serialize.encode_connection(c)))
+    gpath.write_text(serialize.dumps(serialize.encode_matrix(g)))
+    return str(cpath), str(gpath)
+
+
+def test_degree14_gauge_with_30_digit_coefficients_runs_in_seconds(tmp_path):
+    # the extended Euclid took 38 s on this file (2-core x86-64 VM, Python
+    # 3.11); the elimination takes about 1.5 s end to end there
+    cpath, gpath = _degree14_files(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(mcred.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "mcred", "gauge", cpath, gpath], env=env,
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert elapsed < 3.8, f"mcred gauge took {elapsed:.1f} s"
+    moved = serialize.decode_connection(serialize.loads(done.stdout))
+    assert moved.tower.degree(1) == 14 and moved.pole_order == 1

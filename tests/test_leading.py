@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, leading, linalg, reduction, serialize, sl2
+from mcred import checks, leading, linalg, reduction, serialize, series, sl2
 from mcred.connection import Connection
 from mcred.errors import DomainViolation, EngineError, ScalarLeadingTerm
-from mcred.field import FieldTower
+from mcred.field import FieldTower, common_context, common_tower
 from mcred.leading import (
     eigen_block_split,
     jordan_chevalley,
@@ -15,7 +15,7 @@ from mcred.leading import (
     sibuya_normalize,
 )
 from mcred.matrices import LaurentMatrix, matrix_exp
-from mcred.series import LaurentSeries
+from mcred.series import INF, LaurentSeries
 from test_matrices import _mat_mul
 
 QQ = FieldTower()
@@ -412,6 +412,110 @@ def test_sibuya_normalize_matches_the_per_step_solve():
         assert rec.gauge == gauge and _encoded(rec.gauge) == _encoded(gauge)
         assert (rec.connection.matrix == work.matrix
                 and _encoded(rec.connection.matrix) == _encoded(work.matrix))
+
+
+def _old_step_gauge(tower, c_form, i, p):
+    """The one-step gauge ``(E, E**-1, D)`` of the step-by-step loop:
+    ``exp(∓u**i C)`` from the powers ``C**k / k!``, each one
+    ``_matrix_product`` from the last, and ``D`` as pairs of ``u**(i-1) C``
+    with the exact ``i``."""
+    (den, parts), size = c_form, tower.sizes[-1]
+    n = len(parts[0])
+    powers = [(1, {0: [[int(a == b) for b in range(n)] for a in range(n)]})]
+    for k in range(1, (p - 1) // i + 1):
+        power = series._matrix_product(tower, powers[-1], (den * k, parts))
+        if series._is_zero(power):
+            break
+        powers.append(power)
+    e, e_inv = (leading._polynomial([(i * k, sign ** k, x) for k, x in enumerate(powers)],
+                                    p, size) for sign in (-1, 1))
+    dlog = [[(x, (0, INF, 1, [(0, i)])) for x in row]
+            for row in leading._polynomial([(i - 1, 1, c_form)], p - 1, size)]
+    return e, e_inv, dlog
+
+
+def _stepwise_sibuya(c, x):
+    """The step loop ``sibuya_normalize`` ran before its tail became one
+    gauge: three window products for every step ``i`` from 1 to ``p - 1``.
+    Returns ``(corrections, connection matrix, gauge)``."""
+    n, lead, r = c.size, c.leading(), -c.valuation
+    kernel, image = linalg.kernel_and_image(linalg.ad_matrix(x))
+    source = linalg.transpose(image)
+    moved = linalg.mat_mul(linalg.ad_matrix(lead), source)
+    rows = linalg.inverse([[v[k] for v in kernel] + row
+                           for k, row in enumerate(moved)])[len(kernel):]
+    p, ram = c.prec + r, c.ram
+    tower = common_tower(c.tower, common_context(rows)[0])
+    size = tower.sizes[-1]
+    rows = series._matrix_form(rows)
+    step = series._matrix_product(tower, series._matrix_form(linalg.mat_neg(source)), rows)
+    work = series._forms(c.matrix.entries, ram, size)
+    total = [[series._ONE if a == b else None for b in range(n)] for a in range(n)]
+    corrections = []
+    for i in range(1, p):
+        column = leading._coefficients(work, [-r + i], size)
+        if series._is_zero(column):
+            continue
+        c_col = series._matrix_product(tower, step, column)
+        if series._is_zero(c_col):
+            continue
+        c_form = (c_col[0], {pos: [[v for v, in m[a * n:(a + 1) * n]] for a in range(n)]
+                             for pos, m in c_col[1].items()})
+        e, e_inv, dlog = _old_step_gauge(tower, c_form, i, p)
+        ew = series._form_product(tower, e, work)
+        work = [[series._settle(tower, *series._accumulate(size, [*zip(ew_row, col), d]))
+                 for col, d in zip(zip(*e_inv), dlog_row)]
+                for ew_row, dlog_row in zip(ew, dlog)]
+        total = series._form_product(tower, e, total)
+        corrections.append((i, series._elements(tower, tower.depth, c_form)))
+    return corrections, leading._matrix(tower, ram, work), leading._matrix(tower, ram, total)
+
+
+def _reduction_sibuya_calls():
+    """Every ``sibuya_normalize`` call made while reducing the samples, the
+    72 ``reduce-replay`` benchmark inputs of seeds 1-3, and the seed-1
+    rank-5, pole-2 nilpotent-lead input, whose ramified blocks run windows
+    up to ``p = 100``."""
+    calls = []
+
+    def spy(c, x):
+        calls.append((c, x))
+        return sibuya_normalize(c, x)
+
+    kinds = ("generic", "invertible_lead", "nilpotent_lead")
+    inputs = [make() for make in checks.SAMPLES.values()]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        inputs += [checks.random_connection(rng, 2 + i % 2, 2 + (i // 2) % 2,
+                                            kind=kinds[i % 3]) for i in range(24)]
+    inputs.append(checks.random_connection(random.Random(1), 5, 2, kind="nilpotent_lead"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "sibuya_normalize", spy)
+        for c in inputs:
+            reduction.reduce(c)
+    return calls
+
+
+def test_sibuya_tail_gauge_matches_the_stepwise_loop():
+    calls = _sibuya_inputs() + _long_sibuya_inputs() + _reduction_sibuya_calls()
+    windows = [c.prec - c.valuation for c, _ in calls]
+    assert max(windows) >= 76 and any(c.tower.depth == 1 for c, _ in calls)
+    tails = 0
+    for c, x in calls:
+        rec = sibuya_normalize(c, x)
+        corrections, matrix, gauge = _stepwise_sibuya(c, x)
+        h = (c.prec - c.valuation + 1) // 2
+        tails += sum(1 for i, _ in corrections if i >= h) > 1
+        assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
+        for (_, new), (_, old) in zip(rec.corrections, corrections):
+            assert new == old and str(new) == str(old)
+        if not corrections:
+            continue
+        for got, want in ((rec.connection.matrix, matrix), (rec.gauge, gauge)):
+            assert [[s.prec for s in row] for row in got.entries] == [
+                [s.prec for s in row] for row in want.entries]
+            assert got == want and _encoded(got) == _encoded(want)
+    assert tails >= 10  # calls whose tail took more than one step
 
 
 def test_sibuya_normalize_refusals():

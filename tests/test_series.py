@@ -1,10 +1,14 @@
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mcred.errors import DomainViolation, NotInvertible, PrecisionExhausted
 from mcred.field import FieldTower, common_tower
-from mcred.series import INF, LaurentSeries
+from mcred.matrices import LaurentMatrix
+from mcred.series import INF, LaurentSeries, _from_form, _integral
+from test_product_kernel import ORACLE, TOWERS, series, series_pairs
 
 QQ = FieldTower()
 
@@ -208,3 +212,99 @@ def test_construction_puts_every_coefficient_on_the_deepest_tower():
 def test_repr_mentions_exponents():
     text = repr(S({-2: 3, 0: Fraction(1, 2)}))
     assert "t^-2" in text and "1/2" in text
+
+
+# -- held series: the product kernel's series keep their integer forms --------
+
+DEEPEST = TOWERS[-1]  # every tower of TOWERS is a prefix of it
+
+
+def _unfilled(s):
+    """Whether the ``coeffs`` slot of ``s`` is still unset."""
+    try:
+        object.__getattribute__(s, "coeffs")
+    except AttributeError:
+        return True
+    return False
+
+
+def _same_prec(a, b):
+    """Equal precisions, each finite or the module's ``INF`` itself."""
+    return a.prec == b.prec and (a.prec is INF) is (b.prec is INF)
+
+
+def _eager(s):
+    """The eager series with the coefficients and precision of ``s``."""
+    return LaurentSeries(s.tower, dict(s.coeffs), s.prec, s.ram)
+
+
+@st.composite
+def eager_series(draw):
+    """An eager series over a tower of depth 0-2 at ramification 1 or 2:
+    exact, truncated, zero to its precision, or the exact zero."""
+    tower, ram = draw(st.sampled_from(TOWERS)), draw(st.sampled_from([1, 2]))
+    return draw(series(tower, ram))
+
+
+@ORACLE
+@given(eager_series())
+def test_a_held_series_reads_like_the_eager_one(s):
+    # built from the form of a copy, so that ``s`` never computes its own
+    size = s.tower.sizes[-1]
+    held = _from_form(s.tower, s.ram, _integral(_eager(s), s.ram, size))
+    if s.is_zero():  # the form of the exact zero is None: an eager zero
+        assert held.form is None and held.is_zero()
+        return
+    assert held.form is not None and _unfilled(held) and s.form is None
+    assert held.valuation == s.valuation and _same_prec(held, s)
+    assert held.is_zero() is s.is_zero() is False
+    assert held.is_zero_to_precision() is s.is_zero_to_precision()
+    d, want = held.derivative(), s.derivative()
+    assert d == want and _same_prec(d, want)
+    assert _integral(d, s.ram, size) == _integral(_eager(want), s.ram, size)
+    for k in (-2, 3):
+        moved, want = held.shift(k), s.shift(k)
+        assert _unfilled(moved) and moved == want and _same_prec(moved, want)
+        assert _integral(moved, s.ram, size) == _integral(_eager(want), s.ram, size)
+    assert _unfilled(held)  # none of the above built an element
+    assert s.form is None  # nor computed the eager series' form
+    assert held.coeffs == s.coeffs and held.items() == s.items()
+    assert held == s and s == held
+    assert held.coincides_with(s) and s.coincides_with(held)
+    form = _integral(s, s.ram, size)  # computed once, then kept
+    assert form == held.form and s.form is form and _integral(s, s.ram, size) is form
+
+
+@ORACLE
+@given(series_pairs(), st.sampled_from([1, 2, 3]))
+def test_a_product_holds_the_integer_form_of_its_eager_series(pair, m):
+    a, b = pair
+    p = a * b
+    if p.is_zero():
+        assert p.form is None
+        return
+    for tower, ram in ((p.tower, p.ram), (p.tower, m * p.ram), (DEEPEST, p.ram),
+                       (DEEPEST, m * p.ram)):
+        size = tower.sizes[-1]
+        # an eager copy built over ``tower`` in ``ram`` converts there directly
+        direct = _eager(p).recast(tower, ram)
+        want = _integral(direct, ram, size)
+        assert _integral(p, ram, size) == want
+        moved = p.recast(tower, ram)
+        assert moved == direct and moved.tower is tower and _same_prec(moved, direct)
+        assert _integral(moved, ram, size) == want
+    assert p.recast(p.tower, p.ram) is p
+
+
+@ORACLE
+@given(series_pairs())
+def test_a_product_never_mutates_a_held_form(pair):
+    a, b = pair
+    p = a * b
+    if p.form is None:
+        return
+    before = copy.deepcopy(p.form)
+    q = p * p
+    m = LaurentMatrix(p.tower, [[p, q], [q, p]], p.ram)
+    _ = (m * m, p * a, a * p, p.derivative(), p.recast(DEEPEST, 2 * p.ram), p.coeffs)
+    assert p.form == before
