@@ -11,6 +11,7 @@ import pytest
 
 import mcred
 from mcred import linalg, serialize
+from mcred.connection import Connection
 from mcred.errors import DomainViolation, ZeroDivisorSplit
 from mcred.field import (
     FieldElement,
@@ -31,6 +32,8 @@ from mcred.field import (
     poly_squarefree_part,
 )
 from mcred.leading import rational_roots
+from mcred.matrices import LaurentMatrix
+from mcred.series import LaurentSeries
 from test_leading import _large_root_poly, _old_rational_poly_roots
 
 QQ = FieldTower()
@@ -533,9 +536,6 @@ def _degree14_files(tmp_path, seed=14, deg=14, digits=30):
     def element():
         return FieldElement(tower, 1, tuple(_digits(rng, digits) for _ in range(deg)))
 
-    from mcred.connection import Connection
-    from mcred.matrices import LaurentMatrix
-    from mcred.series import LaurentSeries
     c = Connection(LaurentMatrix(tower, [[LaurentSeries(tower, {-1: element()})]]))
     g = LaurentMatrix(tower, [[LaurentSeries(tower, {0: element()})]])
     cpath, gpath = tmp_path / "c.json", tmp_path / "g.json"
