@@ -158,27 +158,34 @@ def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> l
     denominator on the diagonal; a row an edge cuts is the template's part
     inside the window, cleared of its own denominators.
 
-    When every coefficient of ``c`` sits at level 0 (in any tower), the
-    values are Python ints, each row cleared of the denominators of the
-    coefficients that land in it, read from their ``Fraction`` payloads with
-    no element built: the bands :func:`linalg.integer_pivot_columns`
-    eliminates.  Otherwise they are ``FieldElement``s over one shared zero,
-    which :func:`linalg.pivot_columns` expands to dense rows.
+    When every coefficient of ``c`` is rational (in any tower), the values
+    are Python ints, each row cleared of the denominators of the
+    coefficients that land in it, read from the entries' integer forms
+    (:func:`series._integral`) with no element built: the bands
+    :func:`linalg.integer_pivot_columns` eliminates.  Otherwise they are
+    ``FieldElement``s over one shared zero, which
+    :func:`linalg.pivot_columns` expands to dense rows.
     """
     need = rows.stop - k_min
     if c.prec is not INF and c.prec < need:
         raise PrecisionExhausted(f"{what} needs coefficients up to exponent {need} but the "
                                  f"connection is only known below {c.prec}", needed=need)
-    n, cols = c.size, c.size * width
-    grid = [[(e, b, x) for b, s in enumerate(entries) for e, x in s.coeffs.items()]
-            for entries in c.matrix.entries]
-    rational = all(x.level == 0 for coeffs in grid for *_, x in coeffs)
+    n, cols, size = c.size, c.size * width, c.tower.sizes[-1]
+    rational = all(k % size == 0 for entries in c.matrix.entries for s in entries
+                   if s.form for k, _ in s.form[3])
     zero = 0 if rational else c.tower.zero()
     # block row a's template runs over the positions (top - e)*n + b of its
     # coefficients and (top + 1)*n + a of the diagonal, from the first to the
     # last; row j puts position t at column (j - k_min - top)*n + t
     blocks = []
-    for a, coeffs in enumerate(grid):
+    for a, entries in enumerate(c.matrix.entries):
+        if rational:
+            den = math.lcm(*[s.form[2] for s in entries if s.form])
+            coeffs = [(k // size, b, v * (den // s.form[2])) for b, s in enumerate(entries)
+                      if s.form for k, v in s.form[3]]
+        else:
+            den = 1
+            coeffs = [(e, b, x) for b, s in enumerate(entries) for e, x in s.coeffs.items()]
         top = max([-1] + [e for e, _, _ in coeffs])
         spots = [((top - e) * n + b, x) for e, b, x in coeffs]
         diag = (top + 1) * n + a
@@ -186,16 +193,10 @@ def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> l
         t_lo = min(places)
         template = [zero] * (max(places) + 1 - t_lo)
         dens = [1] * len(template)  # the denominator at each position
-        if rational:
-            for t, x in spots:
-                dens[t - t_lo] = x.payload.denominator
-            den = math.lcm(*dens)
-            for t, x in spots:
-                template[t - t_lo] = x.payload.numerator * (den // x.payload.denominator)
-        else:
-            den = 1
-            for t, x in spots:
-                template[t - t_lo] = x
+        for t, x in spots:
+            template[t - t_lo] = x
+            if rational:
+                dens[t - t_lo] = den // math.gcd(x, den)
         blocks.append((t_lo - (k_min + top) * n, template, diag - t_lo, dens, den))
     bands = []
     for j in rows:

@@ -125,7 +125,7 @@ class Connection:
         (:func:`series._integral`), and each entry of the result is one
         :func:`series._accumulate` over the pairs ``(g G)_al (g^{-1})_lb`` and
         ``-(dg/du)_al (g^{-1})_lb`` (``dg/du`` read off the forms of ``g``),
-        built into a held series once.  Its precision
+        built into a series once.  Its precision
         is the minimum over those pairs, which is what the difference of the
         two products would have.
         """

@@ -336,8 +336,8 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     the forms (:func:`_coefficients`), and an all-zero column takes no
     product.  The final check that no ``ad(lead) S`` component is left is
     one product of ``rows`` with the columns of every exponent above the
-    lead.  The two matrices are built once, after the last step, as held
-    series.
+    lead.  The two matrices are built once, after the last step, from
+    their forms.
     """
     if c.prec is INF:
         raise DomainViolation(

@@ -144,8 +144,7 @@ class LaurentMatrix:
         return min(s.prec for r in self.entries for s in r)
 
     def support(self) -> list[int]:
-        exps = {e for r in self.entries for s in r for e in s.coeffs}
-        return sorted(exps)
+        return sorted({e for r in self.entries for s in r for e in s.support()})
 
     def coeff_matrix(self, exp: int) -> list:
         """The scalar matrix of ``u**exp`` coefficients (entries must know it)."""

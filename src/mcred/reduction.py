@@ -140,7 +140,7 @@ def compute_alpha(c: Connection, weights) -> ShearData:
     alpha = None
     pairs = []
     for i in c.matrix.support():
-        if i <= -r:
+        if i <= -r or i >= s:  # entries known past s: the tail_min test covers them
             continue
         grid = c.coeff(i)
         for j in sl2.grading_support(grid, weights):

@@ -44,11 +44,10 @@ from json.encoder import encode_basestring_ascii
 from .connection import Connection
 from .cohomology import DeRhamDims
 from .errors import DomainViolation, ParseError
-from .field import (FieldElement, FieldTower, _lift_payload, _payload_is_zero, _unfold,
-                    _zero_payload)
+from .field import FieldElement, FieldTower, _lift_payload, _unfold, _zero_payload
 from .matrices import LaurentMatrix
 from .reduction import ReductionNode, ReductionTree
-from .series import INF, LaurentSeries
+from .series import INF, LaurentSeries, _form_of, _from_form
 
 MAX_RANK = 64
 """Largest matrix rank :func:`decode_matrix` accepts.  A matrix of rank n
@@ -222,16 +221,20 @@ def _prec_from_json(value):
 
 def _decode_grid(tower: FieldTower, grid, n: int, exp: int, entries: list) -> None:
     """Decode the ``n×n`` scalar grid at ``exp``, each nonzero scalar straight
-    into ``entries[i][j][exp]``."""
+    into ``entries[i][j]``: its coordinates as ``(exp * size + position,
+    Fraction)`` pairs, and its element at ``exp``."""
     if not isinstance(grid, list) or len(grid) != n:
         raise ParseError(f"coefficient matrix must have {n} rows")
+    depth, base = tower.depth, exp * tower.sizes[-1]
     for row, coeffs in zip(grid, entries):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"coefficient matrix must have {n} columns per row")
-        for x, entry in zip(row, coeffs):
-            p = _decode_payload(tower, tower.depth, x)
-            if not _payload_is_zero(p):
-                entry[exp] = FieldElement(tower, tower.depth, p)
+        for x, (coords, elements) in zip(row, coeffs):
+            p = _decode_payload(tower, depth, x)
+            nonzero = _unfold(tower, depth, p, base)
+            if nonzero:
+                coords += nonzero
+                elements[exp] = FieldElement(tower, depth, p)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +299,17 @@ def decode_series(obj) -> LaurentSeries:
 def encode_matrix(m: LaurentMatrix) -> dict:
     if m.prec is not INF:
         m = m.truncate(m.prec)
+    views = [[s.coeffs for s in row] for row in m.entries]
+    zero = encode_element(m.tower.zero())
     return {
         "rank": m.nrows,
         "ramification": m.ram,
         "precision": _prec_to_json(m.prec),
         "field": encode_tower(m.tower),
         "coefficients": [
-            {"exp": e, "matrix": [[encode_element(x) for x in row]
-                                  for row in m.coeff_matrix(e)]}
-            for e in m.support()
+            {"exp": e, "matrix": [[encode_element(v[e]) if e in v else zero for v in row]
+                                  for row in views]}
+            for e in sorted({e for row in views for v in row for e in v})
         ],
     }
 
@@ -316,11 +321,12 @@ def decode_matrix(obj) -> LaurentMatrix:
     if not 1 <= n <= MAX_RANK:
         raise ParseError(f"rank must lie between 1 and {MAX_RANK}, got {n}")
     tower, ram, prec, terms = _header(obj, "matrix", "matrix")
-    entries = [[{} for _ in range(n)] for _ in range(n)]  # {exp: element} per entry
+    entries = [[([], {}) for _ in range(n)] for _ in range(n)]  # coordinates, elements
     for exp, grid in terms:
         _decode_grid(tower, grid, n, exp, entries)
-    return LaurentMatrix(tower, [[LaurentSeries(tower, coeffs, prec, ram) for coeffs in row]
-                                 for row in entries], ram)
+    size = tower.sizes[-1]
+    return LaurentMatrix(tower, [[_from_form(tower, ram, _form_of(size, prec, coords), elements)
+                                  for coords, elements in row] for row in entries], ram)
 
 
 # ---------------------------------------------------------------------------

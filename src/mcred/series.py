@@ -18,23 +18,24 @@ The variable is ``u`` with ``u**ram = t`` for a ramification index
 ``ram >= 1``; exponents are integers in ``u``, i.e. multiples of ``1/ram`` in
 ``t``.  Binary operations lift both operands to the least common ramification.
 
+A series is its integer form (:func:`_integral`): every coordinate of every
+coefficient is an integer over one denominator, keyed by exponent and
+position (the layout of :mod:`mcred.field`), divided by the gcd, so that
+equal series have equal forms.  The constructor computes the form once;
+every operation reads and builds forms, and the ``FieldElement``
+coefficients are a view: the dict the constructor was given, or one built
+from the form when first read.
+
 A product is the 1x1 case of :func:`mat_product`, one payload convolution
-in two halves.  :func:`_accumulate` takes the integer forms of
-:func:`_integral`, in which every coordinate is an integer over one
-denominator per series, and sums the products unreduced per exponent and
-position (the layout of :mod:`mcred.field`); terms at or past the precision
-are never formed.  :func:`_settle` folds the sums by the minimal
-polynomials on integers and divides by the gcd, so that the result is again
-an :func:`_integral` form (:func:`_form_product` for a grid).  A chain of
-products that needs no series in between stays on forms: the Sibuya step
-loop of :mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse``,
-and the ``g G`` of ``Connection.gauge``.  Every series the kernel builds
-(:func:`_materialise`, :func:`_from_form`) is *held*: it keeps its settled
-form, which :func:`_integral` hands back (re-keyed for a deeper tower or a
-multiple ramification) to the next product, and it builds its
-``FieldElement`` coefficients only when they are first read.  Its
-valuation, zero tests, derivative and shifts read the form.  An eager
-series keeps its form once :func:`_integral` has computed it.
+in two halves.  :func:`_accumulate` sums the products of the forms'
+numerators unreduced per exponent and position; terms at or past the
+precision are never formed.  :func:`_settle` folds the sums by the minimal
+polynomials on integers and divides by the gcd, so that the result is
+again a form (:func:`_form_product` for a grid).  A sum is the same
+accumulation against the form of 1.  A chain of products that needs no
+series in between stays on forms: the Sibuya step loop of
+:mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse``, and the
+``g G`` of ``Connection.gauge``.
 
 A constant matrix multiplies on no series: :func:`_gathered` holds it as
 ``(den, parts)``, one integer matrix per coordinate position over one
@@ -76,14 +77,11 @@ def _check_prec(prec):
 class LaurentSeries:
     """One truncated Laurent series over a field tower.
 
-    A series built by the product kernel is *held* (a :class:`_Held`):
-    ``form`` keeps its :func:`_integral` form, and the ``coeffs`` slot stays
-    unset until it is first read.  Every other series is eager: it is built
-    with its coefficients, and ``form`` is ``None`` until :func:`_integral`
-    first computes it.
+    ``form`` is its :func:`_integral` form over its own tower and
+    ramification, ``None`` for the exact zero; ``coeffs`` is a view of it.
     """
 
-    __slots__ = ("tower", "ram", "coeffs", "prec", "form")
+    __slots__ = ("tower", "ram", "prec", "form", "_view")
 
     def __init__(self, tower: FieldTower, coeffs: Mapping, prec=INF, ram: int = 1):
         prec = _check_prec(prec)
@@ -105,21 +103,20 @@ class LaurentSeries:
         for e, v in clean.items():
             if v.tower is not tower:  # a later coefficient deepened the tower
                 clean[e] = FieldElement(tower, v.level, v.payload)
-        self.tower = tower
-        self.ram = ram
-        self.coeffs = clean
-        self.prec = prec
-        self.form = None
+        size = tower.sizes[-1]
+        form = _form_of(size, prec, [kq for e, c in clean.items()
+                                     for kq in _unfold(tower, c.level, c.payload, e * size)])
+        self.tower, self.ram, self.prec, self.form, self._view = tower, ram, prec, form, clean
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, tower: FieldTower, ram: int = 1) -> "LaurentSeries":
-        return cls(tower, {}, INF, ram)
+        return _from_form(tower, ram, None)
 
     @classmethod
     def one(cls, tower: FieldTower, ram: int = 1) -> "LaurentSeries":
-        return cls(tower, {0: tower.one()}, INF, ram)
+        return _from_form(tower, ram, _ONE)
 
     @classmethod
     def constant(cls, tower: FieldTower, value, ram: int = 1) -> "LaurentSeries":
@@ -132,6 +129,15 @@ class LaurentSeries:
     # -- inspection ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """``{exp: FieldElement}`` for the known nonzero coefficients, a view
+        of ``form``: the dict the constructor was given, or one built from
+        the form when first read (:func:`_view_of`)."""
+        if self._view is None:
+            self._view = _view_of(self.tower, self.form)
+        return self._view
+
+    @property
     def valuation(self):
         """Smallest exponent with a nonzero known coefficient.
 
@@ -139,24 +145,18 @@ class LaurentSeries:
         say is that the series is ``O(u^prec)`` (and exactly zero if ``prec``
         is infinite).
         """
-        if self.form is not None:
-            return self.form[0]
-        return min(self.coeffs) if self.coeffs else self.prec
+        return INF if self.form is None else self.form[0]
 
     def is_zero(self) -> bool:
         """Exactly zero (no known coefficients *and* infinite precision)."""
-        if self.form is not None:
-            return False  # the form of the exact zero is ``None``
-        return not self.coeffs and self.prec is INF
+        return self.form is None
 
     def is_zero_to_precision(self) -> bool:
         """No nonzero coefficient in the known window."""
-        if self.form is not None:
-            return not self.form[3]
-        return not self.coeffs
+        return self.form is None or not self.form[3]
 
     def is_monomial(self) -> bool:
-        return self.prec is INF and len(self.coeffs) == 1
+        return self.prec is INF and len(self.support()) == 1
 
     def is_exact(self) -> bool:
         return self.prec is INF
@@ -172,7 +172,10 @@ class LaurentSeries:
         return self.tower.zero() if c is None else c
 
     def support(self) -> list[int]:
-        return sorted(self.coeffs)
+        if self.form is None:
+            return []
+        size = self.tower.sizes[-1]
+        return sorted({k // size for k, _ in self.form[3]})
 
     def items(self) -> list[tuple[int, FieldElement]]:
         return sorted(self.coeffs.items())
@@ -183,42 +186,32 @@ class LaurentSeries:
         """Rewrite in the variable ``w`` with ``w**m = u`` (so ``w**(m*ram) = t``)."""
         if not isinstance(m, int) or m < 1:
             raise DomainViolation("ramification lift must be a positive int")
-        if m == 1:
-            return self
-        prec = self.prec if self.prec is INF else m * self.prec
-        return LaurentSeries(
-            self.tower,
-            {m * e: c for e, c in self.coeffs.items()},
-            prec,
-            self.ram * m,
-        )
+        return self.recast(self.tower, self.ram * m)
 
     def recast(self, tower: FieldTower, ram: int) -> "LaurentSeries":
         """This series over ``tower`` in the variable ``w`` with ``w**ram = t``.
 
         ``tower`` must be prefix-compatible with and at least as deep as this
         series' tower, and ``ram`` a multiple of ``self.ram``.  When neither
-        changes the series itself comes back: a built series already holds
-        every invariant the constructor enforces.
+        changes the series itself comes back.
         """
         if ram % self.ram:
             raise DomainViolation("target ramification must be a multiple of ram")
-        if self.form is not None:
-            if tower is self.tower and ram == self.ram:
-                return self
-            return _from_form(tower, ram, _integral(self, ram, tower.sizes[-1]))
-        s = self.lift_ramification(ram // self.ram)
-        if tower is s.tower:
-            return s
-        return LaurentSeries(tower, s.coeffs, s.prec, s.ram)
+        if tower is self.tower and ram == self.ram:
+            return self
+        return _from_form(tower, ram, _integral(self, ram, tower.sizes[-1]))
 
     # -- precision management --------------------------------------------------
 
     def truncate(self, prec) -> "LaurentSeries":
         """Forget everything at or beyond ``prec``."""
         prec = _check_prec(prec)
-        new_prec = min(self.prec, prec)
-        return LaurentSeries(self.tower, self.coeffs, new_prec, self.ram)
+        if prec >= self.prec:
+            return self
+        size = self.tower.sizes[-1]
+        den, terms = (1, []) if self.form is None else self.form[2:]
+        return _from_form(self.tower, self.ram,
+                          _normal(size, prec, den, [t for t in terms if t[0] < prec * size]))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -237,18 +230,13 @@ class LaurentSeries:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        prec = min(a.prec, b.prec)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentSeries(a.tower, out, prec, a.ram)
+        return _materialise(a.tower, a.ram,
+                            *_accumulate(a.tower.sizes[-1], [(a.form, _ONE), (b.form, _ONE)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(
-            self.tower, {e: -c for e, c in self.coeffs.items()}, self.prec, self.ram
-        )
+        return _from_form(self.tower, self.ram, _negated(self.form))
 
     def __sub__(self, other):
         return self + (-other)
@@ -271,14 +259,14 @@ class LaurentSeries:
         inverts exactly; any other exact series has a non-terminating inverse,
         so it must be truncated first to say how much of it to produce.
         """
-        if not self.coeffs:
+        if self.is_zero_to_precision():
             if self.prec is INF:
                 raise NotInvertible("inverse of the zero series")
             raise PrecisionExhausted(
                 "cannot invert: no nonzero coefficient in the known window",
                 needed=None,
             )
-        v = min(self.coeffs)
+        v = self.valuation
         lead = self.coeffs[v]
         lead_inv = lead.inverse()
         if self.is_monomial():
@@ -305,25 +293,18 @@ class LaurentSeries:
 
     def derivative(self) -> "LaurentSeries":
         """Derivative with respect to the local variable ``u``."""
-        if self.form is not None:
-            return _from_form(self.tower, self.ram, _derived(self.form, self.tower.sizes[-1]))
-        prec = self.prec if self.prec is INF else self.prec - 1
-        out = {e - 1: c * e for e, c in self.coeffs.items() if e != 0}
-        return LaurentSeries(self.tower, out, prec, self.ram)
+        return _from_form(self.tower, self.ram, _derived(self.form, self.tower.sizes[-1]))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by the exact monomial ``u**k``."""
         if not isinstance(k, int):
             raise DomainViolation("shift exponent must be an int")
-        prec = self.prec if self.prec is INF else self.prec + k
-        if self.form is not None:
-            v, _, den, terms = self.form
-            step = k * self.tower.sizes[-1]
-            return _from_form(self.tower, self.ram,
-                              (v + k, prec, den, [(key + step, n) for key, n in terms]))
-        return LaurentSeries(
-            self.tower, {e + k: c for e, c in self.coeffs.items()}, prec, self.ram
-        )
+        if self.form is None:
+            return self
+        v, prec, den, terms = self.form
+        step = k * self.tower.sizes[-1]
+        return _from_form(self.tower, self.ram,
+                          (v + k, prec + k, den, [(key + step, n) for key, n in terms]))
 
     # -- comparison ------------------------------------------------------------
 
@@ -333,15 +314,14 @@ class LaurentSeries:
         if a is NotImplemented:
             raise DomainViolation("cannot compare series with that type")
         hi = min(a.prec, b.prec)
-        return ({e: x for e, x in a.coeffs.items() if e < hi}
-                == {e: x for e, x in b.coeffs.items() if e < hi})
+        return a.truncate(hi).form == b.truncate(hi).form
 
     def __eq__(self, other) -> bool:
         """Identical mathematical data: same coefficients *and* same precision."""
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return a.prec == b.prec and a.coeffs == b.coeffs
+        return a.form == b.form
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -366,56 +346,58 @@ class LaurentSeries:
         return " + ".join(parts) if parts else "0"
 
 
-class _Held(LaurentSeries):
-    """A series the product kernel built: its ``coeffs`` slot is filled from
-    its form on first read, one element per exponent at the lowest level
-    holding its positions.  The hook lives on this subclass alone, so that
-    attribute reads of an eager series keep CPython's plain slot lookup."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "coeffs":
-            raise AttributeError(name)
-        tower, (_, _, den, terms) = self.tower, self.form
-        self.coeffs = {e: _element(tower, nums, den)
-                       for e, nums in _by_exponent(terms, tower.sizes[-1]).items()}
-        return self.coeffs
-
-
 # ---------------------------------------------------------------------------
-# the product kernel
+# integer forms and the product kernel
 
 _ONE = (0, INF, 1, [(0, 1)])  # the :func:`_integral` form of the exact series 1
 
 
-def _element(tower: FieldTower, nums: dict, den: int) -> FieldElement:
-    """The element with reduced coordinates ``nums[position] / den`` at the
-    lowest level holding their positions."""
-    level = bisect.bisect_right(tower.sizes, max(nums))
-    return FieldElement(tower, level, _nest(tower, level, nums, den))
+def _view_of(tower: FieldTower, form) -> dict:
+    """``{exp: FieldElement}`` of the :func:`_integral` form ``form`` over
+    ``tower``: one element per exponent, at the lowest level holding its
+    positions."""
+    view = {}
+    for e, nums in _by_exponent(form[3] if form else [], tower.sizes[-1]).items():
+        level = bisect.bisect_right(tower.sizes, max(nums))
+        view[e] = FieldElement(tower, level, _nest(tower, level, nums, form[2]))
+    return view
 
 
 def _integral(s: LaurentSeries, ram: int, size: int):
     """``(valuation, prec, den, terms)`` of ``s`` in ``w**ram = t``, or ``None``
     when ``s`` is exactly zero; ``terms`` lists ``(e * size + position,
     numerator)`` over ``den`` by key for the coordinates of ``w**e``, with
-    ``den`` the least common denominator of the coordinates.  The form of
-    ``s`` over its own tower and ramification is computed once and kept in
-    ``s.form``; a larger ``size`` or ``ram`` re-keys it."""
-    form = s.form
-    if form is None:
-        if s.is_zero():
-            return None
-        own = s.tower.sizes[-1]
-        den, terms = _over_lcm(sorted(kq for e, c in s.coeffs.items()
-                                      for kq in _unfold(s.tower, c.level, c.payload, e * own)))
-        form = s.form = (s.valuation, s.prec, den, terms)
-    m, old = ram // s.ram, s.tower.sizes[-1]
-    if m == 1 and old == size:
+    ``den`` the least common denominator of the coordinates.  ``s.form`` is
+    the form over its own tower and ramification; a larger ``size`` or
+    ``ram`` re-keys it."""
+    form, m, old = s.form, ram // s.ram, s.tower.sizes[-1]
+    if form is None or (m == 1 and old == size):
         return form
     v, prec, den, terms = form
     return v * m, prec * m, den, [(k // old * m * size + k % old, n) for k, n in terms]
+
+
+def _normal(size: int, prec, den: int, terms: list):
+    """The :func:`_integral` form of the nonzero ``(key, numerator)`` pairs
+    ``terms`` over ``den``, sorted by key and all below ``prec``: both
+    divided by their gcd, ``(prec, prec, 1, [])`` when nothing is left of a
+    truncated series and ``None`` when nothing is left of an exact one."""
+    if not terms:
+        return None if prec == INF else (prec, prec, 1, [])
+    g = math.gcd(den, *[n for _, n in terms])
+    if g > 1:
+        den, terms = den // g, [(k, n // g) for k, n in terms]
+    return terms[0][0] // size, prec, den, terms
+
+
+def _form_of(size: int, prec, coords: list):
+    """The :func:`_integral` form of the nonzero coordinates ``coords``, as
+    ``(e * size + position, Fraction)`` pairs below ``prec`` in any order:
+    over the lcm of their reduced denominators, the gcd is already 1."""
+    if not coords:
+        return _normal(size, prec, 1, coords)
+    den, terms = _over_lcm(sorted(coords))
+    return terms[0][0] // size, prec, den, terms
 
 
 def _derived(form, size: int):
@@ -424,14 +406,8 @@ def _derived(form, size: int):
     if form is None:
         return None
     _, prec, den, terms = form
-    prec = prec if prec == INF else prec - 1
-    terms = [(k - size, n * e) for k, n in terms if (e := k // size)]
-    if not terms:
-        return None if prec == INF else (prec, prec, 1, [])
-    g = math.gcd(den, *[n for _, n in terms])
-    if g > 1:
-        den, terms = den // g, [(k, n // g) for k, n in terms]
-    return terms[0][0] // size, prec, den, terms
+    return _normal(size, prec if prec == INF else prec - 1, den,
+                   [(k - size, n * e) for k, n in terms if (e := k // size)])
 
 
 def _accumulate(size: int, pairs) -> tuple:
@@ -466,42 +442,34 @@ def _by_exponent(terms, size: int) -> dict:
 
 
 def _materialise(tower: FieldTower, ram: int, prec, den: int, acc: dict) -> LaurentSeries:
-    """The held series of an :func:`_accumulate` result, settled once."""
+    """The series of an :func:`_accumulate` result, settled once."""
     return _from_form(tower, ram, _settle(tower, prec, den, acc))
 
 
 def _settle(tower: FieldTower, prec, den: int, acc: dict):
     """The :func:`_integral` form of the series an :func:`_accumulate` result
     sums to, on integers: every exponent is reduced by the integer fold of
-    ``tower``'s top level, then the numerators and the denominator are
-    divided by their gcd, which leaves the lcm of the reduced coordinate
-    denominators, as :func:`_integral` has it."""
+    ``tower``'s top level, then :func:`_normal` divides by the gcd, which
+    leaves the lcm of the reduced coordinate denominators."""
     size, level = tower.sizes[-1], tower.depth
+    d, terms = 1, []
     if level == 0:
-        d, terms = 1, sorted((k, n) for k, n in acc.items() if n)
+        terms = sorted((k, n) for k, n in acc.items() if n)
     else:
-        terms = []
         for e, nums in sorted(_by_exponent(acc.items(), size).items()):
             d, reduced = _fold_nums(tower, level, nums)
             base = e * size
             terms += sorted((base + p, n) for p, n in reduced.items() if n)
-    if not terms:
-        return None if prec == INF else (prec, prec, 1, [])
-    den *= d
-    g = math.gcd(den, *[n for _, n in terms])
-    if g > 1:
-        den, terms = den // g, [(k, n // g) for k, n in terms]
-    return terms[0][0] // size, prec, den, terms
+    return _normal(size, prec, den * d, terms)
 
 
-def _from_form(tower: FieldTower, ram: int, form) -> LaurentSeries:
-    """The series whose :func:`_integral` form over ``tower`` is ``form``:
-    the exact zero for ``None``, else a held series."""
-    if form is None:
-        return LaurentSeries.zero(tower, ram)
-    s = _Held.__new__(_Held)
-    s.tower, s.ram, s.form = tower, ram, form
-    s.prec = INF if form[1] == INF else form[1]
+def _from_form(tower: FieldTower, ram: int, form, view: dict | None = None) -> LaurentSeries:
+    """The series whose :func:`_integral` form over ``tower`` in ``w**ram =
+    t`` is ``form``, with the coefficients ``view`` when the caller holds
+    them; otherwise they are built when first read."""
+    s = LaurentSeries.__new__(LaurentSeries)
+    s.tower, s.ram, s.form, s._view = tower, ram, form, view
+    s.prec = INF if form is None or form[1] == INF else form[1]
     return s
 
 

@@ -10,7 +10,8 @@ zero-to-precision and exactly zero entries; every coefficient and every
 entry's precision must agree.  The integer half of the kernel is checked
 too: a product settled on integers (``series._settle``, which the Sibuya
 step loop chains and every built series holds) must be exactly the integer
-form of the eager series with the coefficients the kernel's series build.  ``LaurentMatrix.inverse`` and ``Connection.gauge``, which
+form of the series the constructor builds from the coefficients the
+kernel's series read.  ``LaurentMatrix.inverse`` and ``Connection.gauge``, which
 run on those integer forms, are checked against the series paths they
 replaced (:func:`_old_inverse`, :func:`_old_gauge`) at rank 1-4: every
 entry's precision, valuation and encoding, or the type and message of the
@@ -298,8 +299,8 @@ def test_settled_products_are_the_integer_forms_of_the_built_series(pair):
         for col in cols:
             prec, den, acc = _accumulate(size, zip(forms, col))
             built = _materialise(tower, ram, prec, den, acc)
-            eager = LaurentSeries(tower, dict(built.coeffs), built.prec, ram)
-            assert _settle(tower, prec, den, acc) == _integral(eager, ram, size)
+            constructed = LaurentSeries(tower, dict(built.coeffs), built.prec, ram)
+            assert _settle(tower, prec, den, acc) == _integral(constructed, ram, size)
 
 
 @settings(ORACLE, max_examples=150)

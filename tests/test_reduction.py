@@ -1,9 +1,15 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mcred import checks, linalg, reduction
+import mcred
+from mcred import checks, linalg, reduction, serialize
 from mcred.connection import Connection
 from mcred.errors import EngineError, PrecisionExhausted
 from mcred.field import FieldTower
@@ -413,4 +419,114 @@ def test_stability_rejects_bad_arguments():
 
 def test_tail_perturbation_preserves_leaf_structure():
     failures = checks.suite_tail_stability(seed=2, trials=2)
+    assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# exact inputs after a monomial gauge
+# ---------------------------------------------------------------------------
+
+
+def _gauge_sweep(seed, draws):
+    """``(c, c gauged by a monomial)`` per draw of a gauge sweep: each draw
+    picks ``n``, ``r`` and a kind, then a unit gauge (drawn but not applied
+    here) and a monomial one, from one generator per seed."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        n, r, kind = rng.choice([2, 3]), rng.choice([1, 2, 3]), rng.choice(checks.KINDS)
+        c = checks.random_connection(rng, n, r, kind=kind)
+        checks.random_unit_gauge(rng, n)
+        yield c, c.gauge(checks.random_monomial_gauge(rng, n))
+
+
+def _slopes(leaves):
+    """The multiset of (rank one, slope ``max(pole - 1, 0) / ram``, size)
+    over leaves given as ``(kind, pole, ram, size)``; a gauge keeps it."""
+    return sorted((kind == "rank_one", Fraction(max(pole - 1, 0), ram), size)
+                  for kind, pole, ram, size in leaves)
+
+
+def _tree_leaves(tree):
+    return [(leaf.kind, leaf.pole, leaf.ram, leaf.size) for leaf in tree.leaves()]
+
+
+def _encoded_leaves(node):
+    if "children" not in node:
+        return [(node["kind"], node["pole"], node["ramification"], node["size"])]
+    return [leaf for child in node["children"] for leaf in _encoded_leaves(child)]
+
+
+# (seed, draw, sha256 prefix of the gauged file): exact files of 2.4-3.2 KB
+# whose entries are known to different orders once the working precision
+# truncates them; the slope scan read a coefficient at or past the least of
+# those orders and exited 2 with a hint that moved with every window
+GAUGED_EXACT = [(11, 0, "97f0576f"), (11, 1, "5b8cf9ec"), (5, 12, "71d3071b")]
+
+
+@pytest.mark.parametrize("seed, draw, digest", GAUGED_EXACT)
+def test_monomial_gauged_exact_files_reduce_in_a_subprocess(tmp_path, seed, draw, digest):
+    c, gauged = list(_gauge_sweep(seed, draw + 1))[-1]
+    text = serialize.dumps(serialize.encode_connection(gauged))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith(digest)
+    path = tmp_path / "gauged.json"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(mcred.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "mcred", "reduce", str(path)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    got = _slopes(_encoded_leaves(serialize.loads(done.stdout)["root"]))
+    assert got == _slopes(_tree_leaves(reduce(c)))
+
+
+@pytest.mark.parametrize("seed, draw, digest", GAUGED_EXACT)
+def test_monomial_gauged_exact_files_reduce_at_every_window(seed, draw, digest):
+    # the hint once tracked the window: one below it at every precision
+    c, gauged = list(_gauge_sweep(seed, draw + 1))[-1]
+    want = _slopes(_tree_leaves(reduce(c)))
+    for p in (14, 30):
+        assert _slopes(_tree_leaves(reduce(gauged.truncate(p)))) == want
+
+
+def test_the_slope_scan_reads_no_coefficient_past_the_window():
+    # entry (0, 1) is known below 3, the others below 6: the coefficient of
+    # entry (0, 0) at 4 is no slope candidate, the tail bound covers it
+    g = LaurentMatrix(QQ, [[LaurentSeries(QQ, {4: 7}, 6), LaurentSeries(QQ, {-2: 1}, 3)],
+                           [LaurentSeries(QQ, {}, 6), LaurentSeries(QQ, {1: 5}, 6)]])
+    c = Connection(g)
+    assert (c.prec, c.pole_order, g.support()) == (3, 2, [-2, 1, 4])
+    data = compute_alpha(c, [1, -1])
+    assert (data.alpha, data.critical, data.tail_min) == (Fraction(3, 2), [(1, 0)],
+                                                          Fraction(5, 4))
+
+
+@pytest.mark.xfail(strict=True, reason="a hint is the precision that the node which "
+                   "raised needs, in its own variable and after its own gauges, not "
+                   "the precision of the input")
+def test_a_precision_hint_exceeds_the_window_and_moves_the_failure_on():
+    # on truncated inputs that exit 2, the hint must exceed the window given,
+    # and a rerun at the hint must not fail with the same message
+    failures = []
+    for seed in (5, 11):
+        for k, pair in enumerate(_gauge_sweep(seed, 20)):
+            for c in pair:
+                if c.size == 1 or c.pole_order <= 1:
+                    continue
+                for p in sorted({c.valuation + 1, c.valuation + 3, 0, 2, 6}):
+                    try:
+                        reduce(c.truncate(p))
+                    except PrecisionExhausted as exc:
+                        if exc.needed is None:
+                            continue
+                        if exc.needed <= p:
+                            failures.append((seed, k, p, exc.needed, str(exc)))
+                            continue
+                        try:
+                            reduce(c.truncate(exc.needed))
+                        except PrecisionExhausted as again:
+                            if str(again) == str(exc):
+                                failures.append((seed, k, p, exc.needed, str(exc)))
+                        except EngineError:
+                            pass
+                    except EngineError:
+                        pass
     assert failures == []

@@ -1,14 +1,18 @@
 import copy
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mcred import checks, reduction, serialize, series
+from mcred.connection import Connection
 from mcred.errors import DomainViolation, NotInvertible, PrecisionExhausted
-from mcred.field import FieldTower, common_tower
+from mcred.field import FieldElement, FieldTower, common_tower
 from mcred.matrices import LaurentMatrix
 from mcred.series import INF, LaurentSeries, _from_form, _integral
-from test_product_kernel import ORACLE, TOWERS, series, series_pairs
+from test_product_kernel import ORACLE, TOWERS, series_pairs
 
 QQ = FieldTower()
 
@@ -214,70 +218,153 @@ def test_repr_mentions_exponents():
     assert "t^-2" in text and "1/2" in text
 
 
-# -- held series: the product kernel's series keep their integer forms --------
+# -- one representation: every operation against the element-wise oracle -------
 
 DEEPEST = TOWERS[-1]  # every tower of TOWERS is a prefix of it
 
 
-def _unfilled(s):
-    """Whether the ``coeffs`` slot of ``s`` is still unset."""
-    try:
-        object.__getattribute__(s, "coeffs")
-    except AttributeError:
-        return True
-    return False
+class Ref:
+    """The element-wise series the integer forms replaced: a dict of
+    ``FieldElement`` coefficients and a precision, every operation term by
+    term, with the method bodies ``LaurentSeries`` had before its form
+    became its one state."""
+
+    def __init__(self, tower, coeffs, prec, ram):
+        self.tower, self.ram, self.prec = tower, ram, prec
+        self.coeffs = {e: c for e, c in coeffs.items() if e < prec and not c.is_zero()}
+
+    @classmethod
+    def of(cls, s):
+        """The oracle of a series built by the constructor, from the dict it
+        was given (its view, which the constructor keeps)."""
+        return cls(s.tower, dict(s.coeffs), s.prec, s.ram)
+
+    @property
+    def valuation(self):
+        return min(self.coeffs) if self.coeffs else self.prec
+
+    def is_zero(self):
+        return not self.coeffs and self.prec is INF
+
+    def is_zero_to_precision(self):
+        return not self.coeffs
+
+    def is_monomial(self):
+        return self.prec is INF and len(self.coeffs) == 1
+
+    def support(self):
+        return sorted(self.coeffs)
+
+    def lift_ramification(self, m):
+        prec = self.prec if self.prec is INF else m * self.prec
+        return Ref(self.tower, {m * e: c for e, c in self.coeffs.items()}, prec, self.ram * m)
+
+    def recast(self, tower, ram):
+        s = self.lift_ramification(ram // self.ram)
+        return Ref(tower, {e: FieldElement(tower, c.level, c.payload) for e, c in s.coeffs.items()},
+                   s.prec, s.ram)
+
+    def truncate(self, prec):
+        return Ref(self.tower, self.coeffs, min(self.prec, prec), self.ram)
+
+    def _pair(self, other):
+        b = other if isinstance(other, Ref) else Ref.of(LaurentSeries.constant(
+            self.tower, other, self.ram))
+        tower, ram = common_tower(self.tower, b.tower), math.lcm(self.ram, b.ram)
+        return self.recast(tower, ram), b.recast(tower, ram)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        out = dict(a.coeffs)
+        for e, c in b.coeffs.items():
+            out[e] = out[e] + c if e in out else c
+        return Ref(a.tower, out, min(a.prec, b.prec), a.ram)
+
+    def __neg__(self):
+        return Ref(self.tower, {e: -c for e, c in self.coeffs.items()}, self.prec, self.ram)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def derivative(self):
+        prec = self.prec if self.prec is INF else self.prec - 1
+        return Ref(self.tower, {e - 1: c * e for e, c in self.coeffs.items() if e != 0}, prec,
+                   self.ram)
+
+    def shift(self, k):
+        prec = self.prec if self.prec is INF else self.prec + k
+        return Ref(self.tower, {e + k: c for e, c in self.coeffs.items()}, prec, self.ram)
+
+    def coincides_with(self, other):
+        a, b = self._pair(other)
+        hi = min(a.prec, b.prec)
+        return ({e: x for e, x in a.coeffs.items() if e < hi}
+                == {e: x for e, x in b.coeffs.items() if e < hi})
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.prec == b.prec and a.coeffs == b.coeffs
 
 
-def _same_prec(a, b):
-    """Equal precisions, each finite or the module's ``INF`` itself."""
-    return a.prec == b.prec and (a.prec is INF) is (b.prec is INF)
+def _encoded(s):
+    return serialize.dumps(serialize.encode_series(s))
 
 
-def _eager(s):
-    """The eager series with the coefficients and precision of ``s``."""
-    return LaurentSeries(s.tower, dict(s.coeffs), s.prec, s.ram)
+def _check(got, want):
+    """``got`` reads like the oracle's ``want``: coefficients, precision
+    (``INF`` itself when infinite), valuation, zero tests, support, encoded
+    bytes, and the form of the series the constructor builds from the
+    oracle's coefficients."""
+    built = LaurentSeries(want.tower, want.coeffs, want.prec, want.ram)
+    assert (got.tower, got.ram) == (want.tower, want.ram)
+    assert got.prec == want.prec and (got.prec is INF) is (want.prec is INF)
+    assert got.valuation == want.valuation
+    assert got.is_zero() is want.is_zero()
+    assert got.is_zero_to_precision() is want.is_zero_to_precision()
+    assert got.is_monomial() is want.is_monomial()
+    assert got.support() == want.support()
+    assert got.form == built.form
+    assert got.coeffs == want.coeffs
+    assert _encoded(got) == _encoded(built)
 
 
-@st.composite
-def eager_series(draw):
-    """An eager series over a tower of depth 0-2 at ramification 1 or 2:
-    exact, truncated, zero to its precision, or the exact zero."""
-    tower, ram = draw(st.sampled_from(TOWERS)), draw(st.sampled_from([1, 2]))
-    return draw(series(tower, ram))
+def _unviewed(s):
+    """``s`` rebuilt from its form alone, so that its coefficients are
+    built from the form when read."""
+    return _from_form(s.tower, s.ram, s.form)
 
 
 @ORACLE
-@given(eager_series())
-def test_a_held_series_reads_like_the_eager_one(s):
-    # built from the form of a copy, so that ``s`` never computes its own
-    size = s.tower.sizes[-1]
-    held = _from_form(s.tower, s.ram, _integral(_eager(s), s.ram, size))
-    if s.is_zero():  # the form of the exact zero is None: an eager zero
-        assert held.form is None and held.is_zero()
-        return
-    assert held.form is not None and _unfilled(held) and s.form is None
-    assert held.valuation == s.valuation and _same_prec(held, s)
-    assert held.is_zero() is s.is_zero() is False
-    assert held.is_zero_to_precision() is s.is_zero_to_precision()
-    d, want = held.derivative(), s.derivative()
-    assert d == want and _same_prec(d, want)
-    assert _integral(d, s.ram, size) == _integral(_eager(want), s.ram, size)
-    for k in (-2, 3):
-        moved, want = held.shift(k), s.shift(k)
-        assert _unfilled(moved) and moved == want and _same_prec(moved, want)
-        assert _integral(moved, s.ram, size) == _integral(_eager(want), s.ram, size)
-    assert _unfilled(held)  # none of the above built an element
-    assert s.form is None  # nor computed the eager series' form
-    assert held.coeffs == s.coeffs and held.items() == s.items()
-    assert held == s and s == held
-    assert held.coincides_with(s) and s.coincides_with(held)
-    form = _integral(s, s.ram, size)  # computed once, then kept
-    assert form == held.form and s.form is form and _integral(s, s.ram, size) is form
+@given(series_pairs(), st.sampled_from([1, 2, 3]), st.sampled_from([-2, 3]),
+       st.one_of(st.integers(-3, 7), st.just(INF)))
+def test_every_operation_matches_the_element_wise_oracle(pair, m, k, cut):
+    a, b = pair
+    ra = Ref.of(a)
+    rb = Ref.of(b) if isinstance(b, LaurentSeries) else b
+    for s in (a, _unviewed(a)):
+        _check(s, ra)
+        _check(-s, -ra)
+        _check(s + b, ra + rb)
+        _check(s - b, ra - rb)
+        _check(s.truncate(cut), ra.truncate(cut))
+        _check(s.derivative(), ra.derivative())
+        _check(s.shift(k), ra.shift(k))
+        _check(s.lift_ramification(m), ra.lift_ramification(m))
+        _check(s.recast(DEEPEST, m * s.ram), ra.recast(DEEPEST, m * s.ram))
+        assert s.coincides_with(b) is ra.coincides_with(rb)
+        assert (s == b) is (ra == rb)
+        if isinstance(b, LaurentSeries):
+            _check(b + s, rb + ra)
+            assert b.coincides_with(s) is rb.coincides_with(ra)
+            assert s.coincides_with(s.truncate(cut)) and s == _unviewed(s)
 
 
 @ORACLE
 @given(series_pairs(), st.sampled_from([1, 2, 3]))
 def test_a_product_holds_the_integer_form_of_its_eager_series(pair, m):
+    # the series the constructor builds from the product's coefficients has
+    # the product's form: equal values give equal forms, in any tower and
+    # variable
     a, b = pair
     p = a * b
     if p.is_zero():
@@ -286,12 +373,12 @@ def test_a_product_holds_the_integer_form_of_its_eager_series(pair, m):
     for tower, ram in ((p.tower, p.ram), (p.tower, m * p.ram), (DEEPEST, p.ram),
                        (DEEPEST, m * p.ram)):
         size = tower.sizes[-1]
-        # an eager copy built over ``tower`` in ``ram`` converts there directly
-        direct = _eager(p).recast(tower, ram)
+        direct = LaurentSeries(p.tower, dict(p.coeffs), p.prec, p.ram).recast(tower, ram)
         want = _integral(direct, ram, size)
         assert _integral(p, ram, size) == want
         moved = p.recast(tower, ram)
-        assert moved == direct and moved.tower is tower and _same_prec(moved, direct)
+        assert moved == direct and moved.tower is tower and moved.prec == direct.prec
+        assert (moved.prec is INF) is (direct.prec is INF)
         assert _integral(moved, ram, size) == want
     assert p.recast(p.tower, p.ram) is p
 
@@ -306,5 +393,59 @@ def test_a_product_never_mutates_a_held_form(pair):
     before = copy.deepcopy(p.form)
     q = p * p
     m = LaurentMatrix(p.tower, [[p, q], [q, p]], p.ram)
-    _ = (m * m, p * a, a * p, p.derivative(), p.recast(DEEPEST, 2 * p.ram), p.coeffs)
+    _ = (m * m, p * a, a * p, p + q, -p, p.truncate(p.valuation + 1), p.derivative(),
+         p.shift(2), p.recast(DEEPEST, 2 * p.ram), p.coincides_with(q), p.coeffs)
     assert p.form == before
+
+
+def test_comparisons_and_scans_build_no_coefficients(monkeypatch):
+    # views built from forms only: comparing, scanning supports, valuations
+    # and zero tests must read the forms
+    built = []
+    real = series._view_of
+    monkeypatch.setattr(series, "_view_of",
+                        lambda tower, form: built.append(form) or real(tower, form))
+    c = checks.random_connection(random.Random(5), 3, 2, kind="nilpotent_lead").truncate(6)
+    g = checks.random_unit_gauge(random.Random(6), 3)
+    d = c.gauge(g)
+    e = Connection(LaurentMatrix(d.tower, [[_unviewed(s) for s in row]
+                                           for row in d.matrix.entries], d.ram))
+    built.clear()
+    assert d.coincides_with(e) and e.coincides_with(d) and d == e
+    assert d.matrix.support() == e.matrix.support() and d.valuation == e.valuation
+    assert d.prec == e.prec and d.pole_order == e.pole_order
+    assert not d.matrix.is_zero_to_precision() and not e.matrix.is_zero()
+    for s in (x for row in e.matrix.entries for x in row):
+        assert s.coincides_with(s.truncate(3)) and s.support() == sorted(s.support())
+        _ = (s.valuation, s.is_zero_to_precision(), s.is_monomial(), s.derivative(), -s,
+             s + s, s.shift(1), s.recast(DEEPEST, 2))
+    assert built == []
+    e.matrix.entries[0][0].coeffs
+    assert len(built) == 1
+
+
+def test_replay_builds_coefficients_only_for_the_cofactor_inverses(monkeypatch):
+    # replay compares each leaf on forms; what coefficients it builds, the
+    # element loop of the determinant's series inverse reads
+    inputs = [checks.random_connection(random.Random(seed), n, 2, kind=kind)
+              for seed in (1, 2) for n in (2, 3) for kind in ("generic", "nilpotent_lead")]
+    trees = [reduction.reduce(c) for c in inputs]
+    depth, views = [0], {"inside": 0, "outside": 0}
+    real_view, real_inverse = series._view_of, LaurentSeries.inverse
+
+    def view(tower, form):
+        views["inside" if depth[0] else "outside"] += 1
+        return real_view(tower, form)
+
+    def inverse(self):
+        depth[0] += 1
+        try:
+            return real_inverse(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(series, "_view_of", view)
+    monkeypatch.setattr(LaurentSeries, "inverse", inverse)
+    for tree in trees:
+        assert reduction.replay(tree) is True
+    assert views["outside"] == 0 and views["inside"] > 0
