@@ -119,7 +119,8 @@ class Connection:
         ``g_inv`` is ``None``) would give them.  An exact ``g`` must have a monomial determinant, since any
         other exact inverse does not terminate; truncate such a gauge first.
         The exact identity gives back the connection itself, after the
-        checks of shape and ramification.
+        checks of shape and ramification, recast to ``g``'s tower when that
+        one is deeper.
 
         The product ``g G`` is settled on the product kernel's integer forms
         (:func:`series._integral`), and each entry of the result is one
@@ -138,7 +139,9 @@ class Connection:
         g_forms = _forms(g.entries, ram, size)
         if all(f == (_ONE if a == b else None)
                for a, row in enumerate(g_forms) for b, f in enumerate(row)):
-            return self
+            if tower.depth == self.tower.depth:
+                return self
+            return Connection(LaurentMatrix(tower, self.matrix.entries, ram))
         gi = g.inverse() if g_inv is None else g_inv
         g_g = _form_product(tower, g_forms, _forms(self.matrix.entries, ram, size))
         minus_dg = [[_negated(_derived(f, size)) for f in row] for row in g_forms]

@@ -40,9 +40,9 @@ class ZeroDivisorSplit(EngineError):
     """Inversion in a quotient ring exposed a factorization.
 
     Dynamic evaluation: the ring adjoined at ``level`` is a product, not a
-    field.  ``factors`` holds two monic factor polynomials (coefficient
-    payloads one level down) whose product is the registered minimal
-    polynomial.  Callers retry over the branch they care about; the engine
+    field.  ``factors`` holds two monic factor polynomials, each a tuple of
+    the forms of its coefficients (elements one level down, see
+    :mod:`mcred.field`), whose product is the registered minimal polynomial.  Callers retry over the branch they care about; the engine
     never silently picks one.
     """
 

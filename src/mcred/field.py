@@ -1,134 +1,124 @@
 """Exact scalars: towers of algebraic extensions of the rationals.
 
-The base level is ``fractions.Fraction``.  Each further level adjoins a root
-of a monic polynomial whose coefficients live one level down.  Minimal
-polynomials are taken on trust (dynamic evaluation): inverting a zero divisor
-reports the discovered factorization through :class:`ZeroDivisorSplit`
-instead of ever producing a silently wrong answer.
+Each level of a tower adjoins a root of a monic polynomial whose coefficients
+live one level down.  Minimal polynomials are taken on trust (dynamic
+evaluation): inverting a zero divisor reports the discovered factorization
+through :class:`ZeroDivisorSplit` instead of ever producing a silently wrong
+answer.
 
-Internally an element is a *payload*: a ``Fraction`` at level 0 and, at level
-k, a tuple of level-(k-1) payloads of length ``deg(m_k)`` (coordinates in the
-power basis of the adjoined root).  :class:`FieldElement` is a thin wrapper
-that pairs a payload with its tower and level and provides operators.
-
-Products reduce through *positions*.  Coordinate ``(i_1, ..., i_k)``, the
+An element is its *form* ``(den, terms)``: ``terms`` is a tuple of
+``(position, numerator)`` pairs, ascending and nonzero, over one denominator
+``den > 0``, with ``gcd(den, *numerators) == 1``, so that equal elements have
+equal forms (zero is ``(1, ())``).  Coordinate ``(i_1, ..., i_k)``, the
 product of the adjoined roots to those powers, sits at position
 ``sum(i_j * sizes[j - 1])``, where ``sizes[j]`` is the product of
 ``2 * deg(m_i) - 1`` over the first ``j`` levels.  A position names the same
-coordinate at every level, and the product of two reduced coordinates sits at
-the sum of their positions.  So a product (:func:`_mul`, and the series
-product kernel) sums integer numerator products per position, unreduced, and
-folds once: :func:`_fold` sends every position to its monomial reduced by the
-minimal polynomials, through one integer map per level built from the level
-below.  Its integer part, :func:`_fold_nums`, lets the series kernel stay on
-integer coordinates from one product to the next.
+coordinate at every level and in every tower that shares the levels below
+it, so nothing is ever lifted: an element's level is the lowest one whose
+size exceeds every position it holds.
+
+A sum merges two forms over the lcm of their denominators.  The product of
+two reduced coordinates sits at the sum of their positions, so a product
+(:func:`_mul`, and the series product kernel) sums integer numerator
+products per position, unreduced, and folds once: :func:`_fold_nums` sends
+every position to its monomial reduced by the minimal polynomials, through
+one integer map per level (:func:`_fold_map`), built from the map of the
+level below and shared by every tower that extends that level.  An inverse
+is a fraction-free elimination at level 1, or the extended Euclid over the
+level below, on polynomials whose coefficients are forms (``_poly_*``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainViolation, NotInvertible, ZeroDivisorSplit
 
-Payload = object  # Fraction | tuple[Payload, ...]
+_ZERO = (1, ())
+_UNIT = (1, ((0, 1),))
 
 
 # ---------------------------------------------------------------------------
-# payload arithmetic
+# forms
 
 
-def _zero_payload(tower: "FieldTower", level: int) -> Payload:
-    if level == 0:
-        return Fraction(0)
-    deg = tower.degree(level)
-    below = _zero_payload(tower, level - 1)
-    return tuple(below for _ in range(deg))
+def _rational(q) -> tuple:
+    """The form of the rational ``q``, an int or a ``Fraction``."""
+    if type(q) is not int:
+        q = Fraction(q)
+        return (q.denominator, ((0, q.numerator),)) if q else _ZERO
+    return (1, ((0, q),)) if q else _ZERO
 
 
-def _lift_payload(tower: "FieldTower", level_from: int, level_to: int, p: Payload) -> Payload:
-    while level_from < level_to:
-        level_from += 1
-        deg = tower.degree(level_from)
-        zero = _zero_payload(tower, level_from - 1)
-        p = (p,) + tuple(zero for _ in range(deg - 1))
-    return p
+def _level(tower: "FieldTower", terms) -> int:
+    """The lowest level of ``tower`` that holds every position of ``terms``."""
+    return bisect.bisect_right(tower.sizes, terms[-1][0]) if terms else 0
 
 
-def _payload_is_zero(p: Payload) -> bool:
-    if isinstance(p, Fraction):
-        return p == 0
-    return all(_payload_is_zero(c) for c in p)
+def _reduced(den: int, terms) -> tuple:
+    """The form of the nonzero ``(position, numerator)`` pairs ``terms``,
+    ascending, over ``den > 0``: both divided by their gcd."""
+    g = math.gcd(den, *[n for _, n in terms])
+    if g == 1:
+        return den, tuple(terms)
+    return den // g, tuple((p, n // g) for p, n in terms)
 
 
-def _add(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
-    if level == 0:
-        return a + b
-    return tuple(_add(tower, level - 1, x, y) for x, y in zip(a, b))
+def _combine(a: tuple, b: tuple, k: int = 1) -> tuple:
+    """The form of ``a + k * b`` for forms ``a`` and ``b`` and an int ``k``."""
+    (da, ta), (db, tb) = a, b
+    if not tb:
+        return a
+    if not ta and k == 1:
+        return b
+    den = da if da == db else math.lcm(da, db)
+    sa, sb = den // da, k * (den // db)
+    if len(ta) == 1 == len(tb) and ta[0][0] == tb[0][0]:  # one coordinate each, say rationals
+        n = ta[0][1] * sa + tb[0][1] * sb
+        if not n:
+            return _ZERO
+        g = math.gcd(n, den)
+        return den // g, ((ta[0][0], n // g),)
+    acc = {p: n * sa for p, n in ta}
+    for p, n in tb:
+        acc[p] = acc.get(p, 0) + n * sb
+    return _reduced(den, [(p, acc[p]) for p in sorted(acc) if acc[p]])
 
 
-def _neg(tower: "FieldTower", level: int, a: Payload) -> Payload:
-    if level == 0:
-        return -a
-    return tuple(_neg(tower, level - 1, x) for x in a)
-
-
-def _sub(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
-    if level == 0:
-        return a - b
-    return tuple(_sub(tower, level - 1, x, y) for x, y in zip(a, b))
-
-
-def _mul(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
-    if level == 0:
-        return a * b
-    da, ta = _over_lcm(_unfold(tower, level, a))
-    db, tb = _over_lcm(_unfold(tower, level, b))
+def _mul(tower: "FieldTower", a: tuple, b: tuple) -> tuple:
+    """The form of ``a * b`` over ``tower``: the numerator products summed
+    per position, folded once at the higher of the two levels."""
+    (da, ta), (db, tb) = a, b
+    if not ta or not tb:
+        return _ZERO
+    if len(ta) == 1 and not ta[0][0]:  # a rational times anything
+        na = ta[0][1]
+        return _reduced(da * db, [(p, na * n) for p, n in tb])
+    if len(tb) == 1 and not tb[0][0]:
+        nb = tb[0][1]
+        return _reduced(da * db, [(p, n * nb) for p, n in ta])
     nums: dict[int, int] = {}
     for pa, na in ta:
         for pb, nb in tb:
             nums[pa + pb] = nums.get(pa + pb, 0) + na * nb
-    return _fold(tower, level, nums, da * db)
+    # two reduced positions below sizes[k] sum to one below sizes[k]
+    level = bisect.bisect_right(tower.sizes, ta[-1][0] + tb[-1][0])
+    return _folded(tower, level, da * db, nums)
 
 
-def _unfold(tower: "FieldTower", level: int, p: Payload, base: int = 0) -> list:
-    """The nonzero coordinates of ``p`` as ``(base + position, q)``."""
-    if level == 0:
-        return [(base, p)] if p else []
-    out = []
-    for t, c in enumerate(p):
-        out += _unfold(tower, level - 1, c, base + t * tower.sizes[level - 1])
-    return out
-
-
-def _over_lcm(coords: list) -> tuple[int, list]:
-    """``(den, [(key, numerator)])``: the ``(key, Fraction)`` pairs ``coords``
-    as integers over their least common denominator."""
-    den = math.lcm(*[q.denominator for _, q in coords])
-    return den, [(k, q.numerator * (den // q.denominator)) for k, q in coords]
-
-
-def _nest(tower: "FieldTower", level: int, nums: dict, den: int, base: int = 0) -> Payload:
-    """The payload whose coordinate at position ``p`` is ``nums.get(p, 0) / den``."""
-    if level == 0:
-        return Fraction(nums.get(base, 0), den)
-    return tuple(_nest(tower, level - 1, nums, den, base + t * tower.sizes[level - 1])
-                 for t in range(tower.degree(level)))
-
-
-def _fold(tower: "FieldTower", level: int, nums: dict, den: int) -> Payload:
-    """The payload at ``level`` with unreduced coordinates ``nums[position] / den``."""
-    if level == 0:
-        return Fraction(nums.get(0, 0), den)
+def _folded(tower: "FieldTower", level: int, den: int, nums: dict) -> tuple:
+    """The form at ``level`` with unreduced coordinates ``nums[position] / den``."""
     d, reduced = _fold_nums(tower, level, nums)
-    return _nest(tower, level, reduced, den * d)
+    return _reduced(den * d, [(p, reduced[p]) for p in sorted(reduced) if reduced[p]])
 
 
 def _fold_nums(tower: "FieldTower", level: int, nums: dict) -> tuple[int, dict]:
-    """``(d, reduced)``: the integer part of :func:`_fold`, the unreduced
-    coordinates ``nums`` reduced by the minimal polynomials through ``level``
-    as numerators over ``d`` by position (zero sums included)."""
+    """``(d, reduced)``: the unreduced coordinates ``nums`` reduced by the
+    minimal polynomials through ``level`` as numerators over ``d`` by
+    position (zero sums included)."""
     if level == 0:
         return 1, nums
     d, images = _fold_map(tower, level)
@@ -143,29 +133,56 @@ def _fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:
     """``(d, images)``: ``images[i * tower.sizes[level - 1] + j]`` holds ``d``
     times the coordinates of ``x**i`` times the monomial at position ``j``,
     reduced, where ``x`` is the root adjoined at ``level``; built once per
-    tower and level, in ``tower.folds``."""
-    if level in tower.folds:
-        return tower.folds[level]
-    below, deg = level - 1, tower.degree(level)
-    zero, one = _zero_payload(tower, below), _lift_payload(tower, 0, below, Fraction(1))
-    powers = [[one if t == i else zero for t in range(deg)] for i in range(deg)]
+    level, in ``tower.folds``, which every extension of ``tower`` shares."""
+    cell = tower.folds[level - 1]
+    if not cell:
+        cell.append(_build_fold_map(tower, level))
+    return cell[0]
+
+
+def _build_fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:
+    """The :func:`_fold_map` of ``level``, from products at the level below."""
+    below, deg, step = level - 1, tower.degree(level), tower.sizes[level - 1]
+    powers = [[_UNIT if t == i else _ZERO for t in range(deg)] for i in range(deg)]
     for _ in range(deg - 1):  # x times the last power; m is monic, so x**deg = -(m_0 + ...)
-        top, shifted = powers[-1][-1], [zero] + powers[-1][:-1]
-        powers.append([_sub(tower, below, c, _mul(tower, below, top, m))
+        top, shifted = powers[-1][-1], [_ZERO] + powers[-1][:-1]
+        powers.append([_combine(c, _mul(tower, top, m), -1)
                        for c, m in zip(shifted, tower.levels[below])])
-    monomials = [_fold(tower, below, {j: 1}, 1) for j in range(tower.sizes[below])]
-    images = [_over_lcm(_unfold(tower, level, tuple(_mul(tower, below, mono, c) for c in xi)))
+    monomials = [_folded(tower, below, 1, {j: 1}) for j in range(step)]
+    images = [_joined([_mul(tower, mono, c) for c in xi], step)
               for xi in powers for mono in monomials]
     d = math.lcm(*[den for den, _ in images])
-    tower.folds[level] = d, [[(p, n * (d // den)) for p, n in image] for den, image in images]
-    return tower.folds[level]
+    return d, [[(p, n * (d // den)) for p, n in image] for den, image in images]
 
 
-def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
-    if _payload_is_zero(a):
+def _split(a: tuple, step: int) -> list:
+    """The coefficients, as forms, of the element ``a`` as a polynomial in
+    the root whose powers move positions by ``step``."""
+    den, terms = a
+    coeffs: dict[int, list] = {}
+    for p, n in terms:
+        t, low = divmod(p, step)
+        coeffs.setdefault(t, []).append((low, n))
+    return [_reduced(den, coeffs.get(t, [])) for t in range(max(coeffs, default=-1) + 1)]
+
+
+def _joined(coeffs: list, step: int) -> tuple:
+    """The form of ``sum(coeffs[t] * x**t)`` for the root ``x`` whose powers
+    move positions by ``step``, every coefficient holding positions below it."""
+    den = math.lcm(*[d for d, _ in coeffs])
+    return den, tuple((t * step + p, n * (den // d))
+                      for t, (d, terms) in enumerate(coeffs) for p, n in terms)
+
+
+def _inv(tower: "FieldTower", a: tuple) -> tuple:
+    """The form of ``1 / a`` at ``a``'s own level."""
+    den, terms = a
+    if not terms:
         raise NotInvertible("division by zero")
+    level = _level(tower, terms)
     if level == 0:
-        return Fraction(1) / a
+        n = terms[0][1]
+        return (n, ((0, den),)) if n > 0 else (-n, ((0, -den),))
     if level == 1:
         inverse = _inv_by_elimination(tower, a)
         if inverse is not None:
@@ -173,7 +190,7 @@ def _inv(tower: "FieldTower", level: int, a: Payload) -> Payload:
     return _inv_by_euclid(tower, level, a)
 
 
-def _inv_by_elimination(tower: "FieldTower", a: Payload) -> Payload | None:
+def _inv_by_elimination(tower: "FieldTower", a: tuple) -> tuple | None:
     """The inverse of ``a`` at level 1, or ``None`` when ``a`` is a zero
     divisor: the solution ``y`` of ``M y = e_0`` for the matrix ``M`` of
     multiplication by ``a`` modulo the minimal polynomial, by fraction-free
@@ -183,7 +200,7 @@ def _inv_by_elimination(tower: "FieldTower", a: Payload) -> Payload | None:
     its content (dividing column ``j`` by ``g`` solves for ``g y_j``).  The
     extended Euclid's cofactors grow far faster on large coefficients."""
     deg = tower.degree(1)
-    den, coords = _over_lcm(_unfold(tower, 1, a))
+    den, coords = a
     d, images = _fold_map(tower, 1)
     rows = [[0] * (deg + 1) for _ in range(deg)]
     for j in range(deg):  # column j: a * x**j, reduced, times den * d
@@ -211,35 +228,34 @@ def _inv_by_elimination(tower: "FieldTower", a: Payload) -> Payload | None:
     for i in reversed(range(deg)):
         row = rows[i]
         x[i] = (prev * row[deg] - sum(row[j] * x[j] for j in range(i + 1, deg))) // row[i]
-    return tuple(Fraction(v, prev * g) for v, g in zip(x, scales))
+    scale = math.lcm(*scales)  # y_i = x_i / (prev * scales[i])
+    sign = 1 if prev > 0 else -1
+    return _reduced(abs(prev) * scale,
+                    [(i, sign * v * (scale // g)) for i, (v, g) in enumerate(zip(x, scales)) if v])
 
 
-def _inv_by_euclid(tower: "FieldTower", level: int, a: Payload) -> Payload:
-    """The inverse of a nonzero ``a`` by the extended Euclidean algorithm
-    over the level below; a zero divisor raises :class:`ZeroDivisorSplit`
-    with the factorization of the minimal polynomial it shows."""
-    below = level - 1
-    deg = tower.degree(level)
+def _inv_by_euclid(tower: "FieldTower", level: int, a: tuple) -> tuple:
+    """The inverse of a nonzero ``a`` at ``level`` by the extended Euclidean
+    algorithm over the level below; a zero divisor raises
+    :class:`ZeroDivisorSplit` with the factorization of the minimal
+    polynomial it shows."""
+    step = tower.sizes[level - 1]
     m = list(tower.levels[level - 1])
     # extended Euclid for gcd(a, m) over the level below
-    r0, r1 = m, _poly_trim(list(a))
-    t0: list[Payload] = []
-    t1: list[Payload] = [_lift_payload(tower, 0, below, Fraction(1))]
+    r0, r1 = m, _poly_trim(_split(a, step))
+    t0: list = []
+    t1: list = [_UNIT]
     while r1:
-        q, r = _poly_divmod(tower, below, r0, r1)
+        q, r = _poly_divmod(tower, r0, r1)
         r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(tower, below, t0, _poly_mul(tower, below, q, t1))
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(tower, q, t1))
     # r0 = gcd(a, m), t0 satisfies t0*a = r0 (mod m)
     if len(r0) == 1:
-        lead_inv = _inv(tower, below, r0[0])
-        inv_poly = [_mul(tower, below, c, lead_inv) for c in t0]
-        inv_poly = _poly_mod(tower, below, inv_poly, m)
-        zero = _zero_payload(tower, below)
-        inv_poly = inv_poly + [zero] * (deg - len(inv_poly))
-        return tuple(inv_poly[:deg])
+        lead_inv = _inv(tower, r0[0])
+        return _joined(_poly_mod(tower, [_mul(tower, c, lead_inv) for c in t0], m), step)
     # nontrivial gcd: the minimal polynomial factors
-    g = _poly_monic(tower, below, r0)
-    h, rem = _poly_divmod(tower, below, m, g)
+    g = _poly_monic(tower, r0)
+    h, rem = _poly_divmod(tower, m, g)
     if rem:  # pragma: no cover - the gcd divides m by construction
         raise NotInvertible("exact gcd failed to divide the minimal polynomial")
     raise ZeroDivisorSplit(
@@ -251,98 +267,81 @@ def _inv_by_euclid(tower: "FieldTower", level: int, a: Payload) -> Payload:
     )
 
 
-def _div(tower: "FieldTower", level: int, a: Payload, b: Payload) -> Payload:
-    return _mul(tower, level, a, _inv(tower, level, b))
-
-
 # ---------------------------------------------------------------------------
-# polynomials with payload coefficients (ascending degree, trimmed)
+# polynomials with form coefficients (ascending degree, trimmed)
 
 
 def _poly_trim(cs: list) -> list:
-    while cs and _payload_is_zero(cs[-1]):
+    while cs and not cs[-1][1]:
         cs.pop()
     return cs
 
 
-def _poly_add(tower, level, a: list, b: list) -> list:
+def _poly_sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
-    zero = _zero_payload(tower, level)
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(_add(tower, level, x, y))
-    return _poly_trim(out)
+    return _poly_trim([_combine(a[i] if i < len(a) else _ZERO, b[i] if i < len(b) else _ZERO, -1)
+                       for i in range(n)])
 
 
-def _poly_sub(tower, level, a: list, b: list) -> list:
-    return _poly_add(tower, level, a, [_neg(tower, level, c) for c in b])
-
-
-def _poly_mul(tower, level, a: list, b: list) -> list:
+def _poly_mul(tower, a: list, b: list) -> list:
     if not a or not b:
         return []
-    zero = _zero_payload(tower, level)
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [_ZERO] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if _payload_is_zero(x):
+        if not x[1]:
             continue
         for j, y in enumerate(b):
-            out[i + j] = _add(tower, level, out[i + j], _mul(tower, level, x, y))
+            out[i + j] = _combine(out[i + j], _mul(tower, x, y))
     return _poly_trim(out)
 
 
-def _poly_divmod(tower, level, a: list, b: list) -> tuple[list, list]:
+def _poly_divmod(tower, a: list, b: list) -> tuple[list, list]:
     b = _poly_trim(list(b))
     if not b:
         raise NotInvertible("polynomial division by zero")
-    lead_inv = _inv(tower, level, b[-1])
-    r = list(a)
-    _poly_trim(r)
+    lead_inv = _inv(tower, b[-1])
+    r = _poly_trim(list(a))
     q: list = []
-    zero = _zero_payload(tower, level)
     while len(r) >= len(b):
-        c = _mul(tower, level, r[-1], lead_inv)
         d = len(r) - len(b)
+        c = _mul(tower, r.pop(), lead_inv)  # the top term cancels
         if len(q) < d + 1:
-            q.extend([zero] * (d + 1 - len(q)))
-        q[d] = _add(tower, level, q[d], c)
-        for i, bc in enumerate(b):
-            r[d + i] = _sub(tower, level, r[d + i], _mul(tower, level, c, bc))
+            q.extend([_ZERO] * (d + 1 - len(q)))
+        q[d] = _combine(q[d], c)
+        for i, bc in enumerate(b[:-1]):
+            r[d + i] = _combine(r[d + i], _mul(tower, c, bc), -1)
         _poly_trim(r)
     return _poly_trim(q), r
 
 
-def _poly_mod(tower, level, a: list, m: list) -> list:
-    return _poly_divmod(tower, level, a, m)[1]
+def _poly_mod(tower, a: list, m: list) -> list:
+    return _poly_divmod(tower, a, m)[1]
 
 
-def _poly_monic(tower, level, a: list) -> list:
+def _poly_monic(tower, a: list) -> list:
     a = _poly_trim(list(a))
     if not a:
         return a
-    inv = _inv(tower, level, a[-1])
-    return _poly_trim([_mul(tower, level, c, inv) for c in a])
+    inv = _inv(tower, a[-1])
+    return _poly_trim([_mul(tower, c, inv) for c in a])
 
 
-def _poly_gcd(tower, level, a: list, b: list) -> list:
+def _poly_gcd(tower, a: list, b: list) -> list:
     """Monic gcd by the Euclidean algorithm."""
     r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
     while r1:
-        r0, r1 = r1, _poly_mod(tower, level, r0, r1)
-    return _poly_monic(tower, level, r0)
+        r0, r1 = r1, _poly_mod(tower, r0, r1)
+    return _poly_monic(tower, r0)
 
 
-def _poly_squarefree(tower, level, a: list) -> list:
+def _poly_squarefree(tower, a: list) -> list:
     """``a / gcd(a, a')``, monic -- the radical of ``a`` in characteristic zero."""
-    a = _poly_monic(tower, level, a)
-    da = [_mul(tower, level, a[k], _lift_payload(tower, 0, level, Fraction(k)))
-          for k in range(1, len(a))]
-    q, r = _poly_divmod(tower, level, a, _poly_gcd(tower, level, a, da))
+    a = _poly_monic(tower, a)
+    da = [_mul(tower, a[k], _rational(k)) for k in range(1, len(a))]
+    q, r = _poly_divmod(tower, a, _poly_gcd(tower, a, da))
     if r:  # pragma: no cover - gcd divides
         raise NotInvertible("squarefree division failed")
-    return _poly_monic(tower, level, q)
+    return _poly_monic(tower, q)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +352,11 @@ class FieldTower:
     """An extension tower over the rationals.
 
     ``levels`` is a tuple of monic minimal polynomials; polynomial ``k``
-    (0-based) defines level ``k+1`` and its coefficients are payloads at
-    level ``k``, stored ascending and including the leading 1.  ``sizes``
-    and ``folds`` hold the position layout and the integer fold maps of every
-    product, scalar (:func:`_mul`) or series.
+    (0-based) defines level ``k+1``, its coefficients are the forms of
+    elements of level at most ``k``, stored ascending and including the
+    leading 1.  ``sizes`` holds the position layout, and ``folds`` one cell
+    per level for its integer fold map (:func:`_fold_map`), the cells of the
+    levels below shared with the tower this one extends.
     """
 
     __slots__ = ("levels", "sizes", "folds")
@@ -365,7 +365,7 @@ class FieldTower:
         self.levels = tuple(tuple(m) for m in levels)
         self.sizes = [math.prod(2 * len(m) - 3 for m in self.levels[:k])
                       for k in range(len(self.levels) + 1)]
-        self.folds: dict = {}  # level -> ``_fold_map(self, level)``
+        self.folds = [[] for _ in self.levels]
 
     @property
     def depth(self) -> int:
@@ -386,38 +386,37 @@ class FieldTower:
         coeffs = [self.coerce(c) for c in minpoly]
         if len(coeffs) < 3:
             raise DomainViolation("extensions must have degree >= 2")
-        payloads = [c._lifted(self, self.depth).payload for c in coeffs]
-        if not _payload_is_zero(_sub(self, self.depth, payloads[-1],
-                                     _lift_payload(self, 0, self.depth, Fraction(1)))):
+        if coeffs[-1].form != _UNIT:
             raise DomainViolation("minimal polynomial must be monic")
-        return FieldTower(self.levels + (tuple(payloads),))
+        if any(c.level > self.depth for c in coeffs):
+            raise DomainViolation("minimal polynomial coefficients must lie in the tower")
+        tower = FieldTower(self.levels + (tuple(c.form for c in coeffs),))
+        tower.folds[:-1] = self.folds
+        return tower
 
     # -- elements ----------------------------------------------------------
 
     def rational(self, q) -> "FieldElement":
-        return FieldElement(self, 0, Fraction(q))
+        return FieldElement(self, _rational(q))
 
-    def zero(self, level: int | None = None) -> "FieldElement":
-        lv = self.depth if level is None else level
-        return FieldElement(self, lv, _zero_payload(self, lv))
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, _ZERO)
 
-    def one(self, level: int | None = None) -> "FieldElement":
-        lv = self.depth if level is None else level
-        return FieldElement(self, lv, _lift_payload(self, 0, lv, Fraction(1)))
+    def one(self) -> "FieldElement":
+        return FieldElement(self, _UNIT)
 
     def gen(self, level: int | None = None) -> "FieldElement":
         """The root adjoined at ``level`` (default: the top level)."""
         lv = self.depth if level is None else level
         if lv < 1:
             raise DomainViolation("the rational level has no generator")
-        return FieldElement(self, lv, _nest(self, lv, {self.sizes[lv - 1]: 1}, 1))
+        return FieldElement(self, (1, ((self.sizes[lv - 1], 1),)))
 
     def coerce(self, x) -> "FieldElement":
         """View ``x`` as an element of this tower (or of ``x``'s own tower,
-        whichever is deeper -- prefix-compatible towers share payloads)."""
+        whichever is deeper -- prefix-compatible towers share positions)."""
         if isinstance(x, FieldElement):
-            target = common_tower(x.tower, self)
-            return FieldElement(target, x.level, x.payload)
+            return FieldElement(common_tower(x.tower, self), x.form)
         if isinstance(x, (int, Fraction)):
             return self.rational(x)
         raise DomainViolation(f"cannot coerce {type(x).__name__} into the tower")
@@ -455,11 +454,8 @@ def common_tower(a: FieldTower, b: FieldTower) -> FieldTower:
 
 
 def common_context(rows) -> tuple[FieldTower, int]:
-    """Deepest tower and highest level among the elements of ``rows``.
-
-    ``rows`` is a matrix or a list of polynomials.  The result is the one
-    ``(tower, level)`` at which the payload kernels can combine every element.
-    """
+    """Deepest tower and highest level among the elements of ``rows``, a
+    matrix or a list of polynomials."""
     tower = None
     level = 0
     for row in rows:
@@ -473,108 +469,85 @@ def common_context(rows) -> tuple[FieldTower, int]:
 
 
 def _operator(kernel):
-    """A binary :class:`FieldElement` operator: ``kernel`` on the paired payloads."""
+    """A binary :class:`FieldElement` operator: ``kernel(tower, a, b)`` on the
+    forms of both operands, over their common tower."""
 
     def op(self: "FieldElement", other):
-        pair = FieldElement._pair(self, other)
-        if pair is None:
+        if isinstance(other, FieldElement):
+            tower = self.tower if other.tower is self.tower else common_tower(self.tower, other.tower)
+            b = other.form
+        elif isinstance(other, (int, Fraction)):
+            tower, b = self.tower, _rational(other)
+        else:
             return NotImplemented
-        tower, level, pa, pb = pair
-        return FieldElement(tower, level, kernel(tower, level, pa, pb))
+        return FieldElement(tower, kernel(tower, self.form, b))
 
     return op
 
 
 class FieldElement:
-    """An exact scalar in a :class:`FieldTower`."""
+    """An exact scalar in a :class:`FieldTower`: the tower and the element's
+    form ``(den, terms)`` (see the module docstring)."""
 
-    __slots__ = ("tower", "level", "payload")
+    __slots__ = ("tower", "form")
 
-    def __init__(self, tower: FieldTower, level: int, payload: Payload):
+    def __init__(self, tower: FieldTower, form: tuple):
         self.tower = tower
-        self.level = level
-        self.payload = payload
+        self.form = form
 
-    # -- helpers -----------------------------------------------------------
-
-    def _lifted(self, tower: FieldTower, level: int) -> "FieldElement":
-        p = _lift_payload(tower, self.level, level, self.payload)
-        return FieldElement(tower, level, p)
-
-    @staticmethod
-    def _pair(a: "FieldElement", b):
-        """``(tower, level, pa, pb)``: both payloads at the operands' common
-        tower and level, lifted only where a level differs; ``None`` when
-        ``b`` is not a scalar."""
-        if isinstance(b, FieldElement):
-            tower = a.tower if b.tower is a.tower else common_tower(a.tower, b.tower)
-            lb, pb = b.level, b.payload
-        elif isinstance(b, (int, Fraction)):
-            tower, lb, pb = a.tower, 0, Fraction(b)
-        else:
-            return None
-        level = max(a.level, lb)
-        return (tower, level, _lift_payload(tower, a.level, level, a.payload),
-                _lift_payload(tower, lb, level, pb))
+    @property
+    def level(self) -> int:
+        """The lowest level of the tower that holds this element."""
+        return _level(self.tower, self.form[1])
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return _payload_is_zero(self.payload)
+        return not self.form[1]
 
     def to_fraction(self) -> Fraction:
-        coords = dict(_unfold(self.tower, self.level, self.payload))
-        if coords.keys() - {0}:
+        den, terms = self.form
+        if not terms:
+            return Fraction(0)
+        if terms[-1][0]:
             raise DomainViolation("element is not rational")
-        return coords.get(0, Fraction(0))
+        return Fraction(terms[0][1], den)
 
     # -- arithmetic ----------------------------------------------------------
 
-    __add__ = __radd__ = _operator(_add)
-    __sub__ = _operator(_sub)
+    __add__ = __radd__ = _operator(lambda tower, a, b: _combine(a, b))
+    __sub__ = _operator(lambda tower, a, b: _combine(a, b, -1))
+    __rsub__ = _operator(lambda tower, a, b: _combine(b, a, -1))
     __mul__ = __rmul__ = _operator(_mul)
-    __truediv__ = _operator(_div)
 
     def __neg__(self):
-        return FieldElement(self.tower, self.level, _neg(self.tower, self.level, self.payload))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        den, terms = self.form
+        return FieldElement(self.tower, (den, tuple((p, -n) for p, n in terms)))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.tower, self.level, _inv(self.tower, self.level, self.payload))
+        return FieldElement(self.tower, _inv(self.tower, self.form))
 
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement) and _deeper(self.tower, other.tower) is None:
-            return False
-        pair = FieldElement._pair(self, other)
-        if pair is None:
-            return NotImplemented
-        return pair[2] == pair[3]
+        if isinstance(other, FieldElement):
+            return self.form == other.form and _deeper(self.tower, other.tower) is not None
+        if isinstance(other, (int, Fraction)):
+            return self.form == _rational(other)
+        return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        if self.level == 0:
-            return f"{self.payload}"
-        return f"FieldElement(level={self.level}, {self.payload})"
+        den, terms = self.form
+        if not terms or not terms[-1][0]:
+            return f"{self.to_fraction()}"
+        return f"FieldElement({den}, {terms})"
 
 
 # ---------------------------------------------------------------------------
-# polynomial views over FieldElement: lift to the common context, run the
-# payload kernels above, wrap the result
-
-
-def _poly_payloads(polys) -> tuple[FieldTower, int, list]:
-    tower, level = common_context(polys)
-    return tower, level, [[_lift_payload(tower, c.level, level, c.payload) for c in p]
-                          for p in polys]
-
-
-def _wrap(tower: FieldTower, level: int, cs: list) -> list[FieldElement]:
-    return [FieldElement(tower, level, c) for c in cs]
+# polynomial views over FieldElement: the form kernels above at the common
+# tower
 
 
 def poly_trim(cs: list[FieldElement]) -> list[FieldElement]:
@@ -584,12 +557,12 @@ def poly_trim(cs: list[FieldElement]) -> list[FieldElement]:
 
 
 def poly_divmod(a: list[FieldElement], b: list[FieldElement]) -> tuple[list[FieldElement], list[FieldElement]]:
-    tower, level, (pa, pb) = _poly_payloads([a, b])
-    q, r = _poly_divmod(tower, level, pa, pb)
-    return _wrap(tower, level, q), _wrap(tower, level, r)
+    tower = common_context([a, b])[0]
+    q, r = _poly_divmod(tower, [c.form for c in a], [c.form for c in b])
+    return [FieldElement(tower, f) for f in q], [FieldElement(tower, f) for f in r]
 
 
 def poly_squarefree_part(a: list[FieldElement]) -> list[FieldElement]:
     """``a / gcd(a, a')`` — the radical of ``a`` in characteristic zero."""
-    tower, level, (pa,) = _poly_payloads([a])
-    return _wrap(tower, level, _poly_squarefree(tower, level, pa))
+    tower = common_context([a])[0]
+    return [FieldElement(tower, f) for f in _poly_squarefree(tower, [c.form for c in a])]

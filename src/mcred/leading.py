@@ -39,8 +39,7 @@ from .field import (
     FieldElement,
     FieldTower,
     _poly_gcd,
-    _poly_squarefree,
-    _unfold,
+    _rational,
     common_context,
     common_tower,
     poly_divmod,
@@ -137,7 +136,9 @@ def _rational_poly_roots(g: list[Fraction]) -> list[Fraction]:
     primes = (q for q in count(2) if lc % q and all(q % k for k in range(2, isqrt(q) + 1)))
     for tries, p in enumerate(primes):
         if tries == 3:
-            lc, h = _monic_integral(_poly_squarefree(FieldTower(), 0, cs))
+            qq = FieldTower()
+            lc, h = _monic_integral([x.to_fraction() for x in
+                                     poly_squarefree_part([qq.rational(c) for c in cs])])
         hp = [c % p for c in h]
         residues = [a for a in range(p) if _value_and_slope(hp, a)[0] % p == 0]
         if all(_value_and_slope(hp, a)[1] % p for a in residues):
@@ -167,11 +168,11 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
     if len(cs) < 2:
         return []
     tower = common_context([cs])[0]
-    coords = [dict(_unfold(tower, c.level, c.payload)) for c in cs]
-    slot_polys = [[cd.get(p, Fraction(0)) for cd in coords]
+    coords = [dict(c.form[1]) for c in cs]
+    slot_polys = [[_rational(Fraction(cd.get(p, 0), c.form[0])) for c, cd in zip(cs, coords)]
                   for p in sorted(set().union(*coords))]
-    return _rational_poly_roots(
-        functools.reduce(functools.partial(_poly_gcd, tower, 0), slot_polys))
+    gcd = functools.reduce(functools.partial(_poly_gcd, tower), slot_polys)
+    return _rational_poly_roots([FieldElement(tower, f).to_fraction() for f in gcd])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +328,7 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     ``E G E**-1 - (dE/du) E**-1`` of every step in turn would give.
 
     The loop builds no series, and field elements only for the recorded
-    ``C_i`` (at the top level of the tower): ``G`` and ``total`` are grids
+    ``C_i``: ``G`` and ``total`` are grids
     of :func:`series._integral` forms, every window product is one
     :func:`series._form_product`, and ``D`` is one more pair in the
     accumulation of ``(E G) E**-1`` (:func:`_gauged`).  ``step``, each
@@ -380,7 +381,7 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
             continue
         c_form = _square(c_col, 0, n)
         work, total = _gauged(tower, _step_gauge(tower, [(i, c_form)], p), work, total)
-        corrections.append((i, _elements(tower, tower.depth, c_form)))
+        corrections.append((i, _elements(tower, c_form)))
     # the tail: step j sees the coefficient at offset j of the connection
     # after the head, less the brackets [C_i, W_(j-i)] of the tail steps
     # before it, plus the i C_i that lands there
@@ -405,7 +406,7 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
         if _is_zero(c_col):
             continue
         tail[j] = _square(c_col, 0, n)
-        corrections.append((j, _elements(tower, tower.depth, tail[j])))
+        corrections.append((j, _elements(tower, tail[j])))
     if tail:
         work, total = _gauged(tower, _step_gauge(tower, list(tail.items()), p), work, total)
     if corrections:
@@ -471,13 +472,14 @@ def _coprime_factors(m_poly: list, tower: FieldTower) -> list:
 
 
 def _poly_hint_key(q: Sequence[FieldElement], tower: FieldTower) -> tuple:
-    """Hashable fingerprint of a monic polynomial over ``tower``'s top level.
+    """Hashable fingerprint of a monic polynomial over ``tower``: the forms
+    of its coefficients.
 
     Matches what :meth:`FieldTower.extend` would register, so a
     ``ZeroDivisorSplit`` raised after adjoining ``q`` carries the same key in
     ``exc.tower.levels[exc.level - 1]``.
     """
-    return tuple(tower.coerce(cf)._lifted(tower, tower.depth).payload for cf in q)
+    return tuple(tower.coerce(cf).form for cf in q)
 
 
 def _apply_hints(factors: list, tower: FieldTower, hints) -> list:
@@ -492,8 +494,7 @@ def _apply_hints(factors: list, tower: FieldTower, hints) -> list:
         if known is None:
             out.append(q)
         else:
-            queue.extend([FieldElement(tower, tower.depth, pl) for pl in part]
-                         for part in known)
+            queue.extend([FieldElement(tower, f) for f in part] for part in known)
     return out
 
 
@@ -517,7 +518,7 @@ def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
     now.  Divisions behind the elimination may discover that an adjoined
     polynomial factors (``ZeroDivisorSplit``); the caller owns the retry.
     ``hints`` maps fingerprints of monic polynomials (as recorded by such a
-    split) to pairs of factor payload tuples; factors found there are split
+    split) to pairs of tuples of factor coefficient forms; factors found there are split
     without any adjunction, which is how a retry avoids re-raising.
     """
     n = c.size

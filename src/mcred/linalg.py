@@ -9,9 +9,9 @@ loops: each converts its matrices once to ``(den, parts)`` integer matrices
 and multiplies them by :func:`series._matrix_product`.
 All eliminations use the first nonzero entry as pivot, so
 the results are deterministic functions of the input.  Elimination runs on
-raw payloads at one ``(tower, level)`` per matrix, the deepest tower and
-highest level among its entries as :func:`field.common_context` finds them,
-and touches only the nonzero columns of each pivot row.
+the entries' forms at the deepest tower among them
+(:func:`field.common_context`), and touches only the nonzero columns of
+each pivot row.
 Where only a rank or a pivot list leaves the elimination,
 :func:`pivot_columns` alone picks how to eliminate.  It takes band rows
 ``(lo, values)``: Python ints, and elements at level 0 once each band is
@@ -39,8 +39,7 @@ from itertools import islice
 from typing import Sequence
 
 from .errors import DomainViolation, LinearSolveFailed, NotInvertible
-from .field import FieldElement, FieldTower, common_context
-from .field import _inv, _lift_payload, _mul, _nest, _over_lcm, _payload_is_zero, _sub, _unfold
+from .field import FieldElement, FieldTower, _combine, _inv, _mul, _reduced, common_context
 from .series import _elements, _matrix_form, _matrix_product
 
 Matrix = list  # list[list[FieldElement]]
@@ -107,12 +106,12 @@ def mat_scale(c, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """``a b`` by :func:`series._matrix_product`, every entry at the operands'
-    common tower and top level (:func:`field.common_context`)."""
+    """``a b`` by :func:`series._matrix_product`, over the operands' common
+    tower (:func:`field.common_context`)."""
     if mat_shape(a)[1] != mat_shape(b)[0]:
         raise DomainViolation("matrix shapes incompatible in product")
-    tower, level = common_context([*a, *b])
-    return _elements(tower, level, _matrix_product(tower, _matrix_form(a), _matrix_form(b)))
+    tower = common_context([*a, *b])[0]
+    return _elements(tower, _matrix_product(tower, _matrix_form(a), _matrix_form(b)))
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -134,38 +133,37 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
     Pivoting picks the first row with a nonzero entry, so over a fixed tower
-    the output is deterministic.  Every entry comes back at the matrix's
-    common tower and top level.
+    the output is deterministic.  Every entry comes back over the matrix's
+    common tower.
     """
     rows, cols = mat_shape(m)
     if not rows or not cols:
         return mat_copy(m), []
-    tower, level = common_context(m)
-    r = [[_lift_payload(tower, x.level, level, x.payload) for x in row] for row in m]
+    tower = common_context(m)[0]
+    r = [[x.form for x in row] for row in m]
     pivots: list[int] = []
     lead = 0
     for col in range(cols):
         if lead >= rows:
             break
-        pivot_row = next(
-            (i for i in range(lead, rows) if not _payload_is_zero(r[i][col])), None)
+        pivot_row = next((i for i in range(lead, rows) if r[i][col][1]), None)
         if pivot_row is None:
             continue
         r[lead], r[pivot_row] = r[pivot_row], r[lead]
         prow = r[lead]
-        inv = _inv(tower, level, prow[col])
+        inv = _inv(tower, prow[col])
         # only the pivot row's nonzero columns can change the other rows
-        support = [j for j in range(col, cols) if not _payload_is_zero(prow[j])]
+        support = [j for j in range(col, cols) if prow[j][1]]
         for j in support:
-            prow[j] = _mul(tower, level, prow[j], inv)
+            prow[j] = _mul(tower, prow[j], inv)
         for i, row in enumerate(r):
             f = row[col]
-            if i != lead and not _payload_is_zero(f):
+            if i != lead and f[1]:
                 for j in support:
-                    row[j] = _sub(tower, level, row[j], _mul(tower, level, f, prow[j]))
+                    row[j] = _combine(row[j], _mul(tower, f, prow[j]), -1)
         pivots.append(col)
         lead += 1
-    return [[FieldElement(tower, level, p) for p in row] for row in r], pivots
+    return [[FieldElement(tower, x) for x in row] for row in r], pivots
 
 
 def pivot_columns(bands: list) -> list[int]:
@@ -187,8 +185,9 @@ def pivot_columns(bands: list) -> list[int]:
         return rref([[zero] * lo + v + [zero] * (width - lo - len(v)) for lo, v in bands])[1]
     cleared = []
     for lo, values in bands:
-        den = math.lcm(*[x.payload.denominator for x in values])
-        cleared.append((lo, [x.payload.numerator * (den // x.payload.denominator)
+        den = math.lcm(*[x.form[0] for x in values])
+        # a rational's terms are empty or its one numerator at position 0
+        cleared.append((lo, [sum(n for _, n in x.form[1]) * (den // x.form[0])
                              for x in values]))
     return integer_pivot_columns(cleared)
 
@@ -355,8 +354,8 @@ def charpoly(m: Matrix) -> list[FieldElement]:
     are exact in characteristic zero.  The loop runs on ``(den, parts)``
     matrices: ``m`` converts once, each ``M_k = m (M_(k-1) + c I)`` is one
     :func:`series._matrix_product`, each ``c = -trace(M_k) / k`` is read off
-    its diagonals, and the coefficients convert back once, at the top level
-    of ``m``'s tower.
+    its diagonals, and the coefficients convert back once, over ``m``'s
+    tower.
     """
     n, c = mat_shape(m)
     if n != c:
@@ -368,22 +367,21 @@ def charpoly(m: Matrix) -> list[FieldElement]:
         am = _matrix_product(tower, mf, _plus_scalar(am, *coeffs[-1]))
         coeffs.append((am[0] * k, [(p, -sum(x[i][i] for i in range(n)))
                                    for p, x in am[1].items()]))
-    return [FieldElement(tower, tower.depth, _nest(tower, tower.depth, dict(coords), den))
+    return [FieldElement(tower, _reduced(den, sorted((p, v) for p, v in coords if v)))
             for den, coords in reversed(coeffs)]
 
 
 def poly_at_matrix(coeffs: Sequence[FieldElement], m: Matrix) -> Matrix:
     """Evaluate a scalar polynomial (ascending coefficients) at a matrix, by
-    Horner's rule on ``(den, parts)`` matrices, at the top level of their tower."""
+    Horner's rule on ``(den, parts)`` matrices, over their common tower."""
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("polynomial evaluation at a non-square matrix")
     tower = common_context([*m, coeffs])[0]
     mf, out = _matrix_form(m), (1, {0: [[0] * n for _ in range(n)]})
     for ck in reversed(list(coeffs)):
-        out = _plus_scalar(_matrix_product(tower, out, mf),
-                           *_over_lcm(_unfold(ck.tower, ck.level, ck.payload)))
-    return _elements(tower, tower.depth, out)
+        out = _plus_scalar(_matrix_product(tower, out, mf), *ck.form)
+    return _elements(tower, out)
 
 
 # ---------------------------------------------------------------------------

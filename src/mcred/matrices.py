@@ -4,7 +4,7 @@ All entries of one matrix share the same coefficient tower and ramification
 index; the constructor normalises both.  Valuation and precision of a matrix
 are the minima over its entries, which is exactly the right aggregate for the
 gauge-theoretic precision bookkeeping done upstream.  A product runs the
-payload kernel :func:`series.mat_product` once for the whole matrix: entry
+integer kernel :func:`series.mat_product` once for the whole matrix: entry
 ``(i, j)`` is known to ``min_k min(val a_ik + prec b_kj, val b_kj + prec a_ik)``
 over the ``k`` whose factors are both nonzero, as if summed term by term.
 

@@ -37,6 +37,7 @@ does any malformed scalar, duplicate exponent or ragged grid.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -44,7 +45,7 @@ from json.encoder import encode_basestring_ascii
 from .connection import Connection
 from .cohomology import DeRhamDims
 from .errors import DomainViolation, ParseError
-from .field import FieldElement, FieldTower, _lift_payload, _unfold, _zero_payload
+from .field import FieldElement, FieldTower
 from .matrices import LaurentMatrix
 from .reduction import ReductionNode, ReductionTree
 from .series import INF, LaurentSeries, _form_of, _from_form
@@ -102,29 +103,35 @@ def str_to_fraction(s) -> Fraction:
         raise ParseError(f"malformed rational {s!r}") from exc
 
 
-def _encode_payload(payload):
-    if isinstance(payload, Fraction):
-        return fraction_to_str(payload)
-    return [_encode_payload(c) for c in payload]
+def _nested(tower: FieldTower, level: int, form: tuple):
+    """The JSON value of the element with ``form`` at ``level``: a rational
+    string when it is rational, else its coordinate vector over the level
+    below, nested down to rational strings (:func:`_vector`)."""
+    den, terms = form
+    if not terms or not terms[-1][0]:  # one numerator at position 0, in lowest terms
+        n = terms[0][1] if terms else 0
+        return str(n) if den == 1 else f"{n}/{den}"
+    return _vector(tower, level, den, dict(terms), 0)
 
 
-def _encode_at_level(tower: FieldTower, level: int, payload):
-    coords = dict(_unfold(tower, level, payload))
-    if coords.keys() <= {0}:
-        return fraction_to_str(coords.get(0, Fraction(0)))
-    return _encode_payload(payload)
+def _vector(tower: FieldTower, level: int, den: int, coords: dict, base: int):
+    """The coordinate vector at ``level`` of ``coords[base + position] / den``."""
+    if level == 0:
+        return fraction_to_str(Fraction(coords.get(base, 0), den))
+    step = tower.sizes[level - 1]
+    return [_vector(tower, level - 1, den, coords, base + t * step)
+            for t in range(tower.degree(level))]
 
 
-def encode_element(x: FieldElement):
-    if x.level == 0:  # a rational, written straight from its payload
-        return fraction_to_str(x.payload)
-    lifted = x._lifted(x.tower, x.tower.depth)
-    return _encode_at_level(x.tower, x.tower.depth, lifted.payload)
-
-
-def _decode_payload(tower: FieldTower, level: int, enc):
+def _flat(tower: FieldTower, level: int, enc, base: int, out: list) -> None:
+    """Append ``(base + position, Fraction)`` for each nonzero coordinate of
+    the JSON value ``enc`` at ``level``; a short coordinate vector is padded
+    with zeros."""
     if isinstance(enc, str):
-        return _lift_payload(tower, 0, level, str_to_fraction(enc))
+        q = str_to_fraction(enc)
+        if q:
+            out.append((base, q))
+        return
     if not isinstance(enc, list):
         raise ParseError(
             f"scalar values must be rational strings or coordinate lists, "
@@ -138,13 +145,24 @@ def _decode_payload(tower: FieldTower, level: int, enc):
             f"coordinate vector of length {len(enc)} for an extension of "
             f"degree {deg}"
         )
-    coords = [_decode_payload(tower, level - 1, c) for c in enc]
-    coords.extend([_zero_payload(tower, level - 1)] * (deg - len(coords)))
-    return tuple(coords)
+    step = tower.sizes[level - 1]
+    for t, c in enumerate(enc):
+        _flat(tower, level - 1, c, base + t * step, out)
+
+
+def encode_element(x: FieldElement):
+    return _nested(x.tower, x.tower.depth, x.form)
 
 
 def decode_element(tower: FieldTower, enc) -> FieldElement:
-    return FieldElement(tower, tower.depth, _decode_payload(tower, tower.depth, enc))
+    if isinstance(enc, str):  # a rational, the common case
+        q = str_to_fraction(enc)
+        return FieldElement(tower, (q.denominator, ((0, q.numerator),)) if q else (1, ()))
+    coords: list = []
+    _flat(tower, tower.depth, enc, 0, coords)
+    den = math.lcm(*[q.denominator for _, q in coords])
+    return FieldElement(tower, (den, tuple((p, q.numerator * (den // q.denominator))
+                                           for p, q in coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +173,7 @@ def decode_element(tower: FieldTower, enc) -> FieldElement:
 def encode_tower(tower: FieldTower) -> dict:
     exts = []
     for k in range(1, tower.depth + 1):
-        exts.append(
-            [_encode_at_level(tower, k - 1, c) for c in tower.levels[k - 1]]
-        )
+        exts.append([_nested(tower, k - 1, c) for c in tower.levels[k - 1]])
     return {"extensions": exts}
 
 
@@ -221,20 +237,16 @@ def _prec_from_json(value):
 
 def _decode_grid(tower: FieldTower, grid, n: int, exp: int, entries: list) -> None:
     """Decode the ``n×n`` scalar grid at ``exp``, each nonzero scalar straight
-    into ``entries[i][j]``: its coordinates as ``(exp * size + position,
-    Fraction)`` pairs, and its element at ``exp``."""
+    into the ``{exp: FieldElement}`` dict ``entries[i][j]``."""
     if not isinstance(grid, list) or len(grid) != n:
         raise ParseError(f"coefficient matrix must have {n} rows")
-    depth, base = tower.depth, exp * tower.sizes[-1]
     for row, coeffs in zip(grid, entries):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"coefficient matrix must have {n} columns per row")
-        for x, (coords, elements) in zip(row, coeffs):
-            p = _decode_payload(tower, depth, x)
-            nonzero = _unfold(tower, depth, p, base)
-            if nonzero:
-                coords += nonzero
-                elements[exp] = FieldElement(tower, depth, p)
+        for x, elements in zip(row, coeffs):
+            x = decode_element(tower, x)
+            if x.form[1]:
+                elements[exp] = x
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +333,12 @@ def decode_matrix(obj) -> LaurentMatrix:
     if not 1 <= n <= MAX_RANK:
         raise ParseError(f"rank must lie between 1 and {MAX_RANK}, got {n}")
     tower, ram, prec, terms = _header(obj, "matrix", "matrix")
-    entries = [[([], {}) for _ in range(n)] for _ in range(n)]  # coordinates, elements
+    entries = [[{} for _ in range(n)] for _ in range(n)]
     for exp, grid in terms:
         _decode_grid(tower, grid, n, exp, entries)
     size = tower.sizes[-1]
-    return LaurentMatrix(tower, [[_from_form(tower, ram, _form_of(size, prec, coords), elements)
-                                  for coords, elements in row] for row in entries], ram)
+    return LaurentMatrix(tower, [[_from_form(tower, ram, _form_of(size, prec, elements), elements)
+                                  for elements in row] for row in entries], ram)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +375,13 @@ def decode_connection(obj) -> Connection:
 
 
 def _encode_op(op) -> dict:
-    tag, payload = op
+    tag, value = op
     if tag == "gauge":
-        return {"op": "gauge", "matrix": encode_matrix(payload)}
+        return {"op": "gauge", "matrix": encode_matrix(value)}
     if tag == "twist":
-        return {"op": "twist", "series": encode_series(payload)}
+        return {"op": "twist", "series": encode_series(value)}
     if tag == "ramify":
-        return {"op": "ramify", "degree": payload}
+        return {"op": "ramify", "degree": value}
     raise DomainViolation(f"unknown reduction operation {tag!r}")
 
 

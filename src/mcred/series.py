@@ -26,7 +26,7 @@ every operation reads and builds forms, and the ``FieldElement``
 coefficients are a view: the dict the constructor was given, or one built
 from the form when first read.
 
-A product is the 1x1 case of :func:`mat_product`, one payload convolution
+A product is the 1x1 case of :func:`mat_product`, one integer convolution
 in two halves.  :func:`_accumulate` sums the products of the forms'
 numerators unreduced per exponent and position; terms at or past the
 precision are never formed.  :func:`_settle` folds the sums by the minimal
@@ -48,14 +48,12 @@ the Sibuya loop's step map, powers, ``C_i`` and leftover check.
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import (FieldElement, FieldTower, _fold_map, _fold_nums, _nest, _over_lcm,
-                    _unfold, common_tower)
+from .field import FieldElement, FieldTower, _fold_map, _fold_nums, _reduced, common_tower
 
 INF = math.inf
 
@@ -98,14 +96,12 @@ class LaurentSeries:
                     tower = common_tower(tower, value.tower)
             else:
                 value = tower.coerce(value)
-            if not value.is_zero():
+            if value.form[1]:
                 clean[exp] = value
         for e, v in clean.items():
             if v.tower is not tower:  # a later coefficient deepened the tower
-                clean[e] = FieldElement(tower, v.level, v.payload)
-        size = tower.sizes[-1]
-        form = _form_of(size, prec, [kq for e, c in clean.items()
-                                     for kq in _unfold(tower, c.level, c.payload, e * size)])
+                clean[e] = FieldElement(tower, v.form)
+        form = _form_of(tower.sizes[-1], prec, clean)
         self.tower, self.ram, self.prec, self.form, self._view = tower, ram, prec, form, clean
 
     # -- constructors --------------------------------------------------------
@@ -354,13 +350,9 @@ _ONE = (0, INF, 1, [(0, 1)])  # the :func:`_integral` form of the exact series 1
 
 def _view_of(tower: FieldTower, form) -> dict:
     """``{exp: FieldElement}`` of the :func:`_integral` form ``form`` over
-    ``tower``: one element per exponent, at the lowest level holding its
-    positions."""
-    view = {}
-    for e, nums in _by_exponent(form[3] if form else [], tower.sizes[-1]).items():
-        level = bisect.bisect_right(tower.sizes, max(nums))
-        view[e] = FieldElement(tower, level, _nest(tower, level, nums, form[2]))
-    return view
+    ``tower``: one element per exponent, its positions in ascending order."""
+    return {e: FieldElement(tower, _reduced(form[2], list(nums.items())))
+            for e, nums in _by_exponent(form[3] if form else [], tower.sizes[-1]).items()}
 
 
 def _integral(s: LaurentSeries, ram: int, size: int):
@@ -390,13 +382,15 @@ def _normal(size: int, prec, den: int, terms: list):
     return terms[0][0] // size, prec, den, terms
 
 
-def _form_of(size: int, prec, coords: list):
-    """The :func:`_integral` form of the nonzero coordinates ``coords``, as
-    ``(e * size + position, Fraction)`` pairs below ``prec`` in any order:
-    over the lcm of their reduced denominators, the gcd is already 1."""
-    if not coords:
-        return _normal(size, prec, 1, coords)
-    den, terms = _over_lcm(sorted(coords))
+def _form_of(size: int, prec, elements: dict):
+    """The :func:`_integral` form of the nonzero coefficients ``{exp:
+    FieldElement}`` below ``prec``: over the lcm of the elements'
+    denominators, the gcd is already 1."""
+    if not elements:
+        return _normal(size, prec, 1, [])
+    den = math.lcm(*[x.form[0] for x in elements.values()])
+    terms = [(e * size + p, n * (den // d)) for e, x in sorted(elements.items())
+             for d, pairs in [x.form] for p, n in pairs]
     return terms[0][0] // size, prec, den, terms
 
 
@@ -518,8 +512,8 @@ def _gathered(rows: int, cols: int, coords: list) -> tuple:
 def _matrix_form(grid) -> tuple:
     """The :func:`_gathered` matrix of a grid of field elements."""
     return _gathered(len(grid), len(grid[0]), [
-        (i, j, pos, q.numerator, q.denominator) for i, row in enumerate(grid)
-        for j, x in enumerate(row) for pos, q in _unfold(x.tower, x.level, x.payload)])
+        (i, j, pos, num, x.form[0]) for i, row in enumerate(grid)
+        for j, x in enumerate(row) for pos, num in x.form[1]])
 
 
 def _add_to(parts: dict, pos: int, m: list) -> None:
@@ -559,9 +553,10 @@ def _is_zero(form: tuple) -> bool:
     return not any(v for m in form[1].values() for row in m for v in row)
 
 
-def _elements(tower: FieldTower, level: int, form: tuple) -> list:
-    """The grid of field elements at ``level`` of ``tower`` with the
-    :func:`_gathered` matrix ``form``; every position must be of that level."""
+def _elements(tower: FieldTower, form: tuple) -> list:
+    """The grid of field elements of ``tower`` with the :func:`_gathered`
+    matrix ``form``."""
     den, parts = form
-    return [[FieldElement(tower, level, _nest(tower, level, dict(zip(parts, nums)), den))
-             for nums in zip(*rows)] for rows in zip(*parts.values())]
+    order = sorted(parts)
+    return [[FieldElement(tower, _reduced(den, [(p, n) for p, n in zip(order, nums) if n]))
+             for nums in zip(*rows)] for rows in zip(*[parts[p] for p in order])]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks
+from mcred import checks, serialize
 from mcred.connection import Connection
 from mcred.errors import DomainViolation
 from mcred.field import FieldTower
@@ -102,6 +102,19 @@ def test_gauge_by_the_exact_identity_is_the_connection_itself():
     # an identity known only to a precision is gauged like any other matrix
     truncated = c.gauge(LaurentMatrix.identity(QQ, 2).truncate(5))
     assert truncated is not c and truncated.matrix.coincides_with(c.matrix)
+
+
+def test_gauge_by_the_identity_over_a_deeper_tower_moves_to_that_tower():
+    """The exact ``[[1]]`` written over Q(sqrt 2) gauges a connection over Q
+    to the same connection over Q(sqrt 2), as any other gauge over Q(sqrt 2)
+    does; the encoded field says so."""
+    k = QQ.extend([-2, 0, 1])
+    c = conn([[S({-1: Fraction(1, 2), 0: 3})]])
+    for g in (LaurentMatrix.identity(k, 1), LaurentMatrix.constant(k, [[2]])):
+        got = c.gauge(g)
+        assert got.tower is k and all(s.tower is k for row in got.matrix.entries for s in row)
+        assert serialize.encode_connection(got)["field"] == {"extensions": [["-2", "0", "1"]]}
+    assert c.gauge(LaurentMatrix.identity(k, 1)).matrix.coincides_with(c.matrix)
 
 
 def test_ramify_composes():

@@ -11,7 +11,7 @@ Horner's rule on elements (:func:`_element_poly_at_matrix`) and
 Faddeev-LeVerrier on elements (``test_linalg._element_charpoly``).  Operands
 are drawn over prefixes of one depth-2 tower, at mixed levels, with exact
 zeros, rectangular where the function allows it; every result must have the
-value, the payload, the tower and the level the old path gives.  The run is
+value, the form and the tower the old path gives.  The run is
 derandomized, keeps no example database and points Hypothesis' caches at a
 temporary directory.
 """
@@ -33,10 +33,10 @@ set_hypothesis_home_dir(_HOME.name)
 
 from mcred import linalg  # noqa: E402
 from mcred.connection import Connection  # noqa: E402
-from mcred.field import FieldElement, FieldTower, _nest, _over_lcm, _unfold  # noqa: E402
-from mcred.field import common_context  # noqa: E402
+from mcred.field import FieldElement, FieldTower, common_context  # noqa: E402
 from mcred.leading import commutes  # noqa: E402
 from mcred.series import INF, _form_product  # noqa: E402
+from test_field import from_payload  # noqa: E402
 from test_linalg import _element_charpoly  # noqa: E402
 from test_matrices import _mat_mul  # noqa: E402
 
@@ -57,15 +57,14 @@ def _hypothesis_home():
 def _form_mat_mul(a, b):
     """``a b`` on the per-entry series kernel: each entry a constant
     ``series._integral`` form, one ``series._form_product``, and the forms
-    back to elements at the operands' common tower and top level."""
-    tower, level = common_context(a + b)
+    back to elements at the operands' common tower."""
+    tower = common_context(a + b)[0]
 
     def forms(grid):
-        return [[(0, INF, *_over_lcm(_unfold(x.tower, x.level, x.payload)))
-                 if not x.is_zero() else None for x in row] for row in grid]
+        return [[(0, INF, x.form[0], list(x.form[1])) if not x.is_zero() else None
+                 for x in row] for row in grid]
 
-    return [[FieldElement(tower, level, _nest(tower, level, dict(f[3]), f[2])) if f
-             else tower.zero(level) for f in row]
+    return [[FieldElement(tower, (f[2], tuple(f[3]))) if f else tower.zero() for f in row]
             for row in _form_product(tower, forms(a), forms(b))]
 
 
@@ -80,11 +79,11 @@ def _element_poly_at_matrix(coeffs, m):
     return out
 
 
-def _same(got, want, tower, level):
-    """Equal payloads, and every entry at ``tower`` and ``level``."""
+def _same(got, want, tower):
+    """Equal forms, and every entry over ``tower``."""
     assert [len(row) for row in got] == [len(row) for row in want]
-    assert all(x.tower is tower and x.level == level for row in got for x in row)
-    assert [[x.payload for x in row] for row in got] == [[x.payload for x in row] for row in want]
+    assert all(x.tower is tower for row in got for x in row)
+    assert [[x.form for x in row] for row in got] == [[x.form for x in row] for row in want]
 
 
 # -- strategies ----------------------------------------------------------------
@@ -107,8 +106,8 @@ def elements(draw, tower):
     prefix = TOWERS[draw(st.integers(0, tower.depth))]
     level = draw(st.integers(0, prefix.depth))
     if draw(st.integers(0, 3)) == 0:
-        return prefix.zero(level)
-    return FieldElement(prefix, level, draw(payloads(prefix, level)))
+        return prefix.zero()
+    return from_payload(prefix, level, draw(payloads(prefix, level)))
 
 
 def grids(tower, rows, cols):
@@ -124,7 +123,7 @@ def grid_pairs(draw):
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
     a, b = draw(grids(tower, n, k)), draw(grids(tower, k, m))
     if draw(st.integers(0, 4)) == 0:
-        b = [[tower.zero(draw(st.integers(0, tower.depth))) for _ in range(m)] for _ in range(k)]
+        b = [[tower.zero() for _ in range(m)] for _ in range(k)]
     return a, b
 
 
@@ -151,9 +150,8 @@ def poly_cases(draw):
 def test_mat_mul_matches_both_oracles(pair):
     a, b = pair
     got = linalg.mat_mul(a, b)
-    tower, level = common_context(a + b)
-    _same(got, _form_mat_mul(a, b), tower, level)
-    assert got == _mat_mul(a, b)  # FieldElement == compares across levels
+    _same(got, _form_mat_mul(a, b), common_context(a + b)[0])
+    assert got == _mat_mul(a, b)  # FieldElement == compares across prefix towers
 
 
 @ORACLE
@@ -161,8 +159,7 @@ def test_mat_mul_matches_both_oracles(pair):
 def test_poly_at_matrix_matches_horner_on_elements(case):
     coeffs, m = case
     tower = common_context(m)[0]
-    _same(linalg.poly_at_matrix(coeffs, m), _element_poly_at_matrix(coeffs, m),
-          tower, tower.depth)
+    _same(linalg.poly_at_matrix(coeffs, m), _element_poly_at_matrix(coeffs, m), tower)
 
 
 @ORACLE
@@ -170,7 +167,7 @@ def test_poly_at_matrix_matches_horner_on_elements(case):
 def test_charpoly_matches_the_element_loop_on_prefix_towers(m):
     tower = common_context(m)[0]
     got, want = linalg.charpoly(m), _element_charpoly(m)
-    _same([got], [[x._lifted(tower, tower.depth) for x in want]], tower, tower.depth)
+    _same([got], [want], tower)
     # Cayley-Hamilton: the product chain cancels to the zero matrix
     assert linalg.is_zero_matrix(linalg.poly_at_matrix(got, m))
 
@@ -180,14 +177,14 @@ def test_products_that_cancel_are_zero_at_the_common_level(tower):
     rng = random.Random(tower.depth)
     x, y = (sum((tower.gen(lv) * rng.randint(1, 9) for lv in range(1, tower.depth + 1)),
                 tower.rational(rng.randint(1, 9))) for _ in range(2))
-    a = [[x, y], [x * 2, y * 2], [tower.zero(0), tower.zero(0)]]
-    b = [[y, tower.zero(0)], [-x, tower.zero(0)]]  # a b = 0, a rank-one cancellation
+    a = [[x, y], [x * 2, y * 2], [tower.zero(), tower.zero()]]
+    b = [[y, tower.zero()], [-x, tower.zero()]]  # a b = 0, a rank-one cancellation
     got = linalg.mat_mul(a, b)
-    _same(got, _form_mat_mul(a, b), tower, tower.depth)
-    assert linalg.is_zero_matrix(got)
+    _same(got, _form_mat_mul(a, b), tower)
+    assert linalg.is_zero_matrix(got) and common_context(got) == (tower, 0)
     ones = [[tower.rational(1)] * 2] * 2
     _same(linalg.mat_mul(ones, [[tower.rational(1)], [tower.rational(-1)]]),
-          [[QQ.zero()], [QQ.zero()]], tower, 0)
+          [[QQ.zero()], [QQ.zero()]], tower)
 
 
 @ORACLE

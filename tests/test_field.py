@@ -1,8 +1,10 @@
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -12,21 +14,16 @@ import pytest
 import mcred
 from mcred import linalg, serialize
 from mcred.connection import Connection
-from mcred.errors import DomainViolation, ZeroDivisorSplit
+from mcred.errors import DomainViolation, NotInvertible, ZeroDivisorSplit
 from mcred.field import (
     FieldElement,
     FieldTower,
-    _add,
     _inv,
     _inv_by_euclid,
     _mul,
-    _payload_is_zero,
     _poly_gcd,
-    _poly_mod,
     _poly_mul,
-    _poly_payloads,
-    _sub,
-    _zero_payload,
+    common_context,
     common_tower,
     poly_divmod,
     poly_squarefree_part,
@@ -96,7 +93,7 @@ def test_zero_divisor_split_reports_factors():
     assert exc.level == 1
     lo, hi = exc.factors
     # the two discovered factors multiply back to x^2 - 1
-    assert _poly_mul(QQ, 0, list(lo), list(hi)) == [Fraction(-1), Fraction(0), Fraction(1)]
+    assert _poly_mul(QQ, list(lo), list(hi)) == [QQ.rational(c).form for c in (-1, 0, 1)]
 
 
 def test_common_tower_merges_extensions():
@@ -121,9 +118,9 @@ def _qq(coeffs):
 
 def test_poly_helpers():
     # gcd(x^2 - 1, x^2 - 2x + 1) = x - 1 up to normalization
-    a, b = ([c.payload for c in _qq(cs)] for cs in ([-1, 0, 1], [1, -2, 1]))
-    g = _poly_gcd(QQ, 0, a, b)
-    assert [c / g[-1] for c in g] == [Fraction(-1), Fraction(1)]
+    a, b = ([c.form for c in _qq(cs)] for cs in ([-1, 0, 1], [1, -2, 1]))
+    g = _poly_gcd(QQ, a, b)
+    assert [FieldElement(QQ, c).to_fraction() for c in g] == [Fraction(-1), Fraction(1)]
     q, r = poly_divmod(_qq([-1, 0, 1]), _qq([1, 1]))
     assert all(c.is_zero() for c in r)
     sf = poly_squarefree_part(_qq([1, -2, 1]))  # (x-1)^2 -> x - 1
@@ -136,6 +133,10 @@ def test_extension_degree_validation():
         QQ.extend([1])  # constant is not a minimal polynomial
     with pytest.raises(DomainViolation):
         QQ.extend([0, 0])  # zero leading coefficient
+    root2 = QQ.extend([-2, 0, 1])
+    with pytest.raises(DomainViolation, match="lie in the tower"):
+        QQ.extend([root2.gen(), 0, 1])  # a coefficient one level too high
+    assert QQ.extend([root2.rational(-3), 0, 1]).levels == QQ.extend([-3, 0, 1]).levels
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ def oracle_squarefree_part(a):
 
 
 def oracle_eval(a, x):
-    acc = x.tower.zero(x.level)
+    acc = x.tower.zero()
     for c in reversed(list(a)):
         acc = acc * x + c
     return acc
@@ -239,9 +240,9 @@ K2 = K1.extend([K1.rational(-3), K1.zero(), K1.one()])
 def test_poly_views_match_the_element_wise_oracle(tower, seed):
     rng = random.Random(seed)
     a, b = _seeded_poly(rng, tower), _seeded_poly(rng, tower)
-    top, level, (pa, pb) = _poly_payloads([a, b])
-    gcd = _poly_gcd(top, level, pa, pb)
-    _same([FieldElement(top, level, c) for c in gcd], oracle_gcd(a, b))
+    top = common_context([a, b])[0]
+    gcd = _poly_gcd(top, [c.form for c in a], [c.form for c in b])
+    _same([FieldElement(top, c) for c in gcd], oracle_gcd(a, b))
     _same(poly_squarefree_part(a), oracle_squarefree_part(a))
     for got, want in zip(poly_divmod(a, b), oracle_divmod(a, b)):
         _same(got, want)
@@ -270,8 +271,8 @@ def test_poly_views_match_sympy_over_qq(seed):
     rng = random.Random(100 + seed)
     a, b = _seeded_poly(rng, QQ), _seeded_poly(rng, QQ)
     sa, sb = _sympy_poly(a), _sympy_poly(b)
-    gcd = _poly_gcd(QQ, 0, [c.payload for c in a], [c.payload for c in b])
-    assert gcd == _from_sympy(sa.gcd(sb).monic())
+    gcd = _poly_gcd(QQ, [c.form for c in a], [c.form for c in b])
+    assert _fractions([FieldElement(QQ, c) for c in gcd]) == _from_sympy(sa.gcd(sb).monic())
     assert _fractions(poly_squarefree_part(a)) == _from_sympy(sa.sqf_part().monic())
     q, r = poly_divmod(a, b)
     sq, sr = sa.div(sb)
@@ -290,10 +291,8 @@ def test_rational_roots_match_sympy_over_qq(seed):
 
 def _rational_part(x):
     """The coordinate of ``x`` at position 0, the rational one."""
-    p = x.payload
-    while isinstance(p, tuple):
-        p = p[0]
-    return p
+    den, terms = x.form
+    return Fraction(dict(terms).get(0, 0), den)
 
 
 @pytest.mark.parametrize("tower", [K1, K2])
@@ -352,12 +351,213 @@ def test_poly_divmod_zero_divisor_reports_the_scalar_split(tower):
 
 
 # ---------------------------------------------------------------------------
+# the payload reference
+#
+# Before an element was its flat form, it was a *payload*: a ``Fraction`` at
+# level 0 and, at level k, the tuple of its ``deg(m_k)`` coordinates over
+# level k - 1, each a payload.  The kernels below are that arithmetic, kept
+# as the reference for the form kernels: recursive sums, a product that is
+# the schoolbook product reduced by a polynomial division by the minimal
+# polynomial (no fold map), and an inverse by the extended Euclid, with the
+# polynomial layer they share.  ``to_payload`` and ``to_form`` convert at a
+# given level; ``from_payload`` is how the tests build an element from nested
+# coordinates.
+
+
+def to_payload(tower, level, form):
+    """The payload at ``level`` of the element with ``form``."""
+    den, terms = form
+    coords = dict(terms)
+
+    def nest(level, base):
+        if level == 0:
+            return Fraction(coords.get(base, 0), den)
+        step = tower.sizes[level - 1]
+        return tuple(nest(level - 1, base + t * step) for t in range(tower.degree(level)))
+
+    return nest(level, 0)
+
+
+def to_form(tower, level, payload):
+    """The form of the element whose payload at ``level`` is ``payload``."""
+    coords = []
+
+    def unfold(level, p, base):
+        if level == 0:
+            if p:
+                coords.append((base, p))
+            return
+        for t, c in enumerate(p):
+            unfold(level - 1, c, base + t * tower.sizes[level - 1])
+
+    unfold(level, payload, 0)
+    den = math.lcm(*[q.denominator for _, q in coords])
+    return den, tuple((pos, q.numerator * (den // q.denominator)) for pos, q in coords)
+
+
+def from_payload(tower, level, payload):
+    """The element of ``tower`` whose payload at ``level`` is ``payload``."""
+    return FieldElement(tower, to_form(tower, level, payload))
+
+
+@functools.lru_cache(maxsize=None)
+def p_minpoly(tower, level):
+    """The minimal polynomial adjoined at ``level``, as payloads one level down."""
+    return tuple(to_payload(tower, level - 1, c) for c in tower.levels[level - 1])
+
+
+def p_zero(tower, level):
+    if level == 0:
+        return Fraction(0)
+    return tuple(p_zero(tower, level - 1) for _ in range(tower.degree(level)))
+
+
+def p_lift(tower, level_from, level_to, p):
+    while level_from < level_to:
+        level_from += 1
+        p = (p,) + tuple(p_zero(tower, level_from - 1) for _ in range(tower.degree(level_from) - 1))
+    return p
+
+
+def p_is_zero(p):
+    return p == 0 if isinstance(p, Fraction) else all(p_is_zero(c) for c in p)
+
+
+def p_add(tower, level, a, b):
+    if level == 0:
+        return a + b
+    return tuple(p_add(tower, level - 1, x, y) for x, y in zip(a, b))
+
+
+def p_neg(tower, level, a):
+    return -a if level == 0 else tuple(p_neg(tower, level - 1, x) for x in a)
+
+
+def p_sub(tower, level, a, b):
+    return p_add(tower, level, a, p_neg(tower, level, b))
+
+
+def p_mul(tower, level, a, b):
+    if level == 0:
+        return a * b
+    deg, below = tower.degree(level), level - 1
+    prod = [p_zero(tower, below)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = p_add(tower, below, prod[i + j], p_mul(tower, below, x, y))
+    reduced = p_poly_mod(tower, below, prod, list(p_minpoly(tower, level)))
+    return tuple(reduced + [p_zero(tower, below)] * (deg - len(reduced)))
+
+
+def p_inv(tower, level, a):
+    if p_is_zero(a):
+        raise NotInvertible("division by zero")
+    if level == 0:
+        return 1 / a
+    below, deg, m = level - 1, tower.degree(level), list(p_minpoly(tower, level))
+    r0, r1 = m, p_poly_trim(list(a))
+    t0, t1 = [], [p_lift(tower, 0, below, Fraction(1))]
+    while r1:
+        q, r = p_poly_divmod(tower, below, r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, p_poly_sub(tower, below, t0, p_poly_mul(tower, below, q, t1))
+    if len(r0) == 1:
+        lead_inv = p_inv(tower, below, r0[0])
+        inv = p_poly_mod(tower, below, [p_mul(tower, below, c, lead_inv) for c in t0], m)
+        return tuple(inv + [p_zero(tower, below)] * (deg - len(inv)))
+    g = p_poly_monic(tower, below, r0)
+    h, _ = p_poly_divmod(tower, below, m, g)
+    raise ZeroDivisorSplit(
+        "zero divisor at tower level %d: minimal polynomial factors as a "
+        "product of degrees %d and %d" % (level, len(g) - 1, len(h) - 1),
+        level, (tuple(g), tuple(h)), tower)
+
+
+def p_poly_trim(cs):
+    while cs and p_is_zero(cs[-1]):
+        cs.pop()
+    return cs
+
+
+def p_poly_sub(tower, level, a, b):
+    zero = p_zero(tower, level)
+    n = max(len(a), len(b))
+    return p_poly_trim([p_sub(tower, level, a[i] if i < len(a) else zero,
+                              b[i] if i < len(b) else zero) for i in range(n)])
+
+
+def p_poly_mul(tower, level, a, b):
+    if not a or not b:
+        return []
+    out = [p_zero(tower, level)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = p_add(tower, level, out[i + j], p_mul(tower, level, x, y))
+    return p_poly_trim(out)
+
+
+def p_poly_divmod(tower, level, a, b):
+    b = p_poly_trim(list(b))
+    if not b:
+        raise NotInvertible("polynomial division by zero")
+    lead_inv = p_inv(tower, level, b[-1])
+    r, q = p_poly_trim(list(a)), []
+    while len(r) >= len(b):
+        c = p_mul(tower, level, r[-1], lead_inv)
+        d = len(r) - len(b)
+        q.extend([p_zero(tower, level)] * (d + 1 - len(q)))
+        q[d] = p_add(tower, level, q[d], c)
+        for i, bc in enumerate(b):
+            r[d + i] = p_sub(tower, level, r[d + i], p_mul(tower, level, c, bc))
+        p_poly_trim(r)
+    return p_poly_trim(q), r
+
+
+def p_poly_mod(tower, level, a, m):
+    return p_poly_divmod(tower, level, a, m)[1]
+
+
+def p_poly_monic(tower, level, a):
+    a = p_poly_trim(list(a))
+    if not a:
+        return a
+    inv = p_inv(tower, level, a[-1])
+    return p_poly_trim([p_mul(tower, level, c, inv) for c in a])
+
+
+def p_poly_gcd(tower, level, a, b):
+    r0, r1 = p_poly_trim(list(a)), p_poly_trim(list(b))
+    while r1:
+        r0, r1 = r1, p_poly_mod(tower, level, r0, r1)
+    return p_poly_monic(tower, level, r0)
+
+
+def p_poly_squarefree(tower, level, a):
+    a = p_poly_monic(tower, level, a)
+    da = [p_mul(tower, level, a[k], p_lift(tower, 0, level, Fraction(k))) for k in range(1, len(a))]
+    q, _ = p_poly_divmod(tower, level, a, p_poly_gcd(tower, level, a, da))
+    return p_poly_monic(tower, level, q)
+
+
+def p_encode(tower, level, p):
+    """The JSON value of the payload ``p`` at ``level``: a rational string
+    when only its rational coordinate can be nonzero, else nested lists."""
+    def nested(p):
+        return serialize.fraction_to_str(p) if isinstance(p, Fraction) else [nested(c) for c in p]
+
+    if all(pos == 0 for pos, _ in to_form(tower, level, p)[1]):
+        while isinstance(p, tuple):
+            p = p[0]
+        return serialize.fraction_to_str(p)
+    return nested(p)
+
+
+# ---------------------------------------------------------------------------
 # scalar operators against lifting both operands first
 #
-# The oracle pairs two operands the long way: it lifts both into new
-# elements at the deeper tower and the higher level with ``_lifted``, then
-# runs the payload kernel.  The operators must give the same tower object,
-# level and payload.
+# The oracle pairs two operands the long way: it lifts both payloads to the
+# common tower and the higher level, then runs the payload kernel.  The
+# operators must give the same tower object and form.
 
 TWIN = QQ.extend([-2, 0, 1])  # equal to K1, another object
 
@@ -372,8 +572,12 @@ def _operands(rng):
     out = []
     for tower in (QQ, K1, TWIN, K2):
         for level in range(tower.depth + 1):
-            out.append(FieldElement(tower, level, _random_payload(rng, tower, level)))
+            out.append(from_payload(tower, level, _random_payload(rng, tower, level)))
     return out + [0, 3, Fraction(-2, 5)]
+
+
+KERNELS = {"+": p_add, "-": p_sub, "*": p_mul}
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
 
 
 def _oracle(op, a, b):
@@ -381,22 +585,15 @@ def _oracle(op, a, b):
         b = a.tower.rational(b)
     tower = common_tower(a.tower, b.tower)
     level = max(a.level, b.level)
-    pa, pb = a._lifted(tower, level).payload, b._lifted(tower, level).payload
+    pa, pb = to_payload(tower, level, a.form), to_payload(tower, level, b.form)
     if op == "==":
         return pa == pb
-    if op == "/":
-        return FieldElement(tower, level, _mul(tower, level, pa, _inv(tower, level, pb)))
-    kernel = {"+": _add, "-": _sub, "*": _mul}[op]
-    return FieldElement(tower, level, kernel(tower, level, pa, pb))
-
-
-OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+    return FieldElement(tower, to_form(tower, level, KERNELS[op](tower, level, pa, pb)))
 
 
 def _same_element(got, want):
     assert isinstance(got, FieldElement)
-    assert (got.tower, got.level, got.payload) == (want.tower, want.level, want.payload)
+    assert (got.tower, got.form) == (want.tower, want.form)
     assert got.tower is want.tower
 
 
@@ -409,15 +606,11 @@ def test_scalar_operators_match_lifting_both_operands(seed):
             continue
         for b in operands:
             for op, fn in OPS.items():
-                if op == "/" and (b == 0 if not isinstance(b, FieldElement) else b.is_zero()):
-                    continue
                 _same_element(fn(a, b), _oracle(op, a, b))
                 if not isinstance(b, FieldElement):  # the reflected operators
-                    if op == "/":  # none for division: a number over an element is refused
-                        with pytest.raises(TypeError):
-                            fn(b, a)
-                        continue
                     _same_element(fn(b, a), _oracle(op, a.tower.rational(b), a))
+            with pytest.raises(TypeError):  # elements do not divide
+                a / b
             assert (a == b) is _oracle("==", a, b)
             if not isinstance(b, FieldElement):
                 assert (b == a) is _oracle("==", a, b)
@@ -433,10 +626,192 @@ def test_scalar_equality_is_false_across_incompatible_towers():
 
 
 # ---------------------------------------------------------------------------
+# every kernel against the payload reference, under Hypothesis
+#
+# Towers of depth 0-2 and a cubic over a quadratic, and three towers whose
+# adjoined polynomials factor, so that inverses and polynomial divisions meet
+# zero divisors: x**2 - 1 at level 1 (alone and under a quadratic) and
+# y**2 - 2 over Q(sqrt 2) at level 2.  Elements are drawn at every level,
+# zero among them, and scaled known zero divisors.
+
+CUBIC_OVER_QUADRATIC = K1.extend([-1, -K1.gen(), 0, 1])  # y**3 - sqrt(2) y - 1
+SPLIT_LOW = QQ.extend([-1, 0, 1])
+SPLIT_UNDER = SPLIT_LOW.extend([-2, 0, 1])
+SPLIT_HIGH = K1.extend([-2, 0, 1])
+ORACLE_TOWERS = [
+    (QQ, []), (K1, []), (TWIN, []), (K2, []), (CUBIC_OVER_QUADRATIC, []),
+    (SPLIT_LOW, [SPLIT_LOW.gen() - 1, SPLIT_LOW.gen() + 1]),
+    (SPLIT_UNDER, [SPLIT_UNDER.gen(1) - 1, (SPLIT_UNDER.gen(1) + 1) * SPLIT_UNDER.gen(2)]),
+    (SPLIT_HIGH, [SPLIT_HIGH.gen(2) - SPLIT_HIGH.gen(1), SPLIT_HIGH.gen(2) + SPLIT_HIGH.gen(1)]),
+]
+
+# Hypothesis' caches go here, not into the checkout; the directory goes at exit
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="mcred-hypothesis-")
+
+
+def _hypothesis():
+    """Hypothesis and its strategies module, with the caches redirected."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+    return hypothesis, hypothesis.strategies
+
+
+def _element_strategy(st, towers):
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+    @st.composite
+    def payloads(draw, tower, level):
+        if level == 0:
+            return draw(rationals)
+        return tuple(draw(payloads(tower, level - 1)) for _ in range(tower.degree(level)))
+
+    @st.composite
+    def elements(draw, case):
+        tower, zero_divisors = case
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            return tower.zero()
+        if kind == 1 and zero_divisors:
+            return draw(st.sampled_from(zero_divisors)) * draw(rationals.filter(bool))
+        level = tower.depth - draw(st.integers(0, tower.depth))  # the top level first
+        return from_payload(tower, level, draw(payloads(tower, level)))
+
+    return lambda: st.sampled_from(towers).flatmap(elements)
+
+
+def _compatible(a, b):
+    return a.depth <= b.depth and b.levels[:a.depth] == a.levels or \
+        b.depth <= a.depth and a.levels[:b.depth] == b.levels
+
+
+def _lowest_level(x):
+    """The lowest level at which the payload round trip keeps ``x``."""
+    return next(lv for lv in range(x.tower.depth + 1)
+                if to_form(x.tower, lv, to_payload(x.tower, lv, x.form)) == x.form)
+
+
+def _same_outcome(got, want):
+    """Run two thunks: the same form and tower, or the same exception (for a
+    ``ZeroDivisorSplit`` the same level, factors and tower)."""
+    try:
+        tower, level, payload = want()
+    except (ZeroDivisorSplit, NotInvertible) as exc:
+        with pytest.raises(type(exc)) as info:
+            got()
+        assert str(info.value) == str(exc)
+        if isinstance(exc, ZeroDivisorSplit):
+            assert info.value.level == exc.level and info.value.tower is exc.tower
+            assert info.value.factors == tuple(
+                tuple(to_form(exc.tower, exc.level - 1, c) for c in f) for f in exc.factors)
+        return
+    result = got()
+    if isinstance(result, FieldElement):
+        assert result.tower is tower and result.form == to_form(tower, level, payload)
+    else:
+        assert [(x.tower, x.form) for x in result] == \
+            [(tower, to_form(tower, level, p)) for p in payload]
+
+
+def _check_element(a):
+    tower, level = a.tower, a.level
+    assert level == _lowest_level(a)
+    pa = to_payload(tower, level, a.form)
+    assert a.is_zero() == p_is_zero(pa)
+    assert (-a).form == to_form(tower, level, p_neg(tower, level, pa))
+    _same_outcome(a.inverse, lambda: (tower, level, p_inv(tower, level, pa)))
+    if all(pos == 0 for pos, _ in a.form[1]):
+        assert a.to_fraction() == (pa if level == 0 else _rational_part(a))
+    else:
+        with pytest.raises(DomainViolation):
+            a.to_fraction()
+    enc = serialize.encode_element(a)
+    assert serialize.dumps({"x": enc}) == serialize.dumps(
+        {"x": p_encode(tower, tower.depth, p_lift(tower, level, tower.depth, pa))})
+    back = serialize.decode_element(tower, enc)
+    assert back.form == a.form and back.tower is tower
+
+
+def _check_pair(a, b):
+    if isinstance(b, FieldElement) and not _compatible(a.tower, b.tower):
+        assert not a == b and a != b
+        with pytest.raises(DomainViolation):
+            a * b
+        return
+    bb = b if isinstance(b, FieldElement) else a.tower.rational(b)
+    tower = a.tower if bb.tower is a.tower else common_tower(a.tower, bb.tower)
+    level = max(a.level, bb.level)
+    pa, pb = to_payload(tower, level, a.form), to_payload(tower, level, bb.form)
+    for op, fn in OPS.items():
+        result = fn(a, b)
+        assert result.tower is tower
+        assert result.form == to_form(tower, level, KERNELS[op](tower, level, pa, pb))
+    assert (a == b) is (pa == pb)
+
+
+def test_scalar_kernels_match_the_payload_reference():
+    """``+``, ``-``, ``*``, ``==`` (across towers too), ``inverse`` with its
+    ``ZeroDivisorSplit`` level and factors, ``is_zero``, ``to_fraction``,
+    the derived level and the encoded bytes, derandomized; and the encoded
+    minimal polynomials of every tower."""
+    hypothesis, st = _hypothesis()
+    elements = _element_strategy(st, ORACLE_TOWERS)
+    scalars = st.one_of(st.integers(-4, 4), st.fractions(max_denominator=5, min_value=-3,
+                                                         max_value=3))
+
+    @hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(elements(), st.one_of(elements(), scalars))
+    def check(a, b):
+        _check_element(a)
+        _check_pair(a, b)
+
+    check()
+    for tower, _ in ORACLE_TOWERS:
+        want = [[p_encode(tower, k - 1, c) for c in p_minpoly(tower, k)]
+                for k in range(1, tower.depth + 1)]
+        assert serialize.encode_tower(tower) == {"extensions": want}
+
+
+def test_poly_views_match_the_payload_polynomial_layer():
+    """``poly_divmod`` and ``poly_squarefree_part`` on drawn polynomials over
+    one tower, against the payload polynomial layer at their common level:
+    the same coefficients, or the same exception."""
+    hypothesis, st = _hypothesis()
+
+    @st.composite
+    def polys(draw):
+        case = draw(st.sampled_from(ORACLE_TOWERS))
+        elements = _element_strategy(st, [case])
+        a = draw(st.lists(elements(), min_size=1, max_size=4))
+        b = draw(st.lists(elements(), min_size=1, max_size=3))
+        if draw(st.integers(0, 3)) == 0:
+            b[-1] = case[0].one()  # a monic divisor
+        return a, b
+
+    @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(polys())
+    def check(case):
+        a, b = case
+        tower, level = common_context([a, b])
+        pa, pb = ([to_payload(tower, level, c.form) for c in p] for p in (a, b))
+        _same_outcome(lambda: poly_divmod(a, b)[0],
+                      lambda: (tower, level, p_poly_divmod(tower, level, pa, pb)[0]))
+        _same_outcome(lambda: poly_divmod(a, b)[1],
+                      lambda: (tower, level, p_poly_divmod(tower, level, pa, pb)[1]))
+        top, lv = common_context([a])
+        _same_outcome(lambda: poly_squarefree_part(a),
+                      lambda: (top, lv, p_poly_squarefree(
+                          top, lv, [to_payload(top, lv, c.form) for c in a])))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
 # ``_mul`` reduces by the monic minimal polynomial
 #
-# The oracle is the schoolbook product followed by ``_poly_mod`` (a
-# polynomial division by the minimal polynomial).
+# The reference is the payload product: the schoolbook product followed by a
+# polynomial division by the minimal polynomial.
 
 CUBIC = QQ.extend([-1, -1, 0, 1])  # x^3 - x - 1
 OVER_CUBIC = CUBIC.extend([CUBIC.rational(-1), CUBIC.gen(), CUBIC.one()])  # y^2 + r y - 1
@@ -445,31 +820,50 @@ DEPTH3 = OVER_CUBIC.extend([OVER_CUBIC.gen(1) + OVER_CUBIC.gen(2),
                             OVER_CUBIC.rational(Fraction(1, 2)), OVER_CUBIC.one()])
 
 
-def _mul_by_poly_mod(tower, level, a, b):
-    if level == 0:
-        return a * b
-    deg, below = tower.degree(level), level - 1
-    prod = [_zero_payload(tower, below)] * (2 * deg - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = _add(tower, below, prod[i + j], _mul_by_poly_mod(tower, below, x, y))
-    reduced = _poly_mod(tower, below, prod, list(tower.levels[below]))
-    return tuple(reduced + [_zero_payload(tower, below)] * (deg - len(reduced)))
-
-
 # ``FieldTower(K2.levels)`` equals ``K2`` but builds its own fold maps
 @pytest.mark.parametrize("tower", [K1, CUBIC, K2, OVER_CUBIC, DEPTH3, FieldTower(K2.levels)])
 def test_mul_matches_the_poly_mod_reduction(tower):
     rng = random.Random(math.prod(tower.degree(k) for k in range(1, tower.depth + 1)))
     level = tower.depth
-    zero = _zero_payload(tower, level)
+    zero = p_zero(tower, level)
     samples = [zero] + [_random_payload(rng, tower, level) for _ in range(40)]
     samples += [(p[0],) + zero[1:] for p in samples[1:4]]  # elements of the level below
-    assert any(not _payload_is_zero(p) and any(_payload_is_zero(c) for c in p)
+    assert any(not p_is_zero(p) and any(p_is_zero(c) for c in p)
                for p in samples)  # zero coordinates included
     for a in samples:
         for b in samples[:12]:
-            assert _mul(tower, level, a, b) == _mul_by_poly_mod(tower, level, a, b)
+            got = _mul(tower, to_form(tower, level, a), to_form(tower, level, b))
+            assert got == to_form(tower, level, p_mul(tower, level, a, b))
+
+
+def test_fold_maps_are_shared_with_every_extension():
+    """An extension reuses the fold maps of the levels it shares with its
+    base, built or not yet; a sibling extension has its own top map."""
+    base = CUBIC.extend([CUBIC.rational(-1), CUBIC.gen(), CUBIC.one()])
+    first = base.extend([base.gen(2), 0, 1])
+    second = base.extend([base.gen(1), 0, 1])
+    first.gen(3) * first.gen(3)  # builds the maps of levels 1, 2 and 3 of ``first``
+    assert all(first.folds[k] is base.folds[k] and base.folds[k] for k in range(2))
+    assert all(second.folds[k] is base.folds[k] for k in range(2)) and not second.folds[2]
+    assert second.gen(3) * second.gen(3) == -second.gen(1)
+
+
+def test_every_fold_map_of_a_depth4_reduction_is_built_once(monkeypatch):
+    """Reducing the seed-1 rank-5, pole-2 nilpotent-lead input extends one
+    tower four times; each level's map is built once, not once more per
+    extension above it."""
+    from mcred import checks, field, reduction
+
+    built, build = [], field._build_fold_map
+
+    def spy(tower, level):
+        built.append((level, tower.levels[:level]))
+        return build(tower, level)
+
+    monkeypatch.setattr(field, "_build_fold_map", spy)
+    reduction.reduce(checks.random_connection(random.Random(1), 5, 2, kind="nilpotent_lead"))
+    assert sorted(level for level, _ in built) == [1, 2, 3, 4]
+    assert len(set(built)) == len(built)
 
 
 # -- level-1 inverses: fraction-free elimination against the extended Euclid --
@@ -482,19 +876,20 @@ def _digits(rng, digits):
 
 
 def _same_inverse(tower, a):
-    """``_inv`` and the Euclid path agree on ``a``: the same payload, or the
-    same ``ZeroDivisorSplit``; returns whether ``a`` was invertible."""
+    """``_inv`` and the Euclid path agree on the level-1 payload ``a``: the
+    same form, or the same ``ZeroDivisorSplit``; returns whether ``a`` was
+    invertible."""
+    a = to_form(tower, 1, a)
     try:
         want = _inv_by_euclid(tower, 1, a)
     except ZeroDivisorSplit as exc:
         with pytest.raises(ZeroDivisorSplit) as info:
-            _inv(tower, 1, a)
+            _inv(tower, a)
         assert (info.value.level, info.value.factors) == (exc.level, exc.factors)
         return False
-    got = _inv(tower, 1, a)
-    assert got == want and all(type(q) is Fraction for q in got)
-    one = _mul(tower, 1, a, got)
-    assert one == (Fraction(1),) + (Fraction(0),) * (tower.degree(1) - 1)
+    got = _inv(tower, a)
+    assert got == want
+    assert _mul(tower, a, got) == tower.one().form
     return True
 
 
@@ -534,7 +929,7 @@ def _degree14_files(tmp_path, seed=14, deg=14, digits=30):
     tower = QQ.extend([_digits(rng, digits) for _ in range(deg)] + [1])
 
     def element():
-        return FieldElement(tower, 1, tuple(_digits(rng, digits) for _ in range(deg)))
+        return from_payload(tower, 1, tuple(_digits(rng, digits) for _ in range(deg)))
 
     c = Connection(LaurentMatrix(tower, [[LaurentSeries(tower, {-1: element()})]]))
     g = LaurentMatrix(tower, [[LaurentSeries(tower, {0: element()})]])

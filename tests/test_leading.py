@@ -467,7 +467,7 @@ def _stepwise_sibuya(c, x):
                  for col, d in zip(zip(*e_inv), dlog_row)]
                 for ew_row, dlog_row in zip(ew, dlog)]
         total = series._form_product(tower, e, total)
-        corrections.append((i, series._elements(tower, tower.depth, c_form)))
+        corrections.append((i, series._elements(tower, c_form)))
     return corrections, leading._matrix(tower, ram, work), leading._matrix(tower, ram, total)
 
 

@@ -382,7 +382,7 @@ def _mixed_cases():
     prefix_towers = [
         [QQ.rational(0), K.rational(2), K.gen(), s3],
         [QQ.rational(3), L.rational(1), K.gen() + 1, QQ.rational(5)],
-        [L.zero(), K.gen() * 2, s2 * s3, L.one(1)],
+        [L.zero(), K.gen() * 2, s2 * s3, L.one()],
         [K.rational(6), QQ.rational(4), K.gen() * 3 + 1, s3 * 2 + s2 * 2],
     ]
     level_zero = [[K.rational(q) for q in row] for row in ((1, 2), (3, 4), (2, 4))]
@@ -395,7 +395,8 @@ def test_mixed_levels_and_prefix_towers_match_oracle(m, tower, level):
     o_r, o_pivots = oracle_rref(m)
     assert pivots == o_pivots
     assert linalg.mat_eq(r, o_r)
-    assert all(x.tower == tower and x.level == level for row in r for x in row)
+    # every entry over the common tower, at a derived level no higher than the matrix's
+    assert all(x.tower == tower and x.level <= level for row in r for x in row)
 
 
 def _split_of(x):
@@ -512,8 +513,7 @@ def _band_value(rng, kind):
 
 
 def _band_zero(kind):
-    """0, or the zero of ``kind``'s tower: at level 0 for ``"level 0"``, at
-    the top level (as ``tower.zero()`` gives it) over ``K1`` and ``K2``."""
+    """0, or the zero of ``kind``'s tower, which is at level 0."""
     if kind == "ints":
         return 0
     tower = BAND_KINDS[kind]
@@ -593,7 +593,7 @@ def _element_charpoly(m):
         for i in range(n):
             am[i][i] = am[i][i] + coeffs[n - k + 1]
         am = _mat_mul(m, am)
-        coeffs[n - k] = -sum((am[i][i] for i in range(1, n)), am[0][0]) / k
+        coeffs[n - k] = -sum((am[i][i] for i in range(1, n)), am[0][0]) * Fraction(1, k)
     return coeffs
 
 
@@ -617,6 +617,5 @@ def test_charpoly_matches_the_element_loop(tower, n):
     rng = random.Random(10 * tower.depth + n)
     for m in _charpoly_cases(rng, tower, n):
         got, want = linalg.charpoly(m), _element_charpoly(m)
-        assert [(x.tower, x.level, x.payload) for x in got] == \
-            [(x.tower, x.level, x.payload) for x in want]
-        assert got[n] == tower.one() and all(x.level == tower.depth for x in got)
+        assert [(x.tower, x.form) for x in got] == [(x.tower, x.form) for x in want]
+        assert got[n] == tower.one() and got[n].level == 0

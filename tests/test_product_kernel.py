@@ -1,6 +1,6 @@
 """The series and matrix product kernel against the element-wise product.
 
-``LaurentSeries.__mul__`` and ``LaurentMatrix.__mul__`` run one payload
+``LaurentSeries.__mul__`` and ``LaurentMatrix.__mul__`` run one integer
 convolution (``series.mat_product``).  The reference below is the product
 it replaced: one ``FieldElement`` product per pair of terms, summed term by
 term and entry by entry with the series' own ``+``.  Hypothesis draws
@@ -19,7 +19,7 @@ exception, must agree.  ``linalg.mat_mul``, which runs constant matrices
 through the same kernel, is checked against the element-wise loop it
 replaced (``test_matrices._mat_mul``) on rectangular grids of elements at
 mixed levels over towers of depth 0-2, with exact zeros: every entry's
-value, and its tower and level, which are the operands' common ones.  The
+value, and its tower, which is the operands' common one.  The
 run is derandomized, keeps no example database and points Hypothesis'
 caches at a temporary directory.
 """
@@ -42,7 +42,7 @@ set_hypothesis_home_dir(_HOME.name)
 from mcred import linalg, serialize  # noqa: E402
 from mcred.connection import Connection  # noqa: E402
 from mcred.errors import EngineError  # noqa: E402
-from mcred.field import FieldElement, FieldTower, common_context, common_tower  # noqa: E402
+from mcred.field import FieldTower, common_context, common_tower  # noqa: E402
 from mcred.matrices import LaurentMatrix  # noqa: E402
 from mcred.series import (  # noqa: E402
     INF,
@@ -52,6 +52,7 @@ from mcred.series import (  # noqa: E402
     _materialise,
     _settle,
 )
+from test_field import from_payload  # noqa: E402
 from test_matrices import _adjugate, _mat_mul  # noqa: E402
 
 ORACLE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -132,7 +133,7 @@ def payloads(draw, tower, level):
 @st.composite
 def elements(draw, tower):
     level = draw(st.integers(0, tower.depth))
-    return FieldElement(tower, level, draw(payloads(tower, level)))
+    return from_payload(tower, level, draw(payloads(tower, level)))
 
 
 @st.composite
@@ -179,7 +180,7 @@ def element_grid_pairs(draw):
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
 
     def grid(tower, rows, cols):
-        entries = st.one_of(elements(tower), st.builds(tower.zero, st.integers(0, tower.depth)))
+        entries = st.one_of(elements(tower), st.builds(tower.zero))
         return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
 
     return grid(draw(st.sampled_from(TOWERS)), n, k), grid(draw(st.sampled_from(TOWERS)), k, m)
@@ -252,7 +253,7 @@ def outcome(run):
 def assert_same_series(got, want):
     assert got.ram == want.ram and got.tower == want.tower
     assert got.prec == want.prec and (got.prec is INF) == (want.prec is INF)
-    assert got.coeffs == want.coeffs  # FieldElement == compares across levels
+    assert got.coeffs == want.coeffs  # FieldElement == compares across prefix towers
     assert all(c.tower is got.tower and not c.is_zero() for c in got.coeffs.values())
 
 
@@ -281,10 +282,10 @@ def test_matrix_product_matches_elementwise(pair):
 def test_constant_product_matches_elementwise(pair):
     a, b = pair
     got, want = linalg.mat_mul(a, b), _mat_mul(a, b)
-    tower, level = common_context(a + b)
+    tower = common_context(a + b)[0]
     assert [len(row) for row in got] == [len(row) for row in want]
-    assert all(x.tower is tower and x.level == level for row in got for x in row)
-    assert got == want  # FieldElement == compares across levels
+    assert all(x.tower is tower for row in got for x in row)
+    assert [[x.form for x in row] for row in got] == [[x.form for x in row] for row in want]
 
 
 @settings(ORACLE, max_examples=200)

@@ -9,9 +9,10 @@ from mcred import checks, serialize
 from mcred.cli import main
 from mcred.connection import Connection
 from mcred.errors import ParseError
-from mcred.field import FieldElement, FieldTower
+from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
 from mcred.series import INF, LaurentSeries
+from test_field import p_encode, p_lift
 
 QQ = FieldTower()
 
@@ -60,21 +61,20 @@ def test_element_roundtrip_extension():
 
 
 def test_rational_elements_are_written_from_their_payload(monkeypatch):
-    """A level-0 element, over QQ or a tower, is written from its
-    ``Fraction`` with the string the lifted path writes, and neither a
-    lifted element nor a coordinate dict is built."""
+    """A rational element, over QQ or a tower, is written from its form's
+    one numerator and denominator, with the string the payload reference
+    writes, and no coordinate vector is built."""
     K = QQ.extend([-2, 0, 1])
     L = K.extend([K.rational(-3), K.zero(), K.one()])
     values = [Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(10**40 + 1, 3**30)]
     cases = [(t, t.rational(v)) for t in (QQ, K, L) for v in values]
-    want = [serialize._encode_at_level(t, t.depth, x._lifted(t, t.depth).payload)
-            for t, x in cases]
+    want = [p_encode(t, t.depth, p_lift(t, 0, t.depth, v))
+            for t in (QQ, K, L) for v in values]
 
     def refuse(*args):
-        raise AssertionError("lifted path taken for a rational")
+        raise AssertionError("coordinate vector built for a rational")
 
-    monkeypatch.setattr(FieldElement, "_lifted", refuse)
-    monkeypatch.setattr(serialize, "_unfold", refuse)
+    monkeypatch.setattr(serialize, "_vector", refuse)
     assert [serialize.encode_element(x) for _, x in cases] == want
     assert want[:4] == ["0", "5", "-7/3", f"{10**40 + 1}/{3**30}"]
 
@@ -239,7 +239,7 @@ def test_dumps_is_sorted_and_newline_terminated():
 
 
 def _coeff_map_decode(obj):
-    """The decode before payloads went straight into series: one element per
+    """The decode before coordinates went straight into series: one element per
     scalar by ``decode_element``, the grids through
     ``LaurentMatrix.from_coeff_map`` (for files ``decode_connection`` accepts)."""
     tower = serialize.decode_tower(obj.get("field"))
@@ -252,9 +252,9 @@ def _coeff_map_decode(obj):
 
 def _entries(c):
     """Every series of ``c`` as precision, ramification, tower and its
-    coefficients' exponents, levels and payloads in dict order."""
+    coefficients' exponents, towers and forms in dict order."""
     return [(s.prec, s.ram, s.tower.levels,
-             [(e, x.tower.levels, x.level, x.payload) for e, x in s.coeffs.items()])
+             [(e, x.tower.levels, x.form) for e, x in s.coeffs.items()])
             for row in c.matrix.entries for s in row]
 
 

@@ -261,7 +261,7 @@ class Ref:
 
     def recast(self, tower, ram):
         s = self.lift_ramification(ram // self.ram)
-        return Ref(tower, {e: FieldElement(tower, c.level, c.payload) for e, c in s.coeffs.items()},
+        return Ref(tower, {e: FieldElement(tower, c.form) for e, c in s.coeffs.items()},
                    s.prec, s.ram)
 
     def truncate(self, prec):
