@@ -109,14 +109,12 @@ class Connection:
 
     # -- the three reduction moves ---------------------------------------------
 
-    def gauge(self, g: LaurentMatrix, g_inv: LaurentMatrix | None = None) -> "Connection":
+    def gauge(self, g: LaurentMatrix) -> "Connection":
         """Apply ``gauge_g``: ``g G g^{-1} - (dg/du) g^{-1}``.
 
-        ``g_inv`` is the inverse of ``g`` when the caller already holds it,
-        as every gauge of the reduction but a Sibuya total does; it is then
-        used as given, so its entries must carry the precisions that the
-        cofactor inverse (:meth:`LaurentMatrix.inverse`, taken when
-        ``g_inv`` is ``None``) would give them.  An exact ``g`` must have a monomial determinant, since any
+        ``g^{-1}`` is :meth:`LaurentMatrix.inverse`: elimination for an exact
+        constant ``g``, the cofactor expansion otherwise.  An exact ``g``
+        that is not constant must have a monomial determinant, since any
         other exact inverse does not terminate; truncate such a gauge first.
         The exact identity gives back the connection itself, after the
         checks of shape and ramification, recast to ``g``'s tower when that
@@ -142,10 +140,9 @@ class Connection:
             if tower.depth == self.tower.depth:
                 return self
             return Connection(LaurentMatrix(tower, self.matrix.entries, ram))
-        gi = g.inverse() if g_inv is None else g_inv
+        cols = list(zip(*_forms(g.inverse().entries, ram, size)))
         g_g = _form_product(tower, g_forms, _forms(self.matrix.entries, ram, size))
         minus_dg = [[_negated(_derived(f, size)) for f in row] for row in g_forms]
-        cols = list(zip(*_forms(gi.entries, ram, size)))
         return Connection(LaurentMatrix(tower, [
             [_materialise(tower, ram, *_accumulate(size, [*zip(a, col), *zip(b, col)]))
              for col in cols] for a, b in zip(g_g, minus_dg)], ram))

@@ -447,12 +447,11 @@ def commutes(c: Connection, x: Sequence[Sequence[FieldElement]]) -> bool:
 @dataclass
 class SplitResult:
     """The diagonal blocks of ``c.gauge(transform)``, their sizes, and the
-    constant ``transform`` with its inverse ``transform_inv``."""
+    constant ``transform``."""
 
     blocks: list
     sizes: list
     transform: LaurentMatrix
-    transform_inv: LaurentMatrix
 
 
 def _coprime_factors(m_poly: list, tower: FieldTower) -> list:
@@ -506,8 +505,7 @@ def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
     :func:`sibuya_normalize` against ``s`` guarantees), so a constant base
     change to the kernels of the coprime factors of ``s``'s minimal
     polynomial ``jc.minpoly`` makes ``c`` block diagonal.  That change is
-    ``P**-1`` for the matrix ``P`` whose columns are kernel bases, so the
-    gauge takes ``P`` as its inverse and the result keeps both.  A block
+    ``P**-1`` for the matrix ``P`` whose columns are kernel bases.  A block
     whose lead is the block of ``c``'s lead has, as its lead's semisimple
     part, the block of ``s``, with which every coefficient of the block
     commutes (see :func:`commutes`).
@@ -544,6 +542,4 @@ def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
         raise EngineError("eigenvalue clusters do not fill the space")
     p_mat = linalg.transpose([v for k in kernels for v in k])
     g = LaurentMatrix.constant(tower, linalg.inverse(p_mat), c.ram)
-    g_inv = LaurentMatrix.constant(tower, p_mat, c.ram)
-    blocks = c.gauge(g, g_inv).block_split(sizes)
-    return SplitResult(blocks, sizes, g, g_inv)
+    return SplitResult(c.gauge(g).block_split(sizes), sizes, g)

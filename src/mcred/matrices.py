@@ -8,10 +8,13 @@ integer kernel :func:`series.mat_product` once for the whole matrix: entry
 ``(i, j)`` is known to ``min_k min(val a_ik + prec b_kj, val b_kj + prec a_ik)``
 over the ``k`` whose factors are both nonzero, as if summed term by term.
 
-Inverses go through the classical adjugate so that the only series inversion
-is the determinant's.  The cofactors are expanded division-free on the
-product kernel's integer forms, and every entry of the inverse is built
-once.  The exponential is honest about precision: for a truncated argument
+:meth:`LaurentMatrix.inverse` is the one place where a gauge is inverted.
+An exact constant matrix inverts by elimination (:func:`linalg.inverse`) on
+its coefficient matrix.  Every other matrix goes through the classical
+adjugate, so that the only series inversion is the determinant's: the
+cofactors are expanded division-free on the product kernel's integer forms,
+skipping exact-zero entries, and every entry of the inverse is built once.
+The exponential is honest about precision: for a truncated argument
 of valuation >= 1 the result carries the argument's precision, and an exact
 argument must be nilpotent because its exponential would not terminate
 otherwise.
@@ -242,45 +245,56 @@ class LaurentMatrix:
     # -- inversion ---------------------------------------------------------------
 
     def inverse(self) -> "LaurentMatrix":
-        """Inverse via the adjugate; the determinant is the only inversion.
-
-        The cofactors are expanded along the first row, recursively, on the
-        product kernel's integer forms: each minor is one
-        :func:`series._accumulate` over its signed products, settled back
-        into a form (:func:`series._settle`), so after cancellation it has
-        the valuation and the precision that the series operations give it.
-        The determinant ``d`` is row 0 of ``self @ adj(self)``, and each
-        entry of ``adj(self) * d**-1`` is built once.  The empty minor of a
-        1x1 matrix has determinant 1, so rank 1 runs the same expansion.  An
-        exact matrix inverts only when its determinant is a monomial;
-        otherwise truncate it first (a truncated determinant inverts to its
-        own precision).
-        """
-        tower, ram = self.tower, self.ram
-        size = tower.sizes[-1]
-        m = _forms(self.entries, ram, size)
-
-        def det(grid: list):
-            if not grid:
-                return _ONE
-            if len(grid) == 1:
-                return grid[0][0]
-            return _settle(tower, *_accumulate(size, [
-                (_negated(f) if j % 2 else f, det([row[:j] + row[j + 1:] for row in grid[1:]]))
-                for j, f in enumerate(grid[0])]))
-
-        adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(m) if k != j])
-                for j in range(len(m))] for i in range(len(m))]
-        adj = [[_negated(f) if (i + j) % 2 else f for j, f in enumerate(row)]
-               for i, row in enumerate(adj)]
-        d = _materialise(tower, ram, *_accumulate(size, zip(m[0], [r[0] for r in adj])))
-        d_inv = _integral(d.inverse(), ram, size)
-        return LaurentMatrix(tower, [[_materialise(tower, ram, *_accumulate(size, [(f, d_inv)]))
-                                      for f in row] for row in adj], ram)
+        """The inverse: :func:`linalg.inverse` on the coefficient matrix of an
+        exact constant (cubic cost), :func:`_cofactor_inverse` otherwise.  A
+        non-square matrix is refused before any work."""
+        if self.nrows != self.ncols:
+            raise DomainViolation("inverse of a non-square matrix")
+        if self.prec is INF and self.support() in ([0], []):
+            return LaurentMatrix.constant(self.tower, linalg.inverse(self.coeff_matrix(0)),
+                                          self.ram)
+        return _cofactor_inverse(self)
 
     def __repr__(self) -> str:
         rows = [", ".join(repr(s) for s in r) for r in self.entries]
         return "LaurentMatrix[\n  " + "\n  ".join(rows) + "\n]"
+
+
+def _cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
+    """Inverse of a square ``m`` via the adjugate; the determinant ``d`` is
+    the only inversion.
+
+    The cofactors are expanded along the first row, recursively, on the
+    product kernel's integer forms: each minor is one
+    :func:`series._accumulate` over its signed products (exact-zero entries
+    skipped, as it would drop their products, so a diagonal matrix such as a
+    shear expands in polynomial time), settled back into a form
+    (:func:`series._settle`) with the valuation and the precision that the
+    series operations give it.  ``d`` is row 0 of ``m @ adj(m)`` and each
+    entry of ``adj(m) * d**-1`` is built once.  An exact ``m`` inverts only
+    when ``d`` is a monomial; otherwise truncate it first.
+    """
+    tower, ram = m.tower, m.ram
+    size = tower.sizes[-1]
+    forms = _forms(m.entries, ram, size)
+
+    def det(grid: list):
+        if not grid:
+            return _ONE
+        if len(grid) == 1:
+            return grid[0][0]
+        return _settle(tower, *_accumulate(size, [
+            (_negated(f) if j % 2 else f, det([row[:j] + row[j + 1:] for row in grid[1:]]))
+            for j, f in enumerate(grid[0]) if f]))
+
+    adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(forms) if k != j])
+            for j in range(len(forms))] for i in range(len(forms))]
+    adj = [[_negated(f) if (i + j) % 2 else f for j, f in enumerate(row)]
+           for i, row in enumerate(adj)]
+    d = _materialise(tower, ram, *_accumulate(size, zip(forms[0], [r[0] for r in adj])))
+    d_inv = _integral(d.inverse(), ram, size)
+    return LaurentMatrix(tower, [[_materialise(tower, ram, *_accumulate(size, [(f, d_inv)]))
+                                  for f in row] for row in adj], ram)
 
 
 # Kept because the benchmark tracer wraps it by name and the _old_sibuya test oracle uses it.

@@ -62,11 +62,8 @@ class ReductionNode:
 
     ``ops`` is the ordered list of moves applied at this node before it
     leafed or recursed: ``("twist", series)``, ``("gauge", matrix)`` or
-    ``("ramify", b)``.  ``inverses`` maps the position in ``ops`` of a
-    gauge whose inverse the reduction built to that inverse: the split
-    transform's, the chain basis's and the shear's, never a Sibuya total's
-    (carrying it would cost one more window product per step, more than the
-    one cofactor inverse :func:`replay` takes instead).  Leaf kinds are
+    ``("ramify", b)``; the node holds nothing that
+    :func:`serialize.encode_tree` does not write.  Leaf kinds are
     ``rank_one`` and ``regular_singular`` (with ``leaf`` holding the reduced
     connection and ``residue`` the dt/t residue for the latter); internal
     kinds are ``split`` (children are the eigenvalue blocks, widths in
@@ -86,7 +83,6 @@ class ReductionNode:
     alpha: Fraction | None = None
     shear_base: int | None = None
     lead_partition: tuple | None = None
-    inverses: dict = dataclass_field(default_factory=dict)
 
 
 @dataclass
@@ -169,13 +165,7 @@ def shear(c: Connection, weights, q: Fraction):
     c2 = c.ramify(b)
     exps = [int(b * q * w) for w in weights]
     g = LaurentMatrix.monomial_diagonal(c2.tower, exps, c2.ram)
-    return c2.gauge(g, _diagonal_inverse(g)), b, g
-
-
-def _diagonal_inverse(g: LaurentMatrix) -> LaurentMatrix:
-    """The inverse of a diagonal of monomials ``u**e``, such as a shear."""
-    return LaurentMatrix.monomial_diagonal(
-        g.tower, [-g.entry(k, k).valuation for k in range(g.size)], g.ram)
+    return c2.gauge(g), b, g
 
 
 def slodowy_prediction(c: Connection, weights, f_std, data: ShearData):
@@ -215,7 +205,7 @@ def _check_measure(parent: tuple | None, mine: tuple) -> None:
         )
 
 
-def _node(kind, c, ops, inverses, **extra) -> ReductionNode:
+def _node(kind, c, ops, **extra) -> ReductionNode:
     """The node of ``c`` after ``ops``; a leaf keeps ``c`` itself, and a
     ``regular_singular`` leaf also its residue in dt/t units."""
     pole = c.pole_order
@@ -229,7 +219,6 @@ def _node(kind, c, ops, inverses, **extra) -> ReductionNode:
         ram=c.ram,
         pole=int(pole) if pole != -INF else None,
         ops=ops,
-        inverses=inverses,
         leaf=c if kind in ("rank_one", "regular_singular") else None,
         residue=residue,
         **extra,
@@ -244,21 +233,14 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
     if depth > _MAX_DEPTH:  # pragma: no cover - safety net
         raise EngineError("reduction recursion exceeded the depth guard")
     ops: list = []
-    inverses: dict = {}
-
-    def record(g, g_inv=None):
-        if g_inv is not None:
-            inverses[len(ops)] = g_inv
-        ops.append(("gauge", g))
-
     twists = 0
     while True:
         n = c.size
         if n == 1:
-            return _node("rank_one", c, ops, inverses)
+            return _node("rank_one", c, ops)
         r = c.pole_order
         if r <= 1:
-            return _node("regular_singular", c, ops, inverses)
+            return _node("regular_singular", c, ops)
         r = int(r)
         if c.valuation == c.prec:
             raise PrecisionExhausted(
@@ -277,19 +259,19 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
                 if not commutes(c, jc.semisimple):
                     raise EngineError("a split block has a coefficient that does not "
                                       "commute with the semisimple part of its lead")
-                record(LaurentMatrix.identity(c.tower, n, c.ram))
+                ops.append(("gauge", LaurentMatrix.identity(c.tower, n, c.ram)))
                 normal = c
             else:
                 rec = sibuya_normalize(c, jc.semisimple)
-                record(rec.gauge)
+                ops.append(("gauge", rec.gauge))
                 normal = rec.connection
             split = eigen_block_split(normal, jc, hints)
-            record(split.transform, split.transform_inv)
+            ops.append(("gauge", split.transform))
             children = [
                 _reduce_node(block, measure, hints, depth + 1, block.valuation == -r)
                 for block in split.blocks
             ]
-            return _node("split", c, ops, inverses, children=children,
+            return _node("split", c, ops, children=children,
                          sizes=split.sizes, measure=measure)
         scalar = jc.semisimple[0][0]
         if not scalar.is_zero():
@@ -309,11 +291,10 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
         measure = (n, n * n - sl2.orbit_dim(partition, n))  # orbit_dim = rank(ad lead)
         _check_measure(parent_measure, measure)
         g_basis = LaurentMatrix.constant(c.tower, triple.basis_inv, c.ram)
-        g_basis_inv = LaurentMatrix.constant(c.tower, triple.basis, c.ram)
-        c = c.gauge(g_basis, g_basis_inv)
-        record(g_basis, g_basis_inv)
+        c = c.gauge(g_basis)
+        ops.append(("gauge", g_basis))
         rec = sibuya_normalize(c, triple.e)
-        record(rec.gauge)
+        ops.append(("gauge", rec.gauge))
         c = rec.connection
         data = compute_alpha(c, triple.weights)
         rs_slope = Fraction(r - 1, 2)
@@ -338,14 +319,14 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
         sheared, b, g_shear = shear(c, triple.weights, -slope)
         if b > 1:
             ops.append(("ramify", b))
-        record(g_shear, _diagonal_inverse(g_shear))
+        ops.append(("gauge", g_shear))
         extra = dict(measure=measure, alpha=data.alpha, shear_base=b,
                      lead_partition=partition)
         if to_leaf:
             v = sheared.valuation
             if v is not INF and v < -1:  # pragma: no cover - soundness check
                 raise EngineError("regular-singular shear left a deep pole")
-            return _node("regular_singular", sheared, ops, inverses, **extra)
+            return _node("regular_singular", sheared, ops, **extra)
         a, b_den = data.alpha.numerator, data.alpha.denominator
         expected_exp = -(b_den * r - 2 * a - b_den + 1)
         predicted = linalg.mat_scale(
@@ -356,7 +337,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
         ):  # pragma: no cover - soundness check
             raise EngineError("sheared leading term disagrees with its prediction")
         child = _reduce_node(sheared, measure, hints, depth + 1)
-        return _node("descend", c, ops, inverses, children=[child], **extra)
+        return _node("descend", c, ops, children=[child], **extra)
 
 
 def reduce(connection: Connection) -> ReductionTree:
@@ -410,12 +391,12 @@ def replay(tree: ReductionTree, connection: Connection | None = None) -> bool:
 
 
 def _replay_node(node: ReductionNode, c: Connection) -> None:
-    for k, op in enumerate(node.ops):
+    for op in node.ops:
         tag = op[0]
         if tag == "twist":
             c = c.scalar_twist(op[1])
         elif tag == "gauge":
-            c = c.gauge(op[1], node.inverses.get(k))
+            c = c.gauge(op[1])
         elif tag == "ramify":
             c = c.ramify(op[1])
         else:  # pragma: no cover

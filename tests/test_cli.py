@@ -152,6 +152,39 @@ def test_gauge_with_another_ramification_exits_1(tmp_path, capsys):
     assert "ramification 2" in captured.err
 
 
+def test_gauge_by_a_singular_constant_exits_1(tmp_path, capsys):
+    cpath = write_connection(tmp_path / "c.json", checks.sample_saddle_node())
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize.dumps(serialize.encode_matrix(
+        LaurentMatrix.constant(QQ, [[1, 2], [2, 4]]))))
+    assert main(["gauge", cpath, str(gpath)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NotInvertible: matrix is singular" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["constant", "monomial_diagonal"])
+def test_rank20_gauge_is_applied_in_a_subprocess_within_1s(tmp_path, kind):
+    # an exact constant gauge inverts by elimination and a diagonal one by
+    # the cofactor expansion that skips exact zeros; the full expansion took
+    # about 0.3 s at rank 7 and grows factorially
+    c = checks.random_connection(random.Random(20), 20, 1, kind="regular_singular")
+    if kind == "constant":
+        g = LaurentMatrix.constant(QQ, checks._invertible_grid(random.Random(20), 20))
+    else:
+        g = LaurentMatrix.monomial_diagonal(QQ, [k % 5 - 2 for k in range(20)])
+    cpath = write_connection(tmp_path / "c.json", c)
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize.dumps(serialize.encode_matrix(g)))
+    env = {**os.environ, "PYTHONPATH": str(Path(mcred.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "mcred", "gauge", cpath, str(gpath)], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 0, done.stderr
+    assert serialize.loads(done.stdout)["rank"] == 20
+
+
 def test_stability_command(capsys):
     code, obj = run(capsys, "stability", "1", "7")
     assert code == 0

@@ -68,33 +68,9 @@ def test_gauge_inverse_roundtrip():
     assert back.matrix.coincides_with(c.matrix)
 
 
-def test_gauge_with_its_inverse_given_matches_the_cofactor_inverse(monkeypatch):
-    # every entry's coefficients and precision agree, and the given inverse
-    # is used as it is
-    rng = random.Random(13)
-    cases = []
-    for n in (1, 2, 3):
-        g = checks.random_unit_gauge(rng, n)
-        cases.append((checks.random_connection(rng, n, 2).truncate(4), g, g.inverse()))
-    cases.append((cases[-1][0], LaurentMatrix.monomial_diagonal(QQ, [2, -1, 0]),
-                  LaurentMatrix.monomial_diagonal(QQ, [-2, 1, 0])))
-    expected = [c.gauge(g) for c, g, _ in cases]
-
-    def refuse(self):
-        raise AssertionError("a given inverse must not be recomputed")
-
-    monkeypatch.setattr(LaurentMatrix, "inverse", refuse)
-    for (c, g, g_inv), expect in zip(cases, expected):
-        got = c.gauge(g, g_inv)
-        assert got == expect
-        assert [[x.prec for x in row] for row in got.matrix.entries] == \
-            [[x.prec for x in row] for row in expect.matrix.entries]
-
-
 def test_gauge_by_the_exact_identity_is_the_connection_itself():
     c = checks.random_connection(random.Random(3), 2, 2).truncate(3)
     assert c.gauge(LaurentMatrix.identity(QQ, 2)) is c
-    assert c.gauge(LaurentMatrix.identity(QQ, 2), LaurentMatrix.identity(QQ, 2)) is c
     with pytest.raises(DomainViolation, match="shape"):
         c.gauge(LaurentMatrix.identity(QQ, 3))
     with pytest.raises(DomainViolation, match="ramification"):

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mcred import checks, serialize
-from mcred.errors import DomainViolation, NotInvertible, NotNilpotent
+from mcred import checks, matrices, serialize
+from mcred.errors import DomainViolation, EngineError, NotInvertible, NotNilpotent
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix, matrix_exp
-from mcred.series import INF, LaurentSeries
+from mcred.series import (INF, _ONE, LaurentSeries, _accumulate, _forms, _integral,
+                          _materialise, _negated, _settle)
 
 QQ = FieldTower()
 
@@ -230,6 +231,108 @@ def _random_argument(rng, tower, n, val, prec, nilpotent=False):
 def _same(a, b):
     return a == b and (serialize.dumps(serialize.encode_matrix(a))
                        == serialize.dumps(serialize.encode_matrix(b)))
+
+
+def _cofactor_oracle(m):
+    """``LaurentMatrix.inverse`` as it was for every matrix before exact
+    constants inverted by elimination: the recursive cofactor expansion on
+    integer forms, with no entry skipped."""
+    tower, ram = m.tower, m.ram
+    size = tower.sizes[-1]
+    forms = _forms(m.entries, ram, size)
+
+    def det(grid):
+        if not grid:
+            return _ONE
+        if len(grid) == 1:
+            return grid[0][0]
+        return _settle(tower, *_accumulate(size, [
+            (_negated(f) if j % 2 else f, det([row[:j] + row[j + 1:] for row in grid[1:]]))
+            for j, f in enumerate(grid[0])]))
+
+    adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(forms) if k != j])
+            for j in range(len(forms))] for i in range(len(forms))]
+    adj = [[_negated(f) if (i + j) % 2 else f for j, f in enumerate(row)]
+           for i, row in enumerate(adj)]
+    d = _materialise(tower, ram, *_accumulate(size, zip(forms[0], [r[0] for r in adj])))
+    d_inv = _integral(d.inverse(), ram, size)
+    return LaurentMatrix(tower, [[_materialise(tower, ram, *_accumulate(size, [(f, d_inv)]))
+                                  for f in row] for row in adj], ram)
+
+
+def _same_inverse(m):
+    """``m.inverse()`` equals the oracle's: values, per-entry precisions and
+    encoded bytes, or the same exception type."""
+    try:
+        want = _cofactor_oracle(m)
+    except EngineError as exc:
+        with pytest.raises(type(exc)):
+            m.inverse()
+        return False
+    got = m.inverse()
+    assert _same(got, want)
+    assert [[x.prec for x in r] for r in got.entries] == \
+        [[x.prec for x in r] for r in want.entries]
+    return True
+
+
+@pytest.mark.parametrize("tower", [QQ, K2, K4], ids=["depth0", "depth1", "depth2"])
+def test_exact_constant_inverse_by_elimination_matches_the_cofactor_oracle(tower, monkeypatch):
+    def refuse(m):
+        raise AssertionError("an exact constant must not take the cofactor expansion")
+
+    monkeypatch.setattr(matrices, "_cofactor_inverse", refuse)
+    rng = random.Random(60 + tower.depth)
+    inverted = 0
+    for n in range(1, 7):
+        for _ in range(2):
+            grid = [[_scalar(rng, tower) if rng.random() < 0.8 else 0 for _ in range(n)]
+                    for _ in range(n)]
+            inverted += _same_inverse(LaurentMatrix.constant(tower, grid, ram=1 + n % 2))
+    assert inverted >= 10
+    x = _scalar(rng, tower)
+    singular = LaurentMatrix.constant(tower, [[x, x * 2], [1, 2]])
+    with pytest.raises(NotInvertible, match="singular"):
+        singular.inverse()
+
+
+def _sparse_gauges(rng, tower, n):
+    """Exact diagonal and triangular gauges with monomial determinants and a
+    truncated sparse gauge whose determinant is a unit, each ``n``-by-``n``."""
+    def monomial():
+        x = _scalar(rng, tower)
+        return LaurentSeries.monomial(tower, 1 if x.is_zero() else x, rng.randint(-2, 2))
+
+    def entry(lo, prec=INF):
+        coeffs = {e: _scalar(rng, tower) for e in range(lo, lo + 3) if rng.random() < 0.5}
+        return LaurentSeries(tower, coeffs, prec)
+
+    zero = LaurentSeries.zero(tower)
+    diag = [monomial() for _ in range(n)]
+    upper = [[diag[i] if i == j else entry(-1) if j > i else zero for j in range(n)]
+             for i in range(n)]
+    sparse = [[LaurentSeries(tower, {0: 1, 1: _scalar(rng, tower)}, 5) if i == j
+               else entry(1, 5) if rng.random() < 0.3 else zero for j in range(n)]
+              for i in range(n)]
+    return [LaurentMatrix.diagonal(tower, diag),
+            LaurentMatrix.monomial_diagonal(tower, [rng.randint(-3, 3) for _ in range(n)]),
+            LaurentMatrix(tower, upper), LaurentMatrix(tower, upper).transpose(),
+            LaurentMatrix(tower, sparse)]
+
+
+@pytest.mark.parametrize("tower", [QQ, K2, K4], ids=["depth0", "depth1", "depth2"])
+def test_sparse_gauge_inverse_skipping_zeros_matches_the_cofactor_oracle(tower):
+    rng = random.Random(70 + tower.depth)
+    for n in range(1, 6):
+        for g in _sparse_gauges(rng, tower, n):
+            assert _same_inverse(g)
+
+
+def test_inverse_refuses_non_square_matrices():
+    wide = M([[S({0: 1}), S({1: 2}), S({})], [S({}), S({0: 1}), S({2: 1})]])
+    for m in (wide.truncate(4), wide.transpose(), wide):
+        with pytest.raises(DomainViolation, match="non-square"):
+            m.inverse()
 
 
 @pytest.mark.parametrize("tower", [QQ, K2], ids=["depth0", "depth1"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mcred
-from mcred import checks, linalg, reduction, serialize
+from mcred import checks, linalg, matrices, reduction, serialize
 from mcred.connection import Connection
 from mcred.errors import EngineError, PrecisionExhausted
 from mcred.field import FieldTower
@@ -25,7 +26,7 @@ from mcred.reduction import (
     slodowy_prediction,
     stability_constant,
 )
-from mcred.series import LaurentSeries
+from mcred.series import INF, LaurentSeries
 from mcred.sl2 import jacobson_morozov
 
 QQ = FieldTower()
@@ -226,39 +227,50 @@ def _nodes(node):
         yield from _nodes(child)
 
 
-def test_reduce_inverts_no_gauge_and_replay_only_the_sibuya_totals(monkeypatch):
-    """Every gauge the reduction applies comes with the inverse it already
-    holds, recorded beside its op; ``replay`` inverts only the Sibuya totals
-    that took a step (the identity of a stepless one needs no inverse)."""
-    inverted = []
-    cofactor_inverse = LaurentMatrix.inverse
+def test_trees_hold_no_inverse_and_only_non_constant_gauges_take_cofactors(monkeypatch):
+    """A node holds nothing that ``serialize.encode_tree`` does not write, so
+    ``replay`` is ``c.gauge(g)`` for every gauge op.  The exact constant
+    gauges (chain bases and split transforms) invert by elimination; the
+    cofactor expansion runs only on the others: in ``reduce`` on the shears,
+    in ``replay`` on the shears and the Sibuya totals that took a step (the
+    identity of a stepless one needs no inverse)."""
+    written = {"kind", "size", "ram", "pole", "ops", "children", "sizes", "leaf", "residue",
+               "measure", "alpha", "shear_base", "lead_partition"}
+    assert {f.name for f in dataclasses.fields(reduction.ReductionNode)} == written
+    cofactored = []
+    cofactor_inverse = matrices._cofactor_inverse
 
-    def counted(self):
-        inverted.append(self)
-        return cofactor_inverse(self)
+    def counted(m):
+        cofactored.append(m)
+        return cofactor_inverse(m)
 
-    monkeypatch.setattr(LaurentMatrix, "inverse", counted)
+    monkeypatch.setattr(matrices, "_cofactor_inverse", counted)
     samples = [make() for make in checks.SAMPLES.values()]
-    held = 0
+    kinds = {"constant": 0, "shear": 0, "total": 0}
     for c in samples + _benchmark_inputs(1) + _benchmark_inputs(2):
         tree = reduce(c)
-        assert inverted == []
-        totals = []
+        shears, others = [], []
         for node in _nodes(tree.root):
-            for k, (tag, g) in enumerate(node.ops):
-                if tag != "gauge":
-                    assert k not in node.inverses
+            gauges = [g for tag, g in node.ops if tag == "gauge"]
+            for g in gauges:
+                if g == LaurentMatrix.identity(g.tower, g.size, g.ram):
                     continue
-                identity = LaurentMatrix.identity(g.tower, g.size, g.ram)
-                if k in node.inverses:
-                    assert g * node.inverses[k] == identity
-                    held += 1
-                elif g != identity:
-                    totals.append(g)
+                if g.is_exact() and g.support() in ([0], []):
+                    kinds["constant"] += 1
+                    continue
+                others.append(g)
+                if node.shear_base is not None and g is gauges[-1]:
+                    shears.append(g)
+                else:
+                    assert g.prec is not INF
+                    kinds["total"] += 1
+        kinds["shear"] += len(shears)
+        assert [id(g) for g in cofactored] == [id(g) for g in shears]
+        cofactored.clear()
         assert replay(tree) is True
-        assert [id(g) for g in inverted] == [id(g) for g in totals]
-        inverted.clear()
-    assert held > 0
+        assert [id(g) for g in cofactored] == [id(g) for g in others]
+        cofactored.clear()
+    assert all(kinds.values()), kinds
 
 
 def test_split_blocks_that_keep_their_parent_lead_take_no_sibuya_call(monkeypatch):
