@@ -47,7 +47,7 @@ from .field import (
     poly_trim,
 )
 from .matrices import LaurentMatrix
-from .series import (INF, _ONE, _accumulate, _elements, _form_product, _forms, _from_form,
+from .series import (INF, _ONE, _accumulate, _form_product, _forms, _from_form,
                      _gathered, _is_zero, _matrix_form, _matrix_product, _settle)
 
 
@@ -182,6 +182,11 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
 
 @dataclass
 class NormalizationRecord:
+    """The normalized connection, the gauge that made it, and each step
+    ``(i, C_i)`` that gauge is built from, in increasing ``i``, with ``C_i``
+    the ``(den, parts)`` matrix of :func:`series._gathered` over the tower
+    of ``connection``."""
+
     connection: Connection
     gauge: LaurentMatrix
     corrections: list = dataclass_field(default_factory=list)
@@ -327,9 +332,8 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     Every coefficient and precision is the one the general gauge
     ``E G E**-1 - (dE/du) E**-1`` of every step in turn would give.
 
-    The loop builds no series, and field elements only for the recorded
-    ``C_i``: ``G`` and ``total`` are grids
-    of :func:`series._integral` forms, every window product is one
+    The loop builds no series and no field elements: ``G`` and ``total``
+    are grids of :func:`series._integral` forms, every window product is one
     :func:`series._form_product`, and ``D`` is one more pair in the
     accumulation of ``(E G) E**-1`` (:func:`_gauged`).  ``step``, each
     ``C_i`` and its powers are ``(den, parts)`` matrices multiplied by
@@ -381,7 +385,7 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
             continue
         c_form = _square(c_col, 0, n)
         work, total = _gauged(tower, _step_gauge(tower, [(i, c_form)], p), work, total)
-        corrections.append((i, _elements(tower, c_form)))
+        corrections.append((i, c_form))
     # the tail: step j sees the coefficient at offset j of the connection
     # after the head, less the brackets [C_i, W_(j-i)] of the tail steps
     # before it, plus the i C_i that lands there
@@ -406,7 +410,7 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
         if _is_zero(c_col):
             continue
         tail[j] = _square(c_col, 0, n)
-        corrections.append((j, _elements(tower, tail[j])))
+        corrections.append((j, tail[j]))
     if tail:
         work, total = _gauged(tower, _step_gauge(tower, list(tail.items()), p), work, total)
     if corrections:

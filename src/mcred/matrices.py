@@ -270,19 +270,25 @@ def _cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
     skipped, as it would drop their products, so a diagonal matrix such as a
     shear expands in polynomial time), settled back into a form
     (:func:`series._settle`) with the valuation and the precision that the
-    series operations give it.  ``d`` is row 0 of ``m @ adj(m)`` and each
-    entry of ``adj(m) * d**-1`` is built once.  An exact ``m`` inverts only
-    when ``d`` is a monomial; otherwise truncate it first.
+    series operations give it.  An exact ``m`` expands each minor along its
+    first column instead when that holds more exact zeros than its first
+    row, so a triangular one does too; a truncated ``m`` keeps the first
+    row, and with it every precision.  ``d`` is row 0 of ``m @ adj(m)`` and
+    each entry of ``adj(m) * d**-1`` is built once.  An exact ``m`` inverts
+    only when ``d`` is a monomial; otherwise truncate it first.
     """
     tower, ram = m.tower, m.ram
     size = tower.sizes[-1]
     forms = _forms(m.entries, ram, size)
+    exact = m.prec is INF
 
     def det(grid: list):
         if not grid:
             return _ONE
         if len(grid) == 1:
             return grid[0][0]
+        if exact and grid[0].count(None) < [row[0] for row in grid].count(None):
+            grid = [list(col) for col in zip(*grid)]  # det is that of the transpose
         return _settle(tower, *_accumulate(size, [
             (_negated(f) if j % 2 else f, det([row[:j] + row[j + 1:] for row in grid[1:]]))
             for j, f in enumerate(grid[0]) if f]))

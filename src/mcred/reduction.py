@@ -14,9 +14,10 @@ and on the way there it applies, per node:
   non-scalar (strictly smaller blocks),
 * a chain-basis change, normalization against an sl2 triple through the
   nilpotent lead, and a shearing gauge otherwise.  The shear either lands
-  directly on a regular-singular leaf or exposes a leading term with strictly
-  larger adjoint orbit, which is the well-founded measure that makes the
-  recursion terminate.
+  directly on a regular-singular leaf or exposes a leading term with a
+  strictly larger adjoint orbit, or the same orbit at a strictly smaller
+  Katz slope ``(pole - 1) / ram``.  The size, the orbit and the slope,
+  compared in that order, are the measure that drops along every edge.
 
 Every move is recorded on the node (``ops``) so :func:`replay` can re-run the
 whole tree against the input and check each leaf byte for byte.
@@ -185,8 +186,13 @@ def slodowy_prediction(c: Connection, weights, f_std, data: ShearData):
 
 
 def default_working_precision(c: Connection) -> int:
-    """Window guaranteed to be large enough for exact (polynomial) input:
-    past the last nonzero exponent with room for two rounds of pole order."""
+    """The window :func:`reduce` truncates an exact input to: the last
+    nonzero exponent (0 when there is none), plus twice the pole order (at
+    least 1), plus 4.  It is a heuristic, not a bound: a reduction that
+    needs a longer window raises :class:`PrecisionExhausted`, whose hint is
+    not always the input's (the strict xfail
+    ``test_a_precision_hint_exceeds_the_window_and_moves_the_failure_on``
+    in ``tests/test_reduction.py``)."""
     support = c.matrix.support()
     top = max(support) if support else 0
     return top + 2 * _pole_shift(c) + 4
@@ -198,11 +204,16 @@ def _prepare(c: Connection) -> Connection:
     return c.truncate(default_working_precision(c))
 
 
-def _check_measure(parent: tuple | None, mine: tuple) -> None:
+def _check_measure(parent: tuple | None, measure: tuple, slope: Fraction) -> tuple:
+    """The key ``(*measure, slope)`` of a node with the written ``measure``
+    and the Katz slope ``(pole - 1) / ram``, which drops by ``2 alpha / ram``
+    along a descend edge even where the orbit does not grow; raises unless
+    it lies below the ``parent`` key."""
+    mine = (*measure, slope)
     if parent is not None and not mine < parent:
-        raise EngineError(
-            "reduction measure failed to decrease: %r -> %r" % (parent, mine)
-        )
+        raise EngineError("reduction measure failed to decrease: (%s) -> (%s)" % tuple(
+            ", ".join(map(str, key)) for key in (parent, mine)))
+    return mine
 
 
 def _node(kind, c, ops, **extra) -> ReductionNode:
@@ -225,11 +236,13 @@ def _node(kind, c, ops, **extra) -> ReductionNode:
     )
 
 
-def _reduce_node(c: Connection, parent_measure, hints, depth,
+def _reduce_node(c: Connection, parent_key, hints, depth,
                  normalized: bool = False) -> ReductionNode:
-    """The subtree of ``c``.  ``normalized`` marks a split block whose lead
-    is the block of its parent's lead: the semisimple part of its lead is
-    the block of the parent's, so every coefficient commutes with it."""
+    """The subtree of ``c`` below a node whose :func:`_check_measure` key is
+    ``parent_key`` (``None`` at the root).  ``normalized`` marks a split
+    block whose lead is the block of its parent's lead: the semisimple part
+    of its lead is the block of the parent's, so every coefficient commutes
+    with it."""
     if depth > _MAX_DEPTH:  # pragma: no cover - safety net
         raise EngineError("reduction recursion exceeded the depth guard")
     ops: list = []
@@ -252,7 +265,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
         jc = jordan_chevalley(lead)
         if len(jc.minpoly) > 2:
             measure = (n, 0)
-            _check_measure(parent_measure, measure)
+            key = _check_measure(parent_key, measure, Fraction(r - 1, c.ram))
             if normalized:
                 # every C_i of sibuya_normalize would be zero: no step, the
                 # identity gauge and the connection itself
@@ -268,7 +281,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
             split = eigen_block_split(normal, jc, hints)
             ops.append(("gauge", split.transform))
             children = [
-                _reduce_node(block, measure, hints, depth + 1, block.valuation == -r)
+                _reduce_node(block, key, hints, depth + 1, block.valuation == -r)
                 for block in split.blocks
             ]
             return _node("split", c, ops, children=children,
@@ -289,7 +302,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
         triple = sl2.jacobson_morozov(lead)
         partition = tuple(triple.block_sizes)
         measure = (n, n * n - sl2.orbit_dim(partition, n))  # orbit_dim = rank(ad lead)
-        _check_measure(parent_measure, measure)
+        key = _check_measure(parent_key, measure, Fraction(r - 1, c.ram))
         g_basis = LaurentMatrix.constant(c.tower, triple.basis_inv, c.ram)
         c = c.gauge(g_basis)
         ops.append(("gauge", g_basis))
@@ -336,7 +349,7 @@ def _reduce_node(c: Connection, parent_measure, hints, depth,
             sheared.leading(), predicted
         ):  # pragma: no cover - soundness check
             raise EngineError("sheared leading term disagrees with its prediction")
-        child = _reduce_node(sheared, measure, hints, depth + 1)
+        child = _reduce_node(sheared, key, hints, depth + 1)
         return _node("descend", c, ops, children=[child], **extra)
 
 

@@ -337,7 +337,7 @@ def decode_matrix(obj) -> LaurentMatrix:
     for exp, grid in terms:
         _decode_grid(tower, grid, n, exp, entries)
     size = tower.sizes[-1]
-    return LaurentMatrix(tower, [[_from_form(tower, ram, _form_of(size, prec, elements), elements)
+    return LaurentMatrix(tower, [[_from_form(tower, ram, _form_of(size, prec, elements))
                                   for elements in row] for row in entries], ram)
 
 

@@ -21,10 +21,10 @@ The variable is ``u`` with ``u**ram = t`` for a ramification index
 A series is its integer form (:func:`_integral`): every coordinate of every
 coefficient is an integer over one denominator, keyed by exponent and
 position (the layout of :mod:`mcred.field`), divided by the gcd, so that
-equal series have equal forms.  The constructor computes the form once;
-every operation reads and builds forms, and the ``FieldElement``
-coefficients are a view: the dict the constructor was given, or one built
-from the form when first read.
+equal series have equal forms.  The constructor computes the form once,
+every operation reads and builds forms, and a series holds nothing else:
+``coeffs`` and ``items`` build their ``FieldElement`` coefficients from the
+form on each read, and ``coeff`` builds the one it is asked for.
 
 A product is the 1x1 case of :func:`mat_product`, one integer convolution
 in two halves.  :func:`_accumulate` sums the products of the forms'
@@ -49,6 +49,7 @@ the Sibuya loop's step map, powers, ``C_i`` and leftover check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping
 
@@ -76,10 +77,11 @@ class LaurentSeries:
     """One truncated Laurent series over a field tower.
 
     ``form`` is its :func:`_integral` form over its own tower and
-    ramification, ``None`` for the exact zero; ``coeffs`` is a view of it.
+    ramification, ``None`` for the exact zero; the coefficients are read
+    off it.
     """
 
-    __slots__ = ("tower", "ram", "prec", "form", "_view")
+    __slots__ = ("tower", "ram", "prec", "form")
 
     def __init__(self, tower: FieldTower, coeffs: Mapping, prec=INF, ram: int = 1):
         prec = _check_prec(prec)
@@ -98,11 +100,8 @@ class LaurentSeries:
                 value = tower.coerce(value)
             if value.form[1]:
                 clean[exp] = value
-        for e, v in clean.items():
-            if v.tower is not tower:  # a later coefficient deepened the tower
-                clean[e] = FieldElement(tower, v.form)
-        form = _form_of(tower.sizes[-1], prec, clean)
-        self.tower, self.ram, self.prec, self.form, self._view = tower, ram, prec, form, clean
+        self.tower, self.ram, self.prec = tower, ram, prec
+        self.form = _form_of(tower.sizes[-1], prec, clean)
 
     # -- constructors --------------------------------------------------------
 
@@ -126,12 +125,9 @@ class LaurentSeries:
 
     @property
     def coeffs(self) -> dict:
-        """``{exp: FieldElement}`` for the known nonzero coefficients, a view
-        of ``form``: the dict the constructor was given, or one built from
-        the form when first read (:func:`_view_of`)."""
-        if self._view is None:
-            self._view = _view_of(self.tower, self.form)
-        return self._view
+        """``{exp: FieldElement}`` for the known nonzero coefficients, built
+        from ``form`` on each read (:func:`_view_of`)."""
+        return _view_of(self.tower, self.form)
 
     @property
     def valuation(self):
@@ -164,8 +160,14 @@ class LaurentSeries:
                 f"only known below {self.prec}",
                 needed=exp + 1,
             )
-        c = self.coeffs.get(exp)
-        return self.tower.zero() if c is None else c
+        if self.form is None:
+            return self.tower.zero()
+        _, _, den, terms = self.form
+        size = self.tower.sizes[-1]
+        base = exp * size
+        lo = bisect_left(terms, (base,))  # the slice of the keys of u**exp
+        hi = bisect_left(terms, (base + size,), lo)
+        return FieldElement(self.tower, _reduced(den, [(k - base, n) for k, n in terms[lo:hi]]))
 
     def support(self) -> list[int]:
         if self.form is None:
@@ -262,8 +264,8 @@ class LaurentSeries:
                 "cannot invert: no nonzero coefficient in the known window",
                 needed=None,
             )
-        v = self.valuation
-        lead = self.coeffs[v]
+        v, coeffs = self.valuation, self.coeffs
+        lead = coeffs[v]
         lead_inv = lead.inverse()
         if self.is_monomial():
             return LaurentSeries.monomial(self.tower, lead_inv, -v, self.ram)
@@ -274,7 +276,7 @@ class LaurentSeries:
             )
         # relative precision of 1 + x where self = lead * u^v * (1 + x)
         rel = self.prec - v
-        x = {e - v: c * lead_inv for e, c in self.coeffs.items() if e != v}
+        x = {e - v: c * lead_inv for e, c in coeffs.items() if e != v}
         b: dict[int, FieldElement] = {0: self.tower.one()}
         for k in range(1, rel):
             acc = None
@@ -457,12 +459,11 @@ def _settle(tower: FieldTower, prec, den: int, acc: dict):
     return _normal(size, prec, den * d, terms)
 
 
-def _from_form(tower: FieldTower, ram: int, form, view: dict | None = None) -> LaurentSeries:
+def _from_form(tower: FieldTower, ram: int, form) -> LaurentSeries:
     """The series whose :func:`_integral` form over ``tower`` in ``w**ram =
-    t`` is ``form``, with the coefficients ``view`` when the caller holds
-    them; otherwise they are built when first read."""
+    t`` is ``form``."""
     s = LaurentSeries.__new__(LaurentSeries)
-    s.tower, s.ram, s.form, s._view = tower, ram, form, view
+    s.tower, s.ram, s.form = tower, ram, form
     s.prec = INF if form is None or form[1] == INF else form[1]
     return s
 

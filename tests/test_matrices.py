@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -326,6 +327,22 @@ def test_sparse_gauge_inverse_skipping_zeros_matches_the_cofactor_oracle(tower):
     for n in range(1, 6):
         for g in _sparse_gauges(rng, tower, n):
             assert _same_inverse(g)
+
+
+def test_exact_upper_triangular_gauge_expands_along_its_columns():
+    # the first row of every minor holds no exact zero and the first column
+    # all of them: expanded along rows, rank 8 took 0.3 s and rank 12 would
+    # take minutes; the oracle is the inverse of the transpose, whose first
+    # rows hold the zeros, transposed back
+    n = 12
+    u = LaurentSeries.monomial(QQ, 1, 1)
+    m = LaurentMatrix(QQ, [[S({0: 1}) if i == j else u if j > i else S({}) for j in range(n)]
+                           for i in range(n)])
+    start = time.perf_counter()
+    inv = m.inverse()
+    assert time.perf_counter() - start < 1
+    assert _same(inv, m.transpose().inverse().transpose())
+    assert m * inv == LaurentMatrix.identity(QQ, n) and inv.prec is INF
 
 
 def test_inverse_refuses_non_square_matrices():

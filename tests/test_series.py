@@ -12,7 +12,7 @@ from mcred.errors import DomainViolation, NotInvertible, PrecisionExhausted
 from mcred.field import FieldElement, FieldTower, common_tower
 from mcred.matrices import LaurentMatrix
 from mcred.series import INF, LaurentSeries, _from_form, _integral
-from test_product_kernel import ORACLE, TOWERS, series_pairs
+from test_product_kernel import ORACLE, TOWERS, elements, series_pairs
 
 QQ = FieldTower()
 
@@ -206,7 +206,7 @@ def test_construction_puts_every_coefficient_on_the_deepest_tower():
     assert all(c.tower is L for _, c in s.items())
     assert s.coeff(3) == K.gen() and s.coeff(0) == 1
     x = K.gen()
-    assert LaurentSeries(K, {0: x}).coeff(0) is x  # already on the tower: kept
+    assert LaurentSeries(K, {0: x}).coeff(0) == x  # already on the tower
     with pytest.raises(DomainViolation):
         LaurentSeries(QQ, {0: K.gen(), 1: QQ.extend([-3, 0, 1]).gen()})
     with pytest.raises(DomainViolation):
@@ -235,8 +235,7 @@ class Ref:
 
     @classmethod
     def of(cls, s):
-        """The oracle of a series built by the constructor, from the dict it
-        was given (its view, which the constructor keeps)."""
+        """The oracle of a series, from the coefficients read off its form."""
         return cls(s.tower, dict(s.coeffs), s.prec, s.ram)
 
     @property
@@ -329,8 +328,8 @@ def _check(got, want):
 
 
 def _unviewed(s):
-    """``s`` rebuilt from its form alone, so that its coefficients are
-    built from the form when read."""
+    """``s`` rebuilt from its form alone, by :func:`series._from_form`
+    instead of the constructor."""
     return _from_form(s.tower, s.ram, s.form)
 
 
@@ -396,6 +395,29 @@ def test_a_product_never_mutates_a_held_form(pair):
     _ = (m * m, p * a, a * p, p + q, -p, p.truncate(p.valuation + 1), p.derivative(),
          p.shift(2), p.recast(DEEPEST, 2 * p.ram), p.coincides_with(q), p.coeffs)
     assert p.form == before
+
+
+@ORACLE
+@given(st.sampled_from(TOWERS), st.sampled_from([1, 2, 3]),
+       st.one_of(st.integers(-3, 6), st.just(INF)), st.data())
+def test_coefficient_reads_match_the_element_oracle(tower, ram, prec, data):
+    # the oracle is the dict of elements the form is made of; exponents
+    # -5 and -4 lie below every valuation, the gaps between drawn exponents
+    # hold no term, and every exponent from prec on is unknown
+    exps = data.draw(st.lists(st.integers(-3, 5), max_size=5, unique=True))
+    want = {e: x for e in exps if e < prec and not (x := data.draw(elements(tower))).is_zero()}
+    s = _from_form(tower, ram, series._form_of(tower.sizes[-1], prec, want))
+    assert (s.tower, s.ram, s.prec) == (tower, ram, prec)
+    assert s.coeffs == want and s.items() == sorted(want.items())
+    assert all(x.tower is tower for _, x in s.items())
+    for e in range(-5, 8):
+        if e >= prec:
+            with pytest.raises(PrecisionExhausted) as exc:
+                s.coeff(e)
+            assert exc.value.needed == e + 1
+            continue
+        got, expected = s.coeff(e), want.get(e, tower.zero())
+        assert got.tower is tower and got.form == expected.form and got == expected
 
 
 def test_comparisons_and_scans_build_no_coefficients(monkeypatch):
