@@ -25,7 +25,6 @@ Three tools live here:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import count
@@ -38,8 +37,6 @@ from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTe
 from .field import (
     FieldElement,
     FieldTower,
-    _poly_gcd,
-    _rational,
     common_context,
     common_tower,
     poly_divmod,
@@ -88,13 +85,13 @@ def jordan_chevalley(m: Sequence[Sequence[FieldElement]]) -> JordanPair:
 
 
 # ---------------------------------------------------------------------------
-# rational roots of tower polynomials: the roots of the gcd of their
-# coordinate polynomials over Q, by p-adic lifting in polynomial time
+# rational roots of tower polynomials: the common roots of their coordinate
+# polynomials over Q, by p-adic lifting in polynomial time
 # ---------------------------------------------------------------------------
 
 
-def _value_and_slope(h: list[int], y: int) -> tuple[int, int]:
-    """``(h(y), h'(y))`` of an integer polynomial, by one Horner pass."""
+def _value_and_slope(h: list, y):
+    """``(h(y), h'(y))`` of a polynomial over Q, by one Horner pass."""
     value = slope = 0
     for c in reversed(h):
         slope = slope * y + value
@@ -161,18 +158,17 @@ def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
     """Rational roots of a polynomial whose coefficients live in a tower.
 
     A rational ``theta`` is a root iff every Q-coordinate of the coefficient
-    vector vanishes at ``theta``; those coordinates give ordinary rational
-    polynomials whose gcd has exactly the roots sought.
+    vector vanishes at ``theta``: the roots of the first coordinate
+    polynomial at which every other one vanishes.
     """
     cs = poly_trim(list(poly))
     if len(cs) < 2:
         return []
-    tower = common_context([cs])[0]
     coords = [dict(c.form[1]) for c in cs]
-    slot_polys = [[_rational(Fraction(cd.get(p, 0), c.form[0])) for c, cd in zip(cs, coords)]
-                  for p in sorted(set().union(*coords))]
-    gcd = functools.reduce(functools.partial(_poly_gcd, tower), slot_polys)
-    return _rational_poly_roots([FieldElement(tower, f).to_fraction() for f in gcd])
+    first, *rest = [[Fraction(cd.get(p, 0), c.form[0]) for c, cd in zip(cs, coords)]
+                    for p in sorted(set().union(*coords))]
+    return [r for r in _rational_poly_roots(first)
+            if all(_value_and_slope(f, r)[0] == 0 for f in rest)]
 
 
 # ---------------------------------------------------------------------------

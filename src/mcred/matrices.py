@@ -13,11 +13,9 @@ An exact constant matrix inverts by elimination (:func:`linalg.inverse`) on
 its coefficient matrix.  Every other matrix goes through the classical
 adjugate, so that the only series inversion is the determinant's: the
 cofactors are expanded division-free on the product kernel's integer forms,
-skipping exact-zero entries, and every entry of the inverse is built once.
-The exponential is honest about precision: for a truncated argument
-of valuation >= 1 the result carries the argument's precision, and an exact
-argument must be nilpotent because its exponential would not terminate
-otherwise.
+skipping exact-zero entries, the determinant is inverted on its form, and
+every entry of the inverse is built once.  :func:`matrix_exp` is no engine
+code: only the benchmark tracer and the ``_old_sibuya`` test oracle call it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from typing import Sequence
 from . import linalg
 from .errors import DomainViolation, NotNilpotent
 from .field import FieldElement, FieldTower, common_tower
-from .series import (INF, _ONE, LaurentSeries, _accumulate, _forms, _integral, _materialise,
+from .series import (INF, _ONE, LaurentSeries, _accumulate, _forms, _inverted, _materialise,
                      _negated, _settle, mat_product)
 
 
@@ -273,9 +271,11 @@ def _cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
     series operations give it.  An exact ``m`` expands each minor along its
     first column instead when that holds more exact zeros than its first
     row, so a triangular one does too; a truncated ``m`` keeps the first
-    row, and with it every precision.  ``d`` is row 0 of ``m @ adj(m)`` and
-    each entry of ``adj(m) * d**-1`` is built once.  An exact ``m`` inverts
-    only when ``d`` is a monomial; otherwise truncate it first.
+    row, and with it every precision
+    (``test_truncated_matrix_expands_along_its_first_rows``).  ``d`` is
+    row 0 of ``m @ adj(m)``, inverted on its form, and each entry of
+    ``adj(m) * d**-1`` is built once.  An exact ``m`` inverts only when
+    ``d`` is a monomial; otherwise truncate it first.
     """
     tower, ram = m.tower, m.ram
     size = tower.sizes[-1]
@@ -297,8 +297,8 @@ def _cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
             for j in range(len(forms))] for i in range(len(forms))]
     adj = [[_negated(f) if (i + j) % 2 else f for j, f in enumerate(row)]
            for i, row in enumerate(adj)]
-    d = _materialise(tower, ram, *_accumulate(size, zip(forms[0], [r[0] for r in adj])))
-    d_inv = _integral(d.inverse(), ram, size)
+    d = _settle(tower, *_accumulate(size, zip(forms[0], [r[0] for r in adj])))
+    d_inv = _inverted(tower, d)
     return LaurentMatrix(tower, [[_materialise(tower, ram, *_accumulate(size, [(f, d_inv)]))
                                   for f in row] for row in adj], ram)
 

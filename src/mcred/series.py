@@ -34,8 +34,8 @@ polynomials on integers and divides by the gcd, so that the result is
 again a form (:func:`_form_product` for a grid).  A sum is the same
 accumulation against the form of 1.  A chain of products that needs no
 series in between stays on forms: the Sibuya step loop of
-:mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse``, and the
-``g G`` of ``Connection.gauge``.
+:mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse``, the
+``g G`` of ``Connection.gauge``, and Newton's inverse (:func:`_inverted`).
 
 A constant matrix multiplies on no series: :func:`_gathered` holds it as
 ``(den, parts)``, one integer matrix per coordinate position over one
@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import FieldElement, FieldTower, _fold_map, _fold_nums, _reduced, common_tower
+from .field import FieldElement, FieldTower, _fold_map, _fold_nums, _inv, _reduced, common_tower
 
 INF = math.inf
 
@@ -251,43 +251,9 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse.
-
-        The result is known to ``prec - 2*valuation``.  An exact monomial
-        inverts exactly; any other exact series has a non-terminating inverse,
-        so it must be truncated first to say how much of it to produce.
-        """
-        if self.is_zero_to_precision():
-            if self.prec is INF:
-                raise NotInvertible("inverse of the zero series")
-            raise PrecisionExhausted(
-                "cannot invert: no nonzero coefficient in the known window",
-                needed=None,
-            )
-        v, coeffs = self.valuation, self.coeffs
-        lead = coeffs[v]
-        lead_inv = lead.inverse()
-        if self.is_monomial():
-            return LaurentSeries.monomial(self.tower, lead_inv, -v, self.ram)
-        if self.prec is INF:
-            raise DomainViolation(
-                "inverse of a non-monomial exact series does not terminate; "
-                "truncate it first"
-            )
-        # relative precision of 1 + x where self = lead * u^v * (1 + x)
-        rel = self.prec - v
-        x = {e - v: c * lead_inv for e, c in coeffs.items() if e != v}
-        b: dict[int, FieldElement] = {0: self.tower.one()}
-        for k in range(1, rel):
-            acc = None
-            for j, xj in x.items():
-                if 0 < j <= k and (k - j) in b:
-                    term = xj * b[k - j]
-                    acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                b[k] = -acc
-        out = {-v + k: ck * lead_inv for k, ck in b.items()}
-        return LaurentSeries(self.tower, out, -v + rel, self.ram)
+        """Multiplicative inverse, known to ``prec - 2*valuation``
+        (:func:`_inverted`); an exact non-monomial is refused: truncate it."""
+        return _from_form(self.tower, self.ram, _inverted(self.tower, self.form))
 
     def derivative(self) -> "LaurentSeries":
         """Derivative with respect to the local variable ``u``."""
@@ -491,9 +457,41 @@ def mat_product(tower: FieldTower, ram: int, a, b) -> list[list[LaurentSeries]]:
     if len(a[0]) != len(b):
         raise DomainViolation("matrix shapes incompatible in product")
     size = tower.sizes[-1]
-    cols = list(zip(*_forms(b, ram, size)))
-    return [[_materialise(tower, ram, *_accumulate(size, zip(row, col))) for col in cols]
-            for row in _forms(a, ram, size)]
+    return [[_from_form(tower, ram, f) for f in row]
+            for row in _form_product(tower, _forms(a, ram, size), _forms(b, ram, size))]
+
+
+def _inverted(tower: FieldTower, form):
+    """The :func:`_integral` form of ``1 / s``, for the form of ``s`` over
+    ``tower``, known below ``prec - 2v`` for the valuation ``v``: the lead
+    inverted by :func:`field._inv`, then Newton's ``y <- y + y (1 - a y)``
+    (von zur Gathen–Gerhard, ch. 9) with ``a`` the series known below ``v +
+    k``, ``k`` doubling up to ``prec - v``, and ``y`` held exact between
+    rounds.  An exact monomial inverts exactly; any other exact series is
+    refused."""
+    if form is None:
+        raise NotInvertible("inverse of the zero series")
+    v, prec, den, terms = form
+    if not terms:
+        raise PrecisionExhausted("cannot invert: no nonzero coefficient in the known window",
+                                 needed=None)
+    size = tower.sizes[-1]
+    base = v * size
+    lead = bisect_left(terms, (base + size,))
+    d, inv = _inv(tower, _reduced(den, [(k - base, n) for k, n in terms[:lead]]))
+    keys = [(p - base, n) for p, n in inv]
+    if prec == INF:
+        if lead == len(terms):
+            return -v, INF, d, keys
+        raise DomainViolation("inverse of a non-monomial exact series does not terminate; "
+                              "truncate it first")
+    rel, k = prec - v, 1
+    while k < rel:
+        k, y = min(2 * k, rel), (-v, INF, d, keys)
+        a = (v, v + k, den, terms[:bisect_left(terms, ((v + k) * size,))])
+        t = _settle(tower, *_accumulate(size, [(_ONE, _ONE), (_negated(a), y)]))
+        _, _, d, keys = _settle(tower, *_accumulate(size, [(y, _ONE), (y, t)]))
+    return -v, prec - 2 * v, d, keys
 
 
 def _gathered(rows: int, cols: int, coords: list) -> tuple:

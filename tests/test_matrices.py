@@ -345,6 +345,21 @@ def test_exact_upper_triangular_gauge_expands_along_its_columns():
     assert m * inv == LaurentMatrix.identity(QQ, n) and inv.prec is INF
 
 
+def test_truncated_matrix_expands_along_its_first_rows():
+    # the line expanded along changes the precisions of a truncated matrix:
+    # expanding each minor along its sparser line would leave row 0 of the
+    # inverse known to [3, 4, 4, 3], which this matrix does not support
+    z = S({})
+    m = M([[S({-1: 1, 1: 2, 2: -1}), z, S({1: -1, 3: 2}), S({0: 1})],
+           [z, S({1: 1}, 2), z, S({1: -1})],
+           [S({0: 1, 2: 1, 3: 2}, 4), z, S({0: -1, 2: 2}), S({-1: 1, 1: 2, 2: -1, 3: 1}, 4)],
+           [S({2: -1}, 4), S({1: 2, 2: 2}, 3), z, z]])
+    inv = m.inverse()
+    assert [[x.prec for x in r] for r in inv.entries] == \
+        [[3, 2, 4, 1], [4, 3, 5, 1], [2, 0, 2, -1], [3, 1, 4, 0]]
+    assert (m * inv).coincides_with(LaurentMatrix.identity(QQ, 4))
+
+
 def test_inverse_refuses_non_square_matrices():
     wide = M([[S({0: 1}), S({1: 2}), S({})], [S({}), S({0: 1}), S({2: 1})]])
     for m in (wide.truncate(4), wide.transpose(), wide):
