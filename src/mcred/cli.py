@@ -49,7 +49,10 @@ def _emit(obj: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc}") from exc
         _note(f"wrote {out}")
 
 

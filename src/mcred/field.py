@@ -25,7 +25,9 @@ every position to its monomial reduced by the minimal polynomials, through
 one integer map per level (:func:`_fold_map`), built from the map of the
 level below and shared by every tower that extends that level.  An inverse
 is a fraction-free elimination at level 1, or the extended Euclid over the
-level below, on polynomials whose coefficients are forms (``_poly_*``).
+level below.  A polynomial is the list of its coefficients' forms,
+ascending, as ``FieldTower.levels`` stores them; the ``_poly_*`` functions
+take its tower explicitly and return it trimmed.
 """
 
 from __future__ import annotations
@@ -455,7 +457,7 @@ def common_tower(a: FieldTower, b: FieldTower) -> FieldTower:
 
 def common_context(rows) -> tuple[FieldTower, int]:
     """Deepest tower and highest level among the elements of ``rows``, a
-    matrix or a list of polynomials."""
+    list of lists of elements, such as a matrix."""
     tower = None
     level = 0
     for row in rows:
@@ -543,26 +545,3 @@ class FieldElement:
         if not terms or not terms[-1][0]:
             return f"{self.to_fraction()}"
         return f"FieldElement({den}, {terms})"
-
-
-# ---------------------------------------------------------------------------
-# polynomial views over FieldElement: the form kernels above at the common
-# tower
-
-
-def poly_trim(cs: list[FieldElement]) -> list[FieldElement]:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return cs
-
-
-def poly_divmod(a: list[FieldElement], b: list[FieldElement]) -> tuple[list[FieldElement], list[FieldElement]]:
-    tower = common_context([a, b])[0]
-    q, r = _poly_divmod(tower, [c.form for c in a], [c.form for c in b])
-    return [FieldElement(tower, f) for f in q], [FieldElement(tower, f) for f in r]
-
-
-def poly_squarefree_part(a: list[FieldElement]) -> list[FieldElement]:
-    """``a / gcd(a, a')`` — the radical of ``a`` in characteristic zero."""
-    tower = common_context([a])[0]
-    return [FieldElement(tower, f) for f in _poly_squarefree(tower, [c.form for c in a])]

@@ -21,6 +21,11 @@ Three tools live here:
   semisimple part of the lead, split the connection along the eigenvalue
   clusters of that semisimple part, adjoining an algebraic eigenvalue to the
   tower when the characteristic polynomial refuses to factor rationally.
+
+A polynomial is the list of its coefficients' forms, ascending (see
+:mod:`mcred.field`): ``JordanPair.minpoly`` holds one, :func:`rational_roots`
+reads one, and the hint keys of :func:`eigen_block_split` are ``tuple(q)``
+for a factor ``q``, the level :meth:`FieldTower.extend` registers for it.
 """
 
 from __future__ import annotations
@@ -34,15 +39,8 @@ from typing import Sequence
 from . import linalg
 from .connection import Connection
 from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTerm
-from .field import (
-    FieldElement,
-    FieldTower,
-    common_context,
-    common_tower,
-    poly_divmod,
-    poly_squarefree_part,
-    poly_trim,
-)
+from .field import (_UNIT, FieldElement, FieldTower, _mul, _poly_divmod, _poly_squarefree,
+                    _poly_trim, _rational, common_context, common_tower)
 from .matrices import LaurentMatrix
 from .series import (INF, _ONE, _accumulate, _form_product, _forms, _from_form,
                      _gathered, _is_zero, _matrix_form, _matrix_product, _settle)
@@ -58,7 +56,8 @@ class JordanPair:
     """Additive splitting ``m = semisimple + nilpotent`` with both parts
     polynomials in ``m`` (hence commuting), and ``minpoly``, the squarefree
     part of the characteristic polynomial of ``m``: the minimal polynomial
-    of the semisimple part, which has the same characteristic polynomial."""
+    of the semisimple part, which has the same characteristic polynomial;
+    monic, over ``m``'s tower."""
 
     semisimple: list
     nilpotent: list
@@ -67,9 +66,9 @@ class JordanPair:
 
 def jordan_chevalley(m: Sequence[Sequence[FieldElement]]) -> JordanPair:
     n = len(m)
-    p = linalg.charpoly(m)
-    g = poly_squarefree_part(p)
-    dg = [c * (k + 1) for k, c in enumerate(g[1:])]
+    tower = common_context(m)[0]
+    g = _poly_squarefree(tower, linalg.charpoly(m))
+    dg = [_mul(tower, c, _rational(k)) for k, c in enumerate(g) if k]
     x = [list(row) for row in m]
     max_iter = n.bit_length() + 2
     for _ in range(max_iter):
@@ -133,9 +132,8 @@ def _rational_poly_roots(g: list[Fraction]) -> list[Fraction]:
     primes = (q for q in count(2) if lc % q and all(q % k for k in range(2, isqrt(q) + 1)))
     for tries, p in enumerate(primes):
         if tries == 3:
-            qq = FieldTower()
-            lc, h = _monic_integral([x.to_fraction() for x in
-                                     poly_squarefree_part([qq.rational(c) for c in cs])])
+            lc, h = _monic_integral([Fraction(sum(n for _, n in terms), den) for den, terms in
+                                     _poly_squarefree(FieldTower(), list(map(_rational, cs)))])
         hp = [c % p for c in h]
         residues = [a for a in range(p) if _value_and_slope(hp, a)[0] % p == 0]
         if all(_value_and_slope(hp, a)[1] % p for a in residues):
@@ -154,18 +152,19 @@ def _rational_poly_roots(g: list[Fraction]) -> list[Fraction]:
     return sorted(zero + found)
 
 
-def rational_roots(poly: Sequence[FieldElement]) -> list[Fraction]:
-    """Rational roots of a polynomial whose coefficients live in a tower.
+def rational_roots(poly: Sequence[tuple]) -> list[Fraction]:
+    """Rational roots of a polynomial over a tower, the forms of its
+    coefficients ascending.
 
     A rational ``theta`` is a root iff every Q-coordinate of the coefficient
     vector vanishes at ``theta``: the roots of the first coordinate
     polynomial at which every other one vanishes.
     """
-    cs = poly_trim(list(poly))
+    cs = _poly_trim(list(poly))
     if len(cs) < 2:
         return []
-    coords = [dict(c.form[1]) for c in cs]
-    first, *rest = [[Fraction(cd.get(p, 0), c.form[0]) for c, cd in zip(cs, coords)]
+    coords = [dict(terms) for _, terms in cs]
+    first, *rest = [[Fraction(cd.get(p, 0), den) for (den, _), cd in zip(cs, coords)]
                     for p in sorted(set().union(*coords))]
     return [r for r in _rational_poly_roots(first)
             if all(_value_and_slope(f, r)[0] == 0 for f in rest)]
@@ -455,14 +454,14 @@ class SplitResult:
 
 
 def _coprime_factors(m_poly: list, tower: FieldTower) -> list:
-    """Split a squarefree monic polynomial into monic coprime factors:
-    one linear factor per rational root, plus whatever is left."""
+    """Split a squarefree monic polynomial over ``tower`` into monic coprime
+    factors: one linear factor per rational root, plus whatever is left."""
     factors = []
-    rest = [tower.coerce(c) for c in m_poly]
+    rest = list(m_poly)
     for theta in rational_roots(rest):
-        lin = [tower.rational(-theta), tower.one()]
-        rest, rem = poly_divmod(rest, lin)
-        if any(not c.is_zero() for c in rem):  # pragma: no cover
+        lin = [_rational(-theta), _UNIT]
+        rest, rem = _poly_divmod(tower, rest, lin)
+        if rem:  # pragma: no cover
             raise EngineError("verified rational root failed to divide")
         factors.append(lin)
     if len(rest) >= 2:
@@ -470,30 +469,21 @@ def _coprime_factors(m_poly: list, tower: FieldTower) -> list:
     return factors
 
 
-def _poly_hint_key(q: Sequence[FieldElement], tower: FieldTower) -> tuple:
-    """Hashable fingerprint of a monic polynomial over ``tower``: the forms
-    of its coefficients.
-
-    Matches what :meth:`FieldTower.extend` would register, so a
-    ``ZeroDivisorSplit`` raised after adjoining ``q`` carries the same key in
-    ``exc.tower.levels[exc.level - 1]``.
-    """
-    return tuple(tower.coerce(cf).form for cf in q)
-
-
-def _apply_hints(factors: list, tower: FieldTower, hints) -> list:
-    """Replace factors with remembered factorizations, repeatedly."""
+def _apply_hints(factors: list, hints) -> list:
+    """Replace factors with remembered factorizations, repeatedly, each
+    looked up by ``tuple(factor)``: the ``exc.tower.levels[exc.level - 1]``
+    of a ``ZeroDivisorSplit`` raised after adjoining it."""
     if not hints:
         return factors
     out = []
     queue = list(factors)
     while queue:
         q = queue.pop(0)
-        known = hints.get(_poly_hint_key(q, tower)) if len(q) >= 3 else None
+        known = hints.get(tuple(q)) if len(q) >= 3 else None
         if known is None:
             out.append(q)
         else:
-            queue.extend([FieldElement(tower, f) for f in part] for part in known)
+            queue.extend(known)
     return out
 
 
@@ -515,27 +505,27 @@ def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
     left unsplit for later rounds rather than forcing a full splitting field
     now.  Divisions behind the elimination may discover that an adjoined
     polynomial factors (``ZeroDivisorSplit``); the caller owns the retry.
-    ``hints`` maps fingerprints of monic polynomials (as recorded by such a
-    split) to pairs of tuples of factor coefficient forms; factors found there are split
-    without any adjunction, which is how a retry avoids re-raising.
+    ``hints`` maps the level such a split reports, ``tuple(q)`` for the
+    adjoined ``q``, to the pair of factors it found, each a tuple of forms; a
+    factor found there is split without any adjunction, which is how a retry
+    avoids re-raising.  The adjunction is the one place that builds elements
+    of a polynomial.
     """
     n = c.size
     if len(jc.minpoly) == 2:
         raise ScalarLeadingTerm("the semisimple part is scalar; nothing to split")
     s = jc.semisimple
     tower = common_tower(common_context(s)[0], c.tower)
-    factors = _apply_hints(_coprime_factors(jc.minpoly, tower), tower, hints)
+    factors = _apply_hints(_coprime_factors(jc.minpoly, tower), hints)
     if len(factors) == 1:
-        ext = tower.extend(factors[0])
-        theta = ext.gen()
-        lin = [-theta, ext.one()]
-        rest = [ext.coerce(cf) for cf in factors[0]]
-        quot, rem = poly_divmod(rest, lin)
-        if any(not cf.is_zero() for cf in rem):  # pragma: no cover
+        ext = tower.extend([FieldElement(tower, f) for f in factors[0]])
+        lin = [(-ext.gen()).form, _UNIT]
+        quot, rem = _poly_divmod(ext, factors[0], lin)
+        if rem:  # pragma: no cover
             raise EngineError("adjoined root failed to divide its own polynomial")
         factors = [lin, quot]
         tower = ext
-        s = [[tower.coerce(x) for x in row] for row in s]
+    s = [[tower.coerce(x) for x in row] for row in s]  # the factors' tower
     kernels = [linalg.nullspace(linalg.poly_at_matrix(q, s)) for q in factors]
     sizes = [len(k) for k in kernels]
     if sum(sizes) != n or any(sz == 0 for sz in sizes):

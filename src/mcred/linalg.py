@@ -6,7 +6,8 @@ entry-wise loops (``mat_add``, ``mat_neg``, ``mat_scale``, ``mat_eq``,
 ring-generic: :class:`matrices.LaurentMatrix` runs them on its series.
 :func:`mat_mul`, :func:`charpoly` and :func:`poly_at_matrix` are no
 loops: each converts its matrices once to ``(den, parts)`` integer matrices
-and multiplies them by :func:`series._matrix_product`.
+and multiplies them by :func:`series._matrix_product`.  Their polynomials
+are lists of coefficient forms (:mod:`mcred.field`) in their matrix's tower.
 All eliminations use the first nonzero entry as pivot, so
 the results are deterministic functions of the input.  Elimination runs on
 the entries' forms at the deepest tower among them
@@ -347,15 +348,15 @@ def _plus_scalar(form: tuple, den: int, coords: list) -> tuple:
     return total, parts
 
 
-def charpoly(m: Matrix) -> list[FieldElement]:
-    """Coefficients of ``det(x I - m)``, ascending, monic of degree ``n``.
+def charpoly(m: Matrix) -> list[tuple]:
+    """The forms of the coefficients of ``det(x I - m)``, ascending, monic of
+    degree ``n``, over ``m``'s tower (:func:`field.common_context`).
 
     Faddeev-LeVerrier: only divisions by the integers ``1..n`` occur, which
     are exact in characteristic zero.  The loop runs on ``(den, parts)``
     matrices: ``m`` converts once, each ``M_k = m (M_(k-1) + c I)`` is one
-    :func:`series._matrix_product`, each ``c = -trace(M_k) / k`` is read off
-    its diagonals, and the coefficients convert back once, over ``m``'s
-    tower.
+    :func:`series._matrix_product`, and each ``c = -trace(M_k) / k`` is read
+    off its diagonals.
     """
     n, c = mat_shape(m)
     if n != c:
@@ -367,20 +368,21 @@ def charpoly(m: Matrix) -> list[FieldElement]:
         am = _matrix_product(tower, mf, _plus_scalar(am, *coeffs[-1]))
         coeffs.append((am[0] * k, [(p, -sum(x[i][i] for i in range(n)))
                                    for p, x in am[1].items()]))
-    return [FieldElement(tower, _reduced(den, sorted((p, v) for p, v in coords if v)))
+    return [_reduced(den, sorted((p, v) for p, v in coords if v))
             for den, coords in reversed(coeffs)]
 
 
-def poly_at_matrix(coeffs: Sequence[FieldElement], m: Matrix) -> Matrix:
-    """Evaluate a scalar polynomial (ascending coefficients) at a matrix, by
-    Horner's rule on ``(den, parts)`` matrices, over their common tower."""
+def poly_at_matrix(coeffs: Sequence[tuple], m: Matrix) -> Matrix:
+    """Evaluate a scalar polynomial, the forms of its coefficients ascending,
+    at a matrix over whose tower they lie, by Horner's rule on ``(den,
+    parts)`` matrices."""
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("polynomial evaluation at a non-square matrix")
-    tower = common_context([*m, coeffs])[0]
+    tower = common_context(m)[0]
     mf, out = _matrix_form(m), (1, {0: [[0] * n for _ in range(n)]})
-    for ck in reversed(list(coeffs)):
-        out = _plus_scalar(_matrix_product(tower, out, mf), *ck.form)
+    for ck in reversed(coeffs):
+        out = _plus_scalar(_matrix_product(tower, out, mf), *ck)
     return _elements(tower, out)
 
 

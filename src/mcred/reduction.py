@@ -361,8 +361,9 @@ def reduce(connection: Connection) -> ReductionTree:
     pass ``connection.truncate(p)``.  If an internal algebraic extension turns
     out to be reducible mid-run (:class:`ZeroDivisorSplit` above the caller's
     own tower), the discovered factorization is remembered and the whole
-    reduction restarts; splits inside the caller's tower propagate, since
-    only the caller knows which branch they mean.
+    reduction restarts, at most ``_MAX_RESTARTS`` times; splits inside the
+    caller's tower propagate, since only the caller knows which branch they
+    mean.
     """
     work = _prepare(connection)
     base_depth = connection.tower.depth
@@ -377,8 +378,11 @@ def reduce(connection: Connection) -> ReductionTree:
         except ZeroDivisorSplit as exc:
             if exc.tower is None or exc.level <= base_depth:
                 raise
+            if restarts >= _MAX_RESTARTS:
+                raise EngineError(f"the reduction reached its limit of {_MAX_RESTARTS} "
+                                  "restarts on newly found factorizations") from exc
             key = exc.tower.levels[exc.level - 1]
-            if key in hints or restarts >= _MAX_RESTARTS:  # pragma: no cover
+            if key in hints:  # pragma: no cover
                 raise EngineError(
                     "a remembered factorization failed to resolve its split"
                 ) from exc

@@ -264,6 +264,16 @@ def test_parse_errors_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["missing/x.json", "."], ids=["missing_directory", "directory"])
+def test_an_unwritable_out_path_exits_4(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert main(["stability", "2", "2", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_scalar_past_the_digit_limit_exits_4(tmp_path, capsys):
     """Python refuses to read an int of more than 4,300 digits; a scalar
     that long is a parse error, not a traceback."""

@@ -21,12 +21,12 @@ from mcred.field import (
     _inv,
     _inv_by_euclid,
     _mul,
+    _poly_divmod,
     _poly_gcd,
     _poly_mul,
+    _poly_squarefree,
     common_context,
     common_tower,
-    poly_divmod,
-    poly_squarefree_part,
 )
 from mcred.leading import rational_roots
 from mcred.matrices import LaurentMatrix
@@ -113,19 +113,22 @@ def test_common_tower_merges_extensions():
 
 
 def _qq(coeffs):
-    return [QQ.coerce(c) for c in coeffs]
+    """The polynomial over QQ with these rational coefficients: their forms."""
+    return [QQ.coerce(c).form for c in coeffs]
+
+
+def _forms(cs):
+    return [c.form for c in cs]
 
 
 def test_poly_helpers():
     # gcd(x^2 - 1, x^2 - 2x + 1) = x - 1 up to normalization
-    a, b = ([c.form for c in _qq(cs)] for cs in ([-1, 0, 1], [1, -2, 1]))
-    g = _poly_gcd(QQ, a, b)
-    assert [FieldElement(QQ, c).to_fraction() for c in g] == [Fraction(-1), Fraction(1)]
-    q, r = poly_divmod(_qq([-1, 0, 1]), _qq([1, 1]))
-    assert all(c.is_zero() for c in r)
-    sf = poly_squarefree_part(_qq([1, -2, 1]))  # (x-1)^2 -> x - 1
-    lead = sf[-1].to_fraction()
-    assert [c.to_fraction() / lead for c in sf] == [Fraction(-1), Fraction(1)]
+    g = _poly_gcd(QQ, _qq([-1, 0, 1]), _qq([1, -2, 1]))
+    assert _fractions(g) == [Fraction(-1), Fraction(1)]
+    q, r = _poly_divmod(QQ, _qq([-1, 0, 1]), _qq([1, 1]))
+    assert all(not terms for _, terms in r)
+    sf = _fractions(_poly_squarefree(QQ, _qq([1, -2, 1])))  # (x-1)^2 -> x - 1
+    assert [c / sf[-1] for c in sf] == [Fraction(-1), Fraction(1)]
 
 
 def test_extension_degree_validation():
@@ -140,11 +143,12 @@ def test_extension_degree_validation():
 
 
 # ---------------------------------------------------------------------------
-# the polynomial views against independent references
+# the polynomial kernels against independent references
 #
-# Over QQ the reference is sympy (test-only).  Over extensions it is the
-# element-wise polynomial code below, computed with ``FieldElement``
-# operators: the algorithms are the same, so the results must be equal.
+# A polynomial is the list of its coefficients' forms.  Over QQ the
+# reference is sympy (test-only).  Over extensions it is the element-wise
+# polynomial code below, computed with ``FieldElement`` operators: the
+# algorithms are the same, so the results must be equal.
 
 
 def oracle_trim(cs):
@@ -241,11 +245,13 @@ def test_poly_views_match_the_element_wise_oracle(tower, seed):
     rng = random.Random(seed)
     a, b = _seeded_poly(rng, tower), _seeded_poly(rng, tower)
     top = common_context([a, b])[0]
-    gcd = _poly_gcd(top, [c.form for c in a], [c.form for c in b])
+    gcd = _poly_gcd(top, _forms(a), _forms(b))
     _same([FieldElement(top, c) for c in gcd], oracle_gcd(a, b))
-    _same(poly_squarefree_part(a), oracle_squarefree_part(a))
-    for got, want in zip(poly_divmod(a, b), oracle_divmod(a, b)):
-        _same(got, want)
+    low = common_context([a])[0]
+    _same([FieldElement(low, c) for c in _poly_squarefree(low, _forms(a))],
+          oracle_squarefree_part(a))
+    for got, want in zip(_poly_divmod(top, _forms(a), _forms(b)), oracle_divmod(a, b)):
+        _same([FieldElement(top, c) for c in got], want)
 
 
 def _sympy_poly(cs):
@@ -262,8 +268,9 @@ def _from_sympy(p):
     return [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
 
 
-def _fractions(cs):
-    return [c.to_fraction() for c in cs]
+def _fractions(forms):
+    """The rationals with these forms."""
+    return [FieldElement(QQ, f).to_fraction() for f in forms]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -271,10 +278,10 @@ def test_poly_views_match_sympy_over_qq(seed):
     rng = random.Random(100 + seed)
     a, b = _seeded_poly(rng, QQ), _seeded_poly(rng, QQ)
     sa, sb = _sympy_poly(a), _sympy_poly(b)
-    gcd = _poly_gcd(QQ, [c.form for c in a], [c.form for c in b])
-    assert _fractions([FieldElement(QQ, c) for c in gcd]) == _from_sympy(sa.gcd(sb).monic())
-    assert _fractions(poly_squarefree_part(a)) == _from_sympy(sa.sqf_part().monic())
-    q, r = poly_divmod(a, b)
+    gcd = _poly_gcd(QQ, _forms(a), _forms(b))
+    assert _fractions(gcd) == _from_sympy(sa.gcd(sb).monic())
+    assert _fractions(_poly_squarefree(QQ, _forms(a))) == _from_sympy(sa.sqf_part().monic())
+    q, r = _poly_divmod(QQ, _forms(a), _forms(b))
     sq, sr = sa.div(sb)
     assert (_fractions(q), _fractions(r)) == (_from_sympy(sq), _from_sympy(sr))
 
@@ -286,7 +293,7 @@ def test_rational_roots_match_sympy_over_qq(seed):
     for a in (_seeded_poly(rng, QQ), [QQ.rational(c) for c in _large_root_poly(rng)]):
         want = sorted(Fraction(int(r.p), int(r.q))
                       for r in sympy.roots(_sympy_poly(a), filter="Q"))
-        assert rational_roots(a) == want
+        assert rational_roots(_forms(a)) == want
 
 
 def _rational_part(x):
@@ -315,7 +322,7 @@ def test_rational_roots_over_towers_match_the_checked_candidates(tower, seed):
             a = _mul_polys(a, [QQ.rational(-t), QQ.one()])
         candidates = _old_rational_poly_roots([_rational_part(c) for c in a])
         want = [t for t in candidates if oracle_eval(a, tower.rational(t)).is_zero()]
-        assert rational_roots(a) == want == sorted(roots)
+        assert rational_roots(_forms(a)) == want == sorted(roots)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -339,13 +346,14 @@ SPLIT = QQ.extend([-1, 0, 1])  # x^2 - 1: only a ring
 @pytest.mark.parametrize("tower", [SPLIT, SPLIT.extend([-2, 0, 1])])
 def test_poly_divmod_zero_divisor_reports_the_scalar_split(tower):
     """The divisor's lead ``x - 1`` sits at level 1; on the deeper tower the
-    dividend reaches level 2, so the lead is lifted before it is inverted."""
+    dividend reaches level 2, and the lead is inverted over that tower."""
     x = tower.gen(1)
     with pytest.raises(ZeroDivisorSplit) as info:
         (x - 1).inverse()
     want = info.value
     with pytest.raises(ZeroDivisorSplit) as info:
-        poly_divmod([tower.one(), tower.gen(), tower.one()], [tower.one(), x - 1])
+        _poly_divmod(tower, _forms([tower.one(), tower.gen(), tower.one()]),
+                     _forms([tower.one(), x - 1]))
     got = info.value
     assert (got.level, got.factors, got.tower) == (want.level, want.factors, want.tower)
 
@@ -709,9 +717,8 @@ def _same_outcome(got, want):
     result = got()
     if isinstance(result, FieldElement):
         assert result.tower is tower and result.form == to_form(tower, level, payload)
-    else:
-        assert [(x.tower, x.form) for x in result] == \
-            [(tower, to_form(tower, level, p)) for p in payload]
+    else:  # a polynomial: the forms of its coefficients
+        assert result == [to_form(tower, level, p) for p in payload]
 
 
 def _check_element(a):
@@ -774,9 +781,9 @@ def test_scalar_kernels_match_the_payload_reference():
 
 
 def test_poly_views_match_the_payload_polynomial_layer():
-    """``poly_divmod`` and ``poly_squarefree_part`` on drawn polynomials over
+    """``_poly_divmod`` and ``_poly_squarefree`` on drawn polynomials over
     one tower, against the payload polynomial layer at their common level:
-    the same coefficients, or the same exception."""
+    the same coefficient forms, or the same exception."""
     hypothesis, st = _hypothesis()
 
     @st.composite
@@ -795,12 +802,13 @@ def test_poly_views_match_the_payload_polynomial_layer():
         a, b = case
         tower, level = common_context([a, b])
         pa, pb = ([to_payload(tower, level, c.form) for c in p] for p in (a, b))
-        _same_outcome(lambda: poly_divmod(a, b)[0],
+        fa, fb = _forms(a), _forms(b)
+        _same_outcome(lambda: _poly_divmod(tower, fa, fb)[0],
                       lambda: (tower, level, p_poly_divmod(tower, level, pa, pb)[0]))
-        _same_outcome(lambda: poly_divmod(a, b)[1],
+        _same_outcome(lambda: _poly_divmod(tower, fa, fb)[1],
                       lambda: (tower, level, p_poly_divmod(tower, level, pa, pb)[1]))
         top, lv = common_context([a])
-        _same_outcome(lambda: poly_squarefree_part(a),
+        _same_outcome(lambda: _poly_squarefree(top, fa),
                       lambda: (top, lv, p_poly_squarefree(
                           top, lv, [to_payload(top, lv, c.form) for c in a])))
 

@@ -72,14 +72,19 @@ def test_jordan_chevalley_parts_commute_and_sum():
     assert all(x.is_zero() for row in again.nilpotent for x in row)
 
 
+def _qq(coeffs):
+    """The polynomial over QQ with these rational coefficients: their forms."""
+    return [QQ.rational(c).form for c in coeffs]
+
+
 def test_rational_roots():
     # x(x - 2)
-    assert rational_roots([QQ.zero(), QQ.rational(-2), QQ.one()]) == [0, 2]
+    assert rational_roots(_qq([0, -2, 1])) == [0, 2]
     # 2x^2 - x  has roots 0 and 1/2
-    roots = rational_roots([QQ.zero(), QQ.rational(-1), QQ.rational(2)])
+    roots = rational_roots(_qq([0, -1, 2]))
     assert roots == [0, Fraction(1, 2)]
     # x^2 - 2 has none
-    assert rational_roots([QQ.rational(-2), QQ.zero(), QQ.one()]) == []
+    assert rational_roots(_qq([-2, 0, 1])) == []
 
 
 def _old_rational_poly_roots(g):
@@ -213,7 +218,7 @@ def test_rational_poly_roots_match_sympy():
 
 def test_rational_roots_of_a_30_digit_constant():
     # trial division of 10**30 never finished
-    assert rational_roots([QQ.rational(10**30), QQ.one()]) == [-10**30]
+    assert rational_roots(_qq([10**30, 1])) == [-10**30]
 
 
 def test_split_rejects_scalar_semisimple_part():
@@ -591,3 +596,17 @@ def test_eigen_block_split_adjoins_a_root_when_needed():
     lead0 = out.blocks[0].leading()[0][0]
     # the adjoined root really squares to 2
     assert (lead0 * lead0 - out.transform.tower.rational(2)).is_zero()
+
+
+def test_the_adjoined_level_is_the_minimal_polynomial_itself():
+    """A rank-3 lead whose characteristic polynomial ``x^3 - x - 1`` has no
+    rational root: the split adjoins one of its roots, and the level it adds
+    is ``tuple(jordan_chevalley(lead).minpoly)``, the coefficient forms
+    unconverted."""
+    lead = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # the companion matrix of x^3 - x - 1
+    c = Connection(LaurentMatrix(QQ, [[S({-2: x}) for x in row] for row in lead]).truncate(1))
+    jc = jordan_chevalley(c.leading())
+    assert jc.minpoly == [QQ.rational(q).form for q in (-1, -1, 0, 1)]
+    out = eigen_block_split(c, jc)
+    assert out.transform.tower.levels == (tuple(jc.minpoly),)
+    assert out.sizes == [1, 2]

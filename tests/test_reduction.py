@@ -187,6 +187,16 @@ def test_zero_divisor_split_restarts_with_the_factorization():
     assert replay(tree) is True
 
 
+def test_the_restart_cap_names_its_limit(monkeypatch):
+    """The seed-1 rank-4 nilpotent-lead draw restarts once; with no restart
+    allowed, the error names the limit rather than a failed factorization."""
+    c = checks.random_connection(random.Random(1), 4, 2, kind="nilpotent_lead")
+    assert reduce(c).restarts == 1
+    monkeypatch.setattr(reduction, "_MAX_RESTARTS", 0)
+    with pytest.raises(EngineError, match="reached its limit of 0 restarts"):
+        reduce(c)
+
+
 def test_each_lead_is_factored_once(monkeypatch):
     """On the 24 seed-1 ``reduce-replay`` benchmark inputs every
     characteristic polynomial ``reduce`` takes is one node's
