@@ -22,8 +22,8 @@ from typing import Sequence
 from .errors import DomainViolation, NotBlockDiagonal
 from .field import FieldElement, FieldTower, common_tower
 from .matrices import LaurentMatrix
-from .series import (INF, _ONE, LaurentSeries, _accumulate, _derived, _form_product, _forms,
-                     _materialise, _negated)
+from .series import (INF, _ONE, LaurentSeries, _derived, _form_product, _forms, _from_form,
+                     _negated, _sum_of_products)
 
 
 class Connection:
@@ -120,11 +120,11 @@ class Connection:
         checks of shape and ramification, recast to ``g``'s tower when that
         one is deeper.
 
-        The product ``g G`` is settled on the product kernel's integer forms
+        The product ``g G`` is computed on the product kernel's integer forms
         (:func:`series._integral`), and each entry of the result is one
-        :func:`series._accumulate` over the pairs ``(g G)_al (g^{-1})_lb`` and
-        ``-(dg/du)_al (g^{-1})_lb`` (``dg/du`` read off the forms of ``g``),
-        built into a series once.  Its precision
+        :func:`series._sum_of_products` over the pairs ``(g G)_al
+        (g^{-1})_lb`` and ``-(dg/du)_al (g^{-1})_lb`` (``dg/du`` read off the
+        forms of ``g``), built into a series once.  Its precision
         is the minimum over those pairs, which is what the difference of the
         two products would have.
         """
@@ -144,7 +144,7 @@ class Connection:
         g_g = _form_product(tower, g_forms, _forms(self.matrix.entries, ram, size))
         minus_dg = [[_negated(_derived(f, size)) for f in row] for row in g_forms]
         return Connection(LaurentMatrix(tower, [
-            [_materialise(tower, ram, *_accumulate(size, [*zip(a, col), *zip(b, col)]))
+            [_from_form(tower, ram, _sum_of_products(tower, [*zip(a, col), *zip(b, col)]))
              for col in cols] for a, b in zip(g_g, minus_dg)], ram))
 
     def ramify(self, b: int) -> "Connection":

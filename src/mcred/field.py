@@ -20,12 +20,13 @@ size exceeds every position it holds.
 A sum merges two forms over the lcm of their denominators.  The product of
 two reduced coordinates sits at the sum of their positions, so a product
 (:func:`_mul`, and the series product kernel) sums integer numerator
-products per position, unreduced, and folds once: :func:`_fold_nums` sends
-every position to its monomial reduced by the minimal polynomials, through
-one integer map per level (:func:`_fold_map`), built from the map of the
-level below and shared by every tower that extends that level.  An inverse
-is a fraction-free elimination at level 1, or the extended Euclid over the
-level below.  A polynomial is the list of its coefficients' forms,
+products per position, unreduced, and folds once: :func:`_folded` sends
+every key, in one pass, to its monomial reduced by the minimal polynomials,
+through one integer map per level (:func:`_fold_map`), built from the map
+of the level below and shared by every tower that extends that level; a
+series key folds by its position, the key modulo the top level's size.
+An inverse is a fraction-free elimination at level 1, or the extended
+Euclid over the level below.  A polynomial is the list of its coefficients' forms,
 ascending, as ``FieldTower.levels`` stores them; the ``_poly_*`` functions
 take its tower explicitly and return it trimmed.
 """
@@ -108,27 +109,26 @@ def _mul(tower: "FieldTower", a: tuple, b: tuple) -> tuple:
             nums[pa + pb] = nums.get(pa + pb, 0) + na * nb
     # two reduced positions below sizes[k] sum to one below sizes[k]
     level = bisect.bisect_right(tower.sizes, ta[-1][0] + tb[-1][0])
-    return _folded(tower, level, da * db, nums)
+    return _reduced(*_folded(tower, level, da * db, nums))
 
 
-def _folded(tower: "FieldTower", level: int, den: int, nums: dict) -> tuple:
-    """The form at ``level`` with unreduced coordinates ``nums[position] / den``."""
-    d, reduced = _fold_nums(tower, level, nums)
-    return _reduced(den * d, [(p, reduced[p]) for p in sorted(reduced) if reduced[p]])
-
-
-def _fold_nums(tower: "FieldTower", level: int, nums: dict) -> tuple[int, dict]:
-    """``(d, reduced)``: the unreduced coordinates ``nums`` reduced by the
-    minimal polynomials through ``level`` as numerators over ``d`` by
-    position (zero sums included)."""
-    if level == 0:
-        return 1, nums
-    d, images = _fold_map(tower, level)
-    reduced: dict[int, int] = {}
-    for pos, n in nums.items():
-        for p, r in images[pos]:
-            reduced[p] = reduced.get(p, 0) + n * r
-    return d, reduced
+def _folded(tower: "FieldTower", level: int, den: int, nums: dict) -> tuple[int, list]:
+    """``(den', terms)``: the unreduced numerators ``nums`` over ``den``, keyed
+    by ``j * tower.sizes[level] + position``, reduced by the minimal
+    polynomials through ``level`` in one pass (:func:`_fold_map`) as the
+    nonzero ``(key, numerator)`` pairs by key over ``den'``, not divided by
+    their gcd.  An element's positions all lie in block ``j = 0``."""
+    if level:
+        size, folded = tower.sizes[level], {}
+        d, images = _fold_map(tower, level)
+        for k, n in nums.items():
+            if n:
+                pos = k % size
+                base = k - pos
+                for p, r in images[pos]:
+                    folded[base + p] = folded.get(base + p, 0) + n * r
+        den, nums = den * d, folded
+    return den, sorted((k, n) for k, n in nums.items() if n)
 
 
 def _fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:
@@ -150,7 +150,7 @@ def _build_fold_map(tower: "FieldTower", level: int) -> tuple[int, list]:
         top, shifted = powers[-1][-1], [_ZERO] + powers[-1][:-1]
         powers.append([_combine(c, _mul(tower, top, m), -1)
                        for c, m in zip(shifted, tower.levels[below])])
-    monomials = [_folded(tower, below, 1, {j: 1}) for j in range(step)]
+    monomials = [_reduced(*_folded(tower, below, 1, {j: 1})) for j in range(step)]
     images = [_joined([_mul(tower, mono, c) for c in xi], step)
               for xi in powers for mono in monomials]
     d = math.lcm(*[den for den, _ in images])

@@ -42,8 +42,8 @@ from .errors import DomainViolation, EngineError, NotInvertible, ScalarLeadingTe
 from .field import (_UNIT, FieldElement, FieldTower, _mul, _poly_divmod, _poly_squarefree,
                     _poly_trim, _rational, common_context, common_tower)
 from .matrices import LaurentMatrix
-from .series import (INF, _ONE, _accumulate, _form_product, _forms, _from_form,
-                     _gathered, _is_zero, _matrix_form, _matrix_product, _settle)
+from .series import (INF, _ONE, _form_product, _forms, _from_form, _gathered, _is_zero,
+                     _matrix_form, _matrix_product, _sum_of_products)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +271,11 @@ def _step_gauge(tower: FieldTower, steps: list, p: int) -> tuple:
 def _gauged(tower: FieldTower, gauge: tuple, work: list, total: list) -> tuple:
     """``(E G E**-1 + D, E total)`` for the :func:`_step_gauge` ``(E, E**-1,
     D)`` and grids of forms ``G`` and ``total``: three window products, with
-    ``D`` one more pair in the accumulation of ``(E G) E**-1``."""
+    ``D`` one more pair in the :func:`series._sum_of_products` of ``(E G)
+    E**-1``."""
     e, e_inv, dlog = gauge
-    size, ew = tower.sizes[-1], _form_product(tower, e, work)
-    work = [[_settle(tower, *_accumulate(size, [*zip(ew_row, col), d]))
+    ew = _form_product(tower, e, work)
+    work = [[_sum_of_products(tower, [*zip(ew_row, col), d])
              for col, d in zip(zip(*e_inv), dlog_row)]
             for ew_row, dlog_row in zip(ew, dlog)]
     return work, _form_product(tower, e, total)
@@ -329,8 +330,8 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
 
     The loop builds no series and no field elements: ``G`` and ``total``
     are grids of :func:`series._integral` forms, every window product is one
-    :func:`series._form_product`, and ``D`` is one more pair in the
-    accumulation of ``(E G) E**-1`` (:func:`_gauged`).  ``step``, each
+    :func:`series._form_product`, and ``D`` is one more pair in the sum of
+    products of ``(E G) E**-1`` (:func:`_gauged`).  ``step``, each
     ``C_i`` and its powers are ``(den, parts)`` matrices multiplied by
     :func:`series._matrix_product`; a step reads its coefficient column off
     the forms (:func:`_coefficients`), and an all-zero column takes no

@@ -27,8 +27,8 @@ from typing import Sequence
 from . import linalg
 from .errors import DomainViolation, NotNilpotent
 from .field import FieldElement, FieldTower, common_tower
-from .series import (INF, _ONE, LaurentSeries, _accumulate, _forms, _inverted, _materialise,
-                     _negated, _settle, mat_product)
+from .series import (INF, _ONE, LaurentSeries, _forms, _from_form, _inverted, _negated,
+                     _sum_of_products, mat_product)
 
 
 def _as_series(tower: FieldTower, ram: int, x) -> LaurentSeries:
@@ -264,22 +264,21 @@ def _cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
 
     The cofactors are expanded along the first row, recursively, on the
     product kernel's integer forms: each minor is one
-    :func:`series._accumulate` over its signed products (exact-zero entries
-    skipped, as it would drop their products, so a diagonal matrix such as a
-    shear expands in polynomial time), settled back into a form
-    (:func:`series._settle`) with the valuation and the precision that the
-    series operations give it.  An exact ``m`` expands each minor along its
+    :func:`series._sum_of_products` over its signed products (exact-zero
+    entries skipped, as it would drop their products, so a diagonal matrix
+    such as a shear expands in polynomial time), a form with the valuation
+    and the precision that the series operations give it.  An exact ``m`` expands each minor along its
     first column instead when that holds more exact zeros than its first
     row, so a triangular one does too; a truncated ``m`` keeps the first
     row, and with it every precision
     (``test_truncated_matrix_expands_along_its_first_rows``).  ``d`` is
-    row 0 of ``m @ adj(m)``, inverted on its form, and each entry of
-    ``adj(m) * d**-1`` is built once.  An exact ``m`` inverts only when
+    row 0 of ``m @ adj(m)``, one more sum of products, inverted on its
+    form, and each entry of ``adj(m) * d**-1`` is one product, built into a
+    series once.  An exact ``m`` inverts only when
     ``d`` is a monomial; otherwise truncate it first.
     """
     tower, ram = m.tower, m.ram
-    size = tower.sizes[-1]
-    forms = _forms(m.entries, ram, size)
+    forms = _forms(m.entries, ram, tower.sizes[-1])
     exact = m.prec is INF
 
     def det(grid: list):
@@ -289,17 +288,16 @@ def _cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
             return grid[0][0]
         if exact and grid[0].count(None) < [row[0] for row in grid].count(None):
             grid = [list(col) for col in zip(*grid)]  # det is that of the transpose
-        return _settle(tower, *_accumulate(size, [
+        return _sum_of_products(tower, [
             (_negated(f) if j % 2 else f, det([row[:j] + row[j + 1:] for row in grid[1:]]))
-            for j, f in enumerate(grid[0]) if f]))
+            for j, f in enumerate(grid[0]) if f])
 
     adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(forms) if k != j])
             for j in range(len(forms))] for i in range(len(forms))]
     adj = [[_negated(f) if (i + j) % 2 else f for j, f in enumerate(row)]
            for i, row in enumerate(adj)]
-    d = _settle(tower, *_accumulate(size, zip(forms[0], [r[0] for r in adj])))
-    d_inv = _inverted(tower, d)
-    return LaurentMatrix(tower, [[_materialise(tower, ram, *_accumulate(size, [(f, d_inv)]))
+    d_inv = _inverted(tower, _sum_of_products(tower, zip(forms[0], [r[0] for r in adj])))
+    return LaurentMatrix(tower, [[_from_form(tower, ram, _sum_of_products(tower, [(f, d_inv)]))
                                   for f in row] for row in adj], ram)
 
 

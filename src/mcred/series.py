@@ -26,14 +26,15 @@ every operation reads and builds forms, and a series holds nothing else:
 ``coeffs`` and ``items`` build their ``FieldElement`` coefficients from the
 form on each read, and ``coeff`` builds the one it is asked for.
 
-A product is the 1x1 case of :func:`mat_product`, one integer convolution
-in two halves.  :func:`_accumulate` sums the products of the forms'
-numerators unreduced per exponent and position; terms at or past the
-precision are never formed.  :func:`_settle` folds the sums by the minimal
-polynomials on integers and divides by the gcd, so that the result is
-again a form (:func:`_form_product` for a grid).  A sum is the same
-accumulation against the form of 1.  A chain of products that needs no
-series in between stays on forms: the Sibuya step loop of
+A product is the 1x1 case of :func:`mat_product`, one integer convolution:
+:func:`_sum_of_products` sums the products of the forms' numerators
+unreduced by key (exponent and position), never forming a term at or past
+the precision, folds every key in one pass by the minimal polynomials on
+integers (:func:`field._folded`) and divides by the gcd, so that the result
+is again a form (:func:`_form_product` for a grid).  A sum is the same call
+against the form of 1.  A chain of products that needs no series in
+between stays on forms, and only a caller that wants a series builds one
+(:func:`_from_form`): the Sibuya step loop of
 :mod:`mcred.leading`, the cofactors of ``LaurentMatrix.inverse``, the
 ``g G`` of ``Connection.gauge``, and Newton's inverse (:func:`_inverted`).
 
@@ -54,7 +55,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainViolation, NotInvertible, PrecisionExhausted
-from .field import FieldElement, FieldTower, _fold_map, _fold_nums, _inv, _reduced, common_tower
+from .field import FieldElement, FieldTower, _fold_map, _folded, _inv, _reduced, common_tower
 
 INF = math.inf
 
@@ -228,8 +229,8 @@ class LaurentSeries:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return _materialise(a.tower, a.ram,
-                            *_accumulate(a.tower.sizes[-1], [(a.form, _ONE), (b.form, _ONE)]))
+        form = _sum_of_products(a.tower, [(a.form, _ONE), (b.form, _ONE)])
+        return _from_form(a.tower, a.ram, form)
 
     __radd__ = __add__
 
@@ -319,8 +320,10 @@ _ONE = (0, INF, 1, [(0, 1)])  # the :func:`_integral` form of the exact series 1
 def _view_of(tower: FieldTower, form) -> dict:
     """``{exp: FieldElement}`` of the :func:`_integral` form ``form`` over
     ``tower``: one element per exponent, its positions in ascending order."""
-    return {e: FieldElement(tower, _reduced(form[2], list(nums.items())))
-            for e, nums in _by_exponent(form[3] if form else [], tower.sizes[-1]).items()}
+    size, grouped = tower.sizes[-1], {}
+    for k, n in form[3] if form else []:
+        grouped.setdefault(k // size, []).append((k % size, n))
+    return {e: FieldElement(tower, _reduced(form[2], pairs)) for e, pairs in grouped.items()}
 
 
 def _integral(s: LaurentSeries, ram: int, size: int):
@@ -372,10 +375,14 @@ def _derived(form, size: int):
                    [(k - size, n * e) for k, n in terms if (e := k // size)])
 
 
-def _accumulate(size: int, pairs) -> tuple:
-    """``(prec, den, acc)``: ``sum(a * b for a, b in pairs)`` of :func:`_integral`
-    forms, known below ``prec``, as unreduced numerators ``acc[e * size +
-    position]`` over ``den``; terms at or past ``prec`` are never formed."""
+def _sum_of_products(tower: FieldTower, pairs):
+    """The :func:`_integral` form of ``sum(a * b for a, b in pairs)`` for forms
+    over ``tower``: known below the least precision of a pair with no exact
+    zero, the numerator products summed unreduced by key over the lcm of the
+    pairs' denominators (terms at or past the precision are never formed),
+    every key folded in one pass by the top level (:func:`field._folded`),
+    then sorted and divided by the gcd (:func:`_normal`)."""
+    size = tower.sizes[-1]
     live = [(a, b) for a, b in pairs if a and b]  # an exact zero adds no precision
     prec = min((min(a[0] + b[1], b[0] + a[1]) for a, b in live), default=INF)
     den = math.lcm(*[a[2] * b[2] for a, b in live])
@@ -389,40 +396,7 @@ def _accumulate(size: int, pairs) -> tuple:
                 if kb >= lim:
                     break
                 acc[ka + kb] = acc.get(ka + kb, 0) + na * nb
-    return prec, den, acc
-
-
-def _by_exponent(terms, size: int) -> dict:
-    """``{e: {position: numerator}}``: the nonzero ``(key, numerator)`` pairs of
-    an accumulation's items or of a form's terms."""
-    grouped: dict[int, dict[int, int]] = {}
-    for k, n in terms:
-        if n:
-            e, pos = divmod(k, size)
-            grouped.setdefault(e, {})[pos] = n
-    return grouped
-
-
-def _materialise(tower: FieldTower, ram: int, prec, den: int, acc: dict) -> LaurentSeries:
-    """The series of an :func:`_accumulate` result, settled once."""
-    return _from_form(tower, ram, _settle(tower, prec, den, acc))
-
-
-def _settle(tower: FieldTower, prec, den: int, acc: dict):
-    """The :func:`_integral` form of the series an :func:`_accumulate` result
-    sums to, on integers: every exponent is reduced by the integer fold of
-    ``tower``'s top level, then :func:`_normal` divides by the gcd, which
-    leaves the lcm of the reduced coordinate denominators."""
-    size, level = tower.sizes[-1], tower.depth
-    d, terms = 1, []
-    if level == 0:
-        terms = sorted((k, n) for k, n in acc.items() if n)
-    else:
-        for e, nums in sorted(_by_exponent(acc.items(), size).items()):
-            d, reduced = _fold_nums(tower, level, nums)
-            base = e * size
-            terms += sorted((base + p, n) for p, n in reduced.items() if n)
-    return _normal(size, prec, den * d, terms)
+    return _normal(size, prec, *_folded(tower, tower.depth, den, acc))
 
 
 def _from_form(tower: FieldTower, ram: int, form) -> LaurentSeries:
@@ -446,9 +420,8 @@ def _forms(grid, ram: int, size: int) -> list:
 
 def _form_product(tower: FieldTower, a: list, b: list) -> list:
     """The product of two grids of forms over ``tower``, as a grid of forms."""
-    size = tower.sizes[-1]
     cols = list(zip(*b))
-    return [[_settle(tower, *_accumulate(size, zip(row, col))) for col in cols] for row in a]
+    return [[_sum_of_products(tower, zip(row, col)) for col in cols] for row in a]
 
 
 def mat_product(tower: FieldTower, ram: int, a, b) -> list[list[LaurentSeries]]:
@@ -489,8 +462,8 @@ def _inverted(tower: FieldTower, form):
     while k < rel:
         k, y = min(2 * k, rel), (-v, INF, d, keys)
         a = (v, v + k, den, terms[:bisect_left(terms, ((v + k) * size,))])
-        t = _settle(tower, *_accumulate(size, [(_ONE, _ONE), (_negated(a), y)]))
-        _, _, d, keys = _settle(tower, *_accumulate(size, [(y, _ONE), (y, t)]))
+        t = _sum_of_products(tower, [(_ONE, _ONE), (_negated(a), y)])
+        _, _, d, keys = _sum_of_products(tower, [(y, _ONE), (y, t)])
     return -v, prec - 2 * v, d, keys
 
 

@@ -34,7 +34,13 @@ residue spectra hold elements above level 0.  ``GUARD_TREES`` is one
 sha256 over the encoded ``reduce`` trees (or exception texts) of the
 202-input reduction guard set of :func:`_guard_inputs`: the 72
 ``reduce-replay`` inputs of seeds 1-3, the samples, ``mcred generate --seed
-7 --count 24``, and each of those truncated at 6.  A change meant to keep canonical JSON,
+7 --count 24``, and each of those truncated at 6.  ``TWIST_TREES`` pins, with
+the number of ``twist`` ops in each tree, the sha256 of the encoded
+``reduce`` tree of draw 3 of seed 5's gauge sweep
+(``test_reduction._gauge_sweep``), of its copy under the unit gauge the sweep
+draws and discards, and of its copy under the monomial gauge
+(:func:`_twist_inputs`): ``Connection.scalar_twist``, which runs on the series
+sum, is reached by no benchmark input.  A change meant to keep canonical JSON,
 certificates and trees byte-identical must pass it unchanged.
 
 When an output change is intended, re-record the digests with::
@@ -42,7 +48,7 @@ When an output change is intended, re-record the digests with::
     PYTHONPATH=src python tests/test_golden_bytes.py
 
 which prints new ``GOLDEN``, ``TRUNCATED`` and ``EXTENSION_FIELD`` dicts and the
-``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4``, ``GUARD_TREES`` and ``TOWER_GAUGES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4``, ``GUARD_TREES``, ``TOWER_GAUGES`` and ``TWIST_TREES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
 
@@ -84,6 +90,12 @@ EXTENSION_FIELD = {
 GUARD_TREES = "cc5bb3871df4991f2328080920d72f86490373a0b4e1c1270dc1eab2b9905ac9"
 
 TOWER_GAUGES = "c7a2f52776e0f25f2fd915a3d8e25bce645b297963ee80c68ef651c848273366"
+
+TWIST_TREES = {
+    "plain": (1, "eb6b5584c884f0dc470f1012598f128106e26cfd466cfbe8c3e6bbdc4affb899"),
+    "unit": (1, "46148d361fd244a81e79b6aa5cc8a4a4567a5d255a019d94161364354bd95923"),
+    "monomial": (1, "fcdad9cab2317f761355d448894fcf405fafa13b56f8c43be3d409c636f629ac"),
+}
 
 GOLDEN = {
     "derham gen7-0": (0, "1b874ad11ca666e457c19d1d11a98505edd1592b35e97ad46deb4658e28d4aac"),
@@ -606,6 +618,38 @@ def _guard_digest():
     return digest.hexdigest()
 
 
+def _twist_inputs(seed=5, draw=3):
+    """Draw ``draw`` of seed ``seed``'s gauge sweep, drawn as
+    ``test_reduction._gauge_sweep`` draws it: ``{"plain": c, "unit": c under
+    the unit gauge, "monomial": c under the monomial gauge}``."""
+    rng = random.Random(seed)
+    for _ in range(draw + 1):
+        n, r, kind = rng.choice([2, 3]), rng.choice([1, 2, 3]), rng.choice(checks.KINDS)
+        c = checks.random_connection(rng, n, r, kind=kind)
+        unit, monomial = checks.random_unit_gauge(rng, n), checks.random_monomial_gauge(rng, n)
+    return {"plain": c, "unit": c.gauge(unit), "monomial": c.gauge(monomial)}
+
+
+def _twists(node):
+    """The number of ``twist`` ops in the reduction tree below ``node``."""
+    return sum(op[0] == "twist" for op in node.ops) + sum(_twists(ch) for ch in node.children)
+
+
+def _twist_digests():
+    """``{version: (twist ops, sha256 of the encoded tree)}`` of ``reduce`` on
+    the three versions of :func:`_twist_inputs`."""
+    out = {}
+    for name, c in _twist_inputs().items():
+        tree = reduce(c)
+        text = serialize.dumps(serialize.encode_tree(tree))
+        out[name] = (_twists(tree.root), hashlib.sha256(text.encode()).hexdigest())
+    return out
+
+
+def test_reduce_trees_of_the_twist_inputs_match_the_recorded_digests():
+    assert _twist_digests() == TWIST_TREES
+
+
 def test_reduce_trees_of_the_guard_set_match_the_recorded_digest():
     assert _guard_digest() == GUARD_TREES
 
@@ -673,3 +717,7 @@ if __name__ == "__main__":
     print("}")
     print(f'GUARD_TREES = "{_guard_digest()}"')
     print(f'TOWER_GAUGES = "{_tower_gauge_digest()}"')
+    print("TWIST_TREES = {")
+    for name, (twists, digest) in _twist_digests().items():
+        print(f'    "{name}": ({twists}, "{digest}"),')
+    print("}")

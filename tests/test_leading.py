@@ -469,7 +469,7 @@ def _stepwise_sibuya(c, x):
                              for pos, m in c_col[1].items()})
         e, e_inv, dlog = _old_step_gauge(tower, c_form, i, p)
         ew = series._form_product(tower, e, work)
-        work = [[series._settle(tower, *series._accumulate(size, [*zip(ew_row, col), d]))
+        work = [[series._sum_of_products(tower, [*zip(ew_row, col), d])
                  for col, d in zip(zip(*e_inv), dlog_row)]
                 for ew_row, dlog_row in zip(ew, dlog)]
         total = series._form_product(tower, e, total)

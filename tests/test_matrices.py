@@ -8,8 +8,8 @@ from mcred import checks, matrices, serialize
 from mcred.errors import DomainViolation, EngineError, NotInvertible, NotNilpotent
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix, matrix_exp
-from mcred.series import (INF, _ONE, LaurentSeries, _accumulate, _forms, _integral,
-                          _materialise, _negated, _settle)
+from mcred.series import (INF, _ONE, LaurentSeries, _forms, _from_form, _integral, _negated,
+                          _sum_of_products)
 
 QQ = FieldTower()
 
@@ -247,17 +247,17 @@ def _cofactor_oracle(m):
             return _ONE
         if len(grid) == 1:
             return grid[0][0]
-        return _settle(tower, *_accumulate(size, [
+        return _sum_of_products(tower, [
             (_negated(f) if j % 2 else f, det([row[:j] + row[j + 1:] for row in grid[1:]]))
-            for j, f in enumerate(grid[0])]))
+            for j, f in enumerate(grid[0])])
 
     adj = [[det([r[:i] + r[i + 1:] for k, r in enumerate(forms) if k != j])
             for j in range(len(forms))] for i in range(len(forms))]
     adj = [[_negated(f) if (i + j) % 2 else f for j, f in enumerate(row)]
            for i, row in enumerate(adj)]
-    d = _materialise(tower, ram, *_accumulate(size, zip(forms[0], [r[0] for r in adj])))
+    d = _from_form(tower, ram, _sum_of_products(tower, zip(forms[0], [r[0] for r in adj])))
     d_inv = _integral(d.inverse(), ram, size)
-    return LaurentMatrix(tower, [[_materialise(tower, ram, *_accumulate(size, [(f, d_inv)]))
+    return LaurentMatrix(tower, [[_from_form(tower, ram, _sum_of_products(tower, [(f, d_inv)]))
                                   for f in row] for row in adj], ram)
 
 

@@ -7,11 +7,15 @@ term and entry by entry with the series' own ``+``.  Hypothesis draws
 operands over prefixes of one depth-2 tower (so operands of one product may
 sit at different depths), at ramification 1 or 2, with exact, truncated,
 zero-to-precision and exactly zero entries; every coefficient and every
-entry's precision must agree.  The integer half of the kernel is checked
-too: a product settled on integers (``series._settle``, which the Sibuya
+entry's precision must agree.  The integer kernel is checked too: a sum of
+products of integer forms (``series._sum_of_products``, which the Sibuya
 step loop chains and every built series holds) must be exactly the integer
 form of the series the constructor builds from the coefficients the
-kernel's series read.  ``LaurentMatrix.inverse`` and ``Connection.gauge``, which
+kernel's series read, and exactly what the two halves it replaced give
+(:func:`reference_accumulate` and :func:`reference_settle`, with their fold
+by exponent, :func:`reference_fold_nums`), over Q, Q(sqrt 2) and a depth-2
+tower whose fold map has a denominator, at ramification 1-3, on pairs that
+always include one whose product leaves the basis, so that the fold runs.  ``LaurentMatrix.inverse`` and ``Connection.gauge``, which
 run on those integer forms, are checked against the series paths they
 replaced (:func:`_old_inverse`, :func:`_old_gauge`) at rank 1-4: every
 entry's precision, valuation and encoding, or the type and message of the
@@ -42,15 +46,15 @@ set_hypothesis_home_dir(_HOME.name)
 from mcred import linalg, serialize  # noqa: E402
 from mcred.connection import Connection  # noqa: E402
 from mcred.errors import EngineError  # noqa: E402
-from mcred.field import FieldTower, common_context, common_tower  # noqa: E402
+from mcred.field import FieldTower, _fold_map, common_context, common_tower  # noqa: E402
 from mcred.matrices import LaurentMatrix  # noqa: E402
 from mcred.series import (  # noqa: E402
     INF,
     LaurentSeries,
-    _accumulate,
+    _from_form,
     _integral,
-    _materialise,
-    _settle,
+    _normal,
+    _sum_of_products,
 )
 from test_field import from_payload  # noqa: E402
 from test_matrices import _adjugate, _mat_mul  # noqa: E402
@@ -61,6 +65,9 @@ QQ = FieldTower()
 K = QQ.extend([-2, 0, 1])                 # sqrt(2)
 L = K.extend([-K.gen(), 0, 0, 1])         # a cube root of sqrt(2)
 TOWERS = (QQ, K, L)
+# a root of x**3 + x/3 - sqrt(2)/2: its integer fold map has denominator 6
+H = K.extend([K.gen() * Fraction(-1, 2), Fraction(1, 3), 0, 1])
+FOLDING = (QQ, K, H)
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -98,6 +105,58 @@ def reference_mat_mul(a, b):
             row.append(acc)
         rows.append(row)
     return LaurentMatrix(a.tower, rows, a.ram)
+
+
+def reference_accumulate(size, pairs):
+    """``(prec, den, acc)``: the sum of the products of the forms ``pairs`` as
+    unreduced numerators ``acc[e * size + position]`` over ``den``, known below
+    ``prec`` (the first half of the kernel ``_sum_of_products`` replaced)."""
+    live = [(a, b) for a, b in pairs if a and b]
+    prec = min((min(a[0] + b[1], b[0] + a[1]) for a, b in live), default=INF)
+    den = math.lcm(*[a[2] * b[2] for a, b in live])
+    acc = {}
+    for (_, _, da, ta), (_, _, db, tb) in live:
+        scale = den // (da * db)
+        for ka, na in ta:
+            lim = (prec - ka // size) * size
+            na *= scale
+            for kb, nb in tb:
+                if kb >= lim:
+                    break
+                acc[ka + kb] = acc.get(ka + kb, 0) + na * nb
+    return prec, den, acc
+
+
+def reference_fold_nums(tower, level, nums):
+    """``(d, reduced)``: the unreduced coordinates ``nums`` of one exponent
+    reduced by the minimal polynomials through ``level``, over ``d``."""
+    if level == 0:
+        return 1, nums
+    d, images = _fold_map(tower, level)
+    reduced = {}
+    for pos, n in nums.items():
+        for p, r in images[pos]:
+            reduced[p] = reduced.get(p, 0) + n * r
+    return d, reduced
+
+
+def reference_settle(tower, prec, den, acc):
+    """The form a :func:`reference_accumulate` result sums to, grouped by
+    exponent and folded one exponent at a time (the second half)."""
+    size, level = tower.sizes[-1], tower.depth
+    d, terms = 1, []
+    if level == 0:
+        terms = sorted((k, n) for k, n in acc.items() if n)
+    else:
+        grouped = {}
+        for k, n in acc.items():
+            if n:
+                e, pos = divmod(k, size)
+                grouped.setdefault(e, {})[pos] = n
+        for e, nums in sorted(grouped.items()):
+            d, reduced = reference_fold_nums(tower, level, nums)
+            terms += sorted((e * size + p, n) for p, n in reduced.items() if n)
+    return _normal(size, prec, den * d, terms)
 
 
 def _old_inverse(g):
@@ -184,6 +243,28 @@ def element_grid_pairs(draw):
         return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
 
     return grid(draw(st.sampled_from(TOWERS)), n, k), grid(draw(st.sampled_from(TOWERS)), k, m)
+
+
+@st.composite
+def product_sums(draw):
+    """``(tower, pairs)``: up to four pairs of forms over Q, Q(sqrt 2) or the
+    depth-2 tower ``H`` at ramification 1-3, each operand drawn over a prefix
+    of it, and over an extension one more exact pair of top-level monomials
+    ``x**(deg - 1) u**e`` whose product ``x**(2 deg - 2)`` leaves the basis
+    at an exponent no other product reaches, so that the fold runs."""
+    top, ram = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    tower, size = FOLDING[top], FOLDING[top].sizes[-1]
+
+    def form():
+        return _integral(draw(series(FOLDING[draw(st.integers(0, top))], ram)), ram, size)
+
+    pairs = [(form(), form()) for _ in range(draw(st.integers(0, 4)))]
+    if top:
+        lead = math.prod([tower.gen()] * (tower.degree(top) - 1), start=tower.one())
+        mono = [_integral(LaurentSeries.monomial(tower, lead, draw(st.integers(-5, -4)), ram),
+                          ram, size) for _ in range(2)]
+        pairs.insert(draw(st.integers(0, len(pairs))), tuple(mono))
+    return tower, pairs
 
 
 @st.composite
@@ -298,10 +379,22 @@ def test_settled_products_are_the_integer_forms_of_the_built_series(pair):
     for row in a.entries:
         forms = [_integral(s, ram, size) for s in row]
         for col in cols:
-            prec, den, acc = _accumulate(size, zip(forms, col))
-            built = _materialise(tower, ram, prec, den, acc)
+            form = _sum_of_products(tower, zip(forms, col))
+            built = _from_form(tower, ram, form)
             constructed = LaurentSeries(tower, dict(built.coeffs), built.prec, ram)
-            assert _settle(tower, prec, den, acc) == _integral(constructed, ram, size)
+            assert form == _integral(constructed, ram, size)
+
+
+@ORACLE
+@given(product_sums())
+def test_sum_of_products_matches_the_two_halves_it_replaced(case):
+    tower, pairs = case
+    size = tower.sizes[-1]
+    prec, den, acc = reference_accumulate(size, pairs)
+    assert _sum_of_products(tower, pairs) == reference_settle(tower, prec, den, acc)
+    if tower.depth:  # the monomial pair's product left the basis
+        d, images = _fold_map(tower, tower.depth)
+        assert any(images[k % size] != [(k % size, d)] for k, n in acc.items() if n)
 
 
 @settings(ORACLE, max_examples=150)
