@@ -249,7 +249,7 @@ def rs_spectrum(residue) -> RsSpectrum:
     are the completing standard vectors, and there are ``n - rank`` of them,
     the kernel dimension."""
     n = len(residue)
-    tower = common_context(residue)[0]
+    tower = common_context(residue)
     eye = [[tower.rational(int(a == b)) for b in range(n)] for a in range(n)]
     roots = [int(N) for N in rational_roots(linalg.charpoly(linalg.mat_neg(residue)))
              if N.denominator == 1]  # ascending

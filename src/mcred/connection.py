@@ -22,8 +22,8 @@ from typing import Sequence
 from .errors import DomainViolation, NotBlockDiagonal
 from .field import FieldElement, FieldTower, common_tower
 from .matrices import LaurentMatrix
-from .series import (INF, _ONE, LaurentSeries, _derived, _form_product, _forms, _from_form,
-                     _negated, _sum_of_products)
+from .series import (INF, LaurentSeries, _derived, _form_product, _forms, _from_form, _negated,
+                     _sum_of_products)
 
 
 class Connection:
@@ -116,9 +116,8 @@ class Connection:
         constant ``g``, the cofactor expansion otherwise.  An exact ``g``
         that is not constant must have a monomial determinant, since any
         other exact inverse does not terminate; truncate such a gauge first.
-        The exact identity gives back the connection itself, after the
-        checks of shape and ramification, recast to ``g``'s tower when that
-        one is deeper.
+        The result is over the deeper of the two towers, also for the
+        identity.
 
         The product ``g G`` is computed on the product kernel's integer forms
         (:func:`series._integral`), and each entry of the result is one
@@ -135,11 +134,6 @@ class Connection:
         tower, ram = common_tower(g.tower, self.tower), self.ram
         size = tower.sizes[-1]
         g_forms = _forms(g.entries, ram, size)
-        if all(f == (_ONE if a == b else None)
-               for a, row in enumerate(g_forms) for b, f in enumerate(row)):
-            if tower.depth == self.tower.depth:
-                return self
-            return Connection(LaurentMatrix(tower, self.matrix.entries, ram))
         cols = list(zip(*_forms(g.inverse().entries, ram, size)))
         g_g = _form_product(tower, g_forms, _forms(self.matrix.entries, ram, size))
         minus_dg = [[_negated(_derived(f, size)) for f in row] for row in g_forms]

@@ -254,7 +254,7 @@ def _inv_by_euclid(tower: "FieldTower", level: int, a: tuple) -> tuple:
     # r0 = gcd(a, m), t0 satisfies t0*a = r0 (mod m)
     if len(r0) == 1:
         lead_inv = _inv(tower, r0[0])
-        return _joined(_poly_mod(tower, [_mul(tower, c, lead_inv) for c in t0], m), step)
+        return _joined(_poly_divmod(tower, [_mul(tower, c, lead_inv) for c in t0], m)[1], step)
     # nontrivial gcd: the minimal polynomial factors
     g = _poly_monic(tower, r0)
     h, rem = _poly_divmod(tower, m, g)
@@ -316,10 +316,6 @@ def _poly_divmod(tower, a: list, b: list) -> tuple[list, list]:
     return _poly_trim(q), r
 
 
-def _poly_mod(tower, a: list, m: list) -> list:
-    return _poly_divmod(tower, a, m)[1]
-
-
 def _poly_monic(tower, a: list) -> list:
     a = _poly_trim(list(a))
     if not a:
@@ -332,7 +328,7 @@ def _poly_gcd(tower, a: list, b: list) -> list:
     """Monic gcd by the Euclidean algorithm."""
     r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
     while r1:
-        r0, r1 = r1, _poly_mod(tower, r0, r1)
+        r0, r1 = r1, _poly_divmod(tower, r0, r1)[1]
     return _poly_monic(tower, r0)
 
 
@@ -455,19 +451,17 @@ def common_tower(a: FieldTower, b: FieldTower) -> FieldTower:
     return tower
 
 
-def common_context(rows) -> tuple[FieldTower, int]:
-    """Deepest tower and highest level among the elements of ``rows``, a
-    list of lists of elements, such as a matrix."""
+def common_context(rows) -> FieldTower:
+    """The deepest tower among the elements of ``rows``, a list of lists of
+    elements, such as a matrix."""
     tower = None
-    level = 0
     for row in rows:
         for x in row:
             if x.tower is not tower:
                 tower = x.tower if tower is None else common_tower(tower, x.tower)
-            level = max(level, x.level)
     if tower is None:
         raise DomainViolation("cannot infer the coefficient field of no elements")
-    return tower, level
+    return tower
 
 
 def _operator(kernel):

@@ -66,7 +66,7 @@ class JordanPair:
 
 def jordan_chevalley(m: Sequence[Sequence[FieldElement]]) -> JordanPair:
     n = len(m)
-    tower = common_context(m)[0]
+    tower = common_context(m)
     g = _poly_squarefree(tower, linalg.charpoly(m))
     dg = [_mul(tower, c, _rational(k)) for k, c in enumerate(g) if k]
     x = [list(row) for row in m]
@@ -300,7 +300,10 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     coefficient at exponent ``-r + i``; the step changes that coefficient by
     exactly that amount, touches nothing below it, and preserves the
     overall precision.  ``C_i`` therefore only depends on the coefficients
-    up to exponent ``-r + i``.
+    up to exponent ``-r + i``.  When every known coefficient commutes with
+    ``x`` (:func:`commutes`) there is nothing to gauge away: ``c`` itself
+    comes back with the exact identity and no corrections, before any
+    elimination.
 
     One elimination of ``ad(x)`` gives ``K`` and ``S``, and one inverse of
     the n²-by-n² matrix with columns ``K`` then ``ad(lead) S`` gives the map
@@ -337,8 +340,8 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     the forms (:func:`_coefficients`), and an all-zero column takes no
     product.  The final check that no ``ad(lead) S`` component is left is
     one product of ``rows`` with the columns of every exponent above the
-    lead.  The two matrices are built once, after the last step, from
-    their forms.
+    lead.  The two matrices are built once, after the loop, from their
+    forms, also when no step was taken.
     """
     if c.prec is INF:
         raise DomainViolation(
@@ -350,10 +353,10 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     r = -c.valuation
     if r < 2:
         raise DomainViolation("coefficient normalization requires a pole of order >= 2")
+    if commutes(c, x):
+        return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram))
     s_prec = c.prec
     kernel, image = linalg.kernel_and_image(linalg.ad_matrix(x))
-    if not image:
-        return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram))
     source = linalg.transpose(image)
     moved = linalg.mat_mul(linalg.ad_matrix(lead), source)
     try:
@@ -364,7 +367,7 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
 
     p = s_prec + r
     ram = c.ram
-    tower = common_tower(c.tower, common_context(rows)[0])
+    tower = common_tower(c.tower, common_context(rows))
     size = tower.sizes[-1]
     rows = _matrix_form(rows)
     step = _matrix_product(tower, _matrix_form(linalg.mat_neg(source)), rows)
@@ -409,10 +412,7 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
         corrections.append((j, tail[j]))
     if tail:
         work, total = _gauged(tower, _step_gauge(tower, list(tail.items()), p), work, total)
-    if corrections:
-        matrix, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
-    else:
-        matrix, total = c.matrix, LaurentMatrix.identity(c.tower, n, ram)
+    matrix, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
     if matrix.prec != s_prec or matrix.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")
     _, leftover = _matrix_product(tower, rows, _coefficients(work, range(1 - r, s_prec), size))
@@ -428,11 +428,12 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
 def commutes(c: Connection, x: Sequence[Sequence[FieldElement]]) -> bool:
     """Whether ``x G == G x`` on the known window, for a constant ``x``.
 
-    Then :func:`sibuya_normalize` against ``x`` finds every ``C_i`` zero,
-    since every coefficient already lies in ``K = ker ad(x)``.  It is one
+    Then every coefficient already lies in ``K = ker ad(x)``, and
+    :func:`sibuya_normalize` against ``x`` returns ``c`` with the exact
+    identity before any elimination.  It is one
     :func:`series._matrix_product` of ``ad(x)`` with the columns of every
     known exponent (:func:`_coefficients`)."""
-    tower = common_tower(c.tower, common_context(x)[0])
+    tower = common_tower(c.tower, common_context(x))
     size = tower.sizes[-1]
     columns = _coefficients(_forms(c.matrix.entries, c.ram, size),
                             [e for e in c.matrix.support() if e < c.prec], size)
@@ -516,7 +517,7 @@ def eigen_block_split(c: Connection, jc: JordanPair, hints=None) -> SplitResult:
     if len(jc.minpoly) == 2:
         raise ScalarLeadingTerm("the semisimple part is scalar; nothing to split")
     s = jc.semisimple
-    tower = common_tower(common_context(s)[0], c.tower)
+    tower = common_tower(common_context(s), c.tower)
     factors = _apply_hints(_coprime_factors(jc.minpoly, tower), hints)
     if len(factors) == 1:
         ext = tower.extend([FieldElement(tower, f) for f in factors[0]])

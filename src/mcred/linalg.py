@@ -15,12 +15,14 @@ the entries' forms at the deepest tower among them
 each pivot row.
 Where only a rank or a pivot list leaves the elimination,
 :func:`pivot_columns` alone picks how to eliminate.  It takes band rows
-``(lo, values)``: Python ints, and elements at level 0 once each band is
-cleared of its denominators, go to the integer kernel
-:func:`integer_pivot_columns` (fraction-free, rows filed by leading column,
-no back-substitution); bands over towers are expanded to dense rows for
-``rref``.  :func:`rank` hands it ``(0, row)`` bands, and
-:mod:`mcred.cohomology` its :func:`cohomology._lattice` systems.  ``rref``
+``(lo, values)``: Python ints, and elements when every one sits at level 0
+(it reads their levels itself) once each band is cleared of its
+denominators, go to the integer kernel :func:`integer_pivot_columns`
+(fraction-free, one row update ``a·row − b·pivot``, rows filed by leading
+column, no back-substitution); bands with an element above level 0 are
+expanded to dense rows over their common tower for ``rref``.  :func:`rank`
+hands it ``(0, row)`` bands, and :mod:`mcred.cohomology` its
+:func:`cohomology._lattice` systems.  ``rref``
 keeps the callers whose reduced vectors are output (``nullspace``,
 ``kernel_and_image``, ``inverse``).
 Division by a zero divisor inside an algebraic extension raises
@@ -111,7 +113,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     tower (:func:`field.common_context`)."""
     if mat_shape(a)[1] != mat_shape(b)[0]:
         raise DomainViolation("matrix shapes incompatible in product")
-    tower = common_context([*a, *b])[0]
+    tower = common_context([*a, *b])
     return _elements(tower, _matrix_product(tower, _matrix_form(a), _matrix_form(b)))
 
 
@@ -140,7 +142,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     rows, cols = mat_shape(m)
     if not rows or not cols:
         return mat_copy(m), []
-    tower = common_context(m)[0]
+    tower = common_context(m)
     r = [[x.form for x in row] for row in m]
     pivots: list[int] = []
     lead = 0
@@ -180,9 +182,9 @@ def pivot_columns(bands: list) -> list[int]:
     """
     if type(next((v[0] for _, v in bands if v), 0)) is int:
         return integer_pivot_columns(bands)
-    tower, level = common_context([v for _, v in bands])
-    if level:
-        width, zero = max(lo + len(v) for lo, v in bands), tower.zero()
+    if any(x.level for _, v in bands for x in v):
+        width = max(lo + len(v) for lo, v in bands)
+        zero = common_context([v for _, v in bands]).zero()
         return rref([[zero] * lo + v + [zero] * (width - lo - len(v)) for lo, v in bands])[1]
     cleared = []
     for lo, values in bands:
@@ -226,14 +228,9 @@ def integer_pivot_columns(bands: list) -> list[int]:
                 a, b = pv // g, row[0] // g
                 # column col cancels; the rest of the common run, then the
                 # part of the longer row that overhangs the shorter
-                if a == 1:
-                    new = [x - b * y for x, y in zip(islice(row, 1, None), tail)]
-                    if len(row) > len(tail) + 1:
-                        new += row[len(tail) + 1:]
-                else:
-                    new = [a * x - b * y for x, y in zip(islice(row, 1, None), tail)]
-                    if len(row) > len(tail) + 1:
-                        new += [a * x for x in row[len(tail) + 1:]]
+                new = [a * x - b * y for x, y in zip(islice(row, 1, None), tail)]
+                if len(row) > len(tail) + 1:
+                    new += [a * x for x in row[len(tail) + 1:]]
                 if len(row) <= len(tail):
                     new += [-b * y for y in tail[len(row) - 1:]]
                 lead, new = _trimmed(new)
@@ -289,14 +286,14 @@ def _kernel(r: Matrix, pivots: list[int], cols: int, tower: FieldTower) -> list[
 def nullspace(m: Matrix) -> list[Vector]:
     """Basis of the right kernel, one vector per free column (see :func:`_kernel`)."""
     r, pivots = rref(m)
-    return _kernel(r, pivots, mat_shape(m)[1], common_context(m)[0])
+    return _kernel(r, pivots, mat_shape(m)[1], common_context(m))
 
 
 def kernel_and_image(m: Matrix) -> tuple[list[Vector], list[Vector]]:
     """The right kernel of ``m`` (as :func:`nullspace` gives it) and the pivot
     columns of ``m``, a canonical basis of its image, from one elimination."""
     r, pivots = rref(m)
-    return (_kernel(r, pivots, mat_shape(m)[1], common_context(m)[0]),
+    return (_kernel(r, pivots, mat_shape(m)[1], common_context(m)),
             [[row[p] for row in m] for p in pivots])
 
 
@@ -309,7 +306,7 @@ def solve(a: Matrix, b: Vector) -> Vector:
     rows, cols = mat_shape(a)
     if len(b) != rows:
         raise DomainViolation("right-hand side has the wrong length")
-    tower, _ = common_context(a)
+    tower = common_context(a)
     aug = [list(a[i]) + [tower.coerce(b[i])] for i in range(rows)]
     r, pivots = rref(aug)
     if cols in pivots:
@@ -324,7 +321,7 @@ def inverse(m: Matrix) -> Matrix:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("inverse of a non-square matrix")
-    eye = identity(common_context(m)[0], n)
+    eye = identity(common_context(m), n)
     aug = [list(row) + eye_row for row, eye_row in zip(m, eye)]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -361,7 +358,7 @@ def charpoly(m: Matrix) -> list[tuple]:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("characteristic polynomial of a non-square matrix")
-    tower = common_context(m)[0]
+    tower = common_context(m)
     mf, am = _matrix_form(m), (1, {0: [[0] * n for _ in range(n)]})
     coeffs = [(1, [(0, 1)])]  # c_n, c_(n-1), ... as (den, [(position, numerator)])
     for k in range(1, n + 1):
@@ -379,7 +376,7 @@ def poly_at_matrix(coeffs: Sequence[tuple], m: Matrix) -> Matrix:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("polynomial evaluation at a non-square matrix")
-    tower = common_context(m)[0]
+    tower = common_context(m)
     mf, out = _matrix_form(m), (1, {0: [[0] * n for _ in range(n)]})
     for ck in reversed(coeffs):
         out = _plus_scalar(_matrix_product(tower, out, mf), *ck)
@@ -400,7 +397,7 @@ def ad_matrix(m: Matrix) -> Matrix:
     n, c = mat_shape(m)
     if n != c:
         raise DomainViolation("adjoint action of a non-square matrix")
-    tower, _ = common_context(m)
+    tower = common_context(m)
     size = n * n
     out = zeros(tower, size, size)
     for a in range(n):

@@ -44,7 +44,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroDivisorSplit,
 )
-from .leading import commutes, eigen_block_split, jordan_chevalley, sibuya_normalize
+from .leading import eigen_block_split, jordan_chevalley, sibuya_normalize
 from .matrices import LaurentMatrix
 from .series import INF, LaurentSeries
 
@@ -236,13 +236,12 @@ def _node(kind, c, ops, **extra) -> ReductionNode:
     )
 
 
-def _reduce_node(c: Connection, parent_key, hints, depth,
-                 normalized: bool = False) -> ReductionNode:
+def _reduce_node(c: Connection, parent_key, hints, depth) -> ReductionNode:
     """The subtree of ``c`` below a node whose :func:`_check_measure` key is
-    ``parent_key`` (``None`` at the root).  ``normalized`` marks a split
-    block whose lead is the block of its parent's lead: the semisimple part
-    of its lead is the block of the parent's, so every coefficient commutes
-    with it."""
+    ``parent_key`` (``None`` at the root).  A split block whose lead is the
+    block of its parent's lead commutes with the semisimple part of that
+    lead, so its :func:`sibuya_normalize` returns it with the identity gauge
+    before any elimination."""
     if depth > _MAX_DEPTH:  # pragma: no cover - safety net
         raise EngineError("reduction recursion exceeded the depth guard")
     ops: list = []
@@ -266,24 +265,11 @@ def _reduce_node(c: Connection, parent_key, hints, depth,
         if len(jc.minpoly) > 2:
             measure = (n, 0)
             key = _check_measure(parent_key, measure, Fraction(r - 1, c.ram))
-            if normalized:
-                # every C_i of sibuya_normalize would be zero: no step, the
-                # identity gauge and the connection itself
-                if not commutes(c, jc.semisimple):
-                    raise EngineError("a split block has a coefficient that does not "
-                                      "commute with the semisimple part of its lead")
-                ops.append(("gauge", LaurentMatrix.identity(c.tower, n, c.ram)))
-                normal = c
-            else:
-                rec = sibuya_normalize(c, jc.semisimple)
-                ops.append(("gauge", rec.gauge))
-                normal = rec.connection
-            split = eigen_block_split(normal, jc, hints)
+            rec = sibuya_normalize(c, jc.semisimple)
+            ops.append(("gauge", rec.gauge))
+            split = eigen_block_split(rec.connection, jc, hints)
             ops.append(("gauge", split.transform))
-            children = [
-                _reduce_node(block, key, hints, depth + 1, block.valuation == -r)
-                for block in split.blocks
-            ]
+            children = [_reduce_node(block, key, hints, depth + 1) for block in split.blocks]
             return _node("split", c, ops, children=children,
                          sizes=split.sizes, measure=measure)
         scalar = jc.semisimple[0][0]
@@ -293,7 +279,6 @@ def _reduce_node(c: Connection, parent_key, hints, depth,
             phi = LaurentSeries.monomial(c.tower, -scalar, -r, c.ram)
             c = c.scalar_twist(phi)
             ops.append(("twist", phi))
-            normalized = False
             twists += 1
             if twists > r + c.size + 4:  # pragma: no cover - loop guard
                 raise EngineError("scalar twist loop failed to terminate")

@@ -101,7 +101,7 @@ def jacobson_morozov(f: Sequence[Sequence]) -> Sl2Triple:
     ``e`` and ``h`` the ``f`` completing a triple is unique, so checking
     ``P^-1 f P == f_std`` checks every sl2 relation through ``f``."""
     n = len(f)
-    tower, _ = common_context(f)
+    tower = common_context(f)
     chains = jordan_chains(f)
     sizes = [len(ch) for ch in chains]
     cols = [v for ch in chains for v in ch]
@@ -123,7 +123,7 @@ def graded_component(m: Sequence[Sequence], weights: Sequence[int], j: int) -> l
     """Entries of ``m`` with weight difference ``w_a - w_b`` exactly ``j``
     (the degree-``j`` piece of the ad-h grading, read in the chain basis)."""
     n = len(m)
-    tower, _ = common_context(m)
+    tower = common_context(m)
     zero = tower.zero()
     return [
         [m[a][b] if weights[a] - weights[b] == j else zero for b in range(n)]

@@ -68,9 +68,10 @@ def test_gauge_inverse_roundtrip():
     assert back.matrix.coincides_with(c.matrix)
 
 
-def test_gauge_by_the_exact_identity_is_the_connection_itself():
+def test_gauge_by_the_exact_identity_encodes_as_the_connection_itself():
     c = checks.random_connection(random.Random(3), 2, 2).truncate(3)
-    assert c.gauge(LaurentMatrix.identity(QQ, 2)) is c
+    assert (serialize.dumps(serialize.encode_connection(c.gauge(LaurentMatrix.identity(QQ, 2))))
+            == serialize.dumps(serialize.encode_connection(c)))
     with pytest.raises(DomainViolation, match="shape"):
         c.gauge(LaurentMatrix.identity(QQ, 3))
     with pytest.raises(DomainViolation, match="ramification"):

@@ -58,7 +58,7 @@ def _form_mat_mul(a, b):
     """``a b`` on the per-entry series kernel: each entry a constant
     ``series._integral`` form, one ``series._form_product``, and the forms
     back to elements at the operands' common tower."""
-    tower = common_context(a + b)[0]
+    tower = common_context(a + b)
 
     def forms(grid):
         return [[(0, INF, x.form[0], list(x.form[1])) if not x.is_zero() else None
@@ -70,7 +70,7 @@ def _form_mat_mul(a, b):
 
 def _element_poly_at_matrix(coeffs, m):
     """Horner's rule on elements, one element-loop product per coefficient."""
-    tower = common_context(m)[0]
+    tower = common_context(m)
     out = linalg.zeros(tower, len(m), len(m))
     for ck in reversed(coeffs):
         out = _mat_mul(out, m)
@@ -138,7 +138,7 @@ def squares(draw, max_n=3):
 def poly_cases(draw):
     """A square grid and up to four coefficients over prefixes of its tower."""
     m = draw(squares())
-    tower = common_context(m)[0]
+    tower = common_context(m)
     return draw(st.lists(elements(tower), max_size=4)), m
 
 
@@ -150,7 +150,7 @@ def poly_cases(draw):
 def test_mat_mul_matches_both_oracles(pair):
     a, b = pair
     got = linalg.mat_mul(a, b)
-    _same(got, _form_mat_mul(a, b), common_context(a + b)[0])
+    _same(got, _form_mat_mul(a, b), common_context(a + b))
     assert got == _mat_mul(a, b)  # FieldElement == compares across prefix towers
 
 
@@ -158,7 +158,7 @@ def test_mat_mul_matches_both_oracles(pair):
 @given(poly_cases())
 def test_poly_at_matrix_matches_horner_on_elements(case):
     coeffs, m = case
-    tower = common_context(m)[0]
+    tower = common_context(m)
     _same(linalg.poly_at_matrix([c.form for c in coeffs], m),
           _element_poly_at_matrix(coeffs, m), tower)
 
@@ -166,7 +166,7 @@ def test_poly_at_matrix_matches_horner_on_elements(case):
 @ORACLE
 @given(squares(max_n=4))
 def test_charpoly_matches_the_element_loop_on_prefix_towers(m):
-    tower = common_context(m)[0]
+    tower = common_context(m)
     got, want = linalg.charpoly(m), _element_charpoly(m)
     _same([[FieldElement(tower, f) for f in got]], [want], tower)
     # Cayley-Hamilton: the product chain cancels to the zero matrix
@@ -182,7 +182,7 @@ def test_products_that_cancel_are_zero_at_the_common_level(tower):
     b = [[y, tower.zero()], [-x, tower.zero()]]  # a b = 0, a rank-one cancellation
     got = linalg.mat_mul(a, b)
     _same(got, _form_mat_mul(a, b), tower)
-    assert linalg.is_zero_matrix(got) and common_context(got) == (tower, 0)
+    assert linalg.is_zero_matrix(got) and common_context(got) == tower
     ones = [[tower.rational(1)] * 2] * 2
     _same(linalg.mat_mul(ones, [[tower.rational(1)], [tower.rational(-1)]]),
           [[QQ.zero()], [QQ.zero()]], tower)
@@ -193,7 +193,7 @@ def test_products_that_cancel_are_zero_at_the_common_level(tower):
 def test_commutes_matches_the_commutator_of_the_coefficients(x, scale, prec):
     # coefficients that are polynomials in x commute with it; a drawn
     # coefficient usually does not
-    tower, n = common_context(x)[0], len(x)
+    tower, n = common_context(x), len(x)
     x2 = _mat_mul(x, x)
     eye = linalg.identity(tower, n)
     coeffs = {-2: linalg.mat_add(x2, linalg.mat_scale(scale, eye)), 0: x}

@@ -244,10 +244,10 @@ K2 = K1.extend([K1.rational(-3), K1.zero(), K1.one()])
 def test_poly_views_match_the_element_wise_oracle(tower, seed):
     rng = random.Random(seed)
     a, b = _seeded_poly(rng, tower), _seeded_poly(rng, tower)
-    top = common_context([a, b])[0]
+    top = common_context([a, b])
     gcd = _poly_gcd(top, _forms(a), _forms(b))
     _same([FieldElement(top, c) for c in gcd], oracle_gcd(a, b))
-    low = common_context([a])[0]
+    low = common_context([a])
     _same([FieldElement(low, c) for c in _poly_squarefree(low, _forms(a))],
           oracle_squarefree_part(a))
     for got, want in zip(_poly_divmod(top, _forms(a), _forms(b)), oracle_divmod(a, b)):
@@ -800,14 +800,14 @@ def test_poly_views_match_the_payload_polynomial_layer():
     @hypothesis.given(polys())
     def check(case):
         a, b = case
-        tower, level = common_context([a, b])
+        tower, level = common_context([a, b]), max(x.level for x in a + b)
         pa, pb = ([to_payload(tower, level, c.form) for c in p] for p in (a, b))
         fa, fb = _forms(a), _forms(b)
         _same_outcome(lambda: _poly_divmod(tower, fa, fb)[0],
                       lambda: (tower, level, p_poly_divmod(tower, level, pa, pb)[0]))
         _same_outcome(lambda: _poly_divmod(tower, fa, fb)[1],
                       lambda: (tower, level, p_poly_divmod(tower, level, pa, pb)[1]))
-        top, lv = common_context([a])
+        top, lv = common_context([a]), max(x.level for x in a)
         _same_outcome(lambda: _poly_squarefree(top, fa),
                       lambda: (top, lv, p_poly_squarefree(
                           top, lv, [to_payload(top, lv, c.form) for c in a])))

@@ -30,7 +30,11 @@ each result encoded on its own (so each entry's precision counts), or the
 type and message of the exception.  ``EXTENSION_FIELD`` pins the exit code
 and stdout sha256 of ``mcred derham`` and ``mcred fredholm`` on the two
 files over Q(sqrt 2) of :func:`_extension_files`, whose lattice systems and
-residue spectra hold elements above level 0.  ``GUARD_TREES`` is one
+residue spectra hold elements above level 0.  ``IDENTITY_GAUGES`` pins the
+exit code and stdout sha256 of ``mcred gauge`` by the exact identity over the
+file's tower, on every sample and on both of those files, without and with
+``--precision 4`` (:func:`_identity_gauge_runs`); without it the output is the
+file's connection encoded again.  ``GUARD_TREES`` is one
 sha256 over the encoded ``reduce`` trees (or exception texts) of the
 202-input reduction guard set of :func:`_guard_inputs`: the 72
 ``reduce-replay`` inputs of seeds 1-3, the samples, ``mcred generate --seed
@@ -47,7 +51,7 @@ When an output change is intended, re-record the digests with::
 
     PYTHONPATH=src python tests/test_golden_bytes.py
 
-which prints new ``GOLDEN``, ``TRUNCATED`` and ``EXTENSION_FIELD`` dicts and the
+which prints new ``GOLDEN``, ``TRUNCATED``, ``EXTENSION_FIELD`` and ``IDENTITY_GAUGES`` dicts and the
 ``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4``, ``GUARD_TREES``, ``TOWER_GAUGES`` and ``TWIST_TREES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
@@ -85,6 +89,23 @@ EXTENSION_FIELD = {
     "derham nilpotent-sqrt2": (0, "10df50192dc9ab8a946a5bc23811aea56cd7ea346d13bffac363db396d3fdff9"),
     "fredholm gap-sqrt2": (0, "0d91b7ec8fff9c5a066e5e7d3ab9c7375b35bec20c3928c733e72ec7bb857fe9"),
     "fredholm nilpotent-sqrt2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+IDENTITY_GAUGES = {
+    "gauge identity gap-sqrt2": (0, "6993cb2011327b04c4e87fb4cd31168bafbe9cf816833f0553e083f7c9df2f9e"),
+    "gauge identity half-residue": (0, "52c51ac80c71cfc51560ca3bb0f7a53158bbc18c07e5b8e47e3d838abeac7b87"),
+    "gauge identity jump-half": (0, "573b0444a785955840d38a59b6c15a850da3a405c04beeee7183117e6fa5ed89"),
+    "gauge identity jump-integer": (0, "c6cf1a3486af450f5a72e9fc54e9f24a9ff480294d2e041767f8077bc8666eb2"),
+    "gauge identity nilpotent-sqrt2": (0, "4b32805307a93fcce897b629479d4829288424851a7b5f7d667d47fc594dd4f9"),
+    "gauge identity ramified-pair": (0, "46fd25af7184c9b414ee30c7b22f926a3eb4c29d5c6cb6ff68d093219b0e42d6"),
+    "gauge identity saddle-node": (0, "b78557c498c3a7f3c10509383c03339d571c00970322fb76187f9281a3f87999"),
+    "gauge-p4 identity gap-sqrt2": (0, "ea874e15d5f052009e1e5aa1f9ea3e4f36ca276551f5756eb96bcfe527b4d1c6"),
+    "gauge-p4 identity half-residue": (0, "78cb1fe5854f83c10c019af29033414bad1f90352a9f3a389a53cfe65fb63495"),
+    "gauge-p4 identity jump-half": (0, "c8fa72b8a7ad59197dabcfcfb7262974c0a81942c5f05856125bf3bd6fa8102d"),
+    "gauge-p4 identity jump-integer": (0, "367b304f69ac99df550f3422afc5e424639129991280b8dd3b4439c405b8ec41"),
+    "gauge-p4 identity nilpotent-sqrt2": (0, "a59fdb74c150b72326cd222870ff202a7f6a9238d8cdcc934a8ee57d0c67ae01"),
+    "gauge-p4 identity ramified-pair": (0, "3d7c0462c8b628a815530bb573264c116116dc0a3527e406c037c03a3ddd9bac"),
+    "gauge-p4 identity saddle-node": (0, "1dedeba1ef7483e0558fc43979ccfd7c51ac6f2841c5762f6e23a82a94ee7eac"),
 }
 
 GUARD_TREES = "cc5bb3871df4991f2328080920d72f86490373a0b4e1c1270dc1eab2b9905ac9"
@@ -506,6 +527,29 @@ def _extension_digests(tmp_dir):
     return out
 
 
+def _identity_gauge_runs(tmp_dir):
+    """``{key: (exit code, stdout sha256, stdout)}`` of ``mcred gauge FILE
+    I.json``, ``I`` the exact identity over the file's tower at its
+    ramification, for every sample and both files of
+    :func:`_extension_files`, without (``gauge identity``) and with
+    ``--precision 4`` (``gauge-p4 identity``)."""
+    texts = {name: serialize.dumps(serialize.encode_connection(make()))
+             for name, make in checks.SAMPLES.items()}
+    texts.update(_extension_files())
+    out = {}
+    for name, text in texts.items():
+        c = serialize.decode_connection(serialize.loads(text))
+        path, gpath = tmp_dir / f"{name}.json", tmp_dir / f"identity-{name}.json"
+        path.write_text(text)
+        gpath.write_text(serialize.dumps(serialize.encode_matrix(
+            LaurentMatrix.identity(c.tower, c.size, c.ram))))
+        for key, extra in (("gauge", []), ("gauge-p4", ["--precision", "4"])):
+            code, stdout, _ = _run(["gauge", str(path), str(gpath), *extra])
+            out[f"{key} identity {name}"] = (code, hashlib.sha256(stdout.encode()).hexdigest(),
+                                             stdout)
+    return out
+
+
 def _element(rng, tower, nonzero=False):
     """A random element at a random level of ``tower``: a rational
     combination of the monomials in the generators up to that level."""
@@ -658,6 +702,18 @@ def test_tower_gauges_and_inverses_match_the_recorded_digest():
     assert _tower_gauge_digest() == TOWER_GAUGES
 
 
+def test_identity_gauges_match_the_recorded_digests(tmp_path):
+    got = _identity_gauge_runs(tmp_path)
+    assert {key: (code, digest) for key, (code, digest, _) in got.items()} == IDENTITY_GAUGES
+    # the exact identity moves nothing: stdout is the file's connection, encoded again
+    texts = {name: serialize.dumps(serialize.encode_connection(make()))
+             for name, make in checks.SAMPLES.items()}
+    texts.update(_extension_files())
+    for name, text in texts.items():
+        c = serialize.decode_connection(serialize.loads(text))
+        assert got[f"gauge identity {name}"][2] == serialize.dumps(serialize.encode_connection(c))
+
+
 def test_reduce_of_the_rank3_pole3_file_matches_the_recorded_digest(tmp_path):
     assert _rank3_digest(tmp_path) == REDUCE_RANK3_P24
 
@@ -697,6 +753,7 @@ if __name__ == "__main__":
         rank3 = _rank3_digest(pathlib.Path(tmp))
         truncated = _truncated_runs(pathlib.Path(tmp))
         extension = _extension_digests(pathlib.Path(tmp))
+        identity = _identity_gauge_runs(pathlib.Path(tmp))
     print("GOLDEN = {")
     for key, (code, digest) in sorted(digests.items()):
         print(f'    "{key}": ({code}, "{digest}"),')
@@ -707,6 +764,10 @@ if __name__ == "__main__":
     print("}")
     print("EXTENSION_FIELD = {")
     for key, (code, digest) in sorted(extension.items()):
+        print(f'    "{key}": ({code}, "{digest}"),')
+    print("}")
+    print("IDENTITY_GAUGES = {")
+    for key, (code, digest, _) in sorted(identity.items()):
         print(f'    "{key}": ({code}, "{digest}"),')
     print("}")
     print(f'REDUCE_REPLAY_TREES = "{_reduce_replay_digest()}"')

@@ -1,5 +1,6 @@
 import math
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from mcred.connection import Connection
 from mcred.errors import DomainViolation, EngineError, ScalarLeadingTerm
 from mcred.field import FieldTower, common_context, common_tower
 from mcred.leading import (
+    commutes,
     eigen_block_split,
     jordan_chevalley,
     rational_roots,
@@ -451,7 +453,7 @@ def _stepwise_sibuya(c, x):
     rows = linalg.inverse([[v[k] for v in kernel] + row
                            for k, row in enumerate(moved)])[len(kernel):]
     p, ram = c.prec + r, c.ram
-    tower = common_tower(c.tower, common_context(rows)[0])
+    tower = common_tower(c.tower, common_context(rows))
     size = tower.sizes[-1]
     rows = series._matrix_form(rows)
     step = series._matrix_product(tower, series._matrix_form(linalg.mat_neg(source)), rows)
@@ -523,6 +525,61 @@ def test_sibuya_tail_gauge_matches_the_stepwise_loop():
                 [s.prec for s in row] for row in want.entries]
             assert got == want and _encoded(got) == _encoded(want)
     assert tails >= 10  # calls whose tail took more than one step
+
+
+def _early_return_cases(seed, n, r, prec, kind):
+    """``(c, x)`` pairs from one seeded truncated input: for a nilpotent lead
+    the connection in its chain basis with the ``e`` of its sl2 triple;
+    otherwise the connection with its lead's semisimple part, and, when that
+    part is not scalar, every eigenvalue block of its split after the
+    stepwise loop with a known lead of pole order >= 2, with that lead's
+    semisimple part."""
+    c = checks.random_connection(random.Random(seed), n, r, kind=kind, prec=prec)
+    if kind == "nilpotent_lead":
+        triple = sl2.jacobson_morozov(c.leading())
+        return [(c.gauge(LaurentMatrix.constant(QQ, triple.basis_inv)), triple.e)]
+    jc = jordan_chevalley(c.leading())
+    out = [(c, jc.semisimple)]
+    if len(jc.minpoly) > 2:
+        split = eigen_block_split(Connection(_stepwise_sibuya(c, jc.semisimple)[1]), jc)
+        out += [(block, jordan_chevalley(block.leading()).semisimple) for block in split.blocks
+                if block.valuation <= -2 and block.valuation < block.prec]
+    return out
+
+
+# Hypothesis' caches go here, not into the checkout; the directory goes at exit
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="mcred-hypothesis-")
+
+
+def test_sibuya_returns_early_exactly_when_every_coefficient_commutes():
+    """``sibuya_normalize(c, x)`` gives back ``c`` itself, the exact identity
+    and no corrections exactly when :func:`commutes` holds; otherwise its
+    matrix and gauge encode to the bytes of the stepwise loop."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+    st = hypothesis.strategies
+    outcomes = set()
+
+    @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.integers(0, 10 ** 6), st.integers(2, 3), st.integers(2, 3),
+                      st.integers(0, 3), st.sampled_from(checks.KINDS[:3]))
+    def check(seed, n, r, prec, kind):
+        for c, x in _early_return_cases(seed, n, r, prec, kind):
+            rec = sibuya_normalize(c, x)
+            early = (rec.connection is c and rec.corrections == []
+                     and rec.gauge == LaurentMatrix.identity(c.tower, c.size, c.ram))
+            assert early == commutes(c, x)
+            outcomes.add(early)
+            if not early:
+                corrections, matrix, gauge = _stepwise_sibuya(c, x)
+                assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
+                assert _encoded(rec.connection.matrix) == _encoded(matrix)
+                assert _encoded(rec.gauge) == _encoded(gauge)
+
+    check()
+    assert outcomes == {False, True}
 
 
 def test_sibuya_normalize_refusals():

@@ -585,7 +585,7 @@ def _element_charpoly(m):
     """Faddeev-LeVerrier on ``FieldElement`` operators, products term by term:
     the loop ``linalg.charpoly`` ran before it moved onto constant forms."""
     n = len(m)
-    tower = common_context(m)[0]
+    tower = common_context(m)
     coeffs = [tower.zero() for _ in range(n + 1)]
     coeffs[n] = tower.one()
     am = linalg.zeros(tower, n, n)
@@ -617,6 +617,6 @@ def test_charpoly_matches_the_element_loop(tower, n):
     rng = random.Random(10 * tower.depth + n)
     for m in _charpoly_cases(rng, tower, n):
         got, want = linalg.charpoly(m), _element_charpoly(m)
-        assert all(x.tower is common_context(m)[0] for x in want)
+        assert all(x.tower is common_context(m) for x in want)
         assert got == [x.form for x in want]
         assert got[n] == tower.one().form  # monic: the form of 1, at level 0

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import mcred
-from mcred import checks, linalg, matrices, reduction, serialize
+from mcred import checks, leading, linalg, matrices, reduction, serialize
 from mcred.connection import Connection
 from mcred.errors import EngineError, PrecisionExhausted
 from mcred.field import FieldTower
-from mcred.leading import commutes, jordan_chevalley
+from mcred.leading import commutes, jordan_chevalley, sibuya_normalize
 from mcred.matrices import LaurentMatrix
 from mcred.reduction import (
     KNOWN_SHARP,
@@ -283,48 +283,55 @@ def test_trees_hold_no_inverse_and_only_non_constant_gauges_take_cofactors(monke
     assert all(kinds.values()), kinds
 
 
-def test_split_blocks_that_keep_their_parent_lead_take_no_sibuya_call(monkeypatch):
+def test_split_blocks_that_keep_their_parent_lead_take_no_elimination(monkeypatch):
     """A split block whose lead is the block of its parent's lead commutes
-    with its own semisimple part, so ``sibuya_normalize`` would take no step
-    on it; ``reduce`` skips the call.  On the 24 seed-1 benchmark inputs 12
-    of the 43 nodes that normalize against a semisimple part are such
-    blocks."""
-    normalized, blocks = [], []
+    with its own semisimple part, so its ``sibuya_normalize`` gives back the
+    block itself, the exact identity and no corrections before any
+    elimination.  On the 24 seed-1 benchmark inputs ``reduce`` normalizes 43
+    times; 12 of those calls are such blocks, so ``linalg.kernel_and_image``
+    runs 31 times."""
+    calls, eliminations, blocks = [], [], []
     real_normalize, real_split = reduction.sibuya_normalize, reduction.eigen_block_split
+    real_kernel = linalg.kernel_and_image
+
+    def spy_kernel(m):
+        eliminations.append(m)
+        return real_kernel(m)
 
     def spy_normalize(c, x):
-        normalized.append(c)
-        return real_normalize(c, x)
+        before = len(eliminations)
+        rec = real_normalize(c, x)
+        calls.append((c, rec, len(eliminations) - before))
+        return rec
 
     def spy_split(c, jc, hints=None):
         out = real_split(c, jc, hints)
         blocks.extend((block, c.valuation) for block in out.blocks)
         return out
 
+    monkeypatch.setattr(leading.linalg, "kernel_and_image", spy_kernel)
     monkeypatch.setattr(reduction, "sibuya_normalize", spy_normalize)
     monkeypatch.setattr(reduction, "eigen_block_split", spy_split)
     for c in _benchmark_inputs(1):
         assert replay(reduce(c), c)
-    skipped = [block for block, v in blocks if block.valuation == v
-               and len(jordan_chevalley(block.leading()).minpoly) > 2]
-    assert len(skipped) == 12 and len(normalized) + len(skipped) == 43
-    called = {id(c) for c in normalized}
-    for block in skipped:
-        assert id(block) not in called
-        s = jordan_chevalley(block.leading()).semisimple
-        assert commutes(block, s)
-        assert real_normalize(block, s).corrections == []
+    kept = [block for block, v in blocks if block.valuation == v
+            and len(jordan_chevalley(block.leading()).minpoly) > 2]
+    assert len(calls) == 43 and len(eliminations) == 31 and len(kept) == 12
+    assert all(taken in (0, 1) for _, _, taken in calls)
+    skipped = [(c, rec) for c, rec, taken in calls if not taken]
+    assert sorted(id(c) for c, _ in skipped) == sorted(id(block) for block in kept)
+    for c, rec in skipped:
+        assert rec.connection is c and rec.corrections == []
+        assert rec.gauge == LaurentMatrix.identity(c.tower, c.size, c.ram)
 
 
-def test_a_split_block_off_its_semisimple_commutant_is_refused():
+def test_a_split_block_off_its_semisimple_commutant_is_normalized():
     # lead diag(1, 2) with an off-diagonal coefficient above it: no split
-    # hands on such a block, and the check that replaces its normalization
-    # says so; as a root the same connection is normalized first
+    # hands on such a block, and as a root its normalization takes a step
     c = Connection.from_coeff_map(QQ, {-2: [[1, 0], [0, 2]], -1: [[0, 1], [0, 0]]},
                                   2, prec=2)
     assert not commutes(c, c.leading())
-    with pytest.raises(EngineError, match="does not commute with the semisimple part"):
-        reduction._reduce_node(c, None, {}, 0, True)
+    assert sibuya_normalize(c, jordan_chevalley(c.leading()).semisimple).corrections
     tree = reduce(c)
     assert [leaf.kind for leaf in tree.leaves()] == ["rank_one", "rank_one"]
     assert replay(tree) is True
