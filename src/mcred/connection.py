@@ -16,11 +16,10 @@ i.e. ``g`` carries old coordinates to new ones.  It composes covariantly:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainViolation, NotBlockDiagonal
-from .field import FieldElement, FieldTower, common_tower
+from .errors import DomainViolation, NotBlockDiagonal, PrecisionExhausted
+from .field import FieldTower, common_tower
 from .matrices import LaurentMatrix
 from .series import (INF, LaurentSeries, _derived, _form_product, _forms, _from_form, _negated,
                      _sum_of_products)
@@ -76,10 +75,18 @@ class Connection:
         return self.matrix.coeff_matrix(exp)
 
     def leading(self) -> list:
-        """The scalar matrix at the pole order (the lowest known exponent)."""
+        """The scalar matrix at the pole order (the lowest known exponent).
+        A truncated window with no known nonzero coefficient raises
+        :class:`PrecisionExhausted` (``needed=0``: callers ask at a pole of
+        order >= 2, where precision 0 moves the failure on); the exact zero
+        raises :class:`DomainViolation`."""
         v = self.valuation
-        if v is INF or v == self.prec:
+        if v is INF:
             raise DomainViolation("no nonzero coefficient in the known window")
+        if v == self.prec:
+            raise PrecisionExhausted("every known coefficient is zero but the window stops at "
+                                     f"exponent {v}, which still allows a pole of order {-v}",
+                                     needed=0)
         return self.coeff(v)
 
     def residue(self) -> list:
@@ -156,8 +163,6 @@ class Connection:
 
     def scalar_twist(self, phi) -> "Connection":
         """Add ``phi * I`` to the matrix (twist by the rank-one ``d + phi du``)."""
-        if isinstance(phi, (int, Fraction, FieldElement)):
-            phi = LaurentSeries.constant(self.tower, phi, self.ram)
         if not isinstance(phi, LaurentSeries):
             raise DomainViolation("scalar twists take a Laurent series")
         if phi.ram != self.ram:

@@ -349,10 +349,10 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
             "truncate to a working precision first"
         )
     n = c.size
-    lead = c.leading()
     r = -c.valuation
     if r < 2:
         raise DomainViolation("coefficient normalization requires a pole of order >= 2")
+    lead = c.leading()
     if commutes(c, x):
         return NormalizationRecord(c, LaurentMatrix.identity(c.tower, n, c.ram))
     s_prec = c.prec

@@ -74,10 +74,6 @@ def identity(tower: FieldTower, n: int) -> Matrix:
     return m
 
 
-def mat_copy(m: Matrix) -> Matrix:
-    return [list(row) for row in m]
-
-
 def transpose(m: Matrix) -> Matrix:
     rows, cols = mat_shape(m)
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
@@ -141,7 +137,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """
     rows, cols = mat_shape(m)
     if not rows or not cols:
-        return mat_copy(m), []
+        return [list(row) for row in m], []
     tower = common_context(m)
     r = [[x.form for x in row] for row in m]
     pivots: list[int] = []

@@ -241,7 +241,8 @@ def _reduce_node(c: Connection, parent_key, hints, depth) -> ReductionNode:
     ``parent_key`` (``None`` at the root).  A split block whose lead is the
     block of its parent's lead commutes with the semisimple part of that
     lead, so its :func:`sibuya_normalize` returns it with the identity gauge
-    before any elimination."""
+    before any elimination.  A window that knows no coefficient at a pole of
+    order >= 2 is refused by :meth:`Connection.leading`."""
     if depth > _MAX_DEPTH:  # pragma: no cover - safety net
         raise EngineError("reduction recursion exceeded the depth guard")
     ops: list = []
@@ -254,12 +255,6 @@ def _reduce_node(c: Connection, parent_key, hints, depth) -> ReductionNode:
         if r <= 1:
             return _node("regular_singular", c, ops)
         r = int(r)
-        if c.valuation == c.prec:
-            raise PrecisionExhausted(
-                "every known coefficient is zero but the window stops at "
-                f"exponent {c.prec}, which still allows a pole of order {r}",
-                needed=0,
-            )
         lead = c.leading()
         jc = jordan_chevalley(lead)
         if len(jc.minpoly) > 2:

@@ -77,8 +77,6 @@ included; the tests, samples and benchmark stay within 15."""
 
 
 def fraction_to_str(q: Fraction) -> str:
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

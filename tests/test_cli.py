@@ -251,6 +251,20 @@ def test_precision_exhaustion_exit_code(tmp_path, capsys):
     assert "precision" in err.lower()
 
 
+@pytest.mark.parametrize("name", ["saddle-node", "ramified-pair", "jump-integer", "jump-half"])
+def test_a_window_stopping_at_the_lead_exits_2_from_every_command(tmp_path, capsys, name):
+    # --precision -2 keeps no coefficient of a pole-2 sample: one refusal,
+    # Connection.leading's, for reduce, derham and fredholm alike
+    path = write_connection(tmp_path / "c.json", checks.SAMPLES[name]())
+    for command in ("reduce", "derham", "fredholm"):
+        assert main([command, path, "--precision", "-2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("precision exhausted: every known coefficient is zero but the window "
+                       "stops at exponent -2, which still allows a pole of order 2 "
+                       "(precision >= 0 would do)\n")
+
+
 def test_parse_errors_exit_4(tmp_path, capsys):
     garbage = tmp_path / "bad.json"
     garbage.write_text("{this is not json")

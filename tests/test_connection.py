@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mcred import checks, serialize
+from mcred.cohomology import derham_dims
 from mcred.connection import Connection
-from mcred.errors import DomainViolation
+from mcred.errors import DomainViolation, PrecisionExhausted
 from mcred.field import FieldTower
 from mcred.matrices import LaurentMatrix
 from mcred.series import INF, LaurentSeries
@@ -153,6 +154,26 @@ def test_moves_refuse_another_ramification():
     c2 = c.ramify(2)
     assert c2.gauge(LaurentMatrix.identity(QQ, 2, ram=2)) == c2
     assert c2.scalar_twist(LaurentSeries.zero(QQ, 2)) == c2
+
+
+@pytest.mark.parametrize("name", ["saddle-node", "ramified-pair", "jump-integer", "jump-half"])
+def test_a_window_stopping_at_the_lead_needs_more_precision(name):
+    c = checks.SAMPLES[name]()
+    short = c.truncate(c.valuation)
+    with pytest.raises(PrecisionExhausted) as info:
+        short.leading()
+    assert info.value.needed > short.prec
+    # the hint moves the failure on: derham at that precision answers or
+    # runs out elsewhere
+    try:
+        derham_dims(c.truncate(info.value.needed))
+    except PrecisionExhausted as exc:
+        assert str(exc) != str(info.value)
+
+
+def test_the_exact_zero_has_no_lead():
+    with pytest.raises(DomainViolation):
+        Connection.from_coeff_map(QQ, {}, 2).leading()
 
 
 def test_connections_at_different_ramifications_differ():

@@ -29,7 +29,7 @@ SPLIT = QQ.extend([-1, 0, 1])  # x^2 - 1: only a ring
 def oracle_rref(m):
     """Element-wise Gauss-Jordan, first nonzero row as pivot."""
     rows, cols = linalg.mat_shape(m)
-    r = linalg.mat_copy(m)
+    r = [list(row) for row in m]
     pivots = []
     lead = 0
     for col in range(cols):
