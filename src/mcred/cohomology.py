@@ -18,21 +18,24 @@ connection:
   dimensions hold still twice in a row, tagging the result accordingly,
   and gives up on systems wider than ``MAX_LATTICE_COLUMNS``.
 
-The fallback does *not* double the square compression: chopping the form
-side at the top of the window manufactures kernel out of the nilpotent part
-of the leading term (up to ``n·(r-1)`` fake dimensions that never go away),
-which would break the ``h0 <= n`` bound.  Instead it counts flat sections
-supported in the window — no chopping, every determinable coefficient row
-of ``∇v`` must vanish — and gets ``h1`` the same way from the dual
-connection ``d - Γᵗ du``, which the residue pairing matches with the
-cokernel.
+There is one band system with one count, :func:`_window_kernel`: the
+restrictions to the window of the sections on ``[N_min, top)`` whose ``∇``
+vanishes on the rows ``[N_min - m, top - m)``.  The square compression of
+:func:`truncated_complex_dims` is that count with no extension
+(``top = N_max``).  Window doubling extends the window instead
+(:func:`flat_section_dim`), since chopping the form side at its top
+manufactures up to ``n·(r-1)`` fake dimensions out of a nilpotent lead,
+breaking ``h0 <= n``; it gets ``h1`` from the dual connection
+``d - Γᵗ du``, which the residue pairing matches with the cokernel.
 
 Every count is a rank, and every system is a band matrix: a row of ``∇``
 meets only the few blocks its coefficients reach.  So :func:`_lattice`
-builds each row as the run of columns it occupies, and the runs go whole to
-:func:`linalg.pivot_columns`; at level 0 they are integer bands, which
-:func:`linalg.integer_pivot_columns` eliminates by leading column without
-touching a column outside a run.
+builds each row as the run of columns it occupies, and the runs go whole,
+in reverse column order, to :func:`linalg.pivot_columns`; at level 0 they
+are integer bands, which :func:`linalg.integer_pivot_columns` eliminates
+by leading column without touching a column outside a run.  Reversed, each
+row leads with the column where the lead, or the ``k`` diagonal, lands, so
+every row is pivoted on the lead, not on its highest known coefficient.
 """
 
 from __future__ import annotations
@@ -59,21 +62,21 @@ MAX_LATTICE_COLUMNS = 512
 """Widest lattice system (rank times window width) that window doubling
 builds and ``derham --window`` accepts.  Tests and benchmark peak at 222
 columns; doubling on a rank-2 nilpotent lead ``[[0, 1], [0, 0]] u**-r`` plus
-``[[0, 0], [1, 0]]`` reaches 440 at r = 16.  Unbounded, on band rows, it
-took 0.01 / 0.03 / 0.08 / 0.8 s at r = 16 / 32 / 64 / 256 (the last on
-6,680 columns and 44 MB), against 0.07 / 0.19 / 1.1 s at r = 16 / 32 / 64
-on dense rows; a rank-8 zero file took under 0.01 s on windows of width
-32 / 64 / 128 (0.01 / 0.02 / 0.06 s dense).  In-process ``derham_dims`` and
-``truncated_complex_dims``, 2-core x86-64 VM, Python 3.11.7.  The bound
-stays, so which inputs get an answer does not change."""
+``[[0, 0], [1, 0]]`` reaches 440 at r = 16.  Unbounded, it took 0.01 / 0.03
+/ 0.07 / 0.9 s at r = 16 / 32 / 64 / 256 (the last on 6,680 columns); a
+512-column window took 0.02 s on the seed-1 rank-8, pole-2 nilpotent-lead
+file (0.04 s on 1,024 columns) and under 0.01 s on a rank-8 zero file.
+In-process ``derham_dims`` and ``truncated_complex_dims``, 2-core x86-64
+VM, Python 3.11.7.  The bound stays, so which inputs get an answer does
+not change."""
 
 MAX_CERTIFIED_COLUMNS = 4096
 """Widest lattice system (rank times window width) that
 :func:`certified_dims` builds for a regular-singular connection, whose
 window spans the residue's integer spectrum; a wider one is refused with
 ``ParseError`` (exit 4) before anything is built.  On residue ``[[2, 1],
-[0, -G]]`` plus a fixed random ``A_0``, ``derham_dims`` took 0.17 / 1.0 /
-3.3 / 9.3 s at G = 1,000 / 2,000 / 3,000 / 4,000 (2,010 / 4,010 / 6,010 /
+[0, -G]]`` plus a fixed random ``A_0``, ``derham_dims`` took 0.08 / 0.50 /
+1.5 / 4.3 s at G = 1,000 / 2,000 / 3,000 / 4,000 (2,010 / 4,010 / 6,010 /
 8,010 columns); in-process, 2-core x86-64 VM, Python 3.11.7."""
 
 
@@ -221,20 +224,34 @@ def _lattice(c: Connection, rows: range, k_min: int, width: int, what: str) -> l
     return bands
 
 
+def _window_kernel(c: Connection, w: LatticeWindow, top: int, what: str) -> int:
+    """The dimension of the restrictions to ``w`` of the sections on
+    ``[w.n_min, top)`` whose ``∇`` vanishes on the rows ``[w.n_min - m,
+    top - m)``.  Split that :func:`_lattice` system as ``A = [A_V | A_H]``,
+    ``V`` the ``n·w.width`` coordinates in ``w`` and ``H`` the extension
+    ``[w.n_max, top)``: the restrictions span ``|V| − (rank A − rank A_H)``
+    dimensions.  The bands reversed (``(lo, values)`` becomes ``(cols − lo
+    − len(values), values[::-1])``) put ``H`` first, so the pivots that land
+    in ``V`` number ``rank A − rank A_H``.  With ``top = w.n_max`` there is
+    no ``H``, and the count is the kernel of the square compression.
+    """
+    m = _pole_shift(c)
+    system = _lattice(c, range(w.n_min - m, top - m), w.n_min, top - w.n_min, what)
+    cols = c.size * (top - w.n_min)
+    visible = c.size * w.width
+    pivots = linalg.pivot_columns([(cols - lo - len(v), v[::-1]) for lo, v in system])
+    return visible - sum(1 for p in pivots if p >= cols - visible)
+
+
 def truncated_complex_dims(c: Connection, w: LatticeWindow) -> DeRhamDims:
-    """Kernel and cokernel dimensions of ``∇`` restricted to ``w``: the
-    window's dimension less the rank of its square :func:`_lattice` system,
-    from :func:`linalg.pivot_columns` on its bands.
+    """Kernel and cokernel dimensions of ``∇`` restricted to ``w``: both
+    are the :func:`_window_kernel` with no extension, as the system is square.
 
     Unstabilized raw numbers: they agree with the true dimensions only once
     the window is large enough (see :func:`derham_dims`).
     """
-    m = _pole_shift(c)
-    dim = c.size * w.width
-    system = _lattice(c, range(w.n_min - m, w.n_max - m), w.n_min, w.width,
-                      f"window {w.n_min, w.n_max}")
-    rank = len(linalg.pivot_columns(system))
-    return DeRhamDims(dim - rank, dim - rank, w, "window")
+    h = _window_kernel(c, w, w.n_max, f"window {w.n_min, w.n_max}")
+    return DeRhamDims(h, h, w, "window")
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +301,16 @@ def flat_section_dim(c: Connection, w: LatticeWindow) -> int:
     must) manufactures kernel out of a nilpotent leading term; demanding
     ``∇v = 0`` on *every* row instead only counts polynomial sections and
     misses the power-series ones.  So this takes the sandwich between the
-    two: solve ``∇v ≡ 0`` on an extended window ``[n_min, n_max + ext)``
-    with rows enforced below the top relaxation ``n_max + ext - r``, then
-    count the restrictions of the solutions to the ``w``-coordinates.
+    two: the :func:`_window_kernel` of ``w`` extended to ``top =``
+    :func:`_flat_top`, whose rows stop at the top relaxation ``top - m``.
     Truncations of genuine flat sections always pass (their defect sits
     above the relaxation), while top-boundary fakes lose their support under
-    the restriction; once the extension clears the connection's critical
-    exponents, the count is exactly the number of independent flat sections
-    with a coefficient inside ``w``.
-
-    The count needs no kernel basis.  Split the system as ``A = [A_V | A_H]``,
-    ``V`` the ``n·w.width`` visible coordinates and ``H`` the extension: the
-    restrictions of ``ker A`` to ``V`` span ``|V| − (rank A − rank A_H)``
-    dimensions.  One :func:`linalg.pivot_columns` on the :func:`_lattice`
-    bands reversed (each ``(lo, values)`` becomes ``(cols − lo −
-    len(values), values[::-1])``) puts the ``H`` columns first, so the
-    pivots that land in ``V`` number ``rank A − rank A_H``.
+    the restriction to ``w``; once the extension clears the connection's
+    critical exponents, the count is exactly the number of independent flat
+    sections with a coefficient inside ``w``.
     """
-    top = _flat_top(c, w)
-    lo = min([w.n_min - 1] + [w.n_min + e for e in c.matrix.support()])
-    rows = range(lo, top - _pole_shift(c))
-    system = _lattice(c, rows, w.n_min, top - w.n_min,
-                      f"certifying flat sections on window {w.n_min, w.n_max}")
-    cols = c.size * (top - w.n_min)
-    visible = c.size * w.width
-    hidden = cols - visible
-    pivots = linalg.pivot_columns([(cols - lo - len(v), v[::-1]) for lo, v in system])
-    return visible - sum(1 for p in pivots if p >= hidden)
+    return _window_kernel(c, w, _flat_top(c, w),
+                          f"certifying flat sections on window {w.n_min, w.n_max}")
 
 
 def dual_connection(c: Connection) -> Connection:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -511,13 +512,22 @@ def test_lattice_systems_match_the_per_block_oracle():
 @pytest.mark.parametrize("caller", [truncated_complex_dims, flat_section_dim])
 def test_lattice_precision_guard_boundary(caller):
     """Precision ``need - 1`` raises with the oracle's message and
-    ``needed``; precision ``need`` builds, eliminates and counts what the
-    oracle counts."""
+    ``needed``; precision ``need`` and the exact input build, eliminate and
+    count what the oracle counts: ``n·width`` less the rank of the square
+    system, or the null-space count of the flat-section system.  The inputs
+    are every kind at n = 1..3 and pole order 0..3 plus one over Q(√2), on
+    windows of width 1..8 at offsets −5..2, so some windows are narrower
+    than the pole shift."""
     rng = random.Random(20)
-    for c in (checks.random_connection(rng, 2, 2, kind="nilpotent_lead"),
-              checks.random_connection(rng, 2, 1), checks.SAMPLES["ramified-pair"](),
-              _tower_connection(rng, K1, 1, 2)):
-        for w in (LatticeWindow(-2, 2), LatticeWindow(1, 4)):
+    cases = [checks.random_connection(rng, n, r, kind=kind)
+             for kind in checks.KINDS for n in (1, 2, 3) for r in (0, 1, 2, 3)]
+    cases.append(_tower_connection(rng, K1, 2, 2))
+    windows = [LatticeWindow(a, a + width) for width in range(1, 9) for a in range(-5, 3)]
+    narrow = 0
+    for c in cases:
+        # the flat-section oracle eliminates dense systems of up to 45
+        # columns; a sample of the windows keeps it quick
+        for w in windows if caller is truncated_complex_dims else rng.sample(windows, 6):
             need = _need(caller, c, w)
             short = c.truncate(need - 1)
             with pytest.raises(PrecisionExhausted) as got:
@@ -525,12 +535,27 @@ def test_lattice_precision_guard_boundary(caller):
             with pytest.raises(PrecisionExhausted) as want:
                 _old_system(caller, short, w)
             assert (str(got.value), got.value.needed) == (str(want.value), need)
-            enough = c.truncate(need)
-            if caller is flat_section_dim:
-                assert caller(enough, w) == _old_flat_section_dim(enough, w)
-            else:
-                rank = len(linalg.rref(_old_system(caller, enough, w))[1])
-                assert caller(enough, w).h0 == enough.size * w.width - rank
+            for d in (need, INF):
+                enough = c.truncate(d)
+                if caller is flat_section_dim:
+                    assert caller(enough, w) == _old_flat_section_dim(enough, w)
+                else:
+                    rank = len(linalg.rref(_old_system(caller, enough, w))[1])
+                    assert caller(enough, w).h0 == enough.size * w.width - rank
+            narrow += w.width < cohomology._pole_shift(c)
+    assert narrow > 0
+
+
+def test_a_window_past_the_column_bound_counts_in_a_second():
+    """The rank-8, pole-2 nilpotent-lead window (−64, 64) has 1,024 columns,
+    twice ``MAX_LATTICE_COLUMNS``; as a library call it returns h0 = 2 well
+    inside a second (a count pivoting each row on its highest known
+    coefficient took about 2 s)."""
+    c = checks.random_connection(random.Random(1), 8, 2, kind="nilpotent_lead")
+    start = time.perf_counter()
+    dims = truncated_complex_dims(c, LatticeWindow(-64, 64))
+    assert time.perf_counter() - start < 1.0
+    assert (dims.h0, dims.h1) == (2, 2)
 
 
 # -- the flat-section count against the null-space oracle ----------------------
