@@ -16,6 +16,7 @@ i.e. ``g`` carries old coordinates to new ones.  It composes covariantly:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import DomainViolation, NotBlockDiagonal, PrecisionExhausted
@@ -176,28 +177,24 @@ class Connection:
     def block_split(self, sizes: Sequence[int]) -> list:
         """Split a block-diagonal connection into its diagonal blocks.
 
-        Off-diagonal blocks must vanish on the whole known window.
+        Off-diagonal blocks must vanish below :attr:`prec`, the window every
+        entry knows.  Entries known past it may carry a nonzero off-diagonal
+        coefficient there, as after a shear; the connection is then cut at
+        the first exponent where one is nonzero before it splits.
         """
         if sum(sizes) != self.size or any(s < 1 for s in sizes):
             raise DomainViolation("block sizes must be positive and sum to n")
-        bounds = [0]
-        for s in sizes:
-            bounds.append(bounds[-1] + s)
-        for bi in range(len(sizes)):
-            for bj in range(len(sizes)):
-                if bi == bj:
-                    continue
-                for i in range(bounds[bi], bounds[bi + 1]):
-                    for j in range(bounds[bj], bounds[bj + 1]):
-                        if not self.matrix.entry(i, j).is_zero_to_precision():
-                            raise NotBlockDiagonal(
-                                f"entry ({i}, {j}) is nonzero across blocks"
-                            )
-        parts = []
-        for bi in range(len(sizes)):
-            idx = list(range(bounds[bi], bounds[bi + 1]))
-            parts.append(Connection(self.matrix.submatrix(idx, idx)))
-        return parts
+        block = [k for k, s in enumerate(sizes) for _ in range(s)]
+        prec, cut = self.prec, INF
+        for a, row in enumerate(self.matrix.entries):
+            for b, x in enumerate(row):
+                if block[a] != block[b] and not x.is_zero_to_precision():
+                    if x.valuation < prec:
+                        raise NotBlockDiagonal(f"entry ({a}, {b}) is nonzero across blocks")
+                    cut = min(cut, x.valuation)
+        whole = self.matrix.truncate(cut)
+        return [Connection(whole.submatrix(range(end - s, end), range(end - s, end)))
+                for s, end in zip(sizes, accumulate(sizes))]
 
     # -- the covariant derivative ----------------------------------------------------
 

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import linalg, sl2
 from .cohomology import _pole_shift
@@ -113,43 +114,34 @@ class ReductionTree:
 class ShearData:
     """Slope bookkeeping for a nilpotent-lead connection in its chain basis.
 
-    ``alpha`` is the smallest slope ``(i + r) / (j + 2)`` over the nonzero
-    weight-``j`` components of the coefficient at ``u**i`` (``None`` when no
-    component above the lead is known).  ``tail_min`` is the best slope the
-    unknown tail could still realize; comparisons against it decide whether a
-    shear is justified by the known window alone.
+    ``alpha`` is the least slope ``(i + r) / (w_a - w_b + 2)`` over the
+    entries ``(a, b)`` with a nonzero coefficient at ``u**i``, ``-r < i <
+    prec`` (``None`` when there is none), and ``critical`` lists the ``(i,
+    w_a - w_b)`` at ``alpha``; ``w_a - w_b`` is the ad-h weight of an entry in
+    the chain basis.  ``tail_min`` is the best slope the unknown tail could
+    still realize; comparisons against it decide whether a shear is
+    justified by the known window alone.
     """
 
     alpha: Fraction | None
     j_max: int
     tail_min: Fraction
-    pole: int
-    prec: int
     critical: list
 
 
 def compute_alpha(c: Connection, weights) -> ShearData:
-    r = -c.valuation
-    s = c.prec
+    r, s = -c.valuation, c.prec
     if s is INF:
         raise DomainViolation("slope analysis needs a truncated connection")
     j_max = max(weights) - min(weights)
-    alpha = None
-    pairs = []
-    for i in c.matrix.support():
-        if i <= -r or i >= s:  # entries known past s: the tail_min test covers them
-            continue
-        grid = c.coeff(i)
-        for j in sl2.grading_support(grid, weights):
-            if j + 2 <= 0:
-                continue
-            cand = Fraction(i + r, j + 2)
-            pairs.append((cand, i, j))
-            if alpha is None or cand < alpha:
-                alpha = cand
+    # coefficients at or past s, which some entries know: tail_min covers them
+    pairs = sorted({(Fraction(i + r, j + 2), i, j)
+                    for a, row in enumerate(c.matrix.entries) for b, x in enumerate(row)
+                    for j in [weights[a] - weights[b]] if j + 2 > 0
+                    for i in x.support() if -r < i < s})
+    alpha = pairs[0][0] if pairs else None
     critical = [(i, j) for cand, i, j in pairs if cand == alpha]
-    tail_min = Fraction(s + r, j_max + 2)
-    return ShearData(alpha, j_max, tail_min, r, s, critical)
+    return ShearData(alpha, j_max, Fraction(s + r, j_max + 2), critical)
 
 
 def shear(c: Connection, weights, q: Fraction):
@@ -171,12 +163,15 @@ def shear(c: Connection, weights, q: Fraction):
 
 def slodowy_prediction(c: Connection, weights, f_std, data: ShearData):
     """The forced leading term of the shear at slope ``data.alpha``: the
-    nilpotent lead plus the graded components ``data.critical`` sitting
+    nilpotent lead plus the entries of weight ``j`` of the coefficient at
+    ``u**i`` for each ``(i, j)`` of ``data.critical``, the components sitting
     exactly on the slope (all in the chain basis, at the pre-ramification
     scale)."""
     acc = [row[:] for row in f_std]
     for i, j in data.critical:
-        acc = linalg.mat_add(acc, sl2.graded_component(c.coeff(i), weights, j))
+        for (a, w_a), (b, w_b) in product(enumerate(weights), repeat=2):
+            if w_a - w_b == j:
+                acc[a][b] += c.matrix.entry(a, b).coeff(i)
     return acc
 
 
@@ -296,7 +291,7 @@ def _reduce_node(c: Connection, parent_key, hints, depth) -> ReductionNode:
             needed = math.ceil(Fraction((r - 1) * (data.j_max + 2), 2) - r)
             raise PrecisionExhausted(
                 "the unknown tail could still carry a slope below "
-                f"{rs_slope}; the window ends at exponent {data.prec} but "
+                f"{rs_slope}; the window ends at exponent {c.prec} but "
                 f"this shear needs at least {needed}",
                 needed=needed,
             )
@@ -304,7 +299,7 @@ def _reduce_node(c: Connection, parent_key, hints, depth) -> ReductionNode:
             needed = math.floor(data.alpha * (data.j_max + 2) - r) + 1
             raise PrecisionExhausted(
                 f"slope {data.alpha} is not below every slope the unknown "
-                f"tail could carry; the window ends at exponent {data.prec} "
+                f"tail could carry; the window ends at exponent {c.prec} "
                 f"but this shear needs at least {needed}",
                 needed=needed,
             )

@@ -6,7 +6,8 @@ basis carries the standard triple: ``f`` acts as the lowering operator, ``h``
 as the integer weight grading, and ``e`` as the raising operator with
 ``e . f^i v = i (k - i) f^(i-1) v`` on a chain of length ``k``.  Conjugating
 back gives an honest triple ``[e, f] = h``, ``[h, e] = 2e``, ``[h, f] = -2f``
-through the original ``f`` (the zero matrix gets the zero triple).
+through the original ``f`` (the zero matrix gets the zero triple).  ``h`` is
+diagonal there, so entry ``(a, b)`` has ad-h degree ``w_a - w_b``.
 
 The tail of the module is pure combinatorics of nilpotent orbits: partitions,
 orbit dimensions via the transpose partition, and the largest weight spread
@@ -112,34 +113,6 @@ def jacobson_morozov(f: Sequence[Sequence]) -> Sl2Triple:
     if not linalg.mat_eq(linalg.mat_mul(p_inv, linalg.mat_mul(f, p)), f_std):  # pragma: no cover
         raise EngineError("triple construction failed: P^-1 f P != f_std")
     return Sl2Triple(p, p_inv, weights, sizes, e_std, f_std)
-
-
-# ---------------------------------------------------------------------------
-# weight gradings in a fixed diagonal basis of h
-# ---------------------------------------------------------------------------
-
-
-def graded_component(m: Sequence[Sequence], weights: Sequence[int], j: int) -> list:
-    """Entries of ``m`` with weight difference ``w_a - w_b`` exactly ``j``
-    (the degree-``j`` piece of the ad-h grading, read in the chain basis)."""
-    n = len(m)
-    tower = common_context(m)
-    zero = tower.zero()
-    return [
-        [m[a][b] if weights[a] - weights[b] == j else zero for b in range(n)]
-        for a in range(n)
-    ]
-
-
-def grading_support(m: Sequence[Sequence], weights: Sequence[int]) -> list:
-    """The sorted weights ``j`` with a nonzero degree-``j`` component."""
-    n = len(m)
-    out = set()
-    for a in range(n):
-        for b in range(n):
-            if not m[a][b].is_zero():
-                out.add(weights[a] - weights[b])
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mcred
-from mcred import checks, cohomology, serialize
+from mcred import checks, cohomology, reduction, serialize
 from mcred.cli import MAX_STABILITY_SIZE, main
 from mcred.cohomology import MAX_CERTIFIED_COLUMNS, MAX_LATTICE_COLUMNS
 from mcred.connection import Connection
@@ -249,6 +250,40 @@ def test_precision_exhaustion_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "precision" in err.lower()
+
+
+def _gauged_draw(seed, draw):
+    """Draw ``draw`` (from 0) of the monomial-gauged sweep of
+    ``tests/test_reduction.py``."""
+    rng = random.Random(seed)
+    for _ in range(draw + 1):
+        n, r, kind = rng.choice([2, 3]), rng.choice([1, 2, 3]), rng.choice(checks.KINDS)
+        c = checks.random_connection(rng, n, r, kind=kind)
+        checks.random_unit_gauge(rng, n)
+        c = c.gauge(checks.random_monomial_gauge(rng, n))
+    return c
+
+
+@pytest.mark.parametrize("seed, draw, p, source, digest", [
+    (5, 11, 1, "995eaef6adbf692e785bfb69ef0448e6622a2e521846e510b973eeb1f0b482db",
+     "446c975dae00102cccc25bf863316c6366b8260d2d14ae33042a81a509257c9b"),
+    (11, 18, 0, "63b74f14140e9f2de7c9543b0a726dba1ec2c720160c8447ab1352d6fa4871cf",
+     "f3c1ce58f3d6838ccd0120f988040a89f9f2987792415b1caddacee2bef0261e"),
+], ids=["seed5-draw11", "seed11-draw18"])
+def test_reduce_splits_blocks_known_to_different_orders(tmp_path, capsys, seed, draw, p,
+                                                        source, digest):
+    # after the shear an off-diagonal entry is nonzero past the common
+    # window; block_split refused it with NotBlockDiagonal (exit 1), while
+    # one precision lower exits 2 and one higher exits 0
+    c = _gauged_draw(seed, draw)
+    path = write_connection(tmp_path / "c.json", c)
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == source
+    assert main(["reduce", path, "--precision", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    tree = reduction.reduce(c.truncate(p))
+    assert reduction.replay(tree)
+    assert serialize.dumps(serialize.encode_tree(tree)) == out
 
 
 @pytest.mark.parametrize("name", ["saddle-node", "ramified-pair", "jump-integer", "jump-half"])

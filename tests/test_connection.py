@@ -205,6 +205,17 @@ def test_block_split_rejects_coupled_blocks():
     from mcred.errors import NotBlockDiagonal
     with pytest.raises(NotBlockDiagonal):
         c.block_split([1, 1])
+    # known below 2 in common: a coupling at 1 is refused, one at 3 or 5
+    # (where only its own entries are known) cuts both blocks there
+    for at in (1, 3, 5):
+        c = conn([[S({-2: 1}, 2), S({at: 1}, 6)], [S({}, 4), S({0: 5}, 6)]])
+        if at < c.prec:
+            with pytest.raises(NotBlockDiagonal, match=r"entry \(0, 1\)"):
+                c.block_split([1, 1])
+            continue
+        a, b = c.block_split([1, 1])
+        assert (a.prec, b.prec) == (2, at)
+        assert b.matrix.entry(0, 0).coincides_with(S({0: 5}))
 
 
 def test_residue_units_after_ramification():

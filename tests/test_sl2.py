@@ -8,7 +8,6 @@ from mcred.errors import NoSuchOrbit, NotNilpotent
 from mcred.field import FieldTower
 from mcred.sl2 import (
     chain_basis_triple,
-    grading_support,
     jacobson_morozov,
     jordan_chains,
     max_spread_for_dim,
@@ -138,18 +137,3 @@ def test_weight_spread_and_max_spread():
 def test_max_spread_refuses_a_dimension_no_orbit_has():
     with pytest.raises(NoSuchOrbit, match="no nilpotent orbit of dimension 5 in gl_3"):
         max_spread_for_dim(3, 5)
-
-
-def test_grading_decomposes_matrices():
-    tr = jacobson_morozov(JORDAN_F)
-    m = grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    support = grading_support(m, tr.weights)
-    # reassembling the graded pieces gives the matrix back
-    from mcred.sl2 import graded_component
-    acc = [[QQ.zero()] * 3 for _ in range(3)]
-    for j in support:
-        piece = graded_component(m, tr.weights, j)
-        acc = [[a + p for a, p in zip(ra, rp)] for ra, rp in zip(acc, piece)]
-    assert _equal(acc, m)
-    # f itself is concentrated in degree -2 for the principal triple
-    assert grading_support(JORDAN_F, tr.weights) == [-2]
