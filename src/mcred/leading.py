@@ -9,10 +9,11 @@ Three tools live here:
 
 * :func:`sibuya_normalize` -- gauge away, order by order, the components of
   the higher coefficients that lie in a chosen complement of a kernel
-  subspace adapted to the leading coefficient.  Each step gauges by
-  ``exp(-u**i C)`` with a constant matrix ``C``, which changes the
-  coefficient at offset ``i`` by exactly ``ad(lead)(C)`` and nothing below;
-  the steps of the upper half of the window commute and take one gauge.
+  subspace adapted to the leading coefficient.  Step ``i`` takes a
+  constant matrix ``C_i`` whose ``ad(lead)(C_i)`` cancels that component at
+  offset ``i``; the steps of each dyadic block of offsets ``[k, 2k)``, and
+  of the upper half of the window, commute below the block's end and take
+  one gauge ``I - sum(u**i C_i)``.
   :func:`commutes` tells when there is nothing to gauge away.  Constant
   matrices multiply as ``(den, parts)`` integer matrices
   (:func:`series._matrix_product`), series as integer forms.
@@ -180,7 +181,10 @@ class NormalizationRecord:
     """The normalized connection, the gauge that made it, and each step
     ``(i, C_i)`` that gauge is built from, in increasing ``i``, with ``C_i``
     the ``(den, parts)`` matrix of :func:`series._gathered` over the tower
-    of ``connection``."""
+    of ``connection``.  The gauge is the product, later blocks on the left,
+    of one ``I - sum(u**i C_i)`` over the steps of each block of
+    :func:`sibuya_normalize`, so only the first block's ``C_i`` are those
+    of the exponentials ``exp(-u**i C_i)`` taken one step at a time."""
 
     connection: Connection
     gauge: LaurentMatrix
@@ -189,9 +193,9 @@ class NormalizationRecord:
 
 def _coefficients(forms: list, exps, size: int) -> tuple:
     """The ``(den, parts)`` matrix whose column ``j`` holds the row-major
-    coefficients at ``u**exps[j]`` of a grid of forms.  A step never lowers
-    an entry's precision below the connection's, so every ``e`` a step reads
-    is known."""
+    coefficients at ``u**exps[j]`` of a grid of forms.  A gauge never lowers
+    an entry's precision below the connection's, so every ``e`` a block
+    reads is known."""
     flat, column = [f for row in forms for f in row], {e: j for j, e in enumerate(exps)}
     return _gathered(len(flat), len(column), [
         (a, column[k // size], k % size, num, f[2]) for a, f in enumerate(flat) if f
@@ -206,11 +210,12 @@ def _polynomial(terms: list, prec, size: int) -> list:
     den = lcm(*[x[0] for _, _, x in terms])
     grid = [[[] for _ in row] for row in terms[0][2][1][0]]
     for e, sign, (d, parts) in terms:
+        scale = sign * (den // d)
         for pos in sorted(parts):
             for entries, values in zip(grid, parts[pos]):
                 for entry, v in zip(entries, values):
                     if v:
-                        entry.append((e * size + pos, sign * v * (den // d)))
+                        entry.append((e * size + pos, v * scale))
     return [[(t[0][0] // size if t else prec, prec, den, t) for t in row] for row in grid]
 
 
@@ -231,54 +236,53 @@ def _joined(blocks: list, across: bool) -> tuple:
     """The ``(den, parts)`` matrix of the n-by-n blocks ``k * x`` for ``(k, x)``
     in ``blocks``, side by side when ``across``, else stacked."""
     den = lcm(*[d for _, (d, _) in blocks])
+    scales = [k * (den // d) for k, (d, _) in blocks]
     n = len(blocks[0][1][1][0])
     zero, parts = [[0] * n for _ in range(n)], {}
     for pos in {q for _, (_, ps) in blocks for q in ps}:
-        mats = [[[k * (den // d) * v for v in row] for row in ps[pos]] if pos in ps else zero
-                for k, (d, ps) in blocks]
+        mats = [[[scale * v for v in row] for row in ps[pos]] if pos in ps else zero
+                for scale, (_, (_, ps)) in zip(scales, blocks)]
         parts[pos] = [sum(rows, []) for rows in zip(*mats)] if across else sum(mats, [])
     return den, parts
 
 
-def _step_gauge(tower: FieldTower, steps: list, p: int) -> tuple:
-    """``(E, E**-1, D)`` as grids of forms for the gauge of ``steps``, a list
-    of ``(i, C_i)`` in increasing ``i`` with each ``C_i`` a ``(den, parts)``
-    matrix: ``E`` and ``E**-1`` modulo ``u**p``, every entry known below
-    ``p``, and ``D`` the pairs whose products add ``-(dE/du) E**-1``, known
-    below ``p - 1``.  One step gives ``E = exp(-u**i C)`` and ``E**-1 =
-    exp(u**i C)`` from one list of the powers ``C**k / k!``, each one
-    :func:`series._matrix_product` from the last, and ``D = i u**(i-1) C``.
-    Several steps must all have ``2 i >= p``, so that every product of two
-    of their terms lies past the window: then ``E = I - sum(u**i C_i)``,
-    ``E**-1 = I + sum(u**i C_i)`` and ``D = sum(i u**(i-1) C_i)``."""
+def _block_gauge(tower: FieldTower, steps: list, p: int) -> tuple:
+    """``(E, E**-1, X')`` as grids of forms for the gauge ``E = I - X`` of
+    ``steps``, a list of ``(i, C_i)`` in increasing ``i`` with each ``C_i`` a
+    ``(den, parts)`` matrix, ``X = sum(u**i C_i)`` and ``X' = dX/du``: ``E``
+    and ``E**-1 = sum(X**m)`` modulo ``u**p``, every entry known below
+    ``p``, and ``X'`` known below ``p - 1``.  The coefficient ``Y_d`` of
+    ``u**d`` in ``E**-1 = I + X E**-1`` is ``sum(C_i Y_(d-i))``: one
+    :func:`series._matrix_product` of the blocks ``[C_i..]`` and
+    ``[Y_(d-i)..]`` over the steps with ``Y_(d-i)`` nonzero, so one step
+    ``(i, C)`` gives the powers ``Y_(i m) = C**m``."""
     size, n = tower.sizes[-1], len(steps[0][1][1][0])
-    powers = [(0, 0, _identity(n))]
-    for i, (den, parts) in steps:
-        power = (den, parts)
-        for k in range(1, (p - 1) // i + 1):  # C**k / k! = (C**(k-1) / (k-1)!) (C / k)
-            if k > 1:
-                power = _matrix_product(tower, power, (den * k, parts))
-                if _is_zero(power):
-                    break
-            powers.append((i * k, k, power))
-    e, e_inv = (_polynomial([(e, sign ** k, x) for e, k, x in powers], p, size)
-                for sign in (-1, 1))
-    dlog = [[(x, _ONE) for x in row]
-            for row in _polynomial([(i - 1, i, c) for i, c in steps], p - 1, size)]
-    return e, e_inv, dlog
+    one = (0, 1, _identity(n))
+    e = _polynomial([one] + [(i, -1, c) for i, c in steps], p, size)
+    powers = {0: one[2]}
+    for d in range(steps[0][0], p):
+        terms = [(c, powers[d - i]) for i, c in steps if d - i in powers]
+        if not terms:
+            continue
+        y = _matrix_product(tower, *terms[0]) if len(terms) == 1 else _matrix_product(
+            tower, _joined([(1, c) for c, _ in terms], True),
+            _joined([(1, b) for _, b in terms], False))
+        if not _is_zero(y):
+            powers[d] = y
+    return (e, _polynomial([(d, 1, y) for d, y in powers.items()], p, size),
+            _polynomial([(i - 1, i, c) for i, c in steps], p - 1, size))
 
 
 def _gauged(tower: FieldTower, gauge: tuple, work: list, total: list) -> tuple:
-    """``(E G E**-1 + D, E total)`` for the :func:`_step_gauge` ``(E, E**-1,
-    D)`` and grids of forms ``G`` and ``total``: three window products, with
-    ``D`` one more pair in the :func:`series._sum_of_products` of ``(E G)
-    E**-1``."""
-    e, e_inv, dlog = gauge
-    ew = _form_product(tower, e, work)
-    work = [[_sum_of_products(tower, [*zip(ew_row, col), d])
-             for col, d in zip(zip(*e_inv), dlog_row)]
-            for ew_row, dlog_row in zip(ew, dlog)]
-    return work, _form_product(tower, e, total)
+    """``((E G + X') E**-1, E total)`` for the :func:`_block_gauge` ``(E,
+    E**-1, X')`` and grids of forms ``G`` and ``total``: three window
+    products, with ``X'`` one more pair in the
+    :func:`series._sum_of_products` of ``E G``."""
+    e, e_inv, derivative = gauge
+    cols = list(zip(*work))
+    moved = [[_sum_of_products(tower, [*zip(e_row, col), (d, _ONE)])
+              for col, d in zip(cols, d_row)] for e_row, d_row in zip(e, derivative)]
+    return _form_product(tower, moved, e_inv), _form_product(tower, e, total)
 
 
 def _matrix(tower: FieldTower, ram: int, forms: list) -> LaurentMatrix:
@@ -295,12 +299,9 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     invertible on ``im ad_s``, where ``ad_f`` is nilpotent and commutes with
     ``ad_s``), or the ``e`` of an sl2 triple through a nilpotent lead ``f``
     (``ad_f`` maps ``im ad_e`` onto ``im ad_f``, a complement of
-    ``ker ad_e``).  Step ``i`` gauges by ``E = exp(-u**i C_i)`` where
-    ``ad(lead)(C_i)`` cancels the ``span(ad(lead) S)`` component of the
-    coefficient at exponent ``-r + i``; the step changes that coefficient by
-    exactly that amount, touches nothing below it, and preserves the
-    overall precision.  ``C_i`` therefore only depends on the coefficients
-    up to exponent ``-r + i``.  When every known coefficient commutes with
+    ``ker ad_e``).  Step ``i`` takes the ``C_i`` whose ``ad(lead)(C_i)``
+    cancels the ``span(ad(lead) S)`` component of the coefficient at offset
+    ``i``, exponent ``-r + i``.  When every known coefficient commutes with
     ``x`` (:func:`commutes`) there is nothing to gauge away: ``c`` itself
     comes back with the exact identity and no corrections, before any
     elimination.
@@ -313,31 +314,34 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     ``b = 0``, because the columns of ``S`` are independent.  If the
     inverse does not exist, ``x`` does not fit the lead.
 
-    A step needs no gauge: ``E**-1 = exp(u**i C_i)`` and
-    ``(dE/du) E**-1 = -i u**(i-1) C_i`` in closed form.  So with
-    ``p = prec + r`` a head step ``i < h = ceil(p / 2)`` sets
-    ``G <- E G E**-1 + i u**(i-1) C_i`` (the last term known below
-    ``p - 1``) and ``total <- E total``, where ``E`` and ``E**-1`` are known
-    below ``p`` and come from one list of the powers of ``C_i``.  The tail
-    steps ``i >= h`` commute modulo ``u**p``: every product of two of their
-    terms lies past the window, and a tail step changes only offsets at or
-    above ``h``, so the coefficient a tail step ``j`` sees is ``W_j``, the
-    one at offset ``j`` after the head, less ``[C_i, W_(j-i)]`` for the tail
-    steps ``i < j``, plus ``i C_i`` for the ``i`` with ``i - 1 = -r + j``:
-    one product of the constant blocks ``[I, C_i.., W_(j-i)..]`` and
-    ``[W_j; -W_(j-i)..; C_i..]``.  The whole tail is then one gauge, ``E = I
-    - sum(u**i C_i)``, ``E**-1 = I + sum(u**i C_i)`` and ``D = sum(i
-    u**(i-1) C_i)`` (:func:`_step_gauge`), three window products in all.
-    Every coefficient and precision is the one the general gauge
-    ``E G E**-1 - (dE/du) E**-1`` of every step in turn would give.
+    With ``p = prec + r`` the offsets ``[1, p)`` run in blocks ``[1, 2)``,
+    ``[2, 4)``, ``[4, 8)`` and so on up to ``h = ceil(p / 2)``, then ``[h,
+    p)``, so a block ``[k, l)`` has ``l <= 2 k``.  Below offset ``2 k`` the
+    steps of a block commute: every product of two of their terms lands at
+    ``2 k`` or above, and so does every product of a step with the
+    derivative of another, because ``r >= 2``.  So the coefficient step
+    ``j`` sees is ``W_j``, the one at offset ``j`` before the block, less
+    ``[C_i, W_(j-i)]`` for the block's steps ``i < j``, plus ``i C_i`` for
+    the ``i`` with ``i - 1 = -r + j``: one product of the constant blocks
+    ``[I, C_i.., W_(j-i)..]`` and ``[W_j; -W_(j-i)..; C_i..]``.  ``C_j``
+    therefore only depends on the coefficients up to offset ``j``.  The
+    whole block is then one gauge ``E = I - X``, ``X = sum(u**i C_i)``:
+    ``G <- (E G + X') E**-1`` and ``total <- E total``, three window
+    products, with ``E`` and ``E**-1 = sum(X**m)`` known below ``p`` and
+    ``X' = dX/du`` below ``p - 1`` (:func:`_block_gauge`).  It moves each
+    coefficient of the block as its steps do, touches nothing below the
+    block and preserves the overall precision; above ``2 k`` it differs
+    from the exponentials ``exp(-u**i C_i)`` of the steps in turn, except in
+    the tail ``[h, p)``, where ``X**2`` vanishes modulo ``u**p`` and both
+    give every coefficient and precision alike.
 
     The loop builds no series and no field elements: ``G`` and ``total``
     are grids of :func:`series._integral` forms, every window product is one
-    :func:`series._form_product`, and ``D`` is one more pair in the sum of
-    products of ``(E G) E**-1`` (:func:`_gauged`).  ``step``, each
-    ``C_i`` and its powers are ``(den, parts)`` matrices multiplied by
-    :func:`series._matrix_product`; a step reads its coefficient column off
-    the forms (:func:`_coefficients`), and an all-zero column takes no
+    :func:`series._form_product`, and ``X'`` is one more pair in the sum of
+    products of ``E G`` (:func:`_gauged`).  ``step``, each ``C_i`` and the
+    coefficients of ``E**-1`` are ``(den, parts)`` matrices multiplied by
+    :func:`series._matrix_product`; a block reads its coefficient columns
+    off the forms (:func:`_coefficients`), and an all-zero column takes no
     product.  The final check that no ``ad(lead) S`` component is left is
     one product of ``rows`` with the columns of every exponent above the
     lead.  The two matrices are built once, after the loop, from their
@@ -373,45 +377,39 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     step = _matrix_product(tower, _matrix_form(linalg.mat_neg(source)), rows)
     work = _forms(c.matrix.entries, ram, size)
     total = [[_ONE if a == b else None for b in range(n)] for a in range(n)]
-    corrections = []
-    h = (p + 1) // 2
-    for i in range(1, h):
-        column = _coefficients(work, [-r + i], size)
-        if _is_zero(column):
-            continue
-        c_col = _matrix_product(tower, step, column)
-        if _is_zero(c_col):
-            continue
-        c_form = _square(c_col, 0, n)
-        work, total = _gauged(tower, _step_gauge(tower, [(i, c_form)], p), work, total)
-        corrections.append((i, c_form))
-    # the tail: step j sees the coefficient at offset j of the connection
-    # after the head, less the brackets [C_i, W_(j-i)] of the tail steps
-    # before it, plus the i C_i that lands there
-    offsets = _coefficients(work, range(1 - r, p - r), size)
-    w = [None] + [_square(offsets, k, n) for k in range(p - 1)]  # w[k] at offset k
-    one, tail = _identity(n), {}
-    for j in range(h, p):
-        left, right = [(1, one)], [(1, w[j])]
-        for i, c_i in tail.items():
-            left += [(1, c_i), (1, w[j - i])]
-            right += [(-1, w[j - i]), (1, c_i)]
-        if j - r + 1 in tail:
-            left.append((1, one))
-            right.append((j - r + 1, tail[j - r + 1]))
-        coefficient = w[j] if len(left) == 1 else _matrix_product(
-            tower, _joined(left, True), _joined(right, False))
-        column = (coefficient[0], {pos: [[v] for row in m for v in row]
-                                   for pos, m in coefficient[1].items()})
-        if _is_zero(column):
-            continue
-        c_col = _matrix_product(tower, step, column)
-        if _is_zero(c_col):
-            continue
-        tail[j] = _square(c_col, 0, n)
-        corrections.append((j, tail[j]))
-    if tail:
-        work, total = _gauged(tower, _step_gauge(tower, list(tail.items()), p), work, total)
+    one, corrections = _identity(n), []
+    h, low = (p + 1) // 2, 1
+    while low < p:
+        high = min(2 * low, h) if low < h else p
+        # step j of the block sees the coefficient at offset j before the
+        # block, less the brackets [C_i, W_(j-i)] of the block's steps before
+        # it, plus the i C_i that lands there
+        offsets = _coefficients(work, range(1 - r, high - r), size)
+        w = [None] + [_square(offsets, k, n) for k in range(high - 1)]  # w[k] at offset k
+        block = {}
+        for j in range(low, high):
+            left, right = [(1, one)], [(1, w[j])]
+            for i, c_i in block.items():
+                left += [(1, c_i), (1, w[j - i])]
+                right += [(-1, w[j - i]), (1, c_i)]
+            if j - r + 1 in block:
+                left.append((1, one))
+                right.append((j - r + 1, block[j - r + 1]))
+            coefficient = w[j] if len(left) == 1 else _matrix_product(
+                tower, _joined(left, True), _joined(right, False))
+            column = (coefficient[0], {pos: [[v] for row in m for v in row]
+                                       for pos, m in coefficient[1].items()})
+            if _is_zero(column):
+                continue
+            c_col = _matrix_product(tower, step, column)
+            if _is_zero(c_col):
+                continue
+            block[j] = _square(c_col, 0, n)
+            corrections.append((j, block[j]))
+        if block:
+            work, total = _gauged(tower, _block_gauge(tower, list(block.items()), p),
+                                  work, total)
+        low = high
     matrix, total = _matrix(tower, ram, work), _matrix(tower, ram, total)
     if matrix.prec != s_prec or matrix.valuation != -r:
         raise EngineError("normalization changed the precision or the pole order")

@@ -57,6 +57,7 @@ and why.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import random
@@ -74,14 +75,14 @@ GENERATE = ["generate", "--seed", "7", "--count", "9"]
 KINDS = ("generic", "invertible_lead", "nilpotent_lead")
 TRUNCATION_PRECISIONS = (1, 4, 9)
 
-REDUCE_REPLAY_TREES = "25b79c11ab37ab5e0d47026bf0e371d6f52dd518667ce368171370c98232259f"
+REDUCE_REPLAY_TREES = "252eedcb091cd112acb09472fec9b66d23bec86ec6a68419f94d60252d62be4b"
 
-REDUCE_RANK3_P24 = (0, "fddd80c9d93fd537c5aaa8a7dee1896574a2444d6c558b972938844febd5f8f8")
+REDUCE_RANK3_P24 = (0, "7ebc30c8f89a4687f707014f60982be0aa36326c3b50a7fae19fa00324647000")
 
 REDUCE_RANK4 = {
-    "generic": (0, "7dea23f7f487d16866412ebbf1f466e190ab7ca916a94a97cde9de6c3827c985"),
-    "invertible_lead": (0, "7dea23f7f487d16866412ebbf1f466e190ab7ca916a94a97cde9de6c3827c985"),
-    "nilpotent_lead": (1, "e7d83bb0311969fa9ad5c797d6b340a9d8fde78f1c7eaebd7c3cefb717697dd5"),
+    "generic": (0, "0b47e6721757732799bb64732263c54fbdbd246b91a20793535789c221859a85"),
+    "invertible_lead": (0, "0b47e6721757732799bb64732263c54fbdbd246b91a20793535789c221859a85"),
+    "nilpotent_lead": (1, "d70b25d5ba7e38eafe930444e069ca2076cfaa81a1e00f750b984adf82bfada3"),
 }
 
 EXTENSION_FIELD = {
@@ -108,14 +109,16 @@ IDENTITY_GAUGES = {
     "gauge-p4 identity saddle-node": (0, "1dedeba1ef7483e0558fc43979ccfd7c51ac6f2841c5762f6e23a82a94ee7eac"),
 }
 
-GUARD_TREES = "cc5bb3871df4991f2328080920d72f86490373a0b4e1c1270dc1eab2b9905ac9"
+GUARD_TREES = "89f0db1f4b3e6e8b38031f0736aca50f8cd0da2fed5ac19347b7c7f91e978f15"
+
+GUARD_SHAPES = "fc02ad1c448ade6c5e5eed2c5c1a4d2cd44414ec9357739e43c298d33c203f08"
 
 TOWER_GAUGES = "c7a2f52776e0f25f2fd915a3d8e25bce645b297963ee80c68ef651c848273366"
 
 TWIST_TREES = {
-    "plain": (1, "eb6b5584c884f0dc470f1012598f128106e26cfd466cfbe8c3e6bbdc4affb899"),
-    "unit": (1, "46148d361fd244a81e79b6aa5cc8a4a4567a5d255a019d94161364354bd95923"),
-    "monomial": (1, "fcdad9cab2317f761355d448894fcf405fafa13b56f8c43be3d409c636f629ac"),
+    "plain": (1, "44e769a5e37ec428f31d46991d7afb1cc097c40421b9dcfb89f49e018b989e4c"),
+    "unit": (1, "0d6e95f712121a3701cc6333b4d03e524efffe844f4dbb7022add6ad549b1594"),
+    "monomial": (1, "4107ebc1983d23f1a94b6463947cb0617fc4dcd41d8599b699157e44ff794046"),
 }
 
 GOLDEN = {
@@ -186,7 +189,7 @@ GOLDEN = {
     "reduce gen7-1": (0, "329c79e26a2feb37ea5de9d069e0689ffd75178a12a909243bc8f2c4aaafc72f"),
     "reduce gen7-2": (0, "29e5221b1f786f501bb7966659e6d534da426d4abd45c66ba488b276a80a1cf3"),
     "reduce gen7-3": (0, "b813142cf2fbda523f480f0ae96085ff9b15dd3349fac2d3a8bddcf89b95dd4d"),
-    "reduce gen7-4": (0, "d771cf138064bbbe41d1d2683049ebae4750bd877608e097d50c1a903e3759b4"),
+    "reduce gen7-4": (0, "58fedac9ca31b677437128405eca10030b96f19aba1444cd65cbfd7604fee16c"),
     "reduce gen7-5": (0, "e612fc1a53e484a433279edad8d36656e8dc6d06a113a344685d2c1aefeab30f"),
     "reduce gen7-6": (0, "7decf1201b2c5ba8e9b55e36f6c34547b31ab4d3036974d554177e48219d32cb"),
     "reduce gen7-7": (0, "47bfd08e2628b1a956b9990602222bdd5962eb94bce8e4562cc324199cfa78f7"),
@@ -194,13 +197,13 @@ GOLDEN = {
     "reduce half-residue": (0, "01f8a2e3fac40070aa2a0a29b6d97905db5e98f1133c14306cb57efe66c85c23"),
     "reduce jump-half": (0, "9c9a6e0736316be34c1423219fa8e979115707823db32d316098b4d89ccfde62"),
     "reduce jump-integer": (0, "bd32f9279b187dcf748cfcea67e740fc551415b9b4a32eb1705b89bd70c5deec"),
-    "reduce ramified-pair": (0, "319261cd4a910c8876dd195a760dc922dbb31a6c3bf2b6e7879f5ad0bb10ede9"),
+    "reduce ramified-pair": (0, "ccd33ee560f21a2557ee381099519c42d2a17c5afc904bcca7b26bfe673dee92"),
     "reduce saddle-node": (0, "fa5a040ea434a1f4d7d85adf639e4e0a56ca1d7be0c1d073f5ab2779ed4b75f9"),
     "reduce-p6 gen7-0": (0, "20ec1dc673296a52a9f85ce62a14bbfd1563640e8da7ef9c5ab710f357a573a5"),
     "reduce-p6 gen7-1": (0, "7f757ada1035ea60dc0f60ca4ef485f79179d0ff4c6287d431513a81accda619"),
     "reduce-p6 gen7-2": (0, "1c6c93a462e7441bd4bc4a91855ae66e71886a49adfd06d70ba9758689b6570f"),
     "reduce-p6 gen7-3": (0, "2a73eeb59e6023d7f0d7b6da3eb96f343d33900cffd69862755099638981312f"),
-    "reduce-p6 gen7-4": (0, "cce9ee37d953ef2c758f1b32b2632af39822993dd549dabc4e6e743c5ece0a2b"),
+    "reduce-p6 gen7-4": (0, "bf6657b649b5cbdf44ae2f829c029c68e92409640e62540c57d249c728f29e72"),
     "reduce-p6 gen7-5": (0, "524a54898261f7534bdb0373653f830b24d6aed64e82adf0f0bed43ca939a4e5"),
     "reduce-p6 gen7-6": (0, "af8d3c6cbdfc3130da911283239f42830722686756916964fbac42c71283fa7c"),
     "reduce-p6 gen7-7": (0, "1b7d55c2c7d4366fb3429977b68cf9d99c585f5a197fd9933a7ea4751625d0c0"),
@@ -208,7 +211,7 @@ GOLDEN = {
     "reduce-p6 half-residue": (0, "117282edb57f6690430d3f38fb4ad240c7521e7ea5411b073e18147f0dbe207f"),
     "reduce-p6 jump-half": (0, "e27b98b9dc52a40cd2e69666aee45ae824c99e82a586400a76da12e882c53ac5"),
     "reduce-p6 jump-integer": (0, "145f8e1245b2e6ed18e0c778e1ece241f64bab64e573b733a34763ca80833e95"),
-    "reduce-p6 ramified-pair": (0, "a187c3d1775fc3339c63a4dcf96e63a6f8ad87431654b204db516147eed8fc4d"),
+    "reduce-p6 ramified-pair": (0, "6a1527bfd2ef82fcc504b95ded50cb8e596aaf50314c40c058eea1ec5a8676a5"),
     "reduce-p6 saddle-node": (0, "8132969075f6262f2cd0fc3f7f436f0c719b54ac9ae63c9915c9915df4aff049"),
 }
 
@@ -649,17 +652,37 @@ def _guard_inputs():
     return inputs + [c.truncate(6) for c in inputs]
 
 
-def _guard_digest():
-    """sha256 over the encoded ``reduce`` tree, or the type and message of
-    the exception, of every input of :func:`_guard_inputs`."""
-    digest = hashlib.sha256()
+def _shape(node):
+    """The encoded tree node ``node`` without its gauge matrices, and with
+    each leaf cut to its polar part: the leaf's coefficients at exponents
+    below 0, with no precision."""
+    out = {**node, "ops": [{"op": "gauge"} if op["op"] == "gauge" else op
+                           for op in node["ops"]]}
+    if "children" in node:
+        out["children"] = [_shape(child) for child in node["children"]]
+    if "leaf" in node:
+        leaf = {key: v for key, v in node["leaf"].items() if key != "precision"}
+        leaf["coefficients"] = [t for t in leaf["coefficients"] if t["exp"] < 0]
+        out["leaf"] = leaf
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _guard_digests():
+    """``(trees, shapes)``: one sha256 over the encoded ``reduce`` tree, and
+    one over its :func:`_shape`, or over the type and message of the
+    exception, of every input of :func:`_guard_inputs`, from one ``reduce``
+    each."""
+    trees, shapes = hashlib.sha256(), hashlib.sha256()
     for c in _guard_inputs():
         try:
             out = serialize.encode_tree(reduce(c))
+            shape = {**out, "root": _shape(out["root"])}
         except EngineError as exc:
-            out = f"{type(exc).__name__}: {exc}"
-        digest.update(serialize.dumps(out).encode())
-    return digest.hexdigest()
+            out = shape = f"{type(exc).__name__}: {exc}"
+        trees.update(serialize.dumps(out).encode())
+        shapes.update(serialize.dumps(shape).encode())
+    return trees.hexdigest(), shapes.hexdigest()
 
 
 def _twist_inputs(seed=5, draw=3):
@@ -695,7 +718,11 @@ def test_reduce_trees_of_the_twist_inputs_match_the_recorded_digests():
 
 
 def test_reduce_trees_of_the_guard_set_match_the_recorded_digest():
-    assert _guard_digest() == GUARD_TREES
+    assert _guard_digests()[0] == GUARD_TREES
+
+
+def test_reduce_shapes_of_the_guard_set_match_the_recorded_digest():
+    assert _guard_digests()[1] == GUARD_SHAPES
 
 
 def test_tower_gauges_and_inverses_match_the_recorded_digest():
@@ -776,7 +803,9 @@ if __name__ == "__main__":
     for kind, (restarts, digest) in _rank4_digests().items():
         print(f'    "{kind}": ({restarts}, "{digest}"),')
     print("}")
-    print(f'GUARD_TREES = "{_guard_digest()}"')
+    trees, shapes = _guard_digests()
+    print(f'GUARD_TREES = "{trees}"')
+    print(f'GUARD_SHAPES = "{shapes}"')
     print(f'TOWER_GAUGES = "{_tower_gauge_digest()}"')
     print("TWIST_TREES = {")
     for name, (twists, digest) in _twist_digests().items():

@@ -405,21 +405,64 @@ def _encoded(m):
     return serialize.dumps(serialize.encode_matrix(m))
 
 
+def _offsets_left(c, x, normalized):
+    """The offsets above the lead of ``c`` at which a known coefficient of
+    ``normalized`` has a nonzero component in ``ad(lead) S`` along ``K``,
+    for ``K = ker ad(x)`` and ``S = im ad(x)``: one inverse of the basis
+    ``[K | ad(lead) S]`` and one product of its last rows with the
+    coefficients."""
+    r = -c.valuation
+    kernel = linalg.nullspace(linalg.ad_matrix(x))
+    target = _mat_mul(linalg.ad_matrix(c.leading()),
+                      linalg.transpose(_pivot_columns(linalg.ad_matrix(x))))
+    rows = linalg.inverse([[v[k] for v in kernel] + row
+                           for k, row in enumerate(target)])[len(kernel):]
+    exps = list(range(1 - r, normalized.prec))
+    coeffs = [normalized.coeff(e) for e in exps]
+    parts = _mat_mul(rows, [[m[a][b] for m in coeffs] for a in range(c.size)
+                            for b in range(c.size)])
+    return [e + r for j, e in enumerate(exps) if any(not row[j].is_zero() for row in parts)]
+
+
+def _agrees_with_the_stepwise_loop(c, x, rec, corrections, matrix=None, gauge=None):
+    """Assert what ``sibuya_normalize``'s record ``rec`` shares with a
+    stepwise loop that gauges by ``exp(-u**i C_i)`` one step at a time and
+    took ``corrections`` (each ``C_i`` a grid of field elements): the gauge
+    gives the connection, no ``ad(lead) S`` component is left, the steps
+    below twice the first one's offset agree (the two gauges differ only in
+    terms of second order, which land there or above, so the whole first
+    block agrees), and when every step lies in the tail ``[h, p)``, where
+    both loops take one gauge ``I - sum(u**i C_i)``, the loop's ``matrix``
+    and ``gauge`` encode to the same bytes.  Returns whether that held."""
+    assert c.gauge(rec.gauge).matrix.coincides_with(rec.connection.matrix)
+    assert _offsets_left(c, x, rec.connection) == []
+    first = corrections[0][0]
+    new = [(i, m) for i, m in rec.corrections if i < 2 * first]
+    old = [(i, m) for i, m in corrections if i < 2 * first]
+    assert [i for i, _ in new] == [i for i, _ in old]
+    for (_, a), (_, b) in zip(new, old):
+        a = series._elements(rec.connection.tower, a)
+        assert _grids_equal(a, b) and str(a) == str(b)
+    if first < (c.prec - c.valuation + 1) // 2 or matrix is None:
+        return False
+    assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
+    for got, want in ((rec.connection.matrix, matrix), (rec.gauge, gauge)):
+        assert [[s.prec for s in row] for row in got.entries] == [
+            [s.prec for s in row] for row in want.entries]
+        assert got == want and _encoded(got) == _encoded(want)
+    return True
+
+
 def test_sibuya_normalize_matches_the_per_step_solve():
     inputs = _sibuya_inputs()
     assert {(c.tower.depth, c.ram) for c, _ in inputs} == {(0, 1), (1, 1), (1, 3),
                                                            (2, 1), (2, 3)}
     for c, x in inputs + _long_sibuya_inputs():
         rec = sibuya_normalize(c, x)
-        corrections, gauge, work = _old_sibuya(c, x)
+        corrections, _, work = _old_sibuya(c, x)
         assert rec.corrections, "the input needs no normalization step"
-        assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
-        for (_, new), (_, old) in zip(rec.corrections, corrections):
-            new = series._elements(rec.connection.tower, new)
-            assert _grids_equal(new, old) and str(new) == str(old)
-        assert rec.gauge == gauge and _encoded(rec.gauge) == _encoded(gauge)
-        assert (rec.connection.matrix == work.matrix
-                and _encoded(rec.connection.matrix) == _encoded(work.matrix))
+        assert _offsets_left(c, x, work) == []
+        _agrees_with_the_stepwise_loop(c, x, rec, corrections)
 
 
 def _old_step_gauge(tower, c_form, i, p):
@@ -443,9 +486,10 @@ def _old_step_gauge(tower, c_form, i, p):
 
 
 def _stepwise_sibuya(c, x):
-    """The step loop ``sibuya_normalize`` ran before its tail became one
-    gauge: three window products for every step ``i`` from 1 to ``p - 1``.
-    Returns ``(corrections, connection matrix, gauge)``."""
+    """The exponential step loop, the oracle of ``sibuya_normalize``'s block
+    gauges: one gauge ``exp(-u**i C_i)``, three window products, for every
+    step ``i`` from 1 to ``p - 1``.  Returns ``(corrections, connection
+    matrix, gauge)``."""
     n, lead, r = c.size, c.leading(), -c.valuation
     kernel, image = linalg.kernel_and_image(linalg.ad_matrix(x))
     source = linalg.transpose(image)
@@ -504,27 +548,35 @@ def _reduction_sibuya_calls():
     return calls
 
 
+def _tail_only(c):
+    """``c`` without its coefficients at the offsets ``1 <= k < h`` of the
+    head, ``h = ceil(p / 2)`` for the window ``p = prec + r``, known below
+    ``c.prec``: its Sibuya steps all lie in the tail ``[h, p)``."""
+    r = -c.valuation
+    h = (c.prec + r + 1) // 2
+    return Connection.from_coeff_map(c.tower, {e: c.coeff(e) for e in range(-r, c.prec)
+                                               if e == -r or e >= h - r},
+                                     c.size, prec=c.prec, ram=c.ram)
+
+
 def test_sibuya_tail_gauge_matches_the_stepwise_loop():
     calls = _sibuya_inputs() + _long_sibuya_inputs() + _reduction_sibuya_calls()
     windows = [c.prec - c.valuation for c, _ in calls]
     assert max(windows) >= 76 and any(c.tower.depth == 1 for c, _ in calls)
-    tails = 0
+    calls += [(_tail_only(c), x) for c, x in calls]
+    tails, heads = 0, 0
     for c, x in calls:
         rec = sibuya_normalize(c, x)
         corrections, matrix, gauge = _stepwise_sibuya(c, x)
-        h = (c.prec - c.valuation + 1) // 2
-        tails += sum(1 for i, _ in corrections if i >= h) > 1
-        assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
-        for (_, new), (_, old) in zip(rec.corrections, corrections):
-            new, old = (series._elements(rec.connection.tower, x) for x in (new, old))
-            assert new == old and str(new) == str(old)
         if not corrections:
+            assert rec.corrections == []
             continue
-        for got, want in ((rec.connection.matrix, matrix), (rec.gauge, gauge)):
-            assert [[s.prec for s in row] for row in got.entries] == [
-                [s.prec for s in row] for row in want.entries]
-            assert got == want and _encoded(got) == _encoded(want)
-    assert tails >= 10  # calls whose tail took more than one step
+        tail = _agrees_with_the_stepwise_loop(
+            c, x, rec, [(i, series._elements(rec.connection.tower, m)) for i, m in corrections],
+            matrix, gauge)
+        tails += tail and len(corrections) > 1
+        heads += not tail
+    assert tails >= 10 and heads >= 10  # calls whose tail took more than one step, and the rest
 
 
 def _early_return_cases(seed, n, r, prec, kind):
@@ -553,8 +605,9 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="mcred-hypothesis-")
 
 def test_sibuya_returns_early_exactly_when_every_coefficient_commutes():
     """``sibuya_normalize(c, x)`` gives back ``c`` itself, the exact identity
-    and no corrections exactly when :func:`commutes` holds; otherwise its
-    matrix and gauge encode to the bytes of the stepwise loop."""
+    and no corrections exactly when :func:`commutes` holds; otherwise it
+    agrees with the stepwise loop as :func:`_agrees_with_the_stepwise_loop`
+    asserts."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -574,9 +627,9 @@ def test_sibuya_returns_early_exactly_when_every_coefficient_commutes():
             outcomes.add(early)
             if not early:
                 corrections, matrix, gauge = _stepwise_sibuya(c, x)
-                assert [i for i, _ in rec.corrections] == [i for i, _ in corrections]
-                assert _encoded(rec.connection.matrix) == _encoded(matrix)
-                assert _encoded(rec.gauge) == _encoded(gauge)
+                _agrees_with_the_stepwise_loop(
+                    c, x, rec, [(i, series._elements(rec.connection.tower, m))
+                                for i, m in corrections], matrix, gauge)
 
     check()
     assert outcomes == {False, True}
@@ -617,15 +670,15 @@ def test_sibuya_normalize_runs_two_eliminations(monkeypatch):
 def test_sibuya_leftover_check_names_the_first_offset_left(monkeypatch, offset):
     # the lead diag(1, 2) has the diagonal as kernel; the off-diagonal
     # coefficients at offsets ``offset`` and 3 are left with a target component
-    # when every step gauge is the identity
+    # when every block gauge is the identity
     diagonal, upper = [[3, 0], [0, 4]], [[0, 1], [0, 0]]
     higher = {-1: upper, 0: diagonal} if offset == 1 else {-1: diagonal, 0: upper}
     c = Connection.from_coeff_map(QQ, {-2: [[1, 0], [0, 2]], **higher, 1: [[0, 0], [5, 0]]},
                                   2, prec=2)
     assert [i for i, _ in sibuya_normalize(c, c.leading()).corrections][0] == offset
     ident = [[leading._ONE if a == b else None for b in range(2)] for a in range(2)]
-    no_dlog = [[(None, None)] * 2 for _ in range(2)]
-    monkeypatch.setattr(leading, "_step_gauge", lambda *args: (ident, ident, no_dlog))
+    no_derivative = [[None] * 2 for _ in range(2)]
+    monkeypatch.setattr(leading, "_block_gauge", lambda *args: (ident, ident, no_derivative))
     with pytest.raises(EngineError, match=f"coefficient at offset {offset} still has a component"):
         sibuya_normalize(c, c.leading())
 
