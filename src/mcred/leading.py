@@ -9,11 +9,10 @@ Three tools live here:
 
 * :func:`sibuya_normalize` -- gauge away, order by order, the components of
   the higher coefficients that lie in a chosen complement of a kernel
-  subspace adapted to the leading coefficient.  Step ``i`` takes a
-  constant matrix ``C_i`` whose ``ad(lead)(C_i)`` cancels that component at
-  offset ``i``; the steps of each dyadic block of offsets ``[k, 2k)``, and
-  of the upper half of the window, commute below the block's end and take
-  one gauge ``I - sum(u**i C_i)``.
+  subspace adapted to the leading coefficient.  Step ``i`` cancels that
+  component at offset ``i`` by ``ad(lead)(C_i)``; the steps of each dyadic
+  block of offsets ``[k, 2k)``, and of the upper half of the window,
+  commute below the block's end and take one gauge ``I - sum(u**i C_i)``.
   :func:`commutes` tells when there is nothing to gauge away.  Constant
   matrices multiply as ``(den, parts)`` integer matrices
   (:func:`series._matrix_product`), series as integer forms.
@@ -44,7 +43,7 @@ from .field import (_UNIT, FieldElement, FieldTower, _mul, _poly_divmod, _poly_s
                     _poly_trim, _rational, common_context, common_tower)
 from .matrices import LaurentMatrix
 from .series import (INF, _ONE, _form_product, _forms, _from_form, _gathered, _is_zero,
-                     _matrix_form, _matrix_product, _sum_of_products)
+                     _matrix_form, _matrix_product, _sum_of_products, _truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +250,32 @@ def _block_gauge(tower: FieldTower, steps: list, p: int) -> tuple:
     ``steps``, a list of ``(i, C_i)`` in increasing ``i`` with each ``C_i`` a
     ``(den, parts)`` matrix, ``X = sum(u**i C_i)`` and ``X' = dX/du``: ``E``
     and ``E**-1 = sum(X**m)`` modulo ``u**p``, every entry known below
-    ``p``, and ``X'`` known below ``p - 1``.  The coefficient ``Y_d`` of
-    ``u**d`` in ``E**-1 = I + X E**-1`` is ``sum(C_i Y_(d-i))``: one
-    :func:`series._matrix_product` of the blocks ``[C_i..]`` and
-    ``[Y_(d-i)..]`` over the steps with ``Y_(d-i)`` nonzero, so one step
-    ``(i, C)`` gives the powers ``Y_(i m) = C**m``."""
+    ``p``, and ``X'`` known below ``p - 1``.  One step ``(i, C)`` takes
+    ``E**-1 = sum(u**(i m) C**m)``, each power one
+    :func:`series._matrix_product` from the last.  Several steps, the least
+    ``k``, take ``E**-1 = (I + X)(I + X**2)(I + X**4)...``: ``X**(2 l)`` is
+    the window product of ``X**l``, of valuation at least ``l k`` and so cut
+    below ``p - l k``, with itself, and each factor is one more window
+    product, until ``X**(2 l)`` vanishes modulo ``u**p``."""
     size, n = tower.sizes[-1], len(steps[0][1][1][0])
     one = (0, 1, _identity(n))
-    e = _polynomial([one] + [(i, -1, c) for i, c in steps], p, size)
-    powers = {0: one[2]}
-    for d in range(steps[0][0], p):
-        terms = [(c, powers[d - i]) for i, c in steps if d - i in powers]
-        if not terms:
-            continue
-        y = _matrix_product(tower, *terms[0]) if len(terms) == 1 else _matrix_product(
-            tower, _joined([(1, c) for c, _ in terms], True),
-            _joined([(1, b) for _, b in terms], False))
-        if not _is_zero(y):
-            powers[d] = y
-    return (e, _polynomial([(d, 1, y) for d, y in powers.items()], p, size),
-            _polynomial([(i - 1, i, c) for i, c in steps], p - 1, size))
+    e, inverse = (_polynomial([one] + [(i, sign, c) for i, c in steps], p, size)
+                  for sign in (-1, 1))
+    derivative = _polynomial([(i - 1, i, c) for i, c in steps], p - 1, size)
+    low, c = steps[0]
+    if len(steps) == 1:
+        powers = [one, (low, 1, c)]
+        while powers[-1][0] + low < p and not _is_zero(powers[-1][2]):
+            powers.append((powers[-1][0] + low, 1, _matrix_product(tower, powers[-1][2], c)))
+        return e, _polynomial(powers, p, size), derivative
+    x = _polynomial([(i, 1, c) for i, c in steps], p, size)
+    while 2 * low < p and any(f[3] for row in x for f in row):
+        x = [[_truncated(f, p - low, size) for f in row] for row in x]
+        x, low = _form_product(tower, x, x), 2 * low
+        cols = list(zip(*x))
+        inverse = [[_sum_of_products(tower, [(v, _ONE), *zip(row, col)])
+                    for v, col in zip(row, cols)] for row in inverse]
+    return e, inverse, derivative
 
 
 def _gauged(tower: FieldTower, gauge: tuple, work: list, total: list) -> tuple:
@@ -317,35 +322,29 @@ def sibuya_normalize(c: Connection, x: Sequence[Sequence[FieldElement]]) -> Norm
     With ``p = prec + r`` the offsets ``[1, p)`` run in blocks ``[1, 2)``,
     ``[2, 4)``, ``[4, 8)`` and so on up to ``h = ceil(p / 2)``, then ``[h,
     p)``, so a block ``[k, l)`` has ``l <= 2 k``.  Below offset ``2 k`` the
-    steps of a block commute: every product of two of their terms lands at
-    ``2 k`` or above, and so does every product of a step with the
-    derivative of another, because ``r >= 2``.  So the coefficient step
-    ``j`` sees is ``W_j``, the one at offset ``j`` before the block, less
-    ``[C_i, W_(j-i)]`` for the block's steps ``i < j``, plus ``i C_i`` for
-    the ``i`` with ``i - 1 = -r + j``: one product of the constant blocks
-    ``[I, C_i.., W_(j-i)..]`` and ``[W_j; -W_(j-i)..; C_i..]``.  ``C_j``
-    therefore only depends on the coefficients up to offset ``j``.  The
-    whole block is then one gauge ``E = I - X``, ``X = sum(u**i C_i)``:
-    ``G <- (E G + X') E**-1`` and ``total <- E total``, three window
-    products, with ``E`` and ``E**-1 = sum(X**m)`` known below ``p`` and
-    ``X' = dX/du`` below ``p - 1`` (:func:`_block_gauge`).  It moves each
-    coefficient of the block as its steps do, touches nothing below the
-    block and preserves the overall precision; above ``2 k`` it differs
-    from the exponentials ``exp(-u**i C_i)`` of the steps in turn, except in
-    the tail ``[h, p)``, where ``X**2`` vanishes modulo ``u**p`` and both
-    give every coefficient and precision alike.
+    steps of a block commute: every product of two of their terms, and of a
+    step with the derivative of another, lands at ``2 k`` or above because
+    ``r >= 2``.  So step ``j`` sees ``W_j``, the coefficient at offset ``j``
+    before the block, less ``[C_i, W_(j-i)]`` for the block's steps ``i <
+    j``, plus ``i C_i`` for the ``i`` with ``i - 1 = -r + j``: one product
+    of the constant blocks ``[I, C_i.., W_(j-i)..]`` and ``[W_j; -W_(j-i)..;
+    C_i..]``.  The whole block is then one gauge ``E = I - X``, ``X =
+    sum(u**i C_i)`` (:func:`_block_gauge`): ``G <- (E G + X') E**-1`` and
+    ``total <- E total``, three window products.  It moves each coefficient
+    of the block as its steps do, touches nothing below the block and keeps
+    the precision.  Above ``2 k`` it differs from the exponentials
+    ``exp(-u**i C_i)`` of the steps in turn, except in the tail ``[h, p)``,
+    where ``X**2`` vanishes modulo ``u**p`` and both give the same bytes.
 
     The loop builds no series and no field elements: ``G`` and ``total``
-    are grids of :func:`series._integral` forms, every window product is one
-    :func:`series._form_product`, and ``X'`` is one more pair in the sum of
-    products of ``E G`` (:func:`_gauged`).  ``step``, each ``C_i`` and the
-    coefficients of ``E**-1`` are ``(den, parts)`` matrices multiplied by
-    :func:`series._matrix_product`; a block reads its coefficient columns
-    off the forms (:func:`_coefficients`), and an all-zero column takes no
-    product.  The final check that no ``ad(lead) S`` component is left is
-    one product of ``rows`` with the columns of every exponent above the
-    lead.  The two matrices are built once, after the loop, from their
-    forms, also when no step was taken.
+    are grids of :func:`series._integral` forms multiplied by
+    :func:`series._form_product`, and ``step``, each ``C_i`` and the
+    coefficients a block reads off the forms (:func:`_coefficients`) are
+    ``(den, parts)`` matrices multiplied by :func:`series._matrix_product`;
+    an all-zero column takes no product.  The final check that no ``ad(lead)
+    S`` component is left is one product of ``rows`` with the columns of
+    every exponent above the lead.  The two matrices are built once, after
+    the loop, from their forms, also when no step was taken.
     """
     if c.prec is INF:
         raise DomainViolation(

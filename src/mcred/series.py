@@ -207,10 +207,7 @@ class LaurentSeries:
         prec = _check_prec(prec)
         if prec >= self.prec:
             return self
-        size = self.tower.sizes[-1]
-        den, terms = (1, []) if self.form is None else self.form[2:]
-        return _from_form(self.tower, self.ram,
-                          _normal(size, prec, den, [t for t in terms if t[0] < prec * size]))
+        return _from_form(self.tower, self.ram, _truncated(self.form, prec, self.tower.sizes[-1]))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -351,6 +348,12 @@ def _normal(size: int, prec, den: int, terms: list):
     if g > 1:
         den, terms = den // g, [(k, n // g) for k, n in terms]
     return terms[0][0] // size, prec, den, terms
+
+
+def _truncated(form, prec, size: int):
+    """The :func:`_integral` form ``form`` known only below ``prec``."""
+    den, terms = (1, []) if form is None else form[2:]
+    return _normal(size, prec, den, [t for t in terms if t[0] < prec * size])
 
 
 def _form_of(size: int, prec, elements: dict):

@@ -38,7 +38,13 @@ file's connection encoded again.  ``GUARD_TREES`` is one
 sha256 over the encoded ``reduce`` trees (or exception texts) of the
 202-input reduction guard set of :func:`_guard_inputs`: the 72
 ``reduce-replay`` inputs of seeds 1-3, the samples, ``mcred generate --seed
-7 --count 24``, and each of those truncated at 6.  ``TWIST_TREES`` pins, with
+7 --count 24``, and each of those truncated at 6.  ``GUARD_SHAPES`` is one
+sha256 over the same trees, from the same ``reduce`` calls, with every gauge
+matrix and each leaf's holomorphic tail stripped (:func:`_shape`): it keeps
+node kinds, sizes, ramifications, poles, measures, slopes, lead partitions,
+split sizes, ramify and twist ops, restarts, residues, the polar parts of
+the leaves and exception texts, so a change of gauges alone must leave it
+unchanged.  ``TWIST_TREES`` pins, with
 the number of ``twist`` ops in each tree, the sha256 of the encoded
 ``reduce`` tree of draw 3 of seed 5's gauge sweep
 (``test_reduction._gauge_sweep``), of its copy under the unit gauge the sweep
@@ -52,7 +58,7 @@ When an output change is intended, re-record the digests with::
     PYTHONPATH=src python tests/test_golden_bytes.py
 
 which prints new ``GOLDEN``, ``TRUNCATED``, ``EXTENSION_FIELD`` and ``IDENTITY_GAUGES`` dicts and the
-``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4``, ``GUARD_TREES``, ``TOWER_GAUGES`` and ``TWIST_TREES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
+``REDUCE_REPLAY_TREES``, ``REDUCE_RANK3_P24``, ``REDUCE_RANK4``, ``GUARD_TREES``, ``GUARD_SHAPES``, ``TOWER_GAUGES`` and ``TWIST_TREES`` digests to paste over the ones below, and say in ``CHANGES.md`` which outputs changed
 and why.
 """
 
